@@ -7,10 +7,11 @@ variant replaces min by a soft-min at temperature ``rho`` and is
 continuously differentiable with the difference of the two forest marginal
 maps as its gradient.
 
-Forest dynamic programming runs in the energy domain with max-subtracted
-exponentials, so it is stable for temperatures down to (and well below)
-1e-4.  Path components are batched into stacked array recursions; general
-tree components fall back to per-node message passing.  Argmin ties are
+Both forest oracles are one level-synchronous dynamic program (see
+:class:`ForestPlan`): trees are rooted at a center, and each step handles
+all tree edges of one depth and one label-count shape as stacked arrays.
+It runs in the energy domain with min-subtracted exponentials, so it is
+stable for temperatures down to (and well below) 1e-4.  Argmin ties are
 always broken toward the smaller label so subgradients are reproducible.
 """
 
@@ -47,31 +48,44 @@ def _gibbs(neg_energy_over_rho: np.ndarray, axis) -> np.ndarray:
 
 
 @dataclasses.dataclass
-class _PathGroup:
-    order: np.ndarray      # (k, c) node ids
-    gather: np.ndarray     # (k, c, L) flat unary indices
-    pairwise: np.ndarray   # (k, c-1, L, L) oriented along the walk
-    edge_ids: np.ndarray   # (k, c-1)
-    flipped: np.ndarray    # (k, c-1) walk orientation vs canonical edge
+class _EdgeGroup:
+    """Tree edges whose children share one depth and whose (child, parent)
+    label counts are the same ``(L_c, L_p)``."""
+
+    child: np.ndarray          # (k,) node ids
+    parent: np.ndarray         # (k,)
+    child_gather: np.ndarray   # (k, L_c) flat unary indices
+    parent_gather: np.ndarray  # (k, L_p)
+    w: np.ndarray              # (k, L_c, L_p) pairwise tables, child axis first
+    edge_ids: np.ndarray       # (k,)
 
 
-@dataclasses.dataclass
-class _IsolatedGroup:
-    nodes: np.ndarray      # (k,)
-    gather: np.ndarray     # (k, L)
-
-
-@dataclasses.dataclass
-class _TreeNode:
-    node: int
-    parent: int
-    edge_id: int
-    w: np.ndarray | None   # (L_node, L_parent), None at the root
-    children: list[int]
+def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
+    """Breadth-first order of ``(node, parent, edge, depth)`` from ``root``;
+    raises :class:`StructureError` when a node is reached twice (a cycle)."""
+    order = [(root, -1, -1, 0)]
+    seen = {root}
+    for x, p, _, depth in order:
+        for y, e in adj[x]:
+            if y != p:
+                if y in seen:
+                    raise StructureError("subgraph contains a cycle")
+                seen.add(y)
+                order.append((y, x, e, depth + 1))
+    return order
 
 
 class ForestPlan:
     """Precomputed traversal structure of one forest subgraph.
+
+    Each tree is rooted at a center of its longest path, so its depth is
+    its radius.  Tree edges are grouped by the child's depth and by the
+    label counts ``(L_c, L_p)`` of child and parent, and each DP step
+    processes one group as stacked arrays: messages go up from the deepest
+    group to the roots, then back down for labelings and marginals.
+    Min-sum and soft-min share the upward pass and differ only in its
+    reduction.  Argmin ties go to the smaller label, at the roots and at
+    every child.
 
     Building the plan validates acyclicity.  The plan is reusable across
     unary tables (the pairwise tables are fixed by the model), which is what
@@ -82,11 +96,8 @@ class ForestPlan:
         self.model = model
         self.subgraph = subgraph
         self.packing = model.packing()
-        n = model.n_nodes
-        in_sub = np.zeros(n, dtype=bool)
-        for v in subgraph.nodes:
-            in_sub[v] = True
-        self.in_subgraph = in_sub
+        self.in_subgraph = in_sub = np.zeros(model.n_nodes, dtype=bool)
+        in_sub[list(subgraph.nodes)] = True
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in subgraph.nodes}
         for u, v in subgraph.edges:
             if not (in_sub[u] and in_sub[v]):
@@ -94,166 +105,67 @@ class ForestPlan:
             e = model.edge_id(u, v)
             adj[u].append((v, e))
             adj[v].append((u, e))
-        for v in adj:
-            adj[v].sort()
 
-        visited = set()
-        isolated: list[int] = []
-        paths: list[list[int]] = []
-        trees: list[list[int]] = []
-        for start in sorted(subgraph.nodes):
-            if start in visited:
+        counts = self.packing.label_counts.tolist()
+        roots: dict[int, list[int]] = {}  # L -> root nodes
+        links: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}  # (L_c, L_p) -> (depth, c, p, e)
+        done: set[int] = set()
+        for start in subgraph.nodes:
+            if start in done:
                 continue
-            comp = []
-            queue = [start]
-            visited.add(start)
-            edge_count = 0
-            while queue:
-                x = queue.pop()
-                comp.append(x)
-                for y, _ in adj[x]:
-                    edge_count += 1
-                    if y not in visited:
-                        visited.add(y)
-                        queue.append(y)
-            edge_count //= 2
-            if edge_count != len(comp) - 1:
-                raise StructureError("subgraph contains a cycle")
-            if len(comp) == 1:
-                isolated.append(comp[0])
-            elif all(len(adj[x]) <= 2 for x in comp):
-                ends = sorted(x for x in comp if len(adj[x]) == 1)
-                walk = [ends[0]]
-                prev = -1
-                while len(walk) < len(comp):
-                    nxt = [y for y, _ in adj[walk[-1]] if y != prev]
-                    prev = walk[-1]
-                    walk.append(nxt[0])
-                paths.append(walk)
-            else:
-                trees.append(sorted(comp))
+            # a deepest node from anywhere ends a longest path; walk back
+            # from that path's far end to its middle
+            order = _bfs(adj, _bfs(adj, start)[-1][0])
+            parent_of = {x: p for x, p, _, _ in order}
+            done.update(parent_of)
+            root = order[-1][0]
+            for _ in range(order[-1][3] // 2):
+                root = parent_of[root]
+            roots.setdefault(counts[root], []).append(root)
+            for x, p, e, depth in _bfs(adj, root)[1:]:
+                links.setdefault((counts[x], counts[p]), []).append((depth, x, p, e))
 
-        counts = self.packing.label_counts
         starts = self.packing.node_starts
+        self.root_groups: list[tuple[np.ndarray, np.ndarray]] = []
+        for L, nodes in sorted(roots.items()):
+            nodes = np.array(nodes, dtype=np.int64)
+            self.root_groups.append((nodes, starts[nodes][:, None] + np.arange(L)))
+        groups: list[tuple[int, _EdgeGroup]] = []
+        for (lc, lp), members in sorted(links.items()):
+            members.sort()
+            depth, c, p, e = np.array(members, dtype=np.int64).T
+            # canonical tables are (L_u, L_v) with u < v
+            w = np.stack([model.pairwise[i] if x < y else model.pairwise[i].T for _, x, y, i in members])
+            arrays = (c, p, starts[c][:, None] + np.arange(lc), starts[p][:, None] + np.arange(lp), w, e)
+            bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                groups.append((int(depth[lo]), _EdgeGroup(*(x[lo:hi] for x in arrays))))
+        # deepest first, the order of the upward pass
+        self.groups = [g for _, g in sorted(groups, key=lambda dg: -dg[0])]
 
-        self.isolated_groups: list[_IsolatedGroup] = []
-        by_count: dict[int, list[int]] = {}
-        for v in isolated:
-            by_count.setdefault(int(counts[v]), []).append(v)
-        for L, nodes in sorted(by_count.items()):
-            ids = np.array(sorted(nodes), dtype=np.int64)
-            self.isolated_groups.append(
-                _IsolatedGroup(nodes=ids, gather=starts[ids][:, None] + np.arange(L)[None, :])
-            )
-
-        self.path_groups: list[_PathGroup] = []
-        by_shape: dict[tuple[int, int], list[list[int]]] = {}
-        for walk in paths:
-            labels = {int(counts[v]) for v in walk}
-            if len(labels) == 1:
-                by_shape.setdefault((len(walk), labels.pop()), []).append(walk)
-            else:
-                trees.append(walk)  # mixed label counts: use the generic code path
-        for (c, L), walks in sorted(by_shape.items()):
-            order = np.array(walks, dtype=np.int64)
-            k = order.shape[0]
-            gather = starts[order][:, :, None] + np.arange(L)[None, None, :]
-            pw = np.empty((k, c - 1, L, L))
-            eids = np.empty((k, c - 1), dtype=np.int64)
-            flipped = np.zeros((k, c - 1), dtype=bool)
-            for i in range(k):
-                for t in range(c - 1):
-                    a, b = int(order[i, t]), int(order[i, t + 1])
-                    e = model.edge_id(a, b)
-                    eids[i, t] = e
-                    if a < b:
-                        pw[i, t] = model.pairwise[e]
-                    else:
-                        pw[i, t] = model.pairwise[e].T
-                        flipped[i, t] = True
-            self.path_groups.append(
-                _PathGroup(order=order, gather=gather, pairwise=pw, edge_ids=eids, flipped=flipped)
-            )
-
-        self.tree_components: list[list[_TreeNode]] = []
-        for comp in trees:
-            root = comp[0]
-            order: list[_TreeNode] = []
-            index: dict[int, int] = {}
-            seen = {root}
-            bfs = [(root, -1, -1)]
-            head = 0
-            while head < len(bfs):
-                node, parent, eid = bfs[head]
-                head += 1
-                for y, e in adj[node]:
-                    if y not in seen:
-                        seen.add(y)
-                        bfs.append((y, node, e))
-            for node, parent, eid in bfs:
-                w = None
-                if parent >= 0:
-                    mat = model.pairwise[eid]
-                    u, v = model.edges[eid]
-                    w = np.array(mat if node == u else mat.T)
-                tn = _TreeNode(node=node, parent=parent, edge_id=eid, w=w, children=[])
-                index[node] = len(order)
-                order.append(tn)
-            for tn in order:
-                if tn.parent >= 0:
-                    order[index[tn.parent]].children.append(index[tn.node])
-            self.tree_components.append(order)
-
-    # ------------------------------------------------------------------
+    def _upward(self, unary_flat: np.ndarray, reduce) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-node aggregates (unary plus all messages from the subtree) and
+        each group's upward messages, reducing over the child's labels."""
+        agg = np.array(unary_flat, dtype=np.float64)
+        ups = []
+        for g in self.groups:
+            up = reduce(g.w + agg[g.child_gather][:, :, None])
+            np.add.at(agg, g.parent_gather, up)
+            ups.append(up)
+        return agg, ups
 
     def min_sum(self, unary_flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact minimum of the forest energy and a tie-broken argmin."""
+        agg, _ = self._upward(unary_flat, lambda a: np.min(a, axis=1))
         labels = np.zeros(self.model.n_nodes, dtype=np.int64)
         value = 0.0
-
-        for grp in self.isolated_groups:
-            u = unary_flat[grp.gather]
-            value += float(u.min(axis=1).sum())
-            labels[grp.nodes] = np.argmin(u, axis=1)
-
-        for grp in self.path_groups:
-            u = unary_flat[grp.gather]
-            k, c, L = u.shape
-            msg = np.zeros((k, c, L))
-            for t in range(c - 2, -1, -1):
-                msg[:, t] = np.min(grp.pairwise[:, t] + (u[:, t + 1] + msg[:, t + 1])[:, None, :], axis=2)
-            head = u[:, 0] + msg[:, 0]
-            value += float(head.min(axis=1).sum())
-            prev = np.argmin(head, axis=1)
-            labels[grp.order[:, 0]] = prev
-            rows = np.arange(k)
-            for t in range(1, c):
-                cand = grp.pairwise[rows, t - 1, prev, :] + u[:, t] + msg[:, t]
-                prev = np.argmin(cand, axis=1)
-                labels[grp.order[:, t]] = prev
-
-        starts = self.packing.node_starts
-        counts = self.packing.label_counts
-        for comp in self.tree_components:
-            agg: list[np.ndarray] = [None] * len(comp)
-            up: list[np.ndarray] = [None] * len(comp)
-            for i in range(len(comp) - 1, -1, -1):
-                tn = comp[i]
-                a = unary_flat[starts[tn.node] : starts[tn.node] + counts[tn.node]].copy()
-                for ci in tn.children:
-                    a += up[ci]
-                agg[i] = a
-                if tn.parent >= 0:
-                    up[i] = np.min(tn.w + a[:, None], axis=0)
-            value += float(agg[0].min())
-            labels[comp[0].node] = int(np.argmin(agg[0]))
-            for i, tn in enumerate(comp):
-                if tn.parent >= 0:
-                    xp = labels[tn.parent]
-                    labels[tn.node] = int(np.argmin(agg[i] + tn.w[:, xp]))
+        for nodes, gather in self.root_groups:
+            value += float(agg[gather].min(axis=1).sum())
+            labels[nodes] = np.argmin(agg[gather], axis=1)
+        for g in reversed(self.groups):
+            w_at_parent = g.w[np.arange(len(g.child)), :, labels[g.parent]]
+            labels[g.child] = np.argmin(agg[g.child_gather] + w_at_parent, axis=1)
         return value, labels
-
-    # ------------------------------------------------------------------
 
     def soft_min(
         self,
@@ -271,71 +183,26 @@ class ForestPlan:
         """
         if rho <= 0.0:
             raise ValueError("rho must be positive")
-        value = 0.0
-        node_marg = np.zeros_like(unary_flat) if want_marginals else None
+        agg, ups = self._upward(unary_flat, lambda a: _softmin(a, rho, axis=1))
+        value = sum(float(_softmin(agg[gather], rho, axis=1).sum()) for _, gather in self.root_groups)
         edge_marg: dict[int, np.ndarray] = {}
-
-        for grp in self.isolated_groups:
-            u = unary_flat[grp.gather]
-            value += float(_softmin(u, rho, axis=1).sum())
-            if want_marginals:
-                node_marg[grp.gather] = _gibbs(-u / rho, axis=1)
-
-        for grp in self.path_groups:
-            u = unary_flat[grp.gather]
-            k, c, L = u.shape
-            bwd = np.zeros((k, c, L))
-            for t in range(c - 2, -1, -1):
-                bwd[:, t] = _softmin(grp.pairwise[:, t] + (u[:, t + 1] + bwd[:, t + 1])[:, None, :], rho, axis=2)
-            value += float(_softmin(u[:, 0] + bwd[:, 0], rho, axis=1).sum())
-            if want_marginals:
-                fwd = np.zeros((k, c, L))
-                for t in range(1, c):
-                    fwd[:, t] = _softmin((fwd[:, t - 1] + u[:, t - 1])[:, :, None] + grp.pairwise[:, t - 1], rho, axis=1)
-                node_marg[grp.gather] = _gibbs(-(fwd + u + bwd) / rho, axis=2)
-                if want_edge_marginals:
-                    for t in range(c - 1):
-                        logits = -(
-                            (fwd[:, t] + u[:, t])[:, :, None]
-                            + grp.pairwise[:, t]
-                            + (u[:, t + 1] + bwd[:, t + 1])[:, None, :]
-                        ) / rho
-                        probs = _gibbs(logits.reshape(k, -1), axis=1).reshape(k, L, L)
-                        for i in range(k):
-                            m = probs[i].T if grp.flipped[i, t] else probs[i]
-                            edge_marg[int(grp.edge_ids[i, t])] = m
-
-        starts = self.packing.node_starts
-        counts = self.packing.label_counts
-        for comp in self.tree_components:
-            agg: list[np.ndarray] = [None] * len(comp)
-            up: list[np.ndarray] = [None] * len(comp)
-            for i in range(len(comp) - 1, -1, -1):
-                tn = comp[i]
-                a = unary_flat[starts[tn.node] : starts[tn.node] + counts[tn.node]].copy()
-                for ci in tn.children:
-                    a += up[ci]
-                agg[i] = a
-                if tn.parent >= 0:
-                    up[i] = _softmin(tn.w + a[:, None], rho, axis=0)
-            value += float(_softmin(agg[0], rho, axis=0))
-            if want_marginals:
-                down: list[np.ndarray] = [None] * len(comp)
-                belief: list[np.ndarray] = [None] * len(comp)
-                index = {tn.node: i for i, tn in enumerate(comp)}
-                for i, tn in enumerate(comp):
-                    b = agg[i] if tn.parent < 0 else agg[i] + down[i]
-                    belief[i] = b
-                    s = starts[tn.node]
-                    node_marg[s : s + counts[tn.node]] = _gibbs(-b / rho, axis=0)
-                    for ci in tn.children:
-                        child = comp[ci]
-                        down[ci] = _softmin(child.w + (b - up[ci])[None, :], rho, axis=1)
-                        if want_edge_marginals:
-                            logits = -(agg[ci][:, None] + child.w + (b - up[ci])[None, :]) / rho
-                            probs = _gibbs(logits.reshape(-1), axis=0).reshape(child.w.shape)
-                            uu, vv = self.model.edges[child.edge_id]
-                            edge_marg[child.edge_id] = probs if child.node == uu else probs.T
+        if not want_marginals:
+            return value, None, edge_marg
+        node_marg = np.zeros_like(agg)
+        for _, gather in self.root_groups:
+            node_marg[gather] = _gibbs(-agg[gather] / rho, axis=1)
+        # belief = aggregate plus the message from outside the subtree
+        belief = agg.copy()
+        for g, up in zip(reversed(self.groups), reversed(ups)):
+            joint = g.w + (belief[g.parent_gather] - up)[:, None, :]
+            b = agg[g.child_gather] + _softmin(joint, rho, axis=2)
+            belief[g.child_gather] = b
+            node_marg[g.child_gather] = _gibbs(-b / rho, axis=1)
+            if want_edge_marginals:
+                logits = -(agg[g.child_gather][:, :, None] + joint) / rho
+                probs = _gibbs(logits.reshape(len(g.child), -1), axis=1).reshape(joint.shape)
+                for e, child_is_u, table in zip(g.edge_ids.tolist(), (g.child < g.parent).tolist(), probs):
+                    edge_marg[e] = table if child_is_u else table.T
         return value, node_marg, edge_marg
 
 

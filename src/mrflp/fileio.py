@@ -16,7 +16,12 @@ import numpy as np
 from .errors import StructureError
 from .model import ConvergenceRecord, DualPoint, Marginals, MrfModel
 
-CSV_HEADER = ["iter", "time_s", "dual_bound", "primal_bound", "integer_bound", "gap", "rho"]
+CSV_HEADER = [
+    "iter", "time_s", "dual_bound", "primal_bound", "integer_bound", "gap", "rho",
+    "smoothed_gap", "projected_energy",
+]
+# logs written before the last two columns existed still read, with them None
+_CSV_HEADER_V1 = CSV_HEADER[:7]
 
 
 def _fmt(x: float) -> str:
@@ -181,21 +186,23 @@ def read_dual_point(path) -> DualPoint:
     )
 
 
+def _fmt_optional(x) -> str:
+    return "" if x is None else _fmt(x)
+
+
+def _parse_optional(field: str):
+    return None if field == "" else float(field)
+
+
 def write_convergence_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow(
-                [
-                    r.iteration,
-                    _fmt(r.time_s),
-                    _fmt(r.dual_bound),
-                    _fmt(r.primal_bound),
-                    _fmt(r.integer_bound),
-                    _fmt(r.gap),
-                    "" if r.rho is None else _fmt(r.rho),
-                ]
+                [r.iteration]
+                + [_fmt(x) for x in (r.time_s, r.dual_bound, r.primal_bound, r.integer_bound, r.gap)]
+                + [_fmt_optional(x) for x in (r.rho, r.smoothed_gap, r.projected_energy)]
             )
 
 
@@ -204,18 +211,17 @@ def read_convergence_csv(path) -> list[ConvergenceRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != CSV_HEADER:
+        if header not in (CSV_HEADER, _CSV_HEADER_V1):
             raise StructureError(f"unexpected CSV header {header}")
         for row in reader:
+            if len(row) != len(header):
+                raise StructureError(f"CSV row has {len(row)} fields, expected {len(header)}")
+            # columns follow the ConvergenceRecord field order
             out.append(
                 ConvergenceRecord(
-                    iteration=int(row[0]),
-                    time_s=float(row[1]),
-                    dual_bound=float(row[2]),
-                    primal_bound=float(row[3]),
-                    integer_bound=float(row[4]),
-                    gap=float(row[5]),
-                    rho=None if row[6] == "" else float(row[6]),
+                    int(row[0]),
+                    *(float(x) for x in row[1:6]),
+                    *(_parse_optional(x) for x in row[6:]),
                 )
             )
     return out

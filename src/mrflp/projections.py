@@ -25,7 +25,7 @@ from ._packing import project_simplex_blocks
 from .errors import NumericalError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual
 from .tolerances import EQ_TOL
-from .transport import TransportProblem, _simplex_kernel, pivot_tolerance, solve_transport_entropic
+from .transport import TransportProblem, _solve_kernel, solve_transport_entropic
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,27 +39,14 @@ class LipschitzEstimate:
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex.
-
-    Iterative uniform-shift-and-clip: center the active entries to sum to
-    one, drop entries that went negative, repeat.  Terminates exactly in at
-    most ``len(v)`` rounds.
-    """
+    """Euclidean projection onto the probability simplex: the one-block case
+    of :func:`project_simplex_blocks`."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("entries must be finite")
-    active = np.ones(v.size, dtype=bool)
-    shift = 0.0
-    for _ in range(v.size + 1):
-        shift = (v[active].sum() - 1.0) / active.sum()
-        w = v - shift
-        fresh = active & (w < 0.0)
-        if not fresh.any():
-            break
-        active &= ~fresh
-    return np.where(active, np.maximum(v - shift, 0.0), 0.0)
+    return project_simplex_blocks(v, np.zeros(1, dtype=np.int64), np.array([v.size]))
 
 
 def _node_blocks_of(model: MrfModel, node_blocks) -> list[np.ndarray]:
@@ -109,13 +96,10 @@ def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
     projected = packing.split_nodes(flat)
     edge_blocks = []
     for e, (u, v) in enumerate(model.edges):
-        plan, _, _, _, _, status = _simplex_kernel(
-            model.pairwise[e], projected[u], projected[v],
-            1000 + 50 * model.pairwise[e].size, pivot_tolerance(model.pairwise[e]),
-        )
-        if status != 0:
-            raise NumericalError(f"transportation simplex exceeded its pivot cap on edge {(u, v)}")
-        np.clip(plan, 0.0, None, out=plan)
+        try:
+            plan = _solve_kernel(model.pairwise[e], projected[u], projected[v])[0]
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} on edge {(u, v)}") from exc
         edge_blocks.append(plan)
     return _certify(model, Marginals(node_blocks=projected, edge_blocks=tuple(edge_blocks)))
 

@@ -241,7 +241,13 @@ def pivot_tolerance(cost: np.ndarray) -> float:
     return PIVOT_TOL * max(1.0, scale)
 
 
-def _solve_kernel(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
+def _solve_kernel(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int | None = None):
+    """Run the simplex kernel and clip round-off negatives off the plan.
+
+    Without ``max_pivots`` the cap is ``max(1000, 50 * n * m)`` pivots.
+    """
+    if max_pivots is None:
+        max_pivots = max(1000, 50 * c.size)
     flow, basic, u, v, pivots, status = _simplex_kernel(
         np.ascontiguousarray(c, dtype=np.float64),
         np.ascontiguousarray(r, dtype=np.float64),
@@ -263,9 +269,6 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None) ->
     equality on basic arcs.
     """
     c = problem.cost
-    n, m = c.shape
-    if max_pivots is None:
-        max_pivots = max(1000, 50 * n * m)
     flow, basic, u, v, pivots = _solve_kernel(c, problem.row_marginal, problem.col_marginal, max_pivots)
     row_err = np.max(np.abs(flow.sum(axis=1) - problem.row_marginal))
     col_err = np.max(np.abs(flow.sum(axis=0) - problem.col_marginal))

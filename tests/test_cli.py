@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,10 +218,14 @@ class TestExperiments:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "m.uai"
+        # the child process imports the same package as this test, whether
+        # it came from PYTHONPATH or from pytest's pythonpath setting
+        src = str(Path(M.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "mrflp.cli", "generate", "grid", "--rows", "2",
              "--cols", "2", "--labels", "2", "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -94,31 +94,85 @@ class TestMinSum:
             M.dp_min(m, whole_graph(m), m.unary)
 
     def test_path_batching_matches_generic_tree_code(self):
-        # a star forces the generic code path; a chain with the same tables
-        # must agree through both implementations on shared structures
+        # a chain and a star over the same unary tables: both shapes must
+        # reach the exhaustive optimum and its labeling
         rng = np.random.default_rng(4)
         m = chain_model(7, 4, seed=9)
         sub = whole_graph(m)
-        plan = M.ForestPlan(m, sub)
-        assert plan.path_groups and not plan.tree_components
         unary = [rng.uniform(-1, 1, 4) for _ in range(7)]
         v1, l1 = M.dp_min(m, sub, unary)
-        # generic path: force via a tree component by star-joining node 0
         star = M.MrfModel.create(
             [4] * 7,
             [(0, v) for v in range(1, 7)],
             unary,
             [rng.uniform(-1, 1, (4, 4)) for _ in range(6)],
         )
-        plan_star = M.ForestPlan(star, whole_graph(star))
-        assert plan_star.tree_components
         v2, l2 = M.dp_min(star, whole_graph(star), unary)
-        best, _ = oracles.exhaustive_map(star)
+        best, best_x = oracles.exhaustive_map(star)
         assert v2 == pytest.approx(best, abs=1e-12)
-        best_chain, _ = oracles.exhaustive_map(
+        np.testing.assert_array_equal(l2, best_x)
+        best_chain, best_chain_x = oracles.exhaustive_map(
             M.MrfModel.create([4] * 7, m.edges, unary, m.pairwise)
         )
         assert v1 == pytest.approx(best_chain, abs=1e-12)
+        np.testing.assert_array_equal(l1, best_chain_x)
+
+
+def mixed_forest_model(seed):
+    """Isolated nodes 0-1, a path 2-3-4-5 with label counts 2, 3, 4, 2 and
+    a star centred on 6 with leaves 7-9, all with random tables."""
+    rng = np.random.default_rng(seed)
+    counts = [2, 3, 2, 3, 4, 2, 3, 2, 2, 3]
+    edges = [(2, 3), (3, 4), (4, 5), (6, 7), (6, 8), (6, 9)]
+    return M.MrfModel.create(
+        counts,
+        edges,
+        [rng.uniform(-1, 1, c) for c in counts],
+        [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges],
+    )
+
+
+class TestForestDpAgainstOracles:
+    def test_mixed_forest_matches_enumeration(self):
+        for seed in range(3):
+            m = mixed_forest_model(seed)
+            sub = whole_graph(m)
+            value, labels = M.dp_min(m, sub, m.unary)
+            best, best_x = oracles.exhaustive_map(m)
+            assert value == pytest.approx(best, abs=1e-12)
+            np.testing.assert_array_equal(labels, best_x)
+            for rho in (1.0, 0.2):
+                soft, node_marg, edge_marg = M.dp_softmin(m, sub, m.unary, rho)
+                bvalue, bnode, bedge = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                assert soft == pytest.approx(bvalue, abs=1e-10)
+                for v in range(m.n_nodes):
+                    np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
+                assert sorted(edge_marg) == sorted(bedge)
+                for eid, table in bedge.items():
+                    np.testing.assert_allclose(edge_marg[eid], table, atol=1e-10)
+
+    def test_subgraph_leaving_nodes_out(self):
+        m = mixed_forest_model(5)
+        # drop nodes 0 and 5 with the edge (4, 5), and the leaf edge (6, 9)
+        nodes = (1, 2, 3, 4, 6, 7, 8, 9)
+        edges = ((2, 3), (3, 4), (6, 7), (6, 8))
+        sub = M.Subgraph(nodes=nodes, edges=edges)
+        rho = 0.5
+        soft, node_marg, edge_marg = M.dp_softmin(m, sub, m.unary, rho)
+        bvalue, bnode, bedge = oracles.gibbs_bruteforce(m, edges, m.unary, rho)
+        # the oracle also sums over the left-out nodes, which are independent
+        outside = sum(
+            float(-rho * np.log(np.sum(np.exp(-m.unary[v] / rho)))) for v in (0, 5)
+        )
+        assert soft == pytest.approx(bvalue - outside, abs=1e-10)
+        for v in range(m.n_nodes):
+            if v in nodes:
+                np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
+            else:
+                assert node_marg[v] is None
+        assert sorted(edge_marg) == sorted(bedge)
+        for eid, table in bedge.items():
+            np.testing.assert_allclose(edge_marg[eid], table, atol=1e-10)
 
 
 class TestSoftMin:

@@ -126,13 +126,19 @@ class TestConvergenceCsv:
 
     def test_solver_csv_round_trip(self, tmp_path):
         m = M.generate_grid(2, 2, 2, seed=4)
-        report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
+        d = M.decompose_grid(m)
+        cfg = M.SolverConfig(max_iters=60, epoch=20, rho=0.5, log_smoothed_gap=True)
+        report = M.solve_nesterov(m, d, cfg)
+        assert any(r.smoothed_gap is not None for r in report.records)
+        assert any(r.projected_energy is not None for r in report.records)
         path = tmp_path / "log.csv"
         M.write_convergence_csv(report.records, path)
         back = M.read_convergence_csv(path)
-        assert len(back) == len(report.records)
-        for a, b in zip(report.records, back):
-            assert a.iteration == b.iteration
-            assert a.dual_bound == b.dual_bound
-            assert a.primal_bound == b.primal_bound
-            assert a.gap == b.gap
+        assert back == list(report.records)
+
+    def test_seven_column_logs_still_read(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text(",".join(CSV_HEADER[:7]) + "\n20,0.5,-1.0,2.0,3.0,3.0,0.25\n")
+        (rec,) = M.read_convergence_csv(path)
+        assert rec == M.ConvergenceRecord(20, 0.5, -1.0, 2.0, 3.0, 3.0, rho=0.25)
+        assert rec.smoothed_gap is None and rec.projected_energy is None

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.transport
+from mrflp.errors import NumericalError
 
 import oracles
 
@@ -115,6 +117,18 @@ class TestPrimalEnergyProjection:
         np.testing.assert_array_equal(np.concatenate(a.node_blocks), np.concatenate(b.node_blocks))
         for ea, eb in zip(a.edge_blocks, b.edge_blocks):
             np.testing.assert_array_equal(ea, eb)
+
+    def test_pivot_cap_error_names_the_edge(self, monkeypatch):
+        # the projection shares solve_transport's cap, max(1000, 50 * n * m)
+        def capped(c, r, s, max_pivots, enter_tol):
+            assert max_pivots == 1000
+            n, k = c.shape
+            return np.zeros((n, k)), np.zeros((n, k), np.uint8), np.zeros(n), np.zeros(k), max_pivots, 1
+
+        monkeypatch.setattr(mrflp.transport, "_simplex_kernel", capped)
+        m = M.generate_grid(1, 2, 2, seed=3)
+        with pytest.raises(NumericalError, match=r"1000 pivots on edge \(0, 1\)"):
+            M.project_primal_energy(m, [np.array([0.5, 0.5])] * 2)
 
 
 class TestPrimalFreeEnergyProjection:
