@@ -1,14 +1,19 @@
-"""Flat-vector layout of primal/dual blocks and streaming constraint products.
+"""Flat-vector layout of primal/dual points and streaming constraint products.
 
 The primal vector stacks all node blocks, then all edge blocks in row-major
-order.  The constraint operator is never materialized as a matrix; its
-forward and adjoint products are computed from precomputed gather/scatter
-index plans, so they stay O(total block size) regardless of graph size.
+order; :class:`~mrflp.model.Marginals` stores exactly this vector.  The
+constraint operator is never materialized as a matrix; its forward and
+adjoint products are computed from precomputed gather/scatter index maps,
+so they stay O(total block size) regardless of graph size.  Each edge-table
+cell ``(e, x_u, x_v)`` has two maps: ``cell_u`` to its u-side
+marginalization row ``(e, x_u)`` and ``cell_v`` to its v-side row
+``(e, x_v)``.  Row sums are then bincounts over the cells, and the adjoint
+reads one message entry per cell through the same maps.
 
-Constraint row order (matching the dual-variable layout used by the
-saddle-point solver): node normalization, edge normalization, then for each
-edge the u-side marginalization rows (one per ``x_u``) and the v-side rows
-(one per ``x_v``).
+Constraint row order, which is also the layout of the dual vector stored by
+:class:`~mrflp.model.DualPoint`: node normalization, edge normalization,
+then for each edge the u-side marginalization rows (one per ``x_u``), then
+for each edge the v-side rows (one per ``x_v``).
 """
 
 from __future__ import annotations
@@ -16,6 +21,16 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive segments of the given sizes."""
+    return np.cumsum(sizes) - sizes
+
+
+def segment_arange(sizes: np.ndarray) -> np.ndarray:
+    """``0 .. size-1`` for every segment, concatenated."""
+    return np.arange(int(sizes.sum())) - np.repeat(_starts(sizes), sizes)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,64 +41,41 @@ class Packing:
     label_counts: np.ndarray     # (n,)
     edge_starts: np.ndarray      # (m,) offsets of edge blocks in the edge segment
     block_sizes: np.ndarray      # (m,) L_u * L_v
-    lu: np.ndarray               # (m,)
-    lv: np.ndarray               # (m,)
+    edge_shapes: np.ndarray      # (m, 2) rows (L_u, L_v)
+    edge_ends: np.ndarray        # (m, 2) rows (u, v)
     u_gather: np.ndarray         # (sum L_u,) node-segment index of (e, x_u)
     v_gather: np.ndarray         # (sum L_v,) node-segment index of (e, x_v)
-    row_starts: np.ndarray       # (sum L_u,) reduceat starts of block rows
-    colmaj_perm: np.ndarray      # edge segment row-major -> column-major
-    col_starts: np.ndarray       # (sum L_v,) reduceat starts in column-major layout
-    row_repeat: np.ndarray       # (sum L_u,) = L_v of the owning edge
-    col_repeat: np.ndarray       # (sum L_v,) = L_u of the owning edge
+    cell_u: np.ndarray           # (edge_dim,) u-side row (e, x_u) of each edge cell
+    cell_v: np.ndarray           # (edge_dim,) v-side row (e, x_v) of each edge cell
+    theta: np.ndarray            # (total_dim,) unary then pairwise tables, read-only
 
     @classmethod
     def build(cls, model) -> "Packing":
         counts = np.asarray(model.label_counts, dtype=np.int64)
-        node_starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-        node_dim = int(counts.sum())
-        m = model.n_edges
-        lu = np.array([model.label_counts[u] for u, _ in model.edges], dtype=np.int64)
-        lv = np.array([model.label_counts[v] for _, v in model.edges], dtype=np.int64)
+        node_starts = _starts(counts)
+        ends = np.array(model.edges, dtype=np.int64).reshape(-1, 2)
+        edge_shapes = counts[ends]
+        lu, lv = edge_shapes[:, 0], edge_shapes[:, 1]
         block_sizes = lu * lv
-        edge_starts = np.concatenate(([0], np.cumsum(block_sizes)))[:-1] if m else np.zeros(0, np.int64)
-        edge_dim = int(block_sizes.sum())
-
-        u_gather, v_gather, row_starts, col_starts_cm, colmaj_perm = [], [], [], [], []
-        row_repeat, col_repeat = [], []
-        cm_off = 0
-        for e, (u, v) in enumerate(model.edges):
-            a, b = int(lu[e]), int(lv[e])
-            off = int(edge_starts[e])
-            u_gather.append(node_starts[u] + np.arange(a))
-            v_gather.append(node_starts[v] + np.arange(b))
-            row_starts.append(off + np.arange(a) * b)
-            # column-major copy of this block: for x_v, for x_u
-            idx = off + (np.arange(b)[:, None] + np.arange(a)[None, :] * b)
-            colmaj_perm.append(idx.ravel())
-            col_starts_cm.append(cm_off + np.arange(b) * a)
-            cm_off += a * b
-            row_repeat.append(np.full(a, b, dtype=np.int64))
-            col_repeat.append(np.full(b, a, dtype=np.int64))
-
-        def cat(parts, dtype=np.int64):
-            return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype)
-
+        # cell k of edge e's row-major table is row k // L_v, column k % L_v
+        within = segment_arange(block_sizes)
+        cell_lv = np.repeat(lv, block_sizes)
+        theta = np.concatenate([*model.unary, *(t.ravel() for t in model.pairwise)])
+        theta.flags.writeable = False
         return cls(
-            node_dim=node_dim,
-            edge_dim=edge_dim,
+            node_dim=int(counts.sum()),
+            edge_dim=int(block_sizes.sum()),
             node_starts=node_starts,
             label_counts=counts,
-            edge_starts=edge_starts,
+            edge_starts=_starts(block_sizes),
             block_sizes=block_sizes,
-            lu=lu,
-            lv=lv,
-            u_gather=cat(u_gather),
-            v_gather=cat(v_gather),
-            row_starts=cat(row_starts),
-            colmaj_perm=cat(colmaj_perm),
-            col_starts=cat(col_starts_cm),
-            row_repeat=cat(row_repeat),
-            col_repeat=cat(col_repeat),
+            edge_shapes=edge_shapes,
+            edge_ends=ends,
+            u_gather=np.repeat(node_starts[ends[:, 0]], lu) + segment_arange(lu),
+            v_gather=np.repeat(node_starts[ends[:, 1]], lv) + segment_arange(lv),
+            cell_u=np.repeat(_starts(lu), block_sizes) + within // cell_lv,
+            cell_v=np.repeat(_starts(lv), block_sizes) + within % cell_lv,
+            theta=theta,
         )
 
     # -- primal packing ----------------------------------------------------
@@ -94,37 +86,23 @@ class Packing:
 
     @property
     def dual_dim(self) -> int:
-        n, m = len(self.node_starts), len(self.edge_starts)
-        return n + m + len(self.u_gather) + len(self.v_gather)
+        return len(self.node_starts) + len(self.edge_starts) + len(self.u_gather) + len(self.v_gather)
 
-    def pack(self, marginals) -> np.ndarray:
-        parts = list(marginals.node_blocks)
-        if marginals.edge_blocks is not None:
-            parts += [b.ravel() for b in marginals.edge_blocks]
-        else:
-            parts += [np.zeros(self.edge_dim)]
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def pack_nodes(self, node_blocks) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=np.float64) for b in node_blocks])
+    @property
+    def unary(self) -> np.ndarray:
+        """The node segment of :attr:`theta`: all unary tables, flat."""
+        return self.theta[: self.node_dim]
 
     def split_nodes(self, flat_nodes: np.ndarray) -> tuple[np.ndarray, ...]:
-        ends = self.node_starts + self.label_counts
-        return tuple(flat_nodes[s:e] for s, e in zip(self.node_starts, ends))
+        return tuple(np.split(flat_nodes, self.node_starts[1:]))
 
-    def split_edges(self, flat_edges: np.ndarray) -> tuple[np.ndarray, ...]:
-        out = []
-        for e in range(len(self.edge_starts)):
-            off, a, b = int(self.edge_starts[e]), int(self.lu[e]), int(self.lv[e])
-            out.append(flat_edges[off : off + a * b].reshape(a, b))
-        return tuple(out)
 
-    def unary_flat(self, model) -> np.ndarray:
-        return np.concatenate(model.unary) if model.unary else np.zeros(0)
-
-    def theta_flat(self, model) -> np.ndarray:
-        parts = list(model.unary) + [t.ravel() for t in model.pairwise]
-        return np.concatenate(parts)
+    def labeling_index(self, x: np.ndarray) -> np.ndarray:
+        """Primal-vector positions of the entries a labeling selects: one per
+        node block, then one per edge block."""
+        u, v = self.edge_ends.T
+        cells = self.node_dim + self.edge_starts + x[u] * self.edge_shapes[:, 1] + x[v]
+        return np.concatenate([self.node_starts + x, cells])
 
     # -- streaming constraint products --------------------------------------
 
@@ -132,53 +110,27 @@ class Packing:
         """Return (node_sums, edge_sums, u_marg_residual, v_marg_residual)."""
         nodes = mu[: self.node_dim]
         edges = mu[self.node_dim :]
-        node_sums = np.add.reduceat(nodes, self.node_starts) if self.node_dim else np.zeros(0)
-        if self.edge_dim:
-            edge_sums = np.add.reduceat(edges, self.edge_starts)
-            row_sums = np.add.reduceat(edges, self.row_starts)
-            col_sums = np.add.reduceat(edges[self.colmaj_perm], self.col_starts)
-            marg_u = nodes[self.u_gather] - row_sums
-            marg_v = nodes[self.v_gather] - col_sums
-        else:
-            edge_sums = np.zeros(0)
-            marg_u = np.zeros(0)
-            marg_v = np.zeros(0)
-        return node_sums, edge_sums, marg_u, marg_v
+        node_sums = np.add.reduceat(nodes, self.node_starts)
+        edge_sums = np.add.reduceat(edges, self.edge_starts) if self.edge_dim else np.zeros(0)
+        row_sums = np.bincount(self.cell_u, weights=edges, minlength=len(self.u_gather))
+        col_sums = np.bincount(self.cell_v, weights=edges, minlength=len(self.v_gather))
+        return node_sums, edge_sums, nodes[self.u_gather] - row_sums, nodes[self.v_gather] - col_sums
 
     def apply_a_packed(self, mu: np.ndarray) -> np.ndarray:
         return np.concatenate(self.apply_a(mu))
 
-    def rhs(self) -> np.ndarray:
-        """Right-hand side matching :meth:`apply_a_packed` (ones, ones, zeros)."""
-        n, m = len(self.node_starts), len(self.edge_starts)
-        return np.concatenate(
-            [np.ones(n), np.ones(m), np.zeros(len(self.u_gather)), np.zeros(len(self.v_gather))]
-        )
-
-    def split_dual(self, nu: np.ndarray):
-        n, m = len(self.node_starts), len(self.edge_starts)
-        ku = len(self.u_gather)
-        return (
-            nu[:n],
-            nu[n : n + m],
-            nu[n + m : n + m + ku],
-            nu[n + m + ku :],
-        )
+    def split_dual(self, nu: np.ndarray) -> list[np.ndarray]:
+        """Node bounds, edge bounds, u-side messages and v-side messages."""
+        return np.split(nu, np.cumsum([len(self.node_starts), len(self.edge_starts), len(self.u_gather)]))
 
     def apply_at(self, nu: np.ndarray) -> np.ndarray:
         """Adjoint product, returned in the primal layout."""
         nb, eb, msg_u, msg_v = self.split_dual(nu)
         out_nodes = np.repeat(nb, self.label_counts)
-        if self.edge_dim:
-            out_nodes = out_nodes + np.bincount(self.u_gather, weights=msg_u, minlength=self.node_dim)
-            out_nodes += np.bincount(self.v_gather, weights=msg_v, minlength=self.node_dim)
-            out_edges = np.repeat(eb, self.block_sizes)
-            out_edges -= np.repeat(msg_u, self.row_repeat)
-            scatter = np.empty(self.edge_dim)
-            scatter[self.colmaj_perm] = np.repeat(msg_v, self.col_repeat)
-            out_edges -= scatter
-            return np.concatenate([out_nodes, out_edges])
-        return out_nodes
+        out_nodes += np.bincount(self.u_gather, weights=msg_u, minlength=self.node_dim)
+        out_nodes += np.bincount(self.v_gather, weights=msg_v, minlength=self.node_dim)
+        out_edges = np.repeat(eb, self.block_sizes) - msg_u[self.cell_u] - msg_v[self.cell_v]
+        return np.concatenate([out_nodes, out_edges])
 
 
 def project_simplex_blocks(flat: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

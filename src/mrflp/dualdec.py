@@ -28,7 +28,9 @@ from .model import (
     MrfModel,
     Reparametrization,
     Subgraph,
+    _checked_flat,
     constraint_residual,
+    node_vector,
     relaxed_energy,
     validate_labeling,
 )
@@ -206,21 +208,6 @@ class ForestPlan:
         return value, node_marg, edge_marg
 
 
-def _as_unary_flat(model: MrfModel, unary_blocks) -> np.ndarray:
-    packing = model.packing()
-    if isinstance(unary_blocks, np.ndarray) and unary_blocks.ndim == 1:
-        if unary_blocks.size != packing.node_dim:
-            raise ValueError("flat unary vector has the wrong length")
-        return np.asarray(unary_blocks, dtype=np.float64)
-    blocks = [np.asarray(b, dtype=np.float64) for b in unary_blocks]
-    if len(blocks) != model.n_nodes:
-        raise ValueError(f"expected {model.n_nodes} unary tables")
-    for v, b in enumerate(blocks):
-        if b.shape != (model.label_counts[v],):
-            raise ValueError(f"unary table {v} has shape {b.shape}")
-    return packing.pack_nodes(blocks)
-
-
 def dp_min(model: MrfModel, subgraph: Subgraph, unary_blocks) -> tuple[float, np.ndarray]:
     """Exact minimum-energy labeling of a forest subgraph.
 
@@ -229,7 +216,7 @@ def dp_min(model: MrfModel, subgraph: Subgraph, unary_blocks) -> tuple[float, np
     the smaller label at every assignment.
     """
     plan = ForestPlan(model, subgraph)
-    return plan.min_sum(_as_unary_flat(model, unary_blocks))
+    return plan.min_sum(node_vector(model, unary_blocks))
 
 
 def dp_softmin(
@@ -248,14 +235,19 @@ def dp_softmin(
     """
     plan = ForestPlan(model, subgraph)
     value, flat, edge_marg = plan.soft_min(
-        _as_unary_flat(model, unary_blocks), rho, want_marginals=True, want_edge_marginals=with_edge_marginals
+        node_vector(model, unary_blocks), rho, want_marginals=True, want_edge_marginals=with_edge_marginals
     )
-    packing = model.packing()
-    blocks = packing.split_nodes(flat)
-    node_marg = tuple(
-        blocks[v] if plan.in_subgraph[v] else None for v in range(model.n_nodes)
-    )
+    blocks = model.packing().split_nodes(flat)
+    node_marg = tuple(b if inside else None for b, inside in zip(blocks, plan.in_subgraph))
     return value, node_marg, edge_marg
+
+
+def _accumulate_labelings(acc: np.ndarray, packing, labelings, weights) -> None:
+    """Add ``weights[k]`` to the node-layout entry of every label of
+    ``labelings[k]``, in order (``np.add.at`` applies repeated entries one by
+    one)."""
+    idx = packing.node_starts + np.asarray(labelings, dtype=np.int64)
+    np.add.at(acc, idx, np.broadcast_to(np.reshape(weights, (-1, 1)), idx.shape))
 
 
 class DualContext:
@@ -276,11 +268,11 @@ class DualContext:
         self.model = model
         self.decomposition = decomposition
         self.packing = model.packing()
-        self.theta_nodes = self.packing.unary_flat(model)
+        self.theta_nodes = self.packing.unary
         self.plans = [ForestPlan(model, sg) for sg in decomposition.subgraphs]
 
-    def _sides(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam = np.asarray(lam, dtype=np.float64)
+    def _sides(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        lam = np.asarray(lam.lam if isinstance(lam, Reparametrization) else lam, dtype=np.float64)
         if lam.shape != (self.packing.node_dim,):
             raise ValueError(f"lambda must be a flat vector of length {self.packing.node_dim}")
         half = self.theta_nodes / 2.0
@@ -291,9 +283,7 @@ class DualContext:
         v1, x1 = self.plans[0].min_sum(t1)
         v2, x2 = self.plans[1].min_sum(t2)
         g = np.zeros(self.packing.node_dim)
-        pos = self.packing.node_starts
-        g[pos + x1] += 1.0
-        g[pos + x2] -= 1.0
+        _accumulate_labelings(g, self.packing, (x1, x2), (1.0, -1.0))
         return v1 + v2, g, (x1, x2)
 
     def smoothed(self, lam, rho: float, want_marginals: bool = True):
@@ -309,24 +299,18 @@ class DualContext:
         return value
 
 
-def _lam_of(arg) -> np.ndarray:
-    if isinstance(arg, Reparametrization):
-        return np.asarray(arg.lam, dtype=np.float64)
-    return np.asarray(arg, dtype=np.float64)
-
-
 def dual_u(model: MrfModel, decomposition: Decomposition, lam):
     """Nonsmooth decomposition dual: value, a subgradient, and the two
     tie-broken argmin labelings it is built from."""
     ctx = DualContext(model, decomposition)
-    return ctx.value_and_subgradient(_lam_of(lam))
+    return ctx.value_and_subgradient(lam)
 
 
 def dual_u_smoothed(model: MrfModel, decomposition: Decomposition, lam, rho: float):
     """Smoothed decomposition dual: value, exact gradient, and the two
     per-subgraph node marginal maps (flat, in unary layout)."""
     ctx = DualContext(model, decomposition)
-    return ctx.smoothed(_lam_of(lam), rho)
+    return ctx.smoothed(lam, rho)
 
 
 def decomposition_entropy(model: MrfModel, decomposition: Decomposition, marginals: Marginals) -> float:
@@ -335,19 +319,19 @@ def decomposition_entropy(model: MrfModel, decomposition: Decomposition, margina
     Equals the sum of the subgraph tree entropies, hence nonnegative on the
     local polytope.
     """
-    h = 0.0
-    for v in range(model.n_nodes):
-        b = marginals.node_blocks[v]
-        pos = b > 0.0
-        h -= float(decomposition.node_counts[v]) * float(np.sum(b[pos] * np.log(b[pos])))
-    for e, (u, v) in enumerate(model.edges):
-        blk = marginals.edge_blocks[e]
-        bu = np.maximum(marginals.node_blocks[u], LOG_FLOOR)
-        bv = np.maximum(marginals.node_blocks[v], LOG_FLOOR)
-        pos = blk > 0.0
-        ratio = np.log(np.maximum(blk, LOG_FLOOR)) - np.log(bu)[:, None] - np.log(bv)[None, :]
-        h -= float(decomposition.edge_counts[e]) * float(np.sum(blk[pos] * ratio[pos]))
-    return h
+    packing = model.packing()
+    flat = _checked_flat(model, marginals)
+    nodes, edges = flat[: packing.node_dim], flat[packing.node_dim :]
+    pos = nodes > 0.0
+    node_terms = np.where(pos, nodes * np.log(np.where(pos, nodes, 1.0)), 0.0)
+    # each cell reads its endpoints' log-marginals through the cell-to-row maps
+    log_nodes = np.log(np.maximum(nodes, LOG_FLOOR))
+    ratio = np.log(np.maximum(edges, LOG_FLOOR)) - log_nodes[packing.u_gather[packing.cell_u]]
+    ratio -= log_nodes[packing.v_gather[packing.cell_v]]
+    edge_terms = np.where(edges > 0.0, edges * ratio, 0.0)
+    node_w = np.repeat(decomposition.node_counts, packing.label_counts)
+    edge_w = np.repeat(decomposition.edge_counts, packing.block_sizes)
+    return -float(node_w @ node_terms) - float(edge_w @ edge_terms)
 
 
 def entropy_upper_bound(model: MrfModel, decomposition: Decomposition) -> float:
@@ -373,13 +357,13 @@ def free_energy(model: MrfModel, decomposition: Decomposition, marginals: Margin
     return relaxed_energy(model, marginals) - rho * decomposition_entropy(model, decomposition, marginals)
 
 
-def reconstruct_primal_subgradient(model: MrfModel, history, weights=None) -> tuple[np.ndarray, ...]:
+def reconstruct_primal_subgradient(model: MrfModel, history, weights=None) -> Marginals:
     """Weighted average of the embedded argmin labelings of both subgraphs.
 
     ``history`` is a sequence of ``(labeling_1, labeling_2)`` pairs; with
     ``weights=None`` the average is uniform, otherwise entry ``k`` carries
     weight ``weights[k]`` (the step sizes, for step-weighted averaging).
-    Each returned node block is a distribution.
+    Returns node-only marginals; each node block is a distribution.
     """
     history = list(history)
     if not history:
@@ -391,10 +375,8 @@ def reconstruct_primal_subgradient(model: MrfModel, history, weights=None) -> tu
         if weights.shape != (len(history),) or np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum, one per entry")
     packing = model.packing()
+    labelings = [validate_labeling(model, x) for x1, x2 in history for x in (x1, x2)]
     acc = np.zeros(packing.node_dim)
-    pos = packing.node_starts
-    for (x1, x2), w in zip(history, weights):
-        acc[pos + validate_labeling(model, x1)] += w
-        acc[pos + validate_labeling(model, x2)] += w
+    _accumulate_labelings(acc, packing, labelings, np.repeat(weights, 2))
     acc /= 2.0 * weights.sum()
-    return packing.split_nodes(acc)
+    return Marginals(acc, packing.label_counts)

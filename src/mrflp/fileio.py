@@ -153,11 +153,7 @@ def write_marginals(marginals: Marginals, path) -> None:
 
 def read_marginals(path) -> Marginals:
     doc = json.loads(Path(path).read_text())
-    node_blocks = tuple(np.asarray(b, dtype=np.float64) for b in doc["node_blocks"])
-    edge_blocks = doc.get("edge_blocks")
-    if edge_blocks is not None:
-        edge_blocks = tuple(np.asarray(b, dtype=np.float64) for b in edge_blocks)
-    return Marginals(node_blocks=node_blocks, edge_blocks=edge_blocks)
+    return Marginals.from_blocks(doc["node_blocks"], doc.get("edge_blocks"))
 
 
 def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
@@ -175,15 +171,8 @@ def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
 
 def read_dual_point(path) -> DualPoint:
     doc = json.loads(Path(path).read_text())
-    messages = tuple(
-        (np.asarray(m["from_u"], dtype=np.float64), np.asarray(m["from_v"], dtype=np.float64))
-        for m in doc["messages"]
-    )
-    return DualPoint(
-        node_bounds=np.asarray(doc["node_bounds"], dtype=np.float64),
-        edge_bounds=np.asarray(doc["edge_bounds"], dtype=np.float64),
-        messages=messages,
-    )
+    messages = [(m["from_u"], m["from_v"]) for m in doc["messages"]]
+    return DualPoint.from_blocks(doc["node_bounds"], doc["edge_bounds"], messages)
 
 
 def _fmt_optional(x) -> str:

@@ -4,7 +4,10 @@ A model is an undirected graph with a finite label space per node, a unary
 energy table per node and a pairwise energy table per edge.  Relaxed primal
 points ("marginals") carry one simplex block per node and one joint block per
 edge; the local polytope is the set of such blocks satisfying normalization
-and the two marginalization families.
+and the two marginalization families.  Primal and dual points are stored as
+one flat vector each in the :class:`~mrflp._packing.Packing` layout, with
+their per-node and per-edge blocks as views, so every certificate is a
+vectorized product with the model's flat potentials.
 
 Conventions kept throughout the package:
 
@@ -19,10 +22,12 @@ Conventions kept throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._packing import Packing, segment_arange
 from .errors import InfeasibleMarginalsError, InvalidLabelingError, StructureError
 
 
@@ -80,11 +85,6 @@ class MrfModel:
             r, c = self.grid_shape
             if r < 1 or c < 1 or r * c != n:
                 raise StructureError(f"grid shape {self.grid_shape} does not match {n} nodes")
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(self.edges):
-            nbrs[u].append((v, e))
-            nbrs[v].append((u, e))
-        object.__setattr__(self, "_neighbors", tuple(tuple(x) for x in nbrs))
         object.__setattr__(self, "_edge_index", {uv: e for e, uv in enumerate(self.edges)})
         object.__setattr__(self, "_packing", None)
 
@@ -128,20 +128,13 @@ class MrfModel:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node: tuple of ``(neighbor, edge_index)`` pairs."""
-        return self._neighbors  # type: ignore[attr-defined]
-
     def edge_id(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
         return self._edge_index[(u, v)]  # type: ignore[attr-defined]
 
-    def packing(self):
+    def packing(self) -> Packing:
         """Cached flat-vector layout used by vectorized kernels."""
-        from ._packing import Packing
-
         p = self._packing  # type: ignore[attr-defined]
         if p is None:
             p = Packing.build(self)
@@ -149,56 +142,118 @@ class MrfModel:
         return p
 
 
+def _split(vec: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """Consecutive views of ``vec`` of the given sizes."""
+    return np.split(vec, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
 @dataclasses.dataclass(frozen=True)
 class Marginals:
-    """Relaxed primal point: one vector per node, optionally one matrix per edge.
+    """Relaxed primal point, stored as one read-only vector ``flat`` in the
+    :class:`~mrflp._packing.Packing` primal layout: the node blocks, then
+    the edge blocks row-major.
 
-    Purely dual reconstructions only produce node blocks; the edge blocks are
-    then ``None`` and :attr:`has_edge_blocks` is ``False``.  Treated as
-    immutable after construction (blocks are coerced, not defensively
-    copied; do not write into them).
+    ``label_counts`` are the node block sizes and the rows of
+    ``edge_shapes`` the ``(L_u, L_v)`` of the edge blocks.  Purely dual
+    reconstructions only produce node blocks; ``edge_shapes`` is then
+    ``None``, ``flat`` is the node segment and :attr:`has_edge_blocks` is
+    ``False``.  :meth:`from_blocks` packs per-node and per-edge arrays;
+    :attr:`node_blocks` and :attr:`edge_blocks` are views into ``flat``,
+    built on first access.
     """
 
-    node_blocks: tuple[np.ndarray, ...]
-    edge_blocks: tuple[np.ndarray, ...] | None = None
+    flat: np.ndarray
+    label_counts: np.ndarray
+    edge_shapes: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "node_blocks", tuple(np.asarray(b, dtype=np.float64) for b in self.node_blocks)
-        )
-        if self.edge_blocks is not None:
-            object.__setattr__(
-                self, "edge_blocks", tuple(np.asarray(b, dtype=np.float64) for b in self.edge_blocks)
-            )
+        object.__setattr__(self, "flat", _frozen_array(self.flat, ndim=1))
+        object.__setattr__(self, "label_counts", _frozen_array(self.label_counts, dtype=np.int64, ndim=1))
+        size = self.label_counts.sum()
+        if self.edge_shapes is not None:
+            object.__setattr__(self, "edge_shapes", _frozen_array(self.edge_shapes, dtype=np.int64, ndim=2))
+            size += self.edge_shapes.prod(axis=1).sum()
+        if self.flat.size != size:
+            raise ValueError(f"flat vector has {self.flat.size} entries, its blocks need {size}")
+
+    @classmethod
+    def from_blocks(cls, node_blocks, edge_blocks=None) -> "Marginals":
+        """Pack one vector per node and, optionally, one table per edge."""
+        nodes = [_frozen_array(b, ndim=1) for b in node_blocks]
+        edges = None if edge_blocks is None else [_frozen_array(b, ndim=2) for b in edge_blocks]
+        shapes = None if edges is None else np.reshape([b.shape for b in edges], (-1, 2))
+        flat = np.concatenate([*nodes, *(b.ravel() for b in edges or ()), np.zeros(0)])
+        return cls(flat, [b.size for b in nodes], shapes)
 
     @property
     def has_edge_blocks(self) -> bool:
-        return self.edge_blocks is not None
+        return self.edge_shapes is not None
+
+    @functools.cached_property
+    def node_flat(self) -> np.ndarray:
+        """The node segment of ``flat``."""
+        return self.flat[: self.label_counts.sum()]
+
+    @functools.cached_property
+    def node_blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(_split(self.node_flat, self.label_counts))
+
+    @functools.cached_property
+    def edge_blocks(self) -> tuple[np.ndarray, ...] | None:
+        if self.edge_shapes is None:
+            return None
+        cells = _split(self.flat[self.node_flat.size :], self.edge_shapes.prod(axis=1))
+        return tuple(b.reshape(shape) for b, shape in zip(cells, self.edge_shapes.tolist()))
 
 
 @dataclasses.dataclass(frozen=True)
 class DualPoint:
-    """Point of the explicit LP dual.
+    """Point of the explicit LP dual, stored as one read-only vector ``nu``
+    in the :meth:`~mrflp._packing.Packing.split_dual` layout: node bounds,
+    edge bounds, every edge's message from ``u`` (indexed by ``x_u``), then
+    every edge's message from ``v`` (indexed by ``x_v``).
 
-    ``messages[e]`` holds the pair of reweighting vectors of edge
-    ``(u, v)``: first the one sent from ``u`` (indexed by ``x_u``), then the
-    one sent from ``v`` (indexed by ``x_v``).  ``node_bounds`` and
-    ``edge_bounds`` are the lower bounds on the reweighted unary/pairwise
-    minima whose sum is the dual objective.
+    ``node_bounds`` and ``edge_bounds`` are the lower bounds on the
+    reweighted unary/pairwise minima whose sum is the dual objective, and
+    ``messages[e]`` is the pair of reweighting vectors of edge ``e``: views
+    into ``nu``, built on first access.  The rows of ``edge_shapes`` are the
+    message lengths ``(L_u, L_v)``.  :meth:`from_blocks` packs bounds and
+    message pairs.
     """
 
-    node_bounds: np.ndarray
-    edge_bounds: np.ndarray
-    messages: tuple[tuple[np.ndarray, np.ndarray], ...]
+    nu: np.ndarray
+    n_nodes: int
+    edge_shapes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "node_bounds", _frozen_array(self.node_bounds, ndim=1))
-        object.__setattr__(self, "edge_bounds", _frozen_array(self.edge_bounds, ndim=1))
-        object.__setattr__(
-            self,
-            "messages",
-            tuple((_frozen_array(a, ndim=1), _frozen_array(b, ndim=1)) for a, b in self.messages),
-        )
+        object.__setattr__(self, "nu", _frozen_array(self.nu, ndim=1))
+        object.__setattr__(self, "edge_shapes", _frozen_array(self.edge_shapes, dtype=np.int64, ndim=2))
+        size = self.n_nodes + len(self.edge_shapes) + self.edge_shapes.sum()
+        if self.nu.size != size:
+            raise ValueError(f"dual vector has {self.nu.size} entries, its layout needs {size}")
+
+    @classmethod
+    def from_blocks(cls, node_bounds, edge_bounds, messages) -> "DualPoint":
+        """Pack the bounds and one ``(from_u, from_v)`` pair per edge."""
+        node_bounds, edge_bounds = _frozen_array(node_bounds, ndim=1), _frozen_array(edge_bounds, ndim=1)
+        pairs = [(_frozen_array(a, ndim=1), _frozen_array(b, ndim=1)) for a, b in messages]
+        nu = np.concatenate([node_bounds, edge_bounds, *(a for a, _ in pairs), *(b for _, b in pairs)])
+        return cls(nu, node_bounds.size, np.reshape([(a.size, b.size) for a, b in pairs], (-1, 2)))
+
+    @functools.cached_property
+    def node_bounds(self) -> np.ndarray:
+        return self.nu[: self.n_nodes]
+
+    @functools.cached_property
+    def edge_bounds(self) -> np.ndarray:
+        return self.nu[self.n_nodes : self.n_nodes + len(self.edge_shapes)]
+
+    @functools.cached_property
+    def messages(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        m = len(self.edge_shapes)
+        # every u-side message, then every v-side one
+        parts = _split(self.nu[self.n_nodes + m :], self.edge_shapes.T.ravel())
+        return tuple(zip(parts[:m], parts[m:]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,8 +304,7 @@ class Reparametrization:
         if self.lam.size != packing.node_dim:
             raise ValueError("lambda length does not match the model's node/label count")
         sign = 1.0 if side == 0 else -1.0
-        flat = packing.unary_flat(model) / 2.0 + sign * self.lam
-        return packing.split_nodes(flat)
+        return packing.split_nodes(packing.unary / 2.0 + sign * self.lam)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,59 +344,49 @@ def validate_labeling(model: MrfModel, labeling) -> np.ndarray:
 
 def energy(model: MrfModel, labeling) -> float:
     """Energy of an integer labeling: sum of the selected table entries."""
-    x = validate_labeling(model, labeling)
-    total = 0.0
-    for v in range(model.n_nodes):
-        total += model.unary[v][x[v]]
-    for e, (u, v) in enumerate(model.edges):
-        total += model.pairwise[e][x[u], x[v]]
-    return float(total)
+    packing = model.packing()
+    return float(packing.theta[packing.labeling_index(validate_labeling(model, labeling))].sum())
 
 
-def _check_block_shapes(model: MrfModel, marginals: Marginals, need_edges: bool):
-    if len(marginals.node_blocks) != model.n_nodes:
-        raise ValueError("wrong number of node blocks")
-    for v, b in enumerate(marginals.node_blocks):
-        if b.shape != (model.label_counts[v],):
-            raise ValueError(f"node block {v} has shape {b.shape}")
-    if need_edges:
-        if not marginals.has_edge_blocks:
-            raise InfeasibleMarginalsError(
-                "edge blocks are missing; apply a primal projection first"
-            )
-        if len(marginals.edge_blocks) != model.n_edges:
-            raise ValueError("wrong number of edge blocks")
-        for e, (u, v) in enumerate(model.edges):
-            want = (model.label_counts[u], model.label_counts[v])
-            if marginals.edge_blocks[e].shape != want:
-                raise ValueError(f"edge block {e} has shape {marginals.edge_blocks[e].shape}")
+def _checked_flat(model: MrfModel, marginals: Marginals, need_edges: bool = True) -> np.ndarray:
+    """The point's flat vector, or only its node segment when ``need_edges``
+    is false, after checking its block shapes against the model's."""
+    packing = model.packing()
+    if not np.array_equal(marginals.label_counts, packing.label_counts):
+        raise ValueError("node blocks do not match the model's label counts")
+    if not need_edges:
+        return marginals.node_flat
+    if not marginals.has_edge_blocks:
+        raise InfeasibleMarginalsError("edge blocks are missing; apply a primal projection first")
+    if not np.array_equal(marginals.edge_shapes, packing.edge_shapes):
+        raise ValueError("edge blocks do not match the model's pairwise tables")
+    return marginals.flat
+
+
+def node_vector(model: MrfModel, points) -> np.ndarray:
+    """Flat node vector of ``points``: a :class:`Marginals` (its edge blocks
+    are ignored), a vector in the node layout, or one array per node."""
+    node_dim = model.packing().node_dim
+    if isinstance(points, np.ndarray) and points.ndim == 1:
+        if points.size != node_dim:
+            raise ValueError(f"flat node vector has {points.size} entries, expected {node_dim}")
+        return points.astype(np.float64, copy=False)
+    if not isinstance(points, Marginals):
+        points = Marginals.from_blocks(points)
+    return _checked_flat(model, points, need_edges=False)
 
 
 def relaxed_energy(model: MrfModel, marginals: Marginals) -> float:
     """Inner product of the potentials with a (not necessarily feasible) point."""
-    _check_block_shapes(model, marginals, need_edges=True)
-    total = 0.0
-    for v in range(model.n_nodes):
-        total += float(np.dot(model.unary[v], marginals.node_blocks[v]))
-    for e in range(model.n_edges):
-        total += float(np.sum(model.pairwise[e] * marginals.edge_blocks[e]))
-    return total
+    return float(model.packing().theta @ _checked_flat(model, marginals))
 
 
 def embed_labeling(model: MrfModel, labeling) -> Marginals:
     """Indicator embedding of a labeling; exactly feasible by construction."""
-    x = validate_labeling(model, labeling)
-    node_blocks = []
-    for v in range(model.n_nodes):
-        b = np.zeros(model.label_counts[v])
-        b[x[v]] = 1.0
-        node_blocks.append(b)
-    edge_blocks = []
-    for u, v in model.edges:
-        b = np.zeros((model.label_counts[u], model.label_counts[v]))
-        b[x[u], x[v]] = 1.0
-        edge_blocks.append(b)
-    return Marginals(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
+    packing = model.packing()
+    flat = np.zeros(packing.total_dim)
+    flat[packing.labeling_index(validate_labeling(model, labeling))] = 1.0
+    return Marginals(flat, packing.label_counts, packing.edge_shapes)
 
 
 def constraint_residual(model: MrfModel, marginals: Marginals) -> float:
@@ -351,22 +395,21 @@ def constraint_residual(model: MrfModel, marginals: Marginals) -> float:
     Covers node normalization, both marginalization families and
     nonnegativity (edge normalization is implied by the former).
     """
-    _check_block_shapes(model, marginals, need_edges=True)
-    packing = model.packing()
-    flat = packing.pack(marginals)
-    node_sums, _, marg_u, marg_v = packing.apply_a(flat)
-    res = 0.0
-    if node_sums.size:
-        res = max(res, float(np.max(np.abs(node_sums - 1.0))))
+    flat = _checked_flat(model, marginals)
+    node_sums, _, marg_u, marg_v = model.packing().apply_a(flat)
+    res = float(np.max(np.abs(node_sums - 1.0)))
     if marg_u.size:
         res = max(res, float(np.max(np.abs(marg_u))), float(np.max(np.abs(marg_v))))
-    res = max(res, max(0.0, -float(np.min(flat))))
-    return res
+    return max(res, -float(np.min(flat)))
 
 
 def round_to_labeling(marginals: Marginals) -> np.ndarray:
     """Per-node argmax of the node blocks; ties go to the smallest label."""
-    return np.array([int(np.argmax(b)) for b in marginals.node_blocks], dtype=np.int64)
+    counts = marginals.label_counts
+    # argmax takes the first maximum, and the -inf padding follows real entries
+    padded = np.full((counts.size, int(counts.max(initial=1))), -np.inf)
+    padded[np.repeat(np.arange(counts.size), counts), segment_arange(counts)] = marginals.node_flat
+    return np.argmax(padded, axis=1)
 
 
 def _forest_check(n_nodes: int, edges: Iterable[tuple[int, int]]) -> bool:

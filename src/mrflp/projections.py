@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
 from ._packing import project_simplex_blocks
 from .errors import NumericalError
-from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual
+from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
 from .tolerances import EQ_TOL
 from .transport import TransportProblem, _solve_kernel, solve_transport_entropic
 
@@ -49,29 +48,18 @@ def project_simplex(v) -> np.ndarray:
     return project_simplex_blocks(v, np.zeros(1, dtype=np.int64), np.array([v.size]))
 
 
-def _node_blocks_of(model: MrfModel, node_blocks) -> list[np.ndarray]:
-    if isinstance(node_blocks, Marginals):
-        blocks = list(node_blocks.node_blocks)
-    else:
-        blocks = [np.asarray(b, dtype=np.float64) for b in node_blocks]
-    if len(blocks) != model.n_nodes:
-        raise ValueError(f"expected {model.n_nodes} node blocks, got {len(blocks)}")
-    for v, b in enumerate(blocks):
-        if b.shape != (model.label_counts[v],):
-            raise ValueError(f"node block {v} has shape {b.shape}")
-    return blocks
-
-
-def _projected_node_blocks(model: MrfModel, node_blocks) -> tuple[np.ndarray, ...]:
+def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
     packing = model.packing()
-    flat = packing.pack_nodes(_node_blocks_of(model, node_blocks))
+    flat = node_vector(model, node_blocks)
     if not np.all(np.isfinite(flat)):
         raise ValueError("node blocks must be finite")
-    projected = project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
-    return packing.split_nodes(projected)
+    return project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
 
 
-def _certify(model: MrfModel, result: Marginals) -> Marginals:
+def _certified(model: MrfModel, nodes: np.ndarray, edge_blocks: list[np.ndarray]) -> Marginals:
+    packing = model.packing()
+    flat = np.concatenate([nodes, *(b.ravel() for b in edge_blocks)])
+    result = Marginals(flat, packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
     if residual > EQ_TOL:
         raise NumericalError("projection produced an infeasible point", residual=residual)
@@ -81,15 +69,13 @@ def _certify(model: MrfModel, result: Marginals) -> Marginals:
 def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
     """Feasible point from arbitrary node blocks, optimal for the energy.
 
-    Node blocks are projected onto their simplices; each edge block is then
-    the minimum-cost transport plan between its projected endpoints.  The
-    output is certified feasible before it is returned.
+    ``node_blocks`` is a :class:`Marginals`, a flat node vector or one array
+    per node.  Node blocks are projected onto their simplices; each edge
+    block is then the minimum-cost transport plan between its projected
+    endpoints.  The output is certified feasible before it is returned.
     """
     packing = model.packing()
-    flat = packing.pack_nodes(_node_blocks_of(model, node_blocks))
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("node blocks must be finite")
-    flat = project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
+    flat = _projected_nodes(model, node_blocks)
     # exact unit sums keep the per-edge transport marginals consistent
     sums = np.add.reduceat(flat, packing.node_starts)
     flat /= np.repeat(sums, packing.label_counts)
@@ -101,7 +87,7 @@ def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
         except NumericalError as exc:
             raise NumericalError(f"{exc} on edge {(u, v)}") from exc
         edge_blocks.append(plan)
-    return _certify(model, Marginals(node_blocks=projected, edge_blocks=tuple(edge_blocks)))
+    return _certified(model, flat, edge_blocks)
 
 
 def project_primal_free_energy(
@@ -112,7 +98,8 @@ def project_primal_free_energy(
     reference product measure."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    projected = _projected_node_blocks(model, node_blocks)
+    flat = _projected_nodes(model, node_blocks)
+    projected = model.packing().split_nodes(flat)
     edge_blocks = []
     for e, (u, v) in enumerate(model.edges):
         problem = TransportProblem(model.pairwise[e], projected[u], projected[v])
@@ -124,68 +111,57 @@ def project_primal_free_energy(
             problem.col_marginal,
         )
         edge_blocks.append(res.plan)
-    return _certify(model, Marginals(node_blocks=projected, edge_blocks=tuple(edge_blocks)))
+    return _certified(model, flat, edge_blocks)
 
 
-def _message_arrays(model: MrfModel, messages) -> list[tuple[np.ndarray, np.ndarray]]:
-    msgs = list(messages)
-    if len(msgs) != model.n_edges:
-        raise ValueError(f"expected {model.n_edges} message pairs")
-    out = []
-    for e, (u, v) in enumerate(model.edges):
-        mu, mv = msgs[e]
-        mu = np.asarray(mu, dtype=np.float64)
-        mv = np.asarray(mv, dtype=np.float64)
-        if mu.shape != (model.label_counts[u],) or mv.shape != (model.label_counts[v],):
-            raise ValueError(f"messages of edge {(u, v)} have wrong shapes")
-        out.append((mu, mv))
-    return out
+def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:
+    """The dual point's flat vector, after checking its layout against the
+    model's."""
+    if point.n_nodes != model.n_nodes or not np.array_equal(point.edge_shapes, model.packing().edge_shapes):
+        raise ValueError(f"dual point has {point.n_nodes} node bounds and {len(point.edge_shapes)} "
+                         "message pairs; their count or lengths do not match the model")
+    return point.nu
+
+
+def _dual_slack(model: MrfModel, nu: np.ndarray) -> np.ndarray:
+    """``theta - A^T nu`` in the primal layout: the slack of every dual
+    inequality."""
+    packing = model.packing()
+    return packing.theta - packing.apply_at(nu)
 
 
 def project_dual(model: MrfModel, messages) -> DualPoint:
     """Feasible dual point from arbitrary reweighting messages.
 
-    The messages are kept unchanged; every bound variable is set to the
-    exact minimum of its reweighted table, so the inequality constraints
-    hold with equality at the binding entries.
+    ``messages`` is a dual vector in the :meth:`Packing.split_dual` layout
+    (its bound entries are ignored) or one ``(from_u, from_v)`` pair per
+    edge.  The messages are kept unchanged; every bound variable is set to
+    the exact minimum of its reweighted table, so the inequality
+    constraints hold with equality at the binding entries.
     """
-    msgs = _message_arrays(model, messages)
-    node_bounds = np.empty(model.n_nodes)
-    for v in range(model.n_nodes):
-        re = model.unary[v].copy()
-        for u, e in model.neighbors[v]:
-            mu, mv = msgs[e]
-            re -= mu if v < u else mv
-        node_bounds[v] = re.min()
-    edge_bounds = np.empty(model.n_edges)
-    for e in range(model.n_edges):
-        mu, mv = msgs[e]
-        edge_bounds[e] = (model.pairwise[e] + mu[:, None] + mv[None, :]).min()
-    return DualPoint(node_bounds=node_bounds, edge_bounds=edge_bounds, messages=tuple(msgs))
+    packing = model.packing()
+    if not (isinstance(messages, np.ndarray) and messages.ndim == 1):
+        pairs = DualPoint.from_blocks(np.zeros(model.n_nodes), np.zeros(model.n_edges), messages)
+        messages = _checked_nu(model, pairs)
+    if messages.shape != (packing.dual_dim,):
+        raise ValueError(f"dual vector has {messages.size} entries, expected {packing.dual_dim}")
+    nu = np.array(messages, dtype=np.float64)
+    # one bound per node block, then one per edge block
+    n_bounds = model.n_nodes + model.n_edges
+    nu[:n_bounds] = 0.0
+    starts = np.concatenate([packing.node_starts, packing.node_dim + packing.edge_starts])
+    nu[:n_bounds] = np.minimum.reduceat(_dual_slack(model, nu), starts)
+    return DualPoint(nu, model.n_nodes, packing.edge_shapes)
 
 
 def dual_value(model: MrfModel, point: DualPoint) -> float:
     """Objective of the explicit dual: sum of all bound variables."""
-    if point.node_bounds.shape != (model.n_nodes,) or point.edge_bounds.shape != (model.n_edges,):
-        raise ValueError("dual point does not match the model")
-    return float(point.node_bounds.sum() + point.edge_bounds.sum())
+    return float(_checked_nu(model, point)[: model.n_nodes + model.n_edges].sum())
 
 
 def dual_feasibility_margin(model: MrfModel, point: DualPoint) -> float:
     """Smallest slack of the dual inequalities (negative means infeasible)."""
-    msgs = _message_arrays(model, point.messages)
-    margin = np.inf
-    for v in range(model.n_nodes):
-        re = model.unary[v].copy()
-        for u, e in model.neighbors[v]:
-            mu, mv = msgs[e]
-            re -= mu if v < u else mv
-        margin = min(margin, float((re - point.node_bounds[v]).min()))
-    for e in range(model.n_edges):
-        mu, mv = msgs[e]
-        slack = model.pairwise[e] + mu[:, None] + mv[None, :] - point.edge_bounds[e]
-        margin = min(margin, float(slack.min()))
-    return margin
+    return float(_dual_slack(model, _checked_nu(model, point)).min())
 
 
 def lipschitz_linear(model: MrfModel) -> LipschitzEstimate:

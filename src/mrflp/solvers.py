@@ -26,7 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from .dualdec import DualContext, free_energy
+from .dualdec import DualContext, _accumulate_labelings, free_energy
 from .errors import InfeasibleMarginalsError, NumericalError
 from .model import (
     ConvergenceRecord,
@@ -162,8 +162,7 @@ class _Tracker:
         self.t0 = time.perf_counter()
         self.best_dual = -math.inf
         self.best_primal = math.inf
-        self.best_projected: Marginals | None = None
-        self.best_primal_labeling: np.ndarray | None = None
+        self.best_point: Marginals | None = None
         self.best_integer = math.inf
         self.best_labeling: np.ndarray | None = None
         self.records: list[ConvergenceRecord] = []
@@ -194,12 +193,10 @@ class _Tracker:
                 self.best_labeling = np.asarray(lab, dtype=np.int64)
             if ival < self.best_primal:
                 self.best_primal = ival
-                self.best_projected = None
-                self.best_primal_labeling = np.asarray(lab, dtype=np.int64)
+                self.best_point = embed_labeling(self.model, lab)
         if value < self.best_primal:
             self.best_primal = value
-            self.best_projected = projected
-            self.best_primal_labeling = None
+            self.best_point = projected
         self.best_dual = max(self.best_dual, float(dual_candidate))
         if self.best_primal < self.best_dual - EQ_TOL:
             raise NumericalError(
@@ -223,11 +220,9 @@ class _Tracker:
         return (self.best_primal - self.best_dual) / max(1.0, abs(self.best_dual))
 
     def final_marginals(self) -> Marginals:
-        if self.best_projected is not None:
-            return self.best_projected
-        if self.best_primal_labeling is not None:
-            return embed_labeling(self.model, self.best_primal_labeling)
-        raise NumericalError("no feasible point was ever recorded")
+        if self.best_point is None:
+            raise NumericalError("no feasible point was ever recorded")
+        return self.best_point
 
     def report(
         self,
@@ -302,36 +297,28 @@ def solve_subgradient(
         value, g, (x1, x2) = ctx.value_and_subgradient(lam)
         recent.append(value)
         gsq = float(g @ g)
-        if gsq == 0.0:
-            # both forests agree on one labeling: certified dual optimum
-            w = step_size("diminishing", t, tau0=cfg.tau0, alpha=cfg.alpha)
-            if averaging == "uniform":
-                w = 1.0
-            acc[packing.node_starts + x1] += w
-            acc[packing.node_starts + x2] += w
-            acc_w += 2.0 * w
-            tracker.observe(t, packing.split_nodes(acc / acc_w), value, extra_labeling=x1)
-            termination = "dual-optimal"
-            stopped = True
-            break
-        tau = step_size(
-            cfg.step_law,
-            t,
-            tau0=cfg.tau0,
-            alpha=cfg.alpha,
-            gamma=cfg.gamma,
-            best_primal=tracker.best_primal,
-            dual=value,
-            grad_norm_sq=gsq,
-        )
+        # zero: both forests agree on one labeling, a certified dual optimum
+        optimal = gsq == 0.0
+        if optimal:
+            tau = step_size("diminishing", t, tau0=cfg.tau0, alpha=cfg.alpha)
+        else:
+            tau = step_size(
+                cfg.step_law,
+                t,
+                tau0=cfg.tau0,
+                alpha=cfg.alpha,
+                gamma=cfg.gamma,
+                best_primal=tracker.best_primal,
+                dual=value,
+                grad_norm_sq=gsq,
+            )
         w = 1.0 if averaging == "uniform" else tau
         if w > 0.0:
-            acc[packing.node_starts + x1] += w
-            acc[packing.node_starts + x2] += w
+            _accumulate_labelings(acc, packing, (x1, x2), (w, w))
             acc_w += 2.0 * w
-        if t % cfg.epoch == 0 and acc_w > 0.0:
-            tracker.observe(t, packing.split_nodes(acc / acc_w), value, extra_labeling=x1)
-            reason = _should_stop(tracker, cfg)
+        if (optimal or t % cfg.epoch == 0) and acc_w > 0.0:
+            tracker.observe(t, acc / acc_w, value, extra_labeling=x1)
+            reason = "dual-optimal" if optimal else _should_stop(tracker, cfg)
             if reason is None and _diverging(recent, cfg.divergence_window):
                 reason = "numerical-failure"
             if reason is not None:
@@ -341,8 +328,7 @@ def solve_subgradient(
         lam = lam + tau * g
     if not stopped:
         value, _, (x1, _) = ctx.value_and_subgradient(lam)
-        blocks = packing.split_nodes(acc / acc_w) if acc_w > 0 else packing.split_nodes(np.zeros(packing.node_dim))
-        tracker.observe(cfg.max_iters, blocks, value, extra_labeling=x1)
+        tracker.observe(cfg.max_iters, acc / acc_w if acc_w > 0 else acc, value, extra_labeling=x1)
     return tracker.report(
         solver="sg-ave" if averaging == "uniform" else "sg-wei",
         termination=termination,
@@ -377,7 +363,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     def log_epoch(iteration: int) -> ConvergenceRecord:
         u_val, _, (x1, _) = ctx.value_and_subgradient(lam)
         uh_val, _, maps = ctx.smoothed(lam, rho)
-        blocks = packing.split_nodes((maps[0] + maps[1]) / 2.0)
+        blocks = (maps[0] + maps[1]) / 2.0
         smoothed_gap = None
         if cfg.log_smoothed_gap:
             start = time.perf_counter()
@@ -441,8 +427,10 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     projections run at logging epochs only.
     """
     packing = model.packing()
-    theta = packing.theta_flat(model)
-    b = packing.rhs()
+    theta = packing.theta
+    # right-hand side of apply_a_packed: node and edge normalization
+    b = np.zeros(packing.dual_dim)
+    b[: model.n_nodes + model.n_edges] = 1.0
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal(packing.total_dim)
     norm_sq = 1.0
@@ -456,12 +444,9 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     norm_a = math.sqrt(max(norm_sq, 1e-12))
     sigma = tau = 0.99 / norm_a
 
-    mu = np.concatenate(
-        [
-            np.repeat(1.0 / packing.label_counts, packing.label_counts),
-            np.repeat(1.0 / np.maximum(packing.block_sizes, 1), packing.block_sizes),
-        ]
-    )
+    # uniform node and edge blocks
+    sizes = np.concatenate([packing.label_counts, packing.block_sizes])
+    mu = np.repeat(1.0 / sizes, sizes)
     nu = np.zeros(packing.dual_dim)
     tracker = _Tracker(model)
     termination = "max-iters"
@@ -469,16 +454,7 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     halvings = 0
     diverged = False
     recent: deque = deque(maxlen=max(3, cfg.divergence_window // cfg.epoch))
-    lu_bounds = np.concatenate(([0], np.cumsum(packing.lu)))
-    lv_bounds = np.concatenate(([0], np.cumsum(packing.lv)))
     snapshot = (mu.copy(), nu.copy())
-
-    def messages_of(nu_vec: np.ndarray):
-        _, _, msg_u, msg_v = packing.split_dual(nu_vec)
-        return [
-            (msg_u[lu_bounds[e] : lu_bounds[e + 1]], msg_v[lv_bounds[e] : lv_bounds[e + 1]])
-            for e in range(model.n_edges)
-        ]
 
     def log_epoch(iteration: int):
         nonlocal mu, nu, sigma, tau, halvings, diverged, snapshot
@@ -489,7 +465,7 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
             halvings += 1
             diverged = True
         start = time.perf_counter()
-        point = project_dual(model, messages_of(nu))
+        point = project_dual(model, nu)
         tracker.projection_time += time.perf_counter() - start
         d_val = dual_value(model, point)
         recent.append(d_val)
@@ -500,8 +476,7 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
             diverged = True
             recent.clear()
         snapshot = (mu.copy(), nu.copy())
-        blocks = packing.split_nodes(mu[: packing.node_dim])
-        return tracker.observe(iteration, blocks, d_val), point
+        return tracker.observe(iteration, mu[: packing.node_dim], d_val), point
 
     dual_point = None
     for t in range(cfg.max_iters):

@@ -271,3 +271,23 @@ def gibbs_bruteforce(model, edges_subset, unary, rho):
             u, v = model.edges[eid]
             edge_marg[eid][x[u], x[v]] += p
     return value, node_marg, edge_marg
+
+
+# -- test instances -------------------------------------------------------
+
+
+def mixed_label_grid(seed: int):
+    """2x3 grid with label counts 2 to 5, so every edge table is non-square
+    and the u- and v-sides of the flat layout have different lengths."""
+    from mrflp import MrfModel, grid_edges
+
+    rng = np.random.default_rng(seed)
+    counts = [2, 5, 3, 4, 3, 2]
+    edges = grid_edges(2, 3)
+    return MrfModel.create(
+        counts,
+        edges,
+        [rng.uniform(-1, 1, c) for c in counts],
+        [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges],
+        grid_shape=(2, 3),
+    )

@@ -152,7 +152,7 @@ class TestVerify:
         mu = M.embed_labeling(m, [0, 1, 1, 0])
         node_blocks = [b.copy() for b in mu.node_blocks]
         node_blocks[0][0] -= 0.1
-        bad = M.Marginals(node_blocks=tuple(node_blocks), edge_blocks=mu.edge_blocks)
+        bad = M.Marginals.from_blocks(node_blocks=tuple(node_blocks), edge_blocks=mu.edge_blocks)
         M.write_marginals(bad, tmp_path / "mu.json")
         capsys.readouterr()
         assert run(["verify", "--model", model_path, "--marginals", tmp_path / "mu.json"]) == 1
@@ -173,6 +173,33 @@ class TestVerify:
         M.write_dual_point(m, report.dual_point, tmp_path / "nu.json")
         assert run(["verify", "--model", model_path, "--marginals", out / "marginals.json",
                     "--dual", tmp_path / "nu.json"]) == 0
+
+    def test_node_only_marginals_of_wrong_shape_are_usage_errors(self, tmp_path, capsys):
+        model_path = tmp_path / "m.uai"
+        run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
+        mu = tmp_path / "mu.json"
+        mu.write_text('{"node_blocks": [[1.0]], "edge_blocks": null}')
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--marginals", mu]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["short-node-bounds", "missing-message-pair"])
+    def test_malformed_dual_points_are_usage_errors(self, tmp_path, capsys, defect):
+        model_path = tmp_path / "m.uai"
+        run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
+        m = M.read_uai(model_path)
+        M.write_marginals(M.embed_labeling(m, [0] * 9), tmp_path / "mu.json")
+        M.write_dual_point(m, M.project_dual(m, [(np.zeros(4), np.zeros(4))] * m.n_edges), tmp_path / "nu.json")
+        doc = json.loads((tmp_path / "nu.json").read_text())
+        if defect == "short-node-bounds":
+            doc["node_bounds"] = doc["node_bounds"][:1]
+        else:
+            doc["messages"] = doc["messages"][:-1]
+        (tmp_path / "nu.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--marginals", tmp_path / "mu.json",
+                    "--dual", tmp_path / "nu.json"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.uai"

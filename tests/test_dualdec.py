@@ -44,7 +44,23 @@ def random_feasible_marginals(model, rng, k=4):
             node_blocks[v][x[v]] += w
         for e, (u, v) in enumerate(model.edges):
             edge_blocks[e][x[u], x[v]] += w
-    return M.Marginals(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
+    return M.Marginals.from_blocks(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
+
+
+def tree_entropy_sum(model, decomposition, mu):
+    """Sum over the subgraphs of their tree entropies: node entropies minus
+    the mutual information of every tree edge."""
+    total = 0.0
+    for sg in decomposition.subgraphs:
+        for v in sg.nodes:
+            p = mu.node_blocks[v][mu.node_blocks[v] > 0]
+            total -= float(np.sum(p * np.log(p)))
+        for u, v in sg.edges:
+            joint = mu.edge_blocks[model.edge_id(u, v)]
+            product = np.outer(mu.node_blocks[u], mu.node_blocks[v])
+            pos = joint > 0
+            total -= float(np.sum(joint[pos] * np.log(joint[pos] / product[pos])))
+    return total
 
 
 class TestMinSum:
@@ -343,7 +359,7 @@ class TestFreeEnergy:
             [2] * 3, [(0, 1), (1, 2)], [np.zeros(2)] * 3, [np.zeros((2, 2))] * 2
         )
         d = M.decompose_grid(m, colors=[0, 1])
-        mu = M.Marginals(
+        mu = M.Marginals.from_blocks(
             node_blocks=tuple(np.full(2, 0.5) for _ in range(3)),
             edge_blocks=tuple(np.full((2, 2), 0.25) for _ in range(2)),
         )
@@ -355,23 +371,24 @@ class TestFreeEnergy:
         assert M.decomposition_entropy(m, d, mu) == pytest.approx(2 * 3 * np.log(2), abs=1e-12)
 
     def test_bracketing_of_relaxed_energy(self):
-        m = M.generate_grid(2, 3, 3, seed=7)
-        d = M.decompose_grid(m)
         rng = np.random.default_rng(5)
-        c_h = M.entropy_upper_bound(m, d)
-        assert c_h == pytest.approx(2 * 6 * np.log(3))
-        for rho in (1.0, 0.25):
-            for _ in range(20):
-                mu = random_feasible_marginals(m, rng)
-                fe = M.free_energy(m, d, mu, rho)
-                e = M.relaxed_energy(m, mu)
-                assert fe <= e + 1e-9
-                assert e <= fe + rho * c_h + 1e-9
+        for m in (M.generate_grid(2, 3, 3, seed=7), oracles.mixed_label_grid(seed=7)):
+            d = M.decompose_grid(m)
+            c_h = M.entropy_upper_bound(m, d)
+            assert c_h == pytest.approx(2 * float(np.sum(np.log(m.label_counts))))
+            for rho in (1.0, 0.25):
+                for _ in range(20):
+                    mu = random_feasible_marginals(m, rng)
+                    fe = M.free_energy(m, d, mu, rho)
+                    e = M.relaxed_energy(m, mu)
+                    assert fe <= e + 1e-9
+                    assert e <= fe + rho * c_h + 1e-9
+                    assert fe == pytest.approx(e - rho * tree_entropy_sum(m, d, mu), abs=1e-12)
 
     def test_infeasible_points_rejected(self):
         m = M.generate_grid(2, 2, 2, seed=8)
         d = M.decompose_grid(m)
-        mu = M.Marginals(
+        mu = M.Marginals.from_blocks(
             node_blocks=tuple(np.array([0.9, 0.9]) for _ in range(4)),
             edge_blocks=tuple(np.full((2, 2), 0.25) for _ in range(4)),
         )
@@ -383,7 +400,7 @@ class TestReconstruction:
     def test_constant_history(self):
         m = M.generate_grid(2, 2, 2, seed=9)
         x = np.array([1, 0, 0, 1])
-        blocks = M.reconstruct_primal_subgradient(m, [(x, x)] * 5)
+        blocks = M.reconstruct_primal_subgradient(m, [(x, x)] * 5).node_blocks
         emb = M.embed_labeling(m, x)
         for v in range(4):
             np.testing.assert_allclose(blocks[v], emb.node_blocks[v], atol=1e-12)
@@ -392,7 +409,7 @@ class TestReconstruction:
         m = M.MrfModel.create([2], [], [np.zeros(2)], [])
         blocks = M.reconstruct_primal_subgradient(
             m, [(np.array([0]), np.array([0])), (np.array([1]), np.array([1]))]
-        )
+        ).node_blocks
         np.testing.assert_allclose(blocks[0], [0.5, 0.5], atol=1e-12)
 
     def test_weighted_matches_direct_formula(self):
@@ -402,7 +419,7 @@ class TestReconstruction:
             (rng.integers(0, 2, 3), rng.integers(0, 2, 3)) for _ in range(7)
         ]
         weights = rng.random(7) + 0.1
-        blocks = M.reconstruct_primal_subgradient(m, history, weights)
+        blocks = M.reconstruct_primal_subgradient(m, history, weights).node_blocks
         direct = np.zeros((3, 2))
         for (x1, x2), w in zip(history, weights):
             for v in range(3):
@@ -416,7 +433,7 @@ class TestReconstruction:
         m = M.generate_grid(2, 2, 3, seed=11)
         rng = np.random.default_rng(7)
         history = [(rng.integers(0, 3, 4), rng.integers(0, 3, 4)) for _ in range(9)]
-        blocks = M.reconstruct_primal_subgradient(m, history)
+        blocks = M.reconstruct_primal_subgradient(m, history).node_blocks
         for b in blocks:
             assert b.min() >= 0
             assert b.sum() == pytest.approx(1.0, abs=1e-12)

@@ -88,7 +88,7 @@ class TestLabelingAndMarginalsFiles:
             np.testing.assert_array_equal(a, b)
 
     def test_node_only_marginals(self, tmp_path):
-        mu = M.Marginals(node_blocks=(np.array([0.5, 0.5]),), edge_blocks=None)
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.5, 0.5]),), edge_blocks=None)
         path = tmp_path / "mu.json"
         M.write_marginals(mu, path)
         assert not M.read_marginals(path).has_edge_blocks

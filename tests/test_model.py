@@ -81,27 +81,27 @@ class TestRelaxedEnergy:
 
     def test_uniform_single_node(self):
         m = single_node((0.0, 2.0))
-        mu = M.Marginals(node_blocks=(np.array([0.5, 0.5]),), edge_blocks=())
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.5, 0.5]),), edge_blocks=())
         assert M.relaxed_energy(m, mu) == pytest.approx(1.0)
 
     def test_matches_dense_dot_product(self):
-        m = M.generate_grid(2, 2, 3, seed=5)
-        _, x_lp = oracles.lp_optimum(m)
-        # wrap the LP's flat solution back into blocks
-        node_off, edge_off, _ = oracles.flat_layout(m)
-        node_blocks = [x_lp[node_off[v] : node_off[v + 1]] for v in range(m.n_nodes)]
-        edge_blocks = [
-            x_lp[edge_off[e] : edge_off[e + 1]].reshape(m.pairwise[e].shape)
-            for e in range(m.n_edges)
-        ]
-        mu = M.Marginals(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
-        assert M.relaxed_energy(m, mu) == pytest.approx(
-            float(oracles.theta_vector(m) @ x_lp), abs=1e-10
-        )
+        for m in (M.generate_grid(2, 2, 3, seed=5), oracles.mixed_label_grid(seed=5)):
+            _, x_lp = oracles.lp_optimum(m)
+            # wrap the LP's flat solution back into blocks
+            node_off, edge_off, _ = oracles.flat_layout(m)
+            node_blocks = [x_lp[node_off[v] : node_off[v + 1]] for v in range(m.n_nodes)]
+            edge_blocks = [
+                x_lp[edge_off[e] : edge_off[e + 1]].reshape(m.pairwise[e].shape)
+                for e in range(m.n_edges)
+            ]
+            mu = M.Marginals.from_blocks(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
+            assert M.relaxed_energy(m, mu) == pytest.approx(
+                float(oracles.theta_vector(m) @ x_lp), abs=1e-10
+            )
 
     def test_missing_edge_blocks_raise(self):
         m = two_node_chain()
-        mu = M.Marginals(node_blocks=(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
         with pytest.raises(InfeasibleMarginalsError):
             M.relaxed_energy(m, mu)
 
@@ -133,20 +133,20 @@ class TestConstraintResidual:
 
     def test_single_node_overfull(self):
         m = single_node((0.0, 0.0))
-        mu = M.Marginals(node_blocks=(np.array([0.7, 0.7]),), edge_blocks=())
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.7, 0.7]),), edge_blocks=())
         assert M.constraint_residual(m, mu) == pytest.approx(0.4)
 
     def test_matches_dense_enumeration(self):
-        m = M.generate_grid(2, 3, 2, seed=4)
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            mu = M.Marginals(
-                node_blocks=tuple(rng.random(2) for _ in range(6)),
-                edge_blocks=tuple(rng.uniform(-0.1, 1.0, (2, 2)) for _ in range(m.n_edges)),
-            )
-            assert M.constraint_residual(m, mu) == pytest.approx(
-                oracles.residual_by_enumeration(m, mu), abs=1e-12
-            )
+        for m in (M.generate_grid(2, 3, 2, seed=4), oracles.mixed_label_grid(seed=4)):
+            for _ in range(10):
+                mu = M.Marginals.from_blocks(
+                    node_blocks=tuple(rng.random(c) for c in m.label_counts),
+                    edge_blocks=tuple(rng.uniform(-0.1, 1.0, p.shape) for p in m.pairwise),
+                )
+                assert M.constraint_residual(m, mu) == pytest.approx(
+                    oracles.residual_by_enumeration(m, mu), abs=1e-12
+                )
 
 
 class TestGenerators:
@@ -283,11 +283,11 @@ class TestRounding:
         np.testing.assert_array_equal(M.round_to_labeling(M.embed_labeling(m, x)), x)
 
     def test_tie_goes_to_smallest(self):
-        mu = M.Marginals(node_blocks=(np.array([0.5, 0.5]),))
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.5, 0.5]),))
         assert M.round_to_labeling(mu)[0] == 0
 
     def test_argmax(self):
-        mu = M.Marginals(node_blocks=(np.array([0.2, 0.7, 0.1]),))
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.2, 0.7, 0.1]),))
         assert M.round_to_labeling(mu)[0] == 1
 
 
@@ -300,3 +300,26 @@ class TestReparametrization:
         side1 = rep.unary_for_side(m, 1)
         for v in range(m.n_nodes):
             np.testing.assert_allclose(side0[v] + side1[v], m.unary[v], atol=0)
+
+
+class TestFlatStorage:
+    def test_block_views_are_built_once(self):
+        m = oracles.mixed_label_grid(seed=1)
+        mu = M.embed_labeling(m, [1, 4, 2, 3, 0, 1])
+        assert mu.node_blocks is mu.node_blocks
+        assert mu.edge_blocks is mu.edge_blocks
+        assert all(np.shares_memory(b, mu.flat) for b in mu.node_blocks + mu.edge_blocks)
+        assert [b.shape for b in mu.edge_blocks] == [p.shape for p in m.pairwise]
+        point = M.project_dual(m, [(np.zeros(m.label_counts[u]), np.zeros(m.label_counts[v])) for u, v in m.edges])
+        assert point.messages is point.messages
+        assert [(a.size, b.size) for a, b in point.messages] == [p.shape for p in m.pairwise]
+
+    def test_blocks_of_the_wrong_shape_are_rejected(self):
+        m = oracles.mixed_label_grid(seed=1)
+        mu = M.embed_labeling(m, [0] * 6)
+        swapped = M.Marginals.from_blocks(mu.node_blocks, [b.T for b in mu.edge_blocks])
+        with pytest.raises(ValueError):
+            M.relaxed_energy(m, swapped)
+        short = M.Marginals.from_blocks(mu.node_blocks[:-1], mu.edge_blocks)
+        with pytest.raises(ValueError):
+            M.constraint_residual(m, short)

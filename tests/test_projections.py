@@ -108,7 +108,7 @@ class TestPrimalEnergyProjection:
         m = M.generate_grid(2, 2, 2, seed=2)
         rng = np.random.default_rng(1)
         blocks = [rng.random(2) for _ in range(4)]
-        mu_with_junk_edges = M.Marginals(
+        mu_with_junk_edges = M.Marginals.from_blocks(
             node_blocks=tuple(blocks),
             edge_blocks=tuple(rng.random((2, 2)) for _ in range(4)),
         )
@@ -205,30 +205,31 @@ class TestDualProjection:
         assert M.dual_value(m, point) == pytest.approx(3.0)
 
     def test_feasibility_margin_nonnegative_for_random_messages(self):
-        m = M.generate_grid(2, 2, 3, seed=6)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            msgs = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(m.n_edges)]
-            point = M.project_dual(m, msgs)
-            assert M.dual_feasibility_margin(m, point) >= -1e-12
-            # margin recomputed by explicit enumeration over all constraints
-            worst = np.inf
-            for v in range(m.n_nodes):
-                for xv in range(3):
-                    slack = m.unary[v][xv] - point.node_bounds[v]
-                    for u, e in m.neighbors[v]:
-                        mu, mv = point.messages[e]
-                        slack -= (mu if v < u else mv)[xv]
-                    worst = min(worst, slack)
-            for e, (u, v) in enumerate(m.edges):
-                mu, mv = point.messages[e]
-                for xu in range(3):
-                    for xv in range(3):
-                        worst = min(
-                            worst,
-                            m.pairwise[e][xu, xv] + mu[xu] + mv[xv] - point.edge_bounds[e],
-                        )
-            assert worst >= -1e-12
+        for m in (M.generate_grid(2, 2, 3, seed=6), oracles.mixed_label_grid(seed=6)):
+            counts = m.label_counts
+            for _ in range(20):
+                msgs = [(rng.standard_normal(counts[u]), rng.standard_normal(counts[v])) for u, v in m.edges]
+                point = M.project_dual(m, msgs)
+                margin = M.dual_feasibility_margin(m, point)
+                assert margin >= -1e-12
+                # margin recomputed by explicit enumeration over all constraints
+                node_slack = [m.unary[v] - point.node_bounds[v] for v in range(m.n_nodes)]
+                for e, (u, v) in enumerate(m.edges):
+                    node_slack[u] = node_slack[u] - msgs[e][0]
+                    node_slack[v] = node_slack[v] - msgs[e][1]
+                worst = min(float(s.min()) for s in node_slack)
+                for e, (u, v) in enumerate(m.edges):
+                    mu, mv = msgs[e]
+                    for xu in range(counts[u]):
+                        for xv in range(counts[v]):
+                            worst = min(
+                                worst,
+                                m.pairwise[e][xu, xv] + mu[xu] + mv[xv] - point.edge_bounds[e],
+                            )
+                # every bound is a minimum, so some constraint is tight
+                assert worst == pytest.approx(0.0, abs=1e-12)
+                assert margin == pytest.approx(worst, abs=1e-12)
 
     def test_weak_duality_against_random_feasible_points(self):
         m = M.generate_grid(2, 2, 2, seed=9)
@@ -244,7 +245,7 @@ class TestDualProjection:
 
     def test_all_zero_dual_value(self):
         m = M.generate_grid(2, 2, 2, seed=0)
-        point = M.DualPoint(
+        point = M.DualPoint.from_blocks(
             node_bounds=np.zeros(4),
             edge_bounds=np.zeros(4),
             messages=tuple((np.zeros(2), np.zeros(2)) for _ in range(4)),
@@ -315,7 +316,7 @@ class TestProjectionContinuityBound:
         for _ in range(10):
             node_blocks = [rng.uniform(0, 1, 2) for _ in range(4)]
             edge_blocks = [rng.uniform(0, 1, (2, 2)) for _ in range(4)]
-            z = M.Marginals(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
+            z = M.Marginals.from_blocks(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
             z_flat = oracles.pack_marginals_flat(m, z)
             projected = M.project_primal_energy(m, node_blocks)
             euclid = oracles.dykstra_project(m, z_flat)

@@ -78,7 +78,7 @@ class TestGapCertificate:
 
     def test_infeasible_marginals_refused(self):
         m = M.generate_grid(2, 2, 2, seed=3)
-        bad = M.Marginals(
+        bad = M.Marginals.from_blocks(
             node_blocks=tuple(np.array([0.9, 0.0]) for _ in range(4)),
             edge_blocks=tuple(np.full((2, 2), 0.25) for _ in range(4)),
         )
