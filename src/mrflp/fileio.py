@@ -151,9 +151,15 @@ def write_marginals(marginals: Marginals, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+def _entry(doc, key: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"JSON object with the key {key!r} expected")
+    return doc[key]
+
+
 def read_marginals(path) -> Marginals:
     doc = json.loads(Path(path).read_text())
-    return Marginals.from_blocks(doc["node_blocks"], doc.get("edge_blocks"))
+    return Marginals.from_blocks(_entry(doc, "node_blocks"), doc.get("edge_blocks"))
 
 
 def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
@@ -171,8 +177,8 @@ def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
 
 def read_dual_point(path) -> DualPoint:
     doc = json.loads(Path(path).read_text())
-    messages = [(m["from_u"], m["from_v"]) for m in doc["messages"]]
-    return DualPoint.from_blocks(doc["node_bounds"], doc["edge_bounds"], messages)
+    messages = [(_entry(m, "from_u"), _entry(m, "from_v")) for m in _entry(doc, "messages")]
+    return DualPoint.from_blocks(_entry(doc, "node_bounds"), _entry(doc, "edge_bounds"), messages)
 
 
 def _fmt_optional(x) -> str:

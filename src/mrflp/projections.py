@@ -95,23 +95,25 @@ def project_primal_free_energy(
 ) -> Marginals:
     """Like :func:`project_primal_energy`, but edge blocks minimize the
     entropy-smoothed edge objective with the projected node blocks as the
-    reference product measure."""
+    reference product measure.  The edges of each ``(L_u, L_v)`` shape are
+    one batched :func:`solve_transport_entropic` call."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
+    packing = model.packing()
     flat = _projected_nodes(model, node_blocks)
-    projected = model.packing().split_nodes(flat)
-    edge_blocks = []
-    for e, (u, v) in enumerate(model.edges):
-        problem = TransportProblem(model.pairwise[e], projected[u], projected[v])
-        res = solve_transport_entropic(
-            problem,
-            rho,
-            int(decomposition.edge_counts[e]),
-            problem.row_marginal,
-            problem.col_marginal,
+    edges = np.empty(packing.edge_dim)
+    for lu, lv in np.unique(packing.edge_shapes, axis=0):
+        es = np.flatnonzero((packing.edge_shapes == (lu, lv)).all(axis=1))
+        cells = packing.edge_starts[es][:, None] + np.arange(lu * lv)
+        problem = TransportProblem(
+            packing.theta[packing.node_dim + cells].reshape(-1, lu, lv),
+            flat[packing.node_starts[packing.edge_ends[es, 0]][:, None] + np.arange(lu)],
+            flat[packing.node_starts[packing.edge_ends[es, 1]][:, None] + np.arange(lv)],
         )
-        edge_blocks.append(res.plan)
-    return _certified(model, flat, edge_blocks)
+        res = solve_transport_entropic(problem, rho, decomposition.edge_counts[es], problem.row_marginal,
+                                       problem.col_marginal)
+        edges[cells] = res.plan.reshape(es.size, -1)
+    return _certified(model, flat, [edges])
 
 
 def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:

@@ -255,7 +255,8 @@ class _Tracker:
 
 
 def _should_stop(tracker: _Tracker, cfg: SolverConfig) -> str | None:
-    if tracker.relative_gap() <= cfg.tol:
+    # a certified gap below EQ_TOL cannot be told from zero: its sign is round-off
+    if tracker.relative_gap() <= cfg.tol or tracker.best_primal - tracker.best_dual <= EQ_TOL:
         return "gap-tolerance"
     if cfg.time_budget_s is not None and tracker.elapsed() > cfg.time_budget_s:
         return "time-budget"

@@ -7,9 +7,9 @@ smallest-index rule on both the entering and the leaving arc, which rules
 out cycling.  Zero marginal entries simply produce zero-flow basic arcs
 (the limit of a perturbed basis); flow values are never perturbed.
 
-The entropy-regularized solver is iterative proportional fitting (diagonal
-scaling) run in the log domain, with stepwise reduction of the
-regularization so that very small smoothing levels remain reachable.
+The entropy-regularized solver runs damped float64 Newton on the dual of
+a whole stack of same-shape problems at once, then the Altschuler-Weed-
+Rigollet rounding step, which makes the marginals exact to round-off.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .tolerances import LOG_FLOOR, NONNEG_TOL, PIVOT_TOL, TRANSPORT_MARGINAL_TOL
 
 @dataclasses.dataclass(frozen=True)
 class TransportProblem:
-    """Cost matrix with row/column marginals, rescaled to unit mass on ingest."""
+    """Cost matrix with row/column marginals, rescaled to unit mass on ingest.
+    A leading axis on all three stacks same-shape problems."""
 
     cost: np.ndarray
     row_marginal: np.ndarray
@@ -42,16 +43,16 @@ class TransportProblem:
         c = np.array(self.cost, dtype=np.float64)
         r = np.array(self.row_marginal, dtype=np.float64)
         s = np.array(self.col_marginal, dtype=np.float64)
-        if c.ndim != 2 or c.shape != (r.size, s.size):
-            raise ValueError(f"cost shape {c.shape} does not match marginals ({r.size}, {s.size})")
+        if c.ndim not in (2, 3) or r.shape != c.shape[:-1] or s.shape != c.shape[:-2] + c.shape[-1:]:
+            raise ValueError(f"cost shape {c.shape} does not match marginals {r.shape} and {s.shape}")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
             raise ValueError("cost and marginals must be finite")
         for name, vec in (("row", r), ("column", s)):
             if np.any(vec < -NONNEG_TOL):
                 raise InfeasibleMarginalsError(f"{name} marginal has a negative entry")
             np.clip(vec, 0.0, None, out=vec)
-            total = vec.sum()
-            if total <= 0.0:
+            total = vec.sum(axis=-1, keepdims=True)
+            if np.any(total <= 0.0):
                 raise InfeasibleMarginalsError(f"{name} marginal has zero total mass")
             vec /= total
         for a in (c, r, s):
@@ -74,9 +75,9 @@ class TransportResult:
 @dataclasses.dataclass(frozen=True)
 class EntropicTransportResult:
     plan: np.ndarray
-    objective: float
-    iterations: int
-    residual: float
+    objective: float | np.ndarray
+    iterations: int | np.ndarray
+    residual: float | np.ndarray
 
 
 @njit(cache=True)
@@ -269,6 +270,8 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None) ->
     equality on basic arcs.
     """
     c = problem.cost
+    if c.ndim != 2:
+        raise ValueError("solve_transport takes a single problem, not a batch")
     flow, basic, u, v, pivots = _solve_kernel(c, problem.row_marginal, problem.col_marginal, max_pivots)
     row_err = np.max(np.abs(flow.sum(axis=1) - problem.row_marginal))
     col_err = np.max(np.abs(flow.sum(axis=0) - problem.col_marginal))
@@ -284,139 +287,126 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None) ->
     )
 
 
+_RIDGE = 1e-12
+_ARMIJO = 1e-4
+_NEWTON_CAP = 100
+_HALVING_CAP = 60
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis``; ``-inf`` for slices that are all ``-inf``."""
     mx = np.max(a, axis=axis, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
     return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
 
 
-def solve_transport_entropic(
-    problem: TransportProblem,
-    rho: float,
-    edge_count: int,
-    ref_row: np.ndarray,
-    ref_col: np.ndarray,
-    tol: float = TRANSPORT_MARGINAL_TOL,
-) -> EntropicTransportResult:
-    """Minimize ``<cost, plan> + rho*edge_count*KL(plan || ref_row x ref_col)``
-    subject to the prescribed marginals.
+def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
 
-    Solved by diagonal scaling in the log domain; the regularization is
-    lowered geometrically toward ``rho * edge_count`` with warm-started
-    potentials, so tiny smoothing levels converge as well.  Rows/columns
-    with zero marginal mass are fixed to zero directly.
+
+def _newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
+    """Damped Newton on the dual of ``max <logk, P> - sum P log P`` over
+    plans ``P = exp(logk + f_i + g_j)`` with marginals ``r``, ``s``, for each
+    problem of the stack; ``logk = -inf`` pins zero-mass rows and columns."""
+    k, n, m = logk.shape
+    f = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)) - _logsumexp(logk, axis=2), 0.0)
+    g = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)) - _logsumexp(logk + f[:, :, None], axis=1), 0.0)
+    plan = np.exp(logk + f[:, :, None] + g[:, None, :])
+    residual = _residual(plan, r, s)
+    live = residual > TRANSPORT_MARGINAL_TOL
+    iterations = np.zeros(k, dtype=np.int64)
+    for _ in range(_NEWTON_CAP):
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        p = plan[idx]
+        mass = np.concatenate([p.sum(axis=2), p.sum(axis=1)], axis=1)
+        grad = np.concatenate([r[idx], s[idx]], axis=1) - mass
+        # Jacobi-scaled Hessian: unit diagonal, also on pinned rows, plus a ridge
+        # that removes the gauge direction (f + c, g - c)
+        scale = np.sqrt(np.where(mass > 0.0, mass, 1.0))
+        hess = np.tile(np.eye(n + m) * (1.0 + _RIDGE), (idx.size, 1, 1))
+        hess[:, :n, n:] = p / (scale[:, :n, None] * scale[:, None, n:])
+        hess[:, n:, :n] = hess[:, :n, n:].transpose(0, 2, 1)
+        delta = np.linalg.solve(hess, (grad / scale)[:, :, None])[:, :, 0] / scale
+        slope = np.sum(grad * delta, axis=1)
+        # Armijo backtracking: step t * delta raises the dual by t * slope - sum p (expm1(x) - x)
+        t = np.ones(idx.size)
+        ascent = np.isfinite(slope) & (slope > 0.0)
+        searching = ascent.copy()
+        for _ in range(_HALVING_CAP):
+            j = np.flatnonzero(searching)
+            if not j.size:
+                break
+            x = t[j, None, None] * (delta[j, :n, None] + delta[j, None, n:])
+            rest = np.exp(logk[idx[j]] + f[idx[j], :, None] + g[idx[j], None, :] + x)
+            pos = p[j] > 0.0  # where p = 0 the term is the new plan entry itself
+            rest[pos] = p[j][pos] * (np.expm1(x[pos]) - x[pos])
+            ok = np.sum(rest.reshape(j.size, -1), axis=1) <= (1.0 - _ARMIJO) * t[j] * slope[j]
+            searching[j[ok]] = False
+            t[j[~ok]] /= 2.0
+        # a problem with no accepted step has stalled and stops
+        accepted = ascent & ~searching
+        step = idx[accepted]
+        f[step] += t[accepted, None] * delta[accepted, :n]
+        g[step] += t[accepted, None] * delta[accepted, n:]
+        plan[step] = np.exp(logk[step] + f[step, :, None] + g[step, None, :])
+        iterations[step] += 1
+        live[idx] = False
+        residual[step] = _residual(plan[step], r[step], s[step])
+        live[step] = residual[step] > TRANSPORT_MARGINAL_TOL
+    return plan, iterations, residual
+
+
+def _round_to_marginals(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Altschuler-Weed-Rigollet rounding (NeurIPS 2017): scale rows, then
+    columns, down to their marginals; add the missing mass as a rank one plan."""
+    a = plan.sum(axis=2)
+    plan = plan * np.minimum(np.divide(r, a, out=np.ones_like(r), where=a > 0.0), 1.0)[:, :, None]
+    b = plan.sum(axis=1)
+    plan = plan * np.minimum(np.divide(s, b, out=np.ones_like(s), where=b > 0.0), 1.0)[:, None, :]
+    # clipped at 0, so that round-off cannot make an entry negative
+    err_r = np.maximum(r - plan.sum(axis=2), 0.0)
+    err_c = np.maximum(s - plan.sum(axis=1), 0.0)
+    total = err_r.sum(axis=1, keepdims=True)
+    share = np.divide(err_c, total, out=np.zeros_like(err_c), where=total > 0.0)
+    return plan + err_r[:, :, None] * share[:, None, :]
+
+
+def solve_transport_entropic(
+    problem: TransportProblem, rho: float, edge_count, ref_row: np.ndarray, ref_col: np.ndarray
+) -> EntropicTransportResult:
+    """Minimize ``<cost, plan> + eps * KL(plan || ref_row x ref_col)`` with
+    ``eps = rho * edge_count``, subject to the prescribed marginals.
+
+    A batched problem is solved as a stack, with ``edge_count`` and the
+    reference vectors broadcast along its batch axis; each problem gets the
+    same arithmetic alone or in a stack.  Newton on the dual stops at
+    ``TRANSPORT_MARGINAL_TOL``, when no step passes the line search, or at
+    an iteration cap; the rounding step then makes the marginals exact.
+    ``residual`` is the residual before rounding, so a stall stays visible,
+    and ``iterations`` counts Newton steps.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if edge_count < 1:
+    c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
+    k, n, m = c.shape
+    r = problem.row_marginal.reshape(k, n)
+    s = problem.col_marginal.reshape(k, m)
+    # broadcasting also rejects arguments of the wrong shape
+    counts = np.broadcast_to(edge_count, (k,))
+    if np.any(counts < 1):
         raise ValueError("edge_count must be at least 1")
-    c = problem.cost
-    r = problem.row_marginal
-    s = problem.col_marginal
-    n, m = c.shape
-    ref_r = np.asarray(ref_row, dtype=np.float64)
-    ref_c = np.asarray(ref_col, dtype=np.float64)
-    if ref_r.shape != (n,) or ref_c.shape != (m,):
-        raise ValueError("reference vectors must match the marginal shapes")
-
-    rows = r > 0.0
-    cols = s > 0.0
-    plan = np.zeros((n, m))
-    cs = c[np.ix_(rows, cols)]
-    rr = r[rows]
-    ss = s[cols]
-    lref = np.log(np.maximum(ref_r[rows], LOG_FLOOR))[:, None] + np.log(
-        np.maximum(ref_c[cols], LOG_FLOOR)
-    )[None, :]
-
-    eps_target = rho * edge_count
-    # For very small regularization the exponent (f + g - c)/eps loses about
-    # machine-epsilon/eps absolute accuracy; extended precision keeps the
-    # marginal residual floor below the required tolerance.
-    dt = np.longdouble if eps_target < 1e-4 else np.float64
-    cs = cs.astype(dt)
-    rr_d = rr.astype(dt)
-    ss_d = ss.astype(dt)
-    lref = lref.astype(dt)
-    eps = max(eps_target, float(np.max(np.abs(cs))) if cs.size else eps_target, 1.0)
-    f = np.zeros(rr.size, dtype=dt)
-    g = np.zeros(ss.size, dtype=dt)
-    log_r = np.log(rr_d)
-    log_s = np.log(ss_d)
-    stage_cap = int(10 * max(1, rr.size * ss.size) * np.log(1.0 / tol)) + 20
-    total_iters = 0
-    residual = np.inf
-
-    def plan_at(fv, gv, eps_v, base_v):
-        return np.exp(np.minimum(base_v + (fv[:, None] + gv[None, :]) / eps_v, dt(500.0)))
-
-    def marginal_residual(plan):
-        return max(
-            float(np.max(np.abs(plan.sum(axis=1) - rr_d))),
-            float(np.max(np.abs(plan.sum(axis=0) - ss_d))),
-        )
-
-    while True:
-        final_stage = eps <= eps_target
-        stage_tol = tol if final_stage else max(tol, 1e-4)
-        base = lref - cs / dt(eps)
-        for _ in range(min(stage_cap, 300)):
-            total_iters += 1
-            f = eps * (log_r - _logsumexp(base + (g / eps)[None, :], axis=1))
-            g = eps * (log_s - _logsumexp(base + (f / eps)[:, None], axis=0))
-            sub = plan_at(f, g, eps, base)
-            residual = marginal_residual(sub)
-            if residual < stage_tol:
-                break
-        if final_stage:
-            break
-        eps = max(eps_target, eps / 8.0)
-
-    # Degenerate marginals can stall diagonal scaling; polish with a damped
-    # Newton ascent on the regularized dual (the systems are tiny).
-    if residual >= tol:
-        nn, mm = rr.size, ss.size
-        sub = plan_at(f, g, eps, base)
-        grad = np.concatenate([rr_d - sub.sum(axis=1), ss_d - sub.sum(axis=0)])
-        res_norm = float(np.max(np.abs(grad)))
-        for _ in range(stage_cap):
-            if res_norm < tol:
-                break
-            total_iters += 1
-            hess = np.zeros((nn + mm, nn + mm))
-            hess[:nn, :nn] = np.diag(sub.sum(axis=1).astype(np.float64))
-            hess[nn:, nn:] = np.diag(sub.sum(axis=0).astype(np.float64))
-            hess[:nn, nn:] = sub.astype(np.float64)
-            hess[nn:, :nn] = sub.T.astype(np.float64)
-            hess /= eps
-            hess += np.eye(nn + mm) * (1e-13 * max(1.0, float(np.trace(hess))))
-            try:
-                delta = np.linalg.solve(hess, grad.astype(np.float64)).astype(dt)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(hess, grad.astype(np.float64), rcond=None)[0].astype(dt)
-            step = dt(1.0)
-            f_try, g_try, sub_try, grad_try = f, g, sub, grad
-            for _ in range(80):
-                f_try = f + step * delta[:nn]
-                g_try = g + step * delta[nn:]
-                sub_try = plan_at(f_try, g_try, eps, base)
-                grad_try = np.concatenate([rr_d - sub_try.sum(axis=1), ss_d - sub_try.sum(axis=0)])
-                if float(np.max(np.abs(grad_try))) < res_norm * (1.0 - float(step) / 4.0) + 1e-30:
-                    break
-                step /= dt(2.0)
-            f, g, sub, grad = f_try, g_try, sub_try, grad_try
-            res_norm = float(np.max(np.abs(grad)))
-        residual = marginal_residual(sub)
-
-    if residual >= tol:
-        raise NumericalError(
-            f"entropic scaling did not reach residual {tol} in {total_iters} iterations",
-            residual=residual,
-        )
-    sub = sub.astype(np.float64)
-    plan[np.ix_(rows, cols)] = sub
-    pos = sub > 0.0
-    kl = float(np.sum(sub[pos] * (np.log(sub[pos]) - lref[pos])))
-    objective = float(np.sum(cs * sub)) + eps_target * kl
-    return EntropicTransportResult(
-        plan=plan, objective=objective, iterations=total_iters, residual=residual
-    )
+    eps = rho * counts.astype(np.float64)
+    lref = (np.log(np.maximum(np.broadcast_to(ref_row, (k, n)), LOG_FLOOR))[:, :, None]
+            + np.log(np.maximum(np.broadcast_to(ref_col, (k, m)), LOG_FLOOR))[:, None, :])
+    logk = lref - c / eps[:, None, None]
+    logk[(r == 0.0)[:, :, None] | (s == 0.0)[:, None, :]] = -np.inf
+    with np.errstate(divide="ignore", over="ignore"):  # exp and log at the -inf entries and of trial steps
+        plan, iterations, residual = _newton(logk, r, s)
+    plan = _round_to_marginals(plan, r, s)
+    kl = (plan * (np.log(np.where(plan > 0.0, plan, 1.0)) - lref)).sum(axis=(1, 2))
+    objective = (c * plan).sum(axis=(1, 2)) + eps * kl
+    if problem.cost.ndim == 2:
+        return EntropicTransportResult(plan[0], objective.item(), iterations.item(), residual.item())
+    return EntropicTransportResult(plan, objective, iterations, residual)

@@ -243,6 +243,34 @@ def transport_bruteforce(cost, r, s):
     return float(costs[best]), plan.reshape(n, m)
 
 
+def sinkhorn_entropic(cost, r, s, eps, tol=1e-13, max_iters=100_000):
+    """Plain log-domain Sinkhorn for ``min <cost, P> + eps * KL(P || r x s)``
+    over plans with marginals ``r`` and ``s`` (all entries positive).
+
+    Alternates exact row and column rescalings until the row sums are within
+    ``tol``.  Returns (plan, objective).
+    """
+    from scipy.special import logsumexp
+
+    cost = np.asarray(cost, dtype=np.float64)
+    log_r = np.log(np.asarray(r, dtype=np.float64))
+    log_s = np.log(np.asarray(s, dtype=np.float64))
+    log_ref = log_r[:, None] + log_s[None, :]
+    log_kernel = log_ref - cost / eps
+    f = np.zeros(cost.shape[0])
+    g = np.zeros(cost.shape[1])
+    for _ in range(max_iters):
+        f = log_r - logsumexp(log_kernel + g[None, :], axis=1)
+        g = log_s - logsumexp(log_kernel + f[:, None], axis=0)
+        plan = np.exp(log_kernel + f[:, None] + g[None, :])
+        if np.max(np.abs(plan.sum(axis=1) - np.exp(log_r))) < tol:
+            break
+    else:
+        raise AssertionError("Sinkhorn oracle did not converge")
+    objective = float(np.sum(cost * plan) + eps * np.sum(plan * (np.log(plan) - log_ref)))
+    return plan, objective
+
+
 # -- brute-force Gibbs statistics -----------------------------------------
 
 

@@ -178,12 +178,14 @@ class TestVerify:
         model_path = tmp_path / "m.uai"
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
         mu = tmp_path / "mu.json"
-        mu.write_text('{"node_blocks": [[1.0]], "edge_blocks": null}')
-        capsys.readouterr()
-        assert run(["verify", "--model", model_path, "--marginals", mu]) == 2
-        assert "error:" in capsys.readouterr().err
+        # a block of the wrong shape, and a document without node blocks
+        for doc in ('{"node_blocks": [[1.0]], "edge_blocks": null}', "{}"):
+            mu.write_text(doc)
+            capsys.readouterr()
+            assert run(["verify", "--model", model_path, "--marginals", mu]) == 2
+            assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["short-node-bounds", "missing-message-pair"])
+    @pytest.mark.parametrize("defect", ["short-node-bounds", "missing-message-pair", "message-without-from-u"])
     def test_malformed_dual_points_are_usage_errors(self, tmp_path, capsys, defect):
         model_path = tmp_path / "m.uai"
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
@@ -193,8 +195,10 @@ class TestVerify:
         doc = json.loads((tmp_path / "nu.json").read_text())
         if defect == "short-node-bounds":
             doc["node_bounds"] = doc["node_bounds"][:1]
-        else:
+        elif defect == "missing-message-pair":
             doc["messages"] = doc["messages"][:-1]
+        else:
+            del doc["messages"][0]["from_u"]
         (tmp_path / "nu.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["verify", "--model", model_path, "--marginals", tmp_path / "mu.json",

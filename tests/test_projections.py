@@ -188,6 +188,22 @@ class TestPrimalFreeEnergyProjection:
         assert attained == pytest.approx(best.fun, abs=1e-6)
 
 
+    def test_edge_blocks_match_single_edge_solves(self):
+        # the batched call per (L_u, L_v) shape gives what each edge gives alone
+        m = oracles.mixed_label_grid(3)
+        d = M.decompose_grid(m)
+        # counts of 1 and 2 mix two smoothing levels inside one shape group
+        d = M.Decomposition(d.subgraphs, d.node_counts, np.arange(m.n_edges) % 2 + 1)
+        rng = np.random.default_rng(6)
+        blocks = [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
+        for rho in (0.05, 0.5):
+            proj = M.project_primal_free_energy(m, d, blocks, rho)
+            for e, (u, v) in enumerate(m.edges):
+                p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
+                res = M.solve_transport_entropic(p, rho, int(d.edge_counts[e]), p.row_marginal, p.col_marginal)
+                np.testing.assert_allclose(res.plan, proj.edge_blocks[e], rtol=0, atol=1e-15)
+
+
 class TestDualProjection:
     def test_zero_messages_give_table_minima(self):
         m = M.generate_grid(2, 2, 3, seed=5)

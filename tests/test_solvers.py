@@ -181,6 +181,25 @@ class TestNesterovSolver:
             assert r.smoothed_gap is not None
             assert r.smoothed_gap >= -1e-9
 
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    def test_smoothed_gap_on_lp_tight_instance(self, rho):
+        # forbidden entries of 1e6 next to near-zero node marginals: the
+        # entropic projection used to give up on some edges and lose the run
+        m, _ = M.generate_lp_tight(4, 4, 3, 25.0, 1e6, 0.4, seed=0)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=40, epoch=20, rho=rho))
+        assert report.termination != "numerical-failure"
+        assert all(r.smoothed_gap is not None for r in report.records)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stops_once_the_gap_is_round_off(self, seed):
+        # on LP-tight instances the dual at lambda = 0 is already optimal, so
+        # the certified gap is round-off of either sign from the first epoch
+        m, _ = M.generate_lp_tight(6, 6, 3, 25.0, 1e6, 0.4, seed=seed)
+        cfg = M.SolverConfig(max_iters=80, epoch=20, rho=2.0, log_smoothed_gap=False)
+        report = M.solve_nesterov(m, M.decompose_grid(m), cfg)
+        assert report.termination == "gap-tolerance"
+        assert len(report.records) == 1
+
 
 class TestFpdSolver:
     def test_single_node_indicator(self):

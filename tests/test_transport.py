@@ -7,6 +7,20 @@ from mrflp.errors import InfeasibleMarginalsError
 import oracles
 
 
+def degenerate_problems(seed, count):
+    """1-5 x 1-5 problems with zero marginal entries, tied small integer
+    costs and forbidden entries of cost 1e6, at rho 0.05, 1 and 2 in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, m = (int(x) for x in rng.integers(1, 6, 2))
+        cost = np.where(rng.random((n, m)) < 0.3, 1e6, rng.integers(0, 4, (n, m)).astype(float))
+        r = rng.random(n) * (rng.random(n) > 0.3)
+        s = rng.random(m) * (rng.random(m) > 0.3)
+        r[rng.integers(n)] += 0.1
+        s[rng.integers(m)] += 0.1
+        yield M.TransportProblem(cost, r, s), (0.05, 1.0, 2.0)[i % 3]
+
+
 class TestTransportProblem:
     def test_rescaled_on_ingest(self):
         p = M.TransportProblem([[0.0, 1.0]], [2.0], [1.0, 3.0])
@@ -20,6 +34,20 @@ class TestTransportProblem:
     def test_zero_mass_rejected(self):
         with pytest.raises(InfeasibleMarginalsError):
             M.TransportProblem([[0.0], [0.0]], [0.0, 0.0], [1.0])
+
+    def test_batch_rescales_each_problem(self):
+        p = M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [5.0]], [[1.0, 3.0], [2.0, 2.0]])
+        np.testing.assert_allclose(p.row_marginal, 1.0)
+        np.testing.assert_allclose(p.col_marginal, [[0.25, 0.75], [0.5, 0.5]])
+        with pytest.raises(InfeasibleMarginalsError):
+            M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [0.0]], [[1.0, 3.0], [2.0, 2.0]])
+        with pytest.raises(ValueError):
+            M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [5.0]], [[1.0, 3.0]])
+
+    def test_exact_solver_takes_one_problem(self):
+        p = M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [5.0]], [[1.0, 3.0], [2.0, 2.0]])
+        with pytest.raises(ValueError):
+            M.solve_transport(p)
 
 
 class TestExactTransport:
@@ -154,3 +182,52 @@ class TestEntropicTransport:
         p = M.TransportProblem(np.zeros((2, 2)), [0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             M.solve_transport_entropic(p, 0.0, 1, p.row_marginal, p.col_marginal)
+
+    def test_matches_sinkhorn_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n, m = rng.integers(2, 6), rng.integers(2, 6)
+            p = M.TransportProblem(rng.uniform(-1, 1, (n, m)), rng.random(n) + 0.05, rng.random(m) + 0.05)
+            rho = float(rng.choice([0.1, 0.3, 1.0]))
+            count = int(rng.integers(1, 3))
+            res = M.solve_transport_entropic(p, rho, count, p.row_marginal, p.col_marginal)
+            plan, objective = oracles.sinkhorn_entropic(p.cost, p.row_marginal, p.col_marginal, rho * count)
+            np.testing.assert_allclose(res.plan, plan, atol=1e-9)
+            assert res.objective == pytest.approx(objective, abs=1e-10)
+            assert res.residual <= 1e-10
+
+    def test_degenerate_problems_get_exact_marginals(self):
+        # zero marginal entries next to forbidden costs stall plain scaling;
+        # the rounding step still makes every plan feasible
+        for p, rho in degenerate_problems(0, 300):
+            res = M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)
+            assert np.max(np.abs(res.plan.sum(axis=1) - p.row_marginal)) <= 1e-14
+            assert np.max(np.abs(res.plan.sum(axis=0) - p.col_marginal)) <= 1e-14
+            assert res.plan.min() >= 0.0
+            np.testing.assert_array_equal(res.plan[p.row_marginal == 0.0], 0.0)
+            np.testing.assert_array_equal(res.plan[:, p.col_marginal == 0.0], 0.0)
+
+    def test_batch_matches_single_solves(self):
+        rng = np.random.default_rng(8)
+        k = 30
+        cost = np.where(rng.random((k, 3, 4)) < 0.3, 1e6, rng.uniform(-2, 2, (k, 3, 4)))
+        r = rng.random((k, 3)) * (rng.random((k, 3)) > 0.2) + np.array([0.1, 0.0, 0.0])
+        s = rng.random((k, 4)) * (rng.random((k, 4)) > 0.2) + np.array([0.0, 0.0, 0.0, 0.1])
+        counts = rng.integers(1, 3, k)
+        batch = M.TransportProblem(cost, r, s)
+        res = M.solve_transport_entropic(batch, 0.3, counts, batch.row_marginal, batch.col_marginal)
+        for i in range(k):
+            p = M.TransportProblem(cost[i], r[i], s[i])
+            one = M.solve_transport_entropic(p, 0.3, int(counts[i]), p.row_marginal, p.col_marginal)
+            np.testing.assert_array_equal(one.plan, res.plan[i])
+            assert (one.objective, one.iterations, one.residual) == (
+                res.objective[i], res.iterations[i], res.residual[i])
+
+    def test_batch_arguments_must_match(self):
+        p = M.TransportProblem(np.zeros((2, 2, 2)), np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError):
+            M.solve_transport_entropic(p, 1.0, [1, 1, 1], np.full(2, 0.5), np.full(2, 0.5))
+        with pytest.raises(ValueError):
+            M.solve_transport_entropic(p, 1.0, [1, 0], np.full(2, 0.5), np.full(2, 0.5))
+        with pytest.raises(ValueError):
+            M.solve_transport_entropic(p, 1.0, 1, np.full(3, 0.5), np.full(2, 0.5))
