@@ -27,9 +27,10 @@ class InfeasibleMarginalsError(MrflpError, ValueError):
 class NumericalError(MrflpError, RuntimeError):
     """An iterative routine failed to reach its required accuracy.
 
-    Carries the final residual when available.
+    Carries the final residual and the failing problem's index in a stack, when available.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(self, message: str, residual: float | None = None, problem: int | None = None):
         super().__init__(message)
         self.residual = residual
+        self.problem = problem

@@ -4,7 +4,8 @@ The primal projections make an arbitrary collection of node blocks feasible
 in two stages: Euclidean projection of every node block onto its simplex,
 then exact re-optimization of every edge block given the projected node
 blocks.  The edge stage is a tiny transportation problem per edge (linear
-objective) or a tiny entropy minimization (smoothed objective).  Any edge
+objective) or a tiny entropy minimization (smoothed objective); the edges
+of each ``(L_u, L_v)`` shape are solved together as one stack.  Any edge
 blocks present in the input are ignored; they are fully determined by the
 optimization.
 
@@ -24,7 +25,7 @@ from ._packing import project_simplex_blocks
 from .errors import NumericalError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
 from .tolerances import EQ_TOL
-from .transport import TransportProblem, _solve_kernel, solve_transport_entropic
+from .transport import TransportProblem, solve_transport, solve_transport_entropic
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,14 +57,28 @@ def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
     return project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
 
 
-def _certified(model: MrfModel, nodes: np.ndarray, edge_blocks: list[np.ndarray]) -> Marginals:
+def _certified(model: MrfModel, nodes: np.ndarray, edges: np.ndarray) -> Marginals:
     packing = model.packing()
-    flat = np.concatenate([nodes, *(b.ravel() for b in edge_blocks)])
-    result = Marginals(flat, packing.label_counts, packing.edge_shapes)
+    result = Marginals(np.concatenate([nodes, edges]), packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
     if residual > EQ_TOL:
         raise NumericalError("projection produced an infeasible point", residual=residual)
     return result
+
+
+def _edge_groups(model: MrfModel, nodes: np.ndarray):
+    """For each ``(L_u, L_v)`` shape: the indices of its edges, their cells
+    in the flat edge vector, and their stacked transport problems between
+    the node blocks of ``nodes``."""
+    packing = model.packing()
+    for lu, lv in np.unique(packing.edge_shapes, axis=0):
+        es = np.flatnonzero((packing.edge_shapes == (lu, lv)).all(axis=1))
+        cells = packing.edge_starts[es][:, None] + np.arange(lu * lv)
+        yield es, cells, TransportProblem(
+            packing.theta[packing.node_dim + cells].reshape(-1, lu, lv),
+            nodes[packing.node_starts[packing.edge_ends[es, 0]][:, None] + np.arange(lu)],
+            nodes[packing.node_starts[packing.edge_ends[es, 1]][:, None] + np.arange(lv)],
+        )
 
 
 def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
@@ -72,22 +87,24 @@ def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
     ``node_blocks`` is a :class:`Marginals`, a flat node vector or one array
     per node.  Node blocks are projected onto their simplices; each edge
     block is then the minimum-cost transport plan between its projected
-    endpoints.  The output is certified feasible before it is returned.
+    endpoints, from one batched :func:`solve_transport` call per
+    ``(L_u, L_v)`` shape.  The output is certified feasible before it is
+    returned.
     """
     packing = model.packing()
     flat = _projected_nodes(model, node_blocks)
-    # exact unit sums keep the per-edge transport marginals consistent
+    # exact unit sums keep the transport marginals consistent with the node blocks
     sums = np.add.reduceat(flat, packing.node_starts)
     flat /= np.repeat(sums, packing.label_counts)
-    projected = packing.split_nodes(flat)
-    edge_blocks = []
-    for e, (u, v) in enumerate(model.edges):
+    edges = np.empty(packing.edge_dim)
+    for es, cells, problem in _edge_groups(model, flat):
         try:
-            plan = _solve_kernel(model.pairwise[e], projected[u], projected[v])[0]
+            res = solve_transport(problem)
         except NumericalError as exc:
+            u, v = model.edges[es[exc.problem]]
             raise NumericalError(f"{exc} on edge {(u, v)}") from exc
-        edge_blocks.append(plan)
-    return _certified(model, flat, edge_blocks)
+        edges[cells] = res.plan.reshape(es.size, -1)
+    return _certified(model, flat, edges)
 
 
 def project_primal_free_energy(
@@ -102,18 +119,11 @@ def project_primal_free_energy(
     packing = model.packing()
     flat = _projected_nodes(model, node_blocks)
     edges = np.empty(packing.edge_dim)
-    for lu, lv in np.unique(packing.edge_shapes, axis=0):
-        es = np.flatnonzero((packing.edge_shapes == (lu, lv)).all(axis=1))
-        cells = packing.edge_starts[es][:, None] + np.arange(lu * lv)
-        problem = TransportProblem(
-            packing.theta[packing.node_dim + cells].reshape(-1, lu, lv),
-            flat[packing.node_starts[packing.edge_ends[es, 0]][:, None] + np.arange(lu)],
-            flat[packing.node_starts[packing.edge_ends[es, 1]][:, None] + np.arange(lv)],
-        )
+    for es, cells, problem in _edge_groups(model, flat):
         res = solve_transport_entropic(problem, rho, decomposition.edge_counts[es], problem.row_marginal,
                                        problem.col_marginal)
         edges[cells] = res.plan.reshape(es.size, -1)
-    return _certified(model, flat, [edges])
+    return _certified(model, flat, edges)
 
 
 def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:

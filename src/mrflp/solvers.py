@@ -347,7 +347,9 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     always a valid lower bound; the feasible primal bound comes from the
     energy projection of the averaged marginal maps.  With
     ``rho_schedule="halving"`` the smoothing level halves whenever the
-    smoothed relative gap drops below ``rho_shrink_threshold * rho``.
+    smoothed relative gap drops below ``rho_shrink_threshold * rho``.  If
+    the ascent check fails more than 200 times in all, the run ends with
+    ``termination="numerical-failure"`` and the records so far.
     """
     ctx = DualContext(model, decomposition)
     packing = ctx.packing
@@ -395,15 +397,18 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
                 y = lam.copy()
         v_y, grad, _ = ctx.smoothed(y, rho)
         gsq = float(grad @ grad)
-        while True:
+        while halvings <= 200:
             lam_new = y + grad / lip
             v_new = ctx.smoothed_value(lam_new, rho)
             if v_new >= v_y + gsq / (2.0 * lip) - 1e-10 * (1.0 + abs(v_y)):
                 break
             lip *= 2.0
             halvings += 1
-            if halvings > 200:
-                raise NumericalError("ascent step kept failing; smoothness estimate diverged")
+        else:
+            # the ascent step kept failing: the smoothness estimate diverged
+            termination = "numerical-failure"
+            stopped = True
+            break
         tk_next = (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
         y = lam_new + ((tk - 1.0) / tk_next) * (lam_new - lam)
         lam = lam_new

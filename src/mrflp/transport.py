@@ -1,15 +1,16 @@
 """Exact and entropy-regularized solvers for small transportation problems.
 
-The exact solver is a specialization of the simplex method to the
-transportation polytope: it works on spanning-tree bases of ``n + m - 1``
-arcs, starts from the northwest-corner basis and pivots with Bland's
-smallest-index rule on both the entering and the leaving arc, which rules
-out cycling.  Zero marginal entries simply produce zero-flow basic arcs
-(the limit of a perturbed basis); flow values are never perturbed.
-
-The entropy-regularized solver runs damped float64 Newton on the dual of
-a whole stack of same-shape problems at once, then the Altschuler-Weed-
-Rigollet rounding step, which makes the marginals exact to round-off.
+Both solvers take a stack of same-shape problems; a single problem is a
+stack of one and gets the same arithmetic as in a stack.  The exact solver
+is the simplex method on the transportation polytope, run in lockstep over
+the stack: spanning-tree bases of ``n + m - 1`` arcs, a northwest-corner
+start, and in each round one batched inverse of the dense basis equations,
+which gives the potentials and the entering arc's cycle without a tree
+walk.  Bland's smallest-index rule on both the entering and the leaving arc
+rules out cycling.  Zero marginal entries simply produce zero-flow basic
+arcs (the limit of a perturbed basis).  The entropy-regularized solver runs
+damped float64 Newton on the dual, then the Altschuler-Weed-Rigollet
+rounding step, which makes the marginals exact to round-off.
 """
 
 from __future__ import annotations
@@ -17,14 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 from .errors import InfeasibleMarginalsError, NumericalError
 from .tolerances import LOG_FLOOR, NONNEG_TOL, PIVOT_TOL, TRANSPORT_MARGINAL_TOL
@@ -65,11 +58,11 @@ class TransportProblem:
 @dataclasses.dataclass(frozen=True)
 class TransportResult:
     plan: np.ndarray
-    cost: float
+    cost: float | np.ndarray
     row_potentials: np.ndarray
     col_potentials: np.ndarray
     basis: np.ndarray
-    pivots: int
+    pivots: int | np.ndarray
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,211 +73,112 @@ class EntropicTransportResult:
     residual: float | np.ndarray
 
 
-@njit(cache=True)
-def _compute_duals(c, basic, u, v):  # pragma: no cover - compiled
-    n, m = c.shape
-    known_u = np.zeros(n, np.uint8)
-    known_v = np.zeros(m, np.uint8)
-    u[0] = 0.0
-    known_u[0] = 1
-    for _ in range(n + m):
-        changed = False
-        for i in range(n):
-            for j in range(m):
-                if basic[i, j]:
-                    if known_u[i] and not known_v[j]:
-                        v[j] = c[i, j] - u[i]
-                        known_v[j] = 1
-                        changed = True
-                    elif known_v[j] and not known_u[i]:
-                        u[i] = c[i, j] - v[j]
-                        known_u[i] = 1
-                        changed = True
-        if not changed:
-            break
+_CHUNK = 256
 
 
-@njit(cache=True)
-def _simplex_kernel(c, r, s, max_pivots, enter_tol):  # pragma: no cover - compiled
-    n, m = c.shape
-    flow = np.zeros((n, m))
-    basic = np.zeros((n, m), np.uint8)
+def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
 
+
+def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
+    """Pricing step for a stack of ``(k, n, m)`` costs and flat bases: the
+    basic arcs in row-major order, the potentials ``(u, v)`` as one
+    ``(k, n + m)`` array, whether an arc enters, Bland's entering arc (the
+    first with a negative reduced cost) and its cycle ``d``; basic flows
+    change by ``-theta * d`` when the entering arc carries ``theta``."""
+    k, n, m = c.shape
+    nb = n + m - 1
+    q = np.arange(k)
+    arcs = np.nonzero(basic)[1].reshape(k, nb)
+    # one equation u_i + v_j = c_ij per basic arc, then the gauge u_0 = 0; the inverse
+    # of a spanning-tree basis has entries in {-1, 0, 1}, so rounding removes its round-off
+    eqs = np.zeros((k, n + m, n + m))
+    eqs[q[:, None], np.arange(nb), arcs // m] = eqs[q[:, None], np.arange(nb), n + arcs % m] = 1.0
+    eqs[:, nb, 0] = 1.0
+    inv = np.linalg.inv(eqs)
+    np.rint(inv, out=inv)
+    cb = np.zeros((k, n + m))
+    cb[:, :nb] = c.reshape(k, -1)[q[:, None], arcs]
+    y = np.einsum("qij,qj->qi", inv, cb)
+    reduced = (c - y[:, :n, None] - y[:, None, n:]).reshape(k, -1)
+    enters = ~basic & (reduced < -tol[:, None])
+    enter = enters.argmax(axis=1)
+    return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, :nb] + inv[q, n + enter % m, :nb]
+
+
+def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
+    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
+    lockstep.  Returns flows, bases, potentials ``(u, v)`` as one
+    ``(k, n + m)`` array, pivot counts and the mask of capped problems."""
+    k, n, m = c.shape
+    nb = n + m - 1
+    flow = np.zeros((k, n * m))
+    basic = np.zeros((k, n * m), dtype=bool)
     # northwest-corner start; simultaneous exhaustion leaves zero-flow arcs
-    a = r.copy()
-    b = s.copy()
-    i = 0
-    j = 0
-    for _ in range(n + m - 1):
-        basic[i, j] = 1
-        f = a[i] if a[i] < b[j] else b[j]
-        flow[i, j] = f
-        a[i] -= f
-        b[j] -= f
-        if i == n - 1 and j == m - 1:
-            break
-        if a[i] <= 0.0 and i < n - 1:
-            i += 1
-        elif b[j] <= 0.0 and j < m - 1:
-            j += 1
-        elif i < n - 1:
-            i += 1
-        else:
-            j += 1
+    a, b = r.copy(), s.copy()
+    p = np.arange(k)
+    i, j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    for _ in range(nb):
+        f = np.minimum(a[p, i], b[p, j])
+        basic[p, i * m + j], flow[p, i * m + j] = True, f
+        a[p, i] -= f
+        b[p, j] -= f
+        down = (i < n - 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (j < m - 1)))
+        i, j = i + down, j + ~down
 
-    u = np.zeros(n)
-    v = np.zeros(m)
-    parent = np.full(n + m, -1, np.int64)
-    stack = np.zeros(n + m, np.int64)
-    path_nodes = np.zeros(n + m, np.int64)
-    plus = np.zeros(n + m, np.int64)
-    minus = np.zeros(n + m, np.int64)
-
-    pivots = 0
-    while True:
-        _compute_duals(c, basic, u, v)
-
-        # Bland: entering arc is the lexicographically smallest with
-        # negative reduced cost
-        ei = -1
-        ej = -1
-        for ii in range(n):
-            for jj in range(m):
-                if not basic[ii, jj] and c[ii, jj] - u[ii] - v[jj] < -enter_tol:
-                    ei = ii
-                    ej = jj
-                    break
-            if ei >= 0:
-                break
-        if ei < 0:
-            return flow, basic, u, v, pivots, 0
-        if pivots >= max_pivots:
-            return flow, basic, u, v, pivots, 1
-        pivots += 1
-
-        # unique tree path from row ei to column node n + ej
-        for k in range(n + m):
-            parent[k] = -1
-        top = 0
-        stack[top] = ei
-        parent[ei] = ei
-        target = n + ej
-        while top >= 0:
-            node = stack[top]
-            top -= 1
-            if node == target:
-                break
-            if node < n:
-                for jj in range(m):
-                    if basic[node, jj] and parent[n + jj] == -1:
-                        parent[n + jj] = node
-                        top += 1
-                        stack[top] = n + jj
-            else:
-                jj = node - n
-                for ii in range(n):
-                    if basic[ii, jj] and parent[ii] == -1:
-                        parent[ii] = node
-                        top += 1
-                        stack[top] = ii
-
-        length = 0
-        node = target
-        while node != ei:
-            path_nodes[length] = node
-            length += 1
-            node = parent[node]
-        path_nodes[length] = ei
-        length += 1
-
-        # arcs along the path, starting at the column end of the entering
-        # arc, alternate -, +, -, ...
-        n_plus = 0
-        n_minus = 0
-        for k in range(length - 1):
-            x = path_nodes[k]
-            y = path_nodes[k + 1]
-            if x < n:
-                arc = x * m + (y - n)
-            else:
-                arc = y * m + (x - n)
-            if k % 2 == 0:
-                minus[n_minus] = arc
-                n_minus += 1
-            else:
-                plus[n_plus] = arc
-                n_plus += 1
-
-        theta = np.inf
-        leave = -1
-        for k in range(n_minus):
-            arc = minus[k]
-            f = flow[arc // m, arc % m]
-            if f < theta or (f == theta and arc < leave):
-                theta = f
-                leave = arc
-        for k in range(n_plus):
-            arc = plus[k]
-            flow[arc // m, arc % m] += theta
-        for k in range(n_minus):
-            arc = minus[k]
-            flow[arc // m, arc % m] -= theta
-        flow[ei, ej] = theta
-        basic[ei, ej] = 1
-        basic[leave // m, leave % m] = 0
-        flow[leave // m, leave % m] = 0.0
-
-
-def pivot_tolerance(cost: np.ndarray) -> float:
-    """Entering-arc threshold, scaled so dual-recomputation round-off on
-    large costs cannot masquerade as a negative reduced cost."""
-    scale = float(np.max(np.abs(cost))) if cost.size else 1.0
-    return PIVOT_TOL * max(1.0, scale)
-
-
-def _solve_kernel(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int | None = None):
-    """Run the simplex kernel and clip round-off negatives off the plan.
-
-    Without ``max_pivots`` the cap is ``max(1000, 50 * n * m)`` pivots.
-    """
-    if max_pivots is None:
-        max_pivots = max(1000, 50 * c.size)
-    flow, basic, u, v, pivots, status = _simplex_kernel(
-        np.ascontiguousarray(c, dtype=np.float64),
-        np.ascontiguousarray(r, dtype=np.float64),
-        np.ascontiguousarray(s, dtype=np.float64),
-        max_pivots,
-        pivot_tolerance(c),
-    )
-    if status != 0:
-        raise NumericalError(f"transportation simplex exceeded {max_pivots} pivots")
-    np.clip(flow, 0.0, None, out=flow)
-    return flow, basic, u, v, pivots
+    tol = PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    potentials = np.zeros((k, n + m))
+    pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    live = p
+    while live.size:
+        # priced in chunks, which bounds the memory the dense inverses take at once
+        parts = [_price(c[h], basic[h], tol[h]) for h in np.split(live, np.arange(_CHUNK, live.size, _CHUNK))]
+        arcs, y, go, enter, d = (np.concatenate(z) for z in zip(*parts))
+        potentials[live[~go]] = y[~go]
+        capped[live[go & (pivots[live] >= max_pivots)]] = True
+        go &= pivots[live] < max_pivots
+        live, arcs, enter, d = live[go], arcs[go], enter[go], d[go]
+        q = np.arange(live.size)
+        x = flow[live[:, None], arcs]
+        # Bland: the leaving arc is the decreasing arc of least flow, ties to the smallest
+        leave = np.where(d > 0.0, x, np.inf).argmin(axis=1)
+        theta = x[q, leave]
+        flow[live[:, None], arcs] = x - theta[:, None] * d
+        flow[live, enter], basic[live, enter] = theta, True
+        flow[live, arcs[q, leave]], basic[live, arcs[q, leave]] = 0.0, False
+        pivots[live] += 1
+    return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped
 
 
 def solve_transport(problem: TransportProblem, max_pivots: int | None = None) -> TransportResult:
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.
 
-    Returns the optimal plan together with the dual potentials of the final
-    basis, which certify optimality: ``u_i + v_j <= c_ij`` everywhere with
-    equality on basic arcs.
+    A batched problem is solved as a stack in lockstep, and a single problem
+    as a stack of one.  Each problem may take ``max_pivots`` pivots,
+    ``max(1000, 50 * n * m)`` by default; if one needs more,
+    :class:`NumericalError` is raised with ``problem`` set to its index in
+    the stack.  Returns the optimal plans together with the potentials of
+    the final bases, which certify optimality: ``u_i + v_j <= c_ij``
+    everywhere with equality on basic arcs.
     """
-    c = problem.cost
-    if c.ndim != 2:
-        raise ValueError("solve_transport takes a single problem, not a batch")
-    flow, basic, u, v, pivots = _solve_kernel(c, problem.row_marginal, problem.col_marginal, max_pivots)
-    row_err = np.max(np.abs(flow.sum(axis=1) - problem.row_marginal))
-    col_err = np.max(np.abs(flow.sum(axis=0) - problem.col_marginal))
-    if max(row_err, col_err) > TRANSPORT_MARGINAL_TOL:
-        raise NumericalError("transport plan violates its marginals", residual=float(max(row_err, col_err)))
-    return TransportResult(
-        plan=flow,
-        cost=float(np.sum(c * flow)),
-        row_potentials=u,
-        col_potentials=v,
-        basis=basic.astype(bool),
-        pivots=int(pivots),
-    )
+    c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
+    k, n, m = c.shape
+    r, s = problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m)
+    if max_pivots is None:
+        max_pivots = max(1000, 50 * n * m)
+    flow, basic, y, pivots, capped = _simplex(c, r, s, max_pivots)
+    if capped.any():
+        raise NumericalError(f"transportation simplex exceeded {max_pivots} pivots",
+                             problem=int(capped.argmax()))
+    np.clip(flow, 0.0, None, out=flow)
+    residual = _residual(flow, r, s)
+    if residual.max() > TRANSPORT_MARGINAL_TOL:
+        raise NumericalError("transport plan violates its marginals", residual=float(residual.max()),
+                             problem=int(residual.argmax()))
+    cost = (c * flow).reshape(k, -1).sum(axis=1)
+    if problem.cost.ndim == 2:
+        return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], basic[0], pivots.item())
+    return TransportResult(flow, cost, y[:, :n], y[:, n:], basic, pivots)
 
 
 _RIDGE = 1e-12
@@ -300,8 +194,13 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
 
 
-def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
+def _stop_level(plan: np.ndarray, abs_logk: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Residual at which Newton stops: ``TRANSPORT_MARGINAL_TOL``, or what
+    round-off in the exponents ``logk + f + g`` alone can cause, machine
+    epsilon times the largest row or column sum of ``plan * (|logk| + |f| + |g|)``."""
+    w = plan * (abs_logk + np.abs(f)[:, :, None] + np.abs(g)[:, None, :])
+    return np.maximum(TRANSPORT_MARGINAL_TOL, np.finfo(np.float64).eps
+                      * np.maximum(w.sum(axis=2).max(axis=1), w.sum(axis=1).max(axis=1)))
 
 
 def _newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
@@ -313,7 +212,8 @@ def _newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
     g = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)) - _logsumexp(logk + f[:, :, None], axis=1), 0.0)
     plan = np.exp(logk + f[:, :, None] + g[:, None, :])
     residual = _residual(plan, r, s)
-    live = residual > TRANSPORT_MARGINAL_TOL
+    abs_logk = np.where(np.isfinite(logk), np.abs(logk), 0.0)
+    live = residual > _stop_level(plan, abs_logk, f, g)
     iterations = np.zeros(k, dtype=np.int64)
     for _ in range(_NEWTON_CAP):
         idx = np.flatnonzero(live)
@@ -354,7 +254,7 @@ def _newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
         iterations[step] += 1
         live[idx] = False
         residual[step] = _residual(plan[step], r[step], s[step])
-        live[step] = residual[step] > TRANSPORT_MARGINAL_TOL
+        live[step] = residual[step] > _stop_level(plan[step], abs_logk[step], f[step], g[step])
     return plan, iterations, residual
 
 

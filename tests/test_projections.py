@@ -119,16 +119,25 @@ class TestPrimalEnergyProjection:
             np.testing.assert_array_equal(ea, eb)
 
     def test_pivot_cap_error_names_the_edge(self, monkeypatch):
-        # the projection shares solve_transport's cap, max(1000, 50 * n * m)
-        def capped(c, r, s, max_pivots, enter_tol):
-            assert max_pivots == 1000
-            n, k = c.shape
-            return np.zeros((n, k)), np.zeros((n, k), np.uint8), np.zeros(n), np.zeros(k), max_pivots, 1
-
-        monkeypatch.setattr(mrflp.transport, "_simplex_kernel", capped)
+        # the projection shares solve_transport's cap, max(1000, 50 * n * m);
+        # with an infinite entering tolerance every pivot round finds an arc
+        monkeypatch.setattr(mrflp.transport, "PIVOT_TOL", -np.inf)
         m = M.generate_grid(1, 2, 2, seed=3)
+        assert m.pairwise[0].shape == (2, 2)
         with pytest.raises(NumericalError, match=r"1000 pivots on edge \(0, 1\)"):
             M.project_primal_energy(m, [np.array([0.5, 0.5])] * 2)
+
+    def test_edge_blocks_match_single_edge_solves(self):
+        # the batched call per (L_u, L_v) shape gives what each edge gives
+        # alone, which the benchmark's per-edge pivot count relies on
+        m = oracles.mixed_label_grid(3)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            blocks = [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
+            proj = M.project_primal_energy(m, blocks)
+            for e, (u, v) in enumerate(m.edges):
+                p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
+                np.testing.assert_array_equal(M.solve_transport(p).plan, proj.edge_blocks[e])
 
 
 class TestPrimalFreeEnergyProjection:

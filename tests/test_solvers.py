@@ -190,6 +190,17 @@ class TestNesterovSolver:
         assert report.termination != "numerical-failure"
         assert all(r.smoothed_gap is not None for r in report.records)
 
+    def test_halving_cap_keeps_the_records(self, monkeypatch):
+        # an ascent check that always fails doubles the smoothness estimate
+        # until the cap; the run ends there and keeps its t = 0 record
+        monkeypatch.setattr(M.DualContext, "smoothed_value", lambda self, lam, rho: -np.inf)
+        m = M.generate_grid(4, 4, 3, seed=1)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=40, epoch=20, rho=1.0))
+        assert report.termination == "numerical-failure"
+        assert report.step_halvings == 201
+        assert len(report.records) >= 1
+        assert M.constraint_residual(m, report.marginals) <= 1e-9
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stops_once_the_gap_is_round_off(self, seed):
         # on LP-tight instances the dual at lambda = 0 is already optimal, so

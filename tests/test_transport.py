@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
-from mrflp.errors import InfeasibleMarginalsError
+from mrflp.errors import InfeasibleMarginalsError, NumericalError
 
 import oracles
 
@@ -44,10 +44,16 @@ class TestTransportProblem:
         with pytest.raises(ValueError):
             M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [5.0]], [[1.0, 3.0]])
 
-    def test_exact_solver_takes_one_problem(self):
+    def test_exact_solver_takes_a_batch(self):
         p = M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [5.0]], [[1.0, 3.0], [2.0, 2.0]])
-        with pytest.raises(ValueError):
-            M.solve_transport(p)
+        res = M.solve_transport(p)
+        assert res.plan.shape == res.basis.shape == (2, 1, 2)
+        assert res.cost.shape == res.pivots.shape == (2,)
+        assert res.row_potentials.shape == (2, 1) and res.col_potentials.shape == (2, 2)
+        np.testing.assert_allclose(res.plan, [[[0.25, 0.75]], [[0.5, 0.5]]])
+        one = M.solve_transport(M.TransportProblem(np.zeros((1, 2)), [2.0], [1.0, 3.0]))
+        assert one.plan.shape == (1, 2)
+        assert type(one.cost) is float and type(one.pivots) is int
 
 
 class TestExactTransport:
@@ -101,6 +107,61 @@ class TestExactTransport:
         res = M.solve_transport(p)
         assert res.basis.sum() == 5  # n + m - 1 arcs, zero flows included
         assert res.plan[0, 1] == pytest.approx(1.0)
+
+    def test_batch_matches_single_solves(self):
+        rng = np.random.default_rng(8)
+        k = 300  # more than one pricing chunk
+        cost = np.where(rng.random((k, 3, 4)) < 0.3, 1e6, rng.integers(0, 3, (k, 3, 4)).astype(float))
+        r = rng.random((k, 3)) * (rng.random((k, 3)) > 0.2) + np.array([0.1, 0.0, 0.0])
+        s = rng.random((k, 4)) * (rng.random((k, 4)) > 0.2) + np.array([0.0, 0.0, 0.0, 0.1])
+        res = M.solve_transport(M.TransportProblem(cost, r, s))
+        # the problems finish in different rounds of the lockstep
+        assert res.pivots.min() < res.pivots.max()
+        for i in range(k):
+            one = M.solve_transport(M.TransportProblem(cost[i], r[i], s[i]))
+            np.testing.assert_array_equal(one.plan, res.plan[i])
+            np.testing.assert_array_equal(one.basis, res.basis[i])
+            np.testing.assert_array_equal(one.row_potentials, res.row_potentials[i])
+            np.testing.assert_array_equal(one.col_potentials, res.col_potentials[i])
+            assert (one.cost, one.pivots) == (res.cost[i], res.pivots[i])
+
+    def test_degenerate_problems_match_bruteforce(self):
+        # zero marginal entries, tied marginals, tied small integer costs and
+        # forbidden entries of cost 1e6 or 1e9
+        rng = np.random.default_rng(17)
+        for i in range(150):
+            n, m = (int(x) for x in rng.integers(1, 5, 2))
+            big = (1e6, 1e9)[i % 2]
+            cost = np.where(rng.random((n, m)) < 0.3, big, rng.integers(0, 4, (n, m)).astype(float))
+            if i % 3:
+                r = rng.random(n) * (rng.random(n) > 0.3)
+                s = rng.random(m) * (rng.random(m) > 0.3)
+            else:
+                r = rng.integers(0, 3, n).astype(float)
+                s = rng.integers(0, 3, m).astype(float)
+            r[rng.integers(n)] += 0.5
+            s[rng.integers(m)] += 0.5
+            p = M.TransportProblem(cost, r, s)
+            res = M.solve_transport(p)
+            tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
+            brute_cost, _ = oracles.transport_bruteforce(p.cost, p.row_marginal, p.col_marginal)
+            assert res.cost == pytest.approx(brute_cost, abs=tol)
+            assert res.plan.min() >= 0.0
+            assert res.basis.sum() == n + m - 1
+            slack = p.cost - res.row_potentials[:, None] - res.col_potentials[None, :]
+            assert slack.min() >= -tol
+            assert np.max(np.abs(slack[res.basis])) <= tol
+            dual_val = res.row_potentials @ p.row_marginal + res.col_potentials @ p.col_marginal
+            assert dual_val == pytest.approx(res.cost, abs=tol)
+
+    def test_pivot_cap_names_the_problem(self):
+        # the first problem is optimal at its northwest corner, the second needs a pivot
+        p = M.TransportProblem([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                               np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+        assert M.solve_transport(p).pivots.tolist() == [0, 1]
+        with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
+            M.solve_transport(p, max_pivots=0)
+        assert err.value.problem == 1
 
     def test_never_better_than_product_plan(self):
         rng = np.random.default_rng(13)
@@ -206,6 +267,15 @@ class TestEntropicTransport:
             assert res.plan.min() >= 0.0
             np.testing.assert_array_equal(res.plan[p.row_marginal == 0.0], 0.0)
             np.testing.assert_array_equal(res.plan[:, p.col_marginal == 0.0], 0.0)
+
+    def test_large_costs_stop_at_round_off(self):
+        # with costs near 1e6 at rho 0.05 round-off in the exponents holds the
+        # residual above TRANSPORT_MARGINAL_TOL; Newton stops there, not at its cap
+        for p, rho in degenerate_problems(1, 300):
+            res = M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)
+            assert res.iterations < 100
+            assert np.max(np.abs(res.plan.sum(axis=1) - p.row_marginal)) <= 1e-14
+            assert np.max(np.abs(res.plan.sum(axis=0) - p.col_marginal)) <= 1e-14
 
     def test_batch_matches_single_solves(self):
         rng = np.random.default_rng(8)
