@@ -18,7 +18,6 @@ from .model import (
     DualPoint,
     Marginals,
     MrfModel,
-    Reparametrization,
     Subgraph,
     constraint_residual,
     decompose_by_coloring,
@@ -40,15 +39,11 @@ from .transport import (
     solve_transport_entropic,
 )
 from .projections import (
-    LipschitzEstimate,
     dual_feasibility_margin,
     dual_value,
-    lipschitz_entropy,
-    lipschitz_linear,
     project_dual,
     project_primal_energy,
     project_primal_free_energy,
-    project_simplex,
 )
 from .dualdec import (
     DualContext,
@@ -56,8 +51,6 @@ from .dualdec import (
     decomposition_entropy,
     dp_min,
     dp_softmin,
-    dual_u,
-    dual_u_smoothed,
     entropy_upper_bound,
     free_energy,
     reconstruct_primal_subgradient,

@@ -2,8 +2,10 @@
 
 Subcommands: ``generate`` (grid / lp-tight instances), ``solve`` (any of the
 four schemes, writing a convergence CSV, feasible marginals, an integer
-labeling and a JSON summary), ``verify`` (feasibility and gap certification
-of written files) and ``experiment`` (benchmark replication).
+labeling and a JSON summary; ``fpd`` also writes its certified dual point
+to ``dual_point.json``), ``verify`` (feasibility and gap certification of
+written files, the dual point through ``--dual``) and ``experiment``
+(benchmark replication).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 failure.
@@ -25,6 +27,7 @@ from .fileio import (
     read_marginals,
     read_uai,
     write_convergence_csv,
+    write_dual_point,
     write_labeling,
     write_marginals,
     write_summary,
@@ -174,6 +177,8 @@ def _cmd_solve(args) -> int:
         marginals = Marginals(marginals.node_flat, marginals.label_counts)
     write_marginals(marginals, out / "marginals.json")
     write_labeling(report.best_labeling, out / "labeling.txt")
+    if report.dual_point is not None:
+        write_dual_point(model, report.dual_point, out / "dual_point.json")
     write_summary(
         {
             "solver": report.solver,

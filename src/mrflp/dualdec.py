@@ -13,6 +13,9 @@ all tree edges of one depth and one label-count shape as stacked arrays.
 It runs in the energy domain with min-subtracted exponentials, so it is
 stable for temperatures down to (and well below) 1e-4.  Argmin ties are
 always broken toward the smaller label so subgradients are reproducible.
+The soft-min returns the value and the node marginals only: feasible primal
+points are built from node blocks, with every edge block re-optimized by
+the projections.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .model import (
     Decomposition,
     Marginals,
     MrfModel,
-    Reparametrization,
     Subgraph,
     _checked_flat,
     constraint_residual,
@@ -59,7 +61,6 @@ class _EdgeGroup:
     child_gather: np.ndarray   # (k, L_c) flat unary indices
     parent_gather: np.ndarray  # (k, L_p)
     w: np.ndarray              # (k, L_c, L_p) pairwise tables, child axis first
-    edge_ids: np.ndarray       # (k,)
 
 
 def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
@@ -84,7 +85,7 @@ class ForestPlan:
     its radius.  Tree edges are grouped by the child's depth and by the
     label counts ``(L_c, L_p)`` of child and parent, and each DP step
     processes one group as stacked arrays: messages go up from the deepest
-    group to the roots, then back down for labelings and marginals.
+    group to the roots, then back down for labelings and node marginals.
     Min-sum and soft-min share the upward pass and differ only in its
     reduction.  Argmin ties go to the smaller label, at the roots and at
     every child.
@@ -135,10 +136,10 @@ class ForestPlan:
         groups: list[tuple[int, _EdgeGroup]] = []
         for (lc, lp), members in sorted(links.items()):
             members.sort()
-            depth, c, p, e = np.array(members, dtype=np.int64).T
+            depth, c, p, _ = np.array(members, dtype=np.int64).T
             # canonical tables are (L_u, L_v) with u < v
             w = np.stack([model.pairwise[i] if x < y else model.pairwise[i].T for _, x, y, i in members])
-            arrays = (c, p, starts[c][:, None] + np.arange(lc), starts[p][:, None] + np.arange(lp), w, e)
+            arrays = (c, p, starts[c][:, None] + np.arange(lc), starts[p][:, None] + np.arange(lp), w)
             bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 groups.append((int(depth[lo]), _EdgeGroup(*(x[lo:hi] for x in arrays))))
@@ -169,27 +170,19 @@ class ForestPlan:
             labels[g.child] = np.argmin(agg[g.child_gather] + w_at_parent, axis=1)
         return value, labels
 
-    def soft_min(
-        self,
-        unary_flat: np.ndarray,
-        rho: float,
-        want_marginals: bool = True,
-        want_edge_marginals: bool = False,
-    ):
+    def soft_min(self, unary_flat: np.ndarray, rho: float, want_marginals: bool = True):
         """Soft minimum of the forest energy at temperature ``rho``.
 
-        Returns ``(value, node_marginals_flat, edge_marginals)`` where the
-        flat marginals align with the unary layout (zero outside the
-        subgraph) and ``edge_marginals`` maps edge id to a canonically
-        oriented table.
+        Returns ``(value, node_marginals_flat)``; the flat marginals align
+        with the unary layout (zero outside the subgraph) and are ``None``
+        when ``want_marginals`` is false.
         """
         if rho <= 0.0:
             raise ValueError("rho must be positive")
         agg, ups = self._upward(unary_flat, lambda a: _softmin(a, rho, axis=1))
         value = sum(float(_softmin(agg[gather], rho, axis=1).sum()) for _, gather in self.root_groups)
-        edge_marg: dict[int, np.ndarray] = {}
         if not want_marginals:
-            return value, None, edge_marg
+            return value, None
         node_marg = np.zeros_like(agg)
         for _, gather in self.root_groups:
             node_marg[gather] = _gibbs(-agg[gather] / rho, axis=1)
@@ -200,12 +193,7 @@ class ForestPlan:
             b = agg[g.child_gather] + _softmin(joint, rho, axis=2)
             belief[g.child_gather] = b
             node_marg[g.child_gather] = _gibbs(-b / rho, axis=1)
-            if want_edge_marginals:
-                logits = -(agg[g.child_gather][:, :, None] + joint) / rho
-                probs = _gibbs(logits.reshape(len(g.child), -1), axis=1).reshape(joint.shape)
-                for e, child_is_u, table in zip(g.edge_ids.tolist(), (g.child < g.parent).tolist(), probs):
-                    edge_marg[e] = table if child_is_u else table.T
-        return value, node_marg, edge_marg
+        return value, node_marg
 
 
 def dp_min(model: MrfModel, subgraph: Subgraph, unary_blocks) -> tuple[float, np.ndarray]:
@@ -219,27 +207,17 @@ def dp_min(model: MrfModel, subgraph: Subgraph, unary_blocks) -> tuple[float, np
     return plan.min_sum(node_vector(model, unary_blocks))
 
 
-def dp_softmin(
-    model: MrfModel,
-    subgraph: Subgraph,
-    unary_blocks,
-    rho: float,
-    with_edge_marginals: bool = True,
-):
-    """Soft minimum and Gibbs marginals of a forest subgraph at temperature
-    ``rho``.
+def dp_softmin(model: MrfModel, subgraph: Subgraph, unary_blocks, rho: float):
+    """Soft minimum and Gibbs node marginals of a forest subgraph at
+    temperature ``rho``.
 
-    Returns ``(value, node_marginals, edge_marginals)``: per-node marginal
-    vectors (``None`` for nodes outside the subgraph) and a dict from edge
-    id to the canonically oriented pairwise marginal table.
+    Returns ``(value, node_marginals)``: one marginal vector per node,
+    ``None`` for nodes outside the subgraph.
     """
     plan = ForestPlan(model, subgraph)
-    value, flat, edge_marg = plan.soft_min(
-        node_vector(model, unary_blocks), rho, want_marginals=True, want_edge_marginals=with_edge_marginals
-    )
+    value, flat = plan.soft_min(node_vector(model, unary_blocks), rho)
     blocks = model.packing().split_nodes(flat)
-    node_marg = tuple(b if inside else None for b, inside in zip(blocks, plan.in_subgraph))
-    return value, node_marg, edge_marg
+    return value, tuple(b if inside else None for b, inside in zip(blocks, plan.in_subgraph))
 
 
 def _accumulate_labelings(acc: np.ndarray, packing, labelings, weights) -> None:
@@ -251,7 +229,12 @@ def _accumulate_labelings(acc: np.ndarray, packing, labelings, weights) -> None:
 
 
 class DualContext:
-    """Reusable evaluation context for the two-forest decomposition dual."""
+    """Reusable evaluation context for the two-forest decomposition dual.
+
+    A dual point ``lam`` is a flat vector in the unary layout.  Forest 0 sees
+    the unary tables ``theta / 2 + lam`` and forest 1 sees
+    ``theta / 2 - lam``, so the two energies always sum to the original.
+    """
 
     def __init__(self, model: MrfModel, decomposition: Decomposition):
         if len(decomposition.subgraphs) != 2:
@@ -272,13 +255,15 @@ class DualContext:
         self.plans = [ForestPlan(model, sg) for sg in decomposition.subgraphs]
 
     def _sides(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        lam = np.asarray(lam.lam if isinstance(lam, Reparametrization) else lam, dtype=np.float64)
+        lam = np.asarray(lam, dtype=np.float64)
         if lam.shape != (self.packing.node_dim,):
             raise ValueError(f"lambda must be a flat vector of length {self.packing.node_dim}")
         half = self.theta_nodes / 2.0
         return half + lam, half - lam
 
     def value_and_subgradient(self, lam):
+        """Nonsmooth dual: value, a subgradient, and the two tie-broken argmin
+        labelings it is built from."""
         t1, t2 = self._sides(lam)
         v1, x1 = self.plans[0].min_sum(t1)
         v2, x2 = self.plans[1].min_sum(t2)
@@ -287,9 +272,11 @@ class DualContext:
         return v1 + v2, g, (x1, x2)
 
     def smoothed(self, lam, rho: float, want_marginals: bool = True):
+        """Smoothed dual: value, exact gradient, and the two forests' flat node
+        marginal maps (``None`` for both without ``want_marginals``)."""
         t1, t2 = self._sides(lam)
-        v1, m1, _ = self.plans[0].soft_min(t1, rho, want_marginals=want_marginals)
-        v2, m2, _ = self.plans[1].soft_min(t2, rho, want_marginals=want_marginals)
+        v1, m1 = self.plans[0].soft_min(t1, rho, want_marginals=want_marginals)
+        v2, m2 = self.plans[1].soft_min(t2, rho, want_marginals=want_marginals)
         if not want_marginals:
             return v1 + v2, None, None
         return v1 + v2, m1 - m2, (m1, m2)
@@ -297,20 +284,6 @@ class DualContext:
     def smoothed_value(self, lam, rho: float) -> float:
         value, _, _ = self.smoothed(lam, rho, want_marginals=False)
         return value
-
-
-def dual_u(model: MrfModel, decomposition: Decomposition, lam):
-    """Nonsmooth decomposition dual: value, a subgradient, and the two
-    tie-broken argmin labelings it is built from."""
-    ctx = DualContext(model, decomposition)
-    return ctx.value_and_subgradient(lam)
-
-
-def dual_u_smoothed(model: MrfModel, decomposition: Decomposition, lam, rho: float):
-    """Smoothed decomposition dual: value, exact gradient, and the two
-    per-subgraph node marginal maps (flat, in unary layout)."""
-    ctx = DualContext(model, decomposition)
-    return ctx.smoothed(lam, rho)
 
 
 def decomposition_entropy(model: MrfModel, decomposition: Decomposition, marginals: Marginals) -> float:

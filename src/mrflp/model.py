@@ -283,31 +283,6 @@ class Decomposition:
 
 
 @dataclasses.dataclass(frozen=True)
-class Reparametrization:
-    """Shift of unary potentials between the two subgraphs of a decomposition.
-
-    The flat vector ``lam`` stacks one entry per (node, label) in node order.
-    Side 0 receives ``theta_v / 2 + lam_v``, side 1 receives
-    ``theta_v / 2 - lam_v``, so the two reparametrized energies always sum
-    to the original one.
-    """
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _frozen_array(self.lam, ndim=1))
-
-    def unary_for_side(self, model: MrfModel, side: int) -> tuple[np.ndarray, ...]:
-        if side not in (0, 1):
-            raise ValueError("side must be 0 or 1")
-        packing = model.packing()
-        if self.lam.size != packing.node_dim:
-            raise ValueError("lambda length does not match the model's node/label count")
-        sign = 1.0 if side == 0 else -1.0
-        return packing.split_nodes(packing.unary / 2.0 + sign * self.lam)
-
-
-@dataclasses.dataclass(frozen=True)
 class ConvergenceRecord:
     """One logged epoch of a solver run.
 

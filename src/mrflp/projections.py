@@ -16,9 +16,6 @@ explicit dual at zero cost.
 
 from __future__ import annotations
 
-import dataclasses
-import math
-
 import numpy as np
 
 from ._packing import project_simplex_blocks
@@ -26,27 +23,6 @@ from .errors import NumericalError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
 from .tolerances import EQ_TOL
 from .transport import TransportProblem, solve_transport, solve_transport_entropic
-
-
-@dataclasses.dataclass(frozen=True)
-class LipschitzEstimate:
-    """Lipschitz constants of the relaxed energy w.r.t. node blocks, edge
-    blocks, and the joint vector."""
-
-    node: float
-    edge: float
-    joint: float
-
-
-def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex: the one-block case
-    of :func:`project_simplex_blocks`."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("entries must be finite")
-    return project_simplex_blocks(v, np.zeros(1, dtype=np.int64), np.array([v.size]))
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
@@ -174,25 +150,3 @@ def dual_value(model: MrfModel, point: DualPoint) -> float:
 def dual_feasibility_margin(model: MrfModel, point: DualPoint) -> float:
     """Smallest slack of the dual inequalities (negative means infeasible)."""
     return float(_dual_slack(model, _checked_nu(model, point)).min())
-
-
-def lipschitz_linear(model: MrfModel) -> LipschitzEstimate:
-    """2-norm bounds on how fast the relaxed energy varies with each block
-    family, and with the joint vector."""
-    node = math.sqrt(sum(float(np.sum(t * t)) for t in model.unary))
-    edge = math.sqrt(sum(float(np.sum(t * t)) for t in model.pairwise))
-    return LipschitzEstimate(node=node, edge=edge, joint=math.hypot(node, edge))
-
-
-def lipschitz_entropy(a_norm: float, n_terms: int, eps: float, big: float) -> float:
-    """Lipschitz constant of ``<a, z> + sum z_i log z_i`` on the box
-    ``[eps, big]^n``."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if big < eps:
-        raise ValueError("big must be at least eps")
-    if n_terms < 0:
-        raise ValueError("n_terms must be nonnegative")
-    if a_norm < 0.0:
-        raise ValueError("a_norm must be nonnegative")
-    return a_norm + n_terms * max(abs(1.0 + math.log(eps)), abs(1.0 + math.log(big)))

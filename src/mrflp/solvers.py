@@ -5,7 +5,10 @@ infeasible) primal estimate is made feasible by the energy projection, the
 current dual estimate is a valid lower bound, and the record carries the
 best certified pair seen so far.  The primal bound also absorbs rounded
 integer labelings (their embeddings are feasible points), so the integer
-bound can never undercut it and the recorded gap never increases.
+bound can never undercut it and the recorded gap never increases.  An epoch
+whose exact projection fails, or whose bounds violate weak duality, ends the
+run with ``termination="numerical-failure"``; the records and bounds of the
+epochs before it are kept.
 
 Solvers:
 
@@ -43,10 +46,26 @@ from .model import (
 from .projections import dual_value, project_dual, project_primal_energy, project_primal_free_energy
 from .tolerances import EQ_TOL
 
+# diminishing step envelope tau0 / (1 + t)**STEP_ALPHA, in (0.5, 1]
+STEP_ALPHA = 0.51
+# relaxation of the adaptive gap-over-norm-squared step, in (0, 2)
+STEP_GAMMA = 1.0
+# halving schedule: halve rho once the smoothed relative gap is below
+# RHO_SHRINK_THRESHOLD * rho, and never below RHO_MIN
+RHO_SHRINK_THRESHOLD = 1.0
+RHO_MIN = 1e-4
+# this many strictly decreasing dual values in a row count as divergence
+DIVERGENCE_WINDOW = 30
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver options; fields irrelevant to a scheme are ignored."""
+    """Shared solver options; fields irrelevant to a scheme are ignored.
+
+    The step law's ``STEP_ALPHA`` and ``STEP_GAMMA``, the halving schedule's
+    ``RHO_SHRINK_THRESHOLD`` and ``RHO_MIN`` and the ``DIVERGENCE_WINDOW``
+    are fixed module constants, not options.
+    """
 
     max_iters: int = 1000
     time_budget_s: float | None = None
@@ -56,21 +75,20 @@ class SolverConfig:
     # subgradient step law
     step_law: str = "adaptive"
     tau0: float = 1.0
-    alpha: float = 0.51
-    gamma: float = 1.0
     # smoothing
     rho: float = 1.0
     rho_schedule: str | None = None
-    rho_shrink_threshold: float = 1.0
-    rho_min: float = 1e-4
     log_smoothed_gap: bool = True
-    divergence_window: int = 30
 
     def __post_init__(self):
         if self.max_iters < 1 or self.epoch < 1:
             raise ValueError("max_iters and epoch must be positive")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise ValueError("time budget must be positive")
+        if self.step_law not in ("adaptive", "diminishing"):
+            raise ValueError("step_law must be 'adaptive' or 'diminishing'")
+        if self.tau0 <= 0:
+            raise ValueError("tau0 must be positive")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.rho_schedule not in (None, "halving"):
@@ -103,44 +121,38 @@ def step_size(
     law: str,
     t: int,
     tau0: float = 1.0,
-    alpha: float = 0.51,
-    gamma: float = 1.0,
     best_primal: float | None = None,
     dual: float | None = None,
     grad_norm_sq: float | None = None,
 ) -> float:
     """Step size at iteration ``t``.
 
-    ``diminishing`` is ``tau0 / (1 + t)**alpha`` with ``alpha`` in (0.5, 1],
-    which vanishes while its series diverges.  ``adaptive`` takes the
-    gap-over-norm-squared step ``gamma * (best_primal - dual) / |g|^2``
-    clipped from above by the diminishing envelope; it falls back to the
-    envelope until a certified primal bound exists.
+    ``diminishing`` is ``tau0 / (1 + t)**STEP_ALPHA``, which vanishes while
+    its series diverges.  ``adaptive`` takes the gap-over-norm-squared step
+    ``STEP_GAMMA * (best_primal - dual) / |g|^2`` clipped from above by the
+    diminishing envelope; it falls back to the envelope until a certified
+    primal bound exists.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if tau0 <= 0:
         raise ValueError("tau0 must be positive")
-    if not 0.5 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0.5, 1]")
-    envelope = tau0 / (1.0 + t) ** alpha
+    envelope = tau0 / (1.0 + t) ** STEP_ALPHA
     if law == "diminishing":
         return envelope
     if law == "adaptive":
-        if not 0.0 < gamma < 2.0:
-            raise ValueError("gamma must lie in (0, 2)")
         if best_primal is None or dual is None or not math.isfinite(best_primal):
             return envelope
         if grad_norm_sq is None or grad_norm_sq <= 0.0:
             raise ValueError("adaptive step undefined for a zero subgradient")
-        return min(envelope, gamma * max(best_primal - dual, 0.0) / grad_norm_sq)
+        return min(envelope, STEP_GAMMA * max(best_primal - dual, 0.0) / grad_norm_sq)
     raise ValueError(f"unknown step law {law!r}")
 
 
 def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) -> tuple[float, float]:
     """Certified duality gap of a feasible primal point against a dual bound.
 
-    Refuses infeasible marginals, and refuses gaps below ``-1e-9`` (those
+    Refuses infeasible marginals, and refuses gaps below ``-EQ_TOL`` (those
     indicate an invalid dual bound rather than convergence).
     """
     residual = constraint_residual(model, marginals)
@@ -167,6 +179,7 @@ class _Tracker:
         self.best_labeling: np.ndarray | None = None
         self.records: list[ConvergenceRecord] = []
         self.projection_time = 0.0
+        self.failure: NumericalError | None = None
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.t0
@@ -179,29 +192,37 @@ class _Tracker:
         rho: float | None = None,
         smoothed_gap: float | None = None,
         extra_labeling: np.ndarray | None = None,
-    ) -> ConvergenceRecord:
+    ) -> ConvergenceRecord | None:
+        """Fold one epoch into the best certified bounds and log its record.
+
+        The node blocks are projected to a feasible point, which competes
+        with its rounded labeling (and ``extra_labeling``) for the primal
+        bound.  If the projection or the weak-duality check raises
+        :class:`NumericalError`, the bounds and records of the last
+        consistent epoch stay, the error is kept in ``failure`` and the
+        result is ``None``.
+        """
         start = time.perf_counter()
-        projected = project_primal_energy(self.model, node_blocks)
-        self.projection_time += time.perf_counter() - start
-        value = relaxed_energy(self.model, projected)
-        labeling = round_to_labeling(projected)
-        candidates = [labeling] if extra_labeling is None else [labeling, extra_labeling]
-        for lab in candidates:
-            ival = energy(self.model, lab)
-            if ival < self.best_integer:
-                self.best_integer = ival
-                self.best_labeling = np.asarray(lab, dtype=np.int64)
-            if ival < self.best_primal:
-                self.best_primal = ival
-                self.best_point = embed_labeling(self.model, lab)
-        if value < self.best_primal:
-            self.best_primal = value
-            self.best_point = projected
-        self.best_dual = max(self.best_dual, float(dual_candidate))
-        if self.best_primal < self.best_dual - EQ_TOL:
-            raise NumericalError(
-                f"weak duality violated: primal {self.best_primal} < dual {self.best_dual}"
-            )
+        try:
+            projected = project_primal_energy(self.model, node_blocks)
+            self.projection_time += time.perf_counter() - start
+            value = relaxed_energy(self.model, projected)
+            labelings = [round_to_labeling(projected)] + ([] if extra_labeling is None else [extra_labeling])
+            ivals = [energy(self.model, lab) for lab in labelings]
+            k = int(np.argmin(ivals))
+            primal, point = self.best_primal, self.best_point
+            if ivals[k] < primal:
+                primal, point = ivals[k], embed_labeling(self.model, labelings[k])
+            if value < primal:
+                primal, point = value, projected
+            dual = max(self.best_dual, float(dual_candidate))
+            gap_certificate(self.model, point, dual)
+        except NumericalError as exc:
+            self.failure = exc
+            return None
+        if ivals[k] < self.best_integer:
+            self.best_integer, self.best_labeling = ivals[k], np.asarray(labelings[k], dtype=np.int64)
+        self.best_primal, self.best_point, self.best_dual = primal, point, dual
         record = ConvergenceRecord(
             iteration=iteration,
             time_s=self.elapsed(),
@@ -221,7 +242,7 @@ class _Tracker:
 
     def final_marginals(self) -> Marginals:
         if self.best_point is None:
-            raise NumericalError("no feasible point was ever recorded")
+            raise NumericalError("no feasible point was ever recorded") from self.failure
         return self.best_point
 
     def report(
@@ -241,7 +262,7 @@ class _Tracker:
             lam=lam,
             best_labeling=self.best_labeling,
             records=tuple(self.records),
-            termination=termination,
+            termination=termination if self.failure is None else "numerical-failure",
             dual_bound=self.best_dual,
             primal_bound=self.best_primal,
             integer_bound=self.best_integer,
@@ -254,7 +275,11 @@ class _Tracker:
         )
 
 
-def _should_stop(tracker: _Tracker, cfg: SolverConfig) -> str | None:
+def _should_stop(tracker: _Tracker, cfg: SolverConfig, dual_optimal: bool = False) -> str | None:
+    if tracker.failure is not None:
+        return "numerical-failure"
+    if dual_optimal:
+        return "dual-optimal"
     # a certified gap below EQ_TOL cannot be told from zero: its sign is round-off
     if tracker.relative_gap() <= cfg.tol or tracker.best_primal - tracker.best_dual <= EQ_TOL:
         return "gap-tolerance"
@@ -290,7 +315,7 @@ def solve_subgradient(
     acc = np.zeros(packing.node_dim)
     acc_w = 0.0
     tracker = _Tracker(model)
-    recent: deque = deque(maxlen=cfg.divergence_window)
+    recent: deque = deque(maxlen=DIVERGENCE_WINDOW)
     termination = "max-iters"
     stopped = False
 
@@ -301,17 +326,10 @@ def solve_subgradient(
         # zero: both forests agree on one labeling, a certified dual optimum
         optimal = gsq == 0.0
         if optimal:
-            tau = step_size("diminishing", t, tau0=cfg.tau0, alpha=cfg.alpha)
+            tau = step_size("diminishing", t, tau0=cfg.tau0)
         else:
             tau = step_size(
-                cfg.step_law,
-                t,
-                tau0=cfg.tau0,
-                alpha=cfg.alpha,
-                gamma=cfg.gamma,
-                best_primal=tracker.best_primal,
-                dual=value,
-                grad_norm_sq=gsq,
+                cfg.step_law, t, tau0=cfg.tau0, best_primal=tracker.best_primal, dual=value, grad_norm_sq=gsq
             )
         w = 1.0 if averaging == "uniform" else tau
         if w > 0.0:
@@ -319,8 +337,8 @@ def solve_subgradient(
             acc_w += 2.0 * w
         if (optimal or t % cfg.epoch == 0) and acc_w > 0.0:
             tracker.observe(t, acc / acc_w, value, extra_labeling=x1)
-            reason = "dual-optimal" if optimal else _should_stop(tracker, cfg)
-            if reason is None and _diverging(recent, cfg.divergence_window):
+            reason = _should_stop(tracker, cfg, dual_optimal=optimal)
+            if reason is None and _diverging(recent, DIVERGENCE_WINDOW):
                 reason = "numerical-failure"
             if reason is not None:
                 termination = reason
@@ -347,9 +365,10 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     always a valid lower bound; the feasible primal bound comes from the
     energy projection of the averaged marginal maps.  With
     ``rho_schedule="halving"`` the smoothing level halves whenever the
-    smoothed relative gap drops below ``rho_shrink_threshold * rho``.  If
-    the ascent check fails more than 200 times in all, the run ends with
-    ``termination="numerical-failure"`` and the records so far.
+    smoothed relative gap drops below ``RHO_SHRINK_THRESHOLD * rho``, down
+    to ``RHO_MIN``.  If the ascent check fails more than 200 times in all,
+    the run ends with ``termination="numerical-failure"`` and the records
+    so far.
     """
     ctx = DualContext(model, decomposition)
     packing = ctx.packing
@@ -363,7 +382,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     termination = "max-iters"
     stopped = False
 
-    def log_epoch(iteration: int) -> ConvergenceRecord:
+    def log_epoch(iteration: int) -> ConvergenceRecord | None:
         u_val, _, (x1, _) = ctx.value_and_subgradient(lam)
         uh_val, _, maps = ctx.smoothed(lam, rho)
         blocks = (maps[0] + maps[1]) / 2.0
@@ -387,11 +406,11 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
                 break
             if (
                 cfg.rho_schedule == "halving"
-                and rho > cfg.rho_min
+                and rho > RHO_MIN
                 and record.smoothed_gap is not None
-                and record.smoothed_gap / max(1.0, abs(tracker.best_dual)) < cfg.rho_shrink_threshold * rho
+                and record.smoothed_gap / max(1.0, abs(tracker.best_dual)) < RHO_SHRINK_THRESHOLD * rho
             ):
-                rho = max(rho / 2.0, cfg.rho_min)
+                rho = max(rho / 2.0, RHO_MIN)
                 lip = 4.0 / rho
                 tk = 1.0
                 y = lam.copy()
@@ -459,11 +478,12 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     stopped = False
     halvings = 0
     diverged = False
-    recent: deque = deque(maxlen=max(3, cfg.divergence_window // cfg.epoch))
+    recent: deque = deque(maxlen=max(3, DIVERGENCE_WINDOW // cfg.epoch))
     snapshot = (mu.copy(), nu.copy())
+    dual_point = None
 
-    def log_epoch(iteration: int):
-        nonlocal mu, nu, sigma, tau, halvings, diverged, snapshot
+    def log_epoch(iteration: int) -> None:
+        nonlocal mu, nu, sigma, tau, halvings, diverged, snapshot, dual_point
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
             mu, nu = snapshot[0].copy(), snapshot[1].copy()
             sigma /= 2.0
@@ -482,12 +502,14 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
             diverged = True
             recent.clear()
         snapshot = (mu.copy(), nu.copy())
-        return tracker.observe(iteration, mu[: packing.node_dim], d_val), point
+        record = tracker.observe(iteration, mu[: packing.node_dim], d_val)
+        # keep the point that set the certified dual bound
+        if record is not None and d_val >= record.dual_bound:
+            dual_point = point
 
-    dual_point = None
     for t in range(cfg.max_iters):
         if t % cfg.epoch == 0:
-            _, dual_point = log_epoch(t)
+            log_epoch(t)
             reason = _should_stop(tracker, cfg)
             if reason is not None:
                 termination = reason
@@ -498,7 +520,7 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
         mu = mu_new
         nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
     if not stopped:
-        _, dual_point = log_epoch(cfg.max_iters)
+        log_epoch(cfg.max_iters)
     return tracker.report(
         solver="fpd",
         termination=termination,

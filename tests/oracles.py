@@ -8,7 +8,9 @@ is meaningful evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -132,6 +134,41 @@ def dykstra_project(model, z_flat, max_iters=200_000, tol=1e-11):
             return x_new
         x = x_new
     raise AssertionError("alternating projection oracle did not converge")
+
+
+# -- Lipschitz constants of the projection continuity bound ---------------
+
+
+@dataclasses.dataclass(frozen=True)
+class LipschitzEstimate:
+    """Lipschitz constants of the relaxed energy w.r.t. node blocks, edge
+    blocks, and the joint vector."""
+
+    node: float
+    edge: float
+    joint: float
+
+
+def lipschitz_linear(model) -> LipschitzEstimate:
+    """2-norm bounds on how fast the relaxed energy varies with each block
+    family, and with the joint vector."""
+    node = math.sqrt(sum(float(np.sum(t * t)) for t in model.unary))
+    edge = math.sqrt(sum(float(np.sum(t * t)) for t in model.pairwise))
+    return LipschitzEstimate(node=node, edge=edge, joint=math.hypot(node, edge))
+
+
+def lipschitz_entropy(a_norm: float, n_terms: int, eps: float, big: float) -> float:
+    """Lipschitz constant of ``<a, z> + sum z_i log z_i`` on the box
+    ``[eps, big]^n``."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if big < eps:
+        raise ValueError("big must be at least eps")
+    if n_terms < 0:
+        raise ValueError("n_terms must be nonnegative")
+    if a_norm < 0.0:
+        raise ValueError("a_norm must be nonnegative")
+    return a_norm + n_terms * max(abs(1.0 + math.log(eps)), abs(1.0 + math.log(big)))
 
 
 # -- brute-force transportation oracle ------------------------------------
@@ -275,8 +312,8 @@ def sinkhorn_entropic(cost, r, s, eps, tol=1e-13, max_iters=100_000):
 
 
 def gibbs_bruteforce(model, edges_subset, unary, rho):
-    """Soft minimum, node marginals and edge marginals of the restricted
-    energy by full enumeration."""
+    """Soft minimum and node marginals of the restricted energy by full
+    enumeration."""
     configs = list(itertools.product(*[range(c) for c in model.label_counts]))
     energies = np.empty(len(configs))
     edge_ids = [model.edge_id(u, v) for (u, v) in edges_subset]
@@ -291,14 +328,10 @@ def gibbs_bruteforce(model, edges_subset, unary, rho):
     value = float(energies.min() - rho * np.log(z))
     probs = w / z
     node_marg = [np.zeros(c) for c in model.label_counts]
-    edge_marg = {eid: np.zeros(model.pairwise[eid].shape) for eid in edge_ids}
     for x, p in zip(configs, probs):
         for v in range(model.n_nodes):
             node_marg[v][x[v]] += p
-        for eid in edge_ids:
-            u, v = model.edges[eid]
-            edge_marg[eid][x[u], x[v]] += p
-    return value, node_marg, edge_marg
+    return value, node_marg
 
 
 # -- test instances -------------------------------------------------------

@@ -159,20 +159,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "1.0" in out.split("constraint_residual=")[1].splitlines()[0][:12]
 
-    def test_optimal_pair_has_tiny_gap(self, tmp_path):
+    def test_optimal_pair_has_tiny_gap(self, tmp_path, capsys):
         model_path = tmp_path / "chain.uai"
         run(["generate", "grid", "--rows", 1, "--cols", 6, "--labels", 2,
              "--seed", 9, "--out", model_path])
         out = tmp_path / "run"
-        run(["solve", "--model", model_path, "--solver", "fpd", "--max-iters", 30000,
-             "--epoch", 200, "--tol", "1e-9", "--out-dir", out, "--emit-edge-marginals"])
-        m = M.read_uai(model_path)
-        report_marg = M.read_marginals(out / "marginals.json")
-        # write the dual point from a fresh run to pair with the marginals
-        report = M.solve_fpd(m, M.SolverConfig(max_iters=30000, epoch=200, tol=1e-9))
-        M.write_dual_point(m, report.dual_point, tmp_path / "nu.json")
+        assert run(["solve", "--model", model_path, "--solver", "fpd", "--max-iters", 30000,
+                    "--epoch", 200, "--tol", "1e-9", "--out-dir", out, "--emit-edge-marginals"]) == 0
+        # the solve's own certified dual point pairs with its marginals
+        capsys.readouterr()
         assert run(["verify", "--model", model_path, "--marginals", out / "marginals.json",
-                    "--dual", tmp_path / "nu.json"]) == 0
+                    "--dual", out / "dual_point.json"]) == 0
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line)
+        assert lines["verdict"] == "OK"
+        assert float(lines["relative_gap"]) <= 1e-8
 
     def test_node_only_marginals_of_wrong_shape_are_usage_errors(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"

@@ -158,14 +158,11 @@ class TestForestDpAgainstOracles:
             assert value == pytest.approx(best, abs=1e-12)
             np.testing.assert_array_equal(labels, best_x)
             for rho in (1.0, 0.2):
-                soft, node_marg, edge_marg = M.dp_softmin(m, sub, m.unary, rho)
-                bvalue, bnode, bedge = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                soft, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+                bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
                 assert soft == pytest.approx(bvalue, abs=1e-10)
                 for v in range(m.n_nodes):
                     np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
-                assert sorted(edge_marg) == sorted(bedge)
-                for eid, table in bedge.items():
-                    np.testing.assert_allclose(edge_marg[eid], table, atol=1e-10)
 
     def test_subgraph_leaving_nodes_out(self):
         m = mixed_forest_model(5)
@@ -174,8 +171,8 @@ class TestForestDpAgainstOracles:
         edges = ((2, 3), (3, 4), (6, 7), (6, 8))
         sub = M.Subgraph(nodes=nodes, edges=edges)
         rho = 0.5
-        soft, node_marg, edge_marg = M.dp_softmin(m, sub, m.unary, rho)
-        bvalue, bnode, bedge = oracles.gibbs_bruteforce(m, edges, m.unary, rho)
+        soft, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+        bvalue, bnode = oracles.gibbs_bruteforce(m, edges, m.unary, rho)
         # the oracle also sums over the left-out nodes, which are independent
         outside = sum(
             float(-rho * np.log(np.sum(np.exp(-m.unary[v] / rho)))) for v in (0, 5)
@@ -186,15 +183,12 @@ class TestForestDpAgainstOracles:
                 np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
             else:
                 assert node_marg[v] is None
-        assert sorted(edge_marg) == sorted(bedge)
-        for eid, table in bedge.items():
-            np.testing.assert_allclose(edge_marg[eid], table, atol=1e-10)
 
 
 class TestSoftMin:
     def test_single_node_symmetric(self):
         m = M.MrfModel.create([2], [], [np.zeros(2)], [])
-        value, node_marg, _ = M.dp_softmin(m, whole_graph(m), m.unary, rho=1.0)
+        value, node_marg = M.dp_softmin(m, whole_graph(m), m.unary, rho=1.0)
         assert value == pytest.approx(-np.log(2.0))
         np.testing.assert_allclose(node_marg[0], [0.5, 0.5], atol=1e-12)
 
@@ -203,7 +197,7 @@ class TestSoftMin:
             m = random_tree_model(5, 3, seed)
             sub = whole_graph(m)
             for rho in (1.0, 0.1):
-                soft, _, _ = M.dp_softmin(m, sub, m.unary, rho)
+                soft, _ = M.dp_softmin(m, sub, m.unary, rho)
                 hard, _ = M.dp_min(m, sub, m.unary)
                 log_x = sum(np.log(c) for c in m.label_counts)
                 assert soft <= hard + 1e-12
@@ -213,42 +207,35 @@ class TestSoftMin:
         m = chain_model(2, 2, seed=5)
         sub = whole_graph(m)
         for rho in (1.0, 0.37):
-            value, node_marg, edge_marg = M.dp_softmin(m, sub, m.unary, rho)
-            bvalue, bnode, bedge = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+            value, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+            bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
             assert value == pytest.approx(bvalue, abs=1e-10)
             for v in range(2):
                 np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
-            np.testing.assert_allclose(edge_marg[0], bedge[0], atol=1e-10)
 
     def test_tree_marginals_match_exhaustive_gibbs(self):
         m = random_tree_model(5, 2, seed=6)
         sub = whole_graph(m)
-        value, node_marg, edge_marg = M.dp_softmin(m, sub, m.unary, rho=0.8)
-        bvalue, bnode, bedge = oracles.gibbs_bruteforce(m, m.edges, m.unary, 0.8)
+        value, node_marg = M.dp_softmin(m, sub, m.unary, rho=0.8)
+        bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, 0.8)
         assert value == pytest.approx(bvalue, abs=1e-10)
         for v in range(m.n_nodes):
             np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-9)
-        for eid, table in bedge.items():
-            np.testing.assert_allclose(edge_marg[eid], table, atol=1e-9)
 
     def test_marginals_are_distributions_and_consistent(self):
         m = M.generate_grid(3, 3, 3, seed=7)
         d = M.decompose_grid(m)
         rng = np.random.default_rng(0)
         unary = [rng.uniform(-2, 2, 3) for _ in range(9)]
-        value, node_marg, edge_marg = M.dp_softmin(m, d.subgraphs[0], unary, rho=0.5)
+        value, node_marg = M.dp_softmin(m, d.subgraphs[0], unary, rho=0.5)
         for v in range(m.n_nodes):
             assert node_marg[v].min() >= 0
             assert node_marg[v].sum() == pytest.approx(1.0, abs=1e-12)
-        for eid, table in edge_marg.items():
-            u, v = m.edges[eid]
-            np.testing.assert_allclose(table.sum(axis=1), node_marg[u], atol=1e-9)
-            np.testing.assert_allclose(table.sum(axis=0), node_marg[v], atol=1e-9)
 
     def test_tiny_rho_is_stable(self):
         m = chain_model(6, 3, seed=8)
         sub = whole_graph(m)
-        soft, node_marg, _ = M.dp_softmin(m, sub, m.unary, rho=1e-4)
+        soft, node_marg = M.dp_softmin(m, sub, m.unary, rho=1e-4)
         hard, labels = M.dp_min(m, sub, m.unary)
         assert np.isfinite(soft)
         assert soft == pytest.approx(hard, abs=1e-3)
@@ -266,7 +253,7 @@ class TestDualObjective:
     def test_zero_lambda_agreeing_argmins(self):
         m = M.MrfModel.create([2], [], [np.array([0.0, 1.0])], [])
         d = M.decompose_grid(m)
-        value, g, (x1, x2) = M.dual_u(m, d, np.zeros(2))
+        value, g, (x1, x2) = M.DualContext(m, d).value_and_subgradient(np.zeros(2))
         np.testing.assert_array_equal(x1, x2)
         assert np.all(g == 0)
 
@@ -276,21 +263,23 @@ class TestDualObjective:
             m = M.generate_grid(2, 3, 2, seed=seed)
             d = M.decompose_grid(m)
             best, _ = oracles.exhaustive_map(m)
+            ctx = M.DualContext(m, d)
             for _ in range(5):
                 lam = rng.standard_normal(sum(m.label_counts))
-                value, _, _ = M.dual_u(m, d, lam)
+                value, _, _ = ctx.value_and_subgradient(lam)
                 assert value <= best + 1e-9
 
     def test_concavity_along_random_pairs(self):
         m = M.generate_grid(2, 2, 3, seed=3)
         d = M.decompose_grid(m)
+        ctx = M.DualContext(m, d)
         rng = np.random.default_rng(2)
         for _ in range(20):
             a = rng.standard_normal(sum(m.label_counts))
             b = rng.standard_normal(sum(m.label_counts))
-            va, _, _ = M.dual_u(m, d, a)
-            vb, _, _ = M.dual_u(m, d, b)
-            vm, _, _ = M.dual_u(m, d, (a + b) / 2)
+            va, _, _ = ctx.value_and_subgradient(a)
+            vb, _, _ = ctx.value_and_subgradient(b)
+            vm, _, _ = ctx.value_and_subgradient((a + b) / 2)
             assert vm >= (va + vb) / 2 - 1e-9
 
     def test_requires_two_subgraphs(self):
@@ -302,7 +291,7 @@ class TestDualObjective:
             edge_counts=np.ones(4, dtype=np.int64),
         )
         with pytest.raises(StructureError):
-            M.dual_u(m, bad, np.zeros(8))
+            M.DualContext(m, bad).value_and_subgradient(np.zeros(8))
 
 
 class TestSmoothedDual:
@@ -311,7 +300,7 @@ class TestSmoothedDual:
         # tables at lambda = 0, so the gradient vanishes
         m = M.MrfModel.create([3, 3], [], [np.array([0.0, 1.0, 2.0])] * 2, [])
         d = M.decompose_by_coloring(m, [])
-        value, grad, _ = M.dual_u_smoothed(m, d, np.zeros(6), rho=0.7)
+        value, grad, _ = M.DualContext(m, d).smoothed(np.zeros(6), rho=0.7)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_gradient_matches_central_differences(self):
@@ -337,12 +326,13 @@ class TestSmoothedDual:
         m = M.generate_grid(2, 3, 2, seed=5)
         d = M.decompose_grid(m)
         log_x = sum(np.log(c) for c in m.label_counts)
+        ctx = M.DualContext(m, d)
         rng = np.random.default_rng(4)
         for rho in (1.0, 0.1):
             for _ in range(10):
                 lam = rng.standard_normal(sum(m.label_counts))
-                u, _, _ = M.dual_u(m, d, lam)
-                uh, _, _ = M.dual_u_smoothed(m, d, lam, rho)
+                u, _, _ = ctx.value_and_subgradient(lam)
+                uh, _, _ = ctx.smoothed(lam, rho)
                 assert 0.0 <= u - uh <= 2 * rho * log_x + 1e-9
 
 

@@ -291,17 +291,6 @@ class TestRounding:
         assert M.round_to_labeling(mu)[0] == 1
 
 
-class TestReparametrization:
-    def test_sides_sum_to_original(self):
-        m = M.generate_grid(2, 2, 3, seed=6)
-        rng = np.random.default_rng(0)
-        rep = M.Reparametrization(rng.standard_normal(sum(m.label_counts)))
-        side0 = rep.unary_for_side(m, 0)
-        side1 = rep.unary_for_side(m, 1)
-        for v in range(m.n_nodes):
-            np.testing.assert_allclose(side0[v] + side1[v], m.unary[v], atol=0)
-
-
 class TestFlatStorage:
     def test_block_views_are_built_once(self):
         m = oracles.mixed_label_grid(seed=1)

@@ -5,6 +5,7 @@ import pytest
 
 import mrflp as M
 import mrflp.transport
+from mrflp._packing import project_simplex_blocks
 from mrflp.errors import NumericalError
 
 import oracles
@@ -32,29 +33,31 @@ def simplex_projection_bruteforce(v):
     return best
 
 
+def project_simplex(v):
+    """One-block call of the batched simplex projection."""
+    v = np.asarray(v, dtype=np.float64)
+    return project_simplex_blocks(v, np.zeros(1, dtype=np.int64), np.array([v.size]))
+
+
 class TestSimplexProjection:
     def test_already_feasible(self):
         v = np.array([0.25, 0.25, 0.25, 0.25])
-        np.testing.assert_allclose(M.project_simplex(v), v, atol=1e-15)
+        np.testing.assert_allclose(project_simplex(v), v, atol=1e-15)
 
     def test_uniform_shift(self):
-        np.testing.assert_allclose(M.project_simplex([0.6, 0.9]), [0.35, 0.65], atol=1e-15)
+        np.testing.assert_allclose(project_simplex([0.6, 0.9]), [0.35, 0.65], atol=1e-15)
 
     def test_active_bound(self):
-        np.testing.assert_allclose(M.project_simplex([2.0, 0.0]), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(project_simplex([2.0, 0.0]), [1.0, 0.0], atol=1e-15)
 
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             v = rng.uniform(-2, 2, rng.integers(1, 7))
-            x = M.project_simplex(v)
+            x = project_simplex(v)
             np.testing.assert_allclose(x, simplex_projection_bruteforce(v), atol=1e-10)
             assert x.min() >= 0.0
             assert x.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            M.project_simplex([])
 
 
 class TestPrimalEnergyProjection:
@@ -281,19 +284,19 @@ class TestDualProjection:
 class TestLipschitz:
     def test_zero_potentials(self):
         m = M.MrfModel.create([2, 2], [(0, 1)], [np.zeros(2)] * 2, [np.zeros((2, 2))])
-        est = M.lipschitz_linear(m)
+        est = oracles.lipschitz_linear(m)
         assert est.node == est.edge == est.joint == 0.0
 
     def test_three_four_five(self):
         m = M.MrfModel.create([2], [], [np.array([3.0, 4.0])], [])
-        est = M.lipschitz_linear(m)
+        est = oracles.lipschitz_linear(m)
         assert est.node == pytest.approx(5.0)
         assert est.edge == 0.0
         assert est.joint == pytest.approx(5.0)
 
     def test_joint_bound_on_random_pairs(self):
         m = M.generate_grid(2, 2, 3, seed=10)
-        est = M.lipschitz_linear(m)
+        est = oracles.lipschitz_linear(m)
         assert est.joint <= np.hypot(est.node, est.edge) + 1e-12
         rng = np.random.default_rng(7)
         theta = oracles.theta_vector(m)
@@ -305,15 +308,15 @@ class TestLipschitz:
 
     def test_entropy_constant_examples(self):
         e = np.exp(1.0)
-        assert M.lipschitz_entropy(0.0, 1, 1 / e, 1 / e) == pytest.approx(0.0, abs=1e-12)
-        assert M.lipschitz_entropy(2.0, 3, 0.1, 1.0) == pytest.approx(5.907755278982137)
+        assert oracles.lipschitz_entropy(0.0, 1, 1 / e, 1 / e) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.lipschitz_entropy(2.0, 3, 0.1, 1.0) == pytest.approx(5.907755278982137)
 
     def test_entropy_constant_bounds_increments(self):
         rng = np.random.default_rng(8)
         n = 4
         a = rng.standard_normal(n)
         eps, big = 0.05, 2.0
-        bound = M.lipschitz_entropy(float(np.linalg.norm(a)), n, eps, big)
+        bound = oracles.lipschitz_entropy(float(np.linalg.norm(a)), n, eps, big)
 
         def f(z):
             return float(a @ z + np.sum(z * np.log(z)))
@@ -325,9 +328,9 @@ class TestLipschitz:
 
     def test_entropy_constant_parameter_errors(self):
         with pytest.raises(ValueError):
-            M.lipschitz_entropy(1.0, 2, 0.0, 1.0)
+            oracles.lipschitz_entropy(1.0, 2, 0.0, 1.0)
         with pytest.raises(ValueError):
-            M.lipschitz_entropy(1.0, 2, 0.5, 0.1)
+            oracles.lipschitz_entropy(1.0, 2, 0.5, 0.1)
 
 
 class TestProjectionContinuityBound:
@@ -336,7 +339,7 @@ class TestProjectionContinuityBound:
         # (node + edge Lipschitz constants) times the distance to the polytope
         m = M.generate_grid(2, 2, 2, seed=12)
         lp_val, _ = oracles.lp_optimum(m)
-        est = M.lipschitz_linear(m)
+        est = oracles.lipschitz_linear(m)
         rng = np.random.default_rng(9)
         for _ in range(10):
             node_blocks = [rng.uniform(0, 1, 2) for _ in range(4)]

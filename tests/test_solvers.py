@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.solvers
 from mrflp.errors import InfeasibleMarginalsError, NumericalError
 
 import oracles
@@ -26,35 +27,41 @@ def random_tree_model(n, labels, seed):
 
 class TestStepSize:
     def test_diminishing_start(self):
-        assert M.step_size("diminishing", 0, tau0=1.0, alpha=1.0) == 1.0
+        assert M.step_size("diminishing", 0, tau0=1.0) == 1.0
 
     def test_diminishing_conditions_by_shape(self):
         # tau_t -> 0 while the partial sums grow without bound: compare the
         # tail against the divergent integral bound
-        tau0, alpha = 1.0, 0.51
+        tau0, alpha = 1.0, mrflp.solvers.STEP_ALPHA
         t_big = 10**6
-        assert M.step_size("diminishing", t_big, tau0=tau0, alpha=alpha) < 1e-3
+        assert M.step_size("diminishing", t_big, tau0=tau0) < 1e-3
         # integral lower bound of the series up to T
         total_lb = ((1 + t_big) ** (1 - alpha) - 1) / (1 - alpha)
         assert total_lb > 1e2
 
     def test_adaptive_example(self):
-        tau = M.step_size("adaptive", 0, gamma=1.0, best_primal=1.0, dual=0.0, grad_norm_sq=4.0)
+        tau = M.step_size("adaptive", 0, best_primal=1.0, dual=0.0, grad_norm_sq=4.0)
         assert tau == pytest.approx(0.25)
 
     def test_adaptive_clipped_by_envelope(self):
-        tau = M.step_size(
-            "adaptive", 0, tau0=0.1, gamma=1.0, best_primal=10.0, dual=0.0, grad_norm_sq=1.0
-        )
+        tau = M.step_size("adaptive", 0, tau0=0.1, best_primal=10.0, dual=0.0, grad_norm_sq=1.0)
         assert tau == pytest.approx(0.1)
 
     def test_zero_subgradient_rejected(self):
         with pytest.raises(ValueError):
             M.step_size("adaptive", 1, best_primal=1.0, dual=0.0, grad_norm_sq=0.0)
 
-    def test_alpha_range_enforced(self):
+
+class TestSolverConfig:
+    def test_unknown_step_law_rejected(self):
         with pytest.raises(ValueError):
-            M.step_size("diminishing", 0, alpha=0.5)
+            M.SolverConfig(step_law="bogus")
+
+    def test_nonpositive_tau0_rejected(self):
+        with pytest.raises(ValueError):
+            M.SolverConfig(tau0=-1.0)
+        with pytest.raises(ValueError):
+            M.SolverConfig(tau0=0.0)
 
 
 class TestGapCertificate:
@@ -165,8 +172,7 @@ class TestNesterovSolver:
     def test_tree_gap_vanishes_with_schedule(self):
         m = random_tree_model(8, 3, seed=9)
         d = tree_decomposition(m)
-        cfg = M.SolverConfig(max_iters=4000, epoch=20, tol=1e-7, rho=1.0,
-                             rho_schedule="halving", rho_min=1e-4)
+        cfg = M.SolverConfig(max_iters=4000, epoch=20, tol=1e-7, rho=1.0, rho_schedule="halving")
         report = M.solve_nesterov(m, d, cfg)
         best, _ = oracles.exhaustive_map(m)
         assert report.relative_gap <= 1e-7
@@ -249,6 +255,42 @@ class TestFpdSolver:
         for ra, rb in zip(a.records, b.records):
             assert ra.dual_bound == rb.dual_bound
             assert ra.primal_bound == rb.primal_bound
+
+
+class TestWeakDualityFailure:
+    @pytest.mark.parametrize("solver", ["fpd", "nest"])
+    def test_violation_keeps_the_consistent_records(self, monkeypatch, solver):
+        # inflate the third epoch's dual candidate by 1e6: that epoch breaks
+        # weak duality, and the run must end with the two epochs before it
+        calls = []
+
+        def inflate(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(None)
+                out = fn(*args, **kwargs)
+                if len(calls) != 3:
+                    return out
+                return out + 1e6 if solver == "fpd" else (out[0] + 1e6, *out[1:])
+            return wrapped
+
+        m = M.generate_grid(4, 4, 3, seed=3)
+        cfg = M.SolverConfig(max_iters=100, epoch=20, rho=0.5, log_smoothed_gap=False)
+        if solver == "fpd":
+            monkeypatch.setattr(mrflp.solvers, "dual_value", inflate(mrflp.solvers.dual_value))
+            report = M.solve_fpd(m, cfg)
+        else:
+            monkeypatch.setattr(M.DualContext, "value_and_subgradient",
+                                inflate(M.DualContext.value_and_subgradient))
+            report = M.solve_nesterov(m, M.decompose_grid(m), cfg)
+        assert report.termination == "numerical-failure"
+        assert [r.iteration for r in report.records] == [0, 20]
+        for r in report.records:
+            assert r.primal_bound >= r.dual_bound
+        last = report.records[-1]
+        assert (report.dual_bound, report.primal_bound) == (last.dual_bound, last.primal_bound)
+        assert M.constraint_residual(m, report.marginals) <= 1e-9
+        if solver == "fpd":
+            assert M.dual_value(m, report.dual_point) == last.dual_bound
 
 
 class TestCrossSolverAgreement:
