@@ -9,7 +9,10 @@ maps as its gradient.
 
 Both forest oracles are one level-synchronous dynamic program (see
 :class:`ForestPlan`): trees are rooted at a center, and each step handles
-all tree edges of one depth and one label-count shape as stacked arrays.
+all tree edges of one depth as stacked arrays, their label axes padded to
+the level's largest label counts.  Padded labels read a ``+inf`` slot, so
+they never win a min and carry exactly zero mass; a level whose padding
+would cost more than ``PAD_WASTE`` times its real table cells is split.
 It runs in the energy domain with min-subtracted exponentials, so it is
 stable for temperatures down to (and well below) 1e-4.  Argmin ties are
 always broken toward the smaller label so subgradients are reproducible.
@@ -51,16 +54,63 @@ def _gibbs(neg_energy_over_rho: np.ndarray, axis) -> np.ndarray:
     return z / np.sum(z, axis=axis, keepdims=True)
 
 
+# a depth level is one padded DP step unless its padded table cells exceed
+# this many times its real ones; then it is split (see _padded_runs)
+PAD_WASTE = 4
+
+
 @dataclasses.dataclass
 class _EdgeGroup:
-    """Tree edges whose children share one depth and whose (child, parent)
-    label counts are the same ``(L_c, L_p)``."""
+    """Tree edges whose children share one depth, stacked with label axes
+    padded to the group's largest ``L_c`` and ``L_p``.  A padded label's
+    gather index is the aggregate's sentinel slot, and its table entries
+    are 0."""
 
+    depth: int
     child: np.ndarray          # (k,) node ids
     parent: np.ndarray         # (k,)
-    child_gather: np.ndarray   # (k, L_c) flat unary indices
+    child_gather: np.ndarray   # (k, L_c) node-layout indices, sentinel where padded
     parent_gather: np.ndarray  # (k, L_p)
     w: np.ndarray              # (k, L_c, L_p) pairwise tables, child axis first
+
+
+def _padded_runs(level: np.ndarray, lc: np.ndarray, lp: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Split rows sorted by level, then by ``(lc, lp)`` largest first, into
+    runs ``(lo, hi, width_c, width_p)`` within one level each.
+
+    A level is one run when its padded cells ``rows * width_c * width_p``
+    are at most ``PAD_WASTE`` times its real cells ``sum(lc * lp)``.
+    Otherwise it is split greedily: a run closes before the row that would
+    make its own padded cells exceed that bound.
+    """
+    if not len(level):
+        return []
+    bounds = np.flatnonzero(np.diff(level)) + 1
+    starts, stops = np.concatenate(([0], bounds)), np.append(bounds, len(level))
+    widths = np.maximum.reduceat(lp, starts)
+    fits = (stops - starts) * lc[starts] * widths <= PAD_WASTE * np.add.reduceat(lc * lp, starts)
+    runs = []
+    for lo, stop, fit, width in zip(starts.tolist(), stops.tolist(), fits.tolist(), widths.tolist()):
+        if fit:
+            runs.append((lo, stop, int(lc[lo]), width))
+            continue
+        while lo < stop:
+            real = np.cumsum(lc[lo:stop] * lp[lo:stop])
+            wp = np.maximum.accumulate(lp[lo:stop])
+            # argmax is 0 only when no row exceeds the bound: the first
+            # row alone never does
+            n = int(np.argmax(np.arange(1, stop - lo + 1) * lc[lo] * wp > PAD_WASTE * real)) or stop - lo
+            runs.append((lo, lo + n, int(lc[lo]), int(wp[n - 1])))
+            lo += n
+    return runs
+
+
+def _gather(packing, nodes: np.ndarray, width: int) -> np.ndarray:
+    """``(k, width)`` node-layout indices of the nodes' labels; labels past a
+    node's count index the sentinel slot ``node_dim``."""
+    counts = packing.label_counts[nodes][:, None]
+    labels = np.arange(width)
+    return np.where(labels < counts, packing.node_starts[nodes][:, None] + labels, packing.node_dim)
 
 
 def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
@@ -82,13 +132,16 @@ class ForestPlan:
     """Precomputed traversal structure of one forest subgraph.
 
     Each tree is rooted at a center of its longest path, so its depth is
-    its radius.  Tree edges are grouped by the child's depth and by the
-    label counts ``(L_c, L_p)`` of child and parent, and each DP step
-    processes one group as stacked arrays: messages go up from the deepest
-    group to the roots, then back down for labelings and node marginals.
-    Min-sum and soft-min share the upward pass and differ only in its
-    reduction.  Argmin ties go to the smaller label, at the roots and at
-    every child.
+    its radius.  Each depth level of tree edges is one DP step, or a few
+    when its padding is wasteful (see :func:`_padded_runs`): messages go up
+    from the deepest level to the roots, then back down for labelings and
+    node marginals.  The DP's aggregate vector ends in a sentinel slot held
+    at ``+inf``; padded labels gather from and scatter into it, so they
+    never win a min, get an exact 0 in every soft-min and Gibbs sum, and
+    the flat marginals are the aggregate without that slot.  The roots are
+    padded and split the same way.  Min-sum and soft-min share the upward
+    pass and differ only in its reduction.  Argmin ties go to the smaller
+    label, at the roots and at every child.
 
     Building the plan validates acyclicity.  The plan is reusable across
     unary tables (the pairwise tables are fixed by the model), which is what
@@ -98,7 +151,7 @@ class ForestPlan:
     def __init__(self, model: MrfModel, subgraph: Subgraph):
         self.model = model
         self.subgraph = subgraph
-        self.packing = model.packing()
+        self.packing = packing = model.packing()
         self.in_subgraph = in_sub = np.zeros(model.n_nodes, dtype=bool)
         in_sub[list(subgraph.nodes)] = True
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in subgraph.nodes}
@@ -109,9 +162,9 @@ class ForestPlan:
             adj[u].append((v, e))
             adj[v].append((u, e))
 
-        counts = self.packing.label_counts.tolist()
-        roots: dict[int, list[int]] = {}  # L -> root nodes
-        links: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}  # (L_c, L_p) -> (depth, c, p, e)
+        # (depth, child, parent, edge); a root is its own parent at depth 0,
+        # with edge -1
+        rows: list[tuple[int, int, int, int]] = []
         done: set[int] = set()
         for start in subgraph.nodes:
             if start in done:
@@ -124,32 +177,44 @@ class ForestPlan:
             root = order[-1][0]
             for _ in range(order[-1][3] // 2):
                 root = parent_of[root]
-            roots.setdefault(counts[root], []).append(root)
-            for x, p, e, depth in _bfs(adj, root)[1:]:
-                links.setdefault((counts[x], counts[p]), []).append((depth, x, p, e))
+            rows.append((0, root, root, -1))
+            rows.extend((depth, x, p, e) for x, p, e, depth in _bfs(adj, root)[1:])
 
-        starts = self.packing.node_starts
-        self.root_groups: list[tuple[np.ndarray, np.ndarray]] = []
-        for L, nodes in sorted(roots.items()):
-            nodes = np.array(nodes, dtype=np.int64)
-            self.root_groups.append((nodes, starts[nodes][:, None] + np.arange(L)))
-        groups: list[tuple[int, _EdgeGroup]] = []
-        for (lc, lp), members in sorted(links.items()):
-            members.sort()
-            depth, c, p, _ = np.array(members, dtype=np.int64).T
-            # canonical tables are (L_u, L_v) with u < v
-            w = np.stack([model.pairwise[i] if x < y else model.pairwise[i].T for _, x, y, i in members])
-            arrays = (c, p, starts[c][:, None] + np.arange(lc), starts[p][:, None] + np.arange(lp), w)
-            bounds = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(depth)]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                groups.append((int(depth[lo]), _EdgeGroup(*(x[lo:hi] for x in arrays))))
-        # deepest first, the order of the upward pass
-        self.groups = [g for _, g in sorted(groups, key=lambda dg: -dg[0])]
+        # rows sort deepest level first (the order of the upward pass), then
+        # largest shapes first (a root's parent counts 1 label), then by
+        # child id (roots by discovery)
+        depth, c, p, e = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        counts = packing.label_counts
+        lc, lp = counts[c], np.where(depth > 0, counts[p], 1)
+        order = np.lexsort((np.where(depth > 0, c, np.arange(len(c))), -lp, -lc, -depth))
+        depth, c, p, e, lc, lp = (x[order] for x in (depth, c, p, e, lc, lp))
+        # edge e's table is row-major (L_u, L_v) with u < v in theta, read
+        # transposed when the child is v; index -1 (a root's edge, a padded
+        # cell) reads an appended 0
+        theta = np.append(packing.theta, 0.0)
+        base = (packing.node_dim + np.append(packing.edge_starts, 0)[e])[:, None, None]
+        stride_c = np.where(c < p, lp, 1)[:, None, None]
+        stride_p = np.where(c < p, 1, lc)[:, None, None]
+        c_gather, p_gather = _gather(packing, c, lc.max(initial=0)), _gather(packing, p, lp.max(initial=0))
+        self.root_groups, self.groups = [], []
+        for lo, hi, wc, wp in _padded_runs(depth, lc, lp):
+            s = slice(lo, hi)
+            if depth[lo] == 0:
+                self.root_groups.append((c[s], c_gather[s, :wc].copy()))
+                continue
+            i, j = np.arange(wc)[:, None], np.arange(wp)
+            real = (i < lc[s, None, None]) & (j < lp[s, None, None])
+            w = theta[np.where(real, base[s] + i * stride_c[s] + j * stride_p[s], -1)]
+            group = (c[s], p[s], c_gather[s, :wc].copy(), p_gather[s, :wp].copy(), w)
+            self.groups.append(_EdgeGroup(int(depth[lo]), *group))
 
     def _upward(self, unary_flat: np.ndarray, reduce) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Per-node aggregates (unary plus all messages from the subtree) and
-        each group's upward messages, reducing over the child's labels."""
-        agg = np.array(unary_flat, dtype=np.float64)
+        """Per-node aggregates (unary plus all messages from the subtree, then
+        the ``+inf`` sentinel slot) and each group's upward messages,
+        reducing over the child's labels."""
+        agg = np.empty(self.packing.node_dim + 1)
+        agg[:-1] = unary_flat
+        agg[-1] = np.inf
         ups = []
         for g in self.groups:
             up = reduce(g.w + agg[g.child_gather][:, :, None])
@@ -193,7 +258,7 @@ class ForestPlan:
             b = agg[g.child_gather] + _softmin(joint, rho, axis=2)
             belief[g.child_gather] = b
             node_marg[g.child_gather] = _gibbs(-b / rho, axis=1)
-        return value, node_marg
+        return value, node_marg[:-1]
 
 
 def dp_min(model: MrfModel, subgraph: Subgraph, unary_blocks) -> tuple[float, np.ndarray]:

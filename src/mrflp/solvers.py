@@ -6,9 +6,9 @@ current dual estimate is a valid lower bound, and the record carries the
 best certified pair seen so far.  The primal bound also absorbs rounded
 integer labelings (their embeddings are feasible points), so the integer
 bound can never undercut it and the recorded gap never increases.  An epoch
-whose exact projection fails, or whose bounds violate weak duality, ends the
-run with ``termination="numerical-failure"``; the records and bounds of the
-epochs before it are kept.
+whose exact projection (or ``nest``'s entropic one) fails, or whose bounds
+violate weak duality, ends the run with ``termination="numerical-failure"``;
+the records and bounds of the epochs before it are kept.
 
 Solvers:
 
@@ -367,8 +367,8 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     ``rho_schedule="halving"`` the smoothing level halves whenever the
     smoothed relative gap drops below ``RHO_SHRINK_THRESHOLD * rho``, down
     to ``RHO_MIN``.  If the ascent check fails more than 200 times in all,
-    the run ends with ``termination="numerical-failure"`` and the records
-    so far.
+    or the entropic projection of a smoothed-gap epoch fails, the run ends
+    with ``termination="numerical-failure"`` and the records so far.
     """
     ctx = DualContext(model, decomposition)
     packing = ctx.packing
@@ -389,7 +389,12 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
         smoothed_gap = None
         if cfg.log_smoothed_gap:
             start = time.perf_counter()
-            feas = project_primal_free_energy(model, decomposition, blocks, rho)
+            try:
+                feas = project_primal_free_energy(model, decomposition, blocks, rho)
+            except NumericalError as exc:
+                # as in _Tracker.observe: keep the last consistent epoch
+                tracker.failure = exc
+                return None
             tracker.projection_time += time.perf_counter() - start
             smoothed_gap = free_energy(model, decomposition, feas, rho) - uh_val
         return tracker.observe(

@@ -148,6 +148,36 @@ def mixed_forest_model(seed):
     )
 
 
+def padded_forest_model(seed):
+    """A tree centred on node 3 whose depth levels mix ``L_c > L_p`` and
+    ``L_c < L_p`` edges, with children on both sides of their parents' ids
+    and one 12-label node among 2-label ones, plus an isolated node."""
+    rng = np.random.default_rng(seed)
+    counts = [2, 12, 2, 3, 2, 4, 3, 2]
+    edges = [(0, 3), (3, 5), (1, 3), (0, 6), (2, 5), (1, 4)]
+    return M.MrfModel.create(
+        counts,
+        edges,
+        [rng.uniform(-1, 1, c) for c in counts],
+        [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges],
+    )
+
+
+def random_forest_model(counts, seed, big=1.0):
+    """Random recursive tree over the given label counts; with ``big`` above
+    1, 40% of the pairwise entries are forbidden at cost ``big``."""
+    rng = np.random.default_rng(seed)
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, len(counts))]
+
+    def table(*shape):
+        t = rng.integers(0, 25, shape).astype(np.float64)
+        return np.where(rng.random(shape) < 0.4, big, t) if big > 1.0 else rng.uniform(-1, 1, shape)
+
+    return M.MrfModel.create(
+        counts, edges, [table(int(c)) for c in counts], [table(int(counts[u]), int(counts[v])) for u, v in edges]
+    )
+
+
 class TestForestDpAgainstOracles:
     def test_mixed_forest_matches_enumeration(self):
         for seed in range(3):
@@ -183,6 +213,73 @@ class TestForestDpAgainstOracles:
                 np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
             else:
                 assert node_marg[v] is None
+
+    def test_padded_levels_match_enumeration(self):
+        for seed in range(3):
+            m = padded_forest_model(seed)
+            sub = whole_graph(m)
+            plan = M.ForestPlan(m, sub)
+            # both levels mix the 12-label node's shapes with the others'
+            assert [g.w.shape[1:] for g in plan.groups] == [(3, 12), (12, 3)]
+            value, labels = M.dp_min(m, sub, m.unary)
+            best, best_x = oracles.exhaustive_map(m)
+            assert abs(value - best) <= 1e-12
+            np.testing.assert_array_equal(labels, best_x)
+            assert np.all(labels < np.array(m.label_counts))
+            for rho in (1.0, 1e-3):
+                soft, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+                bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                assert abs(soft - bvalue) <= 1e-10
+                for v in range(m.n_nodes):
+                    # one entry per real label, and all of the mass on them
+                    assert node_marg[v].shape == (m.label_counts[v],)
+                    assert abs(node_marg[v].sum() - 1.0) <= 1e-12
+                    np.testing.assert_allclose(node_marg[v], bnode[v], rtol=0, atol=1e-10)
+
+
+class TestPaddedForestDp:
+    def test_sentinel_never_meets_itself(self):
+        # forbidden entries of 1e6 next to padded labels: inf - inf or an
+        # overflow in the sentinel's arithmetic would raise here
+        counts = np.random.default_rng(5).permutation(np.arange(60) % 4 + 2)
+        counts[7] = 12
+        m = random_forest_model(counts, seed=5, big=1e6)
+        plan = M.ForestPlan(m, whole_graph(m))
+        unary = m.packing().unary
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, labels = plan.min_sum(unary)
+            assert M.energy(m, labels) == value
+            for rho in (1e-4, 2.0):
+                soft, marg = plan.soft_min(unary, rho)
+                assert value - rho * np.log(np.prod(counts.astype(float))) <= soft <= value
+                np.testing.assert_allclose(np.add.reduceat(marg, m.packing().node_starts), 1.0, atol=1e-12)
+
+    def test_one_step_per_level_unless_padding_is_wasteful(self):
+        rng = np.random.default_rng(2)
+        balanced = random_forest_model(rng.permutation(np.arange(300) % 4 + 2), seed=2)
+        plan = M.ForestPlan(balanced, whole_graph(balanced))
+        depths = [g.depth for g in plan.groups]
+        assert depths == list(range(max(depths), 0, -1))
+        assert len(plan.root_groups) == 1
+        skewed_counts = np.full(300, 2)
+        skewed_counts[[10, 150, 290]] = 50
+        skewed = random_forest_model(skewed_counts, seed=3)
+        split = M.ForestPlan(skewed, whole_graph(skewed)).groups
+        assert len(split) > len({g.depth for g in split})
+        for m in (balanced, skewed):
+            counts = np.array(m.label_counts)
+            for g in M.ForestPlan(m, whole_graph(m)).groups:
+                real = int(np.sum(counts[g.child] * counts[g.parent]))
+                assert len(g.child) == 1 or g.w.size <= M.dualdec.PAD_WASTE * real
+
+    def test_padded_ties_break_low(self):
+        m = padded_forest_model(0)
+        zero = M.MrfModel.create(
+            m.label_counts, m.edges, [np.zeros(c) for c in m.label_counts], [np.zeros(t.shape) for t in m.pairwise]
+        )
+        value, labels = M.dp_min(zero, whole_graph(zero), zero.unary)
+        assert value == 0.0
+        np.testing.assert_array_equal(labels, 0)
 
 
 class TestSoftMin:

@@ -207,6 +207,26 @@ class TestNesterovSolver:
         assert len(report.records) >= 1
         assert M.constraint_residual(m, report.marginals) <= 1e-9
 
+    def test_entropic_projection_failure_keeps_the_records(self, monkeypatch):
+        # the 2nd smoothed-gap projection fails: the run ends there and keeps
+        # the t = 0 epoch's record and bounds
+        real = mrflp.solvers.project_primal_free_energy
+        calls = []
+
+        def failing_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("injected entropic projection failure")
+            return real(*args)
+
+        monkeypatch.setattr(mrflp.solvers, "project_primal_free_energy", failing_second)
+        m = M.generate_grid(4, 4, 3, seed=3)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=100, epoch=20, rho=0.5))
+        assert len(calls) == 2
+        assert report.termination == "numerical-failure"
+        assert len(report.records) >= 1
+        assert M.constraint_residual(m, report.marginals) <= 1e-9
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stops_once_the_gap_is_round_off(self, seed):
         # on LP-tight instances the dual at lambda = 0 is already optimal, so
