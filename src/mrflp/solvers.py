@@ -64,7 +64,9 @@ class SolverConfig:
 
     The step law's ``STEP_ALPHA`` and ``STEP_GAMMA``, the halving schedule's
     ``RHO_SHRINK_THRESHOLD`` and ``RHO_MIN`` and the ``DIVERGENCE_WINDOW``
-    are fixed module constants, not options.
+    are fixed module constants, not options.  ``time_budget_s`` is tested
+    only after each logging epoch's projection, so a run can overrun it by
+    one epoch plus one projection.
     """
 
     max_iters: int = 1000
@@ -149,21 +151,27 @@ def step_size(
     raise ValueError(f"unknown step law {law!r}")
 
 
+def _check_feasible(model: MrfModel, marginals: Marginals) -> None:
+    residual = constraint_residual(model, marginals)
+    if residual > EQ_TOL:
+        raise InfeasibleMarginalsError(f"marginals are infeasible (residual {residual:.3e})", residual=residual)
+
+
+def _weak_duality_gap(primal: float, dual_bound: float) -> tuple[float, float]:
+    gap = primal - float(dual_bound)
+    if gap < -EQ_TOL:
+        raise NumericalError(f"negative duality gap {gap:.3e}: dual bound is not valid")
+    return gap, gap / max(1.0, abs(float(dual_bound)))
+
+
 def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) -> tuple[float, float]:
     """Certified duality gap of a feasible primal point against a dual bound.
 
     Refuses infeasible marginals, and refuses gaps below ``-EQ_TOL`` (those
     indicate an invalid dual bound rather than convergence).
     """
-    residual = constraint_residual(model, marginals)
-    if residual > EQ_TOL:
-        raise InfeasibleMarginalsError(
-            f"marginals are infeasible (residual {residual:.3e})", residual=residual
-        )
-    gap = relaxed_energy(model, marginals) - float(dual_bound)
-    if gap < -EQ_TOL:
-        raise NumericalError(f"negative duality gap {gap:.3e}: dual bound is not valid")
-    return gap, gap / max(1.0, abs(float(dual_bound)))
+    _check_feasible(model, marginals)
+    return _weak_duality_gap(relaxed_energy(model, marginals), dual_bound)
 
 
 class _Tracker:
@@ -210,13 +218,15 @@ class _Tracker:
             labelings = [round_to_labeling(projected)] + ([] if extra_labeling is None else [extra_labeling])
             ivals = [energy(self.model, lab) for lab in labelings]
             k = int(np.argmin(ivals))
+            # feasibility is checked once per point: by the projection or on embedding
             primal, point = self.best_primal, self.best_point
-            if ivals[k] < primal:
+            if ivals[k] < primal and ivals[k] <= value:
                 primal, point = ivals[k], embed_labeling(self.model, labelings[k])
-            if value < primal:
+                _check_feasible(self.model, point)
+            elif value < primal:
                 primal, point = value, projected
             dual = max(self.best_dual, float(dual_candidate))
-            gap_certificate(self.model, point, dual)
+            _weak_duality_gap(primal, dual)
         except NumericalError as exc:
             self.failure = exc
             return None
@@ -348,12 +358,8 @@ def solve_subgradient(
     if not stopped:
         value, _, (x1, _) = ctx.value_and_subgradient(lam)
         tracker.observe(cfg.max_iters, acc / acc_w if acc_w > 0 else acc, value, extra_labeling=x1)
-    return tracker.report(
-        solver="sg-ave" if averaging == "uniform" else "sg-wei",
-        termination=termination,
-        lam=lam,
-        adaptive_step_used=cfg.step_law == "adaptive",
-    )
+    return tracker.report("sg-ave" if averaging == "uniform" else "sg-wei", termination, lam=lam,
+                          adaptive_step_used=cfg.step_law == "adaptive")
 
 
 def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverConfig) -> SolverReport:
@@ -397,9 +403,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
                 return None
             tracker.projection_time += time.perf_counter() - start
             smoothed_gap = free_energy(model, decomposition, feas, rho) - uh_val
-        return tracker.observe(
-            iteration, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1
-        )
+        return tracker.observe(iteration, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1)
 
     for t in range(cfg.max_iters):
         if t % cfg.epoch == 0:
@@ -439,12 +443,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
         tk = tk_next
     if not stopped:
         log_epoch(cfg.max_iters)
-    return tracker.report(
-        solver="nest",
-        termination=termination,
-        lam=lam,
-        step_halvings=halvings,
-    )
+    return tracker.report("nest", termination, lam=lam, step_halvings=halvings)
 
 
 def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
@@ -526,10 +525,5 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
         nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
     if not stopped:
         log_epoch(cfg.max_iters)
-    return tracker.report(
-        solver="fpd",
-        termination=termination,
-        dual_point=dual_point,
-        step_halvings=halvings,
-        divergence_flag=diverged,
-    )
+    return tracker.report("fpd", termination, dual_point=dual_point, step_halvings=halvings,
+                          divergence_flag=diverged)

@@ -4,13 +4,16 @@ Both solvers take a stack of same-shape problems; a single problem is a
 stack of one and gets the same arithmetic as in a stack.  The exact solver
 is the simplex method on the transportation polytope, run in lockstep over
 the stack: spanning-tree bases of ``n + m - 1`` arcs, a northwest-corner
-start, and in each round one batched inverse of the dense basis equations,
-which gives the potentials and the entering arc's cycle without a tree
-walk.  Bland's smallest-index rule on both the entering and the leaving arc
-rules out cycling.  Zero marginal entries simply produce zero-flow basic
-arcs (the limit of a perturbed basis).  The entropy-regularized solver runs
-damped float64 Newton on the dual, then the Altschuler-Weed-Rigollet
-rounding step, which makes the marginals exact to round-off.
+start, and the inverse of the basis equations, which gives the potentials
+and the entering arc's cycle without a tree walk.  It is inverted once per
+solve and kept as int8, exactly, since its entries are in {-1, 0, 1}: each
+pivot puts the entering arc in the leaving arc's slot and makes one
+rank-one update.  Bland's smallest-index rule on both the entering and the
+leaving arc (ties to the smallest arc index, not slot) rules out cycling.
+Zero marginal entries simply produce zero-flow basic arcs (the limit of a
+perturbed basis).  The entropy-regularized solver runs damped float64
+Newton on the dual, then the Altschuler-Weed-Rigollet rounding step, which
+makes the marginals exact to round-off.
 """
 
 from __future__ import annotations
@@ -80,72 +83,68 @@ def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
 
 
-def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
-    """Pricing step for a stack of ``(k, n, m)`` costs and flat bases: the
-    basic arcs in row-major order, the potentials ``(u, v)`` as one
-    ``(k, n + m)`` array, whether an arc enters, Bland's entering arc (the
-    first with a negative reduced cost) and its cycle ``d``; basic flows
-    change by ``-theta * d`` when the entering arc carries ``theta``."""
-    k, n, m = c.shape
-    nb = n + m - 1
-    q = np.arange(k)
-    arcs = np.nonzero(basic)[1].reshape(k, nb)
-    # one equation u_i + v_j = c_ij per basic arc, then the gauge u_0 = 0; the inverse
-    # of a spanning-tree basis has entries in {-1, 0, 1}, so rounding removes its round-off
-    eqs = np.zeros((k, n + m, n + m))
-    eqs[q[:, None], np.arange(nb), arcs // m] = eqs[q[:, None], np.arange(nb), n + arcs % m] = 1.0
-    eqs[:, nb, 0] = 1.0
-    inv = np.linalg.inv(eqs)
-    np.rint(inv, out=inv)
-    cb = np.zeros((k, n + m))
-    cb[:, :nb] = c.reshape(k, -1)[q[:, None], arcs]
-    y = np.einsum("qij,qj->qi", inv, cb)
-    reduced = (c - y[:, :n, None] - y[:, None, n:]).reshape(k, -1)
-    enters = ~basic & (reduced < -tol[:, None])
-    enter = enters.argmax(axis=1)
-    return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, :nb] + inv[q, n + enter % m, :nb]
-
-
 def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
     """Transportation simplex on a ``(k, n, m)`` stack, all problems in
     lockstep.  Returns flows, bases, potentials ``(u, v)`` as one
     ``(k, n + m)`` array, pivot counts and the mask of capped problems."""
     k, n, m = c.shape
     nb = n + m - 1
-    flow = np.zeros((k, n * m))
-    basic = np.zeros((k, n * m), dtype=bool)
+    p = np.arange(k)
+    # one slot per basic arc: its row-major index and its flow
+    arcs, x = np.zeros((k, nb), dtype=np.int64), np.zeros((k, nb))
     # northwest-corner start; simultaneous exhaustion leaves zero-flow arcs
     a, b = r.copy(), s.copy()
-    p = np.arange(k)
     i, j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    for _ in range(nb):
+    for t in range(nb):
         f = np.minimum(a[p, i], b[p, j])
-        basic[p, i * m + j], flow[p, i * m + j] = True, f
+        arcs[:, t], x[:, t] = i * m + j, f
         a[p, i] -= f
         b[p, j] -= f
         down = (i < n - 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (j < m - 1)))
         i, j = i + down, j + ~down
-
-    tol = PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    # inverse of the equations u_i + v_j = c_ij, one per slot, and the gauge u_0 = 0, whose
+    # column no pivot reads; a spanning-tree basis has an inverse with entries in {-1, 0, 1},
+    # so rint removes its round-off; chunks bound the float64 memory taken at once
+    inv = np.empty((k, n + m, nb), dtype=np.int8)
+    for h in range(0, k, _CHUNK):
+        blk = arcs[h:h + _CHUNK]
+        q, t = np.arange(blk.shape[0])[:, None], np.arange(nb)
+        eqs = np.zeros((blk.shape[0], n + m, n + m))
+        eqs[q, t, blk // m] = eqs[q, t, n + blk % m] = eqs[:, nb, 0] = 1.0
+        inv[h:h + _CHUNK] = np.rint(np.linalg.inv(eqs)[:, :, :nb])
+    cf, tol = c.reshape(k, -1), PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     potentials = np.zeros((k, n + m))
     pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    flow, basic = np.zeros((k, n * m)), np.zeros((k, n * m), dtype=bool)
+    # inv, arcs and x hold the rows of the live problems only
     live = p
     while live.size:
-        # priced in chunks, which bounds the memory the dense inverses take at once
-        parts = [_price(c[h], basic[h], tol[h]) for h in np.split(live, np.arange(_CHUNK, live.size, _CHUNK))]
-        arcs, y, go, enter, d = (np.concatenate(z) for z in zip(*parts))
-        potentials[live[~go]] = y[~go]
-        capped[live[go & (pivots[live] >= max_pivots)]] = True
-        go &= pivots[live] < max_pivots
-        live, arcs, enter, d = live[go], arcs[go], enter[go], d[go]
+        y = np.einsum("qij,qj->qi", inv, cf[live[:, None], arcs])
+        reduced = cf[live].reshape(-1, n, m)
+        reduced -= y[:, :n, None]
+        reduced -= y[:, None, n:]
+        enters = reduced.reshape(live.size, -1) < -tol[live, None]
+        np.put_along_axis(enters, arcs, False, axis=1)
+        stop = ~enters.any(axis=1)
+        potentials[live[stop]] = y[stop]
+        capped[live[~stop & (pivots[live] >= max_pivots)]] = True
+        stop |= pivots[live] >= max_pivots
+        if stop.any():
+            flow[live[stop][:, None], arcs[stop]], basic[live[stop][:, None], arcs[stop]] = x[stop], True
+            live, inv, arcs, x, enters = (z[~stop] for z in (live, inv, arcs, x, enters))
         q = np.arange(live.size)
-        x = flow[live[:, None], arcs]
-        # Bland: the leaving arc is the decreasing arc of least flow, ties to the smallest
-        leave = np.where(d > 0.0, x, np.inf).argmin(axis=1)
+        # Bland's entering arc and its cycle d: basic flows change by -theta * d when it carries theta
+        enter = enters.argmax(axis=1)
+        d = inv[q, enter // m] + inv[q, n + enter % m]
+        # Bland: the leaving arc is the decreasing arc of least flow, ties to the smallest arc index
+        dec = np.where(d > 0, x, np.inf)
+        leave = np.where(dec == dec.min(axis=1, keepdims=True), arcs, n * m).argmin(axis=1)
         theta = x[q, leave]
-        flow[live[:, None], arcs] = x - theta[:, None] * d
-        flow[live, enter], basic[live, enter] = theta, True
-        flow[live, arcs[q, leave]], basic[live, arcs[q, leave]] = 0.0, False
+        x -= theta[:, None] * d
+        x[q, leave], arcs[q, leave] = theta, enter
+        # the entering arc's equation replaces the leaving one's: a rank-one update, pivot d[leave] = 1
+        d[q, leave] -= 1
+        inv -= inv[q, :, leave][:, :, None] * d[:, None, :]
         pivots[live] += 1
     return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped
 

@@ -3,7 +3,9 @@
 Everything here is implemented from the problem definitions directly
 (enumeration, dense linear programming, alternating projection), sharing no
 code with the package's own algorithms, so oracle/implementation agreement
-is meaningful evidence.
+is meaningful evidence.  The one exception is the reference transportation
+simplex, which refactors its basis in every round where the package keeps
+and updates the inverse; the two must take the same pivots.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from mrflp.tolerances import PIVOT_TOL
 
 
 # -- exhaustive labelings -------------------------------------------------
@@ -278,6 +282,85 @@ def transport_bruteforce(cost, r, s):
     plan = np.zeros(n * m)
     np.add.at(plan, arcs[best], np.maximum(flows[best], 0.0))
     return float(costs[best]), plan.reshape(n, m)
+
+
+# -- reference transportation simplex -------------------------------------
+#
+# The lockstep simplex with the basis equations rebuilt and inverted densely
+# in every round: the package's northwest start and Bland rules, without its
+# maintained inverse.
+
+_CHUNK = 256
+
+
+def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
+    """Pricing step for a stack of ``(k, n, m)`` costs and flat bases: the
+    basic arcs in row-major order, the potentials ``(u, v)`` as one
+    ``(k, n + m)`` array, whether an arc enters, Bland's entering arc (the
+    first with a negative reduced cost) and its cycle ``d``; basic flows
+    change by ``-theta * d`` when the entering arc carries ``theta``."""
+    k, n, m = c.shape
+    nb = n + m - 1
+    q = np.arange(k)
+    arcs = np.nonzero(basic)[1].reshape(k, nb)
+    # one equation u_i + v_j = c_ij per basic arc, then the gauge u_0 = 0; the inverse
+    # of a spanning-tree basis has entries in {-1, 0, 1}, so rounding removes its round-off
+    eqs = np.zeros((k, n + m, n + m))
+    eqs[q[:, None], np.arange(nb), arcs // m] = eqs[q[:, None], np.arange(nb), n + arcs % m] = 1.0
+    eqs[:, nb, 0] = 1.0
+    inv = np.linalg.inv(eqs)
+    np.rint(inv, out=inv)
+    cb = np.zeros((k, n + m))
+    cb[:, :nb] = c.reshape(k, -1)[q[:, None], arcs]
+    y = np.einsum("qij,qj->qi", inv, cb)
+    reduced = (c - y[:, :n, None] - y[:, None, n:]).reshape(k, -1)
+    enters = ~basic & (reduced < -tol[:, None])
+    enter = enters.argmax(axis=1)
+    return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, :nb] + inv[q, n + enter % m, :nb]
+
+
+def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
+    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
+    lockstep.  Returns flows, bases, potentials ``(u, v)`` as one
+    ``(k, n + m)`` array, pivot counts and the mask of capped problems."""
+    k, n, m = c.shape
+    nb = n + m - 1
+    flow = np.zeros((k, n * m))
+    basic = np.zeros((k, n * m), dtype=bool)
+    # northwest-corner start; simultaneous exhaustion leaves zero-flow arcs
+    a, b = r.copy(), s.copy()
+    p = np.arange(k)
+    i, j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    for _ in range(nb):
+        f = np.minimum(a[p, i], b[p, j])
+        basic[p, i * m + j], flow[p, i * m + j] = True, f
+        a[p, i] -= f
+        b[p, j] -= f
+        down = (i < n - 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (j < m - 1)))
+        i, j = i + down, j + ~down
+
+    tol = PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    potentials = np.zeros((k, n + m))
+    pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    live = p
+    while live.size:
+        # priced in chunks, which bounds the memory the dense inverses take at once
+        parts = [_price(c[h], basic[h], tol[h]) for h in np.split(live, np.arange(_CHUNK, live.size, _CHUNK))]
+        arcs, y, go, enter, d = (np.concatenate(z) for z in zip(*parts))
+        potentials[live[~go]] = y[~go]
+        capped[live[go & (pivots[live] >= max_pivots)]] = True
+        go &= pivots[live] < max_pivots
+        live, arcs, enter, d = live[go], arcs[go], enter[go], d[go]
+        q = np.arange(live.size)
+        x = flow[live[:, None], arcs]
+        # Bland: the leaving arc is the decreasing arc of least flow, ties to the smallest
+        leave = np.where(d > 0.0, x, np.inf).argmin(axis=1)
+        theta = x[q, leave]
+        flow[live[:, None], arcs] = x - theta[:, None] * d
+        flow[live, enter], basic[live, enter] = theta, True
+        flow[live, arcs[q, leave]], basic[live, arcs[q, leave]] = 0.0, False
+        pivots[live] += 1
+    return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped
 
 
 def sinkhorn_entropic(cost, r, s, eps, tol=1e-13, max_iters=100_000):

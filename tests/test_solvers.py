@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.projections
 import mrflp.solvers
 from mrflp.errors import InfeasibleMarginalsError, NumericalError
 
@@ -275,6 +276,32 @@ class TestFpdSolver:
         for ra, rb in zip(a.records, b.records):
             assert ra.dual_bound == rb.dual_bound
             assert ra.primal_bound == rb.primal_bound
+
+
+class TestEpochCertification:
+    def test_each_point_is_checked_once(self, monkeypatch):
+        # the projection checks its own point, the tracker only a newly
+        # embedded labeling, and the weak-duality check reuses the primal value
+        calls = {}
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+            calls[owner.__name__, name] = 0
+
+            def wrapped(*args, **kwargs):
+                calls[owner.__name__, name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for owner, name in ((mrflp.projections, "constraint_residual"), (mrflp.solvers, "constraint_residual"),
+                            (mrflp.solvers, "relaxed_energy"), (mrflp.solvers, "embed_labeling")):
+            count(owner, name)
+        m = M.generate_grid(4, 4, 3, seed=3)
+        report = M.solve_subgradient(m, M.decompose_grid(m), M.SolverConfig(max_iters=100, epoch=10))
+        epochs = len(report.records)
+        assert calls["mrflp.projections", "constraint_residual"] == epochs
+        assert calls["mrflp.solvers", "relaxed_energy"] == epochs
+        assert 1 <= calls["mrflp.solvers", "embed_labeling"] == calls["mrflp.solvers", "constraint_residual"]
 
 
 class TestWeakDualityFailure:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.transport
 from mrflp.errors import InfeasibleMarginalsError, NumericalError
 
 import oracles
@@ -19,6 +22,36 @@ def degenerate_problems(seed, count):
         r[rng.integers(n)] += 0.1
         s[rng.integers(m)] += 0.1
         yield M.TransportProblem(cost, r, s), (0.05, 1.0, 2.0)[i % 3]
+
+
+def tied_stack(seed, k=600):
+    """A stack of k 4x5 problems with zero and tied marginal entries, tied
+    small integer costs and forbidden entries of cost 1e6."""
+    rng = np.random.default_rng(seed)
+    cost = np.where(rng.random((k, 4, 5)) < 0.3, 1e6, rng.integers(0, 4, (k, 4, 5)).astype(float))
+    r = rng.integers(0, 3, (k, 4)) + np.array([1, 0, 0, 0])
+    s = rng.integers(0, 3, (k, 5)) + np.array([0, 0, 0, 0, 1])
+    return M.TransportProblem(cost, r, s)
+
+
+def assert_same_pivot_path(problem):
+    """The kernel and the dense reference simplex take the same pivots: equal
+    pivot counts, bases and bit-equal flows after every pivot (each pivot
+    cap stops the kernel there), and the optimal potentials agree."""
+    c = problem.cost.reshape(-1, *problem.cost.shape[-2:])
+    r, s = problem.row_marginal.reshape(c.shape[:2]), problem.col_marginal.reshape(c.shape[0], -1)
+    tol = 1e-12 * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    for cap in range(1001):
+        flow, basic, y, pivots, capped = mrflp.transport._simplex(c, r, s, cap)
+        ref_flow, ref_basic, ref_y, ref_pivots, ref_capped = oracles.reference_simplex(c, r, s, cap)
+        np.testing.assert_array_equal(pivots, ref_pivots)
+        np.testing.assert_array_equal(capped, ref_capped)
+        np.testing.assert_array_equal(basic, ref_basic)
+        np.testing.assert_array_equal(flow.view(np.uint64), ref_flow.view(np.uint64))
+        assert np.all(np.abs(y - ref_y)[~capped] <= tol[~capped, None])
+        if not capped.any():
+            return pivots
+    raise AssertionError("no problem finished within 1000 pivots")
 
 
 class TestTransportProblem:
@@ -110,7 +143,7 @@ class TestExactTransport:
 
     def test_batch_matches_single_solves(self):
         rng = np.random.default_rng(8)
-        k = 300  # more than one pricing chunk
+        k = 300  # more than one inversion chunk
         cost = np.where(rng.random((k, 3, 4)) < 0.3, 1e6, rng.integers(0, 3, (k, 3, 4)).astype(float))
         r = rng.random((k, 3)) * (rng.random((k, 3)) > 0.2) + np.array([0.1, 0.0, 0.0])
         s = rng.random((k, 4)) * (rng.random((k, 4)) > 0.2) + np.array([0.0, 0.0, 0.0, 0.1])
@@ -171,6 +204,37 @@ class TestExactTransport:
             res = M.solve_transport(p)
             product_cost = float(p.row_marginal @ p.cost @ p.col_marginal)
             assert res.cost <= product_cost + 1e-12
+
+
+class TestSimplexKernel:
+    """The maintained-inverse simplex against the reference that inverts
+    every basis from scratch."""
+
+    def test_degenerate_problems(self):
+        for p, _ in degenerate_problems(2, 150):
+            assert_same_pivot_path(p)
+
+    def test_tied_stack_over_several_chunks(self):
+        pivots = assert_same_pivot_path(tied_stack(3))
+        assert pivots.min() < pivots.max()
+
+    def test_long_pivot_paths(self):
+        rng = np.random.default_rng(4)
+        p = M.TransportProblem(rng.random((400, 5, 5)), rng.random((400, 5)), rng.random((400, 5)))
+        long = oracles.reference_simplex(p.cost, p.row_marginal, p.col_marginal, 1000)[3] >= 20
+        assert long.sum() >= 10
+        assert_same_pivot_path(M.TransportProblem(p.cost[long], p.row_marginal[long], p.col_marginal[long]))
+
+    def test_one_inverse_per_chunk(self, monkeypatch):
+        # the basis inverse is kept across pivots, not refactored in every round
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(mrflp.transport.np.linalg, "inv", lambda a: calls.append(a.shape[0]) or inv(a))
+        p = tied_stack(5)
+        res = M.solve_transport(p)
+        chunks = math.ceil(p.cost.shape[0] / mrflp.transport._CHUNK)
+        assert res.pivots.max() > chunks
+        assert len(calls) <= chunks
 
 
 class TestEntropicTransport:
