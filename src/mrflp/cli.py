@@ -75,8 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=SOLVERS, required=True)
     solve.add_argument("--max-iters", type=int, default=1000)
     solve.add_argument("--time-budget-s", type=float, default=None,
-                       help="tested only after each logging epoch's projection: a run can overrun it "
-                            "by one epoch plus one projection")
+                       help="tested after each logging epoch's projections, counting that epoch's "
+                            "projection time once more: a run overruns it by about one epoch at most")
     solve.add_argument("--epoch", type=int, default=20)
     solve.add_argument("--rho", type=float, default=1.0)
     solve.add_argument("--rho-schedule", choices=("halving",), default=None)

@@ -64,9 +64,10 @@ class SolverConfig:
 
     The step law's ``STEP_ALPHA`` and ``STEP_GAMMA``, the halving schedule's
     ``RHO_SHRINK_THRESHOLD`` and ``RHO_MIN`` and the ``DIVERGENCE_WINDOW``
-    are fixed module constants, not options.  ``time_budget_s`` is tested
-    only after each logging epoch's projection, so a run can overrun it by
-    one epoch plus one projection.
+    are fixed module constants, not options.  A run stops, with its records,
+    after the first logging epoch at which the elapsed time plus that epoch's
+    projection time exceeds ``time_budget_s``; while projections take steady
+    time, it overruns the budget by at most one epoch of iterations.
     """
 
     max_iters: int = 1000
@@ -187,6 +188,7 @@ class _Tracker:
         self.best_labeling: np.ndarray | None = None
         self.records: list[ConvergenceRecord] = []
         self.projection_time = 0.0
+        self.projection_mark = 0.0  # projection_time at the last stopping test: a new epoch's is the rest
         self.failure: NumericalError | None = None
 
     def elapsed(self) -> float:
@@ -293,7 +295,8 @@ def _should_stop(tracker: _Tracker, cfg: SolverConfig, dual_optimal: bool = Fals
     # a certified gap below EQ_TOL cannot be told from zero: its sign is round-off
     if tracker.relative_gap() <= cfg.tol or tracker.best_primal - tracker.best_dual <= EQ_TOL:
         return "gap-tolerance"
-    if cfg.time_budget_s is not None and tracker.elapsed() > cfg.time_budget_s:
+    last, tracker.projection_mark = tracker.projection_time - tracker.projection_mark, tracker.projection_time
+    if cfg.time_budget_s is not None and tracker.elapsed() + last > cfg.time_budget_s:
         return "time-budget"
     return None
 

@@ -3,17 +3,18 @@
 Both solvers take a stack of same-shape problems; a single problem is a
 stack of one and gets the same arithmetic as in a stack.  The exact solver
 is the simplex method on the transportation polytope, run in lockstep over
-the stack: spanning-tree bases of ``n + m - 1`` arcs, a northwest-corner
-start, and the inverse of the basis equations, which gives the potentials
-and the entering arc's cycle without a tree walk.  It is inverted once per
-solve and kept as int8, exactly, since its entries are in {-1, 0, 1}: each
-pivot puts the entering arc in the leaving arc's slot and makes one
-rank-one update.  Bland's smallest-index rule on both the entering and the
-leaving arc (ties to the smallest arc index, not slot) rules out cycling.
-Zero marginal entries simply produce zero-flow basic arcs (the limit of a
-perturbed basis).  The entropy-regularized solver runs damped float64
-Newton on the dual, then the Altschuler-Weed-Rigollet rounding step, which
-makes the marginals exact to round-off.
+the stack: spanning-tree bases of ``n + m - 1`` arcs, the least-cost start
+(Dantzig 1963), and the inverse of the basis equations, which gives the
+potentials and the entering arc's cycle without a tree walk.  It is built
+exactly from the start's tree, with no matrix inversion, and kept as int8,
+since its entries are in {-1, 0, 1}: each pivot puts the entering arc in
+the leaving arc's slot and makes one rank-one update.  Bland's
+smallest-index rule on both the entering and the leaving arc (ties to the
+smallest arc index, not slot) rules out cycling.  Zero marginal entries
+simply produce zero-flow basic arcs (the limit of a perturbed basis).  The
+entropy-regularized solver runs damped float64 Newton on the dual, then the
+Altschuler-Weed-Rigollet rounding step, which makes the marginals exact to
+round-off.
 """
 
 from __future__ import annotations
@@ -76,48 +77,60 @@ class EntropicTransportResult:
     residual: float | np.ndarray
 
 
-_CHUNK = 256
-
-
 def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
 
 
-def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
-    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep.  Returns flows, bases, potentials ``(u, v)`` as one
-    ``(k, n + m)`` array, pivot counts and the mask of capped problems."""
+def _least_cost_start(c: np.ndarray, r: np.ndarray, s: np.ndarray):
+    """Least-cost start of a ``(k, n, m)`` stack: each of the ``n + m - 1``
+    slots takes the cheapest cell of the live rows and columns (ties to the
+    smallest row-major index) and retires its row or column, never the last
+    live one.  Returns each slot's arc (row-major index) and flow, and the
+    int8 inverse of the basis equations without the gauge column."""
     k, n, m = c.shape
-    nb = n + m - 1
-    p = np.arange(k)
-    # one slot per basic arc: its row-major index and its flow
+    nb, p = n + m - 1, np.arange(k)
     arcs, x = np.zeros((k, nb), dtype=np.int64), np.zeros((k, nb))
-    # northwest-corner start; simultaneous exhaustion leaves zero-flow arcs
-    a, b = r.copy(), s.copy()
-    i, j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    # the node each slot retires and the other end of its arc
+    leaf, stem = np.zeros((k, nb), dtype=np.int64), np.zeros((k, nb), dtype=np.int64)
+    a, b, live_cost = r.copy(), s.copy(), c.copy()
+    rows, cols = np.full(k, n), np.full(k, m)
     for t in range(nb):
-        f = np.minimum(a[p, i], b[p, j])
-        arcs[:, t], x[:, t] = i * m + j, f
+        arcs[:, t] = live_cost.reshape(k, -1).argmin(axis=1)
+        i, j = arcs[:, t] // m, arcs[:, t] % m
+        x[:, t] = f = np.minimum(a[p, i], b[p, j])
         a[p, i] -= f
         b[p, j] -= f
-        down = (i < n - 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (j < m - 1)))
-        i, j = i + down, j + ~down
-    # inverse of the equations u_i + v_j = c_ij, one per slot, and the gauge u_0 = 0, whose
-    # column no pivot reads; a spanning-tree basis has an inverse with entries in {-1, 0, 1},
-    # so rint removes its round-off; chunks bound the float64 memory taken at once
-    inv = np.empty((k, n + m, nb), dtype=np.int8)
-    for h in range(0, k, _CHUNK):
-        blk = arcs[h:h + _CHUNK]
-        q, t = np.arange(blk.shape[0])[:, None], np.arange(nb)
-        eqs = np.zeros((blk.shape[0], n + m, n + m))
-        eqs[q, t, blk // m] = eqs[q, t, n + blk % m] = eqs[:, nb, 0] = 1.0
-        inv[h:h + _CHUNK] = np.rint(np.linalg.inv(eqs)[:, :, :nb])
+        # simultaneous exhaustion retires the row and leaves a zero-flow arc; the last slot ends both
+        row = (rows > 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (cols > 1)))
+        live_cost[p[row], i[row]] = live_cost[p[~row], :, j[~row]] = np.inf
+        rows, cols = rows - row, cols - ~row
+        leaf[:, t], stem[:, t] = np.where(row, i, n + j), np.where(row, n + j, i)
+    # read backwards, the basis is a tree grown by one leaf per slot from the last slot's row, whose
+    # potential is 0: u_i + v_j = c_ij makes the leaf's row e_t minus its stem's; then gauge u_0 = 0
+    inv = np.zeros((k, n + m, nb), dtype=np.int8)
+    for t in range(nb - 1, -1, -1):
+        inv[p, leaf[:, t]] = -inv[p, stem[:, t]]
+        inv[p, leaf[:, t], t] = 1
+    gauge = inv[:, 0].copy()
+    inv[:, :n] -= gauge[:, None]
+    inv[:, n:] += gauge[:, None]
+    return arcs, x, inv
+
+
+def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
+    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
+    lockstep, from the least-cost start.  Returns flows, bases, potentials
+    ``(u, v)`` as one ``(k, n + m)`` array, pivot counts and the mask of
+    capped problems."""
+    k, n, m = c.shape
+    # the slots' arcs and flows; each pivot updates the inverse, whose entries stay in {-1, 0, 1}
+    arcs, x, inv = _least_cost_start(c, r, s)
     cf, tol = c.reshape(k, -1), PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     potentials = np.zeros((k, n + m))
     pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
     flow, basic = np.zeros((k, n * m)), np.zeros((k, n * m), dtype=bool)
     # inv, arcs and x hold the rows of the live problems only
-    live = p
+    live = np.arange(k)
     while live.size:
         y = np.einsum("qij,qj->qi", inv, cf[live[:, None], arcs])
         reduced = cf[live].reshape(-1, n, m)
@@ -153,10 +166,11 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None) ->
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.
 
     A batched problem is solved as a stack in lockstep, and a single problem
-    as a stack of one.  Each problem may take ``max_pivots`` pivots,
-    ``max(1000, 50 * n * m)`` by default; if one needs more,
-    :class:`NumericalError` is raised with ``problem`` set to its index in
-    the stack.  Returns the optimal plans together with the potentials of
+    as a stack of one, by the simplex method from the least-cost start, whose
+    basis inverse is built from its tree.  Each problem may take
+    ``max_pivots`` pivots, ``max(1000, 50 * n * m)`` by default; if one needs
+    more, :class:`NumericalError` is raised with ``problem`` set to its index
+    in the stack.  Returns the optimal plans together with the potentials of
     the final bases, which certify optimality: ``u_i + v_j <= c_ij``
     everywhere with equality on basic arcs.
     """

@@ -287,8 +287,8 @@ def transport_bruteforce(cost, r, s):
 # -- reference transportation simplex -------------------------------------
 #
 # The lockstep simplex with the basis equations rebuilt and inverted densely
-# in every round: the package's northwest start and Bland rules, without its
-# maintained inverse.
+# in every round: the package's least-cost start and Bland rules, without its
+# maintained inverse, with the start written as a plain loop per problem.
 
 _CHUNK = 256
 
@@ -319,25 +319,47 @@ def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
     return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, :nb] + inv[q, n + enter % m, :nb]
 
 
+def _least_cost_basis(c: np.ndarray, r: np.ndarray, s: np.ndarray, flow: np.ndarray, basic: np.ndarray):
+    """Least-cost start of one ``(n, m)`` problem, written into the flat
+    ``flow`` and ``basic``: the cheapest cell of the uncovered rows and
+    columns (first in row-major order on ties) ships as much as it can; its
+    row is covered if it ran out, unless it is the last uncovered row or
+    its column ran out too while other columns are uncovered; otherwise its
+    column is covered.  One cell per covered row or column, the last one
+    covering both."""
+    n, m = c.shape
+    supply, demand = [float(v) for v in r], [float(v) for v in s]
+    open_rows, open_cols = list(range(n)), list(range(m))
+    while open_rows and open_cols:
+        best = None
+        for i in open_rows:
+            for j in open_cols:
+                if best is None or c[i, j] < c[best]:
+                    best = (i, j)
+        i, j = best
+        f = min(supply[i], demand[j])
+        flow[i * m + j], basic[i * m + j] = f, True
+        supply[i] -= f
+        demand[j] -= f
+        if len(open_rows) == 1 and len(open_cols) == 1:
+            break
+        row_done, col_done = supply[i] <= 0.0, demand[j] <= 0.0
+        if len(open_rows) > 1 and (row_done or not (col_done and len(open_cols) > 1)):
+            open_rows.remove(i)
+        else:
+            open_cols.remove(j)
+
+
 def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
     """Transportation simplex on a ``(k, n, m)`` stack, all problems in
     lockstep.  Returns flows, bases, potentials ``(u, v)`` as one
     ``(k, n + m)`` array, pivot counts and the mask of capped problems."""
     k, n, m = c.shape
-    nb = n + m - 1
     flow = np.zeros((k, n * m))
     basic = np.zeros((k, n * m), dtype=bool)
-    # northwest-corner start; simultaneous exhaustion leaves zero-flow arcs
-    a, b = r.copy(), s.copy()
     p = np.arange(k)
-    i, j = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    for _ in range(nb):
-        f = np.minimum(a[p, i], b[p, j])
-        basic[p, i * m + j], flow[p, i * m + j] = True, f
-        a[p, i] -= f
-        b[p, j] -= f
-        down = (i < n - 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (j < m - 1)))
-        i, j = i + down, j + ~down
+    for q in range(k):
+        _least_cost_basis(c[q], r[q], s[q], flow[q], basic[q])
 
     tol = PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     potentials = np.zeros((k, n + m))

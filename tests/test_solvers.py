@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -302,6 +303,32 @@ class TestEpochCertification:
         assert calls["mrflp.projections", "constraint_residual"] == epochs
         assert calls["mrflp.solvers", "relaxed_energy"] == epochs
         assert 1 <= calls["mrflp.solvers", "embed_labeling"] == calls["mrflp.solvers", "constraint_residual"]
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize("solver", ["sg-ave", "sg-wei", "nest", "fpd"])
+    def test_stops_before_an_epoch_that_would_overrun(self, monkeypatch, solver):
+        # each projection takes 0.2 s: after the first epoch the elapsed time
+        # plus one more projection exceeds the 0.3 s budget, so the run stops there
+        calls = []
+        project = mrflp.solvers.project_primal_energy
+
+        def slow(*args, **kwargs):
+            calls.append(None)
+            time.sleep(0.2)
+            return project(*args, **kwargs)
+        monkeypatch.setattr(mrflp.solvers, "project_primal_energy", slow)
+        m = M.generate_grid(4, 4, 3, seed=3)
+        d = M.decompose_grid(m)
+        cfg = M.SolverConfig(max_iters=1000, epoch=20, time_budget_s=0.3, rho=0.5)
+        if solver == "fpd":
+            report = M.solve_fpd(m, cfg)
+        elif solver == "nest":
+            report = M.solve_nesterov(m, d, cfg)
+        else:
+            report = M.solve_subgradient(m, d, cfg, "uniform" if solver == "sg-ave" else "step-weighted")
+        assert report.termination == "time-budget"
+        assert len(calls) == len(report.records) == 1
 
 
 class TestWeakDualityFailure:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -143,7 +141,7 @@ class TestExactTransport:
 
     def test_batch_matches_single_solves(self):
         rng = np.random.default_rng(8)
-        k = 300  # more than one inversion chunk
+        k = 300
         cost = np.where(rng.random((k, 3, 4)) < 0.3, 1e6, rng.integers(0, 3, (k, 3, 4)).astype(float))
         r = rng.random((k, 3)) * (rng.random((k, 3)) > 0.2) + np.array([0.1, 0.0, 0.0])
         s = rng.random((k, 4)) * (rng.random((k, 4)) > 0.2) + np.array([0.0, 0.0, 0.0, 0.1])
@@ -188,8 +186,9 @@ class TestExactTransport:
             assert dual_val == pytest.approx(res.cost, abs=tol)
 
     def test_pivot_cap_names_the_problem(self):
-        # the first problem is optimal at its northwest corner, the second needs a pivot
-        p = M.TransportProblem([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        # the first problem is optimal at its least-cost start; the second's start ships
+        # from the cheapest cell (0, 0) and then must use the 100, so it needs a pivot
+        p = M.TransportProblem([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [3.0, 100.0]]],
                                np.full((2, 2), 0.5), np.full((2, 2), 0.5))
         assert M.solve_transport(p).pivots.tolist() == [0, 1]
         with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
@@ -219,22 +218,40 @@ class TestSimplexKernel:
         assert pivots.min() < pivots.max()
 
     def test_long_pivot_paths(self):
+        # from the least-cost start about 1 in 40 random 5x5 problems needs 10 pivots or more
         rng = np.random.default_rng(4)
-        p = M.TransportProblem(rng.random((400, 5, 5)), rng.random((400, 5)), rng.random((400, 5)))
-        long = oracles.reference_simplex(p.cost, p.row_marginal, p.col_marginal, 1000)[3] >= 20
+        p = M.TransportProblem(rng.random((1000, 5, 5)), rng.random((1000, 5)), rng.random((1000, 5)))
+        long = oracles.reference_simplex(p.cost, p.row_marginal, p.col_marginal, 1000)[3] >= 10
         assert long.sum() >= 10
         assert_same_pivot_path(M.TransportProblem(p.cost[long], p.row_marginal[long], p.col_marginal[long]))
 
-    def test_one_inverse_per_chunk(self, monkeypatch):
-        # the basis inverse is kept across pivots, not refactored in every round
+    def test_no_dense_inverse(self, monkeypatch):
+        # the start's inverse is built from its tree and kept across pivots, never inverted
         calls = []
         inv = np.linalg.inv
         monkeypatch.setattr(mrflp.transport.np.linalg, "inv", lambda a: calls.append(a.shape[0]) or inv(a))
-        p = tied_stack(5)
-        res = M.solve_transport(p)
-        chunks = math.ceil(p.cost.shape[0] / mrflp.transport._CHUNK)
-        assert res.pivots.max() > chunks
-        assert len(calls) <= chunks
+        res = M.solve_transport(tied_stack(5))
+        assert res.pivots.max() > 0
+        assert calls == []
+
+    def test_tree_built_inverse(self):
+        # the start's int8 inverse equals the rounded dense inverse of its basis equations
+        # with the gauge u_0 = 0, for every shape from 1x1 to 5x5
+        problems = [p for p, _ in degenerate_problems(6, 400)] + [tied_stack(7)]
+        shapes = set()
+        for p in problems:
+            c = p.cost.reshape(-1, *p.cost.shape[-2:])
+            k, n, m = c.shape
+            nb = n + m - 1
+            shapes.add((n, m))
+            arcs, _, inv = mrflp.transport._least_cost_start(
+                c, p.row_marginal.reshape(k, n), p.col_marginal.reshape(k, m))
+            q, t = np.arange(k)[:, None], np.arange(nb)
+            eqs = np.zeros((k, n + m, n + m))
+            eqs[q, t, arcs // m] = eqs[q, t, n + arcs % m] = eqs[:, nb, 0] = 1.0
+            assert inv.dtype == np.int8
+            np.testing.assert_array_equal(inv, np.rint(np.linalg.inv(eqs))[:, :, :nb])
+        assert shapes == {(n, m) for n in range(1, 6) for m in range(1, 6)}
 
 
 class TestEntropicTransport:
