@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MrflpError, NumericalError
-from .experiments import DEFAULT_INFINITIES, run_gap_convergence, run_infinity_scaling, run_solver
+from .experiments import (
+    DEFAULT_INFINITIES,
+    GAP_CONVERGENCE_CFG,
+    INFINITY_SCALING_CFG,
+    run_gap_convergence,
+    run_infinity_scaling,
+    run_solver,
+)
 from .fileio import (
     read_dual_point,
     read_marginals,
@@ -102,9 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gapc.add_argument("--cols", type=int, default=30)
     gapc.add_argument("--labels", type=int, default=4)
     gapc.add_argument("--seed", type=int, default=0)
-    gapc.add_argument("--max-iters", type=int, default=2000)
-    gapc.add_argument("--epoch", type=int, default=20)
-    gapc.add_argument("--rho", type=float, default=0.1)
     gapc.add_argument("--out-dir", required=True)
 
     inf = exp_sub.add_parser("infinity-scaling", help="smoothed solver across infinity surrogates")
@@ -115,10 +120,12 @@ def _build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--margin", type=float, default=25.0)
     inf.add_argument("--forbidden-fraction", type=float, default=0.4)
     inf.add_argument("--infinities", default=",".join(f"{x:g}" for x in DEFAULT_INFINITIES))
-    inf.add_argument("--max-iters", type=int, default=600)
-    inf.add_argument("--epoch", type=int, default=20)
-    inf.add_argument("--rho", type=float, default=2.0)
     inf.add_argument("--out-dir", required=True)
+
+    for experiment, cfg in ((gapc, GAP_CONVERGENCE_CFG), (inf, INFINITY_SCALING_CFG)):
+        experiment.add_argument("--max-iters", type=int, default=cfg.max_iters)
+        experiment.add_argument("--epoch", type=int, default=cfg.epoch)
+        experiment.add_argument("--rho", type=float, default=cfg.rho)
 
     return parser
 
@@ -248,17 +255,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    base = GAP_CONVERGENCE_CFG if args.name == "gap-convergence" else INFINITY_SCALING_CFG
+    cfg = dataclasses.replace(base, max_iters=args.max_iters, epoch=args.epoch, rho=args.rho, seed=args.seed)
     if args.name == "gap-convergence":
-        cfg = SolverConfig(max_iters=args.max_iters, epoch=args.epoch, rho=args.rho,
-                           rho_schedule="halving", seed=args.seed)
         summary = run_gap_convergence(args.out_dir, rows=args.rows, cols=args.cols,
                                       labels=args.labels, seed=args.seed, cfg=cfg)
         for solver, info in summary["solvers"].items():
             print(f"{solver}: gap={info['gap']:.4e} ({info['termination']})")
         return 0
     infinities = tuple(float(tok) for tok in str(args.infinities).split(",") if tok)
-    cfg = SolverConfig(max_iters=args.max_iters, epoch=args.epoch, rho=args.rho,
-                       seed=args.seed, log_smoothed_gap=False)
     summary = run_infinity_scaling(
         args.out_dir, rows=args.rows, cols=args.cols, labels=args.labels, seed=args.seed,
         margin=args.margin, forbidden_fraction=args.forbidden_fraction,

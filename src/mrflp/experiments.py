@@ -22,6 +22,9 @@ from .solvers import SolverConfig, SolverReport, solve_fpd, solve_nesterov, solv
 
 GAP_SOLVERS = ("sg-ave", "sg-wei", "nest", "fpd")
 DEFAULT_INFINITIES = (1e4, 1e5, 1e6, 1e7)
+# each experiment's solver options: the functions' defaults, and the CLI's
+GAP_CONVERGENCE_CFG = SolverConfig(max_iters=2000, epoch=20, rho=0.1, rho_schedule="halving")
+INFINITY_SCALING_CFG = SolverConfig(max_iters=600, epoch=20, rho=2.0, log_smoothed_gap=False)
 
 
 def run_solver(model: MrfModel, solver: str, cfg: SolverConfig, decomposition=None) -> SolverReport:
@@ -44,11 +47,10 @@ def run_gap_convergence(
     cols: int = 30,
     labels: int = 4,
     seed: int = 0,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = GAP_CONVERGENCE_CFG,
 ) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = cfg or SolverConfig(max_iters=2000, epoch=20)
     model = generate_grid(rows, cols, labels, law="uniform01", seed=seed)
     decomposition = decompose_grid(model)
     summary: dict = {
@@ -123,7 +125,7 @@ def run_infinity_scaling(
     margin: float = 25.0,
     forbidden_fraction: float = 0.4,
     infinities=DEFAULT_INFINITIES,
-    cfg: SolverConfig | None = None,
+    cfg: SolverConfig = INFINITY_SCALING_CFG,
 ) -> dict:
     """A margin above the potential range (20) makes every planted entry the
     strict minimum of its table, which guarantees the relaxation is tight at
@@ -131,7 +133,6 @@ def run_infinity_scaling(
     marginal maps leak onto forbidden entries."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = cfg or SolverConfig(max_iters=600, epoch=20, rho=2.0, log_smoothed_gap=False)
     reports: dict[float, SolverReport] = {}
     optima: dict[float, float] = {}
     curves: dict = {}

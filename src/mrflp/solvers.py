@@ -1,23 +1,34 @@
 """Iterative solvers with certified bounds at every logging epoch.
 
-All solvers log the same way: at every epoch the current (generally
-infeasible) primal estimate is made feasible by the energy projection, the
-current dual estimate is a valid lower bound, and the record carries the
-best certified pair seen so far.  The primal bound also absorbs rounded
-integer labelings (their embeddings are feasible points), so the integer
-bound can never undercut it and the recorded gap never increases.  An epoch
-whose exact projection (or ``nest``'s entropic one) fails, or whose bounds
-violate weak duality, ends the run with ``termination="numerical-failure"``;
-the records and bounds of the epochs before it are kept.
-
-Solvers:
-
 * ``solve_subgradient`` - ascent on the nonsmooth two-forest dual with
   uniform or step-weighted averaging of argmin labelings,
 * ``solve_nesterov`` - accelerated gradient ascent on the smoothed dual,
   optionally with a geometrically diminishing smoothing level,
 * ``solve_fpd`` - first-order primal-dual iteration on the explicit LP,
   with streaming constraint products (the constraint matrix is never built).
+
+All three share one epoch protocol.  The loop runs ``t = 0, ..., max_iters``
+and steps after every ``t < max_iters``.  Before the step an epoch runs at
+``t % epoch == 0``, at ``t == max_iters`` and, for ``sg-*``, at a zero
+subgradient.  It projects ``fpd``'s dual iterate onto the dual feasible set
+(the others' nonsmooth dual at the iterate is a valid bound as it is),
+``nest``'s averaged maps by the entropic projection when the smoothed gap is
+logged, and, in ``_Tracker.observe``, the primal estimate by the exact energy
+projection.  That feasible point competes with rounded labelings (feasible as
+embeddings) for the primal bound, so the integer bound never undercuts it.
+The record carries the best certified pair so far: its gap never increases.
+
+Every projection runs in ``_Tracker.project``, which adds its time, failed or
+not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
+failure; ``observe`` keeps a weak-duality violation the same way.  An epoch
+with a failure logs no record: the run ends with ``numerical-failure`` and
+keeps the records and bounds before it.  After each epoch the stop tests run
+in order: a failure (``numerical-failure``), the last iteration
+(``max-iters``), an ``sg-*`` zero subgradient (``dual-optimal``), a relative
+gap at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), the elapsed
+time plus this epoch's projection time above ``time_budget_s``
+(``time-budget``), and an ``sg-*`` dual that kept decreasing
+(``numerical-failure``).
 """
 
 from __future__ import annotations
@@ -64,8 +75,10 @@ class SolverConfig:
 
     The step law's ``STEP_ALPHA`` and ``STEP_GAMMA``, the halving schedule's
     ``RHO_SHRINK_THRESHOLD`` and ``RHO_MIN`` and the ``DIVERGENCE_WINDOW``
-    are fixed module constants, not options.  A run stops, with its records,
-    after the first logging epoch at which the elapsed time plus that epoch's
+    are fixed module constants, not options.  The logged smoothed gap drives
+    the halving schedule, so ``rho_schedule="halving"`` needs
+    ``log_smoothed_gap=True``.  A run stops, with its records, after the
+    first logging epoch at which the elapsed time plus that epoch's
     projection time exceeds ``time_budget_s``; while projections take steady
     time, it overruns the budget by at most one epoch of iterations.
     """
@@ -96,6 +109,8 @@ class SolverConfig:
             raise ValueError("rho must be positive")
         if self.rho_schedule not in (None, "halving"):
             raise ValueError("rho_schedule must be None or 'halving'")
+        if self.rho_schedule == "halving" and not self.log_smoothed_gap:
+            raise ValueError("rho_schedule='halving' needs log_smoothed_gap=True: the smoothed gap drives it")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
 
@@ -104,8 +119,6 @@ class SolverConfig:
 class SolverReport:
     solver: str
     marginals: Marginals
-    dual_point: DualPoint | None
-    lam: np.ndarray | None
     best_labeling: np.ndarray
     records: tuple[ConvergenceRecord, ...]
     termination: str
@@ -115,6 +128,8 @@ class SolverReport:
     gap: float
     relative_gap: float
     projection_time_s: float
+    dual_point: DualPoint | None = None
+    lam: np.ndarray | None = None
     step_halvings: int = 0
     divergence_flag: bool = False
     adaptive_step_used: bool = False
@@ -158,11 +173,15 @@ def _check_feasible(model: MrfModel, marginals: Marginals) -> None:
         raise InfeasibleMarginalsError(f"marginals are infeasible (residual {residual:.3e})", residual=residual)
 
 
+def _relative_gap(gap: float, dual_bound: float) -> float:
+    return gap / max(1.0, abs(dual_bound))
+
+
 def _weak_duality_gap(primal: float, dual_bound: float) -> tuple[float, float]:
     gap = primal - float(dual_bound)
     if gap < -EQ_TOL:
         raise NumericalError(f"negative duality gap {gap:.3e}: dual bound is not valid")
-    return gap, gap / max(1.0, abs(float(dual_bound)))
+    return gap, _relative_gap(gap, float(dual_bound))
 
 
 def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) -> tuple[float, float]:
@@ -194,28 +213,35 @@ class _Tracker:
     def elapsed(self) -> float:
         return time.perf_counter() - self.t0
 
-    def observe(
-        self,
-        iteration: int,
-        node_blocks,
-        dual_candidate: float,
-        rho: float | None = None,
-        smoothed_gap: float | None = None,
-        extra_labeling: np.ndarray | None = None,
-    ) -> ConvergenceRecord | None:
+    def project(self, fn, *args):
+        """``fn(*args)``, one of an epoch's projections, timed into
+        ``projection_time``; a :class:`NumericalError` is kept in ``failure``
+        and the result is then ``None``."""
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        except NumericalError as exc:
+            self.failure = exc
+            return None
+        finally:
+            self.projection_time += time.perf_counter() - start
+
+    def observe(self, iteration: int, node_blocks, dual_candidate: float, rho: float | None = None,
+                smoothed_gap: float | None = None,
+                extra_labeling: np.ndarray | None = None) -> ConvergenceRecord | None:
         """Fold one epoch into the best certified bounds and log its record.
 
         The node blocks are projected to a feasible point, which competes
         with its rounded labeling (and ``extra_labeling``) for the primal
-        bound.  If the projection or the weak-duality check raises
-        :class:`NumericalError`, the bounds and records of the last
-        consistent epoch stay, the error is kept in ``failure`` and the
-        result is ``None``.
+        bound.  If this or an earlier projection of the epoch failed, or the
+        weak-duality check raises :class:`NumericalError`, the bounds and
+        records of the last consistent epoch stay, the error is kept in
+        ``failure`` and the result is ``None``.
         """
-        start = time.perf_counter()
+        projected = self.project(project_primal_energy, self.model, node_blocks) if self.failure is None else None
+        if projected is None:
+            return None
         try:
-            projected = project_primal_energy(self.model, node_blocks)
-            self.projection_time += time.perf_counter() - start
             value = relaxed_energy(self.model, projected)
             labelings = [round_to_labeling(projected)] + ([] if extra_labeling is None else [extra_labeling])
             ivals = [energy(self.model, lab) for lab in labelings]
@@ -249,56 +275,42 @@ class _Tracker:
         self.records.append(record)
         return record
 
-    def relative_gap(self) -> float:
-        return (self.best_primal - self.best_dual) / max(1.0, abs(self.best_dual))
+    def stop(self, cfg: SolverConfig, t: int, dual_optimal: bool = False) -> str | None:
+        """The first stop test that the epoch at iteration ``t`` meets, if any."""
+        if self.failure is not None:
+            return "numerical-failure"
+        if t == cfg.max_iters:
+            return "max-iters"
+        if dual_optimal:
+            return "dual-optimal"
+        # a certified gap below EQ_TOL cannot be told from zero: its sign is round-off
+        gap = self.best_primal - self.best_dual
+        if _relative_gap(gap, self.best_dual) <= cfg.tol or gap <= EQ_TOL:
+            return "gap-tolerance"
+        last, self.projection_mark = self.projection_time - self.projection_mark, self.projection_time
+        if cfg.time_budget_s is not None and self.elapsed() + last > cfg.time_budget_s:
+            return "time-budget"
+        return None
 
-    def final_marginals(self) -> Marginals:
+    def report(self, solver: str, termination: str, **extras) -> SolverReport:
+        """The run's report; ``extras`` are the solver's own fields."""
         if self.best_point is None:
             raise NumericalError("no feasible point was ever recorded") from self.failure
-        return self.best_point
-
-    def report(
-        self,
-        solver: str,
-        termination: str,
-        lam: np.ndarray | None = None,
-        dual_point: DualPoint | None = None,
-        step_halvings: int = 0,
-        divergence_flag: bool = False,
-        adaptive_step_used: bool = False,
-    ) -> SolverReport:
+        gap = self.best_primal - self.best_dual
         return SolverReport(
             solver=solver,
-            marginals=self.final_marginals(),
-            dual_point=dual_point,
-            lam=lam,
+            marginals=self.best_point,
             best_labeling=self.best_labeling,
             records=tuple(self.records),
-            termination=termination if self.failure is None else "numerical-failure",
+            termination=termination,
             dual_bound=self.best_dual,
             primal_bound=self.best_primal,
             integer_bound=self.best_integer,
-            gap=self.best_primal - self.best_dual,
-            relative_gap=self.relative_gap(),
+            gap=gap,
+            relative_gap=_relative_gap(gap, self.best_dual),
             projection_time_s=self.projection_time,
-            step_halvings=step_halvings,
-            divergence_flag=divergence_flag,
-            adaptive_step_used=adaptive_step_used,
+            **extras,
         )
-
-
-def _should_stop(tracker: _Tracker, cfg: SolverConfig, dual_optimal: bool = False) -> str | None:
-    if tracker.failure is not None:
-        return "numerical-failure"
-    if dual_optimal:
-        return "dual-optimal"
-    # a certified gap below EQ_TOL cannot be told from zero: its sign is round-off
-    if tracker.relative_gap() <= cfg.tol or tracker.best_primal - tracker.best_dual <= EQ_TOL:
-        return "gap-tolerance"
-    last, tracker.projection_mark = tracker.projection_time - tracker.projection_mark, tracker.projection_time
-    if cfg.time_budget_s is not None and tracker.elapsed() + last > cfg.time_budget_s:
-        return "time-budget"
-    return None
 
 
 def _diverging(recent: deque, window: int) -> bool:
@@ -308,17 +320,14 @@ def _diverging(recent: deque, window: int) -> bool:
     return all(b < a - 1e-6 for a, b in zip(vals, vals[1:]))
 
 
-def solve_subgradient(
-    model: MrfModel,
-    decomposition: Decomposition,
-    cfg: SolverConfig,
-    averaging: str = "uniform",
-) -> SolverReport:
+def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: SolverConfig,
+                      averaging: str = "uniform") -> SolverReport:
     """Subgradient ascent on the two-forest dual.
 
     ``averaging`` selects the primal reconstruction: ``"uniform"`` averages
     the argmin labelings of both forests over time, ``"step-weighted"``
-    weighs each entry by its step size.
+    weighs each entry by its step size.  The last epoch logs the average
+    over the ``max_iters`` iterations before it.
     """
     if averaging not in ("uniform", "step-weighted"):
         raise ValueError("averaging must be 'uniform' or 'step-weighted'")
@@ -329,38 +338,28 @@ def solve_subgradient(
     acc_w = 0.0
     tracker = _Tracker(model)
     recent: deque = deque(maxlen=DIVERGENCE_WINDOW)
-    termination = "max-iters"
-    stopped = False
 
-    for t in range(cfg.max_iters):
+    for t in range(cfg.max_iters + 1):
         value, g, (x1, x2) = ctx.value_and_subgradient(lam)
         recent.append(value)
         gsq = float(g @ g)
         # zero: both forests agree on one labeling, a certified dual optimum
         optimal = gsq == 0.0
-        if optimal:
-            tau = step_size("diminishing", t, tau0=cfg.tau0)
-        else:
-            tau = step_size(
-                cfg.step_law, t, tau0=cfg.tau0, best_primal=tracker.best_primal, dual=value, grad_norm_sq=gsq
-            )
+        law = "diminishing" if optimal else cfg.step_law
+        tau = step_size(law, t, tau0=cfg.tau0, best_primal=tracker.best_primal, dual=value, grad_norm_sq=gsq)
         w = 1.0 if averaging == "uniform" else tau
-        if w > 0.0:
+        if w > 0.0 and t < cfg.max_iters:
             _accumulate_labelings(acc, packing, (x1, x2), (w, w))
             acc_w += 2.0 * w
-        if (optimal or t % cfg.epoch == 0) and acc_w > 0.0:
+        if optimal or t % cfg.epoch == 0 or t == cfg.max_iters:
+            # acc_w > 0: the first step, tau0 or 1, has positive weight
             tracker.observe(t, acc / acc_w, value, extra_labeling=x1)
-            reason = _should_stop(tracker, cfg, dual_optimal=optimal)
-            if reason is None and _diverging(recent, DIVERGENCE_WINDOW):
-                reason = "numerical-failure"
-            if reason is not None:
-                termination = reason
-                stopped = True
+            termination = tracker.stop(cfg, t, dual_optimal=optimal)
+            if termination is None and _diverging(recent, DIVERGENCE_WINDOW):
+                termination = "numerical-failure"
+            if termination is not None:
                 break
         lam = lam + tau * g
-    if not stopped:
-        value, _, (x1, _) = ctx.value_and_subgradient(lam)
-        tracker.observe(cfg.max_iters, acc / acc_w if acc_w > 0 else acc, value, extra_labeling=x1)
     return tracker.report("sg-ave" if averaging == "uniform" else "sg-wei", termination, lam=lam,
                           adaptive_step_used=cfg.step_law == "adaptive")
 
@@ -376,8 +375,8 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     ``rho_schedule="halving"`` the smoothing level halves whenever the
     smoothed relative gap drops below ``RHO_SHRINK_THRESHOLD * rho``, down
     to ``RHO_MIN``.  If the ascent check fails more than 200 times in all,
-    or the entropic projection of a smoothed-gap epoch fails, the run ends
-    with ``termination="numerical-failure"`` and the records so far.
+    the run ends with ``termination="numerical-failure"`` and the records
+    so far.
     """
     ctx = DualContext(model, decomposition)
     packing = ctx.packing
@@ -388,39 +387,25 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     lip = 4.0 / rho
     halvings = 0
     tracker = _Tracker(model)
-    termination = "max-iters"
-    stopped = False
 
-    def log_epoch(iteration: int) -> ConvergenceRecord | None:
-        u_val, _, (x1, _) = ctx.value_and_subgradient(lam)
-        uh_val, _, maps = ctx.smoothed(lam, rho)
-        blocks = (maps[0] + maps[1]) / 2.0
-        smoothed_gap = None
-        if cfg.log_smoothed_gap:
-            start = time.perf_counter()
-            try:
-                feas = project_primal_free_energy(model, decomposition, blocks, rho)
-            except NumericalError as exc:
-                # as in _Tracker.observe: keep the last consistent epoch
-                tracker.failure = exc
-                return None
-            tracker.projection_time += time.perf_counter() - start
-            smoothed_gap = free_energy(model, decomposition, feas, rho) - uh_val
-        return tracker.observe(iteration, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1)
-
-    for t in range(cfg.max_iters):
-        if t % cfg.epoch == 0:
-            record = log_epoch(t)
-            reason = _should_stop(tracker, cfg)
-            if reason is not None:
-                termination = reason
-                stopped = True
+    for t in range(cfg.max_iters + 1):
+        if t % cfg.epoch == 0 or t == cfg.max_iters:
+            u_val, _, (x1, _) = ctx.value_and_subgradient(lam)
+            uh_val, _, maps = ctx.smoothed(lam, rho)
+            blocks = (maps[0] + maps[1]) / 2.0
+            smoothed_gap = None
+            if cfg.log_smoothed_gap:
+                feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho)
+                if feas is not None:
+                    smoothed_gap = free_energy(model, decomposition, feas, rho) - uh_val
+            tracker.observe(t, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1)
+            termination = tracker.stop(cfg, t)
+            if termination is not None:
                 break
             if (
                 cfg.rho_schedule == "halving"
                 and rho > RHO_MIN
-                and record.smoothed_gap is not None
-                and record.smoothed_gap / max(1.0, abs(tracker.best_dual)) < RHO_SHRINK_THRESHOLD * rho
+                and _relative_gap(smoothed_gap, tracker.best_dual) < RHO_SHRINK_THRESHOLD * rho
             ):
                 rho = max(rho / 2.0, RHO_MIN)
                 lip = 4.0 / rho
@@ -438,14 +423,11 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
         else:
             # the ascent step kept failing: the smoothness estimate diverged
             termination = "numerical-failure"
-            stopped = True
             break
         tk_next = (1.0 + math.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
         y = lam_new + ((tk - 1.0) / tk_next) * (lam_new - lam)
         lam = lam_new
         tk = tk_next
-    if not stopped:
-        log_epoch(cfg.max_iters)
     return tracker.report("nest", termination, lam=lam, step_halvings=halvings)
 
 
@@ -481,52 +463,41 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     mu = np.repeat(1.0 / sizes, sizes)
     nu = np.zeros(packing.dual_dim)
     tracker = _Tracker(model)
-    termination = "max-iters"
-    stopped = False
     halvings = 0
     diverged = False
     recent: deque = deque(maxlen=max(3, DIVERGENCE_WINDOW // cfg.epoch))
     snapshot = (mu.copy(), nu.copy())
     dual_point = None
 
-    def log_epoch(iteration: int) -> None:
-        nonlocal mu, nu, sigma, tau, halvings, diverged, snapshot, dual_point
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
-            mu, nu = snapshot[0].copy(), snapshot[1].copy()
-            sigma /= 2.0
-            tau /= 2.0
-            halvings += 1
-            diverged = True
-        start = time.perf_counter()
-        point = project_dual(model, nu)
-        tracker.projection_time += time.perf_counter() - start
-        d_val = dual_value(model, point)
-        recent.append(d_val)
-        if _diverging(recent, recent.maxlen):
-            sigma /= 2.0
-            tau /= 2.0
-            halvings += 1
-            diverged = True
-            recent.clear()
-        snapshot = (mu.copy(), nu.copy())
-        record = tracker.observe(iteration, mu[: packing.node_dim], d_val)
-        # keep the point that set the certified dual bound
-        if record is not None and d_val >= record.dual_bound:
-            dual_point = point
-
-    for t in range(cfg.max_iters):
-        if t % cfg.epoch == 0:
-            log_epoch(t)
-            reason = _should_stop(tracker, cfg)
-            if reason is not None:
-                termination = reason
-                stopped = True
+    for t in range(cfg.max_iters + 1):
+        if t % cfg.epoch == 0 or t == cfg.max_iters:
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+                mu, nu = snapshot[0].copy(), snapshot[1].copy()
+                sigma /= 2.0
+                tau /= 2.0
+                halvings += 1
+                diverged = True
+            point = tracker.project(project_dual, model, nu)
+            if point is not None:
+                d_val = dual_value(model, point)
+                recent.append(d_val)
+                if _diverging(recent, recent.maxlen):
+                    sigma /= 2.0
+                    tau /= 2.0
+                    halvings += 1
+                    diverged = True
+                    recent.clear()
+                snapshot = (mu.copy(), nu.copy())
+                record = tracker.observe(t, mu[: packing.node_dim], d_val)
+                # keep the point that set the certified dual bound
+                if record is not None and d_val >= record.dual_bound:
+                    dual_point = point
+            termination = tracker.stop(cfg, t)
+            if termination is not None:
                 break
         mu_new = np.maximum(mu - tau * (theta - packing.apply_at(nu)), 0.0)
         mu_bar = 2.0 * mu_new - mu
         mu = mu_new
         nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
-    if not stopped:
-        log_epoch(cfg.max_iters)
     return tracker.report("fpd", termination, dual_point=dual_point, step_halvings=halvings,
                           divergence_flag=diverged)

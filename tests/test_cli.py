@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.experiments
 from mrflp.cli import main
 
 import oracles
@@ -213,7 +214,30 @@ class TestVerify:
         assert run(["verify", "--model", bad, "--marginals", mu]) == 2
 
 
+class _Captured(Exception):
+    pass
+
+
 class TestExperiments:
+    @pytest.mark.parametrize("name, function", [("gap-convergence", M.run_gap_convergence),
+                                                ("infinity-scaling", M.run_infinity_scaling)])
+    def test_default_config_is_the_cli_default(self, monkeypatch, tmp_path, name, function):
+        # called without a cfg, each experiment solves with the config that
+        # its CLI builds from the default flags
+        seen = []
+
+        def capture(model, *args):
+            seen.append(next(a for a in args if isinstance(a, M.SolverConfig)))
+            raise _Captured
+
+        monkeypatch.setattr(mrflp.experiments, "run_solver", capture)
+        monkeypatch.setattr(mrflp.experiments, "solve_nesterov", capture)
+        with pytest.raises(_Captured):
+            function(tmp_path / "direct", rows=2, cols=2, labels=2)
+        with pytest.raises(_Captured):
+            run(["experiment", name, "--rows", 2, "--cols", 2, "--labels", 2, "--out-dir", tmp_path / "cli"])
+        assert seen[0] == seen[1]
+
     def test_gap_convergence_smoke(self, tmp_path):
         out = tmp_path / "exp"
         assert run(["experiment", "gap-convergence", "--rows", 3, "--cols", 3,

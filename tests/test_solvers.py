@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -65,6 +66,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             M.SolverConfig(tau0=0.0)
 
+    def test_halving_without_smoothed_gap_rejected(self):
+        # the logged smoothed gap drives the halving: without it rho never changes
+        with pytest.raises(ValueError, match="rho_schedule.*log_smoothed_gap"):
+            M.SolverConfig(rho_schedule="halving", log_smoothed_gap=False)
+
 
 class TestGapCertificate:
     def test_tree_optimal_pair(self):
@@ -123,12 +129,14 @@ class TestSubgradientSolver:
         assert report.dual_bound == pytest.approx(best, abs=1e-6)
         assert report.primal_bound == pytest.approx(best, abs=1e-6)
 
-    def test_record_layout_and_weak_duality(self):
+    @pytest.mark.parametrize("solver", ["sg-ave", "sg-wei", "nest", "fpd"])
+    def test_record_layout_and_weak_duality(self, solver):
         # frustrated instance: the budget runs out, which pins the logging grid
+        # of every solver: each epoch of t % epoch == 0, then t == max_iters
         m = M.generate_grid(4, 4, 3, law="uniform_sym", radius=1.0, seed=2)
         d = M.decompose_grid(m)
         cfg = M.SolverConfig(max_iters=95, epoch=20, tol=0.0, step_law="diminishing", tau0=0.05)
-        report = M.solve_subgradient(m, d, cfg)
+        report = M.run_solver(m, solver, cfg, d)
         assert report.termination == "max-iters"
         iters = [r.iteration for r in report.records]
         assert iters == [0, 20, 40, 60, 80, 95]
@@ -229,6 +237,19 @@ class TestNesterovSolver:
         assert len(report.records) >= 1
         assert M.constraint_residual(m, report.marginals) <= 1e-9
 
+    def test_determinism(self):
+        m = M.generate_grid(3, 3, 3, seed=6)
+        d = M.decompose_grid(m)
+        cfg = M.SolverConfig(max_iters=200, epoch=20, rho=0.5, rho_schedule="halving")
+        a = M.solve_nesterov(m, d, cfg)
+        b = M.solve_nesterov(m, d, cfg)
+        assert len(a.records) > 1
+        assert [dataclasses.replace(r, time_s=0.0) for r in a.records] == [
+            dataclasses.replace(r, time_s=0.0) for r in b.records
+        ]
+        np.testing.assert_array_equal(a.lam, b.lam)
+        assert (a.termination, a.step_halvings) == (b.termination, b.step_halvings)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stops_once_the_gap_is_round_off(self, seed):
         # on LP-tight instances the dual at lambda = 0 is already optimal, so
@@ -306,29 +327,49 @@ class TestEpochCertification:
 
 
 class TestTimeBudget:
-    @pytest.mark.parametrize("solver", ["sg-ave", "sg-wei", "nest", "fpd"])
-    def test_stops_before_an_epoch_that_would_overrun(self, monkeypatch, solver):
-        # each projection takes 0.2 s: after the first epoch the elapsed time
-        # plus one more projection exceeds the 0.3 s budget, so the run stops there
+    @pytest.mark.parametrize("solver, site", [
+        *(pytest.param(name, "project_primal_energy", id=name) for name in ("sg-ave", "sg-wei", "nest", "fpd")),
+        pytest.param("nest", "project_primal_free_energy", id="nest-entropic"),
+        pytest.param("fpd", "project_dual", id="fpd-dual"),
+    ])
+    def test_stops_before_an_epoch_that_would_overrun(self, monkeypatch, solver, site):
+        # each call of one projection kind takes 0.2 s: after the first epoch the
+        # elapsed time plus one more projection exceeds the 0.3 s budget, so the
+        # run stops there, and the sleeps count as projection time
         calls = []
-        project = mrflp.solvers.project_primal_energy
+        project = getattr(mrflp.solvers, site)
 
         def slow(*args, **kwargs):
             calls.append(None)
             time.sleep(0.2)
             return project(*args, **kwargs)
-        monkeypatch.setattr(mrflp.solvers, "project_primal_energy", slow)
+        monkeypatch.setattr(mrflp.solvers, site, slow)
         m = M.generate_grid(4, 4, 3, seed=3)
-        d = M.decompose_grid(m)
         cfg = M.SolverConfig(max_iters=1000, epoch=20, time_budget_s=0.3, rho=0.5)
-        if solver == "fpd":
-            report = M.solve_fpd(m, cfg)
-        elif solver == "nest":
-            report = M.solve_nesterov(m, d, cfg)
-        else:
-            report = M.solve_subgradient(m, d, cfg, "uniform" if solver == "sg-ave" else "step-weighted")
+        report = M.run_solver(m, solver, cfg)
         assert report.termination == "time-budget"
         assert len(calls) == len(report.records) == 1
+        assert report.projection_time_s >= 0.2 * len(calls)
+
+    def test_a_failed_projection_counts(self, monkeypatch):
+        # the 2nd entropic projection takes 0.2 s and then fails: its time is
+        # still projection time
+        real = mrflp.solvers.project_primal_free_energy
+        calls = []
+
+        def slow_failing_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                time.sleep(0.2)
+                raise NumericalError("injected entropic projection failure")
+            return real(*args)
+
+        monkeypatch.setattr(mrflp.solvers, "project_primal_free_energy", slow_failing_second)
+        m = M.generate_grid(4, 4, 3, seed=3)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=100, epoch=20, rho=0.5))
+        assert report.termination == "numerical-failure"
+        assert [r.iteration for r in report.records] == [0]
+        assert report.projection_time_s >= 0.2
 
 
 class TestWeakDualityFailure:
