@@ -49,11 +49,7 @@ from .dualdec import (
     DualContext,
     ForestPlan,
     decomposition_entropy,
-    dp_min,
-    dp_softmin,
-    entropy_upper_bound,
     free_energy,
-    reconstruct_primal_subgradient,
 )
 from .solvers import (
     SolverConfig,

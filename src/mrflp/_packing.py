@@ -93,10 +93,6 @@ class Packing:
         """The node segment of :attr:`theta`: all unary tables, flat."""
         return self.theta[: self.node_dim]
 
-    def split_nodes(self, flat_nodes: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(np.split(flat_nodes, self.node_starts[1:]))
-
-
     def labeling_index(self, x: np.ndarray) -> np.ndarray:
         """Primal-vector positions of the entries a labeling selects: one per
         node block, then one per edge block."""

@@ -81,17 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run a solver on a model file")
     solve.add_argument("--model", required=True)
     solve.add_argument("--solver", choices=SOLVERS, required=True)
-    solve.add_argument("--max-iters", type=int, default=1000)
-    solve.add_argument("--time-budget-s", type=float, default=None,
+    default = SolverConfig()
+    solve.add_argument("--max-iters", type=int, default=default.max_iters)
+    solve.add_argument("--time-budget-s", type=float, default=default.time_budget_s,
                        help="tested after each logging epoch's projections, counting that epoch's "
                             "projection time once more: a run overruns it by about one epoch at most")
-    solve.add_argument("--epoch", type=int, default=20)
-    solve.add_argument("--rho", type=float, default=1.0)
-    solve.add_argument("--rho-schedule", choices=("halving",), default=None)
-    solve.add_argument("--step-law", choices=("adaptive", "diminishing"), default="adaptive")
-    solve.add_argument("--tau0", type=float, default=1.0)
-    solve.add_argument("--tol", type=float, default=0.0)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--epoch", type=int, default=default.epoch)
+    solve.add_argument("--rho", type=float, default=default.rho)
+    solve.add_argument("--rho-schedule", choices=("halving",), default=default.rho_schedule)
+    solve.add_argument("--step-law", choices=("adaptive", "diminishing"), default=default.step_law)
+    solve.add_argument("--tau0", type=float, default=default.tau0)
+    solve.add_argument("--tol", type=float, default=default.tol)
+    solve.add_argument("--seed", type=int, default=default.seed)
     solve.add_argument("--out-dir", required=True)
     solve.add_argument("--emit-edge-marginals", action="store_true")
     solve.add_argument("--decomposition", default=None,
@@ -256,7 +257,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     base = GAP_CONVERGENCE_CFG if args.name == "gap-convergence" else INFINITY_SCALING_CFG
-    cfg = dataclasses.replace(base, max_iters=args.max_iters, epoch=args.epoch, rho=args.rho, seed=args.seed)
+    cfg = dataclasses.replace(base, max_iters=args.max_iters, epoch=args.epoch, rho=args.rho)
     if args.name == "gap-convergence":
         summary = run_gap_convergence(args.out_dir, rows=args.rows, cols=args.cols,
                                       labels=args.labels, seed=args.seed, cfg=cfg)

@@ -35,9 +35,7 @@ from .model import (
     Subgraph,
     _checked_flat,
     constraint_residual,
-    node_vector,
     relaxed_energy,
-    validate_labeling,
 )
 from .tolerances import EQ_TOL, LOG_FLOOR
 
@@ -150,9 +148,8 @@ class ForestPlan:
 
     def __init__(self, model: MrfModel, subgraph: Subgraph):
         self.model = model
-        self.subgraph = subgraph
         self.packing = packing = model.packing()
-        self.in_subgraph = in_sub = np.zeros(model.n_nodes, dtype=bool)
+        in_sub = np.zeros(model.n_nodes, dtype=bool)
         in_sub[list(subgraph.nodes)] = True
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in subgraph.nodes}
         for u, v in subgraph.edges:
@@ -261,30 +258,6 @@ class ForestPlan:
         return value, node_marg[:-1]
 
 
-def dp_min(model: MrfModel, subgraph: Subgraph, unary_blocks) -> tuple[float, np.ndarray]:
-    """Exact minimum-energy labeling of a forest subgraph.
-
-    ``unary_blocks`` replace the model's unary tables; pairwise tables come
-    from the model, restricted to the subgraph's edges.  Ties break toward
-    the smaller label at every assignment.
-    """
-    plan = ForestPlan(model, subgraph)
-    return plan.min_sum(node_vector(model, unary_blocks))
-
-
-def dp_softmin(model: MrfModel, subgraph: Subgraph, unary_blocks, rho: float):
-    """Soft minimum and Gibbs node marginals of a forest subgraph at
-    temperature ``rho``.
-
-    Returns ``(value, node_marginals)``: one marginal vector per node,
-    ``None`` for nodes outside the subgraph.
-    """
-    plan = ForestPlan(model, subgraph)
-    value, flat = plan.soft_min(node_vector(model, unary_blocks), rho)
-    blocks = model.packing().split_nodes(flat)
-    return value, tuple(b if inside else None for b, inside in zip(blocks, plan.in_subgraph))
-
-
 def _accumulate_labelings(acc: np.ndarray, packing, labelings, weights) -> None:
     """Add ``weights[k]`` to the node-layout entry of every label of
     ``labelings[k]``, in order (``np.add.at`` applies repeated entries one by
@@ -372,18 +345,12 @@ def decomposition_entropy(model: MrfModel, decomposition: Decomposition, margina
     return -float(node_w @ node_terms) - float(edge_w @ edge_terms)
 
 
-def entropy_upper_bound(model: MrfModel, decomposition: Decomposition) -> float:
-    """Upper bound on :func:`decomposition_entropy` over the local polytope."""
-    counts = np.asarray(model.label_counts, dtype=np.float64)
-    return float(np.sum(decomposition.node_counts * np.log(counts)))
-
-
 def free_energy(model: MrfModel, decomposition: Decomposition, marginals: Marginals, rho: float) -> float:
     """Entropy-smoothed relaxed energy (tree-reweighted free energy).
 
     Defined as the relaxed energy minus ``rho`` times the decomposition
     entropy, so it lower-bounds the relaxed energy on the local polytope and
-    is within ``rho * entropy_upper_bound`` of it.
+    is within ``rho * sum_v node_counts[v] * log L_v`` of it.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")
@@ -394,27 +361,3 @@ def free_energy(model: MrfModel, decomposition: Decomposition, marginals: Margin
         )
     return relaxed_energy(model, marginals) - rho * decomposition_entropy(model, decomposition, marginals)
 
-
-def reconstruct_primal_subgradient(model: MrfModel, history, weights=None) -> Marginals:
-    """Weighted average of the embedded argmin labelings of both subgraphs.
-
-    ``history`` is a sequence of ``(labeling_1, labeling_2)`` pairs; with
-    ``weights=None`` the average is uniform, otherwise entry ``k`` carries
-    weight ``weights[k]`` (the step sizes, for step-weighted averaging).
-    Returns node-only marginals; each node block is a distribution.
-    """
-    history = list(history)
-    if not history:
-        raise ValueError("history must not be empty")
-    if weights is None:
-        weights = np.ones(len(history))
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(history),) or np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum, one per entry")
-    packing = model.packing()
-    labelings = [validate_labeling(model, x) for x1, x2 in history for x in (x1, x2)]
-    acc = np.zeros(packing.node_dim)
-    _accumulate_labelings(acc, packing, labelings, np.repeat(weights, 2))
-    acc /= 2.0 * weights.sum()
-    return Marginals(acc, packing.label_counts)

@@ -10,6 +10,7 @@ offsets between the log-scale projected-energy curves at matched epochs
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from .solvers import SolverConfig, SolverReport, solve_fpd, solve_nesterov, solv
 
 GAP_SOLVERS = ("sg-ave", "sg-wei", "nest", "fpd")
 DEFAULT_INFINITIES = (1e4, 1e5, 1e6, 1e7)
-# each experiment's solver options: the functions' defaults, and the CLI's
+# each experiment's solver options: the functions' defaults, and the CLI's;
+# each function sets the config's seed to its own ``seed`` argument
 GAP_CONVERGENCE_CFG = SolverConfig(max_iters=2000, epoch=20, rho=0.1, rho_schedule="halving")
 INFINITY_SCALING_CFG = SolverConfig(max_iters=600, epoch=20, rho=2.0, log_smoothed_gap=False)
 
@@ -49,6 +51,7 @@ def run_gap_convergence(
     seed: int = 0,
     cfg: SolverConfig = GAP_CONVERGENCE_CFG,
 ) -> dict:
+    cfg = dataclasses.replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = generate_grid(rows, cols, labels, law="uniform01", seed=seed)
@@ -131,6 +134,7 @@ def run_infinity_scaling(
     strict minimum of its table, which guarantees the relaxation is tight at
     the planted labeling; the smoothing level controls how much mass the
     marginal maps leak onto forbidden entries."""
+    cfg = dataclasses.replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports: dict[float, SolverReport] = {}

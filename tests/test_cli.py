@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.cli
 import mrflp.experiments
 from mrflp.cli import main
 
@@ -16,6 +17,18 @@ import oracles
 
 def run(args):
     return main([str(a) for a in args])
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture_config(seen):
+    """A solver stand-in that records the config it is given, then stops the run."""
+    def capture(model, *args):
+        seen.append(next(a for a in args if isinstance(a, M.SolverConfig)))
+        raise _Captured
+    return capture
 
 
 class TestGenerate:
@@ -93,6 +106,15 @@ class TestSolve:
         s1 = M.read_summary(out1 / "summary.json")
         s2 = M.read_summary(out2 / "summary.json")
         assert abs(s1["dual_bound"] - s2["dual_bound"]) <= 1e-3
+
+    def test_default_flags_give_the_default_config(self, monkeypatch, tmp_path):
+        model = tmp_path / "g.uai"
+        run(["generate", "grid", "--rows", 2, "--cols", 2, "--labels", 2, "--out", model])
+        seen = []
+        monkeypatch.setattr(mrflp.cli, "run_solver", _capture_config(seen))
+        with pytest.raises(_Captured):
+            run(["solve", "--model", model, "--solver", "nest", "--out-dir", tmp_path / "run"])
+        assert seen == [M.SolverConfig()]
 
     def test_unknown_solver_rejected(self, tmp_path):
         model = tmp_path / "g.uai"
@@ -214,29 +236,24 @@ class TestVerify:
         assert run(["verify", "--model", bad, "--marginals", mu]) == 2
 
 
-class _Captured(Exception):
-    pass
-
-
 class TestExperiments:
+    @pytest.mark.parametrize("seed", [0, 4])
     @pytest.mark.parametrize("name, function", [("gap-convergence", M.run_gap_convergence),
                                                 ("infinity-scaling", M.run_infinity_scaling)])
-    def test_default_config_is_the_cli_default(self, monkeypatch, tmp_path, name, function):
+    def test_default_config_is_the_cli_default(self, monkeypatch, tmp_path, name, function, seed):
         # called without a cfg, each experiment solves with the config that
-        # its CLI builds from the default flags
+        # its CLI builds from the default flags, seeded by its seed argument
         seen = []
-
-        def capture(model, *args):
-            seen.append(next(a for a in args if isinstance(a, M.SolverConfig)))
-            raise _Captured
-
+        capture = _capture_config(seen)
         monkeypatch.setattr(mrflp.experiments, "run_solver", capture)
         monkeypatch.setattr(mrflp.experiments, "solve_nesterov", capture)
         with pytest.raises(_Captured):
-            function(tmp_path / "direct", rows=2, cols=2, labels=2)
+            function(tmp_path / "direct", rows=2, cols=2, labels=2, seed=seed)
         with pytest.raises(_Captured):
-            run(["experiment", name, "--rows", 2, "--cols", 2, "--labels", 2, "--out-dir", tmp_path / "cli"])
+            run(["experiment", name, "--rows", 2, "--cols", 2, "--labels", 2, "--seed", seed,
+                 "--out-dir", tmp_path / "cli"])
         assert seen[0] == seen[1]
+        assert seen[0].seed == seed
 
     def test_gap_convergence_smoke(self, tmp_path):
         out = tmp_path / "exp"

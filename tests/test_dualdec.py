@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
+from mrflp.dualdec import _accumulate_labelings
 from mrflp.errors import InfeasibleMarginalsError, StructureError
 
 import oracles
@@ -63,26 +64,27 @@ def tree_entropy_sum(model, decomposition, mu):
     return total
 
 
+def node_blocks(model, flat):
+    """One block per node of a flat node-layout vector."""
+    return np.split(flat, model.packing().node_starts[1:])
+
+
 class TestMinSum:
     def test_isolated_node(self):
         m = M.MrfModel.create([2], [], [np.array([0.0, 1.0])], [])
-        value, labels = M.dp_min(m, whole_graph(m), m.unary)
+        value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
         assert value == 0.0 and labels[0] == 0
 
     def test_all_zero_ties_break_low(self):
-        m = chain_model(4, 3, seed=0)
-        zeros = [np.zeros(3) for _ in range(4)]
-        value, labels = M.dp_min(m, whole_graph(m), zeros)
-        # pairwise tables still apply; rebuild with zero pairwise too
-        m0 = M.MrfModel.create([3] * 4, m.edges, zeros, [np.zeros((3, 3))] * 3)
-        value, labels = M.dp_min(m0, whole_graph(m0), zeros)
+        m = M.MrfModel.create([3] * 4, [(0, 1), (1, 2), (2, 3)], [np.zeros(3)] * 4, [np.zeros((3, 3))] * 3)
+        value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
 
     def test_chain_matches_enumeration(self):
         for seed in range(5):
             m = chain_model(3, 3, seed)
-            value, labels = M.dp_min(m, whole_graph(m), m.unary)
+            value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
             best, best_x = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             assert M.energy(m, labels) == pytest.approx(best, abs=1e-12)
@@ -90,7 +92,7 @@ class TestMinSum:
     def test_tree_matches_enumeration(self):
         for seed in range(5):
             m = random_tree_model(6, 2, seed)
-            value, labels = M.dp_min(m, whole_graph(m), m.unary)
+            value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
             best, _ = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             assert M.energy(m, labels) == pytest.approx(best, abs=1e-12)
@@ -99,7 +101,7 @@ class TestMinSum:
         m = M.generate_grid(1, 4, 2, seed=3)
         d = M.decompose_grid(m)
         # vertical side of a 1xN grid: all nodes isolated
-        value, labels = M.dp_min(m, d.subgraphs[1], m.unary)
+        value, labels = M.ForestPlan(m, d.subgraphs[1]).min_sum(m.packing().unary)
         assert value == pytest.approx(sum(float(u.min()) for u in m.unary))
 
     def test_cycle_rejected(self):
@@ -107,23 +109,22 @@ class TestMinSum:
             [2] * 3, [(0, 1), (0, 2), (1, 2)], [np.zeros(2)] * 3, [np.zeros((2, 2))] * 3
         )
         with pytest.raises(StructureError):
-            M.dp_min(m, whole_graph(m), m.unary)
+            M.ForestPlan(m, whole_graph(m))
 
     def test_path_batching_matches_generic_tree_code(self):
         # a chain and a star over the same unary tables: both shapes must
         # reach the exhaustive optimum and its labeling
         rng = np.random.default_rng(4)
         m = chain_model(7, 4, seed=9)
-        sub = whole_graph(m)
         unary = [rng.uniform(-1, 1, 4) for _ in range(7)]
-        v1, l1 = M.dp_min(m, sub, unary)
+        v1, l1 = M.ForestPlan(m, whole_graph(m)).min_sum(np.concatenate(unary))
         star = M.MrfModel.create(
             [4] * 7,
             [(0, v) for v in range(1, 7)],
             unary,
             [rng.uniform(-1, 1, (4, 4)) for _ in range(6)],
         )
-        v2, l2 = M.dp_min(star, whole_graph(star), unary)
+        v2, l2 = M.ForestPlan(star, whole_graph(star)).min_sum(star.packing().unary)
         best, best_x = oracles.exhaustive_map(star)
         assert v2 == pytest.approx(best, abs=1e-12)
         np.testing.assert_array_equal(l2, best_x)
@@ -182,17 +183,17 @@ class TestForestDpAgainstOracles:
     def test_mixed_forest_matches_enumeration(self):
         for seed in range(3):
             m = mixed_forest_model(seed)
-            sub = whole_graph(m)
-            value, labels = M.dp_min(m, sub, m.unary)
+            plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+            value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             np.testing.assert_array_equal(labels, best_x)
             for rho in (1.0, 0.2):
-                soft, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+                soft, flat = plan.soft_min(unary, rho)
                 bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
                 assert soft == pytest.approx(bvalue, abs=1e-10)
-                for v in range(m.n_nodes):
-                    np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
+                for v, marg in enumerate(node_blocks(m, flat)):
+                    np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
 
     def test_subgraph_leaving_nodes_out(self):
         m = mixed_forest_model(5)
@@ -201,40 +202,40 @@ class TestForestDpAgainstOracles:
         edges = ((2, 3), (3, 4), (6, 7), (6, 8))
         sub = M.Subgraph(nodes=nodes, edges=edges)
         rho = 0.5
-        soft, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+        soft, flat = M.ForestPlan(m, sub).soft_min(m.packing().unary, rho)
         bvalue, bnode = oracles.gibbs_bruteforce(m, edges, m.unary, rho)
         # the oracle also sums over the left-out nodes, which are independent
         outside = sum(
             float(-rho * np.log(np.sum(np.exp(-m.unary[v] / rho)))) for v in (0, 5)
         )
         assert soft == pytest.approx(bvalue - outside, abs=1e-10)
-        for v in range(m.n_nodes):
+        for v, marg in enumerate(node_blocks(m, flat)):
             if v in nodes:
-                np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
+                np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
             else:
-                assert node_marg[v] is None
+                np.testing.assert_array_equal(marg, 0.0)
 
     def test_padded_levels_match_enumeration(self):
         for seed in range(3):
             m = padded_forest_model(seed)
-            sub = whole_graph(m)
-            plan = M.ForestPlan(m, sub)
+            plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
             # both levels mix the 12-label node's shapes with the others'
             assert [g.w.shape[1:] for g in plan.groups] == [(3, 12), (12, 3)]
-            value, labels = M.dp_min(m, sub, m.unary)
+            value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert abs(value - best) <= 1e-12
             np.testing.assert_array_equal(labels, best_x)
             assert np.all(labels < np.array(m.label_counts))
             for rho in (1.0, 1e-3):
-                soft, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+                soft, flat = plan.soft_min(unary, rho)
                 bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
                 assert abs(soft - bvalue) <= 1e-10
-                for v in range(m.n_nodes):
-                    # one entry per real label, and all of the mass on them
-                    assert node_marg[v].shape == (m.label_counts[v],)
-                    assert abs(node_marg[v].sum() - 1.0) <= 1e-12
-                    np.testing.assert_allclose(node_marg[v], bnode[v], rtol=0, atol=1e-10)
+                # the flat marginals hold one entry per real label
+                assert flat.shape == unary.shape
+                for v, marg in enumerate(node_blocks(m, flat)):
+                    # all of the mass on the real labels
+                    assert abs(marg.sum() - 1.0) <= 1e-12
+                    np.testing.assert_allclose(marg, bnode[v], rtol=0, atol=1e-10)
 
 
 class TestPaddedForestDp:
@@ -277,7 +278,7 @@ class TestPaddedForestDp:
         zero = M.MrfModel.create(
             m.label_counts, m.edges, [np.zeros(c) for c in m.label_counts], [np.zeros(t.shape) for t in m.pairwise]
         )
-        value, labels = M.dp_min(zero, whole_graph(zero), zero.unary)
+        value, labels = M.ForestPlan(zero, whole_graph(zero)).min_sum(zero.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
 
@@ -285,65 +286,63 @@ class TestPaddedForestDp:
 class TestSoftMin:
     def test_single_node_symmetric(self):
         m = M.MrfModel.create([2], [], [np.zeros(2)], [])
-        value, node_marg = M.dp_softmin(m, whole_graph(m), m.unary, rho=1.0)
+        value, flat = M.ForestPlan(m, whole_graph(m)).soft_min(m.packing().unary, rho=1.0)
         assert value == pytest.approx(-np.log(2.0))
-        np.testing.assert_allclose(node_marg[0], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(flat, [0.5, 0.5], atol=1e-12)
 
     def test_softmin_below_min_within_log_cardinality(self):
         for seed in range(4):
             m = random_tree_model(5, 3, seed)
-            sub = whole_graph(m)
+            plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+            hard, _ = plan.min_sum(unary)
+            log_x = sum(np.log(c) for c in m.label_counts)
             for rho in (1.0, 0.1):
-                soft, _ = M.dp_softmin(m, sub, m.unary, rho)
-                hard, _ = M.dp_min(m, sub, m.unary)
-                log_x = sum(np.log(c) for c in m.label_counts)
+                soft, _ = plan.soft_min(unary, rho)
                 assert soft <= hard + 1e-12
                 assert hard <= soft + rho * log_x + 1e-12
 
     def test_marginals_match_exhaustive_gibbs(self):
         m = chain_model(2, 2, seed=5)
-        sub = whole_graph(m)
+        plan = M.ForestPlan(m, whole_graph(m))
         for rho in (1.0, 0.37):
-            value, node_marg = M.dp_softmin(m, sub, m.unary, rho)
+            value, flat = plan.soft_min(m.packing().unary, rho)
             bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
             assert value == pytest.approx(bvalue, abs=1e-10)
-            for v in range(2):
-                np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-10)
+            for v, marg in enumerate(node_blocks(m, flat)):
+                np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
 
     def test_tree_marginals_match_exhaustive_gibbs(self):
         m = random_tree_model(5, 2, seed=6)
-        sub = whole_graph(m)
-        value, node_marg = M.dp_softmin(m, sub, m.unary, rho=0.8)
+        value, flat = M.ForestPlan(m, whole_graph(m)).soft_min(m.packing().unary, rho=0.8)
         bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, 0.8)
         assert value == pytest.approx(bvalue, abs=1e-10)
-        for v in range(m.n_nodes):
-            np.testing.assert_allclose(node_marg[v], bnode[v], atol=1e-9)
+        for v, marg in enumerate(node_blocks(m, flat)):
+            np.testing.assert_allclose(marg, bnode[v], atol=1e-9)
 
     def test_marginals_are_distributions_and_consistent(self):
         m = M.generate_grid(3, 3, 3, seed=7)
         d = M.decompose_grid(m)
         rng = np.random.default_rng(0)
-        unary = [rng.uniform(-2, 2, 3) for _ in range(9)]
-        value, node_marg = M.dp_softmin(m, d.subgraphs[0], unary, rho=0.5)
-        for v in range(m.n_nodes):
-            assert node_marg[v].min() >= 0
-            assert node_marg[v].sum() == pytest.approx(1.0, abs=1e-12)
+        unary = rng.uniform(-2, 2, 9 * 3)
+        value, flat = M.ForestPlan(m, d.subgraphs[0]).soft_min(unary, rho=0.5)
+        for marg in node_blocks(m, flat):
+            assert marg.min() >= 0
+            assert marg.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tiny_rho_is_stable(self):
         m = chain_model(6, 3, seed=8)
-        sub = whole_graph(m)
-        soft, node_marg = M.dp_softmin(m, sub, m.unary, rho=1e-4)
-        hard, labels = M.dp_min(m, sub, m.unary)
+        plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+        soft, flat = plan.soft_min(unary, rho=1e-4)
+        hard, labels = plan.min_sum(unary)
         assert np.isfinite(soft)
         assert soft == pytest.approx(hard, abs=1e-3)
-        np.testing.assert_array_equal(
-            np.array([int(np.argmax(b)) for b in node_marg]), labels
-        )
+        np.testing.assert_array_equal([int(np.argmax(b)) for b in node_blocks(m, flat)], labels)
 
     def test_rho_must_be_positive(self):
         m = chain_model(2, 2, seed=0)
+        plan = M.ForestPlan(m, whole_graph(m))
         with pytest.raises(ValueError):
-            M.dp_softmin(m, whole_graph(m), m.unary, rho=0.0)
+            plan.soft_min(m.packing().unary, rho=0.0)
 
 
 class TestDualObjective:
@@ -461,7 +460,7 @@ class TestFreeEnergy:
         rng = np.random.default_rng(5)
         for m in (M.generate_grid(2, 3, 3, seed=7), oracles.mixed_label_grid(seed=7)):
             d = M.decompose_grid(m)
-            c_h = M.entropy_upper_bound(m, d)
+            c_h = float(np.sum(d.node_counts * np.log(m.label_counts)))
             assert c_h == pytest.approx(2 * float(np.sum(np.log(m.label_counts))))
             for rho in (1.0, 0.25):
                 for _ in range(20):
@@ -483,20 +482,29 @@ class TestFreeEnergy:
             M.free_energy(m, d, mu, rho=1.0)
 
 
+def average_labelings(model, history, weights=None):
+    """Node blocks of the labeling average that the subgradient solvers
+    accumulate: both labelings of entry ``k`` carry ``weights[k]``."""
+    weights = np.ones(len(history)) if weights is None else weights
+    packing = model.packing()
+    acc = np.zeros(packing.node_dim)
+    for pair, w in zip(history, weights):
+        _accumulate_labelings(acc, packing, pair, (w, w))
+    return node_blocks(model, acc / (2.0 * np.sum(weights)))
+
+
 class TestReconstruction:
     def test_constant_history(self):
         m = M.generate_grid(2, 2, 2, seed=9)
         x = np.array([1, 0, 0, 1])
-        blocks = M.reconstruct_primal_subgradient(m, [(x, x)] * 5).node_blocks
+        blocks = average_labelings(m, [(x, x)] * 5)
         emb = M.embed_labeling(m, x)
         for v in range(4):
             np.testing.assert_allclose(blocks[v], emb.node_blocks[v], atol=1e-12)
 
     def test_two_distinct_entries_mix(self):
         m = M.MrfModel.create([2], [], [np.zeros(2)], [])
-        blocks = M.reconstruct_primal_subgradient(
-            m, [(np.array([0]), np.array([0])), (np.array([1]), np.array([1]))]
-        ).node_blocks
+        blocks = average_labelings(m, [(np.array([0]), np.array([0])), (np.array([1]), np.array([1]))])
         np.testing.assert_allclose(blocks[0], [0.5, 0.5], atol=1e-12)
 
     def test_weighted_matches_direct_formula(self):
@@ -506,7 +514,7 @@ class TestReconstruction:
             (rng.integers(0, 2, 3), rng.integers(0, 2, 3)) for _ in range(7)
         ]
         weights = rng.random(7) + 0.1
-        blocks = M.reconstruct_primal_subgradient(m, history, weights).node_blocks
+        blocks = average_labelings(m, history, weights)
         direct = np.zeros((3, 2))
         for (x1, x2), w in zip(history, weights):
             for v in range(3):
@@ -520,15 +528,20 @@ class TestReconstruction:
         m = M.generate_grid(2, 2, 3, seed=11)
         rng = np.random.default_rng(7)
         history = [(rng.integers(0, 3, 4), rng.integers(0, 3, 4)) for _ in range(9)]
-        blocks = M.reconstruct_primal_subgradient(m, history).node_blocks
-        for b in blocks:
+        for b in average_labelings(m, history):
             assert b.min() >= 0
             assert b.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_history_rejected(self):
-        m = M.generate_grid(1, 2, 2, seed=0)
-        with pytest.raises(ValueError):
-            M.reconstruct_primal_subgradient(m, [])
+    def test_repeated_labels_add_one_by_one(self):
+        # both labelings pick the same labels: each adds its own weight
+        m = M.generate_grid(1, 3, 3, seed=12)
+        packing = m.packing()
+        x = np.array([2, 0, 1])
+        acc = np.zeros(packing.node_dim)
+        _accumulate_labelings(acc, packing, (x, x, x), (0.25, 0.5, 2.0))
+        expected = np.zeros(packing.node_dim)
+        expected[packing.node_starts + x] = 2.75
+        np.testing.assert_array_equal(acc, expected)
 
 
 class TestSmoothedStrongDuality:

@@ -1,0 +1,26 @@
+import ast
+from pathlib import Path
+
+import mrflp as M
+
+EXPORTS = [
+    "ConvergenceRecord", "Decomposition", "DualContext", "DualPoint", "EntropicTransportResult",
+    "ForestPlan", "InfeasibleMarginalsError", "InvalidLabelingError", "Marginals", "MrfModel",
+    "MrflpError", "NumericalError", "SolverConfig", "SolverReport", "StructureError", "Subgraph",
+    "TransportProblem", "TransportResult", "constraint_residual", "decompose_by_coloring",
+    "decompose_grid", "decomposition_entropy", "dual_feasibility_margin", "dual_value", "embed_labeling",
+    "energy", "free_energy", "gap_certificate", "generate_grid", "generate_lp_tight", "grid_edges",
+    "infer_grid_shape", "project_dual", "project_primal_energy", "project_primal_free_energy",
+    "read_convergence_csv", "read_dual_point", "read_labeling", "read_marginals", "read_summary",
+    "read_uai", "relaxed_energy", "round_to_labeling", "run_gap_convergence", "run_infinity_scaling",
+    "run_solver", "solve_fpd", "solve_nesterov", "solve_subgradient", "solve_transport",
+    "solve_transport_entropic", "step_size", "validate_labeling", "write_convergence_csv",
+    "write_dual_point", "write_labeling", "write_marginals", "write_summary", "write_uai",
+]
+
+
+def test_public_surface_is_pinned():
+    # every name the package imports into its namespace, against the list above
+    tree = ast.parse(Path(M.__file__).read_text())
+    names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(names) == EXPORTS
