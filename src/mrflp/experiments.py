@@ -43,6 +43,24 @@ def run_solver(model: MrfModel, solver: str, cfg: SolverConfig, decomposition=No
     raise ValueError(f"unknown solver {solver!r}; choose from sg-ave, sg-wei, nest, fpd")
 
 
+def report_summary(report: SolverReport) -> dict:
+    """The JSON summary of one run: its bounds, how it stopped and what it cost."""
+    return {
+        "dual_bound": report.dual_bound,
+        "primal_bound": report.primal_bound,
+        "integer_bound": report.integer_bound,
+        "gap": report.gap,
+        "relative_gap": report.relative_gap,
+        "termination": report.termination,
+        "iterations": report.records[-1].iteration,
+        "n_records": len(report.records),
+        "wall_time_s": report.records[-1].time_s,
+        "projection_time_s": report.projection_time_s,
+        "adaptive_step_used": report.adaptive_step_used,
+        "divergence_flag": report.divergence_flag,
+    }
+
+
 def run_gap_convergence(
     out_dir,
     rows: int = 30,
@@ -69,16 +87,7 @@ def run_gap_convergence(
         report = run_solver(model, solver, cfg, decomposition)
         reports[solver] = report
         write_convergence_csv(report.records, out / f"{solver}.csv")
-        summary["solvers"][solver] = {
-            "dual_bound": report.dual_bound,
-            "primal_bound": report.primal_bound,
-            "integer_bound": report.integer_bound,
-            "gap": report.gap,
-            "relative_gap": report.relative_gap,
-            "termination": report.termination,
-            "iterations": report.records[-1].iteration,
-            "csv": f"{solver}.csv",
-        }
+        summary["solvers"][solver] = {**report_summary(report), "csv": f"{solver}.csv"}
     write_summary(summary, out / "summary.json")
     summary["_reports"] = reports
     return summary

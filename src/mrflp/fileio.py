@@ -1,8 +1,10 @@
 """File formats: UAI models, JSON marginals/dual points, CSV convergence logs.
 
 Models are stored in the UAI pairwise text format with energy tables
-(min-sum convention), flagged by a leading comment.  Floats are written with
-``repr`` so that write -> read -> write is byte-identical.
+(min-sum convention), flagged by a leading comment.  A marginals file holds
+a full local-polytope point, its node and its edge blocks; a file without
+edge blocks is rejected.  Floats are written with ``repr`` so that
+write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ CSV_HEADER = [
     "iter", "time_s", "dual_bound", "primal_bound", "integer_bound", "gap", "rho",
     "smoothed_gap", "projected_energy",
 ]
-# logs written before the last two columns existed still read, with them None
-_CSV_HEADER_V1 = CSV_HEADER[:7]
 
 
 def _fmt(x: float) -> str:
@@ -144,22 +144,22 @@ def write_marginals(marginals: Marginals, path) -> None:
     doc = {
         "schema_version": 1,
         "node_blocks": [b.tolist() for b in marginals.node_blocks],
-        "edge_blocks": None
-        if marginals.edge_blocks is None
-        else [b.tolist() for b in marginals.edge_blocks],
+        "edge_blocks": [b.tolist() for b in marginals.edge_blocks],
     }
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def _entry(doc, key: str):
+def _entry(doc, key: str, kind: type = object):
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"JSON object with the key {key!r} expected")
+    if not isinstance(doc[key], kind):
+        raise ValueError(f"{key!r} must be a {kind.__name__}, not {type(doc[key]).__name__}")
     return doc[key]
 
 
 def read_marginals(path) -> Marginals:
     doc = json.loads(Path(path).read_text())
-    return Marginals.from_blocks(_entry(doc, "node_blocks"), doc.get("edge_blocks"))
+    return Marginals.from_blocks(_entry(doc, "node_blocks", list), _entry(doc, "edge_blocks", list))
 
 
 def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
@@ -177,7 +177,7 @@ def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
 
 def read_dual_point(path) -> DualPoint:
     doc = json.loads(Path(path).read_text())
-    messages = [(_entry(m, "from_u"), _entry(m, "from_v")) for m in _entry(doc, "messages")]
+    messages = [(_entry(m, "from_u"), _entry(m, "from_v")) for m in _entry(doc, "messages", list)]
     return DualPoint.from_blocks(_entry(doc, "node_bounds"), _entry(doc, "edge_bounds"), messages)
 
 
@@ -206,7 +206,7 @@ def read_convergence_csv(path) -> list[ConvergenceRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header not in (CSV_HEADER, _CSV_HEADER_V1):
+        if header != CSV_HEADER:
             raise StructureError(f"unexpected CSV header {header}")
         for row in reader:
             if len(row) != len(header):

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._packing import Packing, segment_arange
-from .errors import InfeasibleMarginalsError, InvalidLabelingError, StructureError
+from .errors import InvalidLabelingError, StructureError
 
 
 def _frozen_array(a, dtype=np.float64, ndim=None) -> np.ndarray:
@@ -154,40 +154,31 @@ class Marginals:
     the edge blocks row-major.
 
     ``label_counts`` are the node block sizes and the rows of
-    ``edge_shapes`` the ``(L_u, L_v)`` of the edge blocks.  Purely dual
-    reconstructions only produce node blocks; ``edge_shapes`` is then
-    ``None``, ``flat`` is the node segment and :attr:`has_edge_blocks` is
-    ``False``.  :meth:`from_blocks` packs per-node and per-edge arrays;
-    :attr:`node_blocks` and :attr:`edge_blocks` are views into ``flat``,
-    built on first access.
+    ``edge_shapes`` the ``(L_u, L_v)`` of the edge blocks; every point
+    carries both, so it can be certified.  :meth:`from_blocks` packs
+    per-node and per-edge arrays; :attr:`node_blocks` and
+    :attr:`edge_blocks` are views into ``flat``, built on first access.
     """
 
     flat: np.ndarray
     label_counts: np.ndarray
-    edge_shapes: np.ndarray | None = None
+    edge_shapes: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "flat", _frozen_array(self.flat, ndim=1))
         object.__setattr__(self, "label_counts", _frozen_array(self.label_counts, dtype=np.int64, ndim=1))
-        size = self.label_counts.sum()
-        if self.edge_shapes is not None:
-            object.__setattr__(self, "edge_shapes", _frozen_array(self.edge_shapes, dtype=np.int64, ndim=2))
-            size += self.edge_shapes.prod(axis=1).sum()
+        object.__setattr__(self, "edge_shapes", _frozen_array(self.edge_shapes, dtype=np.int64, ndim=2))
+        size = self.label_counts.sum() + self.edge_shapes.prod(axis=1).sum()
         if self.flat.size != size:
             raise ValueError(f"flat vector has {self.flat.size} entries, its blocks need {size}")
 
     @classmethod
-    def from_blocks(cls, node_blocks, edge_blocks=None) -> "Marginals":
-        """Pack one vector per node and, optionally, one table per edge."""
+    def from_blocks(cls, node_blocks, edge_blocks) -> "Marginals":
+        """Pack one vector per node and one table per edge."""
         nodes = [_frozen_array(b, ndim=1) for b in node_blocks]
-        edges = None if edge_blocks is None else [_frozen_array(b, ndim=2) for b in edge_blocks]
-        shapes = None if edges is None else np.reshape([b.shape for b in edges], (-1, 2))
-        flat = np.concatenate([*nodes, *(b.ravel() for b in edges or ()), np.zeros(0)])
-        return cls(flat, [b.size for b in nodes], shapes)
-
-    @property
-    def has_edge_blocks(self) -> bool:
-        return self.edge_shapes is not None
+        edges = [_frozen_array(b, ndim=2) for b in edge_blocks]
+        flat = np.concatenate([*nodes, *(b.ravel() for b in edges), np.zeros(0)])
+        return cls(flat, [b.size for b in nodes], np.reshape([b.shape for b in edges], (-1, 2)))
 
     @functools.cached_property
     def node_flat(self) -> np.ndarray:
@@ -199,9 +190,7 @@ class Marginals:
         return tuple(_split(self.node_flat, self.label_counts))
 
     @functools.cached_property
-    def edge_blocks(self) -> tuple[np.ndarray, ...] | None:
-        if self.edge_shapes is None:
-            return None
+    def edge_blocks(self) -> tuple[np.ndarray, ...]:
         cells = _split(self.flat[self.node_flat.size :], self.edge_shapes.prod(axis=1))
         return tuple(b.reshape(shape) for b, shape in zip(cells, self.edge_shapes.tolist()))
 
@@ -323,32 +312,32 @@ def energy(model: MrfModel, labeling) -> float:
     return float(packing.theta[packing.labeling_index(validate_labeling(model, labeling))].sum())
 
 
-def _checked_flat(model: MrfModel, marginals: Marginals, need_edges: bool = True) -> np.ndarray:
-    """The point's flat vector, or only its node segment when ``need_edges``
-    is false, after checking its block shapes against the model's."""
+def _checked_flat(model: MrfModel, marginals: Marginals) -> np.ndarray:
+    """The point's flat vector, after checking its block shapes against the
+    model's."""
     packing = model.packing()
     if not np.array_equal(marginals.label_counts, packing.label_counts):
         raise ValueError("node blocks do not match the model's label counts")
-    if not need_edges:
-        return marginals.node_flat
-    if not marginals.has_edge_blocks:
-        raise InfeasibleMarginalsError("edge blocks are missing; apply a primal projection first")
     if not np.array_equal(marginals.edge_shapes, packing.edge_shapes):
         raise ValueError("edge blocks do not match the model's pairwise tables")
     return marginals.flat
 
 
 def node_vector(model: MrfModel, points) -> np.ndarray:
-    """Flat node vector of ``points``: a :class:`Marginals` (its edge blocks
-    are ignored), a vector in the node layout, or one array per node."""
-    node_dim = model.packing().node_dim
+    """Flat node vector of ``points``: the node segment of a
+    :class:`Marginals`, a vector in the node layout, or one array per node."""
+    packing = model.packing()
+    if isinstance(points, Marginals):
+        _checked_flat(model, points)
+        return points.node_flat
     if isinstance(points, np.ndarray) and points.ndim == 1:
-        if points.size != node_dim:
-            raise ValueError(f"flat node vector has {points.size} entries, expected {node_dim}")
+        if points.size != packing.node_dim:
+            raise ValueError(f"flat node vector has {points.size} entries, expected {packing.node_dim}")
         return points.astype(np.float64, copy=False)
-    if not isinstance(points, Marginals):
-        points = Marginals.from_blocks(points)
-    return _checked_flat(model, points, need_edges=False)
+    blocks = [_frozen_array(b, ndim=1) for b in points]
+    if [b.size for b in blocks] != packing.label_counts.tolist():
+        raise ValueError("node blocks do not match the model's label counts")
+    return np.concatenate(blocks)
 
 
 def relaxed_energy(model: MrfModel, marginals: Marginals) -> float:

@@ -89,8 +89,7 @@ class TestSolve:
              "--seed", 6, "--out", model])
         out = tmp_path / "run"
         assert run(["solve", "--model", model, "--solver", "nest", "--max-iters", 200,
-                    "--epoch", 50, "--rho", 0.5, "--out-dir", out,
-                    "--emit-edge-marginals"]) == 0
+                    "--epoch", 50, "--rho", 0.5, "--out-dir", out]) == 0
         assert run(["verify", "--model", model, "--marginals", out / "marginals.json"]) == 0
 
     def test_fpd_and_nest_agree(self, tmp_path):
@@ -182,13 +181,24 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "1.0" in out.split("constraint_residual=")[1].splitlines()[0][:12]
 
+    def test_nan_marginals_fail(self, tmp_path, capsys):
+        model_path = tmp_path / "m.uai"
+        run(["generate", "grid", "--rows", 2, "--cols", 2, "--labels", 2, "--out", model_path])
+        mu = M.embed_labeling(M.read_uai(model_path), [0, 1, 1, 0])
+        node_blocks = [b.copy() for b in mu.node_blocks]
+        node_blocks[0][0] = np.nan
+        M.write_marginals(M.Marginals.from_blocks(node_blocks, mu.edge_blocks), tmp_path / "mu.json")
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--marginals", tmp_path / "mu.json"]) == 1
+        assert "verdict=FAIL" in capsys.readouterr().out
+
     def test_optimal_pair_has_tiny_gap(self, tmp_path, capsys):
         model_path = tmp_path / "chain.uai"
         run(["generate", "grid", "--rows", 1, "--cols", 6, "--labels", 2,
              "--seed", 9, "--out", model_path])
         out = tmp_path / "run"
         assert run(["solve", "--model", model_path, "--solver", "fpd", "--max-iters", 30000,
-                    "--epoch", 200, "--tol", "1e-9", "--out-dir", out, "--emit-edge-marginals"]) == 0
+                    "--epoch", 200, "--tol", "1e-9", "--out-dir", out]) == 0
         # the solve's own certified dual point pairs with its marginals
         capsys.readouterr()
         assert run(["verify", "--model", model_path, "--marginals", out / "marginals.json",
@@ -197,18 +207,38 @@ class TestVerify:
         assert lines["verdict"] == "OK"
         assert float(lines["relative_gap"]) <= 1e-8
 
+    def test_default_solve_certifies_its_own_gap(self, tmp_path, capsys):
+        model_path = tmp_path / "chain.uai"
+        run(["generate", "grid", "--rows", 1, "--cols", 6, "--labels", 2,
+             "--seed", 9, "--out", model_path])
+        out = tmp_path / "run"
+        assert run(["solve", "--model", model_path, "--solver", "fpd", "--out-dir", out]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--marginals", out / "marginals.json",
+                    "--dual", out / "dual_point.json"]) == 0
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line)
+        assert lines["verdict"] == "OK"
+        assert float(lines["relative_gap"]) <= 1e-6
+
     def test_node_only_marginals_of_wrong_shape_are_usage_errors(self, tmp_path, capsys):
         model_path = tmp_path / "m.uai"
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
         mu = tmp_path / "mu.json"
-        # a block of the wrong shape, and a document without node blocks
-        for doc in ('{"node_blocks": [[1.0]], "edge_blocks": null}', "{}"):
+        # a block of the wrong shape, a document without node blocks, node
+        # blocks that are not a list, and node blocks of the right shape
+        # without edge blocks: no point without edge blocks is certified
+        right_shape = json.dumps([[1.0, 0.0, 0.0, 0.0]] * 9)
+        for doc in ('{"node_blocks": [[1.0]], "edge_blocks": null}', "{}",
+                    '{"node_blocks": 5, "edge_blocks": null}',
+                    f'{{"node_blocks": {right_shape}, "edge_blocks": null}}',
+                    f'{{"node_blocks": {right_shape}}}'):
             mu.write_text(doc)
             capsys.readouterr()
             assert run(["verify", "--model", model_path, "--marginals", mu]) == 2
             assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["short-node-bounds", "missing-message-pair", "message-without-from-u"])
+    @pytest.mark.parametrize("defect", ["short-node-bounds", "missing-message-pair", "message-without-from-u",
+                                        "messages-not-a-list"])
     def test_malformed_dual_points_are_usage_errors(self, tmp_path, capsys, defect):
         model_path = tmp_path / "m.uai"
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
@@ -220,6 +250,8 @@ class TestVerify:
             doc["node_bounds"] = doc["node_bounds"][:1]
         elif defect == "missing-message-pair":
             doc["messages"] = doc["messages"][:-1]
+        elif defect == "messages-not-a-list":
+            doc["messages"] = 5
         else:
             del doc["messages"][0]["from_u"]
         (tmp_path / "nu.json").write_text(json.dumps(doc))

@@ -1,7 +1,10 @@
+import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 import mrflp as M
+from mrflp.cli import _build_parser
 
 EXPORTS = [
     "ConvergenceRecord", "Decomposition", "DualContext", "DualPoint", "EntropicTransportResult",
@@ -24,3 +27,20 @@ def test_public_surface_is_pinned():
     tree = ast.parse(Path(M.__file__).read_text())
     names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert sorted(names) == EXPORTS
+
+
+CONFIG_FIELDS = [
+    "max_iters", "time_budget_s", "epoch", "tol", "seed", "step_law", "tau0", "rho", "rho_schedule",
+    "log_smoothed_gap",
+]
+SOLVE_OPTIONS = [
+    "--decomposition", "--epoch", "--help", "--max-iters", "--model", "--out-dir", "--rho",
+    "--rho-schedule", "--seed", "--solver", "--step-law", "--tau0", "--time-budget-s", "--tol", "-h",
+]
+
+
+def test_settable_surface_is_pinned():
+    # every solver option and every flag of ``mrflp solve``: a new knob shows up here
+    assert [f.name for f in dataclasses.fields(M.SolverConfig)] == CONFIG_FIELDS
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(s for a in commands.choices["solve"]._actions for s in a.option_strings) == SOLVE_OPTIONS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
-from mrflp.errors import InfeasibleMarginalsError, InvalidLabelingError, StructureError
+from mrflp.errors import InvalidLabelingError, StructureError
 
 import oracles
 
@@ -98,12 +98,6 @@ class TestRelaxedEnergy:
             assert M.relaxed_energy(m, mu) == pytest.approx(
                 float(oracles.theta_vector(m) @ x_lp), abs=1e-10
             )
-
-    def test_missing_edge_blocks_raise(self):
-        m = two_node_chain()
-        mu = M.Marginals.from_blocks(node_blocks=(np.array([1.0, 0.0]), np.array([1.0, 0.0])))
-        with pytest.raises(InfeasibleMarginalsError):
-            M.relaxed_energy(m, mu)
 
 
 class TestEmbedding:
@@ -283,11 +277,11 @@ class TestRounding:
         np.testing.assert_array_equal(M.round_to_labeling(M.embed_labeling(m, x)), x)
 
     def test_tie_goes_to_smallest(self):
-        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.5, 0.5]),))
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.5, 0.5]),), edge_blocks=())
         assert M.round_to_labeling(mu)[0] == 0
 
     def test_argmax(self):
-        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.2, 0.7, 0.1]),))
+        mu = M.Marginals.from_blocks(node_blocks=(np.array([0.2, 0.7, 0.1]),), edge_blocks=())
         assert M.round_to_labeling(mu)[0] == 1
 
 
