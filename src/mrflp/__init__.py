@@ -18,7 +18,6 @@ from .model import (
     DualPoint,
     Marginals,
     MrfModel,
-    Subgraph,
     constraint_residual,
     decompose_by_coloring,
     decompose_grid,

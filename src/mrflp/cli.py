@@ -42,7 +42,7 @@ from .fileio import (
     write_uai,
 )
 from .generators import generate_grid, generate_lp_tight
-from .model import constraint_residual, decompose_grid, relaxed_energy
+from .model import constraint_residual, decompose_by_coloring, relaxed_energy
 from .projections import dual_feasibility_margin, dual_value
 from .solvers import SolverConfig
 from .tolerances import EQ_TOL
@@ -175,7 +175,7 @@ def _cmd_solve(args) -> int:
     decomposition = None
     if args.decomposition is not None:
         colors = json.loads(Path(args.decomposition).read_text())
-        decomposition = decompose_grid(model, colors)
+        decomposition = decompose_by_coloring(model, colors)
     report = run_solver(model, args.solver, cfg, decomposition)
 
     out = Path(args.out_dir)

@@ -1,7 +1,8 @@
 """Dual decomposition: forest oracles, nonsmooth/smoothed duals, free energy.
 
-A two-forest decomposition splits the energy into two tractable parts whose
-unary tables are shifted against each other by a reparametrization vector.
+A decomposition colors each edge 0 or 1, splitting the graph into two
+spanning forests and the energy into two tractable parts whose unary tables
+are shifted against each other by a reparametrization vector.
 The decomposition dual is the sum of the two forest minima; its smoothed
 variant replaces min by a soft-min at temperature ``rho`` and is
 continuously differentiable with the difference of the two forest marginal
@@ -32,7 +33,6 @@ from .model import (
     Decomposition,
     Marginals,
     MrfModel,
-    Subgraph,
     _checked_flat,
     constraint_residual,
     relaxed_energy,
@@ -120,14 +120,15 @@ def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
         for y, e in adj[x]:
             if y != p:
                 if y in seen:
-                    raise StructureError("subgraph contains a cycle")
+                    raise StructureError("forest contains a cycle")
                 seen.add(y)
                 order.append((y, x, e, depth + 1))
     return order
 
 
 class ForestPlan:
-    """Precomputed traversal structure of one forest subgraph.
+    """Precomputed traversal structure of one forest: the given edges of
+    the model over all of its nodes.
 
     Each tree is rooted at a center of its longest path, so its depth is
     its radius.  Each depth level of tree edges is one DP step, or a few
@@ -146,15 +147,11 @@ class ForestPlan:
     the iterative solvers rely on.
     """
 
-    def __init__(self, model: MrfModel, subgraph: Subgraph):
+    def __init__(self, model: MrfModel, edges):
         self.model = model
         self.packing = packing = model.packing()
-        in_sub = np.zeros(model.n_nodes, dtype=bool)
-        in_sub[list(subgraph.nodes)] = True
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in subgraph.nodes}
-        for u, v in subgraph.edges:
-            if not (in_sub[u] and in_sub[v]):
-                raise StructureError(f"edge {(u, v)} leaves the subgraph's node set")
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(model.n_nodes)}
+        for u, v in edges:
             e = model.edge_id(u, v)
             adj[u].append((v, e))
             adj[v].append((u, e))
@@ -163,7 +160,7 @@ class ForestPlan:
         # with edge -1
         rows: list[tuple[int, int, int, int]] = []
         done: set[int] = set()
-        for start in subgraph.nodes:
+        for start in range(model.n_nodes):
             if start in done:
                 continue
             # a deepest node from anywhere ends a longest path; walk back
@@ -236,8 +233,8 @@ class ForestPlan:
         """Soft minimum of the forest energy at temperature ``rho``.
 
         Returns ``(value, node_marginals_flat)``; the flat marginals align
-        with the unary layout (zero outside the subgraph) and are ``None``
-        when ``want_marginals`` is false.
+        with the unary layout and are ``None`` when ``want_marginals`` is
+        false.
         """
         if rho <= 0.0:
             raise ValueError("rho must be positive")
@@ -269,34 +266,21 @@ def _accumulate_labelings(acc: np.ndarray, packing, labelings, weights) -> None:
 class DualContext:
     """Reusable evaluation context for the two-forest decomposition dual.
 
-    A dual point ``lam`` is a flat vector in the unary layout.  Forest 0 sees
-    the unary tables ``theta / 2 + lam`` and forest 1 sees
-    ``theta / 2 - lam``, so the two energies always sum to the original.
+    A dual point ``lam`` is a flat vector in the unary layout.  Forest ``c``
+    holds the edges of color ``c``; forest 0 sees the unary tables
+    ``theta / 2 + lam`` and forest 1 sees ``theta / 2 - lam``, so the two
+    energies always sum to the original.
     """
 
     def __init__(self, model: MrfModel, decomposition: Decomposition):
-        if len(decomposition.subgraphs) != 2:
-            raise StructureError("dual decomposition operations support exactly two subgraphs")
-        cover = set()
-        for sg in decomposition.subgraphs:
-            if set(sg.nodes) != set(range(model.n_nodes)):
-                raise StructureError("each subgraph must cover every node")
-            cover.update(sg.edges)
-        if cover != set(model.edges):
-            raise StructureError("subgraph edges must cover the model's edges")
-        if len(decomposition.subgraphs[0].edges) + len(decomposition.subgraphs[1].edges) != model.n_edges:
-            raise StructureError("subgraph edge sets must be disjoint")
-        self.model = model
-        self.decomposition = decomposition
         self.packing = model.packing()
-        self.theta_nodes = self.packing.unary
-        self.plans = [ForestPlan(model, sg) for sg in decomposition.subgraphs]
+        self.plans = [ForestPlan(model, decomposition.forest(model, c)) for c in (0, 1)]
 
     def _sides(self, lam) -> tuple[np.ndarray, np.ndarray]:
         lam = np.asarray(lam, dtype=np.float64)
         if lam.shape != (self.packing.node_dim,):
             raise ValueError(f"lambda must be a flat vector of length {self.packing.node_dim}")
-        half = self.theta_nodes / 2.0
+        half = self.packing.unary / 2.0
         return half + lam, half - lam
 
     def value_and_subgradient(self, lam):
@@ -325,10 +309,11 @@ class DualContext:
 
 
 def decomposition_entropy(model: MrfModel, decomposition: Decomposition, marginals: Marginals) -> float:
-    """Weighted sum of node entropies minus edge mutual informations.
+    """Node entropies minus edge mutual informations, each node counted
+    twice: every node lies in both forests, every edge in one.
 
-    Equals the sum of the subgraph tree entropies, hence nonnegative on the
-    local polytope.
+    Equals the sum of the two forests' tree entropies, hence nonnegative on
+    the local polytope.
     """
     packing = model.packing()
     flat = _checked_flat(model, marginals)
@@ -340,7 +325,7 @@ def decomposition_entropy(model: MrfModel, decomposition: Decomposition, margina
     ratio = np.log(np.maximum(edges, LOG_FLOOR)) - log_nodes[packing.u_gather[packing.cell_u]]
     ratio -= log_nodes[packing.v_gather[packing.cell_v]]
     edge_terms = np.where(edges > 0.0, edges * ratio, 0.0)
-    node_w = np.repeat(decomposition.node_counts, packing.label_counts)
+    node_w = np.full(packing.node_dim, 2)
     edge_w = np.repeat(decomposition.edge_counts, packing.block_sizes)
     return -float(node_w @ node_terms) - float(edge_w @ edge_terms)
 
@@ -350,7 +335,7 @@ def free_energy(model: MrfModel, decomposition: Decomposition, marginals: Margin
 
     Defined as the relaxed energy minus ``rho`` times the decomposition
     entropy, so it lower-bounds the relaxed energy on the local polytope and
-    is within ``rho * sum_v node_counts[v] * log L_v`` of it.
+    is within ``2 * rho * sum_v log L_v`` of it.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")

@@ -32,7 +32,10 @@ from .errors import InvalidLabelingError, StructureError
 
 
 def _frozen_array(a, dtype=np.float64, ndim=None) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
+    try:
+        out = np.array(a, dtype=dtype, copy=True)
+    except TypeError as exc:  # e.g. a JSON object where a number belongs
+        raise ValueError(f"expected numbers: {exc}") from None
     if ndim is not None and out.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {out.shape}")
     out.flags.writeable = False
@@ -246,29 +249,33 @@ class DualPoint:
 
 
 @dataclasses.dataclass(frozen=True)
-class Subgraph:
-    """Node/edge subset of a master graph (edges must exist in the model)."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class Decomposition:
-    """Cover of the master graph by forests.
+    """Split of the model's edges into two forests that both span every
+    node: ``colors[e]`` (0 or 1) is the forest holding edge ``e``, so every
+    node lies in two forests and every edge in one."""
 
-    ``node_counts[v]`` is the number of subgraphs containing node ``v`` and
-    ``edge_counts[e]`` the number containing edge ``e`` (one, for an
-    edge-disjoint cover).
-    """
-
-    subgraphs: tuple[Subgraph, ...]
-    node_counts: np.ndarray
-    edge_counts: np.ndarray
+    colors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "node_counts", _frozen_array(self.node_counts, dtype=np.int64, ndim=1))
-        object.__setattr__(self, "edge_counts", _frozen_array(self.edge_counts, dtype=np.int64, ndim=1))
+        try:
+            colors = np.array(self.colors)
+        except ValueError:  # ragged nested lists
+            colors = np.zeros((0, 0))
+        flat_ints = colors.ndim == 1 and (colors.size == 0 or colors.dtype.kind in "biu")
+        if not flat_ints or np.any((colors != 0) & (colors != 1)):
+            raise StructureError("colors must be a flat list of 0s and 1s, one per edge")
+        object.__setattr__(self, "colors", _frozen_array(colors, dtype=np.int64))
+
+    @property
+    def edge_counts(self) -> np.ndarray:
+        """Number of forests holding each edge: always one."""
+        return np.ones(len(self.colors), dtype=np.int64)
+
+    def forest(self, model: MrfModel, c: int) -> list[tuple[int, int]]:
+        """The model's edges of color ``c``, in model order."""
+        if len(self.colors) != model.n_edges:
+            raise StructureError("need exactly one color per edge")
+        return [uv for uv, k in zip(model.edges, self.colors.tolist()) if k == c]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -394,31 +401,13 @@ def _forest_check(n_nodes: int, edges: Iterable[tuple[int, int]]) -> bool:
 
 
 def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decomposition:
-    """Two-subgraph decomposition from a user-supplied edge 2-coloring.
-
-    Both subgraphs keep every node; edges with color 0 go to the first
-    subgraph, color 1 to the second.  Each side must be a forest.
-    """
-    if len(colors) != model.n_edges:
-        raise StructureError("need exactly one color per edge")
-    if any(c not in (0, 1) for c in colors):
-        raise StructureError("colors must be 0 or 1")
-    sides: list[list[tuple[int, int]]] = [[], []]
-    for e, (u, v) in enumerate(model.edges):
-        sides[colors[e]].append((u, v))
-    for i in (0, 1):
-        if not _forest_check(model.n_nodes, sides[i]):
-            raise StructureError(f"subgraph {i} of the supplied coloring contains a cycle")
-    nodes = tuple(range(model.n_nodes))
-    subgraphs = (
-        Subgraph(nodes=nodes, edges=tuple(sides[0])),
-        Subgraph(nodes=nodes, edges=tuple(sides[1])),
-    )
-    return Decomposition(
-        subgraphs=subgraphs,
-        node_counts=np.full(model.n_nodes, 2, dtype=np.int64),
-        edge_counts=np.ones(model.n_edges, dtype=np.int64),
-    )
+    """Two-forest decomposition from a user-supplied edge 2-coloring; each
+    side must be acyclic."""
+    decomposition = Decomposition(colors)
+    for c in (0, 1):
+        if not _forest_check(model.n_nodes, decomposition.forest(model, c)):
+            raise StructureError(f"forest {c} of the supplied coloring contains a cycle")
+    return decomposition
 
 
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
@@ -450,15 +439,13 @@ def infer_grid_shape(model: MrfModel) -> tuple[int, int] | None:
     return None
 
 
-def decompose_grid(model: MrfModel, colors: Sequence[int] | None = None) -> Decomposition:
+def decompose_grid(model: MrfModel) -> Decomposition:
     """Horizontal/vertical decomposition of a grid model.
 
-    For non-grid models a user coloring must be supplied (see
-    :func:`decompose_by_coloring`); there is no automatic decomposition
-    beyond grids.
+    For non-grid models use :func:`decompose_by_coloring` with a coloring of
+    the edges into two forests; there is no automatic decomposition beyond
+    grids.
     """
-    if colors is not None:
-        return decompose_by_coloring(model, colors)
     shape = infer_grid_shape(model)
     if shape is None:
         raise StructureError(

@@ -313,8 +313,8 @@ class _Tracker:
         )
 
 
-def _diverging(recent: deque, window: int) -> bool:
-    if len(recent) < window:
+def _diverging(recent: deque) -> bool:
+    if len(recent) < recent.maxlen:
         return False
     vals = list(recent)
     return all(b < a - 1e-6 for a, b in zip(vals, vals[1:]))
@@ -355,7 +355,7 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
             # acc_w > 0: the first step, tau0 or 1, has positive weight
             tracker.observe(t, acc / acc_w, value, extra_labeling=x1)
             termination = tracker.stop(cfg, t, dual_optimal=optimal)
-            if termination is None and _diverging(recent, DIVERGENCE_WINDOW):
+            if termination is None and _diverging(recent):
                 termination = "numerical-failure"
             if termination is not None:
                 break
@@ -481,7 +481,7 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
             if point is not None:
                 d_val = dual_value(model, point)
                 recent.append(d_val)
-                if _diverging(recent, recent.maxlen):
+                if _diverging(recent):
                     sigma /= 2.0
                     tau /= 2.0
                     halvings += 1

@@ -155,6 +155,16 @@ class TestSolve:
         best, _ = oracles.exhaustive_map(m)
         assert abs(summary["dual_bound"] - best) <= 1e-6
 
+    @pytest.mark.parametrize("doc", ["5", "[0.0, 1.0, 0.0, 1.0]"], ids=["scalar", "floats"])
+    def test_malformed_decomposition_file_is_a_usage_error(self, tmp_path, capsys, doc):
+        model = tmp_path / "m.uai"
+        M.write_uai(M.generate_grid(2, 2, 2, seed=0), model)
+        coloring = tmp_path / "colors.json"
+        coloring.write_text(doc)
+        assert run(["solve", "--model", model, "--solver", "nest", "--max-iters", 5,
+                    "--decomposition", coloring, "--out-dir", tmp_path / "run"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_embedding_passes(self, tmp_path):
@@ -224,21 +234,25 @@ class TestVerify:
         model_path = tmp_path / "m.uai"
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
         mu = tmp_path / "mu.json"
+        M.write_marginals(M.embed_labeling(M.read_uai(model_path), [0] * 9), mu)
+        non_numeric = json.loads(mu.read_text())
+        non_numeric["node_blocks"][0] = {"a": 1}
         # a block of the wrong shape, a document without node blocks, node
-        # blocks that are not a list, and node blocks of the right shape
-        # without edge blocks: no point without edge blocks is certified
+        # blocks that are not a list, node blocks of the right shape without
+        # edge blocks (no point without edge blocks is certified), and a
+        # node block that is not numeric
         right_shape = json.dumps([[1.0, 0.0, 0.0, 0.0]] * 9)
         for doc in ('{"node_blocks": [[1.0]], "edge_blocks": null}', "{}",
                     '{"node_blocks": 5, "edge_blocks": null}',
                     f'{{"node_blocks": {right_shape}, "edge_blocks": null}}',
-                    f'{{"node_blocks": {right_shape}}}'):
+                    f'{{"node_blocks": {right_shape}}}', json.dumps(non_numeric)):
             mu.write_text(doc)
             capsys.readouterr()
             assert run(["verify", "--model", model_path, "--marginals", mu]) == 2
             assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", ["short-node-bounds", "missing-message-pair", "message-without-from-u",
-                                        "messages-not-a-list"])
+                                        "messages-not-a-list", "non-numeric-message"])
     def test_malformed_dual_points_are_usage_errors(self, tmp_path, capsys, defect):
         model_path = tmp_path / "m.uai"
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
@@ -252,6 +266,8 @@ class TestVerify:
             doc["messages"] = doc["messages"][:-1]
         elif defect == "messages-not-a-list":
             doc["messages"] = 5
+        elif defect == "non-numeric-message":
+            doc["messages"][0]["from_u"] = {"a": 1}
         else:
             del doc["messages"][0]["from_u"]
         (tmp_path / "nu.json").write_text(json.dumps(doc))

@@ -29,10 +29,6 @@ def random_tree_model(n, labels, seed):
     )
 
 
-def whole_graph(model):
-    return M.Subgraph(nodes=tuple(range(model.n_nodes)), edges=model.edges)
-
-
 def random_feasible_marginals(model, rng, k=4):
     """Convex combination of labeling embeddings: feasible by construction."""
     weights = rng.random(k)
@@ -49,14 +45,14 @@ def random_feasible_marginals(model, rng, k=4):
 
 
 def tree_entropy_sum(model, decomposition, mu):
-    """Sum over the subgraphs of their tree entropies: node entropies minus
-    the mutual information of every tree edge."""
+    """Sum over the two spanning forests of their tree entropies: node
+    entropies minus the mutual information of every tree edge."""
     total = 0.0
-    for sg in decomposition.subgraphs:
-        for v in sg.nodes:
+    for c in (0, 1):
+        for v in range(model.n_nodes):
             p = mu.node_blocks[v][mu.node_blocks[v] > 0]
             total -= float(np.sum(p * np.log(p)))
-        for u, v in sg.edges:
+        for u, v in decomposition.forest(model, c):
             joint = mu.edge_blocks[model.edge_id(u, v)]
             product = np.outer(mu.node_blocks[u], mu.node_blocks[v])
             pos = joint > 0
@@ -72,19 +68,19 @@ def node_blocks(model, flat):
 class TestMinSum:
     def test_isolated_node(self):
         m = M.MrfModel.create([2], [], [np.array([0.0, 1.0])], [])
-        value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
+        value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
         assert value == 0.0 and labels[0] == 0
 
     def test_all_zero_ties_break_low(self):
         m = M.MrfModel.create([3] * 4, [(0, 1), (1, 2), (2, 3)], [np.zeros(3)] * 4, [np.zeros((3, 3))] * 3)
-        value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
+        value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
 
     def test_chain_matches_enumeration(self):
         for seed in range(5):
             m = chain_model(3, 3, seed)
-            value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
+            value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
             best, best_x = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             assert M.energy(m, labels) == pytest.approx(best, abs=1e-12)
@@ -92,7 +88,7 @@ class TestMinSum:
     def test_tree_matches_enumeration(self):
         for seed in range(5):
             m = random_tree_model(6, 2, seed)
-            value, labels = M.ForestPlan(m, whole_graph(m)).min_sum(m.packing().unary)
+            value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
             best, _ = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             assert M.energy(m, labels) == pytest.approx(best, abs=1e-12)
@@ -101,7 +97,7 @@ class TestMinSum:
         m = M.generate_grid(1, 4, 2, seed=3)
         d = M.decompose_grid(m)
         # vertical side of a 1xN grid: all nodes isolated
-        value, labels = M.ForestPlan(m, d.subgraphs[1]).min_sum(m.packing().unary)
+        value, labels = M.ForestPlan(m, d.forest(m, 1)).min_sum(m.packing().unary)
         assert value == pytest.approx(sum(float(u.min()) for u in m.unary))
 
     def test_cycle_rejected(self):
@@ -109,7 +105,7 @@ class TestMinSum:
             [2] * 3, [(0, 1), (0, 2), (1, 2)], [np.zeros(2)] * 3, [np.zeros((2, 2))] * 3
         )
         with pytest.raises(StructureError):
-            M.ForestPlan(m, whole_graph(m))
+            M.ForestPlan(m, m.edges)
 
     def test_path_batching_matches_generic_tree_code(self):
         # a chain and a star over the same unary tables: both shapes must
@@ -117,14 +113,14 @@ class TestMinSum:
         rng = np.random.default_rng(4)
         m = chain_model(7, 4, seed=9)
         unary = [rng.uniform(-1, 1, 4) for _ in range(7)]
-        v1, l1 = M.ForestPlan(m, whole_graph(m)).min_sum(np.concatenate(unary))
+        v1, l1 = M.ForestPlan(m, m.edges).min_sum(np.concatenate(unary))
         star = M.MrfModel.create(
             [4] * 7,
             [(0, v) for v in range(1, 7)],
             unary,
             [rng.uniform(-1, 1, (4, 4)) for _ in range(6)],
         )
-        v2, l2 = M.ForestPlan(star, whole_graph(star)).min_sum(star.packing().unary)
+        v2, l2 = M.ForestPlan(star, star.edges).min_sum(star.packing().unary)
         best, best_x = oracles.exhaustive_map(star)
         assert v2 == pytest.approx(best, abs=1e-12)
         np.testing.assert_array_equal(l2, best_x)
@@ -183,7 +179,7 @@ class TestForestDpAgainstOracles:
     def test_mixed_forest_matches_enumeration(self):
         for seed in range(3):
             m = mixed_forest_model(seed)
-            plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
             value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
@@ -195,30 +191,22 @@ class TestForestDpAgainstOracles:
                 for v, marg in enumerate(node_blocks(m, flat)):
                     np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
 
-    def test_subgraph_leaving_nodes_out(self):
+    def test_forest_of_some_edges_matches_enumeration(self):
         m = mixed_forest_model(5)
-        # drop nodes 0 and 5 with the edge (4, 5), and the leaf edge (6, 9)
-        nodes = (1, 2, 3, 4, 6, 7, 8, 9)
+        # leave out the edges (4, 5) and (6, 9): nodes 5 and 9 become
+        # isolated in the forest, which still spans every node
         edges = ((2, 3), (3, 4), (6, 7), (6, 8))
-        sub = M.Subgraph(nodes=nodes, edges=edges)
         rho = 0.5
-        soft, flat = M.ForestPlan(m, sub).soft_min(m.packing().unary, rho)
+        soft, flat = M.ForestPlan(m, edges).soft_min(m.packing().unary, rho)
         bvalue, bnode = oracles.gibbs_bruteforce(m, edges, m.unary, rho)
-        # the oracle also sums over the left-out nodes, which are independent
-        outside = sum(
-            float(-rho * np.log(np.sum(np.exp(-m.unary[v] / rho)))) for v in (0, 5)
-        )
-        assert soft == pytest.approx(bvalue - outside, abs=1e-10)
+        assert soft == pytest.approx(bvalue, abs=1e-10)
         for v, marg in enumerate(node_blocks(m, flat)):
-            if v in nodes:
-                np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
-            else:
-                np.testing.assert_array_equal(marg, 0.0)
+            np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
 
     def test_padded_levels_match_enumeration(self):
         for seed in range(3):
             m = padded_forest_model(seed)
-            plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
             # both levels mix the 12-label node's shapes with the others'
             assert [g.w.shape[1:] for g in plan.groups] == [(3, 12), (12, 3)]
             value, labels = plan.min_sum(unary)
@@ -245,7 +233,7 @@ class TestPaddedForestDp:
         counts = np.random.default_rng(5).permutation(np.arange(60) % 4 + 2)
         counts[7] = 12
         m = random_forest_model(counts, seed=5, big=1e6)
-        plan = M.ForestPlan(m, whole_graph(m))
+        plan = M.ForestPlan(m, m.edges)
         unary = m.packing().unary
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             value, labels = plan.min_sum(unary)
@@ -258,18 +246,18 @@ class TestPaddedForestDp:
     def test_one_step_per_level_unless_padding_is_wasteful(self):
         rng = np.random.default_rng(2)
         balanced = random_forest_model(rng.permutation(np.arange(300) % 4 + 2), seed=2)
-        plan = M.ForestPlan(balanced, whole_graph(balanced))
+        plan = M.ForestPlan(balanced, balanced.edges)
         depths = [g.depth for g in plan.groups]
         assert depths == list(range(max(depths), 0, -1))
         assert len(plan.root_groups) == 1
         skewed_counts = np.full(300, 2)
         skewed_counts[[10, 150, 290]] = 50
         skewed = random_forest_model(skewed_counts, seed=3)
-        split = M.ForestPlan(skewed, whole_graph(skewed)).groups
+        split = M.ForestPlan(skewed, skewed.edges).groups
         assert len(split) > len({g.depth for g in split})
         for m in (balanced, skewed):
             counts = np.array(m.label_counts)
-            for g in M.ForestPlan(m, whole_graph(m)).groups:
+            for g in M.ForestPlan(m, m.edges).groups:
                 real = int(np.sum(counts[g.child] * counts[g.parent]))
                 assert len(g.child) == 1 or g.w.size <= M.dualdec.PAD_WASTE * real
 
@@ -278,7 +266,7 @@ class TestPaddedForestDp:
         zero = M.MrfModel.create(
             m.label_counts, m.edges, [np.zeros(c) for c in m.label_counts], [np.zeros(t.shape) for t in m.pairwise]
         )
-        value, labels = M.ForestPlan(zero, whole_graph(zero)).min_sum(zero.packing().unary)
+        value, labels = M.ForestPlan(zero, zero.edges).min_sum(zero.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
 
@@ -286,14 +274,14 @@ class TestPaddedForestDp:
 class TestSoftMin:
     def test_single_node_symmetric(self):
         m = M.MrfModel.create([2], [], [np.zeros(2)], [])
-        value, flat = M.ForestPlan(m, whole_graph(m)).soft_min(m.packing().unary, rho=1.0)
+        value, flat = M.ForestPlan(m, m.edges).soft_min(m.packing().unary, rho=1.0)
         assert value == pytest.approx(-np.log(2.0))
         np.testing.assert_allclose(flat, [0.5, 0.5], atol=1e-12)
 
     def test_softmin_below_min_within_log_cardinality(self):
         for seed in range(4):
             m = random_tree_model(5, 3, seed)
-            plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
             hard, _ = plan.min_sum(unary)
             log_x = sum(np.log(c) for c in m.label_counts)
             for rho in (1.0, 0.1):
@@ -303,7 +291,7 @@ class TestSoftMin:
 
     def test_marginals_match_exhaustive_gibbs(self):
         m = chain_model(2, 2, seed=5)
-        plan = M.ForestPlan(m, whole_graph(m))
+        plan = M.ForestPlan(m, m.edges)
         for rho in (1.0, 0.37):
             value, flat = plan.soft_min(m.packing().unary, rho)
             bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
@@ -313,7 +301,7 @@ class TestSoftMin:
 
     def test_tree_marginals_match_exhaustive_gibbs(self):
         m = random_tree_model(5, 2, seed=6)
-        value, flat = M.ForestPlan(m, whole_graph(m)).soft_min(m.packing().unary, rho=0.8)
+        value, flat = M.ForestPlan(m, m.edges).soft_min(m.packing().unary, rho=0.8)
         bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, 0.8)
         assert value == pytest.approx(bvalue, abs=1e-10)
         for v, marg in enumerate(node_blocks(m, flat)):
@@ -324,14 +312,14 @@ class TestSoftMin:
         d = M.decompose_grid(m)
         rng = np.random.default_rng(0)
         unary = rng.uniform(-2, 2, 9 * 3)
-        value, flat = M.ForestPlan(m, d.subgraphs[0]).soft_min(unary, rho=0.5)
+        value, flat = M.ForestPlan(m, d.forest(m, 0)).soft_min(unary, rho=0.5)
         for marg in node_blocks(m, flat):
             assert marg.min() >= 0
             assert marg.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_tiny_rho_is_stable(self):
         m = chain_model(6, 3, seed=8)
-        plan, unary = M.ForestPlan(m, whole_graph(m)), m.packing().unary
+        plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
         soft, flat = plan.soft_min(unary, rho=1e-4)
         hard, labels = plan.min_sum(unary)
         assert np.isfinite(soft)
@@ -340,7 +328,7 @@ class TestSoftMin:
 
     def test_rho_must_be_positive(self):
         m = chain_model(2, 2, seed=0)
-        plan = M.ForestPlan(m, whole_graph(m))
+        plan = M.ForestPlan(m, m.edges)
         with pytest.raises(ValueError):
             plan.soft_min(m.packing().unary, rho=0.0)
 
@@ -378,16 +366,13 @@ class TestDualObjective:
             vm, _, _ = ctx.value_and_subgradient((a + b) / 2)
             assert vm >= (va + vb) / 2 - 1e-9
 
-    def test_requires_two_subgraphs(self):
+    @pytest.mark.parametrize("colors", [[0, 1, 0], [0, 1, 0, 1, 0]], ids=["short", "long"])
+    def test_wrong_length_coloring_rejected(self, colors):
         m = M.generate_grid(2, 2, 2, seed=0)
-        d = M.decompose_grid(m)
-        bad = M.Decomposition(
-            subgraphs=(d.subgraphs[0],),
-            node_counts=np.ones(4, dtype=np.int64),
-            edge_counts=np.ones(4, dtype=np.int64),
-        )
-        with pytest.raises(StructureError):
-            M.DualContext(m, bad).value_and_subgradient(np.zeros(8))
+        with pytest.raises(StructureError, match="one color per edge"):
+            M.decompose_by_coloring(m, colors)
+        with pytest.raises(StructureError, match="one color per edge"):
+            M.DualContext(m, M.Decomposition(colors))
 
 
 class TestSmoothedDual:
@@ -444,7 +429,7 @@ class TestFreeEnergy:
         m = M.MrfModel.create(
             [2] * 3, [(0, 1), (1, 2)], [np.zeros(2)] * 3, [np.zeros((2, 2))] * 2
         )
-        d = M.decompose_grid(m, colors=[0, 1])
+        d = M.decompose_by_coloring(m, [0, 1])
         mu = M.Marginals.from_blocks(
             node_blocks=tuple(np.full(2, 0.5) for _ in range(3)),
             edge_blocks=tuple(np.full((2, 2), 0.25) for _ in range(2)),
@@ -460,8 +445,7 @@ class TestFreeEnergy:
         rng = np.random.default_rng(5)
         for m in (M.generate_grid(2, 3, 3, seed=7), oracles.mixed_label_grid(seed=7)):
             d = M.decompose_grid(m)
-            c_h = float(np.sum(d.node_counts * np.log(m.label_counts)))
-            assert c_h == pytest.approx(2 * float(np.sum(np.log(m.label_counts))))
+            c_h = 2 * float(np.sum(np.log(m.label_counts)))
             for rho in (1.0, 0.25):
                 for _ in range(20):
                     mu = random_feasible_marginals(m, rng)

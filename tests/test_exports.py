@@ -9,7 +9,7 @@ from mrflp.cli import _build_parser
 EXPORTS = [
     "ConvergenceRecord", "Decomposition", "DualContext", "DualPoint", "EntropicTransportResult",
     "ForestPlan", "InfeasibleMarginalsError", "InvalidLabelingError", "Marginals", "MrfModel",
-    "MrflpError", "NumericalError", "SolverConfig", "SolverReport", "StructureError", "Subgraph",
+    "MrflpError", "NumericalError", "SolverConfig", "SolverReport", "StructureError",
     "TransportProblem", "TransportResult", "constraint_residual", "decompose_by_coloring",
     "decompose_grid", "decomposition_entropy", "dual_feasibility_margin", "dual_value", "embed_labeling",
     "energy", "free_energy", "gap_certificate", "generate_grid", "generate_lp_tight", "grid_edges",
@@ -40,7 +40,9 @@ SOLVE_OPTIONS = [
 
 
 def test_settable_surface_is_pinned():
-    # every solver option and every flag of ``mrflp solve``: a new knob shows up here
+    # every solver option, the decomposition's one field and every flag of
+    # ``mrflp solve``: a new knob shows up here
     assert [f.name for f in dataclasses.fields(M.SolverConfig)] == CONFIG_FIELDS
+    assert [f.name for f in dataclasses.fields(M.Decomposition)] == ["colors"]
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(s for a in commands.choices["solve"]._actions for s in a.option_strings) == SOLVE_OPTIONS

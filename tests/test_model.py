@@ -207,29 +207,28 @@ class TestDecomposition:
     def test_two_by_two_split(self):
         m = M.generate_grid(2, 2, 2, seed=0)
         d = M.decompose_grid(m)
-        assert len(d.subgraphs[0].edges) == 2
-        assert len(d.subgraphs[1].edges) == 2
+        assert len(d.forest(m, 0)) == 2
+        assert len(d.forest(m, 1)) == 2
 
     def test_chain_has_empty_vertical_side(self):
         m = M.generate_grid(1, 5, 2, seed=0)
         d = M.decompose_grid(m)
-        assert len(d.subgraphs[0].edges) == 4
-        assert len(d.subgraphs[1].edges) == 0
-        assert set(d.subgraphs[1].nodes) == set(range(5))
+        assert len(d.forest(m, 0)) == 4
+        assert d.forest(m, 1) == []
 
     def test_counts(self):
         m = M.generate_grid(3, 4, 2, seed=0)
         d = M.decompose_grid(m)
-        assert np.all(d.node_counts == 2)
+        assert d.colors.shape == d.edge_counts.shape == (m.n_edges,)
         assert np.all(d.edge_counts == 1)
 
     def test_partition_and_acyclicity(self):
         m = M.generate_grid(4, 3, 2, seed=1)
         d = M.decompose_grid(m)
-        e0, e1 = set(d.subgraphs[0].edges), set(d.subgraphs[1].edges)
+        e0, e1 = set(d.forest(m, 0)), set(d.forest(m, 1))
         assert e0 | e1 == set(m.edges) and not (e0 & e1)
         # explicit acyclicity recheck
-        for sg in d.subgraphs:
+        for forest in (e0, e1):
             parent = list(range(m.n_nodes))
 
             def find(a):
@@ -237,7 +236,7 @@ class TestDecomposition:
                     a = parent[a]
                 return a
 
-            for u, v in sg.edges:
+            for u, v in forest:
                 ru, rv = find(u), find(v)
                 assert ru != rv
                 parent[ru] = rv
@@ -251,8 +250,8 @@ class TestDecomposition:
         )
         with pytest.raises(StructureError):
             M.decompose_grid(m)
-        d = M.decompose_grid(m, colors=[0, 1, 1])
-        assert len(d.subgraphs[0].edges) == 1
+        d = M.decompose_by_coloring(m, [0, 1, 1])
+        assert d.forest(m, 0) == [(0, 1)]
 
     def test_cyclic_coloring_rejected(self):
         m = M.MrfModel.create(
@@ -263,6 +262,18 @@ class TestDecomposition:
         )
         with pytest.raises(StructureError):
             M.decompose_by_coloring(m, [0, 0, 0])
+
+    @pytest.mark.parametrize("colors", [
+        5, {"a": 1}, [0.0, 1.0, 0.0, 1.0], [0, 2, 0, 1], [[0, 1], [0, 1]], [[0, 1], [0]], ["0", "1", "0", "1"],
+    ], ids=["scalar", "object", "floats", "two", "nested", "ragged", "strings"])
+    def test_malformed_colorings_rejected(self, colors):
+        with pytest.raises(StructureError, match="0s and 1s"):
+            M.Decomposition(colors)
+
+    def test_bool_colorings_accepted(self):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        d = M.decompose_by_coloring(m, [False, True, True, False])
+        assert d.colors.tolist() == M.decompose_grid(m).colors.tolist()
 
     def test_shape_inference_after_io_roundtrip(self, tmp_path):
         m = M.generate_grid(3, 4, 2, seed=5)

@@ -148,7 +148,7 @@ class TestPrimalFreeEnergyProjection:
         m = M.MrfModel.create(
             [2, 2], [(0, 1)], [np.zeros(2), np.zeros(2)], [np.zeros((2, 2))]
         )
-        d = M.decompose_grid(m, colors=[0])
+        d = M.decompose_by_coloring(m, [0])
         proj = M.project_primal_free_energy(m, d, [np.full(2, 0.5), np.full(2, 0.5)], rho=1.0)
         np.testing.assert_allclose(proj.edge_blocks[0], 0.25, atol=1e-9)
 
@@ -176,7 +176,7 @@ class TestPrimalFreeEnergyProjection:
         rng = np.random.default_rng(4)
         c = rng.uniform(-1, 1, (2, 2))
         m = M.MrfModel.create([2, 2], [(0, 1)], [np.zeros(2), np.zeros(2)], [c])
-        d = M.decompose_grid(m, colors=[0])
+        d = M.decompose_by_coloring(m, [0])
         blocks = [np.array([0.35, 0.65]), np.array([0.55, 0.45])]
         rho = 0.7
         proj = M.project_primal_free_energy(m, d, blocks, rho)
@@ -204,8 +204,6 @@ class TestPrimalFreeEnergyProjection:
         # the batched call per (L_u, L_v) shape gives what each edge gives alone
         m = oracles.mixed_label_grid(3)
         d = M.decompose_grid(m)
-        # counts of 1 and 2 mix two smoothing levels inside one shape group
-        d = M.Decomposition(d.subgraphs, d.node_counts, np.arange(m.n_edges) % 2 + 1)
         rng = np.random.default_rng(6)
         blocks = [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
         for rho in (0.05, 0.5):
