@@ -33,7 +33,7 @@ def segment_arange(sizes: np.ndarray) -> np.ndarray:
     return np.arange(int(sizes.sum())) - np.repeat(_starts(sizes), sizes)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Packing:
     node_dim: int
     edge_dim: int

@@ -25,6 +25,7 @@ from .experiments import (
     DEFAULT_INFINITIES,
     GAP_CONVERGENCE_CFG,
     INFINITY_SCALING_CFG,
+    SOLVERS,
     report_summary,
     run_gap_convergence,
     run_infinity_scaling,
@@ -46,9 +47,6 @@ from .model import constraint_residual, decompose_by_coloring, relaxed_energy
 from .projections import dual_feasibility_margin, dual_value
 from .solvers import SolverConfig
 from .tolerances import EQ_TOL
-
-SOLVERS = ("sg-ave", "sg-wei", "nest", "fpd")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mrflp", description=__doc__)
@@ -92,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--step-law", choices=("adaptive", "diminishing"), default=default.step_law)
     solve.add_argument("--tau0", type=float, default=default.tau0)
     solve.add_argument("--tol", type=float, default=default.tol)
-    solve.add_argument("--seed", type=int, default=default.seed)
     solve.add_argument("--out-dir", required=True)
     solve.add_argument("--decomposition", default=None,
                        help="JSON file with one 0/1 color per edge (forests); grids decompose automatically")
@@ -166,7 +163,6 @@ def _cmd_solve(args) -> int:
         time_budget_s=args.time_budget_s,
         epoch=args.epoch,
         tol=args.tol,
-        seed=args.seed,
         step_law=args.step_law,
         tau0=args.tau0,
         rho=args.rho,

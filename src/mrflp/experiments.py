@@ -10,7 +10,6 @@ offsets between the log-scale projected-energy curves at matched epochs
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -21,10 +20,9 @@ from .generators import generate_grid, generate_lp_tight
 from .model import MrfModel, decompose_grid, energy
 from .solvers import SolverConfig, SolverReport, solve_fpd, solve_nesterov, solve_subgradient
 
-GAP_SOLVERS = ("sg-ave", "sg-wei", "nest", "fpd")
+SOLVERS = ("sg-ave", "sg-wei", "nest", "fpd")
 DEFAULT_INFINITIES = (1e4, 1e5, 1e6, 1e7)
-# each experiment's solver options: the functions' defaults, and the CLI's;
-# each function sets the config's seed to its own ``seed`` argument
+# each experiment's solver options: the functions' defaults, and the CLI's
 GAP_CONVERGENCE_CFG = SolverConfig(max_iters=2000, epoch=20, rho=0.1, rho_schedule="halving")
 INFINITY_SCALING_CFG = SolverConfig(max_iters=600, epoch=20, rho=2.0, log_smoothed_gap=False)
 
@@ -40,7 +38,7 @@ def run_solver(model: MrfModel, solver: str, cfg: SolverConfig, decomposition=No
         return solve_subgradient(model, decomposition, cfg, averaging="step-weighted")
     if solver == "nest":
         return solve_nesterov(model, decomposition, cfg)
-    raise ValueError(f"unknown solver {solver!r}; choose from sg-ave, sg-wei, nest, fpd")
+    raise ValueError(f"unknown solver {solver!r}; choose from {', '.join(SOLVERS)}")
 
 
 def report_summary(report: SolverReport) -> dict:
@@ -57,7 +55,7 @@ def report_summary(report: SolverReport) -> dict:
         "wall_time_s": report.records[-1].time_s,
         "projection_time_s": report.projection_time_s,
         "adaptive_step_used": report.adaptive_step_used,
-        "divergence_flag": report.divergence_flag,
+        "step_halvings": report.step_halvings,
     }
 
 
@@ -69,7 +67,6 @@ def run_gap_convergence(
     seed: int = 0,
     cfg: SolverConfig = GAP_CONVERGENCE_CFG,
 ) -> dict:
-    cfg = dataclasses.replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = generate_grid(rows, cols, labels, law="uniform01", seed=seed)
@@ -83,7 +80,7 @@ def run_gap_convergence(
         "solvers": {},
     }
     reports = {}
-    for solver in GAP_SOLVERS:
+    for solver in SOLVERS:
         report = run_solver(model, solver, cfg, decomposition)
         reports[solver] = report
         write_convergence_csv(report.records, out / f"{solver}.csv")
@@ -143,7 +140,6 @@ def run_infinity_scaling(
     strict minimum of its table, which guarantees the relaxation is tight at
     the planted labeling; the smoothing level controls how much mass the
     marginal maps leak onto forbidden entries."""
-    cfg = dataclasses.replace(cfg, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports: dict[float, SolverReport] = {}

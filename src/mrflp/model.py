@@ -42,7 +42,7 @@ def _frozen_array(a, dtype=np.float64, ndim=None) -> np.ndarray:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class MrfModel:
     """Pairwise graphical model with energy tables.
 
@@ -150,7 +150,7 @@ def _split(vec: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
     return np.split(vec, np.cumsum(sizes)[:-1]) if len(sizes) else []
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Marginals:
     """Relaxed primal point, stored as one read-only vector ``flat`` in the
     :class:`~mrflp._packing.Packing` primal layout: the node blocks, then
@@ -198,7 +198,7 @@ class Marginals:
         return tuple(b.reshape(shape) for b, shape in zip(cells, self.edge_shapes.tolist()))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DualPoint:
     """Point of the explicit LP dual, stored as one read-only vector ``nu``
     in the :meth:`~mrflp._packing.Packing.split_dual` layout: node bounds,
@@ -248,7 +248,7 @@ class DualPoint:
         return tuple(zip(parts[:m], parts[m:]))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Decomposition:
     """Split of the model's edges into two forests that both span every
     node: ``colors[e]`` (0 or 1) is the forest holding edge ``e``, so every

@@ -27,7 +27,7 @@ from .errors import InfeasibleMarginalsError, NumericalError
 from .tolerances import LOG_FLOOR, NONNEG_TOL, PIVOT_TOL, TRANSPORT_MARGINAL_TOL
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TransportProblem:
     """Cost matrix with row/column marginals, rescaled to unit mass on ingest.
     A leading axis on all three stacks same-shape problems."""
@@ -59,7 +59,7 @@ class TransportProblem:
         object.__setattr__(self, "col_marginal", s)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TransportResult:
     plan: np.ndarray
     cost: float | np.ndarray
@@ -69,7 +69,7 @@ class TransportResult:
     pivots: int | np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class EntropicTransportResult:
     plan: np.ndarray
     objective: float | np.ndarray

@@ -30,19 +30,24 @@ def test_public_surface_is_pinned():
 
 
 CONFIG_FIELDS = [
-    "max_iters", "time_budget_s", "epoch", "tol", "seed", "step_law", "tau0", "rho", "rho_schedule",
-    "log_smoothed_gap",
+    "max_iters", "time_budget_s", "epoch", "tol", "step_law", "tau0", "rho", "rho_schedule", "log_smoothed_gap",
+]
+REPORT_FIELDS = [
+    "solver", "marginals", "best_labeling", "records", "termination", "dual_bound", "primal_bound",
+    "integer_bound", "gap", "relative_gap", "projection_time_s", "dual_point", "lam", "step_halvings",
+    "adaptive_step_used",
 ]
 SOLVE_OPTIONS = [
     "--decomposition", "--epoch", "--help", "--max-iters", "--model", "--out-dir", "--rho",
-    "--rho-schedule", "--seed", "--solver", "--step-law", "--tau0", "--time-budget-s", "--tol", "-h",
+    "--rho-schedule", "--solver", "--step-law", "--tau0", "--time-budget-s", "--tol", "-h",
 ]
 
 
 def test_settable_surface_is_pinned():
-    # every solver option, the decomposition's one field and every flag of
-    # ``mrflp solve``: a new knob shows up here
+    # every solver option, every report field, the decomposition's one field
+    # and every flag of ``mrflp solve``: a new knob or echo field shows up here
     assert [f.name for f in dataclasses.fields(M.SolverConfig)] == CONFIG_FIELDS
+    assert [f.name for f in dataclasses.fields(M.SolverReport)] == REPORT_FIELDS
     assert [f.name for f in dataclasses.fields(M.Decomposition)] == ["colors"]
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(s for a in commands.choices["solve"]._actions for s in a.option_strings) == SOLVE_OPTIONS

@@ -317,3 +317,28 @@ class TestFlatStorage:
         short = M.Marginals.from_blocks(mu.node_blocks[:-1], mu.edge_blocks)
         with pytest.raises(ValueError):
             M.constraint_residual(m, short)
+
+
+def _array_holders():
+    m = M.generate_grid(2, 2, 2, seed=0)
+    p = M.TransportProblem(m.pairwise[0], [0.5, 0.5], [0.3, 0.7])
+    return {
+        "MrfModel": lambda: m,
+        "Packing": m.packing,
+        "Marginals": lambda: M.embed_labeling(m, [0, 1, 1, 0]),
+        "DualPoint": lambda: M.project_dual(m, [(np.zeros(2), np.zeros(2)) for _ in m.edges]),
+        "Decomposition": lambda: M.decompose_grid(m),
+        "TransportProblem": lambda: p,
+        "TransportResult": lambda: M.solve_transport(p),
+        "EntropicTransportResult": lambda: M.solve_transport_entropic(p, 1.0, 1, p.row_marginal, p.col_marginal),
+        "SolverReport": lambda: M.solve_fpd(m, M.SolverConfig(max_iters=20, epoch=20)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_array_holders()))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare array fields and raise, and its __hash__ would fail
+    x = _array_holders()[name]()
+    assert type(x).__name__ == name
+    assert x == x
+    assert hash(x) == hash(x)
