@@ -129,6 +129,49 @@ class Packing:
         return np.concatenate([out_nodes, out_edges])
 
 
+# a padded stack is split where its padded cells would exceed this many
+# times its real ones (see padded_runs)
+PAD_WASTE = 4
+
+
+def padded_runs(level: np.ndarray, lc: np.ndarray, lp: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Split rows sorted by level, then by ``(lc, lp)`` largest first, into
+    runs ``(lo, hi, width_c, width_p)`` within one level each.
+
+    A level is one run when its padded cells ``rows * width_c * width_p``
+    are at most ``PAD_WASTE`` times its real cells ``sum(lc * lp)``.
+    Otherwise it is split greedily: a run closes before the row that would
+    make its own padded cells exceed that bound.
+    """
+    if not len(level):
+        return []
+    bounds = np.flatnonzero(np.diff(level)) + 1
+    starts, stops = np.concatenate(([0], bounds)), np.append(bounds, len(level))
+    widths = np.maximum.reduceat(lp, starts)
+    fits = (stops - starts) * lc[starts] * widths <= PAD_WASTE * np.add.reduceat(lc * lp, starts)
+    runs = []
+    for lo, stop, fit, width in zip(starts.tolist(), stops.tolist(), fits.tolist(), widths.tolist()):
+        if fit:
+            runs.append((lo, stop, int(lc[lo]), width))
+            continue
+        while lo < stop:
+            real = np.cumsum(lc[lo:stop] * lp[lo:stop])
+            wp = np.maximum.accumulate(lp[lo:stop])
+            # argmax is 0 only when no row exceeds the bound: the first
+            # row alone never does
+            n = int(np.argmax(np.arange(1, stop - lo + 1) * lc[lo] * wp > PAD_WASTE * real)) or stop - lo
+            runs.append((lo, lo + n, int(lc[lo]), int(wp[n - 1])))
+            lo += n
+    return runs
+
+
+def padded_gather(starts: np.ndarray, counts: np.ndarray, width: int, sentinel: int) -> np.ndarray:
+    """``(k, width)`` indices ``starts[:, None] + label`` of each block's
+    labels; labels past a block's count index ``sentinel``."""
+    labels = np.arange(width)
+    return np.where(labels < counts[:, None], starts[:, None] + labels, sentinel)
+
+
 def project_simplex_blocks(flat: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Euclidean projection of every block of ``flat`` onto its simplex.
 

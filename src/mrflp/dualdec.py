@@ -8,12 +8,13 @@ variant replaces min by a soft-min at temperature ``rho`` and is
 continuously differentiable with the difference of the two forest marginal
 maps as its gradient.
 
-Both forest oracles are one level-synchronous dynamic program (see
+Both forests are one level-synchronous dynamic program (see
 :class:`ForestPlan`): trees are rooted at a center, and each step handles
-all tree edges of one depth as stacked arrays, their label axes padded to
-the level's largest label counts.  Padded labels read a ``+inf`` slot, so
-they never win a min and carry exactly zero mass; a level whose padding
-would cost more than ``PAD_WASTE`` times its real table cells is split.
+all tree edges of one depth, in either forest, as stacked arrays, their
+label axes padded to the level's largest label counts.  Padded labels read
+a ``+inf`` slot, so they never win a min and carry exactly zero mass; a
+level whose padding would cost more than ``PAD_WASTE`` times its real
+table cells is split.
 It runs in the energy domain with min-subtracted exponentials, so it is
 stable for temperatures down to (and well below) 1e-4.  Argmin ties are
 always broken toward the smaller label so subgradients are reproducible.
@@ -28,6 +29,7 @@ import dataclasses
 
 import numpy as np
 
+from ._packing import padded_gather, padded_runs
 from .errors import InfeasibleMarginalsError, StructureError
 from .model import (
     Decomposition,
@@ -40,75 +42,40 @@ from .model import (
 from .tolerances import EQ_TOL, LOG_FLOOR
 
 
-def _softmin(arr: np.ndarray, rho: float, axis: int) -> np.ndarray:
-    mn = np.min(arr, axis=axis, keepdims=True)
-    out = mn.squeeze(axis) - rho * np.log(np.sum(np.exp(-(arr - mn) / rho), axis=axis))
-    return out
+def _softmin(a: np.ndarray, rho: float, axis: int) -> np.ndarray:
+    """Soft minimum of ``a`` along ``axis``; works in ``a``'s buffer."""
+    mn = a.min(axis=axis, keepdims=True)
+    a -= mn
+    a /= -rho
+    np.exp(a, out=a)
+    out = a.sum(axis=axis)
+    np.log(out, out=out)
+    out *= rho
+    return np.subtract(mn.squeeze(axis), out, out=out)
 
 
-def _gibbs(neg_energy_over_rho: np.ndarray, axis) -> np.ndarray:
-    mx = np.max(neg_energy_over_rho, axis=axis, keepdims=True)
-    z = np.exp(neg_energy_over_rho - mx)
-    return z / np.sum(z, axis=axis, keepdims=True)
-
-
-# a depth level is one padded DP step unless its padded table cells exceed
-# this many times its real ones; then it is split (see _padded_runs)
-PAD_WASTE = 4
+def _gibbs(energy: np.ndarray, rho: float, axis) -> np.ndarray:
+    """Gibbs distribution of ``energy`` at temperature ``rho`` along ``axis``."""
+    e = energy / -rho
+    e -= e.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 @dataclasses.dataclass
 class _EdgeGroup:
-    """Tree edges whose children share one depth, stacked with label axes
+    """Tree edges whose children share one depth, stacked on the last
+    axis (so label reductions run over contiguous rows) with label axes
     padded to the group's largest ``L_c`` and ``L_p``.  A padded label's
-    gather index is the aggregate's sentinel slot, and its table entries
-    are 0."""
+    gather index is the sentinel slot, and its table entries are 0."""
 
     depth: int
-    child: np.ndarray          # (k,) node ids
+    child: np.ndarray          # (k,) node ids, forest f's offset by f * n_nodes
     parent: np.ndarray         # (k,)
-    child_gather: np.ndarray   # (k, L_c) node-layout indices, sentinel where padded
-    parent_gather: np.ndarray  # (k, L_p)
-    w: np.ndarray              # (k, L_c, L_p) pairwise tables, child axis first
-
-
-def _padded_runs(level: np.ndarray, lc: np.ndarray, lp: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Split rows sorted by level, then by ``(lc, lp)`` largest first, into
-    runs ``(lo, hi, width_c, width_p)`` within one level each.
-
-    A level is one run when its padded cells ``rows * width_c * width_p``
-    are at most ``PAD_WASTE`` times its real cells ``sum(lc * lp)``.
-    Otherwise it is split greedily: a run closes before the row that would
-    make its own padded cells exceed that bound.
-    """
-    if not len(level):
-        return []
-    bounds = np.flatnonzero(np.diff(level)) + 1
-    starts, stops = np.concatenate(([0], bounds)), np.append(bounds, len(level))
-    widths = np.maximum.reduceat(lp, starts)
-    fits = (stops - starts) * lc[starts] * widths <= PAD_WASTE * np.add.reduceat(lc * lp, starts)
-    runs = []
-    for lo, stop, fit, width in zip(starts.tolist(), stops.tolist(), fits.tolist(), widths.tolist()):
-        if fit:
-            runs.append((lo, stop, int(lc[lo]), width))
-            continue
-        while lo < stop:
-            real = np.cumsum(lc[lo:stop] * lp[lo:stop])
-            wp = np.maximum.accumulate(lp[lo:stop])
-            # argmax is 0 only when no row exceeds the bound: the first
-            # row alone never does
-            n = int(np.argmax(np.arange(1, stop - lo + 1) * lc[lo] * wp > PAD_WASTE * real)) or stop - lo
-            runs.append((lo, lo + n, int(lc[lo]), int(wp[n - 1])))
-            lo += n
-    return runs
-
-
-def _gather(packing, nodes: np.ndarray, width: int) -> np.ndarray:
-    """``(k, width)`` node-layout indices of the nodes' labels; labels past a
-    node's count index the sentinel slot ``node_dim``."""
-    counts = packing.label_counts[nodes][:, None]
-    labels = np.arange(width)
-    return np.where(labels < counts, packing.node_starts[nodes][:, None] + labels, packing.node_dim)
+    child_gather: np.ndarray   # (L_c, k) aggregate indices, sentinel where padded
+    parent_gather: np.ndarray  # (L_p, k)
+    w: np.ndarray              # (L_c, L_p, k) pairwise tables, child axis first
 
 
 def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
@@ -126,59 +93,70 @@ def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
     return order
 
 
-class ForestPlan:
-    """Precomputed traversal structure of one forest: the given edges of
-    the model over all of its nodes.
+def _forest_rows(model: MrfModel, edges) -> list[tuple[int, int, int, int]]:
+    """``(depth, child, parent, edge)`` of every node of one forest; a
+    root is its own parent at depth 0, with edge -1."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(model.n_nodes)}
+    for u, v in edges:
+        e = model.edge_id(u, v)
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    rows: list[tuple[int, int, int, int]] = []
+    done: set[int] = set()
+    for start in range(model.n_nodes):
+        if start in done:
+            continue
+        # a deepest node from anywhere ends a longest path; walk back
+        # from that path's far end to its middle
+        order = _bfs(adj, _bfs(adj, start)[-1][0])
+        parent_of = {x: p for x, p, _, _ in order}
+        done.update(parent_of)
+        root = order[-1][0]
+        for _ in range(order[-1][3] // 2):
+            root = parent_of[root]
+        rows.append((0, root, root, -1))
+        rows.extend((depth, x, p, e) for x, p, e, depth in _bfs(adj, root)[1:])
+    return rows
 
-    Each tree is rooted at a center of its longest path, so its depth is
-    its radius.  Each depth level of tree edges is one DP step, or a few
-    when its padding is wasteful (see :func:`_padded_runs`): messages go up
-    from the deepest level to the roots, then back down for labelings and
-    node marginals.  The DP's aggregate vector ends in a sentinel slot held
-    at ``+inf``; padded labels gather from and scatter into it, so they
-    never win a min, get an exact 0 in every soft-min and Gibbs sum, and
-    the flat marginals are the aggregate without that slot.  The roots are
-    padded and split the same way.  Min-sum and soft-min share the upward
-    pass and differ only in its reduction.  Argmin ties go to the smaller
-    label, at the roots and at every child.
+
+class ForestPlan:
+    """Precomputed traversal structure of ``F >= 1`` forests, each made of
+    the given edges of the model over all of its nodes, as one DP.
+
+    Forest ``f`` has its own copy of the node layout at offset
+    ``f * node_dim``, so unary input and flat marginals hold
+    ``F * node_dim`` entries, labels ``F * n_nodes`` (forest ``f``'s from
+    ``f * n_nodes``), and the value sums the forests.  Each tree is rooted
+    at a center of its longest path, so its depth is its radius.  Each
+    depth level of tree edges, over all forests at once, is one DP step, or
+    a few when its padding is wasteful (see :func:`padded_runs`): messages
+    go up from the deepest level to the roots, then back down for labelings
+    and node marginals, so a pass makes as many steps as the deepest forest
+    has levels.  The aggregate vector ends in one sentinel slot held at
+    ``+inf``; padded labels gather from and scatter into it, so they never
+    win a min, get an exact 0 in every soft-min and Gibbs sum, and the flat
+    marginals are the aggregate without that slot.  The roots are padded
+    and split the same way.  Min-sum and soft-min share the upward pass.
+    Argmin ties go to the smaller label, at the roots and at every child.
 
     Building the plan validates acyclicity.  The plan is reusable across
     unary tables (the pairwise tables are fixed by the model), which is what
     the iterative solvers rely on.
     """
 
-    def __init__(self, model: MrfModel, edges):
+    def __init__(self, model: MrfModel, *forests):
         self.model = model
         self.packing = packing = model.packing()
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(model.n_nodes)}
-        for u, v in edges:
-            e = model.edge_id(u, v)
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-
-        # (depth, child, parent, edge); a root is its own parent at depth 0,
-        # with edge -1
-        rows: list[tuple[int, int, int, int]] = []
-        done: set[int] = set()
-        for start in range(model.n_nodes):
-            if start in done:
-                continue
-            # a deepest node from anywhere ends a longest path; walk back
-            # from that path's far end to its middle
-            order = _bfs(adj, _bfs(adj, start)[-1][0])
-            parent_of = {x: p for x, p, _, _ in order}
-            done.update(parent_of)
-            root = order[-1][0]
-            for _ in range(order[-1][3] // 2):
-                root = parent_of[root]
-            rows.append((0, root, root, -1))
-            rows.extend((depth, x, p, e) for x, p, e, depth in _bfs(adj, root)[1:])
-
+        self.n_forests = len(forests)
+        rows = [np.array(_forest_rows(model, edges), dtype=np.int64).reshape(-1, 4) for edges in forests]
+        for f, part in enumerate(rows):
+            part[:, 1:3] += f * model.n_nodes  # forest f's node ids
         # rows sort deepest level first (the order of the upward pass), then
         # largest shapes first (a root's parent counts 1 label), then by
         # child id (roots by discovery)
-        depth, c, p, e = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-        counts = packing.label_counts
+        depth, c, p, e = np.concatenate(rows).T
+        counts = np.tile(packing.label_counts, self.n_forests)
+        starts = (packing.node_dim * np.arange(self.n_forests)[:, None] + packing.node_starts).ravel()
         lc, lp = counts[c], np.where(depth > 0, counts[p], 1)
         order = np.lexsort((np.where(depth > 0, c, np.arange(len(c))), -lp, -lc, -depth))
         depth, c, p, e, lc, lp = (x[order] for x in (depth, c, p, e, lc, lp))
@@ -186,51 +164,52 @@ class ForestPlan:
         # transposed when the child is v; index -1 (a root's edge, a padded
         # cell) reads an appended 0
         theta = np.append(packing.theta, 0.0)
-        base = (packing.node_dim + np.append(packing.edge_starts, 0)[e])[:, None, None]
-        stride_c = np.where(c < p, lp, 1)[:, None, None]
-        stride_p = np.where(c < p, 1, lc)[:, None, None]
-        c_gather, p_gather = _gather(packing, c, lc.max(initial=0)), _gather(packing, p, lp.max(initial=0))
+        base = packing.node_dim + np.append(packing.edge_starts, 0)[e]
+        stride_c, stride_p = np.where(c < p, lp, 1), np.where(c < p, 1, lc)
+        sentinel = self.n_forests * packing.node_dim
+        c_gather = padded_gather(starts[c], counts[c], lc.max(initial=0), sentinel)
+        p_gather = padded_gather(starts[p], counts[p], lp.max(initial=0), sentinel)
         self.root_groups, self.groups = [], []
-        for lo, hi, wc, wp in _padded_runs(depth, lc, lp):
+        for lo, hi, wc, wp in padded_runs(depth, lc, lp):
             s = slice(lo, hi)
             if depth[lo] == 0:
-                self.root_groups.append((c[s], c_gather[s, :wc].copy()))
+                self.root_groups.append((c[s], c_gather[s, :wc].T.copy()))
                 continue
-            i, j = np.arange(wc)[:, None], np.arange(wp)
-            real = (i < lc[s, None, None]) & (j < lp[s, None, None])
+            i, j = np.arange(wc)[:, None, None], np.arange(wp)[:, None]
+            real = (i < lc[s]) & (j < lp[s])
             w = theta[np.where(real, base[s] + i * stride_c[s] + j * stride_p[s], -1)]
-            group = (c[s], p[s], c_gather[s, :wc].copy(), p_gather[s, :wp].copy(), w)
+            group = (c[s], p[s], c_gather[s, :wc].T.copy(), p_gather[s, :wp].T.copy(), w)
             self.groups.append(_EdgeGroup(int(depth[lo]), *group))
 
     def _upward(self, unary_flat: np.ndarray, reduce) -> tuple[np.ndarray, list[np.ndarray]]:
         """Per-node aggregates (unary plus all messages from the subtree, then
         the ``+inf`` sentinel slot) and each group's upward messages,
         reducing over the child's labels."""
-        agg = np.empty(self.packing.node_dim + 1)
+        agg = np.empty(self.n_forests * self.packing.node_dim + 1)
         agg[:-1] = unary_flat
         agg[-1] = np.inf
         ups = []
         for g in self.groups:
-            up = reduce(g.w + agg[g.child_gather][:, :, None])
+            up = reduce(g.w + agg[g.child_gather][:, None, :])
             np.add.at(agg, g.parent_gather, up)
             ups.append(up)
         return agg, ups
 
     def min_sum(self, unary_flat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Exact minimum of the forest energy and a tie-broken argmin."""
-        agg, _ = self._upward(unary_flat, lambda a: np.min(a, axis=1))
-        labels = np.zeros(self.model.n_nodes, dtype=np.int64)
+        """Exact minimum of the forests' summed energy and a tie-broken argmin."""
+        agg, _ = self._upward(unary_flat, lambda a: a.min(axis=0))
+        labels = np.zeros(self.n_forests * self.model.n_nodes, dtype=np.int64)
         value = 0.0
         for nodes, gather in self.root_groups:
-            value += float(agg[gather].min(axis=1).sum())
-            labels[nodes] = np.argmin(agg[gather], axis=1)
+            value += float(agg[gather].min(axis=0).sum())
+            labels[nodes] = np.argmin(agg[gather], axis=0)
         for g in reversed(self.groups):
-            w_at_parent = g.w[np.arange(len(g.child)), :, labels[g.parent]]
-            labels[g.child] = np.argmin(agg[g.child_gather] + w_at_parent, axis=1)
+            w_at_parent = g.w[:, labels[g.parent], np.arange(len(g.child))]
+            labels[g.child] = np.argmin(agg[g.child_gather] + w_at_parent, axis=0)
         return value, labels
 
     def soft_min(self, unary_flat: np.ndarray, rho: float, want_marginals: bool = True):
-        """Soft minimum of the forest energy at temperature ``rho``.
+        """Soft minimum of the forests' summed energy at temperature ``rho``.
 
         Returns ``(value, node_marginals_flat)``; the flat marginals align
         with the unary layout and are ``None`` when ``want_marginals`` is
@@ -238,20 +217,20 @@ class ForestPlan:
         """
         if rho <= 0.0:
             raise ValueError("rho must be positive")
-        agg, ups = self._upward(unary_flat, lambda a: _softmin(a, rho, axis=1))
-        value = sum(float(_softmin(agg[gather], rho, axis=1).sum()) for _, gather in self.root_groups)
+        agg, ups = self._upward(unary_flat, lambda a: _softmin(a, rho, axis=0))
+        value = sum(float(_softmin(agg[gather], rho, axis=0).sum()) for _, gather in self.root_groups)
         if not want_marginals:
             return value, None
         node_marg = np.zeros_like(agg)
         for _, gather in self.root_groups:
-            node_marg[gather] = _gibbs(-agg[gather] / rho, axis=1)
+            node_marg[gather] = _gibbs(agg[gather], rho, axis=0)
         # belief = aggregate plus the message from outside the subtree
         belief = agg.copy()
         for g, up in zip(reversed(self.groups), reversed(ups)):
-            joint = g.w + (belief[g.parent_gather] - up)[:, None, :]
-            b = agg[g.child_gather] + _softmin(joint, rho, axis=2)
+            joint = g.w + (belief[g.parent_gather] - up)[None, :, :]
+            b = agg[g.child_gather] + _softmin(joint, rho, axis=1)
             belief[g.child_gather] = b
-            node_marg[g.child_gather] = _gibbs(-b / rho, axis=1)
+            node_marg[g.child_gather] = _gibbs(b, rho, axis=0)
         return value, node_marg[:-1]
 
 
@@ -269,39 +248,39 @@ class DualContext:
     A dual point ``lam`` is a flat vector in the unary layout.  Forest ``c``
     holds the edges of color ``c``; forest 0 sees the unary tables
     ``theta / 2 + lam`` and forest 1 sees ``theta / 2 - lam``, so the two
-    energies always sum to the original.
+    energies always sum to the original.  Both forests are one
+    :class:`ForestPlan`, so each depth level of the two is one DP step.
     """
 
     def __init__(self, model: MrfModel, decomposition: Decomposition):
         self.packing = model.packing()
-        self.plans = [ForestPlan(model, decomposition.forest(model, c)) for c in (0, 1)]
+        self.plan = ForestPlan(model, *(decomposition.forest(model, c) for c in (0, 1)))
 
-    def _sides(self, lam) -> tuple[np.ndarray, np.ndarray]:
+    def _sides(self, lam) -> np.ndarray:
+        """Both forests' unary tables, forest 0's then forest 1's."""
         lam = np.asarray(lam, dtype=np.float64)
         if lam.shape != (self.packing.node_dim,):
             raise ValueError(f"lambda must be a flat vector of length {self.packing.node_dim}")
         half = self.packing.unary / 2.0
-        return half + lam, half - lam
+        return np.concatenate([half + lam, half - lam])
 
     def value_and_subgradient(self, lam):
         """Nonsmooth dual: value, a subgradient, and the two tie-broken argmin
         labelings it is built from."""
-        t1, t2 = self._sides(lam)
-        v1, x1 = self.plans[0].min_sum(t1)
-        v2, x2 = self.plans[1].min_sum(t2)
+        value, labels = self.plan.min_sum(self._sides(lam))
+        x1, x2 = np.split(labels, 2)
         g = np.zeros(self.packing.node_dim)
         _accumulate_labelings(g, self.packing, (x1, x2), (1.0, -1.0))
-        return v1 + v2, g, (x1, x2)
+        return value, g, (x1, x2)
 
     def smoothed(self, lam, rho: float, want_marginals: bool = True):
         """Smoothed dual: value, exact gradient, and the two forests' flat node
         marginal maps (``None`` for both without ``want_marginals``)."""
-        t1, t2 = self._sides(lam)
-        v1, m1 = self.plans[0].soft_min(t1, rho, want_marginals=want_marginals)
-        v2, m2 = self.plans[1].soft_min(t2, rho, want_marginals=want_marginals)
+        value, marg = self.plan.soft_min(self._sides(lam), rho, want_marginals=want_marginals)
         if not want_marginals:
-            return v1 + v2, None, None
-        return v1 + v2, m1 - m2, (m1, m2)
+            return value, None, None
+        m1, m2 = np.split(marg, 2)
+        return value, m1 - m2, (m1, m2)
 
     def smoothed_value(self, lam, rho: float) -> float:
         value, _, _ = self.smoothed(lam, rho, want_marginals=False)

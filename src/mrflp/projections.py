@@ -1,13 +1,14 @@
 """Feasibility projections for primal and dual estimates.
 
 The primal projections make an arbitrary collection of node blocks feasible
-in two stages: Euclidean projection of every node block onto its simplex,
-then exact re-optimization of every edge block given the projected node
-blocks.  The edge stage is a tiny transportation problem per edge (linear
-objective) or a tiny entropy minimization (smoothed objective); the edges
-of each ``(L_u, L_v)`` shape are solved together as one stack.  Any edge
-blocks present in the input are ignored; they are fully determined by the
-optimization.
+in two stages: Euclidean projection of every node block onto its simplex
+(with exact unit sums), then exact re-optimization of every edge block
+given the projected node blocks, as a tiny transportation problem
+(linear objective) or entropy minimization (smoothed objective) per edge.
+All edges form one padded stack: sorted by ``(L_u, L_v)``, largest first,
+split into runs by the forest DP's waste rule (``padded_runs``).  Padded
+rows and columns have zero mass, and padded cells cost the problem's
+largest cost plus one.  Edge blocks in the input are ignored.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._packing import project_simplex_blocks
+from ._packing import padded_gather, padded_runs, project_simplex_blocks, segment_arange
 from .errors import NumericalError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
 from .tolerances import EQ_TOL
@@ -26,35 +27,53 @@ from .transport import TransportProblem, solve_transport, solve_transport_entrop
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
+    """Node blocks projected onto their simplices, with exact unit sums so
+    that the transport marginals agree with the node blocks."""
     packing = model.packing()
     flat = node_vector(model, node_blocks)
     if not np.all(np.isfinite(flat)):
         raise ValueError("node blocks must be finite")
-    return project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
+    flat = project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
+    flat /= np.repeat(np.add.reduceat(flat, packing.node_starts), packing.label_counts)
+    return flat
 
 
-def _certified(model: MrfModel, nodes: np.ndarray, edges: np.ndarray) -> Marginals:
+def _edge_stack(model: MrfModel, nodes: np.ndarray):
+    """The padded transport stack between the node blocks of ``nodes``, one
+    run at a time: its edge ids, their cells in the flat edge vector, the
+    mask of real cells (row-major, in the cells' order) and its problems."""
     packing = model.packing()
+    order = np.lexsort((-packing.edge_shapes[:, 1], -packing.edge_shapes[:, 0]))
+    lu, lv = packing.edge_shapes[order].T
+    costs, padded_nodes = packing.theta[packing.node_dim:], np.append(nodes, 0.0)
+    for lo, hi, wu, wv in padded_runs(np.zeros(order.size), lu, lv):
+        es = order[lo:hi]
+        sizes = packing.block_sizes[es]
+        cells = np.repeat(packing.edge_starts[es], sizes) + segment_arange(sizes)
+        real = (np.arange(wu)[:, None] < lu[lo:hi, None, None]) & (np.arange(wv) < lv[lo:hi, None, None])
+        cost = np.full(real.shape, -np.inf)
+        cost[real] = costs[cells]
+        cost = np.where(real, cost, cost.max(axis=(1, 2), keepdims=True) + 1.0)
+        u, v = packing.edge_ends[es].T
+        rows = padded_gather(packing.node_starts[u], lu[lo:hi], wu, packing.node_dim)
+        cols = padded_gather(packing.node_starts[v], lv[lo:hi], wv, packing.node_dim)
+        yield es, cells, real, TransportProblem(cost, padded_nodes[rows], padded_nodes[cols])
+
+
+def _project_primal(model: MrfModel, node_blocks, solve) -> Marginals:
+    """The primal projections' shared steps: the node prologue, then
+    ``solve(es, problem)`` on every run of the edge stack, then the
+    certificate of feasibility."""
+    packing = model.packing()
+    nodes = _projected_nodes(model, node_blocks)
+    edges = np.empty(packing.edge_dim)
+    for es, cells, real, problem in _edge_stack(model, nodes):
+        edges[cells] = solve(es, problem).plan[real]
     result = Marginals(np.concatenate([nodes, edges]), packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
     if residual > EQ_TOL:
         raise NumericalError("projection produced an infeasible point", residual=residual)
     return result
-
-
-def _edge_groups(model: MrfModel, nodes: np.ndarray):
-    """For each ``(L_u, L_v)`` shape: the indices of its edges, their cells
-    in the flat edge vector, and their stacked transport problems between
-    the node blocks of ``nodes``."""
-    packing = model.packing()
-    for lu, lv in np.unique(packing.edge_shapes, axis=0):
-        es = np.flatnonzero((packing.edge_shapes == (lu, lv)).all(axis=1))
-        cells = packing.edge_starts[es][:, None] + np.arange(lu * lv)
-        yield es, cells, TransportProblem(
-            packing.theta[packing.node_dim + cells].reshape(-1, lu, lv),
-            nodes[packing.node_starts[packing.edge_ends[es, 0]][:, None] + np.arange(lu)],
-            nodes[packing.node_starts[packing.edge_ends[es, 1]][:, None] + np.arange(lv)],
-        )
 
 
 def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
@@ -63,24 +82,18 @@ def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
     ``node_blocks`` is a :class:`Marginals`, a flat node vector or one array
     per node.  Node blocks are projected onto their simplices; each edge
     block is then the minimum-cost transport plan between its projected
-    endpoints, from one batched :func:`solve_transport` call per
-    ``(L_u, L_v)`` shape.  The output is certified feasible before it is
-    returned.
+    endpoints, from one :func:`solve_transport` call per run of the padded
+    edge stack (one call in all when every edge has the same shape).  The
+    output is certified feasible before it is returned.
     """
-    packing = model.packing()
-    flat = _projected_nodes(model, node_blocks)
-    # exact unit sums keep the transport marginals consistent with the node blocks
-    sums = np.add.reduceat(flat, packing.node_starts)
-    flat /= np.repeat(sums, packing.label_counts)
-    edges = np.empty(packing.edge_dim)
-    for es, cells, problem in _edge_groups(model, flat):
+    def solve(es, problem):
         try:
-            res = solve_transport(problem)
+            return solve_transport(problem)
         except NumericalError as exc:
             u, v = model.edges[es[exc.problem]]
             raise NumericalError(f"{exc} on edge {(u, v)}") from exc
-        edges[cells] = res.plan.reshape(es.size, -1)
-    return _certified(model, flat, edges)
+
+    return _project_primal(model, node_blocks, solve)
 
 
 def project_primal_free_energy(
@@ -88,18 +101,12 @@ def project_primal_free_energy(
 ) -> Marginals:
     """Like :func:`project_primal_energy`, but edge blocks minimize the
     entropy-smoothed edge objective with the projected node blocks as the
-    reference product measure.  The edges of each ``(L_u, L_v)`` shape are
-    one batched :func:`solve_transport_entropic` call."""
+    reference product measure, from one :func:`solve_transport_entropic`
+    call per run of the same padded edge stack."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    packing = model.packing()
-    flat = _projected_nodes(model, node_blocks)
-    edges = np.empty(packing.edge_dim)
-    for es, cells, problem in _edge_groups(model, flat):
-        res = solve_transport_entropic(problem, rho, decomposition.edge_counts[es], problem.row_marginal,
-                                       problem.col_marginal)
-        edges[cells] = res.plan.reshape(es.size, -1)
-    return _certified(model, flat, edges)
+    return _project_primal(model, node_blocks, lambda es, p: solve_transport_entropic(
+        p, rho, decomposition.edge_counts[es], p.row_marginal, p.col_marginal))
 
 
 def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:

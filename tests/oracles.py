@@ -457,3 +457,38 @@ def mixed_label_grid(seed: int):
         [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges],
         grid_shape=(2, 3),
     )
+
+
+def random_table(rng, shape, big=1.0):
+    """Uniform entries in [-1, 1); with ``big`` above 1, integers 0-24 and
+    40% of the entries forbidden at cost ``big``."""
+    t = rng.integers(0, 25, shape).astype(np.float64)
+    return np.where(rng.random(shape) < 0.4, big, t) if big > 1.0 else rng.uniform(-1, 1, shape)
+
+
+def two_forest_model(counts, seed, big=1.0):
+    """Two edge-disjoint random recursive trees over the same nodes, tables
+    from :func:`random_table`; returns the model and its two forests."""
+    from mrflp import MrfModel
+
+    rng = np.random.default_rng(seed)
+    n = len(counts)
+    forests, used = ([], []), set()
+    for forest in forests:
+        order = rng.permutation(n)
+        for i in range(1, n):
+            v = int(order[i])
+            # a node whose candidates all collide stays a root
+            for _ in range(8):
+                u = int(order[rng.integers(0, i)])
+                edge = (min(u, v), max(u, v))
+                if edge not in used:
+                    used.add(edge)
+                    forest.append(edge)
+                    break
+    edges = forests[0] + forests[1]
+    m = MrfModel.create(
+        counts, edges, [random_table(rng, int(c), big) for c in counts],
+        [random_table(rng, (int(counts[u]), int(counts[v])), big) for u, v in edges],
+    )
+    return m, forests

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.dualdec
+from mrflp._packing import PAD_WASTE
 from mrflp.dualdec import _accumulate_labelings
 from mrflp.errors import InfeasibleMarginalsError, StructureError
 
@@ -107,7 +109,7 @@ class TestMinSum:
         with pytest.raises(StructureError):
             M.ForestPlan(m, m.edges)
 
-    def test_path_batching_matches_generic_tree_code(self):
+    def test_chain_and_star_match_enumeration(self):
         # a chain and a star over the same unary tables: both shapes must
         # reach the exhaustive optimum and its labeling
         rng = np.random.default_rng(4)
@@ -161,17 +163,13 @@ def padded_forest_model(seed):
 
 
 def random_forest_model(counts, seed, big=1.0):
-    """Random recursive tree over the given label counts; with ``big`` above
-    1, 40% of the pairwise entries are forbidden at cost ``big``."""
+    """Random recursive tree over the given label counts, tables from
+    :func:`oracles.random_table`."""
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, v)), v) for v in range(1, len(counts))]
-
-    def table(*shape):
-        t = rng.integers(0, 25, shape).astype(np.float64)
-        return np.where(rng.random(shape) < 0.4, big, t) if big > 1.0 else rng.uniform(-1, 1, shape)
-
     return M.MrfModel.create(
-        counts, edges, [table(int(c)) for c in counts], [table(int(counts[u]), int(counts[v])) for u, v in edges]
+        counts, edges, [oracles.random_table(rng, int(c), big) for c in counts],
+        [oracles.random_table(rng, (int(counts[u]), int(counts[v])), big) for u, v in edges],
     )
 
 
@@ -208,7 +206,7 @@ class TestForestDpAgainstOracles:
             m = padded_forest_model(seed)
             plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
             # both levels mix the 12-label node's shapes with the others'
-            assert [g.w.shape[1:] for g in plan.groups] == [(3, 12), (12, 3)]
+            assert [g.w.shape[:2] for g in plan.groups] == [(3, 12), (12, 3)]
             value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert abs(value - best) <= 1e-12
@@ -259,7 +257,7 @@ class TestPaddedForestDp:
             counts = np.array(m.label_counts)
             for g in M.ForestPlan(m, m.edges).groups:
                 real = int(np.sum(counts[g.child] * counts[g.parent]))
-                assert len(g.child) == 1 or g.w.size <= M.dualdec.PAD_WASTE * real
+                assert len(g.child) == 1 or g.w.size <= PAD_WASTE * real
 
     def test_padded_ties_break_low(self):
         m = padded_forest_model(0)
@@ -269,6 +267,100 @@ class TestPaddedForestDp:
         value, labels = M.ForestPlan(zero, zero.edges).min_sum(zero.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
+
+
+def chain_and_star_model(n, seed):
+    """Forest 0 is the path 0-1-...-(n-1) (radius about n/2), forest 1 the
+    star from node 0 over nodes 2..n-1 (radius 1); label counts 2 to 4."""
+    rng = np.random.default_rng(seed)
+    counts = [int(c) for c in rng.integers(2, 5, n)]
+    chain = [(i, i + 1) for i in range(n - 1)]
+    star = [(0, v) for v in range(2, n)]
+    edges = chain + star
+    m = M.MrfModel.create(
+        counts, edges, [rng.uniform(-1, 1, c) for c in counts],
+        [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges],
+    )
+    return m, (chain, star)
+
+
+class TestFusedForestPlan:
+    """``ForestPlan(m, f0, f1)`` against the two single-forest plans."""
+
+    @staticmethod
+    def cases():
+        m = oracles.mixed_label_grid(4)
+        d = M.decompose_grid(m)
+        yield m, (d.forest(m, 0), d.forest(m, 1))
+        yield oracles.two_forest_model([int(c) for c in np.arange(40) % 4 + 2], seed=1)
+        yield chain_and_star_model(21, seed=2)
+
+    def test_matches_single_forest_plans(self):
+        rng = np.random.default_rng(8)
+        for m, (f0, f1) in self.cases():
+            fused, single = M.ForestPlan(m, f0, f1), [M.ForestPlan(m, f) for f in (f0, f1)]
+            nd = m.packing().node_dim
+            unary = rng.uniform(-2, 2, 2 * nd)
+            sides = (unary[:nd], unary[nd:])
+            value, labels = fused.min_sum(unary)
+            parts = [plan.min_sum(t) for plan, t in zip(single, sides)]
+            np.testing.assert_array_equal(labels, np.concatenate([x for _, x in parts]))
+            assert abs(value - sum(v for v, _ in parts)) <= 1e-12
+            for rho in (1.0, 0.05):
+                value, marg = fused.soft_min(unary, rho)
+                parts = [plan.soft_min(t, rho) for plan, t in zip(single, sides)]
+                assert abs(value - sum(v for v, _ in parts)) <= 1e-12
+                np.testing.assert_allclose(marg, np.concatenate([x for _, x in parts]), rtol=0, atol=1e-12)
+
+    def test_one_step_per_level_of_the_deeper_forest(self):
+        m, (chain, star) = chain_and_star_model(21, seed=2)
+        depths = [g.depth for g in M.ForestPlan(m, chain, star).groups]
+        # the chain's radius is 10 and the star's 1: both share level 1
+        assert sorted(set(depths)) == list(range(1, 11))
+        single = [len(M.ForestPlan(m, f).groups) for f in (chain, star)]
+        assert len(depths) < sum(single)
+
+    def test_grid_dual_takes_one_step_per_level(self, monkeypatch):
+        # both forests of a 30x30 grid are paths of radius 15: one step per
+        # level of the two, not one per level and forest
+        m = M.generate_grid(30, 30, 2, seed=0)
+        ctx = M.DualContext(m, M.decompose_grid(m))
+        assert [g.depth for g in ctx.plan.groups] == list(range(15, 0, -1))
+        calls = []
+        softmin = mrflp.dualdec._softmin
+        monkeypatch.setattr(mrflp.dualdec, "_softmin", lambda *args, **kw: calls.append(1) or softmin(*args, **kw))
+        ctx.smoothed(np.zeros(m.packing().node_dim), rho=0.1)
+        # 15 steps up, the roots, 15 steps down
+        assert len(calls) == 31
+
+    def test_wide_nodes_keep_padding_bounded(self):
+        # 2-label forests with three 200-label nodes: every fused step pads
+        # at most PAD_WASTE times its real cells
+        counts = np.full(500, 2)
+        counts[[10, 250, 490]] = 200
+        m, forests = oracles.two_forest_model(counts, seed=0)
+        for g in M.ForestPlan(m, *forests).groups:
+            real = int(np.sum(counts[g.child % m.n_nodes] * counts[g.parent % m.n_nodes]))
+            assert g.w.size <= PAD_WASTE * real
+
+    def test_sentinel_never_meets_itself(self):
+        # the single-forest sentinel test on a fused plan
+        counts = np.random.default_rng(5).permutation(np.arange(60) % 4 + 2)
+        counts[7] = 12
+        m, (f0, f1) = oracles.two_forest_model(counts, seed=5, big=1e6)
+        plan = M.ForestPlan(m, f0, f1)
+        packing = m.packing()
+        unary = np.tile(packing.unary, 2)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value, labels = plan.min_sum(unary)
+            parts = [M.ForestPlan(m, f).min_sum(packing.unary) for f in (f0, f1)]
+            assert value == sum(v for v, _ in parts)
+            np.testing.assert_array_equal(labels, np.concatenate([x for _, x in parts]))
+            for rho in (1e-4, 2.0):
+                soft, marg = plan.soft_min(unary, rho)
+                assert value - 2 * rho * np.log(np.prod(counts.astype(float))) <= soft <= value
+                sums = np.add.reduceat(marg.reshape(2, -1), packing.node_starts, axis=1)
+                np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
 class TestSoftMin:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.projections
 import mrflp.transport
-from mrflp._packing import project_simplex_blocks
+from mrflp._packing import PAD_WASTE, project_simplex_blocks
 from mrflp.errors import NumericalError
+from mrflp.tolerances import TRANSPORT_MARGINAL_TOL
 
 import oracles
 
@@ -141,6 +143,91 @@ class TestPrimalEnergyProjection:
             for e, (u, v) in enumerate(m.edges):
                 p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
                 np.testing.assert_array_equal(M.solve_transport(p).plan, proj.edge_blocks[e])
+
+
+def projection_cases():
+    """Models with mixed edge shapes, their decompositions, and node blocks
+    to project."""
+    rng = np.random.default_rng(6)
+    grid = oracles.mixed_label_grid(3)
+    forests, (f0, _) = oracles.two_forest_model(np.arange(60) % 4 + 2, seed=2)
+    for m, d in ((grid, M.decompose_grid(grid)),
+                 (forests, M.decompose_by_coloring(forests, [int(e not in f0) for e in forests.edges]))):
+        yield m, d, [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
+
+
+class TestPaddedEdgeStack:
+    """The projections' padded transport stack against per-edge solves."""
+
+    def test_exact_costs_match_per_edge_solves(self):
+        for m, _, blocks in projection_cases():
+            proj = M.project_primal_energy(m, blocks)
+            for e, (u, v) in enumerate(m.edges):
+                c = m.pairwise[e]
+                res = M.solve_transport(M.TransportProblem(c, proj.node_blocks[u], proj.node_blocks[v]))
+                cost = float(np.sum(c * proj.edge_blocks[e]))
+                assert abs(cost - res.cost) <= 1e-9 * max(1.0, float(np.abs(c).max()))
+
+    def test_padded_flows_are_zero(self):
+        for m, _, blocks in projection_cases():
+            nodes = mrflp.projections._projected_nodes(m, blocks)
+            runs = list(mrflp.projections._edge_stack(m, nodes))
+            assert any(not real.all() for _, _, real, _ in runs)
+            for es, cells, real, problem in runs:
+                assert real.sum() == cells.size
+                assert np.all(M.solve_transport(problem).plan[~real] == 0.0)
+                entropic = M.solve_transport_entropic(problem, 0.1, 1, problem.row_marginal, problem.col_marginal)
+                assert np.all(entropic.plan[~real] == 0.0)
+
+    def test_entropic_plans_match_per_edge_solves(self):
+        for m, d, blocks in projection_cases():
+            for rho in (0.05, 0.5):
+                proj = M.project_primal_free_energy(m, d, blocks, rho)
+                for e, (u, v) in enumerate(m.edges):
+                    p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
+                    res = M.solve_transport_entropic(p, rho, int(d.edge_counts[e]), p.row_marginal, p.col_marginal)
+                    if res.residual <= TRANSPORT_MARGINAL_TOL:
+                        assert np.abs(res.plan - proj.edge_blocks[e]).max() <= TRANSPORT_MARGINAL_TOL
+
+    def test_zero_edge_model_projects(self):
+        m = M.MrfModel.create([3, 2], [], [np.zeros(3), np.zeros(2)], [])
+        d = M.decompose_by_coloring(m, [])
+        blocks = [np.array([0.2, 0.5, 0.9]), np.array([2.0, -1.0])]
+        for proj in (M.project_primal_energy(m, blocks), M.project_primal_free_energy(m, d, blocks, 0.5)):
+            np.testing.assert_allclose(proj.node_blocks[0], [0.0, 0.3, 0.7], atol=1e-12)
+            np.testing.assert_allclose(proj.node_blocks[1], [1.0, 0.0], atol=1e-12)
+            assert proj.edge_blocks == ()
+
+    def test_pivot_cap_names_the_edge_through_the_run(self, monkeypatch):
+        # the largest shape, edge (2, 3), heads the run and caps first
+        monkeypatch.setattr(mrflp.transport, "PIVOT_TOL", -np.inf)
+        counts = [2, 2, 3, 3]
+        edges = [(0, 1), (1, 2), (2, 3)]
+        m = M.MrfModel.create(counts, edges, [np.zeros(c) for c in counts],
+                              [np.ones((counts[u], counts[v])) for u, v in edges])
+        assert len(list(mrflp.projections._edge_stack(m, np.ones(m.packing().node_dim)))) == 1
+        with pytest.raises(NumericalError, match=r"1000 pivots on edge \(2, 3\)"):
+            M.project_primal_energy(m, [np.full(c, 1.0 / c) for c in counts])
+
+    def test_uniform_grid_is_one_transport_call(self, monkeypatch):
+        m = M.generate_grid(6, 6, 3, seed=1)
+        calls = []
+        solve = mrflp.projections.solve_transport
+        monkeypatch.setattr(mrflp.projections, "solve_transport", lambda p: calls.append(p) or solve(p))
+        M.project_primal_energy(m, np.random.default_rng(0).random(m.packing().node_dim))
+        assert len(calls) == 1 and calls[0].cost.shape == (m.n_edges, 3, 3)
+
+    def test_wide_nodes_keep_padding_bounded(self):
+        # 2-label forests with three 200-label nodes: every run pads at most
+        # PAD_WASTE times its real cells
+        counts = np.full(500, 2)
+        counts[[10, 250, 490]] = 200
+        m, _ = oracles.two_forest_model(counts, seed=0)
+        nodes = mrflp.projections._projected_nodes(m, np.ones(m.packing().node_dim))
+        runs = list(mrflp.projections._edge_stack(m, nodes))
+        assert len(runs) > 1
+        for es, cells, real, problem in runs:
+            assert problem.cost.size <= PAD_WASTE * cells.size
 
 
 class TestPrimalFreeEnergyProjection:
