@@ -5,7 +5,8 @@
 * ``solve_nesterov`` - accelerated gradient ascent on the smoothed dual,
   optionally with a geometrically diminishing smoothing level,
 * ``solve_fpd`` - first-order primal-dual iteration on the explicit LP,
-  with streaming constraint products (the constraint matrix is never built).
+  with streaming constraint products (the constraint matrix is never built)
+  and diagonal steps that follow from the layout alone.
 
 All three share one epoch protocol.  The loop runs ``t = 0, ..., max_iters``
 and steps after every ``t < max_iters``.  Before the step an epoch runs at
@@ -129,6 +130,7 @@ class SolverReport:
     projection_time_s: float
     dual_point: DualPoint | None = None
     lam: np.ndarray | None = None
+    # nest's line-search halvings; always 0 for sg-* and fpd
     step_halvings: int = 0
     adaptive_step_used: bool = False
 
@@ -430,57 +432,53 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     return tracker.report("nest", termination, lam=lam, step_halvings=halvings)
 
 
-def _operator_norm(packing) -> float:
-    """``|A|`` by 50 power-iteration steps on ``A^T A`` from a fixed start; it lands 1-5% low."""
-    x = np.random.default_rng(0).standard_normal(packing.total_dim)
-    norm_sq = 1.0
-    for _ in range(50):
-        y = packing.apply_at(packing.apply_a_packed(x))
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            break
-        x, norm_sq = y / ny, ny
-    return math.sqrt(max(norm_sq, 1e-12))
+def _fpd_steps(packing) -> tuple[np.ndarray, np.ndarray]:
+    """``fpd``'s unscaled primal and dual steps: Pock & Chambolle's diagonal
+    preconditioner (ICCV 2011, Lemma 2, alpha = 1), one over each column's and
+    each row's count of nonzeros in ``A``, whose entries are in {-1, 0, 1}.
+
+    ``tau`` is ``1 / (1 + deg v)`` on node entries and ``1 / 3`` on edge cells.
+    ``sigma``, in :meth:`Packing.split_dual`'s order, is ``1 / L_v`` on node
+    rows, ``1 / (L_u L_v)`` on edge rows, ``1 / (1 + L_v)`` on u-side rows and
+    ``1 / (1 + L_u)`` on v-side rows.  They give ``|Sigma^1/2 A T^1/2| <= 1``.
+    """
+    counts = packing.label_counts
+    lu, lv = packing.edge_shapes.T
+    degree = np.bincount(packing.edge_ends.ravel(), minlength=len(counts))
+    tau = np.concatenate([np.repeat(1.0 / (1.0 + degree), counts), np.full(packing.edge_dim, 1.0 / 3.0)])
+    sigma = 1.0 / np.concatenate([counts, packing.block_sizes, np.repeat(1 + lv, lu), np.repeat(1 + lu, lv)])
+    return tau, sigma
 
 
 def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     """Chambolle-Pock primal-dual iteration on the explicit local-polytope LP.
 
     The primal step is a nonnegativity-clipped gradient step, the dual step
-    a gradient step at the over-relaxed primal point, with
-    ``sigma = tau = 0.99 / |A|`` set by the model alone; the dual objective
-    is not monotone, and its dips are not divergence.  One guard stays, as
-    the norm estimate is 1-5% low and ``sigma * tau * |A|^2`` can exceed 1:
-    an epoch that finds a non-finite iterate restores the last epoch's
-    iterates and halves both steps.  Both projections run at epochs only.
+    a gradient step at the over-relaxed primal point.  The steps are
+    :func:`_fpd_steps`' vectors, which follow from the layout alone, scaled by
+    0.99 so that ``|Sigma^1/2 A T^1/2| < 1`` by construction: there is no norm
+    estimate and no guard.  The dual objective is not monotone, and its dips
+    are not divergence.  Both projections run at epochs only.
     """
     packing = model.packing()
     theta = packing.theta
     # right-hand side of apply_a_packed: node and edge normalization
     b = np.zeros(packing.dual_dim)
     b[: model.n_nodes + model.n_edges] = 1.0
-    sigma = tau = 0.99 / _operator_norm(packing)
+    tau, sigma = (0.99 * step for step in _fpd_steps(packing))
 
     # uniform node and edge blocks
     sizes = np.concatenate([packing.label_counts, packing.block_sizes])
     mu = np.repeat(1.0 / sizes, sizes)
     nu = np.zeros(packing.dual_dim)
     tracker = _Tracker(model)
-    halvings = 0
-    snapshot = (mu.copy(), nu.copy())
     dual_point = None
 
     for t in range(cfg.max_iters + 1):
         if t % cfg.epoch == 0 or t == cfg.max_iters:
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
-                mu, nu = snapshot[0].copy(), snapshot[1].copy()
-                sigma /= 2.0
-                tau /= 2.0
-                halvings += 1
             point = tracker.project(project_dual, model, nu)
             if point is not None:
                 d_val = dual_value(model, point)
-                snapshot = (mu.copy(), nu.copy())
                 record = tracker.observe(t, mu[: packing.node_dim], d_val)
                 # keep the point that set the certified dual bound
                 if record is not None and d_val >= record.dual_bound:
@@ -488,10 +486,8 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
-        # too-large steps overflow here; the epoch's restore handles that
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu_new = np.maximum(mu - tau * (theta - packing.apply_at(nu)), 0.0)
-            mu_bar = 2.0 * mu_new - mu
-            mu = mu_new
-            nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
-    return tracker.report("fpd", termination, dual_point=dual_point, step_halvings=halvings)
+        mu_new = np.maximum(mu - tau * (theta - packing.apply_at(nu)), 0.0)
+        mu_bar = 2.0 * mu_new - mu
+        mu = mu_new
+        nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
+    return tracker.report("fpd", termination, dual_point=dual_point)

@@ -3,9 +3,11 @@
 Everything here is implemented from the problem definitions directly
 (enumeration, dense linear programming, alternating projection), sharing no
 code with the package's own algorithms, so oracle/implementation agreement
-is meaningful evidence.  The one exception is the reference transportation
-simplex, which refactors its basis in every round where the package keeps
-and updates the inverse; the two must take the same pivots.
+is meaningful evidence.  There are two exceptions.  The reference
+transportation simplex refactors its basis in every round where the package
+keeps and updates the inverse; the two must take the same pivots.  The power
+iteration of :func:`preconditioned_norm` applies the constraint matrix by the
+package's own streaming products.
 """
 
 from __future__ import annotations
@@ -173,6 +175,25 @@ def lipschitz_entropy(a_norm: float, n_terms: int, eps: float, big: float) -> fl
     if a_norm < 0.0:
         raise ValueError("a_norm must be nonnegative")
     return a_norm + n_terms * max(abs(1.0 + math.log(eps)), abs(1.0 + math.log(big)))
+
+
+# -- step condition of the preconditioned primal-dual iteration -----------
+
+
+def preconditioned_norm(packing, tau, sigma, iters: int = 300) -> float:
+    """``|Sigma^1/2 A T^1/2|`` for step vectors ``tau`` and ``sigma``, by power
+    iteration on ``K^T K`` with ``K = Sigma^1/2 A T^1/2`` from a fixed start.
+    ``A`` is applied by the packing's streaming products.  The Rayleigh
+    quotient of a unit vector never exceeds the true value."""
+    t_half = np.sqrt(tau)
+    x = np.random.default_rng(0).standard_normal(len(tau))
+    norm_sq = 0.0
+    for _ in range(iters):
+        x /= np.linalg.norm(x)
+        y = t_half * packing.apply_at(sigma * packing.apply_a_packed(t_half * x))
+        norm_sq = float(x @ y)
+        x = y
+    return math.sqrt(norm_sq)
 
 
 # -- brute-force transportation oracle ------------------------------------
