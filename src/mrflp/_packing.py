@@ -1,14 +1,15 @@
 """Flat-vector layout of primal/dual points and streaming constraint products.
 
 The primal vector stacks all node blocks, then all edge blocks in row-major
-order; :class:`~mrflp.model.Marginals` stores exactly this vector.  The
-constraint operator is never materialized as a matrix; its forward and
-adjoint products are computed from precomputed gather/scatter index maps,
-so they stay O(total block size) regardless of graph size.  Each edge-table
-cell ``(e, x_u, x_v)`` has two maps: ``cell_u`` to its u-side
-marginalization row ``(e, x_u)`` and ``cell_v`` to its v-side row
-``(e, x_v)``.  Row sums are then bincounts over the cells, and the adjoint
-reads one message entry per cell through the same maps.
+order; :class:`~mrflp.model.Marginals` stores exactly this vector, and
+:class:`~mrflp.model.MrfModel` its potentials ``theta``.  The constraint
+operator is never materialized as a matrix; its forward and adjoint products
+are computed from precomputed gather/scatter index maps, so they stay
+O(total block size) regardless of graph size.  Each edge-table cell
+``(e, x_u, x_v)`` has two maps: ``cell_u`` to its u-side marginalization row
+``(e, x_u)`` and ``cell_v`` to its v-side row ``(e, x_v)``.  Row sums are
+then bincounts over the cells, and the adjoint reads one message entry per
+cell through the same maps.
 
 Constraint row order, which is also the layout of the dual vector stored by
 :class:`~mrflp.model.DualPoint`: node normalization, edge normalization,
@@ -47,7 +48,7 @@ class Packing:
     v_gather: np.ndarray         # (sum L_v,) node-segment index of (e, x_v)
     cell_u: np.ndarray           # (edge_dim,) u-side row (e, x_u) of each edge cell
     cell_v: np.ndarray           # (edge_dim,) v-side row (e, x_v) of each edge cell
-    theta: np.ndarray            # (total_dim,) unary then pairwise tables, read-only
+    theta: np.ndarray            # (total_dim,) the model's potentials, read-only, not a copy
 
     @classmethod
     def build(cls, model) -> "Packing":
@@ -60,8 +61,6 @@ class Packing:
         # cell k of edge e's row-major table is row k // L_v, column k % L_v
         within = segment_arange(block_sizes)
         cell_lv = np.repeat(lv, block_sizes)
-        theta = np.concatenate([*model.unary, *(t.ravel() for t in model.pairwise)])
-        theta.flags.writeable = False
         return cls(
             node_dim=int(counts.sum()),
             edge_dim=int(block_sizes.sum()),
@@ -75,7 +74,7 @@ class Packing:
             v_gather=np.repeat(node_starts[ends[:, 1]], lv) + segment_arange(lv),
             cell_u=np.repeat(_starts(lu), block_sizes) + within // cell_lv,
             cell_v=np.repeat(_starts(lv), block_sizes) + within % cell_lv,
-            theta=theta,
+            theta=model.theta,
         )
 
     # -- primal packing ----------------------------------------------------
@@ -120,13 +119,14 @@ class Packing:
         return np.split(nu, np.cumsum([len(self.node_starts), len(self.edge_starts), len(self.u_gather)]))
 
     def apply_at(self, nu: np.ndarray) -> np.ndarray:
-        """Adjoint product, returned in the primal layout."""
+        """Adjoint product, returned in the primal layout.  Each entry adds
+        its block's bound last, ``fl(bound + w)`` with ``w`` the entry at zero
+        bounds: :func:`~mrflp.projections.project_dual` relies on it."""
         nb, eb, msg_u, msg_v = self.split_dual(nu)
-        out_nodes = np.repeat(nb, self.label_counts)
-        out_nodes += np.bincount(self.u_gather, weights=msg_u, minlength=self.node_dim)
-        out_nodes += np.bincount(self.v_gather, weights=msg_v, minlength=self.node_dim)
-        out_edges = np.repeat(eb, self.block_sizes) - msg_u[self.cell_u] - msg_v[self.cell_v]
-        return np.concatenate([out_nodes, out_edges])
+        w_nodes = np.bincount(self.u_gather, weights=msg_u, minlength=self.node_dim)
+        w_nodes = w_nodes + np.bincount(self.v_gather, weights=msg_v, minlength=self.node_dim)
+        out_edges = np.repeat(eb, self.block_sizes) - (msg_u[self.cell_u] + msg_v[self.cell_v])
+        return np.concatenate([w_nodes + np.repeat(nb, self.label_counts), out_edges])
 
 
 # a padded stack is split where its padded cells would exceed this many

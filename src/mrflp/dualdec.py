@@ -96,26 +96,36 @@ def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
 def _forest_rows(model: MrfModel, edges) -> list[tuple[int, int, int, int]]:
     """``(depth, child, parent, edge)`` of every node of one forest; a
     root is its own parent at depth 0, with edge -1."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(model.n_nodes)}
-    for u, v in edges:
-        e = model.edge_id(u, v)
+    for (u, v), e in zip(ends.tolist(), model.edge_id(ends[:, 0], ends[:, 1]).tolist()):
         adj[u].append((v, e))
         adj[v].append((u, e))
-    rows: list[tuple[int, int, int, int]] = []
-    done: set[int] = set()
+    rows, done = [], set()
     for start in range(model.n_nodes):
         if start in done:
             continue
-        # a deepest node from anywhere ends a longest path; walk back
-        # from that path's far end to its middle
+        # a deepest node from anywhere ends a longest path; the search from
+        # that end reaches the path's far end, and the root is its middle
         order = _bfs(adj, _bfs(adj, start)[-1][0])
-        parent_of = {x: p for x, p, _, _ in order}
+        parent_of = {x: (p, e) for x, p, e, _ in order}
         done.update(parent_of)
         root = order[-1][0]
         for _ in range(order[-1][3] // 2):
-            root = parent_of[root]
+            root = parent_of[root][0]
+        # re-root: reverse the path back to the search's start; the rest keep their parents
+        depth = {root: 0}
         rows.append((0, root, root, -1))
-        rows.extend((depth, x, p, e) for x, p, e, depth in _bfs(adj, root)[1:])
+        x = root
+        while x != order[0][0]:
+            p, e = parent_of[x]
+            depth[p] = depth[x] + 1
+            rows.append((depth[p], p, x, e))
+            x = p
+        for x, p, e, _ in order:
+            if x not in depth:
+                depth[x] = depth[p] + 1
+                rows.append((depth[x], x, p, e))
     return rows
 
 
@@ -287,9 +297,9 @@ class DualContext:
         return value
 
 
-def decomposition_entropy(model: MrfModel, decomposition: Decomposition, marginals: Marginals) -> float:
+def decomposition_entropy(model: MrfModel, marginals: Marginals) -> float:
     """Node entropies minus edge mutual informations, each node counted
-    twice: every node lies in both forests, every edge in one.
+    twice: for any coloring, every node lies in both forests, every edge in one.
 
     Equals the sum of the two forests' tree entropies, hence nonnegative on
     the local polytope.
@@ -304,12 +314,10 @@ def decomposition_entropy(model: MrfModel, decomposition: Decomposition, margina
     ratio = np.log(np.maximum(edges, LOG_FLOOR)) - log_nodes[packing.u_gather[packing.cell_u]]
     ratio -= log_nodes[packing.v_gather[packing.cell_v]]
     edge_terms = np.where(edges > 0.0, edges * ratio, 0.0)
-    node_w = np.full(packing.node_dim, 2)
-    edge_w = np.repeat(decomposition.edge_counts, packing.block_sizes)
-    return -float(node_w @ node_terms) - float(edge_w @ edge_terms)
+    return -2.0 * float(node_terms.sum()) - float(edge_terms.sum())
 
 
-def free_energy(model: MrfModel, decomposition: Decomposition, marginals: Marginals, rho: float) -> float:
+def free_energy(model: MrfModel, marginals: Marginals, rho: float) -> float:
     """Entropy-smoothed relaxed energy (tree-reweighted free energy).
 
     Defined as the relaxed energy minus ``rho`` times the decomposition
@@ -323,5 +331,5 @@ def free_energy(model: MrfModel, decomposition: Decomposition, marginals: Margin
         raise InfeasibleMarginalsError(
             "free energy is only defined on feasible points", residual=residual
         )
-    return relaxed_energy(model, marginals) - rho * decomposition_entropy(model, decomposition, marginals)
+    return relaxed_energy(model, marginals) - rho * decomposition_entropy(model, marginals)
 

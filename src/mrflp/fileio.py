@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._packing import segment_arange
 from .errors import StructureError
 from .model import ConvergenceRecord, DualPoint, Marginals, MrfModel
 
@@ -32,30 +33,27 @@ def write_uai(model: MrfModel, path) -> None:
     lines = ["# min-sum energies: tables are energies, lower is better"]
     if model.grid_shape is not None:
         lines.append(f"# grid {model.grid_shape[0]} {model.grid_shape[1]}")
-    lines.append("MARKOV")
-    lines.append(str(model.n_nodes))
-    lines.append(" ".join(str(c) for c in model.label_counts))
-    lines.append(str(model.n_nodes + model.n_edges))
-    for v in range(model.n_nodes):
-        lines.append(f"1 {v}")
-    for u, v in model.edges:
-        lines.append(f"2 {u} {v}")
-    lines.append("")
-    for v in range(model.n_nodes):
-        lines.append(str(model.label_counts[v]))
-        lines.append(" ".join(_fmt(x) for x in model.unary[v]))
-    for e in range(model.n_edges):
-        table = model.pairwise[e]
-        lines.append(str(table.size))
-        lines.append(" ".join(_fmt(x) for x in table.ravel()))
+    lines += ["MARKOV", str(model.n_nodes), " ".join(map(str, model.label_counts)), str(model.n_nodes + model.n_edges)]
+    lines += [f"1 {v}" for v in range(model.n_nodes)] + [f"2 {u} {v}" for u, v in model.edges] + [""]
+    theta = model.theta.tolist()
+    sizes = [*model.label_counts, *(model.label_counts[u] * model.label_counts[v] for u, v in model.edges)]
+    for size, stop in zip(sizes, np.cumsum(sizes).tolist()):
+        lines += [str(size), " ".join(map(_fmt, theta[stop - size : stop]))]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _token(tokens: list[str], pos: int) -> str:
+    if pos >= len(tokens):
+        raise StructureError("unexpected end of model file")
+    return tokens[pos]
 
 
 def read_uai(path) -> MrfModel:
     """Parse a pairwise UAI model; factors of arity three or more are rejected.
 
     Multiple factors on the same scope accumulate.  A ``# grid R C`` comment
-    restores the generator's grid shape.
+    restores the generator's grid shape.  The scopes and the tables are each
+    converted by one numpy call.
     """
     grid_shape = None
     tokens: list[str] = []
@@ -67,69 +65,69 @@ def read_uai(path) -> MrfModel:
                 grid_shape = (int(parts[1]), int(parts[2]))
             continue
         tokens.extend(stripped.split())
-    pos = 0
 
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise StructureError("unexpected end of model file")
-        pos += 1
-        return tokens[pos - 1]
-
-    preamble = take()
+    preamble = _token(tokens, 0)
     if preamble.upper() != "MARKOV":
         raise StructureError(f"unsupported network type {preamble!r}; expected MARKOV")
-    n = int(take())
+    n = int(_token(tokens, 1))
     if n < 1:
         raise StructureError("model needs at least one variable")
-    counts = [int(take()) for _ in range(n)]
-    if any(c < 1 for c in counts):
+    n_factors = int(_token(tokens, 2 + n))
+    counts = np.array(tokens[2 : 2 + n], dtype=np.int64)
+    if np.any(counts < 1):
         raise StructureError("variable cardinalities must be positive")
-    n_factors = int(take())
-    scopes: list[tuple[int, ...]] = []
+    scope_start = pos = 3 + n
+    arity = []
     for _ in range(n_factors):
-        arity = int(take())
-        if arity not in (1, 2):
-            raise StructureError(f"factor of arity {arity} found; only pairwise models are supported")
-        scope = tuple(int(take()) for _ in range(arity))
-        for v in scope:
-            if not 0 <= v < n:
-                raise StructureError(f"factor scope references unknown variable {v}")
-        if arity == 2 and scope[0] == scope[1]:
-            raise StructureError(f"factor scope repeats variable {scope[0]}")
-        scopes.append(scope)
+        arity.append(int(_token(tokens, pos)))
+        if arity[-1] not in (1, 2):
+            raise StructureError(f"factor of arity {arity[-1]} found; only pairwise models are supported")
+        pos += 1 + arity[-1]
+    _token(tokens, pos - 1)  # the last scope is complete
+    arity = np.array(arity, dtype=np.int64)
+    # the scope section is each factor's arity, then its variables
+    arity_at = np.cumsum(arity + 1) - arity - 1
+    scope_vars = np.delete(np.array(tokens[scope_start:pos], dtype=np.int64), arity_at)
+    unknown = np.flatnonzero((scope_vars < 0) | (scope_vars >= n))
+    if unknown.size:
+        raise StructureError(f"factor scope references unknown variable {scope_vars[unknown[0]]}")
+    # a unary factor's scope is (a, a) here
+    first = arity_at - np.arange(arity.size)
+    a, b = scope_vars[first], scope_vars[first + arity - 1]
+    pair = arity == 2
+    repeats = np.flatnonzero(pair & (a == b))
+    if repeats.size:
+        raise StructureError(f"factor scope repeats variable {a[repeats[0]]}")
 
-    unary = [np.zeros(c) for c in counts]
-    pairwise: dict[tuple[int, int], np.ndarray] = {}
-    for scope in scopes:
-        want = 1
-        for v in scope:
-            want *= counts[v]
-        declared = int(take())
-        if declared != want:
-            raise StructureError(f"factor on {scope} declares {declared} entries, expected {want}")
-        values = np.array([float(take()) for _ in range(want)])
-        if len(scope) == 1:
-            unary[scope[0]] += values
-        else:
-            a, b = scope
-            table = values.reshape(counts[a], counts[b])
-            if a > b:
-                a, b, table = b, a, table.T
-            if (a, b) in pairwise:
-                pairwise[(a, b)] = pairwise[(a, b)] + table
-            else:
-                pairwise[(a, b)] = table
-    if pos != len(tokens):
+    # factor k's table is its declared size, then its entries
+    la, lb = counts[a], np.where(pair, counts[b], 1)
+    sizes = la * lb
+    heads = pos + np.arange(arity.size) + np.cumsum(sizes) - sizes
+    for k, (head, size) in enumerate(zip(heads.tolist(), sizes.tolist())):
+        declared = int(_token(tokens, head))
+        if declared != size:
+            scope = tuple(scope_vars[first[k] : first[k] + arity[k]].tolist())
+            raise StructureError(f"factor on {scope} declares {declared} entries, expected {size}")
+    end = pos + arity.size + int(sizes.sum())
+    _token(tokens, end - 1)  # the last table is complete
+    values = np.delete(np.array(tokens[pos:end], dtype=np.float64), heads - pos)
+    if end != len(tokens):
         raise StructureError("trailing tokens after the last factor table")
-    edges = sorted(pairwise)
-    return MrfModel.create(
-        label_counts=counts,
-        edges=edges,
-        unary=unary,
-        pairwise=[pairwise[e] for e in edges],
-        grid_shape=grid_shape,
-    )
+
+    # theta's blocks: one per node, then one per distinct pairwise scope in
+    # canonical order; a table from the larger node to the smaller transposes
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    edge_keys = keys[pair][np.lexsort((keys[pair],))]
+    edge_keys = edge_keys[np.append(True, edge_keys[1:] != edge_keys[:-1])]
+    blocks = np.concatenate([counts, counts[edge_keys // n] * counts[edge_keys % n]])
+    base = (np.cumsum(blocks) - blocks)[np.where(pair, n + np.searchsorted(edge_keys, keys), a)]
+    row, col = np.divmod(segment_arange(sizes), np.repeat(lb, sizes))
+    offset = np.where(np.repeat(a > b, sizes), col * np.repeat(la, sizes) + row, row * np.repeat(lb, sizes) + col)
+    # every edge has a factor: from -0.0, a lone table's zeros keep their
+    # sign, while node entries without a factor stay +0.0
+    theta = np.concatenate([np.zeros(counts.sum()), np.full(blocks[n:].sum(), -0.0)])
+    np.add.at(theta, np.repeat(base, sizes) + offset, values)
+    return MrfModel(counts, np.stack(np.divmod(edge_keys, n), axis=1), theta, grid_shape)
 
 
 def write_labeling(labeling, path) -> None:

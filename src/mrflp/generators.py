@@ -38,17 +38,10 @@ def generate_grid(
             return rng.uniform(-radius, radius, shape)
         raise ValueError(f"unknown potential law {law!r}")
 
-    n = rows * cols
     edges = grid_edges(rows, cols)
-    unary = draw((n, labels))
-    pairwise = draw((len(edges), labels, labels))
-    return MrfModel.create(
-        label_counts=[labels] * n,
-        edges=edges,
-        unary=list(unary),
-        pairwise=list(pairwise),
-        grid_shape=(rows, cols),
-    )
+    # (n, L) unary and (m, L, L) pairwise draws, row-major, are theta's layout
+    theta = np.concatenate([draw((rows * cols, labels)).ravel(), draw((len(edges), labels, labels)).ravel()])
+    return MrfModel([labels] * rows * cols, edges, theta, grid_shape=(rows, cols))
 
 
 def generate_lp_tight(
@@ -86,20 +79,14 @@ def generate_lp_tight(
     forbid = rng.random((len(edges), labels, labels)) < forbidden_fraction
 
     unary[np.arange(n), planted] -= margin
-    for e, (u, v) in enumerate(edges):
-        pairwise[e, planted[u], planted[v]] -= margin
-        forbid[e, planted[u], planted[v]] = False
+    planted_cells = (np.arange(len(edges)), *planted[np.array(edges, dtype=np.int64).reshape(-1, 2).T])
+    pairwise[planted_cells] -= margin
+    forbid[planted_cells] = False
     top = max(float(np.max(np.abs(unary))), float(np.max(np.abs(pairwise))))
     if infinity_value < top:
         raise ValueError(
             f"infinity_value {infinity_value} is below the largest potential magnitude {top:.3f}"
         )
     pairwise[forbid] = infinity_value
-    model = MrfModel.create(
-        label_counts=[labels] * n,
-        edges=edges,
-        unary=list(unary),
-        pairwise=list(pairwise),
-        grid_shape=(rows, cols),
-    )
+    model = MrfModel([labels] * n, edges, np.concatenate([unary.ravel(), pairwise.ravel()]), grid_shape=(rows, cols))
     return model, planted.astype(np.int64)

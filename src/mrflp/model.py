@@ -4,10 +4,10 @@ A model is an undirected graph with a finite label space per node, a unary
 energy table per node and a pairwise energy table per edge.  Relaxed primal
 points ("marginals") carry one simplex block per node and one joint block per
 edge; the local polytope is the set of such blocks satisfying normalization
-and the two marginalization families.  Primal and dual points are stored as
-one flat vector each in the :class:`~mrflp._packing.Packing` layout, with
-their per-node and per-edge blocks as views, so every certificate is a
-vectorized product with the model's flat potentials.
+and the two marginalization families.  The potentials ``theta``, primal and
+dual points are stored as one flat vector each in the
+:class:`~mrflp._packing.Packing` layout, with their per-node and per-edge
+tables as views, so every certificate is a vectorized product with ``theta``.
 
 Conventions kept throughout the package:
 
@@ -46,50 +46,49 @@ def _frozen_array(a, dtype=np.float64, ndim=None) -> np.ndarray:
 class MrfModel:
     """Pairwise graphical model with energy tables.
 
-    Instances are immutable; build them through :meth:`create`, which
-    canonicalizes edge orientation and ordering.
+    ``theta`` is the one stored copy of the potentials: a read-only vector
+    in the :class:`~mrflp._packing.Packing` primal layout, the unary tables,
+    then the pairwise tables row-major.  :attr:`unary` and :attr:`pairwise`
+    are per-table views into it.  Instances are immutable; :meth:`create`
+    builds one from per-table lists, canonicalizing edge orientation and
+    ordering.
     """
 
     label_counts: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    unary: tuple[np.ndarray, ...]
-    pairwise: tuple[np.ndarray, ...]
+    theta: np.ndarray
     grid_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        n = len(self.label_counts)
-        if n == 0:
+        counts = np.asarray(self.label_counts, dtype=np.int64).reshape(-1)
+        if counts.size == 0:
             raise StructureError("a model needs at least one node")
-        if any(int(c) < 1 for c in self.label_counts):
+        if np.any(counts < 1):
             raise StructureError("every node needs at least one label")
-        if len(self.unary) != n:
-            raise StructureError("one unary table per node required")
-        for v, t in enumerate(self.unary):
-            if t.shape != (self.label_counts[v],):
-                raise StructureError(f"unary table of node {v} has shape {t.shape}")
-            if not np.all(np.isfinite(t)):
-                raise StructureError(f"unary table of node {v} has non-finite entries")
-        if len(self.pairwise) != len(self.edges):
-            raise StructureError("one pairwise table per edge required")
-        prev = None
-        for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < v < n):
-                raise StructureError(f"edge ({u}, {v}) is not canonical (need 0 <= u < v < n)")
-            if prev is not None and (u, v) <= prev:
-                raise StructureError("edges must be strictly increasing (no duplicates)")
-            prev = (u, v)
-            t = self.pairwise[e]
-            want = (self.label_counts[u], self.label_counts[v])
-            if t.shape != want:
-                raise StructureError(f"pairwise table of edge {(u, v)} has shape {t.shape}, expected {want}")
-            if not np.all(np.isfinite(t)):
-                raise StructureError(f"pairwise table of edge {(u, v)} has non-finite entries")
+        u, v = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).T
+        canonical = (0 <= u) & (u < v) & (v < counts.size)
+        rising = np.append(True, (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1])))
+        bad = np.flatnonzero(~(canonical & rising))
+        if bad.size and not canonical[bad[0]]:
+            raise StructureError(f"edge ({u[bad[0]]}, {v[bad[0]]}) is not canonical (need 0 <= u < v < n)")
+        if bad.size:
+            raise StructureError("edges must be strictly increasing (no duplicates)")
+        object.__setattr__(self, "label_counts", tuple(counts.tolist()))
+        object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist())))
+        object.__setattr__(self, "theta", _frozen_array(self.theta, ndim=1))
+        sizes = np.concatenate([counts, counts[u] * counts[v]])
+        if self.theta.size != sizes.sum():
+            raise StructureError(f"theta has {self.theta.size} entries, the tables need {sizes.sum()}")
+        if not np.all(np.isfinite(self.theta)):
+            # the table holding the first non-finite entry
+            k = int(np.searchsorted(np.cumsum(sizes), np.argmin(np.isfinite(self.theta)), side="right"))
+            if k < counts.size:
+                raise StructureError(f"unary table of node {k} has non-finite entries")
+            raise StructureError(f"pairwise table of edge {self.edges[k - counts.size]} has non-finite entries")
         if self.grid_shape is not None:
             r, c = self.grid_shape
-            if r < 1 or c < 1 or r * c != n:
-                raise StructureError(f"grid shape {self.grid_shape} does not match {n} nodes")
-        object.__setattr__(self, "_edge_index", {uv: e for e, uv in enumerate(self.edges)})
-        object.__setattr__(self, "_packing", None)
+            if r < 1 or c < 1 or r * c != counts.size:
+                raise StructureError(f"grid shape {self.grid_shape} does not match {counts.size} nodes")
 
     @classmethod
     def create(
@@ -100,28 +99,35 @@ class MrfModel:
         pairwise: Sequence,
         grid_shape: tuple[int, int] | None = None,
     ) -> "MrfModel":
-        """Build a model, sorting edges canonically and copying all tables.
+        """Build a model from one table per node and one per edge, sorting
+        edges canonically and copying the tables into ``theta``.
 
         Edges may be given in either orientation; tables follow their edge
         (a table for ``(v, u)`` with ``v > u`` is transposed).
         """
-        pair = list(zip(edges, pairwise))
-        canon = []
-        for (u, v), t in pair:
-            t = np.asarray(t, dtype=np.float64)
+        ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        if len(pairwise) != len(ends):
+            raise StructureError("one pairwise table per edge required")
+        n_labels = [int(c) for c in label_counts]
+        tables = [np.asarray(t, dtype=np.float64) for t in unary]
+        if len(tables) != len(n_labels):
+            raise StructureError("one unary table per node required")
+        for v, t in enumerate(tables):
+            if t.shape != (n_labels[v],):
+                raise StructureError(f"unary table of node {v} has shape {t.shape}")
+        order = np.lexsort((ends.max(axis=1), ends.min(axis=1)))
+        for e, (u, v) in zip(order.tolist(), np.sort(ends[order], axis=1).tolist()):
+            t = np.asarray(pairwise[e], dtype=np.float64)
+            t = t.T if ends[e, 0] > ends[e, 1] else t
             if u == v:
                 raise StructureError(f"self-loop on node {u}")
-            if u > v:
-                u, v, t = v, u, t.T
-            canon.append(((u, v), t))
-        canon.sort(key=lambda item: item[0])
-        return cls(
-            label_counts=tuple(int(c) for c in label_counts),
-            edges=tuple(uv for uv, _ in canon),
-            unary=tuple(_frozen_array(t, ndim=1) for t in unary),
-            pairwise=tuple(_frozen_array(t, ndim=2) for _, t in canon),
-            grid_shape=None if grid_shape is None else (int(grid_shape[0]), int(grid_shape[1])),
-        )
+            # an edge outside the nodes has no shape to check; construction rejects it
+            if 0 <= u and v < len(n_labels) and t.shape != (n_labels[u], n_labels[v]):
+                raise StructureError(f"pairwise table of edge {(u, v)} has shape {t.shape}, "
+                                     f"expected {(n_labels[u], n_labels[v])}")
+            tables.append(t.ravel())
+        grid_shape = None if grid_shape is None else (int(grid_shape[0]), int(grid_shape[1]))
+        return cls(n_labels, np.sort(ends[order], axis=1), np.concatenate([*tables, np.zeros(0)]), grid_shape)
 
     @property
     def n_nodes(self) -> int:
@@ -131,18 +137,36 @@ class MrfModel:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_id(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._edge_index[(u, v)]  # type: ignore[attr-defined]
+    @functools.cached_property
+    def unary(self) -> tuple[np.ndarray, ...]:
+        packing = self.packing()
+        return tuple(_split(packing.unary, packing.label_counts))
+
+    @functools.cached_property
+    def pairwise(self) -> tuple[np.ndarray, ...]:
+        packing = self.packing()
+        cells = _split(self.theta[packing.node_dim :], packing.block_sizes)
+        return tuple(b.reshape(shape) for b, shape in zip(cells, packing.edge_shapes.tolist()))
+
+    def edge_id(self, u, v):
+        """Index of the edge ``{u, v}``, given in either orientation, looked up
+        in the sorted edge keys ``u * n + v``; elementwise for arrays of
+        endpoints.  Raises :class:`KeyError` if there is no such edge."""
+        ends = self.packing().edge_ends
+        keys = ends[:, 0] * self.n_nodes + ends[:, 1]
+        key = np.minimum(u, v) * self.n_nodes + np.maximum(u, v)
+        e = np.searchsorted(keys, key)
+        if not np.all(np.append(keys, -1)[e] == key):  # e == n_edges reads the -1
+            raise KeyError((u, v))
+        return e if np.ndim(e) else int(e)
+
+    @functools.cached_property
+    def _layout(self) -> Packing:
+        return Packing.build(self)
 
     def packing(self) -> Packing:
         """Cached flat-vector layout used by vectorized kernels."""
-        p = self._packing  # type: ignore[attr-defined]
-        if p is None:
-            p = Packing.build(self)
-            object.__setattr__(self, "_packing", p)
-        return p
+        return self._layout
 
 
 def _split(vec: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
@@ -412,16 +436,8 @@ def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decompositi
 
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
     """Canonical 4-connected edges of a row-major grid."""
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    edges.sort()
-    return edges
+    n = rows * cols
+    return sorted([(v, v + 1) for v in range(n) if (v + 1) % cols] + [(v, v + cols) for v in range(n - cols)])
 
 
 def infer_grid_shape(model: MrfModel) -> tuple[int, int] | None:
@@ -429,14 +445,8 @@ def infer_grid_shape(model: MrfModel) -> tuple[int, int] | None:
     if model.grid_shape is not None:
         return model.grid_shape
     n = model.n_nodes
-    want = set(model.edges)
-    for rows in range(1, n + 1):
-        if n % rows:
-            continue
-        cols = n // rows
-        if set(grid_edges(rows, cols)) == want:
-            return (rows, cols)
-    return None
+    shapes = ((rows, n // rows) for rows in range(1, n + 1) if n % rows == 0)
+    return next((shape for shape in shapes if tuple(grid_edges(*shape)) == model.edges), None)
 
 
 def decompose_grid(model: MrfModel) -> Decomposition:
@@ -451,8 +461,5 @@ def decompose_grid(model: MrfModel) -> Decomposition:
         raise StructureError(
             "model is not a 4-connected grid; supply an edge 2-coloring into forests"
         )
-    rows, cols = shape
-    coloring = []
-    for u, v in model.edges:
-        coloring.append(0 if v == u + 1 and (u % cols) + 1 < cols else 1)
-    return decompose_by_coloring(model, coloring)
+    cols = shape[1]
+    return decompose_by_coloring(model, [0 if v == u + 1 and (u % cols) + 1 < cols else 1 for u, v in model.edges])

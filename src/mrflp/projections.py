@@ -118,21 +118,14 @@ def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:
     return point.nu
 
 
-def _dual_slack(model: MrfModel, nu: np.ndarray) -> np.ndarray:
-    """``theta - A^T nu`` in the primal layout: the slack of every dual
-    inequality."""
-    packing = model.packing()
-    return packing.theta - packing.apply_at(nu)
-
-
 def project_dual(model: MrfModel, messages) -> DualPoint:
     """Feasible dual point from arbitrary reweighting messages.
 
     ``messages`` is a dual vector in the :meth:`Packing.split_dual` layout
     (its bound entries are ignored) or one ``(from_u, from_v)`` pair per
     edge.  The messages are kept unchanged; every bound variable is set to
-    the exact minimum of its reweighted table, so the inequality
-    constraints hold with equality at the binding entries.
+    the minimum of its reweighted table, rounded down so that no slack is
+    negative: :func:`dual_feasibility_margin` is at least 0.
     """
     packing = model.packing()
     if not (isinstance(messages, np.ndarray) and messages.ndim == 1):
@@ -144,8 +137,13 @@ def project_dual(model: MrfModel, messages) -> DualPoint:
     # one bound per node block, then one per edge block
     n_bounds = model.n_nodes + model.n_edges
     nu[:n_bounds] = 0.0
+    # the margin is theta - fl(bound + w) per entry; where theta - w rounds
+    # up, that sum can exceed theta, but not from the next float down
+    w = packing.apply_at(nu)
+    fits = packing.theta - w
+    fits = np.where(fits + w <= packing.theta, fits, np.nextafter(fits, -np.inf))
     starts = np.concatenate([packing.node_starts, packing.node_dim + packing.edge_starts])
-    nu[:n_bounds] = np.minimum.reduceat(_dual_slack(model, nu), starts)
+    nu[:n_bounds] = np.minimum.reduceat(fits, starts)
     return DualPoint(nu, model.n_nodes, packing.edge_shapes)
 
 
@@ -155,5 +153,6 @@ def dual_value(model: MrfModel, point: DualPoint) -> float:
 
 
 def dual_feasibility_margin(model: MrfModel, point: DualPoint) -> float:
-    """Smallest slack of the dual inequalities (negative means infeasible)."""
-    return float(_dual_slack(model, _checked_nu(model, point)).min())
+    """Smallest slack ``theta - A^T nu`` (negative means infeasible)."""
+    packing = model.packing()
+    return float((packing.theta - packing.apply_at(_checked_nu(model, point))).min())

@@ -398,7 +398,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
             if cfg.log_smoothed_gap:
                 feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho)
                 if feas is not None:
-                    smoothed_gap = free_energy(model, decomposition, feas, rho) - uh_val
+                    smoothed_gap = free_energy(model, feas, rho) - uh_val
             tracker.observe(t, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1)
             termination = tracker.stop(cfg, t)
             if termination is not None:

@@ -7,7 +7,8 @@ is meaningful evidence.  There are two exceptions.  The reference
 transportation simplex refactors its basis in every round where the package
 keeps and updates the inverse; the two must take the same pivots.  The power
 iteration of :func:`preconditioned_norm` applies the constraint matrix by the
-package's own streaming products.
+package's own streaming products.  :func:`read_uai_reference` parses token
+by token but builds its model with the package's ``MrfModel.create``.
 """
 
 from __future__ import annotations
@@ -460,6 +461,27 @@ def gibbs_bruteforce(model, edges_subset, unary, rho):
     return value, node_marg
 
 
+def rooted_rows(model, edges, roots):
+    """``(depth, child, parent, edge)`` of every node of a forest, from one
+    breadth-first search per given root (a root is its own parent at depth
+    0, with edge -1)."""
+    ids = {uv: e for e, uv in enumerate(model.edges)}
+    adj = {v: [] for v in range(model.n_nodes)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    rows = []
+    for root in roots:
+        frontier, seen = [(root, root, 0)], {root}
+        for x, p, depth in frontier:
+            rows.append((depth, x, p, ids[(min(x, p), max(x, p))] if depth else -1))
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append((y, x, depth + 1))
+    return rows
+
+
 # -- test instances -------------------------------------------------------
 
 
@@ -513,3 +535,89 @@ def two_forest_model(counts, seed, big=1.0):
         [random_table(rng, (int(counts[u]), int(counts[v])), big) for u, v in edges],
     )
     return m, forests
+
+
+# -- reference UAI reader ---------------------------------------------------
+
+
+def read_uai_reference(path):
+    """Token-by-token UAI reader: every token is taken and converted on its
+    own, in file order, and repeated scopes add up table by table."""
+    from pathlib import Path
+
+    from mrflp import MrfModel
+    from mrflp.errors import StructureError
+
+    grid_shape = None
+    tokens: list[str] = []
+    for line in Path(path).read_text().splitlines():
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            parts = stripped[1:].split()
+            if len(parts) == 3 and parts[0] == "grid":
+                grid_shape = (int(parts[1]), int(parts[2]))
+            continue
+        tokens.extend(stripped.split())
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise StructureError("unexpected end of model file")
+        pos += 1
+        return tokens[pos - 1]
+
+    preamble = take()
+    if preamble.upper() != "MARKOV":
+        raise StructureError(f"unsupported network type {preamble!r}; expected MARKOV")
+    n = int(take())
+    if n < 1:
+        raise StructureError("model needs at least one variable")
+    counts = [int(take()) for _ in range(n)]
+    if any(c < 1 for c in counts):
+        raise StructureError("variable cardinalities must be positive")
+    n_factors = int(take())
+    scopes: list[tuple[int, ...]] = []
+    for _ in range(n_factors):
+        arity = int(take())
+        if arity not in (1, 2):
+            raise StructureError(f"factor of arity {arity} found; only pairwise models are supported")
+        scope = tuple(int(take()) for _ in range(arity))
+        for v in scope:
+            if not 0 <= v < n:
+                raise StructureError(f"factor scope references unknown variable {v}")
+        if arity == 2 and scope[0] == scope[1]:
+            raise StructureError(f"factor scope repeats variable {scope[0]}")
+        scopes.append(scope)
+
+    unary = [np.zeros(c) for c in counts]
+    pairwise: dict[tuple[int, int], np.ndarray] = {}
+    for scope in scopes:
+        want = 1
+        for v in scope:
+            want *= counts[v]
+        declared = int(take())
+        if declared != want:
+            raise StructureError(f"factor on {scope} declares {declared} entries, expected {want}")
+        values = np.array([float(take()) for _ in range(want)])
+        if len(scope) == 1:
+            unary[scope[0]] += values
+        else:
+            a, b = scope
+            table = values.reshape(counts[a], counts[b])
+            if a > b:
+                a, b, table = b, a, table.T
+            if (a, b) in pairwise:
+                pairwise[(a, b)] = pairwise[(a, b)] + table
+            else:
+                pairwise[(a, b)] = table
+    if pos != len(tokens):
+        raise StructureError("trailing tokens after the last factor table")
+    edges = sorted(pairwise)
+    return MrfModel.create(
+        label_counts=counts,
+        edges=edges,
+        unary=unary,
+        pairwise=[pairwise[e] for e in edges],
+        grid_shape=grid_shape,
+    )

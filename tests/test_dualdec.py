@@ -287,6 +287,21 @@ def chain_and_star_model(n, seed):
 class TestFusedForestPlan:
     """``ForestPlan(m, f0, f1)`` against the two single-forest plans."""
 
+    def test_rows_match_a_search_from_each_center(self):
+        # the rows re-rooted from the second search equal a fresh search from
+        # each root, and every root is a center of its tree
+        for seed in range(4):
+            m, forests = oracles.two_forest_model([2 + i % 3 for i in range(30)], seed=seed)
+            for edges in forests:
+                rows = mrflp.dualdec._forest_rows(m, edges)
+                roots = [x for depth, x, _, _ in rows if depth == 0]
+                assert sorted(rows) == sorted(oracles.rooted_rows(m, edges, roots))
+                for root in roots:
+                    # eccentricity of the root against that of every node of its tree
+                    tree = {x for _, x, _, _ in oracles.rooted_rows(m, edges, [root])}
+                    ecc = {x: max(d for d, *_ in oracles.rooted_rows(m, edges, [x])) for x in tree}
+                    assert ecc[root] == min(ecc.values())
+
     @staticmethod
     def cases():
         m = oracles.mixed_label_grid(4)
@@ -512,16 +527,14 @@ class TestSmoothedDual:
 class TestFreeEnergy:
     def test_deterministic_point_has_no_entropy(self):
         m = M.generate_grid(2, 2, 2, seed=6)
-        d = M.decompose_grid(m)
         x = np.array([0, 1, 1, 0])
         mu = M.embed_labeling(m, x)
-        assert M.free_energy(m, d, mu, rho=0.5) == pytest.approx(M.energy(m, x), abs=1e-12)
+        assert M.free_energy(m, mu, rho=0.5) == pytest.approx(M.energy(m, x), abs=1e-12)
 
     def test_uniform_chain_closed_form(self):
         m = M.MrfModel.create(
             [2] * 3, [(0, 1), (1, 2)], [np.zeros(2)] * 3, [np.zeros((2, 2))] * 2
         )
-        d = M.decompose_by_coloring(m, [0, 1])
         mu = M.Marginals.from_blocks(
             node_blocks=tuple(np.full(2, 0.5) for _ in range(3)),
             edge_blocks=tuple(np.full((2, 2), 0.25) for _ in range(2)),
@@ -530,32 +543,35 @@ class TestFreeEnergy:
         # entropies, mutual information vanishes
         rho = 0.8
         expected = -rho * 2 * 3 * np.log(2)
-        assert M.free_energy(m, d, mu, rho) == pytest.approx(expected, abs=1e-12)
-        assert M.decomposition_entropy(m, d, mu) == pytest.approx(2 * 3 * np.log(2), abs=1e-12)
+        assert M.free_energy(m, mu, rho) == pytest.approx(expected, abs=1e-12)
+        assert M.decomposition_entropy(m, mu) == pytest.approx(2 * 3 * np.log(2), abs=1e-12)
 
     def test_bracketing_of_relaxed_energy(self):
         rng = np.random.default_rng(5)
         for m in (M.generate_grid(2, 3, 3, seed=7), oracles.mixed_label_grid(seed=7)):
             d = M.decompose_grid(m)
+            # the entropy is the same for every coloring: one vertical edge
+            # moved to the horizontal forest too
+            moved = M.decompose_by_coloring(m, [0 if v == u + 1 or (u, v) == (0, 3) else 1 for u, v in m.edges])
             c_h = 2 * float(np.sum(np.log(m.label_counts)))
             for rho in (1.0, 0.25):
                 for _ in range(20):
                     mu = random_feasible_marginals(m, rng)
-                    fe = M.free_energy(m, d, mu, rho)
+                    fe = M.free_energy(m, mu, rho)
                     e = M.relaxed_energy(m, mu)
                     assert fe <= e + 1e-9
                     assert e <= fe + rho * c_h + 1e-9
-                    assert fe == pytest.approx(e - rho * tree_entropy_sum(m, d, mu), abs=1e-12)
+                    for coloring in (d, moved):
+                        assert fe == pytest.approx(e - rho * tree_entropy_sum(m, coloring, mu), abs=1e-12)
 
     def test_infeasible_points_rejected(self):
         m = M.generate_grid(2, 2, 2, seed=8)
-        d = M.decompose_grid(m)
         mu = M.Marginals.from_blocks(
             node_blocks=tuple(np.array([0.9, 0.9]) for _ in range(4)),
             edge_blocks=tuple(np.full((2, 2), 0.25) for _ in range(4)),
         )
         with pytest.raises(InfeasibleMarginalsError):
-            M.free_energy(m, d, mu, rho=1.0)
+            M.free_energy(m, mu, rho=1.0)
 
 
 def average_labelings(model, history, weights=None):

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 import mrflp as M
 from mrflp.errors import StructureError
 from mrflp.fileio import CSV_HEADER
+
+import oracles
 
 
 class TestUaiRoundTrip:
@@ -32,13 +36,13 @@ class TestUaiRoundTrip:
     def test_reader_rejects_higher_order_factors(self, tmp_path):
         path = tmp_path / "bad.uai"
         path.write_text("MARKOV\n3\n2 2 2\n1\n3 0 1 2\n\n8\n0 0 0 0 0 0 0 0\n")
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="factor of arity 3 found"):
             M.read_uai(path)
 
     def test_reader_rejects_non_markov(self, tmp_path):
         path = tmp_path / "bad.uai"
         path.write_text("BAYES\n1\n2\n1\n1 0\n\n2\n0 0\n")
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="unsupported network type 'BAYES'"):
             M.read_uai(path)
 
     def test_reader_accumulates_duplicate_scopes(self, tmp_path):
@@ -66,6 +70,87 @@ class TestUaiRoundTrip:
         M.write_uai(m, path)
         assert "# grid 2 5" in path.read_text()
         assert M.read_uai(path).grid_shape == (2, 5)
+
+
+# one fault each; the message is the reader's
+MALFORMED_UAI = {
+    "empty": ("", "unexpected end of model file"),
+    "truncated-cardinalities": ("MARKOV\n3\n2 2", "unexpected end of model file"),
+    "truncated-scope": ("MARKOV\n2\n2 2\n1\n2 0", "unexpected end of model file"),
+    "truncated-table": ("MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 3", "unexpected end of model file"),
+    "missing-table": ("MARKOV\n2\n2 2\n2\n1 0\n2 0 1\n\n2\n1 2\n", "unexpected end of model file"),
+    "declared-count": (
+        "MARKOV\n2\n2 3\n2\n1 1\n2 1 0\n\n3\n1 2 3\n5\n1 2 3 4 5 6\n",
+        "factor on (1, 0) declares 5 entries, expected 6",
+    ),
+    "trailing-tokens": ("MARKOV\n1\n2\n1\n1 0\n\n2\n1 2 3\n", "trailing tokens after the last factor table"),
+    "variable-too-large": (
+        "MARKOV\n2\n2 2\n1\n2 0 2\n\n4\n1 2 3 4\n", "factor scope references unknown variable 2"
+    ),
+    "variable-negative": ("MARKOV\n2\n2 2\n1\n1 -1\n\n2\n1 2\n", "factor scope references unknown variable -1"),
+    "repeated-variable": ("MARKOV\n2\n2 2\n1\n2 1 1\n\n4\n1 2 3 4\n", "factor scope repeats variable 1"),
+    "zero-variables": ("MARKOV\n0\n0\n", "model needs at least one variable"),
+    "zero-cardinality": ("MARKOV\n2\n2 0\n0\n", "variable cardinalities must be positive"),
+    "negative-cardinality": ("MARKOV\n2\n-1 2\n0\n", "variable cardinalities must be positive"),
+    "non-finite-entry": (
+        "MARKOV\n2\n2 2\n2\n1 0\n2 1 0\n\n2\n0 0\n4\n1 inf 3 4\n",
+        "pairwise table of edge (0, 1) has non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_UAI.values(), ids=MALFORMED_UAI.keys())
+def test_reader_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.uai"
+    path.write_text(text)
+    with pytest.raises(StructureError, match=re.escape(message)):
+        M.read_uai(path)
+
+
+def test_non_numeric_table_entry_is_a_value_error(tmp_path):
+    # a ValueError, like every malformed input: the CLI exits with 2 on it
+    path = tmp_path / "bad.uai"
+    path.write_text("MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 x 4\n")
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        M.read_uai(path)
+
+
+def _write_repeated_scopes(path):
+    """A model file whose unary and pairwise scopes repeat, in both
+    orientations and shuffled; node 4 has no unary factor, and some
+    entries are -0.0."""
+    rng = np.random.default_rng(7)
+    counts = [2, 3, 4, 2, 3]
+    scopes = [(0,), (1,), (2,), (3,), (0,), (2,)]
+    scopes += [(0, 1), (1, 0), (2, 1), (1, 3), (3, 1), (1, 3), (4, 0), (2, 4), (4, 2)]
+    scopes = [scopes[k] for k in rng.permutation(len(scopes))]
+    tables = [rng.uniform(-5, 5, int(np.prod([counts[v] for v in s]))) for s in scopes]
+    tables[0][0] = tables[3][-1] = -0.0
+    lines = ["MARKOV", str(len(counts)), " ".join(map(str, counts)), str(len(scopes))]
+    lines += [" ".join(map(str, (len(s), *s))) for s in scopes]
+    for t in tables:
+        lines += ["", str(t.size), " ".join(map(repr, t.tolist()))]
+    path.write_text("\n".join(lines) + "\n")
+
+
+UAI_FILES = {
+    "grid": lambda path: M.write_uai(M.generate_grid(4, 5, 3, law="uniform_sym", radius=7.0, seed=2), path),
+    "lp-tight": lambda path: M.write_uai(M.generate_lp_tight(4, 4, 3, 5, 1e6, 0.4, seed=1)[0], path),
+    "mixed-labels": lambda path: M.write_uai(oracles.two_forest_model([2 + i % 4 for i in range(30)], seed=3)[0], path),
+    "repeated-scopes": _write_repeated_scopes,
+}
+
+
+@pytest.mark.parametrize("write", UAI_FILES.values(), ids=UAI_FILES.keys())
+def test_reader_matches_the_reference(tmp_path, write):
+    path = tmp_path / "m.uai"
+    write(path)
+    m, ref = M.read_uai(path), oracles.read_uai_reference(path)
+    assert (m.label_counts, m.edges, m.grid_shape) == (ref.label_counts, ref.edges, ref.grid_shape)
+    assert len(m.unary) == len(ref.unary) and len(m.pairwise) == len(ref.pairwise)
+    for a, b in zip(m.unary + m.pairwise, ref.unary + ref.pairwise):
+        # bit for bit, signed zeros included
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestLabelingAndMarginalsFiles:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,26 +24,49 @@ def two_node_chain():
 
 class TestModelValidation:
     def test_edge_must_reference_existing_nodes(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=re.escape("edge (0, 2) is not canonical (need 0 <= u < v < n)")):
             M.MrfModel.create([2, 2], [(0, 2)], [np.zeros(2)] * 2, [np.zeros((2, 2))])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="self-loop on node 1"):
             M.MrfModel.create([2, 2], [(1, 1)], [np.zeros(2)] * 2, [np.zeros((2, 2))])
 
     def test_duplicate_edges_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=re.escape("edges must be strictly increasing (no duplicates)")):
             M.MrfModel.create(
                 [2, 2], [(0, 1), (1, 0)], [np.zeros(2)] * 2, [np.zeros((2, 2))] * 2
             )
 
     def test_pairwise_shape_must_match_label_counts(self):
-        with pytest.raises(StructureError):
+        message = "pairwise table of edge (0, 1) has shape (2, 2), expected (2, 3)"
+        with pytest.raises(StructureError, match=re.escape(message)):
             M.MrfModel.create([2, 3], [(0, 1)], [np.zeros(2), np.zeros(3)], [np.zeros((2, 2))])
 
     def test_non_finite_potentials_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="unary table of node 0 has non-finite entries"):
             M.MrfModel.create([2], [], [np.array([0.0, np.inf])], [])
+
+    @pytest.mark.parametrize("args, message", [
+        (([], [], [], []), "a model needs at least one node"),
+        (([2, 0], [], [np.zeros(2), np.zeros(0)], []), "every node needs at least one label"),
+        (([2, 2], [], [np.zeros(2)], []), "one unary table per node required"),
+        (([2, 2], [(0, 1)], [np.zeros(2)] * 2, []), "one pairwise table per edge required"),
+        (([2, 3], [], [np.zeros(2), np.zeros(2)], []), "unary table of node 1 has shape (2,)"),
+        # the first bad table is named, in the model's canonical edge order
+        (([2, 2, 2], [(2, 1), (0, 1)], [np.zeros(2)] * 3, [np.full((2, 2), np.nan), np.full((2, 2), np.inf)]),
+         "pairwise table of edge (0, 1) has non-finite entries"),
+        (([2, 2, 2], [], [np.zeros(2), [0.0, np.inf], [np.nan, 0.0]], []),
+         "unary table of node 1 has non-finite entries"),
+        (([2, 2, 2], [(1, 2), (0, 2)], [np.zeros(2)] * 3, [np.zeros((2, 3)), np.zeros((3, 2))]),
+         "pairwise table of edge (0, 2) has shape (3, 2), expected (2, 2)"),
+    ])
+    def test_messages_name_the_first_bad_table(self, args, message):
+        with pytest.raises(StructureError, match=re.escape(message)):
+            M.MrfModel.create(*args)
+
+    def test_grid_shape_must_match_node_count(self):
+        with pytest.raises(StructureError, match=re.escape("grid shape (2, 3) does not match 4 nodes")):
+            M.MrfModel.create([2] * 4, [], [np.zeros(2)] * 4, [], grid_shape=(2, 3))
 
     def test_create_canonicalizes_orientation(self):
         table = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -307,6 +332,23 @@ class TestFlatStorage:
         point = M.project_dual(m, [(np.zeros(m.label_counts[u]), np.zeros(m.label_counts[v])) for u, v in m.edges])
         assert point.messages is point.messages
         assert [(a.size, b.size) for a, b in point.messages] == [p.shape for p in m.pairwise]
+
+    def test_model_tables_are_views_of_theta(self):
+        # the potentials are stored once: the tables and the packing read theta itself
+        m = oracles.mixed_label_grid(seed=2)
+        assert m.packing().theta is m.theta and not m.theta.flags.writeable
+        assert m.unary is m.unary and m.pairwise is m.pairwise
+        assert all(np.shares_memory(t, m.theta) and not t.flags.writeable for t in m.unary + m.pairwise)
+        np.testing.assert_array_equal(np.concatenate([t.ravel() for t in m.unary + m.pairwise]), m.theta)
+
+    def test_edge_id_in_either_orientation_and_elementwise(self):
+        m = oracles.mixed_label_grid(seed=2)
+        u, v = np.array(m.edges).T
+        assert [m.edge_id(b, a) for a, b in m.edges] == list(range(m.n_edges))
+        np.testing.assert_array_equal(m.edge_id(v, u), np.arange(m.n_edges))
+        for a, b in [(0, 4), (2, 2), (0, 99)]:
+            with pytest.raises(KeyError):
+                m.edge_id(a, b)
 
     def test_blocks_of_the_wrong_shape_are_rejected(self):
         m = oracles.mixed_label_grid(seed=1)

@@ -317,6 +317,16 @@ class TestDualProjection:
         assert point.node_bounds[0] == pytest.approx(3.0)
         assert M.dual_value(m, point) == pytest.approx(3.0)
 
+    def test_margin_is_exactly_nonnegative_at_large_costs(self):
+        # costs up to 1e6 and messages up to 1e8: every bound is rounded,
+        # and none may leave a negative slack
+        m = M.generate_lp_tight(5, 5, 3, 25, 1e6, 0.4, seed=2)[0]
+        rng = np.random.default_rng(3)
+        for scale in 10.0 ** np.arange(-2, 9):
+            for _ in range(5):
+                point = M.project_dual(m, scale * rng.standard_normal(m.packing().dual_dim))
+                assert M.dual_feasibility_margin(m, point) >= 0.0
+
     def test_feasibility_margin_nonnegative_for_random_messages(self):
         rng = np.random.default_rng(5)
         for m in (M.generate_grid(2, 2, 3, seed=6), oracles.mixed_label_grid(seed=6)):

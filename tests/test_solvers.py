@@ -268,6 +268,8 @@ FPD_MODELS = {
     "single-node": lambda: M.MrfModel.create([3], [], [np.array([1.0, 0.0, 2.0])], []),
     "no-edges": lambda: M.MrfModel.create([2, 4, 3], [], [np.zeros(2), np.ones(4), np.arange(3.0)], []),
     "lp-tight": lambda: M.generate_lp_tight(20, 20, 3, 25, 1e6, 0.4, seed=0)[0],
+    # forbidden entries at 1e6: rounding the bounds left slacks of -1.2e-10
+    "mixed-labels-1e6": lambda: oracles.two_forest_model([2 + i % 4 for i in range(40)], seed=1, big=1e6)[0],
 }
 
 
@@ -330,6 +332,12 @@ class TestFpdSolver:
                                                    r.projected_energy))
             assert r.primal_bound >= r.dual_bound - EQ_TOL
         assert M.dual_feasibility_margin(m, report.dual_point) >= -EQ_TOL
+
+    @pytest.mark.parametrize("model", ["mixed-labels-1e6", "lp-tight"])
+    def test_dual_point_has_no_negative_slack(self, model):
+        m = FPD_MODELS[model]()
+        report = M.solve_fpd(m, M.SolverConfig(max_iters=400, epoch=20))
+        assert M.dual_feasibility_margin(m, report.dual_point) >= 0.0
 
     def test_marginals_certified(self):
         m = M.generate_grid(3, 3, 2, seed=13)
