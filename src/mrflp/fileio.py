@@ -118,7 +118,7 @@ def read_uai(path) -> MrfModel:
     # canonical order; a table from the larger node to the smaller transposes
     keys = np.minimum(a, b) * n + np.maximum(a, b)
     edge_keys = keys[pair][np.lexsort((keys[pair],))]
-    edge_keys = edge_keys[np.append(True, edge_keys[1:] != edge_keys[:-1])]
+    edge_keys = edge_keys[np.diff(edge_keys, prepend=-1) != 0]  # keys are >= 0
     blocks = np.concatenate([counts, counts[edge_keys // n] * counts[edge_keys % n]])
     base = (np.cumsum(blocks) - blocks)[np.where(pair, n + np.searchsorted(edge_keys, keys), a)]
     row, col = np.divmod(segment_arange(sizes), np.repeat(lb, sizes))

@@ -82,7 +82,7 @@ def generate_lp_tight(
     planted_cells = (np.arange(len(edges)), *planted[np.array(edges, dtype=np.int64).reshape(-1, 2).T])
     pairwise[planted_cells] -= margin
     forbid[planted_cells] = False
-    top = max(float(np.max(np.abs(unary))), float(np.max(np.abs(pairwise))))
+    top = max(float(np.max(np.abs(unary))), float(np.max(np.abs(pairwise), initial=0.0)))
     if infinity_value < top:
         raise ValueError(
             f"infinity_value {infinity_value} is below the largest potential magnitude {top:.3f}"

@@ -10,6 +10,12 @@ split into runs by the forest DP's waste rule (``padded_runs``).  Padded
 rows and columns have zero mass, and padded cells cost the problem's
 largest cost plus one.  Edge blocks in the input are ignored.
 
+A :class:`ProjectionState` carries one solver run's exact projections from
+call to call: the stack's layout (edge ids, cells, padded costs and gather
+indices per run), built once per solver run, and each stack run's last
+optimal bases, from which its next exact solve starts warm.  Calls without a state rebuild the
+layout and solve cold; the entropic projection always does.
+
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
 explicit dual at zero cost.
@@ -17,13 +23,16 @@ explicit dual at zero cost.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
 from ._packing import padded_gather, padded_runs, project_simplex_blocks, segment_arange
 from .errors import NumericalError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
 from .tolerances import EQ_TOL
-from .transport import TransportProblem, solve_transport, solve_transport_entropic
+from .transport import SimplexBasis, TransportProblem, solve_transport, solve_transport_entropic
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
@@ -38,14 +47,31 @@ def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
     return flat
 
 
-def _edge_stack(model: MrfModel, nodes: np.ndarray):
-    """The padded transport stack between the node blocks of ``nodes``, one
-    run at a time: its edge ids, their cells in the flat edge vector, the
-    mask of real cells (row-major, in the cells' order) and its problems."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class _StackRun:
+    """One run of the padded edge stack: its edge ids, their cells in the
+    flat edge vector, the mask of real cells (row-major, in the cells'
+    order), the padded costs, and the gather indices of each problem's row
+    and column marginals in the node vector with a trailing zero."""
+
+    edges: np.ndarray
+    cells: np.ndarray
+    real: np.ndarray
+    cost: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def problem(self, padded_nodes: np.ndarray) -> TransportProblem:
+        return TransportProblem(self.cost, padded_nodes[self.rows], padded_nodes[self.cols])
+
+
+def _edge_stack(model: MrfModel) -> list[_StackRun]:
+    """The runs of the model's padded transport stack."""
     packing = model.packing()
     order = np.lexsort((-packing.edge_shapes[:, 1], -packing.edge_shapes[:, 0]))
     lu, lv = packing.edge_shapes[order].T
-    costs, padded_nodes = packing.theta[packing.node_dim:], np.append(nodes, 0.0)
+    costs = packing.theta[packing.node_dim:]
+    runs = []
     for lo, hi, wu, wv in padded_runs(np.zeros(order.size), lu, lv):
         es = order[lo:hi]
         sizes = packing.block_sizes[es]
@@ -57,18 +83,35 @@ def _edge_stack(model: MrfModel, nodes: np.ndarray):
         u, v = packing.edge_ends[es].T
         rows = padded_gather(packing.node_starts[u], lu[lo:hi], wu, packing.node_dim)
         cols = padded_gather(packing.node_starts[v], lv[lo:hi], wv, packing.node_dim)
-        yield es, cells, real, TransportProblem(cost, padded_nodes[rows], padded_nodes[cols])
+        runs.append(_StackRun(es, cells, real, cost, rows, cols))
+    return runs
 
 
-def _project_primal(model: MrfModel, node_blocks, solve) -> Marginals:
+class ProjectionState:
+    """One solver run's exact-projection state: the padded edge stack's
+    runs, laid out on first use, and each run's last optimal bases, the
+    warm start of its next solve.  An edge's costs never change during a
+    run, so those bases stay dual feasible as its marginals move."""
+
+    def __init__(self, model: MrfModel):
+        self.model = model
+        self.bases: dict[int, SimplexBasis] = {}
+
+    @functools.cached_property
+    def runs(self) -> list[_StackRun]:
+        return _edge_stack(self.model)
+
+
+def _project_primal(model: MrfModel, node_blocks, runs: list[_StackRun], solve) -> Marginals:
     """The primal projections' shared steps: the node prologue, then
-    ``solve(es, problem)`` on every run of the edge stack, then the
+    ``solve(i, run, problem)`` on every run of the edge stack, then the
     certificate of feasibility."""
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
+    padded_nodes = np.append(nodes, 0.0)
     edges = np.empty(packing.edge_dim)
-    for es, cells, real, problem in _edge_stack(model, nodes):
-        edges[cells] = solve(es, problem).plan[real]
+    for i, run in enumerate(runs):
+        edges[run.cells] = solve(i, run, run.problem(padded_nodes)).plan[run.real]
     result = Marginals(np.concatenate([nodes, edges]), packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
     if residual > EQ_TOL:
@@ -76,24 +119,33 @@ def _project_primal(model: MrfModel, node_blocks, solve) -> Marginals:
     return result
 
 
-def project_primal_energy(model: MrfModel, node_blocks) -> Marginals:
+def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState | None = None) -> Marginals:
     """Feasible point from arbitrary node blocks, optimal for the energy.
 
     ``node_blocks`` is a :class:`Marginals`, a flat node vector or one array
     per node.  Node blocks are projected onto their simplices; each edge
     block is then the minimum-cost transport plan between its projected
     endpoints, from one :func:`solve_transport` call per run of the padded
-    edge stack (one call in all when every edge has the same shape).  The
-    output is certified feasible before it is returned.
+    edge stack (one call in all when every edge has the same shape).  With a
+    ``state`` of the same model, each call starts from the bases of the
+    state's last call and leaves its own there.  The output is certified
+    feasible before it is returned.
     """
-    def solve(es, problem):
-        try:
-            return solve_transport(problem)
-        except NumericalError as exc:
-            u, v = model.edges[es[exc.problem]]
-            raise NumericalError(f"{exc} on edge {(u, v)}") from exc
+    if state is None:
+        state = ProjectionState(model)
+    elif state.model is not model:
+        raise ValueError("the projection state belongs to another model")
 
-    return _project_primal(model, node_blocks, solve)
+    def solve(i, run, problem):
+        try:
+            result = solve_transport(problem, start=state.bases.get(i))
+        except NumericalError as exc:
+            u, v = model.edges[run.edges[exc.problem]]
+            raise NumericalError(f"{exc} on edge {(u, v)}") from exc
+        state.bases[i] = result.simplex_basis
+        return result
+
+    return _project_primal(model, node_blocks, state.runs, solve)
 
 
 def project_primal_free_energy(
@@ -105,8 +157,8 @@ def project_primal_free_energy(
     call per run of the same padded edge stack."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    return _project_primal(model, node_blocks, lambda es, p: solve_transport_entropic(
-        p, rho, decomposition.edge_counts[es], p.row_marginal, p.col_marginal))
+    return _project_primal(model, node_blocks, _edge_stack(model), lambda i, run, p: solve_transport_entropic(
+        p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal))
 
 
 def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:

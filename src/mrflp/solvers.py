@@ -21,8 +21,10 @@ The record carries the best certified pair so far: its gap never increases.
 
 Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
-failure; ``observe`` keeps a weak-duality violation the same way.  An epoch
-with a failure logs no record: the run ends with ``numerical-failure`` and
+failure; ``observe`` keeps a weak-duality violation the same way.  The
+tracker owns the run's :class:`ProjectionState`, so each exact projection
+starts warm from the optimal bases of the one before.  An epoch with a
+failure logs no record: the run ends with ``numerical-failure`` and
 keeps the records and bounds before it.  After each epoch the stop tests run
 in order: a failure (``numerical-failure``), the last iteration
 (``max-iters``), an ``sg-*`` zero subgradient (``dual-optimal``), a relative
@@ -55,7 +57,13 @@ from .model import (
     relaxed_energy,
     round_to_labeling,
 )
-from .projections import dual_value, project_dual, project_primal_energy, project_primal_free_energy
+from .projections import (
+    ProjectionState,
+    dual_value,
+    project_dual,
+    project_primal_energy,
+    project_primal_free_energy,
+)
 from .tolerances import EQ_TOL
 
 # diminishing step envelope tau0 / (1 + t)**STEP_ALPHA, in (0.5, 1]
@@ -195,10 +203,12 @@ def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) ->
 
 
 class _Tracker:
-    """Best-so-far certified bounds plus the convergence records."""
+    """Best-so-far certified bounds plus the convergence records, and the
+    run's exact-projection state."""
 
     def __init__(self, model: MrfModel):
         self.model = model
+        self.projection_state = ProjectionState(model)
         self.t0 = time.perf_counter()
         self.best_dual = -math.inf
         self.best_primal = math.inf
@@ -238,7 +248,8 @@ class _Tracker:
         records of the last consistent epoch stay, the error is kept in
         ``failure`` and the result is ``None``.
         """
-        projected = self.project(project_primal_energy, self.model, node_blocks) if self.failure is None else None
+        projected = (self.project(project_primal_energy, self.model, node_blocks, self.projection_state)
+                     if self.failure is None else None)
         if projected is None:
             return None
         try:

@@ -11,10 +11,20 @@ since its entries are in {-1, 0, 1}: each pivot puts the entering arc in
 the leaving arc's slot and makes one rank-one update.  Bland's
 smallest-index rule on both the entering and the leaving arc (ties to the
 smallest arc index, not slot) rules out cycling.  Zero marginal entries
-simply produce zero-flow basic arcs (the limit of a perturbed basis).  The
-entropy-regularized solver runs damped float64 Newton on the dual, then the
-Altschuler-Weed-Rigollet rounding step, which makes the marginals exact to
-round-off.
+simply produce zero-flow basic arcs (the limit of a perturbed basis).
+
+A warm start replaces the least-cost start with the final bases of an
+earlier solve of the same costs.  Those stay dual feasible whatever the
+marginals, so their flows ``inverse^T [r; s]`` are optimal wherever they are
+nonnegative.  Elsewhere a dual phase pivots them back to feasibility: the
+leaving slot holds a negative flow (Bland: smallest arc index), the entering
+arc has the least reduced cost among arcs whose cycle coefficient at that
+slot is -1, and the same rank-one update runs with pivot element -1.  The
+primal loop then certifies optimality, or repairs a slip from round-off.
+
+The entropy-regularized solver runs damped float64 Newton on the dual, then
+the Altschuler-Weed-Rigollet rounding step, which makes the marginals exact
+to round-off.
 """
 
 from __future__ import annotations
@@ -60,6 +70,16 @@ class TransportProblem:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class SimplexBasis:
+    """Final bases of an exact solve, a warm start for the same costs: each
+    slot's arc (row-major index) and the int8 inverse of the basis equations
+    without the gauge column, one row per node (rows, then columns)."""
+
+    slots: np.ndarray
+    inverse: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class TransportResult:
     plan: np.ndarray
     cost: float | np.ndarray
@@ -67,6 +87,7 @@ class TransportResult:
     col_potentials: np.ndarray
     basis: np.ndarray
     pivots: int | np.ndarray
+    simplex_basis: SimplexBasis
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -117,18 +138,78 @@ def _least_cost_start(c: np.ndarray, r: np.ndarray, s: np.ndarray):
     return arcs, x, inv
 
 
-def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
-    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep, from the least-cost start.  Returns flows, bases, potentials
-    ``(u, v)`` as one ``(k, n + m)`` array, pivot counts and the mask of
+def _dual_phase(cf: np.ndarray, n: int, m: int, arcs: np.ndarray, x: np.ndarray, inv: np.ndarray,
+                max_pivots: int):
+    """Dual simplex pivots, in place, on a stack of dual feasible bases until
+    no flow is below ``-NONNEG_TOL``.  Returns pivot counts and the mask of
     capped problems."""
-    k, n, m = c.shape
-    # the slots' arcs and flows; each pivot updates the inverse, whose entries stay in {-1, 0, 1}
-    arcs, x, inv = _least_cost_start(c, r, s)
-    cf, tol = c.reshape(k, -1), PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-    potentials = np.zeros((k, n + m))
+    k = x.shape[0]
     pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    # a, f, v and red hold the rows of the live problems only
+    live = np.flatnonzero((x < -NONNEG_TOL).any(axis=1))
+    a, f, v = arcs[live], x[live], inv[live]
+    y = np.einsum("qij,qj->qi", v, np.take_along_axis(cf[live], a, axis=1))
+    red = (cf[live].reshape(-1, n, m) - y[:, :n, None] - y[:, None, n:]).reshape(-1, n * m)
+    while live.size:
+        # Bland: the leaving slot holds the negative flow of least arc index
+        negative = np.where(f < -NONNEG_TOL, a, n * m)
+        leave = negative.argmin(axis=1)
+        has = negative[np.arange(live.size), leave] < n * m
+        stop = ~has | (pivots[live] >= max_pivots)
+        if stop.any():
+            capped[live[stop & has]] = True
+            done = live[stop]
+            arcs[done], x[done], inv[done] = a[stop], f[stop], v[stop]
+            live, a, f, v, red, leave = (z[~stop] for z in (live, a, f, v, red, leave))
+        q = np.arange(live.size)
+        # every arc's cycle coefficient at that slot; the entering arc, of least
+        # reduced cost among those whose coefficient is -1, raises the flow
+        col = v[q, :, leave]
+        row = (col[:, :n, None] + col[:, None, n:]).reshape(-1, n * m)
+        raises = row == -1
+        enter = np.where(raises, red, np.inf).argmin(axis=1)
+        # with no such arc the flow is nonnegative but for round-off: it is
+        # clipped, and the leaving arc re-enters in its own slot, which leaves
+        # the basis and its inverse as they are
+        go = raises[q, enter]
+        enter = np.where(go, enter, a[q, leave])
+        # the potentials move by -red[enter] times the leaving slot's column
+        # of the inverse, so every reduced cost moves by red[enter] * row
+        red += np.where(go, red[q, enter], 0.0)[:, None] * row
+        i, j = np.divmod(enter, m)
+        d = v[q, i] + v[q, n + j]
+        theta = np.where(go, -f[q, leave], 0.0)
+        f -= theta[:, None] * d
+        f[q, leave], a[q, leave] = theta, enter
+        # the rank-one update with pivot element d[leave] = -1
+        d[q, leave] -= 1
+        v += v[q, :, leave][:, :, None] * d[:, None, :]
+        pivots[live] += go
+    return pivots, capped
+
+
+def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start=None):
+    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
+    lockstep, from the least-cost start or from ``start``, a pair of slot
+    arcs ``(k, n + m - 1)`` and int8 inverses ``(k, n + m, n + m - 1)``.
+    Returns flows, bases, potentials ``(u, v)`` as one ``(k, n + m)`` array,
+    pivot counts, the mask of capped problems, and the final slot arcs and
+    inverses."""
+    k, n, m = c.shape
+    nb = n + m - 1
+    cf, tol = c.reshape(k, -1), PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    # the slots' arcs and flows; each pivot updates the inverse, whose entries stay in {-1, 0, 1}
+    if start is None:
+        arcs, x, inv = _least_cost_start(c, r, s)
+        pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+    else:
+        arcs, inv = start[0].copy(), start[1].copy()
+        x = np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1))
+        pivots, capped = _dual_phase(cf, n, m, arcs, x, inv, max_pivots)
+        np.clip(x, 0.0, None, out=x)
+    potentials = np.zeros((k, n + m))
     flow, basic = np.zeros((k, n * m)), np.zeros((k, n * m), dtype=bool)
+    slots, inverse = np.zeros((k, nb), dtype=np.int64), np.zeros((k, n + m, nb), dtype=np.int8)
     # inv, arcs and x hold the rows of the live problems only
     live = np.arange(k)
     while live.size:
@@ -143,7 +224,9 @@ def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
         capped[live[~stop & (pivots[live] >= max_pivots)]] = True
         stop |= pivots[live] >= max_pivots
         if stop.any():
-            flow[live[stop][:, None], arcs[stop]], basic[live[stop][:, None], arcs[stop]] = x[stop], True
+            done = live[stop]
+            flow[done[:, None], arcs[stop]], basic[done[:, None], arcs[stop]] = x[stop], True
+            slots[done], inverse[done] = arcs[stop], inv[stop]
             live, inv, arcs, x, enters = (z[~stop] for z in (live, inv, arcs, x, enters))
         q = np.arange(live.size)
         # Bland's entering arc and its cycle d: basic flows change by -theta * d when it carries theta
@@ -159,27 +242,42 @@ def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
         d[q, leave] -= 1
         inv -= inv[q, :, leave][:, :, None] * d[:, None, :]
         pivots[live] += 1
-    return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped
+    return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped, slots, inverse
 
 
-def solve_transport(problem: TransportProblem, max_pivots: int | None = None) -> TransportResult:
+def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start=None):
+    """:func:`_simplex_bases` without the final slot arcs and inverses."""
+    return _simplex_bases(c, r, s, max_pivots, start)[:5]
+
+
+def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
+                    start: SimplexBasis | None = None) -> TransportResult:
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.
 
     A batched problem is solved as a stack in lockstep, and a single problem
     as a stack of one, by the simplex method from the least-cost start, whose
-    basis inverse is built from its tree.  Each problem may take
-    ``max_pivots`` pivots, ``max(1000, 50 * n * m)`` by default; if one needs
-    more, :class:`NumericalError` is raised with ``problem`` set to its index
-    in the stack.  Returns the optimal plans together with the potentials of
-    the final bases, which certify optimality: ``u_i + v_j <= c_ij``
-    everywhere with equality on basic arcs.
+    basis inverse is built from its tree.  ``start``, the ``simplex_basis``
+    of a solve of the same costs for other marginals, replaces that start;
+    a dual phase then restores feasible flows.  Each problem may take
+    ``max_pivots`` pivots, ``max(1000, 50 * n * m)`` by default, dual ones
+    included; if one needs more, :class:`NumericalError` is raised with
+    ``problem`` set to its index in the stack.  Returns the optimal plans
+    together with the potentials of the final bases, which certify
+    optimality: ``u_i + v_j <= c_ij`` everywhere with equality on basic
+    arcs, and the final bases as ``simplex_basis``.
     """
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
     k, n, m = c.shape
     r, s = problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m)
     if max_pivots is None:
         max_pivots = max(1000, 50 * n * m)
-    flow, basic, y, pivots, capped = _simplex(c, r, s, max_pivots)
+    bases = None
+    if start is not None:
+        shape = problem.cost.shape[:-2] + (n + m, n + m - 1)
+        if start.inverse.shape != shape:
+            raise ValueError(f"start's inverse has shape {start.inverse.shape}, the problem needs {shape}")
+        bases = start.slots.reshape(k, n + m - 1), start.inverse.reshape(k, n + m, n + m - 1)
+    flow, basic, y, pivots, capped, slots, inverse = _simplex_bases(c, r, s, max_pivots, bases)
     if capped.any():
         raise NumericalError(f"transportation simplex exceeded {max_pivots} pivots",
                              problem=int(capped.argmax()))
@@ -190,8 +288,9 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None) ->
                              problem=int(residual.argmax()))
     cost = (c * flow).reshape(k, -1).sum(axis=1)
     if problem.cost.ndim == 2:
-        return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], basic[0], pivots.item())
-    return TransportResult(flow, cost, y[:, :n], y[:, n:], basic, pivots)
+        return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], basic[0], pivots.item(),
+                               SimplexBasis(slots[0], inverse[0]))
+    return TransportResult(flow, cost, y[:, :n], y[:, n:], basic, pivots, SimplexBasis(slots, inverse))
 
 
 _RIDGE = 1e-12

@@ -53,6 +53,16 @@ class TestGenerate:
         best, best_x = oracles.exhaustive_map(model)
         np.testing.assert_array_equal(labels, best_x)
 
+    def test_lp_tight_single_node(self, tmp_path):
+        # one node has no edges: the pairwise tables are empty
+        out = tmp_path / "one.uai"
+        assert run(["generate", "lp-tight", "--rows", 1, "--cols", 1, "--labels", 2,
+                    "--margin", 25, "--infinity", 100, "--forbidden-fraction", 0.5, "--out", out]) == 0
+        model = M.read_uai(out)
+        assert (model.n_nodes, model.n_edges) == (1, 0)
+        np.testing.assert_array_equal(M.read_labeling(tmp_path / "one.labels.txt"),
+                                      [oracles.exhaustive_map(model)[1][0]])
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as e:
             run(["generate", "grid", "--rows", 2])

@@ -170,14 +170,15 @@ class TestPaddedEdgeStack:
 
     def test_padded_flows_are_zero(self):
         for m, _, blocks in projection_cases():
-            nodes = mrflp.projections._projected_nodes(m, blocks)
-            runs = list(mrflp.projections._edge_stack(m, nodes))
-            assert any(not real.all() for _, _, real, _ in runs)
-            for es, cells, real, problem in runs:
-                assert real.sum() == cells.size
-                assert np.all(M.solve_transport(problem).plan[~real] == 0.0)
+            nodes = np.append(mrflp.projections._projected_nodes(m, blocks), 0.0)
+            runs = mrflp.projections._edge_stack(m)
+            assert any(not run.real.all() for run in runs)
+            for run in runs:
+                problem = run.problem(nodes)
+                assert run.real.sum() == run.cells.size
+                assert np.all(M.solve_transport(problem).plan[~run.real] == 0.0)
                 entropic = M.solve_transport_entropic(problem, 0.1, 1, problem.row_marginal, problem.col_marginal)
-                assert np.all(entropic.plan[~real] == 0.0)
+                assert np.all(entropic.plan[~run.real] == 0.0)
 
     def test_entropic_plans_match_per_edge_solves(self):
         for m, d, blocks in projection_cases():
@@ -205,7 +206,7 @@ class TestPaddedEdgeStack:
         edges = [(0, 1), (1, 2), (2, 3)]
         m = M.MrfModel.create(counts, edges, [np.zeros(c) for c in counts],
                               [np.ones((counts[u], counts[v])) for u, v in edges])
-        assert len(list(mrflp.projections._edge_stack(m, np.ones(m.packing().node_dim)))) == 1
+        assert len(mrflp.projections._edge_stack(m)) == 1
         with pytest.raises(NumericalError, match=r"1000 pivots on edge \(2, 3\)"):
             M.project_primal_energy(m, [np.full(c, 1.0 / c) for c in counts])
 
@@ -213,7 +214,7 @@ class TestPaddedEdgeStack:
         m = M.generate_grid(6, 6, 3, seed=1)
         calls = []
         solve = mrflp.projections.solve_transport
-        monkeypatch.setattr(mrflp.projections, "solve_transport", lambda p: calls.append(p) or solve(p))
+        monkeypatch.setattr(mrflp.projections, "solve_transport", lambda p, **kw: calls.append(p) or solve(p, **kw))
         M.project_primal_energy(m, np.random.default_rng(0).random(m.packing().node_dim))
         assert len(calls) == 1 and calls[0].cost.shape == (m.n_edges, 3, 3)
 
@@ -223,11 +224,42 @@ class TestPaddedEdgeStack:
         counts = np.full(500, 2)
         counts[[10, 250, 490]] = 200
         m, _ = oracles.two_forest_model(counts, seed=0)
-        nodes = mrflp.projections._projected_nodes(m, np.ones(m.packing().node_dim))
-        runs = list(mrflp.projections._edge_stack(m, nodes))
+        runs = mrflp.projections._edge_stack(m)
         assert len(runs) > 1
-        for es, cells, real, problem in runs:
-            assert problem.cost.size <= PAD_WASTE * cells.size
+        for run in runs:
+            assert run.cost.size <= PAD_WASTE * run.cells.size
+
+
+class TestProjectionState:
+    """A run's exact projections share one layout and start warm."""
+
+    def test_layout_is_built_once_per_run(self, monkeypatch):
+        calls = []
+        build = mrflp.projections._edge_stack
+        monkeypatch.setattr(mrflp.projections, "_edge_stack", lambda m: calls.append(m) or build(m))
+        m = M.generate_grid(4, 4, 3, seed=1)
+        report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
+        assert len(report.records) == 4 and len(calls) == 1
+        # a call without a state lays the stack out again
+        M.project_primal_energy(m, report.marginals)
+        assert len(calls) == 2
+
+    def test_warm_projections_match_cold_ones(self):
+        for m, _, blocks in projection_cases():
+            state = mrflp.projections.ProjectionState(m)
+            rng = np.random.default_rng(m.n_edges)
+            for _ in range(4):
+                blocks = [b * (0.5 + rng.random(b.size)) for b in blocks]
+                warm = M.project_primal_energy(m, blocks, state)
+                cold = M.project_primal_energy(m, blocks)
+                np.testing.assert_array_equal(warm.node_flat, cold.node_flat)
+                assert abs(M.relaxed_energy(m, warm) - M.relaxed_energy(m, cold)) <= 1e-9
+            assert len(state.bases) == len(state.runs)
+
+    def test_state_of_another_model_is_refused(self):
+        m, other = M.generate_grid(2, 2, 2, seed=1), M.generate_grid(2, 2, 2, seed=1)
+        with pytest.raises(ValueError, match="another model"):
+            M.project_primal_energy(m, np.ones(m.packing().node_dim), mrflp.projections.ProjectionState(other))
 
 
 class TestPrimalFreeEnergyProjection:

@@ -477,3 +477,37 @@ class TestCrossSolverAgreement:
         for report in reports:
             assert report.dual_bound <= lp_val + 1e-7
             assert report.primal_bound >= lp_val - 1e-7
+
+
+class TestWarmProjections:
+    """Runs whose exact projections start warm from the run's projection
+    state, against the same runs with every projection solved cold."""
+
+    @pytest.mark.parametrize("solver", ["fpd", "sg-ave", "nest"])
+    @pytest.mark.parametrize("name", ["grid", "mixed"])
+    def test_dropping_the_state_keeps_the_bounds(self, monkeypatch, solver, name):
+        m = M.generate_grid(6, 6, 3, seed=4) if name == "grid" else oracles.mixed_label_grid(2)
+        cfg = M.SolverConfig(max_iters=200, epoch=10, rho=0.5,
+                             rho_schedule="halving" if solver == "nest" else None)
+        starts = []
+        solve = mrflp.projections.solve_transport
+        monkeypatch.setattr(mrflp.projections, "solve_transport",
+                            lambda p, start=None: starts.append(start is not None) or solve(p, start=start))
+        warm = M.run_solver(m, solver, cfg)
+        assert any(starts)
+
+        states = []
+        project = mrflp.solvers.project_primal_energy
+
+        def stateless(model, node_blocks, state=None):
+            states.append(state)
+            return project(model, node_blocks)
+
+        monkeypatch.setattr(mrflp.solvers, "project_primal_energy", stateless)
+        starts.clear()
+        cold = M.run_solver(m, solver, cfg)
+        assert states and all(s is not None for s in states) and not any(starts)
+        assert (warm.termination, len(warm.records)) == (cold.termination, len(cold.records))
+        for a, b in zip(warm.records, cold.records):
+            for field in ("dual_bound", "primal_bound", "integer_bound", "projected_energy"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-12)

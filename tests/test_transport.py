@@ -4,6 +4,7 @@ import pytest
 import mrflp as M
 import mrflp.transport
 from mrflp.errors import InfeasibleMarginalsError, NumericalError
+from mrflp.tolerances import NONNEG_TOL, TRANSPORT_MARGINAL_TOL
 
 import oracles
 
@@ -382,3 +383,184 @@ class TestEntropicTransport:
             M.solve_transport_entropic(p, 1.0, [1, 0], np.full(2, 0.5), np.full(2, 0.5))
         with pytest.raises(ValueError):
             M.solve_transport_entropic(p, 1.0, 1, np.full(3, 0.5), np.full(2, 0.5))
+
+
+def other_marginals(problem, seed):
+    """The same costs with fresh random marginals: about 30% of the entries
+    are zero, and so is every entry where the problem's own is zero."""
+    rng = np.random.default_rng(seed)
+
+    def draw(a):
+        fresh = (rng.random(a.shape) + 0.01) * ((a > 0.0) & (rng.random(a.shape) > 0.3))
+        first = np.argmax(a > 0.0, axis=-1)[..., None]
+        np.put_along_axis(fresh, first, np.take_along_axis(fresh, first, axis=-1) + 0.1, axis=-1)
+        return fresh
+
+    return M.TransportProblem(problem.cost, draw(problem.row_marginal), draw(problem.col_marginal))
+
+
+def assert_warm_matches_cold(problem, start):
+    """Warm from ``start`` against cold: equal costs, equal plans where the
+    cold optimum is unique, and potentials that certify the warm plans."""
+    warm = M.solve_transport(problem, start=start)
+    cold = M.solve_transport(problem)
+    c = problem.cost.reshape(-1, *problem.cost.shape[-2:])
+    k = c.shape[0]
+    tol = 1e-9 * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    assert np.all(np.abs(np.reshape(warm.cost - cold.cost, k)) <= tol)
+    # the cold optimum is unique where every nonbasic arc has a positive reduced cost
+    cold_slack = c - np.reshape(cold.row_potentials, (k, -1, 1)) - np.reshape(cold.col_potentials, (k, 1, -1))
+    basic = cold.basis.reshape(c.shape)
+    unique = np.all(basic | (cold_slack > tol[:, None, None]), axis=(1, 2))
+    gap = np.abs(warm.plan - cold.plan).reshape(k, -1).max(axis=1)
+    assert np.all(gap[unique] <= TRANSPORT_MARGINAL_TOL)
+    slack = c - np.reshape(warm.row_potentials, (k, -1, 1)) - np.reshape(warm.col_potentials, (k, 1, -1))
+    assert np.all(slack >= -tol[:, None, None])
+    assert np.all(np.abs(np.where(warm.basis.reshape(c.shape), slack, 0.0)) <= tol[:, None, None])
+    assert warm.plan.min() >= 0.0
+    return warm
+
+
+def padded_stack(seed, k=400):
+    """A 4x5 stack laid out like the projections' padded runs: each problem
+    has 1-4 real rows and 1-5 real columns, padded rows and columns have zero
+    mass, and padded cells cost the problem's largest cost plus one."""
+    rng = np.random.default_rng(seed)
+    lu, lv = rng.integers(1, 5, k), rng.integers(1, 6, k)
+    real = (np.arange(4)[:, None] < lu[:, None, None]) & (np.arange(5) < lv[:, None, None])
+    cost = rng.random((k, 4, 5))
+    cost = np.where(real, cost, np.where(real, cost, -np.inf).max(axis=(1, 2), keepdims=True) + 1.0)
+    r = rng.random((k, 4)) * (np.arange(4) < lu[:, None]) + (np.arange(4) == 0)
+    s = rng.random((k, 5)) * (np.arange(5) < lv[:, None]) + (np.arange(5) == 0)
+    return M.TransportProblem(cost, r, s)
+
+
+def misses(problem, start):
+    """The problems of a stack whose warm start flows are not all feasible."""
+    x = np.einsum("qij,qi->qj", start.inverse, np.concatenate([problem.row_marginal, problem.col_marginal], axis=1))
+    return (x < -NONNEG_TOL).any(axis=1)
+
+
+def sub_stack(problem, mask):
+    return M.TransportProblem(problem.cost[mask], problem.row_marginal[mask], problem.col_marginal[mask])
+
+
+class TestWarmStart:
+    """Warm starts from the bases of the same costs for other marginals,
+    against cold solves."""
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(31)
+        cost = rng.random((500, 4, 4))
+        start = M.solve_transport(M.TransportProblem(cost, rng.random((500, 4)), rng.random((500, 4))))
+        for _ in range(4):
+            problem = M.TransportProblem(cost, rng.random((500, 4)), rng.random((500, 4)))
+            warm = assert_warm_matches_cold(problem, start.simplex_basis)
+            assert 0 < (warm.pivots == 0).sum() < 500
+            start = warm
+
+    def test_degenerate_problems(self):
+        pivots = 0
+        for i, (p, _) in enumerate(degenerate_problems(8, 300)):
+            start = M.solve_transport(other_marginals(p, i))
+            pivots += assert_warm_matches_cold(p, start.simplex_basis).pivots
+            assert_warm_matches_cold(other_marginals(p, 1000 + i), start.simplex_basis)
+        assert pivots > 0
+
+    def test_tied_stack(self):
+        p = tied_stack(9)
+        rng = np.random.default_rng(10)
+        start = M.solve_transport(M.TransportProblem(p.cost, rng.integers(0, 3, (600, 4)) + np.array([1, 0, 0, 0]),
+                                                     rng.integers(0, 3, (600, 5)) + np.array([0, 0, 0, 0, 1])))
+        warm = assert_warm_matches_cold(p, start.simplex_basis)
+        assert warm.pivots.max() > 0
+
+    def test_padded_stack(self):
+        p = padded_stack(11)
+        start = M.solve_transport(other_marginals(p, 12))
+        warm = assert_warm_matches_cold(p, start.simplex_basis)
+        # padded cells carry round-off at most
+        assert np.abs(warm.plan[p.cost > 1.0]).max() <= 1e-15
+        assert warm.pivots.max() > 0
+
+    def test_dual_phase_keeps_the_bases_dual_feasible(self):
+        # the dual pivots alone end at an optimal basis: feasible flows, no
+        # negative reduced cost, and an inverse that is still exact
+        rng = np.random.default_rng(19)
+        random = M.TransportProblem(rng.random((500, 4, 4)), rng.random((500, 4)), rng.random((500, 4)))
+        for problem in (random, tied_stack(17), padded_stack(18)):
+            start = M.solve_transport(other_marginals(problem, 21)).simplex_basis
+            c = problem.cost
+            k, n, m = c.shape
+            nb = n + m - 1
+            arcs, inv = start.slots.copy(), start.inverse.copy()
+            x = np.einsum("qij,qi->qj", inv, np.concatenate([problem.row_marginal, problem.col_marginal], axis=1))
+            pivots, capped = mrflp.transport._dual_phase(c.reshape(k, -1), n, m, arcs, x, inv, 1000)
+            assert pivots.max() > 0 and not capped.any()
+            assert x.min() >= -NONNEG_TOL
+            q, t = np.arange(k)[:, None], np.arange(nb)
+            eqs = np.zeros((k, n + m, n + m))
+            eqs[q, t, arcs // m] = eqs[q, t, n + arcs % m] = eqs[:, nb, 0] = 1.0
+            np.testing.assert_array_equal(inv, np.rint(np.linalg.inv(eqs))[:, :, :nb])
+            y = np.einsum("qij,qj->qi", inv, np.take_along_axis(c.reshape(k, -1), arcs, axis=1))
+            reduced = c - y[:, :n, None] - y[:, None, n:]
+            assert reduced.min() >= -1e-9 * max(1.0, float(np.abs(c).max()))
+
+    def test_all_hits_keep_the_bases(self):
+        p = tied_stack(13)
+        cold = M.solve_transport(p)
+        warm = M.solve_transport(p, start=cold.simplex_basis)
+        assert warm.pivots.max() == 0
+        np.testing.assert_array_equal(warm.simplex_basis.slots, cold.simplex_basis.slots)
+        np.testing.assert_array_equal(warm.simplex_basis.inverse, cold.simplex_basis.inverse)
+        assert np.abs(warm.plan - cold.plan).max() <= 1e-15
+        again = M.solve_transport(p, start=warm.simplex_basis)
+        np.testing.assert_array_equal(again.plan.view(np.uint64), warm.plan.view(np.uint64))
+        assert again.pivots.max() == 0
+
+    def test_all_misses(self):
+        rng = np.random.default_rng(14)
+        cost = rng.random((600, 4, 4))
+        first = M.TransportProblem(cost, rng.random((600, 4)), rng.random((600, 4)))
+        second = M.TransportProblem(cost, rng.random((600, 4)), rng.random((600, 4)))
+        miss = misses(second, M.solve_transport(first).simplex_basis)
+        assert miss.sum() >= 100
+        start = M.solve_transport(sub_stack(first, miss)).simplex_basis
+        warm = assert_warm_matches_cold(sub_stack(second, miss), start)
+        assert warm.pivots.min() >= 1
+
+    def test_capped_warm_start_names_the_problem(self):
+        rng = np.random.default_rng(15)
+        cost = rng.random((200, 3, 3))
+        first = M.TransportProblem(cost, rng.random((200, 3)), rng.random((200, 3)))
+        second = M.TransportProblem(cost, rng.random((200, 3)), rng.random((200, 3)))
+        miss = misses(second, M.solve_transport(first).simplex_basis)
+        # a hit, then a miss
+        pick = np.array([np.flatnonzero(~miss)[0], np.flatnonzero(miss)[0]])
+        start = M.solve_transport(sub_stack(first, pick)).simplex_basis
+        problem = sub_stack(second, pick)
+        assert M.solve_transport(problem, start=start).pivots[0] == 0
+        with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
+            M.solve_transport(problem, max_pivots=0, start=start)
+        assert err.value.problem == 1
+
+    def test_round_off_negative_flow_without_entering_arc_is_clipped(self):
+        # the least-cost start of this problem has basis (0, 0), (1, 1), (1, 0):
+        # column 1 is a leaf, so its flow is s_1, and only (0, 1) is nonbasic,
+        # which lowers that flow; a slightly negative s_1 has no entering arc
+        c = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+        half = np.full((1, 2), 0.5)
+        start = M.solve_transport(M.TransportProblem(c, half, half))
+        np.testing.assert_array_equal(start.basis, [[[True, False], [True, True]]])
+        s = np.array([[1.0 + 5e-12, -5e-12]])
+        b = start.simplex_basis
+        flow, basic, _, pivots, capped = mrflp.transport._simplex(c, half, s, 1000, start=(b.slots, b.inverse))
+        assert pivots.tolist() == [0] and not capped.any()
+        np.testing.assert_array_equal(basic, start.basis)
+        assert flow.min() == 0.0 and flow[0, 1, 1] == 0.0
+
+    def test_start_must_match_the_stack(self):
+        p = tied_stack(16, k=5)
+        start = M.solve_transport(tied_stack(16, k=4)).simplex_basis
+        with pytest.raises(ValueError, match="shape"):
+            M.solve_transport(p, start=start)
