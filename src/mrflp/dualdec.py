@@ -9,12 +9,13 @@ continuously differentiable with the difference of the two forest marginal
 maps as its gradient.
 
 Both forests are one level-synchronous dynamic program (see
-:class:`ForestPlan`): trees are rooted at a center, and each step handles
-all tree edges of one depth, in either forest, as stacked arrays, their
-label axes padded to the level's largest label counts.  Padded labels read
-a ``+inf`` slot, so they never win a min and carry exactly zero mass; a
-level whose padding would cost more than ``PAD_WASTE`` times its real
-table cells is split.
+:class:`ForestPlan`): trees are rooted at a center, found by peeling all
+leaves round by round (of two centers, the smaller node id is the root), and
+each step handles all tree edges of one depth, in either forest, as stacked
+arrays, their label axes padded to the level's largest label counts.
+Padded labels read a ``+inf`` slot, so they never win a min and carry
+exactly zero mass; a level whose padding would cost more than ``PAD_WASTE``
+times its real table cells is split.
 It runs in the energy domain with min-subtracted exponentials, so it is
 stable for temperatures down to (and well below) 1e-4.  Argmin ties are
 always broken toward the smaller label so subgradients are reproducible.
@@ -78,55 +79,51 @@ class _EdgeGroup:
     w: np.ndarray              # (L_c, L_p, k) pairwise tables, child axis first
 
 
-def _bfs(adj: dict, root: int) -> list[tuple[int, int, int, int]]:
-    """Breadth-first order of ``(node, parent, edge, depth)`` from ``root``;
-    raises :class:`StructureError` when a node is reached twice (a cycle)."""
-    order = [(root, -1, -1, 0)]
-    seen = {root}
-    for x, p, _, depth in order:
-        for y, e in adj[x]:
-            if y != p:
-                if y in seen:
-                    raise StructureError("forest contains a cycle")
-                seen.add(y)
-                order.append((y, x, e, depth + 1))
-    return order
+def _forest_rows(model: MrfModel, edges) -> np.ndarray:
+    """``(depth, child, parent, edge)`` of every node of one forest, row
+    ``v`` for node ``v``; a root is its own parent at depth 0, with edge -1.
 
-
-def _forest_rows(model: MrfModel, edges) -> list[tuple[int, int, int, int]]:
-    """``(depth, child, parent, edge)`` of every node of one forest; a
-    root is its own parent at depth 0, with edge -1."""
+    Each tree is rooted at a center by leaf peeling, all trees at once:
+    every round removes all current leaves, each hanging from the other end
+    of its one remaining edge, and the node a tree removes last is its
+    root.  Two leaves that hang from each other are a tree's two centers:
+    the larger hangs from the smaller, the root.  Depths are filled
+    top-down from the last round.  Peeling stops at a round that finds no
+    leaf; a node left then lies on a cycle, and :class:`StructureError` is
+    raised.
+    """
+    n = model.n_nodes
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(model.n_nodes)}
-    for (u, v), e in zip(ends.tolist(), model.edge_id(ends[:, 0], ends[:, 1]).tolist()):
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    rows, done = [], set()
-    for start in range(model.n_nodes):
-        if start in done:
-            continue
-        # a deepest node from anywhere ends a longest path; the search from
-        # that end reaches the path's far end, and the root is its middle
-        order = _bfs(adj, _bfs(adj, start)[-1][0])
-        parent_of = {x: (p, e) for x, p, e, _ in order}
-        done.update(parent_of)
-        root = order[-1][0]
-        for _ in range(order[-1][3] // 2):
-            root = parent_of[root][0]
-        # re-root: reverse the path back to the search's start; the rest keep their parents
-        depth = {root: 0}
-        rows.append((0, root, root, -1))
-        x = root
-        while x != order[0][0]:
-            p, e = parent_of[x]
-            depth[p] = depth[x] + 1
-            rows.append((depth[p], p, x, e))
-            x = p
-        for x, p, e, _ in order:
-            if x not in depth:
-                depth[x] = depth[p] + 1
-                rows.append((depth[x], x, p, e))
-    return rows
+    ids = model.edge_id(ends[:, 0], ends[:, 1])
+    # each node's degree and the xors of its remaining neighbours and of
+    # their edges: at degree 1, the one neighbour and edge left
+    deg = np.bincount(ends.ravel(), minlength=n)
+    nbr, via = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(nbr, ends, ends[:, ::-1])
+    np.bitwise_xor.at(via, ends, ids[:, None])
+    parent, edge, child = np.arange(n), np.full(n, -1), np.empty(n, dtype=np.int64)
+    rounds, leaves = [], np.flatnonzero(deg <= 1)
+    while leaves.size:
+        x = leaves[deg[leaves] == 1]
+        y = nbr[x]
+        # of two leaves that hang from each other, the smaller stays as root
+        keep = (x > y) | (deg[y] != 1)
+        x, y = x[keep], y[keep]
+        parent[x], edge[x] = y, via[x]
+        np.subtract.at(deg, y, 1)
+        np.bitwise_xor.at(nbr, y, x)
+        np.bitwise_xor.at(via, y, edge[x])
+        rounds.append(x)
+        # the next round's leaves, each once: only its one recorded child names it
+        child[y] = x
+        leaves = y[(deg[y] <= 1) & (child[y] == x)]
+    # a node on a cycle keeps two edges, so no round peels it
+    if deg.max(initial=0) > 1:
+        raise StructureError("forest contains a cycle")
+    depth = np.zeros(n, dtype=np.int64)
+    for x in reversed(rounds):
+        depth[x] = depth[parent[x]] + 1
+    return np.stack([depth, np.arange(n), parent, edge], axis=1)
 
 
 class ForestPlan:
@@ -137,12 +134,13 @@ class ForestPlan:
     ``f * node_dim``, so unary input and flat marginals hold
     ``F * node_dim`` entries, labels ``F * n_nodes`` (forest ``f``'s from
     ``f * n_nodes``), and the value sums the forests.  Each tree is rooted
-    at a center of its longest path, so its depth is its radius.  Each
-    depth level of tree edges, over all forests at once, is one DP step, or
-    a few when its padding is wasteful (see :func:`padded_runs`): messages
-    go up from the deepest level to the roots, then back down for labelings
-    and node marginals, so a pass makes as many steps as the deepest forest
-    has levels.  The aggregate vector ends in one sentinel slot held at
+    at a center, the node that leaf peeling removes last (of two centers,
+    the smaller node id), so its depth is its radius.  Each depth level of
+    tree edges, over all forests at once, is one DP step, or a few when its
+    padding is wasteful (see :func:`padded_runs`): messages go up from the
+    deepest level to the roots, then back down for labelings and node
+    marginals, so a pass makes as many steps as the deepest forest has
+    levels.  The aggregate vector ends in one sentinel slot held at
     ``+inf``; padded labels gather from and scatter into it, so they never
     win a min, get an exact 0 in every soft-min and Gibbs sum, and the flat
     marginals are the aggregate without that slot.  The roots are padded
@@ -158,17 +156,16 @@ class ForestPlan:
         self.model = model
         self.packing = packing = model.packing()
         self.n_forests = len(forests)
-        rows = [np.array(_forest_rows(model, edges), dtype=np.int64).reshape(-1, 4) for edges in forests]
+        rows = [_forest_rows(model, edges) for edges in forests]
         for f, part in enumerate(rows):
             part[:, 1:3] += f * model.n_nodes  # forest f's node ids
         # rows sort deepest level first (the order of the upward pass), then
-        # largest shapes first (a root's parent counts 1 label), then by
-        # child id (roots by discovery)
+        # largest shapes first (a root's parent counts 1 label), then by child
         depth, c, p, e = np.concatenate(rows).T
         counts = np.tile(packing.label_counts, self.n_forests)
         starts = (packing.node_dim * np.arange(self.n_forests)[:, None] + packing.node_starts).ravel()
         lc, lp = counts[c], np.where(depth > 0, counts[p], 1)
-        order = np.lexsort((np.where(depth > 0, c, np.arange(len(c))), -lp, -lc, -depth))
+        order = np.lexsort((c, -lp, -lc, -depth))
         depth, c, p, e, lc, lp = (x[order] for x in (depth, c, p, e, lc, lp))
         # edge e's table is row-major (L_u, L_v) with u < v in theta, read
         # transposed when the child is v; index -1 (a root's edge, a padded

@@ -173,10 +173,30 @@ def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def read_dual_point(path) -> DualPoint:
+def _read_dual_point(path, edges=None) -> DualPoint:
+    """Dual point with the message pairs in the order of their ``edge``
+    keys, each an edge ``[u, v]`` with ``u < v``, listed once; with
+    ``edges`` (a model's, which are sorted), the keys must be those."""
     doc = json.loads(Path(path).read_text())
-    messages = [(_entry(m, "from_u"), _entry(m, "from_v")) for m in _entry(doc, "messages", list)]
-    return DualPoint.from_blocks(_entry(doc, "node_bounds"), _entry(doc, "edge_bounds"), messages)
+    pairs = {}
+    for m in _entry(doc, "messages", list):
+        key = tuple(_entry(m, "edge", list))
+        if len(key) != 2 or any(type(x) is not int for x in key) or key[0] >= key[1] or key in pairs:
+            raise StructureError(f"message key {list(key)} is not an edge [u, v] with u < v, listed once")
+        pairs[key] = (_entry(m, "from_u"), _entry(m, "from_v"))
+    keys = sorted(pairs)
+    if edges is not None and keys != list(edges):
+        odd = min(set(keys) ^ set(edges))
+        problem = "is not an edge of the model" if odd in pairs else "has no message"
+        raise StructureError(f"dual point: edge {list(odd)} {problem}")
+    return DualPoint.from_blocks(_entry(doc, "node_bounds"), _entry(doc, "edge_bounds"), [pairs[k] for k in keys])
+
+
+def read_dual_point(path) -> DualPoint:
+    """Dual point with each message pair placed by its ``edge`` key: pairs
+    are ordered by key, which is the edge order of a model with exactly
+    these edges (models keep their edges sorted)."""
+    return _read_dual_point(path)
 
 
 def _fmt_optional(x) -> str:

@@ -13,8 +13,9 @@ largest cost plus one.  Edge blocks in the input are ignored.
 A :class:`ProjectionState` carries one solver run's exact projections from
 call to call: the stack's layout (edge ids, cells, padded costs and gather
 indices per run), built once per solver run, and each stack run's last
-optimal bases, from which its next exact solve starts warm.  Calls without a state rebuild the
-layout and solve cold; the entropic projection always does.
+optimal bases, from which its next exact solve starts warm.  Calls without
+a state rebuild the layout and solve cold; the entropic projection always
+does.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the

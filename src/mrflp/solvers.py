@@ -28,10 +28,9 @@ failure logs no record: the run ends with ``numerical-failure`` and
 keeps the records and bounds before it.  After each epoch the stop tests run
 in order: a failure (``numerical-failure``), the last iteration
 (``max-iters``), an ``sg-*`` zero subgradient (``dual-optimal``), a relative
-gap at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), the elapsed
-time plus this epoch's projection time above ``time_budget_s``
-(``time-budget``), and an ``sg-*`` dual that kept decreasing
-(``numerical-failure``).
+gap at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), and the
+elapsed time plus this epoch's projection time above ``time_budget_s``
+(``time-budget``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections import deque
 
 import numpy as np
 
@@ -74,22 +72,20 @@ STEP_GAMMA = 1.0
 # RHO_SHRINK_THRESHOLD * rho, and never below RHO_MIN
 RHO_SHRINK_THRESHOLD = 1.0
 RHO_MIN = 1e-4
-# sg-* only: this many strictly decreasing dual values in a row count as divergence
-DIVERGENCE_WINDOW = 30
 
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
     """Shared solver options; fields irrelevant to a scheme are ignored.
 
-    The step law's ``STEP_ALPHA`` and ``STEP_GAMMA``, the halving schedule's
-    ``RHO_SHRINK_THRESHOLD`` and ``RHO_MIN`` and ``sg-*``'s ``DIVERGENCE_WINDOW``
-    are fixed module constants, not options.  The logged smoothed gap drives
-    the halving schedule, so ``rho_schedule="halving"`` needs
-    ``log_smoothed_gap=True``.  A run stops, with its records, after the
-    first logging epoch at which the elapsed time plus that epoch's
-    projection time exceeds ``time_budget_s``; while projections take steady
-    time, it overruns the budget by at most one epoch of iterations.
+    The step law's ``STEP_ALPHA`` and ``STEP_GAMMA`` and the halving
+    schedule's ``RHO_SHRINK_THRESHOLD`` and ``RHO_MIN`` are fixed module
+    constants, not options.  The logged smoothed gap drives the halving
+    schedule, so ``rho_schedule="halving"`` needs ``log_smoothed_gap=True``.
+    A run stops, with its records, after the first logging epoch at which
+    the elapsed time plus that epoch's projection time exceeds
+    ``time_budget_s``; while projections take steady time, it overruns the
+    budget by at most one epoch of iterations.
     """
 
     max_iters: int = 1000
@@ -324,14 +320,6 @@ class _Tracker:
         )
 
 
-# sg-* only: fpd's dual objective is not monotone, so falling values are no sign there
-def _diverging(recent: deque) -> bool:
-    if len(recent) < recent.maxlen:
-        return False
-    vals = list(recent)
-    return all(b < a - 1e-6 for a, b in zip(vals, vals[1:]))
-
-
 def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: SolverConfig,
                       averaging: str = "uniform") -> SolverReport:
     """Subgradient ascent on the two-forest dual.
@@ -349,11 +337,9 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
     acc = np.zeros(packing.node_dim)
     acc_w = 0.0
     tracker = _Tracker(model)
-    recent: deque = deque(maxlen=DIVERGENCE_WINDOW)
 
     for t in range(cfg.max_iters + 1):
         value, g, (x1, x2) = ctx.value_and_subgradient(lam)
-        recent.append(value)
         gsq = float(g @ g)
         # zero: both forests agree on one labeling, a certified dual optimum
         optimal = gsq == 0.0
@@ -367,8 +353,6 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
             # acc_w > 0: the first step, tau0 or 1, has positive weight
             tracker.observe(t, acc / acc_w, value, extra_labeling=x1)
             termination = tracker.stop(cfg, t, dual_optimal=optimal)
-            if termination is None and _diverging(recent):
-                termination = "numerical-failure"
             if termination is not None:
                 break
         lam = lam + tau * g

@@ -245,11 +245,6 @@ def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int,
     return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped, slots, inverse
 
 
-def _simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start=None):
-    """:func:`_simplex_bases` without the final slot arcs and inverses."""
-    return _simplex_bases(c, r, s, max_pivots, start)[:5]
-
-
 def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
                     start: SimplexBasis | None = None) -> TransportResult:
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.

@@ -482,6 +482,16 @@ def rooted_rows(model, edges, roots):
     return rows
 
 
+def snake_coloring(model):
+    """Edge colors of a grid model whose color-0 forest is one boustrophedon
+    path through every node: all horizontal edges, and between rows ``r``
+    and ``r + 1`` the vertical edge at the right end for even ``r``, at the
+    left end for odd ``r``.  Color 1 holds the other vertical edges."""
+    rows, cols = model.grid_shape
+    turns = {(end, end + cols) for end in (r * cols + (cols - 1) * (1 - r % 2) for r in range(rows - 1))}
+    return [0 if v == u + 1 or (u, v) in turns else 1 for u, v in model.edges]
+
+
 # -- test instances -------------------------------------------------------
 
 

@@ -227,6 +227,30 @@ class TestVerify:
         assert lines["verdict"] == "OK"
         assert float(lines["relative_gap"]) <= 1e-8
 
+    def test_dual_messages_are_read_by_their_edge_keys(self, tmp_path, capsys):
+        model_path = tmp_path / "m.uai"
+        run(["generate", "grid", "--rows", 2, "--cols", 3, "--labels", 3, "--seed", 1, "--out", model_path])
+        out = tmp_path / "run"
+        assert run(["solve", "--model", model_path, "--solver", "fpd", "--max-iters", 40, "--out-dir", out]) == 0
+        doc = json.loads((out / "dual_point.json").read_text())
+        verify = ["verify", "--model", model_path, "--marginals", out / "marginals.json", "--dual", out / "nu.json"]
+        # each message keeps its own key, so the swapped file is the same point
+        swapped = json.loads(json.dumps(doc))
+        swapped["messages"][:2] = swapped["messages"][1::-1]
+        (out / "nu.json").write_text(json.dumps(swapped))
+        capsys.readouterr()
+        assert run(verify) == 0
+        assert "verdict=OK" in capsys.readouterr().out
+        # a key off the model, an edge listed twice, an edge left out, a
+        # reversed key and a message without a key are usage errors
+        cases = [lambda ms: ms[0].update(edge=[0, 5]), lambda ms: ms.__setitem__(1, dict(ms[0])),
+                 lambda ms: ms.pop(), lambda ms: ms[0].update(edge=[1, 0]), lambda ms: ms[0].pop("edge")]
+        for edit in cases:
+            bad = json.loads(json.dumps(doc))
+            edit(bad["messages"])
+            (out / "nu.json").write_text(json.dumps(bad))
+            assert run(verify) == 2
+
     def test_default_solve_certifies_its_own_gap(self, tmp_path, capsys):
         model_path = tmp_path / "chain.uai"
         run(["generate", "grid", "--rows", 1, "--cols", 6, "--labels", 2,

@@ -287,20 +287,51 @@ def chain_and_star_model(n, seed):
 class TestFusedForestPlan:
     """``ForestPlan(m, f0, f1)`` against the two single-forest plans."""
 
+    @staticmethod
+    def assert_rooted_at_centers(m, edges):
+        """The peeled rows equal a breadth-first search from each root, and
+        every root is a center of its tree; returns the rows."""
+        rows = [tuple(row) for row in mrflp.dualdec._forest_rows(m, edges).tolist()]
+        roots = [x for depth, x, _, _ in rows if depth == 0]
+        assert sorted(rows) == sorted(oracles.rooted_rows(m, edges, roots))
+        for root in roots:
+            # eccentricity of the root against that of every node of its tree
+            tree = {x for _, x, _, _ in oracles.rooted_rows(m, edges, [root])}
+            ecc = {x: max(d for d, *_ in oracles.rooted_rows(m, edges, [x])) for x in tree}
+            assert ecc[root] == min(ecc.values())
+        return rows
+
     def test_rows_match_a_search_from_each_center(self):
-        # the rows re-rooted from the second search equal a fresh search from
-        # each root, and every root is a center of its tree
         for seed in range(4):
             m, forests = oracles.two_forest_model([2 + i % 3 for i in range(30)], seed=seed)
             for edges in forests:
-                rows = mrflp.dualdec._forest_rows(m, edges)
-                roots = [x for depth, x, _, _ in rows if depth == 0]
-                assert sorted(rows) == sorted(oracles.rooted_rows(m, edges, roots))
-                for root in roots:
-                    # eccentricity of the root against that of every node of its tree
-                    tree = {x for _, x, _, _ in oracles.rooted_rows(m, edges, [root])}
-                    ecc = {x: max(d for d, *_ in oracles.rooted_rows(m, edges, [x])) for x in tree}
-                    assert ecc[root] == min(ecc.values())
+                self.assert_rooted_at_centers(m, edges)
+
+    def test_snake_is_rooted_at_its_middle(self):
+        # a 30x30 grid: one path through all 900 nodes, whose two centers
+        # are 449 and 450 edges from its ends, and the other vertical edges
+        m = M.generate_grid(30, 30, 2, seed=0)
+        d = M.decompose_by_coloring(m, oracles.snake_coloring(m))
+        path = self.assert_rooted_at_centers(m, d.forest(m, 0))
+        assert max(depth for depth, *_ in path) == 450
+        self.assert_rooted_at_centers(m, d.forest(m, 1))
+
+    def test_smaller_center_is_the_root(self):
+        # two-node trees, isolated nodes, and a path 5-0-3-2 with centers 0 and 3
+        m = M.MrfModel.create([2] * 9, [(1, 4), (6, 8), (5, 0), (0, 3), (3, 2)], [np.zeros(2)] * 9,
+                              [np.zeros((2, 2))] * 5)
+        rows = self.assert_rooted_at_centers(m, m.edges)
+        assert [x for depth, x, _, _ in rows if depth == 0] == [0, 1, 6, 7]
+        assert rows[8] == (1, 8, 6, m.edge_id(6, 8))
+
+    def test_cycle_in_one_of_several_trees(self):
+        # a path, an isolated node, a star, and a 4-cycle
+        edges = [(0, 1), (1, 2), (4, 5), (4, 6), (4, 7), (8, 9), (9, 10), (10, 11), (8, 11)]
+        m = M.MrfModel.create([2] * 12, edges, [np.zeros(2)] * 12, [np.zeros((2, 2))] * len(edges))
+        for forests in ([m.edges], [m.edges[:5], m.edges]):
+            with pytest.raises(StructureError, match="cycle"):
+                M.ForestPlan(m, *forests)
+        self.assert_rooted_at_centers(m, m.edges[:-1])
 
     @staticmethod
     def cases():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -184,6 +185,11 @@ class TestLabelingAndMarginalsFiles:
         for (a1, b1), (a2, b2) in zip(point.messages, back.messages):
             np.testing.assert_array_equal(a1, a2)
             np.testing.assert_array_equal(b1, b2)
+        # messages are placed by their edge keys, not by their order in the file
+        doc = json.loads(path.read_text())
+        doc["messages"].reverse()
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(M.read_dual_point(path).nu, point.nu)
 
 
 class TestConvergenceCsv:
