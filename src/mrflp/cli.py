@@ -32,7 +32,7 @@ from .experiments import (
     run_solver,
 )
 from .fileio import (
-    _read_dual_point,
+    read_dual_point,
     read_marginals,
     read_uai,
     write_convergence_csv,
@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
     print(f"primal_bound={primal!r}")
     ok = residual <= EQ_TOL
     if args.dual is not None:
-        point = _read_dual_point(args.dual, model.edges)
+        point = read_dual_point(args.dual, model.edges)
         margin = dual_feasibility_margin(model, point)
         bound = dual_value(model, point)
         print(f"dual_feasibility_margin={margin:.6e}")

@@ -173,10 +173,11 @@ def write_dual_point(model: MrfModel, point: DualPoint, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def _read_dual_point(path, edges=None) -> DualPoint:
-    """Dual point with the message pairs in the order of their ``edge``
-    keys, each an edge ``[u, v]`` with ``u < v``, listed once; with
-    ``edges`` (a model's, which are sorted), the keys must be those."""
+def read_dual_point(path, edges=None) -> DualPoint:
+    """Dual point with each message pair placed by its ``edge`` key, an edge
+    ``[u, v]`` with ``u < v``, listed once: pairs are ordered by key, which
+    is the edge order of a model with exactly these edges (models keep their
+    edges sorted).  With ``edges`` (a model's), the keys must be those."""
     doc = json.loads(Path(path).read_text())
     pairs = {}
     for m in _entry(doc, "messages", list):
@@ -190,13 +191,6 @@ def _read_dual_point(path, edges=None) -> DualPoint:
         problem = "is not an edge of the model" if odd in pairs else "has no message"
         raise StructureError(f"dual point: edge {list(odd)} {problem}")
     return DualPoint.from_blocks(_entry(doc, "node_bounds"), _entry(doc, "edge_bounds"), [pairs[k] for k in keys])
-
-
-def read_dual_point(path) -> DualPoint:
-    """Dual point with each message pair placed by its ``edge`` key: pairs
-    are ordered by key, which is the edge order of a model with exactly
-    these edges (models keep their edges sorted)."""
-    return _read_dual_point(path)
 
 
 def _fmt_optional(x) -> str:

@@ -407,21 +407,51 @@ def round_to_labeling(marginals: Marginals) -> np.ndarray:
     return np.argmax(padded, axis=1)
 
 
-def _forest_check(n_nodes: int, edges: Iterable[tuple[int, int]]) -> bool:
-    parent = list(range(n_nodes))
+def _forest_rows(model: MrfModel, edges) -> np.ndarray:
+    """``(depth, child, parent, edge)`` of every node of one forest, row
+    ``v`` for node ``v``; a root is its own parent at depth 0, with edge -1.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    Each tree is rooted at a center by leaf peeling, all trees at once:
+    every round removes all current leaves, each hanging from the other end
+    of its one remaining edge, and the node a tree removes last is its
+    root.  Two leaves that hang from each other are a tree's two centers:
+    the larger hangs from the smaller, the root.  Depths are filled
+    top-down from the last round.  Peeling stops at a round that finds no
+    leaf; a node left then lies on a cycle, and :class:`StructureError` is
+    raised.
+    """
+    n = model.n_nodes
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ids = model.edge_id(ends[:, 0], ends[:, 1])
+    # each node's degree and the xors of its remaining neighbours and of
+    # their edges: at degree 1, the one neighbour and edge left
+    deg = np.bincount(ends.ravel(), minlength=n)
+    nbr, via = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(nbr, ends, ends[:, ::-1])
+    np.bitwise_xor.at(via, ends, ids[:, None])
+    parent, edge, child = np.arange(n), np.full(n, -1), np.empty(n, dtype=np.int64)
+    rounds, leaves = [], np.flatnonzero(deg <= 1)
+    while leaves.size:
+        x = leaves[deg[leaves] == 1]
+        y = nbr[x]
+        # of two leaves that hang from each other, the smaller stays as root
+        keep = (x > y) | (deg[y] != 1)
+        x, y = x[keep], y[keep]
+        parent[x], edge[x] = y, via[x]
+        np.subtract.at(deg, y, 1)
+        np.bitwise_xor.at(nbr, y, x)
+        np.bitwise_xor.at(via, y, edge[x])
+        rounds.append(x)
+        # the next round's leaves, each once: only its one recorded child names it
+        child[y] = x
+        leaves = y[(deg[y] <= 1) & (child[y] == x)]
+    # a node on a cycle keeps two edges, so no round peels it
+    if deg.max(initial=0) > 1:
+        raise StructureError("forest contains a cycle")
+    depth = np.zeros(n, dtype=np.int64)
+    for x in reversed(rounds):
+        depth[x] = depth[parent[x]] + 1
+    return np.stack([depth, np.arange(n), parent, edge], axis=1)
 
 
 def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decomposition:
@@ -429,8 +459,11 @@ def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decompositi
     side must be acyclic."""
     decomposition = Decomposition(colors)
     for c in (0, 1):
-        if not _forest_check(model.n_nodes, decomposition.forest(model, c)):
-            raise StructureError(f"forest {c} of the supplied coloring contains a cycle")
+        edges = decomposition.forest(model, c)
+        try:
+            _forest_rows(model, edges)
+        except StructureError:
+            raise StructureError(f"forest {c} of the supplied coloring contains a cycle") from None
     return decomposition
 
 

@@ -7,15 +7,20 @@ given the projected node blocks, as a tiny transportation problem
 (linear objective) or entropy minimization (smoothed objective) per edge.
 All edges form one padded stack: sorted by ``(L_u, L_v)``, largest first,
 split into runs by the forest DP's waste rule (``padded_runs``).  Padded
-rows and columns have zero mass, and padded cells cost the problem's
-largest cost plus one.  Edge blocks in the input are ignored.
+rows and columns have zero mass.  Padded cells cost ``4 (w_u + w_v)
+(max|c| + 1)`` for a run of ``w_u x w_v`` tables, more than any real arc's
+reduced cost can reach, but 0 in row 0 and ``c_00`` in column 0: the exact
+solver's star start then hangs every padded column from row 0 and every
+padded row from column 0, as leaves that carry no flow and that no pivot
+ever enters, so each edge pivots exactly as it would alone.  Edge blocks in
+the input are ignored.
 
 A :class:`ProjectionState` carries one solver run's exact projections from
 call to call: the stack's layout (edge ids, cells, padded costs and gather
 indices per run), built once per solver run, and each stack run's last
 optimal bases, from which its next exact solve starts warm.  Calls without
-a state rebuild the layout and solve cold; the entropic projection always
-does.
+a state rebuild the layout and start every exact solve from the star basis;
+the entropic projection always rebuilds the layout.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -78,9 +83,15 @@ def _edge_stack(model: MrfModel) -> list[_StackRun]:
         sizes = packing.block_sizes[es]
         cells = np.repeat(packing.edge_starts[es], sizes) + segment_arange(sizes)
         real = (np.arange(wu)[:, None] < lu[lo:hi, None, None]) & (np.arange(wv) < lv[lo:hi, None, None])
-        cost = np.full(real.shape, -np.inf)
+        cost = np.zeros(real.shape)
         cost[real] = costs[cells]
-        cost = np.where(real, cost, cost.max(axis=(1, 2), keepdims=True) + 1.0)
+        # potentials are sums of at most wu + wv - 1 costs, so a padded cell that costs
+        # more than (4 (wu + wv) - 2) max|c| has a larger reduced cost than any real arc
+        # and never enters; row 0's padded cells (0) and column 0's (c_00) are where the
+        # star start hangs padded columns and rows, as leaves without flow
+        big = 4.0 * (wu + wv) * (np.abs(cost).max(axis=(1, 2), keepdims=True) + 1.0)
+        cost[:, 1:] = np.where(real[:, 1:], cost[:, 1:], big)
+        cost[:, 1:, 0] = np.where(real[:, 1:, 0], cost[:, 1:, 0], cost[:, :1, 0])
         u, v = packing.edge_ends[es].T
         rows = padded_gather(packing.node_starts[u], lu[lo:hi], wu, packing.node_dim)
         cols = padded_gather(packing.node_starts[v], lv[lo:hi], wv, packing.node_dim)

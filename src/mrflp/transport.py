@@ -3,24 +3,27 @@
 Both solvers take a stack of same-shape problems; a single problem is a
 stack of one and gets the same arithmetic as in a stack.  The exact solver
 is the simplex method on the transportation polytope, run in lockstep over
-the stack: spanning-tree bases of ``n + m - 1`` arcs, the least-cost start
-(Dantzig 1963), and the inverse of the basis equations, which gives the
-potentials and the entering arc's cycle without a tree walk.  It is built
-exactly from the start's tree, with no matrix inversion, and kept as int8,
-since its entries are in {-1, 0, 1}: each pivot puts the entering arc in
-the leaving arc's slot and makes one rank-one update.  Bland's
-smallest-index rule on both the entering and the leaving arc (ties to the
-smallest arc index, not slot) rules out cycling.  Zero marginal entries
-simply produce zero-flow basic arcs (the limit of a perturbed basis).
+the stack: spanning-tree bases of ``n + m - 1`` arcs and the inverse of the
+basis equations, which gives the flows, the potentials and the entering
+arc's cycle without a tree walk.  It is kept as int8, since its entries are
+in {-1, 0, 1}: each pivot puts the entering arc in the leaving arc's slot
+and makes one rank-one update.  Zero marginal entries simply produce
+zero-flow basic arcs (the limit of a perturbed basis).
 
-A warm start replaces the least-cost start with the final bases of an
-earlier solve of the same costs.  Those stay dual feasible whatever the
-marginals, so their flows ``inverse^T [r; s]`` are optimal wherever they are
-nonnegative.  Elsewhere a dual phase pivots them back to feasibility: the
-leaving slot holds a negative flow (Bland: smallest arc index), the entering
-arc has the least reduced cost among arcs whose cycle coefficient at that
-slot is -1, and the same rank-one update runs with pivot element -1.  The
-primal loop then certifies optimality, or repairs a slip from round-off.
+Every solve starts from dual feasible bases.  A cold solve starts from the
+star basis: row 0's arcs to every column, and from each other row one arc
+to its column of least ``c_ij - c_0j``, whose inverse is written down with
+no matrix inversion.  A warm start gives instead the final bases of an
+earlier solve of the same costs, which stay dual feasible whatever the
+marginals.  The flows ``inverse^T [r; s]`` are then optimal wherever they
+are nonnegative.  Elsewhere a dual phase pivots them back to feasibility:
+the leaving slot holds a negative flow (Bland: smallest arc index), the
+entering arc has the least reduced cost among arcs whose cycle coefficient
+at that slot is -1, and the same rank-one update runs with pivot element
+-1.  The primal loop then certifies optimality, or repairs a slip from
+round-off, with Bland's smallest-index rule on both the entering and the
+leaving arc (ties to the smallest arc index, not slot), which rules out
+cycling.
 
 The entropy-regularized solver runs damped float64 Newton on the dual, then
 the Altschuler-Weed-Rigollet rounding step, which makes the marginals exact
@@ -102,40 +105,22 @@ def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
 
 
-def _least_cost_start(c: np.ndarray, r: np.ndarray, s: np.ndarray):
-    """Least-cost start of a ``(k, n, m)`` stack: each of the ``n + m - 1``
-    slots takes the cheapest cell of the live rows and columns (ties to the
-    smallest row-major index) and retires its row or column, never the last
-    live one.  Returns each slot's arc (row-major index) and flow, and the
-    int8 inverse of the basis equations without the gauge column."""
+def _star_start(c: np.ndarray):
+    """Star basis of a ``(k, n, m)`` stack, dual feasible by construction:
+    row 0's arcs to every column, then one arc from each other row ``i`` to
+    its column of least ``c_ij - c_0j`` (ties to the smaller index).  Its
+    potentials are ``u_0 = 0``, ``v_j = c_0j`` and ``u_i = min_j (c_ij -
+    c_0j)``, so no reduced cost is negative.  Returns the slot arcs, in
+    row-major order, and the int8 inverse: row ``n + j`` is ``e_j``, row
+    ``i > 0`` is its own slot minus its column's, and row 0 is zero."""
     k, n, m = c.shape
-    nb, p = n + m - 1, np.arange(k)
-    arcs, x = np.zeros((k, nb), dtype=np.int64), np.zeros((k, nb))
-    # the node each slot retires and the other end of its arc
-    leaf, stem = np.zeros((k, nb), dtype=np.int64), np.zeros((k, nb), dtype=np.int64)
-    a, b, live_cost = r.copy(), s.copy(), c.copy()
-    rows, cols = np.full(k, n), np.full(k, m)
-    for t in range(nb):
-        arcs[:, t] = live_cost.reshape(k, -1).argmin(axis=1)
-        i, j = arcs[:, t] // m, arcs[:, t] % m
-        x[:, t] = f = np.minimum(a[p, i], b[p, j])
-        a[p, i] -= f
-        b[p, j] -= f
-        # simultaneous exhaustion retires the row and leaves a zero-flow arc; the last slot ends both
-        row = (rows > 1) & ((a[p, i] <= 0.0) | ~((b[p, j] <= 0.0) & (cols > 1)))
-        live_cost[p[row], i[row]] = live_cost[p[~row], :, j[~row]] = np.inf
-        rows, cols = rows - row, cols - ~row
-        leaf[:, t], stem[:, t] = np.where(row, i, n + j), np.where(row, n + j, i)
-    # read backwards, the basis is a tree grown by one leaf per slot from the last slot's row, whose
-    # potential is 0: u_i + v_j = c_ij makes the leaf's row e_t minus its stem's; then gauge u_0 = 0
-    inv = np.zeros((k, n + m, nb), dtype=np.int8)
-    for t in range(nb - 1, -1, -1):
-        inv[p, leaf[:, t]] = -inv[p, stem[:, t]]
-        inv[p, leaf[:, t], t] = 1
-    gauge = inv[:, 0].copy()
-    inv[:, :n] -= gauge[:, None]
-    inv[:, n:] += gauge[:, None]
-    return arcs, x, inv
+    col = (c[:, 1:] - c[:, :1]).argmin(axis=2)
+    slots = np.concatenate([np.broadcast_to(np.arange(m), (k, m)), np.arange(m, n * m, m) + col], axis=1)
+    inv = np.zeros((k, n + m, n + m - 1), dtype=np.int8)
+    inv[:, n:, :m] = np.eye(m, dtype=np.int8)
+    inv[:, np.arange(1, n), np.arange(m, n + m - 1)] = 1
+    inv[np.arange(k)[:, None], np.arange(1, n), col] = -1
+    return slots, inv
 
 
 def _dual_phase(cf: np.ndarray, n: int, m: int, arcs: np.ndarray, x: np.ndarray, inv: np.ndarray,
@@ -188,10 +173,11 @@ def _dual_phase(cf: np.ndarray, n: int, m: int, arcs: np.ndarray, x: np.ndarray,
     return pivots, capped
 
 
-def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start=None):
+def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start):
     """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep, from the least-cost start or from ``start``, a pair of slot
-    arcs ``(k, n + m - 1)`` and int8 inverses ``(k, n + m, n + m - 1)``.
+    lockstep, from ``start``, dual feasible bases given as a pair of slot
+    arcs ``(k, n + m - 1)`` and int8 inverses ``(k, n + m, n + m - 1)``: a
+    dual phase makes the flows feasible, then the primal loop certifies.
     Returns flows, bases, potentials ``(u, v)`` as one ``(k, n + m)`` array,
     pivot counts, the mask of capped problems, and the final slot arcs and
     inverses."""
@@ -199,14 +185,10 @@ def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int,
     nb = n + m - 1
     cf, tol = c.reshape(k, -1), PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     # the slots' arcs and flows; each pivot updates the inverse, whose entries stay in {-1, 0, 1}
-    if start is None:
-        arcs, x, inv = _least_cost_start(c, r, s)
-        pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
-    else:
-        arcs, inv = start[0].copy(), start[1].copy()
-        x = np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1))
-        pivots, capped = _dual_phase(cf, n, m, arcs, x, inv, max_pivots)
-        np.clip(x, 0.0, None, out=x)
+    arcs, inv = start[0].copy(), start[1].copy()
+    x = np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1))
+    pivots, capped = _dual_phase(cf, n, m, arcs, x, inv, max_pivots)
+    np.clip(x, 0.0, None, out=x)
     potentials = np.zeros((k, n + m))
     flow, basic = np.zeros((k, n * m)), np.zeros((k, n * m), dtype=bool)
     slots, inverse = np.zeros((k, nb), dtype=np.int64), np.zeros((k, n + m, nb), dtype=np.int8)
@@ -250,10 +232,11 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.
 
     A batched problem is solved as a stack in lockstep, and a single problem
-    as a stack of one, by the simplex method from the least-cost start, whose
-    basis inverse is built from its tree.  ``start``, the ``simplex_basis``
-    of a solve of the same costs for other marginals, replaces that start;
-    a dual phase then restores feasible flows.  Each problem may take
+    as a stack of one, by the simplex method from the star start, a dual
+    feasible basis whose inverse is written down directly.  ``start``, the
+    ``simplex_basis`` of a solve of the same costs for other marginals,
+    replaces that start.  Either way a dual phase restores feasible flows
+    and the primal loop certifies them.  Each problem may take
     ``max_pivots`` pivots, ``max(1000, 50 * n * m)`` by default, dual ones
     included; if one needs more, :class:`NumericalError` is raised with
     ``problem`` set to its index in the stack.  Returns the optimal plans
@@ -266,8 +249,9 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
     r, s = problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m)
     if max_pivots is None:
         max_pivots = max(1000, 50 * n * m)
-    bases = None
-    if start is not None:
+    if start is None:
+        bases = _star_start(c)
+    else:
         shape = problem.cost.shape[:-2] + (n + m, n + m - 1)
         if start.inverse.shape != shape:
             raise ValueError(f"start's inverse has shape {start.inverse.shape}, the problem needs {shape}")

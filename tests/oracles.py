@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from mrflp.tolerances import PIVOT_TOL
+from mrflp.tolerances import NONNEG_TOL, PIVOT_TOL
 
 
 # -- exhaustive labelings -------------------------------------------------
@@ -309,88 +309,149 @@ def transport_bruteforce(cost, r, s):
 # -- reference transportation simplex -------------------------------------
 #
 # The lockstep simplex with the basis equations rebuilt and inverted densely
-# in every round: the package's least-cost start and Bland rules, without its
-# maintained inverse, with the start written as a plain loop per problem.
+# in every round: the package's star start, dual phase and Bland rules,
+# without its maintained inverse, with the start written as a plain loop per
+# problem.
 
 _CHUNK = 256
 
 
+def _dense_inverse(n: int, m: int, basic: np.ndarray):
+    """The basic arcs of a stack of flat bases in row-major order, and the
+    inverse of their equations ``u_i + v_j = c_ij`` with the gauge
+    ``u_0 = 0`` last, one row per node (rows, then columns).  The inverse of
+    a spanning-tree basis has entries in {-1, 0, 1}, so rounding removes its
+    round-off."""
+    k, nb = basic.shape[0], n + m - 1
+    arcs = np.nonzero(basic)[1].reshape(k, nb)
+    eqs = np.zeros((k, n + m, n + m))
+    eqs[np.arange(k)[:, None], np.arange(nb), arcs // m] = 1.0
+    eqs[np.arange(k)[:, None], np.arange(nb), n + arcs % m] = 1.0
+    eqs[:, nb, 0] = 1.0
+    return arcs, np.rint(np.linalg.inv(eqs)) + 0.0  # no -0.0 entries
+
+
+def _chunked(fn, live, *args):
+    """``fn`` on the live problems, in chunks, which bounds the memory the
+    dense inverses take at once; the results are concatenated."""
+    parts = [fn(*(a[h] for a in args)) for h in np.split(live, np.arange(_CHUNK, live.size, _CHUNK))]
+    return [np.concatenate(z) for z in zip(*parts)]
+
+
+def _potentials(c: np.ndarray, arcs: np.ndarray, inv: np.ndarray):
+    """Potentials ``(u, v)`` as one ``(k, n + m)`` array, and every arc's
+    reduced cost."""
+    k, n, m = c.shape
+    cb = np.zeros((k, n + m))
+    cb[:, : n + m - 1] = np.take_along_axis(c.reshape(k, -1), arcs, axis=1)
+    y = np.einsum("qij,qj->qi", inv, cb)
+    return y, (c - y[:, :n, None] - y[:, None, n:]).reshape(k, -1)
+
+
 def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
     """Pricing step for a stack of ``(k, n, m)`` costs and flat bases: the
-    basic arcs in row-major order, the potentials ``(u, v)`` as one
-    ``(k, n + m)`` array, whether an arc enters, Bland's entering arc (the
-    first with a negative reduced cost) and its cycle ``d``; basic flows
-    change by ``-theta * d`` when the entering arc carries ``theta``."""
+    basic arcs in row-major order, the potentials, whether an arc enters,
+    Bland's entering arc (the first with a negative reduced cost) and its
+    cycle ``d``; basic flows change by ``-theta * d`` when the entering arc
+    carries ``theta``."""
     k, n, m = c.shape
-    nb = n + m - 1
     q = np.arange(k)
-    arcs = np.nonzero(basic)[1].reshape(k, nb)
-    # one equation u_i + v_j = c_ij per basic arc, then the gauge u_0 = 0; the inverse
-    # of a spanning-tree basis has entries in {-1, 0, 1}, so rounding removes its round-off
-    eqs = np.zeros((k, n + m, n + m))
-    eqs[q[:, None], np.arange(nb), arcs // m] = eqs[q[:, None], np.arange(nb), n + arcs % m] = 1.0
-    eqs[:, nb, 0] = 1.0
-    inv = np.linalg.inv(eqs)
-    np.rint(inv, out=inv)
-    cb = np.zeros((k, n + m))
-    cb[:, :nb] = c.reshape(k, -1)[q[:, None], arcs]
-    y = np.einsum("qij,qj->qi", inv, cb)
-    reduced = (c - y[:, :n, None] - y[:, None, n:]).reshape(k, -1)
+    arcs, inv = _dense_inverse(n, m, basic)
+    y, reduced = _potentials(c, arcs, inv)
     enters = ~basic & (reduced < -tol[:, None])
     enter = enters.argmax(axis=1)
-    return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, :nb] + inv[q, n + enter % m, :nb]
+    return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, : n + m - 1] + inv[q, n + enter % m, : n + m - 1]
 
 
-def _least_cost_basis(c: np.ndarray, r: np.ndarray, s: np.ndarray, flow: np.ndarray, basic: np.ndarray):
-    """Least-cost start of one ``(n, m)`` problem, written into the flat
-    ``flow`` and ``basic``: the cheapest cell of the uncovered rows and
-    columns (first in row-major order on ties) ships as much as it can; its
-    row is covered if it ran out, unless it is the last uncovered row or
-    its column ran out too while other columns are uncovered; otherwise its
-    column is covered.  One cell per covered row or column, the last one
-    covering both."""
-    n, m = c.shape
-    supply, demand = [float(v) for v in r], [float(v) for v in s]
-    open_rows, open_cols = list(range(n)), list(range(m))
-    while open_rows and open_cols:
-        best = None
-        for i in open_rows:
-            for j in open_cols:
-                if best is None or c[i, j] < c[best]:
-                    best = (i, j)
-        i, j = best
-        f = min(supply[i], demand[j])
-        flow[i * m + j], basic[i * m + j] = f, True
-        supply[i] -= f
-        demand[j] -= f
-        if len(open_rows) == 1 and len(open_cols) == 1:
-            break
-        row_done, col_done = supply[i] <= 0.0, demand[j] <= 0.0
-        if len(open_rows) > 1 and (row_done or not (col_done and len(open_cols) > 1)):
-            open_rows.remove(i)
-        else:
-            open_cols.remove(j)
-
-
-def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
-    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep.  Returns flows, bases, potentials ``(u, v)`` as one
-    ``(k, n + m)`` array, pivot counts and the mask of capped problems."""
+def _dual_price(c: np.ndarray, basic: np.ndarray, flow: np.ndarray):
+    """Dual pricing step for a stack of dual feasible flat bases with a
+    negative flow: the basic arcs in row-major order, the leaving slot (the
+    negative flow of least arc index), whether an arc raises that flow,
+    the entering arc (of least reduced cost among the arcs whose cycle has
+    coefficient -1 at that slot, ties to the smallest index) and its cycle."""
     k, n, m = c.shape
+    q = np.arange(k)
+    arcs, inv = _dense_inverse(n, m, basic)
+    _, reduced = _potentials(c, arcs, inv)
+    leave = (np.take_along_axis(flow, arcs, axis=1) < -NONNEG_TOL).argmax(axis=1)
+    at = inv[q, :, leave]
+    raises = (at[:, :n, None] + at[:, None, n:]).reshape(k, -1) == -1.0
+    enter = np.where(raises, reduced, np.inf).argmin(axis=1)
+    return (arcs, leave, raises.any(axis=1), enter,
+            inv[q, enter // m, : n + m - 1] + inv[q, n + enter % m, : n + m - 1])
+
+
+def _star_basis(c: np.ndarray, basic: np.ndarray):
+    """Star basis of one ``(n, m)`` problem, written into the flat
+    ``basic``: every arc of row 0, and from each other row the arc to the
+    column where its cost exceeds row 0's the least (the first column on
+    ties).  Its potentials ``u_0 = 0``, ``v_j = c_0j``, ``u_i = c_ij - c_0j``
+    there make every reduced cost nonnegative."""
+    n, m = c.shape
+    for j in range(m):
+        basic[j] = True
+    for i in range(1, n):
+        best = 0
+        for j in range(1, m):
+            if c[i, j] - c[0, j] < c[i, best] - c[0, best]:
+                best = j
+        basic[i * m + best] = True
+
+
+def _basic_flows(basic: np.ndarray, r: np.ndarray, s: np.ndarray):
+    """Flows of a stack of flat bases: ``x_t = sum_v inv[v, t] * supply_v``,
+    accumulated node by node, rows first."""
+    (k, n), m = r.shape, s.shape[1]
+    arcs, inv = _dense_inverse(n, m, basic)
+    supply = np.concatenate([r, s], axis=1)
+    x = np.zeros((k, n + m - 1))
+    for v in range(n + m):
+        x += inv[:, v, : n + m - 1] * supply[:, v, None]
     flow = np.zeros((k, n * m))
+    flow[np.arange(k)[:, None], arcs] = x
+    return (flow,)
+
+
+def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, star_costs=None):
+    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
+    lockstep, from the star basis of ``star_costs`` (by default ``c``): dual
+    pivots until no flow is below ``-NONNEG_TOL``, then primal pivots until
+    no reduced cost is below the pivot tolerance.  The dual pivots need a
+    dual feasible start, which the star of other costs is not; it suits
+    problems whose start flows are feasible.  Returns flows, bases,
+    potentials ``(u, v)`` as one ``(k, n + m)`` array, pivot counts and the
+    mask of capped problems."""
+    k, n, m = c.shape
     basic = np.zeros((k, n * m), dtype=bool)
-    p = np.arange(k)
     for q in range(k):
-        _least_cost_basis(c[q], r[q], s[q], flow[q], basic[q])
+        _star_basis(c[q] if star_costs is None else star_costs[q], basic[q])
+    (flow,) = _chunked(_basic_flows, np.arange(k), basic, r, s)
+    pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
+
+    while True:
+        live = np.flatnonzero((flow < -NONNEG_TOL).any(axis=1) & ~capped)
+        capped[live[pivots[live] >= max_pivots]] = True
+        live = live[pivots[live] < max_pivots]
+        if not live.size:
+            break
+        arcs, leave, go, enter, d = _chunked(_dual_price, live, c, basic, flow)
+        # with no raising arc the negative flow is round-off: it is clipped and the basis stays
+        flow[live[~go], arcs[~go, leave[~go]]] = 0.0
+        live, arcs, leave, enter, d = live[go], arcs[go], leave[go], enter[go], d[go]
+        q = np.arange(live.size)
+        x = flow[live[:, None], arcs]
+        theta = -x[q, leave]
+        flow[live[:, None], arcs] = x - theta[:, None] * d
+        flow[live, arcs[q, leave]], basic[live, arcs[q, leave]] = 0.0, False
+        flow[live, enter], basic[live, enter] = theta, True
+        pivots[live] += 1
+    np.clip(flow, 0.0, None, out=flow)
 
     tol = PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     potentials = np.zeros((k, n + m))
-    pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
-    live = p
+    live = np.arange(k)
     while live.size:
-        # priced in chunks, which bounds the memory the dense inverses take at once
-        parts = [_price(c[h], basic[h], tol[h]) for h in np.split(live, np.arange(_CHUNK, live.size, _CHUNK))]
-        arcs, y, go, enter, d = (np.concatenate(z) for z in zip(*parts))
+        arcs, y, go, enter, d = _chunked(_price, live, c, basic, tol)
         potentials[live[~go]] = y[~go]
         capped[live[go & (pivots[live] >= max_pivots)]] = True
         go &= pivots[live] < max_pivots

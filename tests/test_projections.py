@@ -167,6 +167,8 @@ class TestPaddedEdgeStack:
                 res = M.solve_transport(M.TransportProblem(c, proj.node_blocks[u], proj.node_blocks[v]))
                 cost = float(np.sum(c * proj.edge_blocks[e]))
                 assert abs(cost - res.cost) <= 1e-9 * max(1.0, float(np.abs(c).max()))
+                # no pivot enters a padded cell, so each edge pivots as it would alone
+                np.testing.assert_array_equal(res.plan, proj.edge_blocks[e])
 
     def test_padded_flows_are_zero(self):
         for m, _, blocks in projection_cases():

@@ -4,7 +4,7 @@ import pytest
 import mrflp as M
 import mrflp.transport
 from mrflp.errors import InfeasibleMarginalsError, NumericalError
-from mrflp.tolerances import NONNEG_TOL, TRANSPORT_MARGINAL_TOL
+from mrflp.tolerances import NONNEG_TOL, PIVOT_TOL, TRANSPORT_MARGINAL_TOL
 
 import oracles
 
@@ -33,16 +33,18 @@ def tied_stack(seed, k=600):
     return M.TransportProblem(cost, r, s)
 
 
-def assert_same_pivot_path(problem):
-    """The kernel and the dense reference simplex take the same pivots: equal
+def assert_same_pivot_path(problem, star_costs=None):
+    """The kernel and the dense reference simplex take the same pivots from
+    the star basis of ``star_costs`` (by default the problem's own): equal
     pivot counts, bases and bit-equal flows after every pivot (each pivot
     cap stops the kernel there), and the optimal potentials agree."""
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])
     r, s = problem.row_marginal.reshape(c.shape[:2]), problem.col_marginal.reshape(c.shape[0], -1)
+    start = mrflp.transport._star_start(c if star_costs is None else star_costs)
     tol = 1e-12 * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     for cap in range(1001):
-        flow, basic, y, pivots, capped = mrflp.transport._simplex_bases(c, r, s, cap)[:5]
-        ref_flow, ref_basic, ref_y, ref_pivots, ref_capped = oracles.reference_simplex(c, r, s, cap)
+        flow, basic, y, pivots, capped = mrflp.transport._simplex_bases(c, r, s, cap, start)[:5]
+        ref_flow, ref_basic, ref_y, ref_pivots, ref_capped = oracles.reference_simplex(c, r, s, cap, star_costs)
         np.testing.assert_array_equal(pivots, ref_pivots)
         np.testing.assert_array_equal(capped, ref_capped)
         np.testing.assert_array_equal(basic, ref_basic)
@@ -187,10 +189,11 @@ class TestExactTransport:
             assert dual_val == pytest.approx(res.cost, abs=tol)
 
     def test_pivot_cap_names_the_problem(self):
-        # the first problem is optimal at its least-cost start; the second's start ships
-        # from the cheapest cell (0, 0) and then must use the 100, so it needs a pivot
+        # the first problem is optimal at its star basis, where row 1 hangs from column 1;
+        # the second's star hangs row 1 from column 0, which then ships 0.5 into a column
+        # that takes 0.25, and one dual pivot moves the excess onto the 100
         p = M.TransportProblem([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [3.0, 100.0]]],
-                               np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+                               np.full((2, 2), 0.5), [[0.5, 0.5], [0.25, 0.75]])
         assert M.solve_transport(p).pivots.tolist() == [0, 1]
         with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
             M.solve_transport(p, max_pivots=0)
@@ -219,15 +222,31 @@ class TestSimplexKernel:
         assert pivots.min() < pivots.max()
 
     def test_long_pivot_paths(self):
-        # from the least-cost start about 1 in 40 random 5x5 problems needs 10 pivots or more
+        # from the star start about 1 in 15 random 5x5 problems needs 10 pivots or more
         rng = np.random.default_rng(4)
         p = M.TransportProblem(rng.random((1000, 5, 5)), rng.random((1000, 5)), rng.random((1000, 5)))
         long = oracles.reference_simplex(p.cost, p.row_marginal, p.col_marginal, 1000)[3] >= 10
         assert long.sum() >= 10
         assert_same_pivot_path(M.TransportProblem(p.cost[long], p.row_marginal[long], p.col_marginal[long]))
 
+    def test_primal_pivot_paths(self):
+        # from its own star the primal loop only certifies; from the star of other costs,
+        # where its flows are feasible (mostly where row 0 has most of the mass), it pivots
+        # on random and on tied costs
+        rng = np.random.default_rng(22)
+        heavy = np.array([3.0, 0.0, 0.0, 0.0])
+        random = M.TransportProblem(rng.random((1000, 4, 5)), rng.random((1000, 4)) + heavy, rng.random((1000, 5)))
+        tied = tied_stack(23)
+        tied = M.TransportProblem(tied.cost, tied.row_marginal + heavy, tied.col_marginal)
+        for p, other in ((random, rng.random((1000, 4, 5))), (tied, tied_stack(24).cost)):
+            x = np.einsum("qij,qi->qj", mrflp.transport._star_start(other)[1],
+                          np.concatenate([p.row_marginal, p.col_marginal], axis=1))
+            hits = (x >= -NONNEG_TOL).all(axis=1)
+            pivots = assert_same_pivot_path(sub_stack(p, hits), other[hits])
+            assert hits.sum() >= 50 and pivots.max() >= 3
+
     def test_no_dense_inverse(self, monkeypatch):
-        # the start's inverse is built from its tree and kept across pivots, never inverted
+        # the star's inverse is written down and kept across pivots, never inverted
         calls = []
         inv = np.linalg.inv
         monkeypatch.setattr(mrflp.transport.np.linalg, "inv", lambda a: calls.append(a.shape[0]) or inv(a))
@@ -236,7 +255,7 @@ class TestSimplexKernel:
         assert calls == []
 
     def test_tree_built_inverse(self):
-        # the start's int8 inverse equals the rounded dense inverse of its basis equations
+        # the star's int8 inverse equals the rounded dense inverse of its basis equations
         # with the gauge u_0 = 0, for every shape from 1x1 to 5x5
         problems = [p for p, _ in degenerate_problems(6, 400)] + [tied_stack(7)]
         shapes = set()
@@ -245,14 +264,52 @@ class TestSimplexKernel:
             k, n, m = c.shape
             nb = n + m - 1
             shapes.add((n, m))
-            arcs, _, inv = mrflp.transport._least_cost_start(
-                c, p.row_marginal.reshape(k, n), p.col_marginal.reshape(k, m))
+            arcs, inv = mrflp.transport._star_start(c)
             q, t = np.arange(k)[:, None], np.arange(nb)
             eqs = np.zeros((k, n + m, n + m))
             eqs[q, t, arcs // m] = eqs[q, t, n + arcs % m] = eqs[:, nb, 0] = 1.0
             assert inv.dtype == np.int8
             np.testing.assert_array_equal(inv, np.rint(np.linalg.inv(eqs))[:, :, :nb])
         assert shapes == {(n, m) for n in range(1, 6) for m in range(1, 6)}
+
+
+def star_problems(seed):
+    """Problems for the star start: degenerate ones of every shape up to
+    5x5, a padded and a tied stack, negative costs, entries of 1e6, and
+    stacks of 1x1, 1x4 and 4x1 problems."""
+    rng = np.random.default_rng(seed)
+    yield from (p for p, _ in degenerate_problems(seed, 200))
+    yield padded_stack(seed)
+    yield tied_stack(seed)
+    yield M.TransportProblem(rng.uniform(-5.0, -1.0, (50, 4, 3)), rng.random((50, 4)), rng.random((50, 3)))
+    yield M.TransportProblem(np.where(rng.random((50, 3, 4)) < 0.5, 1e6, rng.uniform(-1.0, 1.0, (50, 3, 4))),
+                             rng.random((50, 3)), rng.random((50, 4)))
+    for n, m in ((1, 1), (1, 4), (4, 1)):
+        yield M.TransportProblem(rng.uniform(-2.0, 2.0, (20, n, m)), rng.random((20, n)) + 0.1, rng.random((20, m)) + 0.1)
+
+
+class TestStarStart:
+    """The star basis that every cold solve starts from."""
+
+    def test_dual_feasible_with_balanced_flows(self):
+        # its potentials are u_0 = 0, v_j = c_0j and u_i = min_j (c_ij - c_0j), no
+        # reduced cost is below the pivot tolerance, and inverse^T [r; s] meets the marginals
+        for p in star_problems(25):
+            c = p.cost.reshape(-1, *p.cost.shape[-2:])
+            k, n, m = c.shape
+            r, s = p.row_marginal.reshape(k, n), p.col_marginal.reshape(k, m)
+            slots, inv = mrflp.transport._star_start(c)
+            y = np.einsum("qij,qj->qi", inv, np.take_along_axis(c.reshape(k, -1), slots, axis=1))
+            np.testing.assert_array_equal(y[:, 0], 0.0)
+            np.testing.assert_array_equal(y[:, n:], c[:, 0])
+            np.testing.assert_array_equal(y[:, 1:n], (c[:, 1:] - c[:, :1]).min(axis=2))
+            tol = PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+            assert np.all(c - y[:, :n, None] - y[:, None, n:] >= -tol[:, None, None])
+            plan = np.zeros((k, n * m))
+            np.put_along_axis(plan, slots, np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1)), axis=1)
+            plan = plan.reshape(k, n, m)
+            assert np.abs(plan.sum(axis=2) - r).max() <= 1e-15
+            assert np.abs(plan.sum(axis=1) - s).max() <= 1e-15
 
 
 class TestEntropicTransport:
@@ -423,13 +480,15 @@ def assert_warm_matches_cold(problem, start):
 
 def padded_stack(seed, k=400):
     """A 4x5 stack laid out like the projections' padded runs: each problem
-    has 1-4 real rows and 1-5 real columns, padded rows and columns have zero
-    mass, and padded cells cost the problem's largest cost plus one."""
+    has 1-4 real rows and 1-5 real columns, and padded rows and columns have
+    zero mass.  Real costs are below 1, so no real arc's reduced cost reaches
+    36, which padded cells cost, but 0 in row 0 and row 0's cost in column 0."""
     rng = np.random.default_rng(seed)
     lu, lv = rng.integers(1, 5, k), rng.integers(1, 6, k)
     real = (np.arange(4)[:, None] < lu[:, None, None]) & (np.arange(5) < lv[:, None, None])
-    cost = rng.random((k, 4, 5))
-    cost = np.where(real, cost, np.where(real, cost, -np.inf).max(axis=(1, 2), keepdims=True) + 1.0)
+    cost = np.where(real, rng.random((k, 4, 5)), 36.0)
+    cost[:, 0] = np.where(real[:, 0], cost[:, 0], 0.0)
+    cost[:, 1:, 0] = np.where(real[:, 1:, 0], cost[:, 1:, 0], cost[:, :1, 0])
     r = rng.random((k, 4)) * (np.arange(4) < lu[:, None]) + (np.arange(4) == 0)
     s = rng.random((k, 5)) * (np.arange(5) < lv[:, None]) + (np.arange(5) == 0)
     return M.TransportProblem(cost, r, s)
@@ -480,7 +539,8 @@ class TestWarmStart:
         start = M.solve_transport(other_marginals(p, 12))
         warm = assert_warm_matches_cold(p, start.simplex_basis)
         # padded cells carry round-off at most
-        assert np.abs(warm.plan[p.cost > 1.0]).max() <= 1e-15
+        padded = (p.row_marginal == 0.0)[:, :, None] | (p.col_marginal == 0.0)[:, None, :]
+        assert np.abs(warm.plan[padded]).max() <= 1e-15
         assert warm.pivots.max() > 0
 
     def test_dual_phase_keeps_the_bases_dual_feasible(self):
@@ -545,20 +605,17 @@ class TestWarmStart:
         assert err.value.problem == 1
 
     def test_round_off_negative_flow_without_entering_arc_is_clipped(self):
-        # the least-cost start of this problem has basis (0, 0), (1, 1), (1, 0):
-        # column 1 is a leaf, so its flow is s_1, and only (0, 1) is nonbasic,
-        # which lowers that flow; a slightly negative s_1 has no entering arc
+        # the star basis of this problem is (0, 0), (0, 1), (1, 1): column 0 is a
+        # leaf, so its flow is s_0, and only (1, 0) is nonbasic, which lowers that
+        # flow; a slightly negative s_0 has no entering arc
         c = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         half = np.full((1, 2), 0.5)
-        start = M.solve_transport(M.TransportProblem(c, half, half))
-        np.testing.assert_array_equal(start.basis, [[[True, False], [True, True]]])
-        s = np.array([[1.0 + 5e-12, -5e-12]])
-        b = start.simplex_basis
-        warm = mrflp.transport._simplex_bases(c, half, s, 1000, start=(b.slots, b.inverse))
-        flow, basic, _, pivots, capped = warm[:5]
+        s = np.array([[-5e-12, 1.0 + 5e-12]])
+        star = mrflp.transport._star_start(c)
+        flow, basic, _, pivots, capped = mrflp.transport._simplex_bases(c, half, s, 1000, start=star)[:5]
         assert pivots.tolist() == [0] and not capped.any()
-        np.testing.assert_array_equal(basic, start.basis)
-        assert flow.min() == 0.0 and flow[0, 1, 1] == 0.0
+        np.testing.assert_array_equal(basic, [[[True, True], [False, True]]])
+        assert flow.min() == 0.0 and flow[0, 0, 0] == 0.0
 
     def test_start_must_match_the_stack(self):
         p = tied_stack(16, k=5)
