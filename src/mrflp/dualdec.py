@@ -17,8 +17,9 @@ Padded labels read a ``+inf`` slot, so they never win a min and carry
 exactly zero mass; a level whose padding would cost more than ``PAD_WASTE``
 times its real table cells is split.
 It runs in the energy domain with min-subtracted exponentials, so it is
-stable for temperatures down to (and well below) 1e-4.  Argmin ties are
-always broken toward the smaller label so subgradients are reproducible.
+stable for temperatures down to (and well below) 1e-4; the soft-min's way
+down reuses the upward pass's exponentials.  Argmin ties are always broken
+toward the smaller label so subgradients are reproducible.
 The soft-min returns the value and the node marginals only: feasible primal
 points are built from node blocks, with every edge block re-optimized by
 the projections.
@@ -44,25 +45,20 @@ from .model import (
 from .tolerances import EQ_TOL, LOG_FLOOR
 
 
-def _softmin(a: np.ndarray, rho: float, axis: int) -> np.ndarray:
-    """Soft minimum of ``a`` along ``axis``; works in ``a``'s buffer."""
-    mn = a.min(axis=axis, keepdims=True)
+def _softmin(a: np.ndarray, rho: float, kept: list | None = None) -> np.ndarray:
+    """Soft minimum of ``a`` over its first axis, in ``a``'s buffer, which
+    ends holding ``e = exp(-(a - min a) / rho)``; with ``kept``, ``(e,
+    e.sum(axis=0))`` is appended to it."""
+    mn = a.min(axis=0)
     a -= mn
     a /= -rho
     np.exp(a, out=a)
-    out = a.sum(axis=axis)
-    np.log(out, out=out)
-    out *= rho
-    return np.subtract(mn.squeeze(axis), out, out=out)
-
-
-def _gibbs(energy: np.ndarray, rho: float, axis) -> np.ndarray:
-    """Gibbs distribution of ``energy`` at temperature ``rho`` along ``axis``."""
-    e = energy / -rho
-    e -= e.max(axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    s = a.sum(axis=0)
+    if kept is not None:
+        kept.append((a, s))
+    out = np.log(s)
+    out *= -rho
+    return np.add(out, mn, out=out)
 
 
 @dataclasses.dataclass
@@ -92,14 +88,19 @@ class ForestPlan:
     the smaller node id), so its depth is its radius.  Each depth level of
     tree edges, over all forests at once, is one DP step, or a few when its
     padding is wasteful (see :func:`padded_runs`): messages go up from the
-    deepest level to the roots, then back down for labelings and node
-    marginals, so a pass makes as many steps as the deepest forest has
-    levels.  The aggregate vector ends in one sentinel slot held at
-    ``+inf``; padded labels gather from and scatter into it, so they never
-    win a min, get an exact 0 in every soft-min and Gibbs sum, and the flat
-    marginals are the aggregate without that slot.  The roots are padded
-    and split the same way.  Min-sum and soft-min share the upward pass.
+    deepest level to the roots, then labels or marginals go back down, so a
+    pass makes as many steps as the deepest forest has levels.  The
+    aggregate vector ends in one sentinel slot held at ``+inf``; padded
+    labels gather from and scatter into it, so they never win a min, get an
+    exact 0 in every soft-min sum, and the flat marginals are the aggregate
+    without that slot.  The roots are padded and split the same way.
     Argmin ties go to the smaller label, at the roots and at every child.
+    The soft-min keeps each level's upward table ``e = exp(-(w + agg_c -
+    min_c) / rho)`` and its column sums ``s``: a child's law given its
+    parent's label ``p`` is ``e[:, p] / s[p]``, so the way down is
+    ``marg_c = einsum("cpk,pk->ck", e, marg_p / s)``.  Small ``rho`` is
+    safe: ``e`` lies in [0, 1] with an exact 1 per column, so ``s >= 1``,
+    and padded labels read ``exp(-inf) = 0`` or carry marginal 0.
 
     Building the plan validates acyclicity.  The plan is reusable across
     unary tables (the pairwise tables are fixed by the model), which is what
@@ -118,6 +119,7 @@ class ForestPlan:
         depth, c, p, e = np.concatenate(rows).T
         counts = np.tile(packing.label_counts, self.n_forests)
         starts = (packing.node_dim * np.arange(self.n_forests)[:, None] + packing.node_starts).ravel()
+        self._label_counts, self._node_starts = counts, starts
         lc, lp = counts[c], np.where(depth > 0, counts[p], 1)
         order = np.lexsort((c, -lp, -lc, -depth))
         depth, c, p, e, lc, lp = (x[order] for x in (depth, c, p, e, lc, lp))
@@ -142,23 +144,19 @@ class ForestPlan:
             group = (c[s], p[s], c_gather[s, :wc].T.copy(), p_gather[s, :wp].T.copy(), w)
             self.groups.append(_EdgeGroup(int(depth[lo]), *group))
 
-    def _upward(self, unary_flat: np.ndarray, reduce) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _upward(self, unary_flat: np.ndarray, reduce) -> np.ndarray:
         """Per-node aggregates (unary plus all messages from the subtree, then
-        the ``+inf`` sentinel slot) and each group's upward messages,
-        reducing over the child's labels."""
+        the ``+inf`` sentinel slot), reducing over the child's labels."""
         agg = np.empty(self.n_forests * self.packing.node_dim + 1)
         agg[:-1] = unary_flat
         agg[-1] = np.inf
-        ups = []
         for g in self.groups:
-            up = reduce(g.w + agg[g.child_gather][:, None, :])
-            np.add.at(agg, g.parent_gather, up)
-            ups.append(up)
-        return agg, ups
+            np.add.at(agg, g.parent_gather, reduce(g.w + agg[g.child_gather][:, None, :]))
+        return agg
 
     def min_sum(self, unary_flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact minimum of the forests' summed energy and a tie-broken argmin."""
-        agg, _ = self._upward(unary_flat, lambda a: a.min(axis=0))
+        agg = self._upward(unary_flat, lambda a: a.min(axis=0))
         labels = np.zeros(self.n_forests * self.model.n_nodes, dtype=np.int64)
         value = 0.0
         for nodes, gather in self.root_groups:
@@ -178,20 +176,20 @@ class ForestPlan:
         """
         if rho <= 0.0:
             raise ValueError("rho must be positive")
-        agg, ups = self._upward(unary_flat, lambda a: _softmin(a, rho, axis=0))
-        value = sum(float(_softmin(agg[gather], rho, axis=0).sum()) for _, gather in self.root_groups)
+        # the marginals feel the aggregates' rounding over rho: a cost that
+        # every label of a node pays (say 1e6) goes into the value instead
+        low = np.minimum.reduceat(unary_flat, self._node_starts)
+        tables, roots = ([], []) if want_marginals else (None, None)
+        agg = self._upward(unary_flat - np.repeat(low, self._label_counts), lambda a: _softmin(a, rho, tables))
+        value = float(low.sum()) + sum(float(_softmin(agg[gather], rho, roots).sum()) for _, gather in self.root_groups)
         if not want_marginals:
             return value, None
+        # a root's law is e / s; the sentinel's marginal stays 0
         node_marg = np.zeros_like(agg)
-        for _, gather in self.root_groups:
-            node_marg[gather] = _gibbs(agg[gather], rho, axis=0)
-        # belief = aggregate plus the message from outside the subtree
-        belief = agg.copy()
-        for g, up in zip(reversed(self.groups), reversed(ups)):
-            joint = g.w + (belief[g.parent_gather] - up)[None, :, :]
-            b = agg[g.child_gather] + _softmin(joint, rho, axis=1)
-            belief[g.child_gather] = b
-            node_marg[g.child_gather] = _gibbs(b, rho, axis=0)
+        for (_, gather), (e, s) in zip(self.root_groups, roots):
+            node_marg[gather] = e / s
+        for g, (e, s) in zip(reversed(self.groups), reversed(tables)):
+            node_marg[g.child_gather] = np.einsum("cpk,pk->ck", e, node_marg[g.parent_gather] / s)
         return value, node_marg[:-1]
 
 

@@ -483,7 +483,9 @@ def infer_grid_shape(model: MrfModel) -> tuple[int, int] | None:
 
 
 def decompose_grid(model: MrfModel) -> Decomposition:
-    """Horizontal/vertical decomposition of a grid model.
+    """Horizontal/vertical decomposition of a grid model: color 0 holds the
+    row paths, color 1 the column paths, so both are forests by construction
+    and are not peeled here (the dual's forest plan still rejects cycles).
 
     For non-grid models use :func:`decompose_by_coloring` with a coloring of
     the edges into two forests; there is no automatic decomposition beyond
@@ -495,4 +497,4 @@ def decompose_grid(model: MrfModel) -> Decomposition:
             "model is not a 4-connected grid; supply an edge 2-coloring into forests"
         )
     cols = shape[1]
-    return decompose_by_coloring(model, [0 if v == u + 1 and (u % cols) + 1 < cols else 1 for u, v in model.edges])
+    return Decomposition([0 if v == u + 1 and (u % cols) + 1 < cols else 1 for u, v in model.edges])

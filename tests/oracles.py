@@ -522,6 +522,58 @@ def gibbs_bruteforce(model, edges_subset, unary, rho):
     return value, node_marg
 
 
+def tree_gibbs_marginals(model, edges, unary, rho):
+    """Soft minimum and node marginals of the restricted energy on a forest
+    by log-domain sum-product: messages go up from the deepest node, then
+    each node's outside message comes down from its parent, one node at a
+    time.  ``unary`` holds one table per node; each tree is rooted at its
+    smallest node by :func:`rooted_rows`.  Every message is split into an
+    offset, summed into the value, and a rest whose entries near the
+    minimum are small, so large forbidden costs never round them."""
+    rows, seen = [], set()
+    for v in range(model.n_nodes):
+        if v not in seen:
+            tree = rooted_rows(model, edges, [v])
+            seen.update(x for _, x, _, _ in tree)
+            rows += tree
+
+    def table(x, p, e):
+        """The edge table indexed ``[child label, parent label]``."""
+        return model.pairwise[e] if model.edges[e] == (x, p) else model.pairwise[e].T
+
+    def softmin(a, axis):
+        """``(offset, rest)``: the soft minimum along ``axis`` is their sum."""
+        mn = a.min(axis=axis)
+        rest = -rho * np.log(np.sum(np.exp(-(a - np.expand_dims(mn, axis)) / rho), axis=axis))
+        return mn.min(), (mn - mn.min()) + rest
+
+    children = {v: [] for v in range(model.n_nodes)}
+    for depth, x, p, e in rows:
+        if depth:
+            children[p].append(x)
+    local = [np.asarray(t, dtype=np.float64) - np.min(t) for t in unary]
+    value, up = float(sum(np.min(t) for t in unary)), {}
+    for depth, x, p, e in sorted(rows, reverse=True):
+        inside = local[x] + sum(up[y] for y in children[x])
+        if depth:
+            offset, up[x] = softmin(inside[:, None] + table(x, p, e), axis=0)
+            value += offset
+        else:
+            value += sum(softmin(inside, axis=0))
+    # outside[x]: the messages into x from everything but its subtree
+    outside, node_marg = {}, [None] * model.n_nodes
+    for depth, x, p, e in sorted(rows):
+        outside[x] = np.zeros(len(local[x]))
+        if depth:
+            # the parent's unary, its outside message and its other children's
+            rest = local[p] + outside[p] + sum((up[y] for y in children[p] if y != x), np.zeros(len(local[p])))
+            outside[x] = softmin(table(x, p, e) + rest[None, :], axis=1)[1]
+        belief = local[x] + outside[x] + sum(up[y] for y in children[x])
+        gibbs = np.exp(-(belief - belief.min()) / rho)
+        node_marg[x] = gibbs / gibbs.sum()
+    return value, node_marg
+
+
 def rooted_rows(model, edges, roots):
     """``(depth, child, parent, edge)`` of every node of a forest, from one
     breadth-first search per given root (a root is its own parent at depth

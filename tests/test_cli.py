@@ -165,7 +165,7 @@ class TestSolve:
         best, _ = oracles.exhaustive_map(m)
         assert abs(summary["dual_bound"] - best) <= 1e-6
 
-    @pytest.mark.parametrize("doc", ["5", "[0.0, 1.0, 0.0, 1.0]"], ids=["scalar", "floats"])
+    @pytest.mark.parametrize("doc", ["5", "[0.0, 1.0, 0.0, 1.0]", "[0, 0, 0, 0]"], ids=["scalar", "floats", "cyclic"])
     def test_malformed_decomposition_file_is_a_usage_error(self, tmp_path, capsys, doc):
         model = tmp_path / "m.uai"
         M.write_uai(M.generate_grid(2, 2, 2, seed=0), model)

@@ -223,6 +223,26 @@ class TestForestDpAgainstOracles:
                     assert abs(marg.sum() - 1.0) <= 1e-12
                     np.testing.assert_allclose(marg, bnode[v], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("rho", [1e-4, 1e-2, 2.0])
+    def test_marginals_match_tree_sum_product(self, rho):
+        # a chain of radius 200, padded fused forests, and forbidden entries
+        # of 1e6: any overflow or inf - inf on the way down would raise here
+        counts = np.random.default_rng(4).permutation(np.arange(60) % 4 + 2)
+        counts[7] = 12
+        chain = chain_model(400, 3, seed=4)
+        cases = [(chain, [chain.edges])] + [oracles.two_forest_model(counts, seed=4, big=big) for big in (1.0, 1e6)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for m, forests in cases:
+                unary = np.tile(m.packing().unary, len(forests))
+                value, flat = M.ForestPlan(m, *forests).soft_min(unary, rho)
+                parts = [oracles.tree_gibbs_marginals(m, f, m.unary, rho) for f in forests]
+                expected = sum(v for v, _ in parts)
+                assert abs(value - expected) <= 1e-10 * max(1.0, abs(expected))
+                marg = np.concatenate([np.concatenate(b) for _, b in parts])
+                np.testing.assert_allclose(flat, marg, rtol=0, atol=1e-10)
+                sums = np.add.reduceat(flat.reshape(len(forests), -1), m.packing().node_starts, axis=1)
+                np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
 
 class TestPaddedForestDp:
     def test_sentinel_never_meets_itself(self):
@@ -375,9 +395,13 @@ class TestFusedForestPlan:
         calls = []
         softmin = mrflp.dualdec._softmin
         monkeypatch.setattr(mrflp.dualdec, "_softmin", lambda *args, **kw: calls.append(1) or softmin(*args, **kw))
-        ctx.smoothed(np.zeros(m.packing().node_dim), rho=0.1)
-        # 15 steps up, the roots, 15 steps down
-        assert len(calls) == 31
+        lam = np.zeros(m.packing().node_dim)
+        ctx.smoothed(lam, rho=0.1)
+        # 15 steps up and the roots; the marginals reuse the upward tables
+        assert len(calls) == 16
+        ctx.smoothed_value(lam, rho=0.1)
+        # the downward pass makes no soft-min call: the value alone takes as many
+        assert len(calls) == 32
 
     def test_wide_nodes_keep_padding_bounded(self):
         # 2-label forests with three 200-label nodes: every fused step pads

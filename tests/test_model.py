@@ -5,6 +5,7 @@ import pytest
 
 import mrflp as M
 from mrflp.errors import InvalidLabelingError, StructureError
+from mrflp.model import _forest_rows
 
 import oracles
 
@@ -265,6 +266,27 @@ class TestDecomposition:
                 ru, rv = find(u), find(v)
                 assert ru != rv
                 parent[ru] = rv
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (5, 8), (30, 30)])
+    def test_grid_colors_are_the_row_and_column_paths(self, shape):
+        # decompose_grid builds the coloring without peeling it: pin that it
+        # needs no check
+        rows, cols = shape
+        m = M.generate_grid(rows, cols, 2, seed=0)
+        d = M.decompose_grid(m)
+        for c in (0, 1):
+            _forest_rows(m, d.forest(m, c))
+        grid = np.arange(rows * cols).reshape(rows, cols)
+        row_paths = {(int(u), int(v)) for u, v in zip(grid[:, :-1].ravel(), grid[:, 1:].ravel())}
+        column_paths = {(int(u), int(v)) for u, v in zip(grid[:-1].ravel(), grid[1:].ravel())}
+        assert set(d.forest(m, 0)) == row_paths
+        assert set(d.forest(m, 1)) == column_paths
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_cyclic_grid_coloring_names_its_forest(self, c):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        with pytest.raises(StructureError, match=f"forest {c} of the supplied coloring contains a cycle"):
+            M.decompose_by_coloring(m, [c] * m.n_edges)
 
     def test_non_grid_requires_coloring(self):
         m = M.MrfModel.create(
