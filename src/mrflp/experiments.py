@@ -139,7 +139,10 @@ def run_infinity_scaling(
     """A margin above the potential range (20) makes every planted entry the
     strict minimum of its table, which guarantees the relaxation is tight at
     the planted labeling; the smoothing level controls how much mass the
-    marginal maps leak onto forbidden entries."""
+    marginal maps leak onto forbidden entries.  ``infinities`` must hold two
+    or more distinct values, since the offsets compare consecutive curves."""
+    if len(infinities) < 2 or len(set(infinities)) < len(infinities):
+        raise ValueError(f"infinities must be two or more distinct values, got {list(infinities)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports: dict[float, SolverReport] = {}

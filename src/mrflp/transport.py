@@ -20,10 +20,10 @@ are nonnegative.  Elsewhere a dual phase pivots them back to feasibility:
 the leaving slot holds a negative flow (Bland: smallest arc index), the
 entering arc has the least reduced cost among arcs whose cycle coefficient
 at that slot is -1, and the same rank-one update runs with pivot element
--1.  The primal loop then certifies optimality, or repairs a slip from
-round-off, with Bland's smallest-index rule on both the entering and the
-leaving arc (ties to the smallest arc index, not slot), which rules out
-cycling.
+-1.  Dual pivots keep the bases dual feasible, so the dual phase ends at
+an optimum, and the final bases' potentials certify it: a problem whose
+potentials price an arc below the pivot tolerance had a start that was not
+dual feasible, such as the bases of other costs, and is refused.
 
 The entropy-regularized solver runs damped float64 Newton on the dual, then
 the Altschuler-Weed-Rigollet rounding step, which makes the marginals exact
@@ -76,7 +76,8 @@ class TransportProblem:
 class SimplexBasis:
     """Final bases of an exact solve, a warm start for the same costs: each
     slot's arc (row-major index) and the int8 inverse of the basis equations
-    without the gauge column, one row per node (rows, then columns)."""
+    without the gauge column, one row per node (rows, then columns).  A
+    start that is not dual feasible for its costs is refused."""
 
     slots: np.ndarray
     inverse: np.ndarray
@@ -88,7 +89,6 @@ class TransportResult:
     cost: float | np.ndarray
     row_potentials: np.ndarray
     col_potentials: np.ndarray
-    basis: np.ndarray
     pivots: int | np.ndarray
     simplex_basis: SimplexBasis
 
@@ -174,57 +174,26 @@ def _dual_phase(cf: np.ndarray, n: int, m: int, arcs: np.ndarray, x: np.ndarray,
 
 
 def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start):
-    """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep, from ``start``, dual feasible bases given as a pair of slot
-    arcs ``(k, n + m - 1)`` and int8 inverses ``(k, n + m, n + m - 1)``: a
-    dual phase makes the flows feasible, then the primal loop certifies.
-    Returns flows, bases, potentials ``(u, v)`` as one ``(k, n + m)`` array,
-    pivot counts, the mask of capped problems, and the final slot arcs and
-    inverses."""
+    """Dual simplex on a ``(k, n, m)`` stack, all problems in lockstep, from
+    ``start``, dual feasible bases given as a pair of slot arcs ``(k, n + m -
+    1)`` and int8 inverses ``(k, n + m, n + m - 1)``.  Returns flows, the
+    final bases' potentials ``(u, v)`` as one ``(k, n + m)`` array, pivot
+    counts, the mask of capped problems, the mask of problems whose final
+    potentials price an arc below ``-PIVOT_TOL * max(1, max|c|)`` (a start
+    that was not dual feasible), and the final slot arcs and inverses."""
     k, n, m = c.shape
-    nb = n + m - 1
-    cf, tol = c.reshape(k, -1), PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    cf = c.reshape(k, -1)
     # the slots' arcs and flows; each pivot updates the inverse, whose entries stay in {-1, 0, 1}
     arcs, inv = start[0].copy(), start[1].copy()
     x = np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1))
     pivots, capped = _dual_phase(cf, n, m, arcs, x, inv, max_pivots)
     np.clip(x, 0.0, None, out=x)
-    potentials = np.zeros((k, n + m))
-    flow, basic = np.zeros((k, n * m)), np.zeros((k, n * m), dtype=bool)
-    slots, inverse = np.zeros((k, nb), dtype=np.int64), np.zeros((k, n + m, nb), dtype=np.int8)
-    # inv, arcs and x hold the rows of the live problems only
-    live = np.arange(k)
-    while live.size:
-        y = np.einsum("qij,qj->qi", inv, cf[live[:, None], arcs])
-        reduced = cf[live].reshape(-1, n, m)
-        reduced -= y[:, :n, None]
-        reduced -= y[:, None, n:]
-        enters = reduced.reshape(live.size, -1) < -tol[live, None]
-        np.put_along_axis(enters, arcs, False, axis=1)
-        stop = ~enters.any(axis=1)
-        potentials[live[stop]] = y[stop]
-        capped[live[~stop & (pivots[live] >= max_pivots)]] = True
-        stop |= pivots[live] >= max_pivots
-        if stop.any():
-            done = live[stop]
-            flow[done[:, None], arcs[stop]], basic[done[:, None], arcs[stop]] = x[stop], True
-            slots[done], inverse[done] = arcs[stop], inv[stop]
-            live, inv, arcs, x, enters = (z[~stop] for z in (live, inv, arcs, x, enters))
-        q = np.arange(live.size)
-        # Bland's entering arc and its cycle d: basic flows change by -theta * d when it carries theta
-        enter = enters.argmax(axis=1)
-        d = inv[q, enter // m] + inv[q, n + enter % m]
-        # Bland: the leaving arc is the decreasing arc of least flow, ties to the smallest arc index
-        dec = np.where(d > 0, x, np.inf)
-        leave = np.where(dec == dec.min(axis=1, keepdims=True), arcs, n * m).argmin(axis=1)
-        theta = x[q, leave]
-        x -= theta[:, None] * d
-        x[q, leave], arcs[q, leave] = theta, enter
-        # the entering arc's equation replaces the leaving one's: a rank-one update, pivot d[leave] = 1
-        d[q, leave] -= 1
-        inv -= inv[q, :, leave][:, :, None] * d[:, None, :]
-        pivots[live] += 1
-    return flow.reshape(k, n, m), basic.reshape(k, n, m), potentials, pivots, capped, slots, inverse
+    y = np.einsum("qij,qj->qi", inv, np.take_along_axis(cf, arcs, axis=1))
+    reduced = c - y[:, :n, None] - y[:, None, n:]
+    refused = reduced.min(axis=(1, 2)) < -PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
+    flow = np.zeros((k, n * m))
+    np.put_along_axis(flow, arcs, x, axis=1)
+    return flow.reshape(k, n, m), y, pivots, capped, refused, arcs, inv
 
 
 def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
@@ -235,14 +204,15 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
     as a stack of one, by the simplex method from the star start, a dual
     feasible basis whose inverse is written down directly.  ``start``, the
     ``simplex_basis`` of a solve of the same costs for other marginals,
-    replaces that start.  Either way a dual phase restores feasible flows
-    and the primal loop certifies them.  Each problem may take
-    ``max_pivots`` pivots, ``max(1000, 50 * n * m)`` by default, dual ones
-    included; if one needs more, :class:`NumericalError` is raised with
-    ``problem`` set to its index in the stack.  Returns the optimal plans
-    together with the potentials of the final bases, which certify
-    optimality: ``u_i + v_j <= c_ij`` everywhere with equality on basic
-    arcs, and the final bases as ``simplex_basis``.
+    replaces that start.  Either way dual pivots restore feasible flows.
+    Each problem may take ``max_pivots`` pivots, ``max(1000, 50 * n * m)``
+    by default.  :class:`NumericalError` is raised, with ``problem`` set to
+    its index in the stack, for a problem that needs more, or whose final
+    potentials price an arc below ``-PIVOT_TOL * max(1, max|c|)``: its start
+    was not dual feasible.  Returns the optimal plans together with the
+    potentials of the final bases, which certify optimality: ``u_i + v_j <=
+    c_ij`` everywhere with equality on basic arcs, and the final bases as
+    ``simplex_basis``.
     """
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
     k, n, m = c.shape
@@ -256,20 +226,21 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
         if start.inverse.shape != shape:
             raise ValueError(f"start's inverse has shape {start.inverse.shape}, the problem needs {shape}")
         bases = start.slots.reshape(k, n + m - 1), start.inverse.reshape(k, n + m, n + m - 1)
-    flow, basic, y, pivots, capped, slots, inverse = _simplex_bases(c, r, s, max_pivots, bases)
+    flow, y, pivots, capped, refused, slots, inverse = _simplex_bases(c, r, s, max_pivots, bases)
     if capped.any():
         raise NumericalError(f"transportation simplex exceeded {max_pivots} pivots",
                              problem=int(capped.argmax()))
-    np.clip(flow, 0.0, None, out=flow)
+    if refused.any():
+        raise NumericalError("transportation simplex start is not dual feasible", problem=int(refused.argmax()))
     residual = _residual(flow, r, s)
     if residual.max() > TRANSPORT_MARGINAL_TOL:
         raise NumericalError("transport plan violates its marginals", residual=float(residual.max()),
                              problem=int(residual.argmax()))
     cost = (c * flow).reshape(k, -1).sum(axis=1)
     if problem.cost.ndim == 2:
-        return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], basic[0], pivots.item(),
+        return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], pivots.item(),
                                SimplexBasis(slots[0], inverse[0]))
-    return TransportResult(flow, cost, y[:, :n], y[:, n:], basic, pivots, SimplexBasis(slots, inverse))
+    return TransportResult(flow, cost, y[:, :n], y[:, n:], pivots, SimplexBasis(slots, inverse))
 
 
 _RIDGE = 1e-12

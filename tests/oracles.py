@@ -309,9 +309,9 @@ def transport_bruteforce(cost, r, s):
 # -- reference transportation simplex -------------------------------------
 #
 # The lockstep simplex with the basis equations rebuilt and inverted densely
-# in every round: the package's star start, dual phase and Bland rules,
-# without its maintained inverse, with the start written as a plain loop per
-# problem.
+# in every round: the package's star start and dual phase, then a primal
+# loop with Bland's rules, without its maintained inverse, with the start
+# written as a plain loop per problem.
 
 _CHUNK = 256
 
@@ -412,19 +412,19 @@ def _basic_flows(basic: np.ndarray, r: np.ndarray, s: np.ndarray):
     return (flow,)
 
 
-def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, star_costs=None):
+def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
     """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep, from the star basis of ``star_costs`` (by default ``c``): dual
-    pivots until no flow is below ``-NONNEG_TOL``, then primal pivots until
-    no reduced cost is below the pivot tolerance.  The dual pivots need a
-    dual feasible start, which the star of other costs is not; it suits
-    problems whose start flows are feasible.  Returns flows, bases,
-    potentials ``(u, v)`` as one ``(k, n + m)`` array, pivot counts and the
-    mask of capped problems."""
+    lockstep, from the star basis: dual pivots until no flow is below
+    ``-NONNEG_TOL``, then primal pivots until no reduced cost is below the
+    pivot tolerance.  The package's solver has no primal loop: it stops
+    after the dual pivots and certifies the potentials.  This one is the
+    reference for that, since equal pivot counts mean that its primal loop
+    never pivots.  Returns flows, bases, potentials ``(u, v)`` as one ``(k,
+    n + m)`` array, pivot counts and the mask of capped problems."""
     k, n, m = c.shape
     basic = np.zeros((k, n * m), dtype=bool)
     for q in range(k):
-        _star_basis(c[q] if star_costs is None else star_costs[q], basic[q])
+        _star_basis(c[q], basic[q])
     (flow,) = _chunked(_basic_flows, np.arange(k), basic, r, s)
     pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
 

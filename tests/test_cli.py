@@ -367,6 +367,16 @@ class TestExperiments:
                 assert ra.integer_bound == rb.integer_bound
                 assert ra.gap == rb.gap
 
+    @pytest.mark.parametrize("infinities", ["100", ",", "1e4,1e4", "1e4,1e5,10000"])
+    def test_infinity_scaling_needs_two_distinct_infinities(self, tmp_path, capsys, infinities):
+        # one value or none has no pair of curves to compare, and a repeated one
+        # would compare a curve with itself
+        out = tmp_path / "exp"
+        assert run(["experiment", "infinity-scaling", "--rows", 2, "--cols", 2, "--labels", 2,
+                    "--infinities", infinities, "--out-dir", out]) == 2
+        assert "two or more distinct" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -1,9 +1,11 @@
 import argparse
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import mrflp as M
+import mrflp.transport
 from mrflp.cli import _build_parser
 
 EXPORTS = [
@@ -37,6 +39,12 @@ REPORT_FIELDS = [
     "integer_bound", "gap", "relative_gap", "projection_time_s", "dual_point", "lam", "step_halvings",
     "adaptive_step_used",
 ]
+TRANSPORT_FIELDS = {
+    "TransportResult": ["plan", "cost", "row_potentials", "col_potentials", "pivots", "simplex_basis"],
+    "SimplexBasis": ["slots", "inverse"],
+    "EntropicTransportResult": ["plan", "objective", "iterations", "residual"],
+}
+SOLVE_TRANSPORT_PARAMETERS = ["problem", "max_pivots", "start"]
 SOLVE_OPTIONS = [
     "--decomposition", "--epoch", "--help", "--max-iters", "--model", "--out-dir", "--rho",
     "--rho-schedule", "--solver", "--step-law", "--tau0", "--time-budget-s", "--tol", "-h",
@@ -44,10 +52,14 @@ SOLVE_OPTIONS = [
 
 
 def test_settable_surface_is_pinned():
-    # every solver option, every report field, the decomposition's one field
-    # and every flag of ``mrflp solve``: a new knob or echo field shows up here
+    # every solver option, every report field, the decomposition's one field,
+    # the transport results' fields, the exact solver's parameters and every
+    # flag of ``mrflp solve``: a new knob or echo field shows up here
     assert [f.name for f in dataclasses.fields(M.SolverConfig)] == CONFIG_FIELDS
     assert [f.name for f in dataclasses.fields(M.SolverReport)] == REPORT_FIELDS
     assert [f.name for f in dataclasses.fields(M.Decomposition)] == ["colors"]
+    for name, fields in TRANSPORT_FIELDS.items():
+        assert [f.name for f in dataclasses.fields(getattr(mrflp.transport, name))] == fields
+    assert list(inspect.signature(M.solve_transport).parameters) == SOLVE_TRANSPORT_PARAMETERS
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(s for a in commands.choices["solve"]._actions for s in a.option_strings) == SOLVE_OPTIONS

@@ -123,13 +123,12 @@ class TestPrimalEnergyProjection:
         for ea, eb in zip(a.edge_blocks, b.edge_blocks):
             np.testing.assert_array_equal(ea, eb)
 
-    def test_pivot_cap_error_names_the_edge(self, monkeypatch):
-        # the projection shares solve_transport's cap, max(1000, 50 * n * m);
-        # with an infinite entering tolerance every pivot round finds an arc
+    def test_refused_start_names_the_edge(self, monkeypatch):
+        # with an infinite pivot tolerance no basis is certified dual feasible
         monkeypatch.setattr(mrflp.transport, "PIVOT_TOL", -np.inf)
         m = M.generate_grid(1, 2, 2, seed=3)
         assert m.pairwise[0].shape == (2, 2)
-        with pytest.raises(NumericalError, match=r"1000 pivots on edge \(0, 1\)"):
+        with pytest.raises(NumericalError, match=r"not dual feasible on edge \(0, 1\)"):
             M.project_primal_energy(m, [np.array([0.5, 0.5])] * 2)
 
     def test_edge_blocks_match_single_edge_solves(self):
@@ -201,15 +200,15 @@ class TestPaddedEdgeStack:
             np.testing.assert_allclose(proj.node_blocks[1], [1.0, 0.0], atol=1e-12)
             assert proj.edge_blocks == ()
 
-    def test_pivot_cap_names_the_edge_through_the_run(self, monkeypatch):
-        # the largest shape, edge (2, 3), heads the run and caps first
+    def test_refusal_names_the_edge_through_the_run(self, monkeypatch):
+        # the largest shape, edge (2, 3), heads the run and is refused first
         monkeypatch.setattr(mrflp.transport, "PIVOT_TOL", -np.inf)
         counts = [2, 2, 3, 3]
         edges = [(0, 1), (1, 2), (2, 3)]
         m = M.MrfModel.create(counts, edges, [np.zeros(c) for c in counts],
                               [np.ones((counts[u], counts[v])) for u, v in edges])
         assert len(mrflp.projections._edge_stack(m)) == 1
-        with pytest.raises(NumericalError, match=r"1000 pivots on edge \(2, 3\)"):
+        with pytest.raises(NumericalError, match=r"not dual feasible on edge \(2, 3\)"):
             M.project_primal_energy(m, [np.full(c, 1.0 / c) for c in counts])
 
     def test_uniform_grid_is_one_transport_call(self, monkeypatch):

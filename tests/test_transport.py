@@ -33,21 +33,37 @@ def tied_stack(seed, k=600):
     return M.TransportProblem(cost, r, s)
 
 
-def assert_same_pivot_path(problem, star_costs=None):
+def basic_arcs(slots: np.ndarray, shape) -> np.ndarray:
+    """The mask of the basic arcs, of the given plan shape, of bases given
+    by their slots' arcs."""
+    basic = np.zeros(slots.shape[:-1] + (shape[-2] * shape[-1],), dtype=bool)
+    np.put_along_axis(basic, slots, True, axis=-1)
+    return basic.reshape(shape)
+
+
+def basis(res) -> np.ndarray:
+    """The mask of a result's basic arcs."""
+    return basic_arcs(res.simplex_basis.slots, res.plan.shape)
+
+
+def assert_same_pivot_path(problem):
     """The kernel and the dense reference simplex take the same pivots from
-    the star basis of ``star_costs`` (by default the problem's own): equal
-    pivot counts, bases and bit-equal flows after every pivot (each pivot
-    cap stops the kernel there), and the optimal potentials agree."""
+    the star basis: equal pivot counts, bases and bit-equal flows after
+    every pivot (each pivot cap stops the kernel there), and the optimal
+    potentials agree.  The reference has a primal loop after its dual
+    pivots and the kernel does not, so equal counts also show that no
+    primal pivot was due."""
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])
     r, s = problem.row_marginal.reshape(c.shape[:2]), problem.col_marginal.reshape(c.shape[0], -1)
-    start = mrflp.transport._star_start(c if star_costs is None else star_costs)
+    start = mrflp.transport._star_start(c)
     tol = 1e-12 * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
     for cap in range(1001):
-        flow, basic, y, pivots, capped = mrflp.transport._simplex_bases(c, r, s, cap, start)[:5]
-        ref_flow, ref_basic, ref_y, ref_pivots, ref_capped = oracles.reference_simplex(c, r, s, cap, star_costs)
+        flow, y, pivots, capped, refused, slots, _ = mrflp.transport._simplex_bases(c, r, s, cap, start)
+        ref_flow, ref_basic, ref_y, ref_pivots, ref_capped = oracles.reference_simplex(c, r, s, cap)
         np.testing.assert_array_equal(pivots, ref_pivots)
         np.testing.assert_array_equal(capped, ref_capped)
-        np.testing.assert_array_equal(basic, ref_basic)
+        assert not refused.any()
+        np.testing.assert_array_equal(basic_arcs(slots, c.shape), ref_basic)
         np.testing.assert_array_equal(flow.view(np.uint64), ref_flow.view(np.uint64))
         assert np.all(np.abs(y - ref_y)[~capped] <= tol[~capped, None])
         if not capped.any():
@@ -81,7 +97,7 @@ class TestTransportProblem:
     def test_exact_solver_takes_a_batch(self):
         p = M.TransportProblem(np.zeros((2, 1, 2)), [[2.0], [5.0]], [[1.0, 3.0], [2.0, 2.0]])
         res = M.solve_transport(p)
-        assert res.plan.shape == res.basis.shape == (2, 1, 2)
+        assert res.plan.shape == basis(res).shape == (2, 1, 2)
         assert res.cost.shape == res.pivots.shape == (2,)
         assert res.row_potentials.shape == (2, 1) and res.col_potentials.shape == (2, 2)
         np.testing.assert_allclose(res.plan, [[[0.25, 0.75]], [[0.5, 0.5]]])
@@ -131,7 +147,7 @@ class TestExactTransport:
             slack = p.cost - res.row_potentials[:, None] - res.col_potentials[None, :]
             assert slack.min() >= -1e-9
             # complementary slackness on the basis
-            assert np.max(np.abs(slack[res.basis])) <= 1e-9
+            assert np.max(np.abs(slack[basis(res)])) <= 1e-9
             # duality: certified value equals the plan cost
             dual_val = res.row_potentials @ p.row_marginal + res.col_potentials @ p.col_marginal
             assert dual_val == pytest.approx(res.cost, abs=1e-9)
@@ -139,7 +155,7 @@ class TestExactTransport:
     def test_zero_marginal_entries_keep_basis_size(self):
         p = M.TransportProblem([[1.0, 2.0, 3.0]] * 3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         res = M.solve_transport(p)
-        assert res.basis.sum() == 5  # n + m - 1 arcs, zero flows included
+        assert basis(res).sum() == 5  # n + m - 1 arcs, zero flows included
         assert res.plan[0, 1] == pytest.approx(1.0)
 
     def test_batch_matches_single_solves(self):
@@ -154,7 +170,7 @@ class TestExactTransport:
         for i in range(k):
             one = M.solve_transport(M.TransportProblem(cost[i], r[i], s[i]))
             np.testing.assert_array_equal(one.plan, res.plan[i])
-            np.testing.assert_array_equal(one.basis, res.basis[i])
+            np.testing.assert_array_equal(basis(one), basis(res)[i])
             np.testing.assert_array_equal(one.row_potentials, res.row_potentials[i])
             np.testing.assert_array_equal(one.col_potentials, res.col_potentials[i])
             assert (one.cost, one.pivots) == (res.cost[i], res.pivots[i])
@@ -181,10 +197,10 @@ class TestExactTransport:
             brute_cost, _ = oracles.transport_bruteforce(p.cost, p.row_marginal, p.col_marginal)
             assert res.cost == pytest.approx(brute_cost, abs=tol)
             assert res.plan.min() >= 0.0
-            assert res.basis.sum() == n + m - 1
+            assert basis(res).sum() == n + m - 1
             slack = p.cost - res.row_potentials[:, None] - res.col_potentials[None, :]
             assert slack.min() >= -tol
-            assert np.max(np.abs(slack[res.basis])) <= tol
+            assert np.max(np.abs(slack[basis(res)])) <= tol
             dual_val = res.row_potentials @ p.row_marginal + res.col_potentials @ p.col_marginal
             assert dual_val == pytest.approx(res.cost, abs=tol)
 
@@ -229,21 +245,30 @@ class TestSimplexKernel:
         assert long.sum() >= 10
         assert_same_pivot_path(M.TransportProblem(p.cost[long], p.row_marginal[long], p.col_marginal[long]))
 
-    def test_primal_pivot_paths(self):
-        # from its own star the primal loop only certifies; from the star of other costs,
-        # where its flows are feasible (mostly where row 0 has most of the mass), it pivots
-        # on random and on tied costs
+    def test_start_from_other_costs_is_refused(self):
+        # the star of other costs, on problems where its flows are feasible (mostly where
+        # row 0 has most of the mass), takes no dual pivot; where its plan costs more than
+        # the optimum it cannot be dual feasible, and the solve names the first such
+        # problem after problems started from their own stars, on random and on tied costs
         rng = np.random.default_rng(22)
         heavy = np.array([3.0, 0.0, 0.0, 0.0])
         random = M.TransportProblem(rng.random((1000, 4, 5)), rng.random((1000, 4)) + heavy, rng.random((1000, 5)))
         tied = tied_stack(23)
         tied = M.TransportProblem(tied.cost, tied.row_marginal + heavy, tied.col_marginal)
         for p, other in ((random, rng.random((1000, 4, 5))), (tied, tied_stack(24).cost)):
-            x = np.einsum("qij,qi->qj", mrflp.transport._star_start(other)[1],
-                          np.concatenate([p.row_marginal, p.col_marginal], axis=1))
-            hits = (x >= -NONNEG_TOL).all(axis=1)
-            pivots = assert_same_pivot_path(sub_stack(p, hits), other[hits])
-            assert hits.sum() >= 50 and pivots.max() >= 3
+            slots, inv = mrflp.transport._star_start(other)
+            x = np.einsum("qij,qi->qj", inv, np.concatenate([p.row_marginal, p.col_marginal], axis=1))
+            start_cost = (np.take_along_axis(p.cost.reshape(len(x), -1), slots, axis=1) * x).sum(axis=1)
+            worse = (x >= -NONNEG_TOL).all(axis=1) & (start_cost > M.solve_transport(p).cost + 1e-6)
+            assert worse.sum() >= 50
+            for head in (0, 3):
+                own = mrflp.transport._star_start(p.cost[:head])
+                pick = np.concatenate([np.arange(head), np.flatnonzero(worse)])
+                start = mrflp.transport.SimplexBasis(np.concatenate([own[0], slots[worse]]),
+                                                     np.concatenate([own[1], inv[worse]]))
+                with pytest.raises(NumericalError, match="not dual feasible") as err:
+                    M.solve_transport(sub_stack(p, pick), start=start)
+                assert err.value.problem == head
 
     def test_no_dense_inverse(self, monkeypatch):
         # the star's inverse is written down and kept across pivots, never inverted
@@ -467,13 +492,13 @@ def assert_warm_matches_cold(problem, start):
     assert np.all(np.abs(np.reshape(warm.cost - cold.cost, k)) <= tol)
     # the cold optimum is unique where every nonbasic arc has a positive reduced cost
     cold_slack = c - np.reshape(cold.row_potentials, (k, -1, 1)) - np.reshape(cold.col_potentials, (k, 1, -1))
-    basic = cold.basis.reshape(c.shape)
+    basic = basis(cold).reshape(c.shape)
     unique = np.all(basic | (cold_slack > tol[:, None, None]), axis=(1, 2))
     gap = np.abs(warm.plan - cold.plan).reshape(k, -1).max(axis=1)
     assert np.all(gap[unique] <= TRANSPORT_MARGINAL_TOL)
     slack = c - np.reshape(warm.row_potentials, (k, -1, 1)) - np.reshape(warm.col_potentials, (k, 1, -1))
     assert np.all(slack >= -tol[:, None, None])
-    assert np.all(np.abs(np.where(warm.basis.reshape(c.shape), slack, 0.0)) <= tol[:, None, None])
+    assert np.all(np.abs(np.where(basis(warm).reshape(c.shape), slack, 0.0)) <= tol[:, None, None])
     assert warm.plan.min() >= 0.0
     return warm
 
@@ -612,9 +637,9 @@ class TestWarmStart:
         half = np.full((1, 2), 0.5)
         s = np.array([[-5e-12, 1.0 + 5e-12]])
         star = mrflp.transport._star_start(c)
-        flow, basic, _, pivots, capped = mrflp.transport._simplex_bases(c, half, s, 1000, start=star)[:5]
-        assert pivots.tolist() == [0] and not capped.any()
-        np.testing.assert_array_equal(basic, [[[True, True], [False, True]]])
+        flow, _, pivots, capped, refused, slots, _ = mrflp.transport._simplex_bases(c, half, s, 1000, start=star)
+        assert pivots.tolist() == [0] and not (capped | refused).any()
+        np.testing.assert_array_equal(basic_arcs(slots, c.shape), [[[True, True], [False, True]]])
         assert flow.min() == 0.0 and flow[0, 0, 0] == 0.0
 
     def test_start_must_match_the_stack(self):
