@@ -8,10 +8,10 @@ variant replaces min by a soft-min at temperature ``rho`` and is
 continuously differentiable with the difference of the two forest marginal
 maps as its gradient.
 
-Both forests are one level-synchronous dynamic program (see
-:class:`ForestPlan`): trees are rooted at a center, found by peeling all
-leaves round by round (of two centers, the smaller node id is the root), and
-each step handles all tree edges of one depth, in either forest, as stacked
+Both forests are one level-synchronous dynamic program over one tree (see
+:class:`ForestPlan`): each tree is rooted at a center found by peeling all
+leaves round by round, every root hangs from one virtual root, and each
+step handles all tree edges of one depth, in either forest, as stacked
 arrays, their label axes padded to the level's largest label counts.
 Padded labels read a ``+inf`` slot, so they never win a min and carry
 exactly zero mass; a level whose padding would cost more than ``PAD_WASTE``
@@ -70,7 +70,7 @@ class _EdgeGroup:
 
     depth: int
     child: np.ndarray          # (k,) node ids, forest f's offset by f * n_nodes
-    parent: np.ndarray         # (k,)
+    parent: np.ndarray         # (k,) at depth 0, the virtual root F * n_nodes
     child_gather: np.ndarray   # (L_c, k) aggregate indices, sentinel where padded
     parent_gather: np.ndarray  # (L_p, k)
     w: np.ndarray              # (L_c, L_p, k) pairwise tables, child axis first
@@ -85,16 +85,18 @@ class ForestPlan:
     ``F * node_dim`` entries, labels ``F * n_nodes`` (forest ``f``'s from
     ``f * n_nodes``), and the value sums the forests.  Each tree is rooted
     at a center, the node that leaf peeling removes last (of two centers,
-    the smaller node id), so its depth is its radius.  Each depth level of
-    tree edges, over all forests at once, is one DP step, or a few when its
-    padding is wasteful (see :func:`padded_runs`): messages go up from the
-    deepest level to the roots, then labels or marginals go back down, so a
-    pass makes as many steps as the deepest forest has levels.  The
-    aggregate vector ends in one sentinel slot held at ``+inf``; padded
-    labels gather from and scatter into it, so they never win a min, get an
-    exact 0 in every soft-min sum, and the flat marginals are the aggregate
-    without that slot.  The roots are padded and split the same way.
-    Argmin ties go to the smaller label, at the roots and at every child.
+    the smaller node id), so its depth is its radius; every root hangs from
+    one virtual one-label node by an edge whose table is 0, so the forests
+    are one tree.  Each depth level of tree edges, over all forests at once,
+    the roots' edges at level 0, is one DP step, or a few when its padding
+    is wasteful (see :func:`padded_runs`): messages go up from the deepest
+    level to the virtual node, then labels or marginals go back down.  The
+    aggregate vector ends in a sentinel slot held at ``+inf``, which padded
+    labels gather from and scatter into, so they never win a min and get an
+    exact 0 in every soft-min sum, and the virtual node's slot, which starts
+    at 0 and ends holding the value, the summed forest minima.  The flat
+    marginals are the aggregate without those two slots; the virtual node's
+    label is 0 and its marginal 1.  Argmin ties go to the smaller label.
     The soft-min keeps each level's upward table ``e = exp(-(w + agg_c -
     min_c) / rho)`` and its column sums ``s``: a child's law given its
     parent's label ``p`` is ``e[:, p] / s[p]``, so the way down is
@@ -114,13 +116,15 @@ class ForestPlan:
         rows = [_forest_rows(model, edges) for edges in forests]
         for f, part in enumerate(rows):
             part[:, 1:3] += f * model.n_nodes  # forest f's node ids
-        # rows sort deepest level first (the order of the upward pass), then
-        # largest shapes first (a root's parent counts 1 label), then by child
+        # roots hang from the virtual node F * n_nodes; rows sort deepest level
+        # first (the upward pass's order), then largest shapes first, then by child
         depth, c, p, e = np.concatenate(rows).T
-        counts = np.tile(packing.label_counts, self.n_forests)
-        starts = (packing.node_dim * np.arange(self.n_forests)[:, None] + packing.node_starts).ravel()
-        self._label_counts, self._node_starts = counts, starts
-        lc, lp = counts[c], np.where(depth > 0, counts[p], 1)
+        sentinel = self.n_forests * packing.node_dim
+        p[e < 0] = self.n_forests * model.n_nodes
+        counts = np.append(np.tile(packing.label_counts, self.n_forests), 1)
+        starts = np.append(packing.node_dim * np.arange(self.n_forests)[:, None] + packing.node_starts, sentinel + 1)
+        self._label_counts, self._node_starts = counts[:-1], starts[:-1]
+        lc, lp = counts[c], counts[p]
         order = np.lexsort((c, -lp, -lc, -depth))
         depth, c, p, e, lc, lp = (x[order] for x in (depth, c, p, e, lc, lp))
         # edge e's table is row-major (L_u, L_v) with u < v in theta, read
@@ -129,27 +133,23 @@ class ForestPlan:
         theta = np.append(packing.theta, 0.0)
         base = packing.node_dim + np.append(packing.edge_starts, 0)[e]
         stride_c, stride_p = np.where(c < p, lp, 1), np.where(c < p, 1, lc)
-        sentinel = self.n_forests * packing.node_dim
         c_gather = padded_gather(starts[c], counts[c], lc.max(initial=0), sentinel)
         p_gather = padded_gather(starts[p], counts[p], lp.max(initial=0), sentinel)
-        self.root_groups, self.groups = [], []
+        self.groups = []
         for lo, hi, wc, wp in padded_runs(depth, lc, lp):
             s = slice(lo, hi)
-            if depth[lo] == 0:
-                self.root_groups.append((c[s], c_gather[s, :wc].T.copy()))
-                continue
             i, j = np.arange(wc)[:, None, None], np.arange(wp)[:, None]
-            real = (i < lc[s]) & (j < lp[s])
+            real = (i < lc[s]) & (j < lp[s]) & (e[s] >= 0)
             w = theta[np.where(real, base[s] + i * stride_c[s] + j * stride_p[s], -1)]
             group = (c[s], p[s], c_gather[s, :wc].T.copy(), p_gather[s, :wp].T.copy(), w)
             self.groups.append(_EdgeGroup(int(depth[lo]), *group))
 
     def _upward(self, unary_flat: np.ndarray, reduce) -> np.ndarray:
-        """Per-node aggregates (unary plus all messages from the subtree, then
-        the ``+inf`` sentinel slot), reducing over the child's labels."""
-        agg = np.empty(self.n_forests * self.packing.node_dim + 1)
-        agg[:-1] = unary_flat
-        agg[-1] = np.inf
+        """Per-node aggregates (unary plus all messages from the subtree),
+        the ``+inf`` sentinel and the value slot, reducing over child labels."""
+        agg = np.empty(self.n_forests * self.packing.node_dim + 2)
+        agg[:-2] = unary_flat
+        agg[-2:] = np.inf, 0.0
         for g in self.groups:
             np.add.at(agg, g.parent_gather, reduce(g.w + agg[g.child_gather][:, None, :]))
         return agg
@@ -157,15 +157,11 @@ class ForestPlan:
     def min_sum(self, unary_flat: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact minimum of the forests' summed energy and a tie-broken argmin."""
         agg = self._upward(unary_flat, lambda a: a.min(axis=0))
-        labels = np.zeros(self.n_forests * self.model.n_nodes, dtype=np.int64)
-        value = 0.0
-        for nodes, gather in self.root_groups:
-            value += float(agg[gather].min(axis=0).sum())
-            labels[nodes] = np.argmin(agg[gather], axis=0)
+        labels = np.zeros(self.n_forests * self.model.n_nodes + 1, dtype=np.int64)
         for g in reversed(self.groups):
             w_at_parent = g.w[:, labels[g.parent], np.arange(len(g.child))]
             labels[g.child] = np.argmin(agg[g.child_gather] + w_at_parent, axis=0)
-        return value, labels
+        return float(agg[-1]), labels[:-1]
 
     def soft_min(self, unary_flat: np.ndarray, rho: float, want_marginals: bool = True):
         """Soft minimum of the forests' summed energy at temperature ``rho``.
@@ -179,18 +175,17 @@ class ForestPlan:
         # the marginals feel the aggregates' rounding over rho: a cost that
         # every label of a node pays (say 1e6) goes into the value instead
         low = np.minimum.reduceat(unary_flat, self._node_starts)
-        tables, roots = ([], []) if want_marginals else (None, None)
+        tables = [] if want_marginals else None
         agg = self._upward(unary_flat - np.repeat(low, self._label_counts), lambda a: _softmin(a, rho, tables))
-        value = float(low.sum()) + sum(float(_softmin(agg[gather], rho, roots).sum()) for _, gather in self.root_groups)
+        value = float(low.sum()) + float(agg[-1])
         if not want_marginals:
             return value, None
-        # a root's law is e / s; the sentinel's marginal stays 0
+        # the virtual root's marginal is 1; the sentinel's stays 0
         node_marg = np.zeros_like(agg)
-        for (_, gather), (e, s) in zip(self.root_groups, roots):
-            node_marg[gather] = e / s
+        node_marg[-1] = 1.0
         for g, (e, s) in zip(reversed(self.groups), reversed(tables)):
             node_marg[g.child_gather] = np.einsum("cpk,pk->ck", e, node_marg[g.parent_gather] / s)
-        return value, node_marg[:-1]
+        return value, node_marg[:-2]
 
 
 def _accumulate_labelings(acc: np.ndarray, packing, labelings, weights) -> None:
@@ -232,18 +227,15 @@ class DualContext:
         _accumulate_labelings(g, self.packing, (x1, x2), (1.0, -1.0))
         return value, g, (x1, x2)
 
-    def smoothed(self, lam, rho: float, want_marginals: bool = True):
+    def smoothed(self, lam, rho: float):
         """Smoothed dual: value, exact gradient, and the two forests' flat node
-        marginal maps (``None`` for both without ``want_marginals``)."""
-        value, marg = self.plan.soft_min(self._sides(lam), rho, want_marginals=want_marginals)
-        if not want_marginals:
-            return value, None, None
+        marginal maps."""
+        value, marg = self.plan.soft_min(self._sides(lam), rho)
         m1, m2 = np.split(marg, 2)
         return value, m1 - m2, (m1, m2)
 
     def smoothed_value(self, lam, rho: float) -> float:
-        value, _, _ = self.smoothed(lam, rho, want_marginals=False)
-        return value
+        return self.plan.soft_min(self._sides(lam), rho, want_marginals=False)[0]
 
 
 def decomposition_entropy(model: MrfModel, marginals: Marginals) -> float:

@@ -474,12 +474,13 @@ def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 def infer_grid_shape(model: MrfModel) -> tuple[int, int] | None:
-    """Recover (rows, cols) of a 4-connected grid from the edge set, if any."""
+    """Recover (rows, cols) of a 4-connected grid from the edge set, if any:
+    the widest edge spans a row, or the grid is a path ``(1, n)``."""
     if model.grid_shape is not None:
         return model.grid_shape
-    n = model.n_nodes
-    shapes = ((rows, n // rows) for rows in range(1, n + 1) if n % rows == 0)
-    return next((shape for shape in shapes if tuple(grid_edges(*shape)) == model.edges), None)
+    n, cols = model.n_nodes, max((v - u for u, v in model.edges), default=1)
+    shape = (n // cols, cols) if cols > 1 else (1, n)
+    return shape if n % cols == 0 and tuple(grid_edges(*shape)) == model.edges else None
 
 
 def decompose_grid(model: MrfModel) -> Decomposition:

@@ -15,12 +15,12 @@ padded row from column 0, as leaves that carry no flow and that no pivot
 ever enters, so each edge pivots exactly as it would alone.  Edge blocks in
 the input are ignored.
 
-A :class:`ProjectionState` carries one solver run's exact projections from
-call to call: the stack's layout (edge ids, cells, padded costs and gather
-indices per run), built once per solver run, and each stack run's last
-optimal bases, from which its next exact solve starts warm.  Calls without
-a state rebuild the layout and start every exact solve from the star basis;
-the entropic projection always rebuilds the layout.
+A :class:`ProjectionState` carries one solver run's primal projections
+from call to call: the stack's layout (edge ids, cells, padded costs and
+gather indices per run), built once per solver run and shared by both
+projections, and each stack run's last optimal bases, from which its next
+exact solve starts warm.  Calls without a state rebuild the layout and
+start every exact solve from the star basis.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -100,10 +100,11 @@ def _edge_stack(model: MrfModel) -> list[_StackRun]:
 
 
 class ProjectionState:
-    """One solver run's exact-projection state: the padded edge stack's
-    runs, laid out on first use, and each run's last optimal bases, the
-    warm start of its next solve.  An edge's costs never change during a
-    run, so those bases stay dual feasible as its marginals move."""
+    """One solver run's projection state: the padded edge stack's runs,
+    laid out on first use for both primal projections, and each run's last
+    optimal exact bases, the warm start of its next exact solve.  An edge's
+    costs never change during a run, so those bases stay dual feasible as
+    its marginals move."""
 
     def __init__(self, model: MrfModel):
         self.model = model
@@ -114,16 +115,20 @@ class ProjectionState:
         return _edge_stack(self.model)
 
 
-def _project_primal(model: MrfModel, node_blocks, runs: list[_StackRun], solve) -> Marginals:
-    """The primal projections' shared steps: the node prologue, then
-    ``solve(i, run, problem)`` on every run of the edge stack, then the
+def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None, solve) -> Marginals:
+    """The primal projections' shared steps: the check of the state's model
+    (a new state without one), the node prologue, then ``solve(i, run,
+    problem, bases)`` on every run of the state's edge stack, then the
     certificate of feasibility."""
+    state = ProjectionState(model) if state is None else state
+    if state.model is not model:
+        raise ValueError("the projection state belongs to another model")
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
     padded_nodes = np.append(nodes, 0.0)
     edges = np.empty(packing.edge_dim)
-    for i, run in enumerate(runs):
-        edges[run.cells] = solve(i, run, run.problem(padded_nodes)).plan[run.real]
+    for i, run in enumerate(state.runs):
+        edges[run.cells] = solve(i, run, run.problem(padded_nodes), state.bases).plan[run.real]
     result = Marginals(np.concatenate([nodes, edges]), packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
     if residual > EQ_TOL:
@@ -143,33 +148,30 @@ def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState |
     state's last call and leaves its own there.  The output is certified
     feasible before it is returned.
     """
-    if state is None:
-        state = ProjectionState(model)
-    elif state.model is not model:
-        raise ValueError("the projection state belongs to another model")
 
-    def solve(i, run, problem):
+    def solve(i, run, problem, bases):
         try:
-            result = solve_transport(problem, start=state.bases.get(i))
+            result = solve_transport(problem, start=bases.get(i))
         except NumericalError as exc:
             u, v = model.edges[run.edges[exc.problem]]
             raise NumericalError(f"{exc} on edge {(u, v)}") from exc
-        state.bases[i] = result.simplex_basis
+        bases[i] = result.simplex_basis
         return result
 
-    return _project_primal(model, node_blocks, state.runs, solve)
+    return _project_primal(model, node_blocks, state, solve)
 
 
 def project_primal_free_energy(
-    model: MrfModel, decomposition: Decomposition, node_blocks, rho: float
+    model: MrfModel, decomposition: Decomposition, node_blocks, rho: float, state: ProjectionState | None = None
 ) -> Marginals:
     """Like :func:`project_primal_energy`, but edge blocks minimize the
     entropy-smoothed edge objective with the projected node blocks as the
     reference product measure, from one :func:`solve_transport_entropic`
-    call per run of the same padded edge stack."""
+    call per run of the same padded edge stack, the ``state``'s layout when
+    one is given (its bases are neither read nor written)."""
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    return _project_primal(model, node_blocks, _edge_stack(model), lambda i, run, p: solve_transport_entropic(
+    return _project_primal(model, node_blocks, state, lambda i, run, p, _: solve_transport_entropic(
         p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal))
 
 

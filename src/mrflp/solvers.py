@@ -22,10 +22,11 @@ The record carries the best certified pair so far: its gap never increases.
 Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
 failure; ``observe`` keeps a weak-duality violation the same way.  The
-tracker owns the run's :class:`ProjectionState`, so each exact projection
-starts warm from the optimal bases of the one before.  An epoch with a
-failure logs no record: the run ends with ``numerical-failure`` and
-keeps the records and bounds before it.  After each epoch the stop tests run
+tracker owns the run's :class:`ProjectionState`: both primal projections read
+its one layout of the edge stack, and each exact projection starts warm from
+the optimal bases of the one before.  An epoch with a failure logs no record:
+the run ends with ``numerical-failure`` and keeps the records and bounds
+before it.  After each epoch the stop tests run
 in order: a failure (``numerical-failure``), the last iteration
 (``max-iters``), an ``sg-*`` zero subgradient (``dual-optimal``), a relative
 gap at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), and the
@@ -200,7 +201,7 @@ def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) ->
 
 class _Tracker:
     """Best-so-far certified bounds plus the convergence records, and the
-    run's exact-projection state."""
+    run's projection state."""
 
     def __init__(self, model: MrfModel):
         self.model = model
@@ -391,7 +392,8 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
             blocks = (maps[0] + maps[1]) / 2.0
             smoothed_gap = None
             if cfg.log_smoothed_gap:
-                feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho)
+                state = tracker.projection_state
+                feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho, state)
                 if feas is not None:
                     smoothed_gap = free_energy(model, feas, rho) - uh_val
             tracker.observe(t, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1)

@@ -8,7 +8,8 @@ transportation simplex refactors its basis in every round where the package
 keeps and updates the inverse; the two must take the same pivots.  The power
 iteration of :func:`preconditioned_norm` applies the constraint matrix by the
 package's own streaming products.  :func:`read_uai_reference` parses token
-by token but builds its model with the package's ``MrfModel.create``.
+by token but builds its model with the package's ``MrfModel.create``, and
+:func:`search_grid_shape` compares against the package's ``grid_edges``.
 """
 
 from __future__ import annotations
@@ -603,6 +604,16 @@ def snake_coloring(model):
     rows, cols = model.grid_shape
     turns = {(end, end + cols) for end in (r * cols + (cols - 1) * (1 - r % 2) for r in range(rows - 1))}
     return [0 if v == u + 1 or (u, v) in turns else 1 for u, v in model.edges]
+
+
+def search_grid_shape(model):
+    """The first ``(rows, cols)``, by rows, of all divisor pairs of the node
+    count whose 4-connected grid has exactly the model's edges, or None."""
+    from mrflp import grid_edges
+
+    n = model.n_nodes
+    shapes = ((rows, n // rows) for rows in range(1, n + 1) if n % rows == 0)
+    return next((shape for shape in shapes if tuple(grid_edges(*shape)) == model.edges), None)
 
 
 # -- test instances -------------------------------------------------------

@@ -162,6 +162,18 @@ def padded_forest_model(seed):
     )
 
 
+def one_label_forest_model(seed, zero=False):
+    """One-label nodes as a root (1, the center of the path 0-1-2), an inner
+    node (4, on the path 3-4-5-6-7 centred on 5), leaves (7, and 9 of the
+    star centred on 8) and an isolated node (11); random tables, or all 0."""
+    rng = np.random.default_rng(seed)
+    counts = [2, 1, 3, 2, 1, 3, 2, 1, 3, 1, 2, 1]
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (8, 9), (8, 10)]
+    table = np.zeros if zero else (lambda shape: rng.uniform(-1, 1, shape))
+    return M.MrfModel.create(counts, edges, [table(c) for c in counts],
+                             [table((counts[u], counts[v])) for u, v in edges])
+
+
 def random_forest_model(counts, seed, big=1.0):
     """Random recursive tree over the given label counts, tables from
     :func:`oracles.random_table`."""
@@ -205,8 +217,9 @@ class TestForestDpAgainstOracles:
         for seed in range(3):
             m = padded_forest_model(seed)
             plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
-            # both levels mix the 12-label node's shapes with the others'
-            assert [g.w.shape[:2] for g in plan.groups] == [(3, 12), (12, 3)]
+            # both levels mix the 12-label node's shapes with the others';
+            # the root 3 and the isolated node 7 hang from the one-label virtual node
+            assert [g.w.shape[:2] for g in plan.groups] == [(3, 12), (12, 3), (3, 1)]
             value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert abs(value - best) <= 1e-12
@@ -222,6 +235,32 @@ class TestForestDpAgainstOracles:
                     # all of the mass on the real labels
                     assert abs(marg.sum() - 1.0) <= 1e-12
                     np.testing.assert_allclose(marg, bnode[v], rtol=0, atol=1e-10)
+
+    def test_one_label_nodes_match_enumeration(self):
+        # one-label nodes share the width 1 of the roots' virtual parent
+        m = one_label_forest_model(0)
+        rows = mrflp.dualdec._forest_rows(m, m.edges)
+        assert np.flatnonzero(rows[:, 0] == 0).tolist() == [1, 5, 8, 11]
+        for seed in range(3):
+            m = one_label_forest_model(seed)
+            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
+            value, labels = plan.min_sum(unary)
+            best, best_x = oracles.exhaustive_map(m)
+            assert abs(value - best) <= 1e-12
+            np.testing.assert_array_equal(labels, best_x)
+            for rho in (0.3, 2.0):
+                soft, flat = plan.soft_min(unary, rho)
+                bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                assert abs(soft - bvalue) <= 1e-12
+                for v, marg in enumerate(node_blocks(m, flat)):
+                    np.testing.assert_allclose(marg, bnode[v], rtol=0, atol=1e-12)
+        # all ties: every node takes its smallest label, as the enumeration does
+        zero = one_label_forest_model(0, zero=True)
+        value, labels = M.ForestPlan(zero, zero.edges).min_sum(zero.packing().unary)
+        best, best_x = oracles.exhaustive_map(zero)
+        assert value == best == 0.0
+        np.testing.assert_array_equal(labels, best_x)
+        np.testing.assert_array_equal(labels, 0)
 
     @pytest.mark.parametrize("rho", [1e-4, 1e-2, 2.0])
     def test_marginals_match_tree_sum_product(self, rho):
@@ -266,15 +305,16 @@ class TestPaddedForestDp:
         balanced = random_forest_model(rng.permutation(np.arange(300) % 4 + 2), seed=2)
         plan = M.ForestPlan(balanced, balanced.edges)
         depths = [g.depth for g in plan.groups]
-        assert depths == list(range(max(depths), 0, -1))
-        assert len(plan.root_groups) == 1
+        assert depths == list(range(max(depths), -1, -1))
+        assert depths.count(0) == 1
         skewed_counts = np.full(300, 2)
         skewed_counts[[10, 150, 290]] = 50
         skewed = random_forest_model(skewed_counts, seed=3)
         split = M.ForestPlan(skewed, skewed.edges).groups
         assert len(split) > len({g.depth for g in split})
         for m in (balanced, skewed):
-            counts = np.array(m.label_counts)
+            # the virtual parent of the roots, node n_nodes, has one label
+            counts = np.append(m.label_counts, 1)
             for g in M.ForestPlan(m, m.edges).groups:
                 real = int(np.sum(counts[g.child] * counts[g.parent]))
                 assert len(g.child) == 1 or g.w.size <= PAD_WASTE * real
@@ -381,8 +421,9 @@ class TestFusedForestPlan:
     def test_one_step_per_level_of_the_deeper_forest(self):
         m, (chain, star) = chain_and_star_model(21, seed=2)
         depths = [g.depth for g in M.ForestPlan(m, chain, star).groups]
-        # the chain's radius is 10 and the star's 1: both share level 1
-        assert sorted(set(depths)) == list(range(1, 11))
+        # the chain's radius is 10 and the star's 1: both share level 1,
+        # and both roots level 0
+        assert sorted(set(depths)) == list(range(11))
         single = [len(M.ForestPlan(m, f).groups) for f in (chain, star)]
         assert len(depths) < sum(single)
 
@@ -391,13 +432,13 @@ class TestFusedForestPlan:
         # level of the two, not one per level and forest
         m = M.generate_grid(30, 30, 2, seed=0)
         ctx = M.DualContext(m, M.decompose_grid(m))
-        assert [g.depth for g in ctx.plan.groups] == list(range(15, 0, -1))
+        assert [g.depth for g in ctx.plan.groups] == list(range(15, -1, -1))
         calls = []
         softmin = mrflp.dualdec._softmin
         monkeypatch.setattr(mrflp.dualdec, "_softmin", lambda *args, **kw: calls.append(1) or softmin(*args, **kw))
         lam = np.zeros(m.packing().node_dim)
         ctx.smoothed(lam, rho=0.1)
-        # 15 steps up and the roots; the marginals reuse the upward tables
+        # 15 steps up and the roots' step; the marginals reuse the upward tables
         assert len(calls) == 16
         ctx.smoothed_value(lam, rho=0.1)
         # the downward pass makes no soft-min call: the value alone takes as many
@@ -409,8 +450,10 @@ class TestFusedForestPlan:
         counts = np.full(500, 2)
         counts[[10, 250, 490]] = 200
         m, forests = oracles.two_forest_model(counts, seed=0)
+        # the virtual parent of the roots, node 2 * n_nodes, counts one label
+        counts = np.append(np.tile(counts, 2), 1)
         for g in M.ForestPlan(m, *forests).groups:
-            real = int(np.sum(counts[g.child % m.n_nodes] * counts[g.parent % m.n_nodes]))
+            real = int(np.sum(counts[g.child] * counts[g.parent]))
             assert g.w.size <= PAD_WASTE * real
 
     def test_sentinel_never_meets_itself(self):

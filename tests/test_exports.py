@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 
 import mrflp as M
+import mrflp.solvers
 import mrflp.transport
 from mrflp.cli import _build_parser
 
@@ -45,6 +46,10 @@ TRANSPORT_FIELDS = {
     "EntropicTransportResult": ["plan", "objective", "iterations", "residual"],
 }
 SOLVE_TRANSPORT_PARAMETERS = ["problem", "max_pivots", "start"]
+PROJECTION_PARAMETERS = {
+    "project_primal_energy": ["model", "node_blocks", "state"],
+    "project_primal_free_energy": ["model", "decomposition", "node_blocks", "rho", "state"],
+}
 SOLVE_OPTIONS = [
     "--decomposition", "--epoch", "--help", "--max-iters", "--model", "--out-dir", "--rho",
     "--rho-schedule", "--solver", "--step-law", "--tau0", "--time-budget-s", "--tol", "-h",
@@ -63,3 +68,11 @@ def test_settable_surface_is_pinned():
     assert list(inspect.signature(M.solve_transport).parameters) == SOLVE_TRANSPORT_PARAMETERS
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(s for a in commands.choices["solve"]._actions for s in a.option_strings) == SOLVE_OPTIONS
+
+
+def test_projection_contract_is_pinned():
+    # the solvers call both primal projections by their module-global names,
+    # which is where a caller wraps them, and ``rho`` is the fourth argument
+    for name, params in PROJECTION_PARAMETERS.items():
+        assert getattr(mrflp.solvers, name) is getattr(M, name)
+        assert list(inspect.signature(getattr(M, name)).parameters) == params

@@ -327,6 +327,22 @@ class TestDecomposition:
         stripped = M.MrfModel.create(m.label_counts, m.edges, m.unary, m.pairwise, grid_shape=None)
         assert M.infer_grid_shape(stripped) == (3, 4)
 
+    def test_shape_inference_matches_the_divisor_search(self):
+        # every grid up to 7x7, each of them with one edge removed, and
+        # edgeless models; one label per node keeps the tables small
+        def shapeless(n, edges):
+            return M.MrfModel([1] * n, edges, np.zeros(n + len(edges)))
+
+        cases = [shapeless(n, []) for n in (1, 2, 5)]
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                edges = M.grid_edges(rows, cols)
+                cases += [shapeless(rows * cols, edges)]
+                cases += [shapeless(rows * cols, edges[:k] + edges[k + 1:]) for k in range(len(edges))]
+        found = [oracles.search_grid_shape(m) for m in cases]
+        assert [M.infer_grid_shape(m) for m in cases] == found
+        assert found[:3] == [(1, 1), None, None] and found.count(None) > len(cases) // 2
+
 
 class TestRounding:
     def test_round_trip_through_embedding(self):

@@ -244,6 +244,11 @@ class TestProjectionState:
         # a call without a state lays the stack out again
         M.project_primal_energy(m, report.marginals)
         assert len(calls) == 2
+        # nest's entropic projections share the run's layout with its exact ones
+        calls.clear()
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=60, epoch=20, rho=0.5))
+        assert len(report.records) == 4 and all(r.smoothed_gap is not None for r in report.records)
+        assert len(calls) == 1
 
     def test_warm_projections_match_cold_ones(self):
         for m, _, blocks in projection_cases():
@@ -259,8 +264,11 @@ class TestProjectionState:
 
     def test_state_of_another_model_is_refused(self):
         m, other = M.generate_grid(2, 2, 2, seed=1), M.generate_grid(2, 2, 2, seed=1)
+        blocks, state = np.ones(m.packing().node_dim), mrflp.projections.ProjectionState(other)
         with pytest.raises(ValueError, match="another model"):
-            M.project_primal_energy(m, np.ones(m.packing().node_dim), mrflp.projections.ProjectionState(other))
+            M.project_primal_energy(m, blocks, state)
+        with pytest.raises(ValueError, match="another model"):
+            M.project_primal_free_energy(m, M.decompose_grid(m), blocks, 0.5, state)
 
 
 class TestPrimalFreeEnergyProjection:
