@@ -49,6 +49,7 @@ class Packing:
     cell_u: np.ndarray           # (edge_dim,) u-side row (e, x_u) of each edge cell
     cell_v: np.ndarray           # (edge_dim,) v-side row (e, x_v) of each edge cell
     theta: np.ndarray            # (total_dim,) the model's potentials, read-only, not a copy
+    node_pad: np.ndarray         # (n, L_max) node-segment index of each label, node_dim past its count
 
     @classmethod
     def build(cls, model) -> "Packing":
@@ -75,6 +76,7 @@ class Packing:
             cell_u=np.repeat(_starts(lu), block_sizes) + within // cell_lv,
             cell_v=np.repeat(_starts(lv), block_sizes) + within % cell_lv,
             theta=model.theta,
+            node_pad=padded_gather(node_starts, counts, int(counts.max()), int(counts.sum())),
         )
 
     # -- primal packing ----------------------------------------------------
@@ -172,27 +174,16 @@ def padded_gather(starts: np.ndarray, counts: np.ndarray, width: int, sentinel: 
     return np.where(labels < counts[:, None], starts[:, None] + labels, sentinel)
 
 
-def project_simplex_blocks(flat: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every block of ``flat`` onto its simplex.
-
-    Iterative uniform-shift-and-clip with exact termination: repeatedly
-    center the active entries so they sum to one, drop the ones that went
-    negative, and stop once none do.
-    """
-    x = np.asarray(flat, dtype=np.float64)
-    if not counts.size:
-        return x.copy()
-    active = np.ones(x.size, dtype=bool)
-    block_of = np.repeat(np.arange(len(starts)), counts)
-    shift = np.zeros(len(starts))
-    for _ in range(int(counts.max()) + 1):
-        sums = np.add.reduceat(np.where(active, x, 0.0), starts)
-        k = np.add.reduceat(active.astype(np.float64), starts)
-        shift = (sums - 1.0) / np.maximum(k, 1.0)
-        w = x - shift[block_of]
-        fresh = active & (w < 0.0)
-        if not fresh.any():
-            break
-        active &= ~fresh
-    out = np.where(active, np.maximum(x - shift[block_of], 0.0), 0.0)
-    return out
+def project_simplex_blocks(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of ``rows`` onto its simplex, in
+    closed form (Held, Wolfe & Crowder 1974): with the row sorted in
+    descending order, ``s_1 >= s_2 >= ...``, and ``c_k = s_1 + ... + s_k``,
+    every entry moves down by ``(c_r - 1) / r``, for ``r`` the last ``k``
+    with ``k s_k > c_k - 1``, and is clipped at 0.  The running sums only
+    pick ``r``; ``c_r`` itself is summed pairwise, so that its round-off
+    does not grow with ``r``.  Entries of ``-inf`` pad the rows to one
+    width; they come out 0."""
+    s = -np.sort(-rows, axis=1)
+    k = np.arange(1, rows.shape[1] + 1)
+    r = np.where(k * s > np.cumsum(s, axis=1) - 1.0, k, 0).max(axis=1, keepdims=True)
+    return np.maximum(rows - (np.where(k <= r, s, 0.0).sum(axis=1, keepdims=True) - 1.0) / r, 0.0)

@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gapc.add_argument("--seed", type=int, default=0)
     gapc.add_argument("--out-dir", required=True)
 
-    inf = exp_sub.add_parser("infinity-scaling", help="smoothed solver across infinity surrogates")
+    inf = exp_sub.add_parser("infinity-scaling", help="smoothed solver across infinity surrogates (at the "
+                             "defaults each run certifies the planted optimum at iteration 0: one record per curve)")
     inf.add_argument("--rows", type=int, default=20)
     inf.add_argument("--cols", type=int, default=20)
     inf.add_argument("--labels", type=int, default=3)
@@ -142,8 +143,7 @@ def _cmd_generate(args) -> int:
     labeling_out = args.labeling_out or str(Path(args.out).with_suffix(".labels.txt"))
     meta_out = args.meta_out or str(Path(args.out).with_suffix(".meta.json"))
     write_labeling(planted, labeling_out)
-    Path(meta_out).write_text(json.dumps({
-        "schema_version": 1,
+    write_summary({
         "infinity_value": args.infinity,
         "margin": args.margin,
         "forbidden_fraction": args.forbidden_fraction,
@@ -151,7 +151,7 @@ def _cmd_generate(args) -> int:
         "rows": args.rows,
         "cols": args.cols,
         "labels": args.labels,
-    }, indent=2, sort_keys=True) + "\n")
+    }, meta_out)
     print(f"wrote {args.out}, {labeling_out}, {meta_out}")
     return 0
 

@@ -54,7 +54,6 @@ def report_summary(report: SolverReport) -> dict:
         "n_records": len(report.records),
         "wall_time_s": report.records[-1].time_s,
         "projection_time_s": report.projection_time_s,
-        "adaptive_step_used": report.adaptive_step_used,
         "step_halvings": report.step_halvings,
     }
 
@@ -140,7 +139,11 @@ def run_infinity_scaling(
     strict minimum of its table, which guarantees the relaxation is tight at
     the planted labeling; the smoothing level controls how much mass the
     marginal maps leak onto forbidden entries.  ``infinities`` must hold two
-    or more distinct values, since the offsets compare consecutive curves."""
+    or more distinct values, since the offsets compare consecutive curves.
+
+    At the defaults every run stops at iteration 0 with ``gap-tolerance``:
+    the rounded labeling is the planted optimum, so the certified gap is 0
+    and each curve is a single record."""
     if len(infinities) < 2 or len(set(infinities)) < len(infinities):
         raise ValueError(f"infinities must be two or more distinct values, got {list(infinities)}")
     out = Path(out_dir)

@@ -5,19 +5,21 @@ in two stages: Euclidean projection of every node block onto its simplex
 (with exact unit sums), then exact re-optimization of every edge block
 given the projected node blocks, as a tiny transportation problem
 (linear objective) or entropy minimization (smoothed objective) per edge.
-All edges form one padded stack: sorted by ``(L_u, L_v)``, largest first,
-split into runs by the forest DP's waste rule (``padded_runs``).  Padded
-rows and columns have zero mass.  Padded cells cost ``4 (w_u + w_v)
-(max|c| + 1)`` for a run of ``w_u x w_v`` tables, more than any real arc's
-reduced cost can reach, but 0 in row 0 and ``c_00`` in column 0: the exact
-solver's star start then hangs every padded column from row 0 and every
-padded row from column 0, as leaves that carry no flow and that no pivot
-ever enters, so each edge pivots exactly as it would alone.  Edge blocks in
-the input are ignored.
+The node blocks are projected as rows of one width, zero past each node's
+labels, which the edges read directly as their marginals.  All edges form
+one padded stack: sorted by ``(L_u, L_v)``, largest first, split into runs
+by the forest DP's waste rule (``padded_runs``).  Padded rows and columns
+have zero mass.  Padded cells cost ``4 (w_u + w_v) (max|c| + 1)`` for a
+run of ``w_u x w_v`` tables, more than any real arc's reduced cost can
+reach, but 0 in row 0 and ``c_00`` in column 0: the exact solver's star
+start then hangs every padded column from row 0 and every padded row from
+column 0, as leaves that carry no flow and that no pivot ever enters, so
+each edge pivots exactly as it would alone.  Edge blocks in the input are
+ignored.
 
 A :class:`ProjectionState` carries one solver run's primal projections
 from call to call: the stack's layout (edge ids, cells, padded costs and
-gather indices per run), built once per solver run and shared by both
+endpoints per run), built once per solver run and shared by both
 projections, and each stack run's last optimal bases, from which its next
 exact solve starts warm.  Calls without a state rebuild the layout and
 start every exact solve from the star basis.
@@ -34,7 +36,7 @@ import functools
 
 import numpy as np
 
-from ._packing import padded_gather, padded_runs, project_simplex_blocks, segment_arange
+from ._packing import padded_runs, project_simplex_blocks, segment_arange
 from .errors import NumericalError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
 from .tolerances import EQ_TOL
@@ -42,33 +44,34 @@ from .transport import SimplexBasis, TransportProblem, solve_transport, solve_tr
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
-    """Node blocks projected onto their simplices, with exact unit sums so
-    that the transport marginals agree with the node blocks."""
+    """Node blocks projected onto their simplices, as the zero-padded rows
+    of :attr:`Packing.node_pad`, with exact unit sums so that the transport
+    marginals agree with the node blocks."""
     packing = model.packing()
     flat = node_vector(model, node_blocks)
     if not np.all(np.isfinite(flat)):
         raise ValueError("node blocks must be finite")
-    flat = project_simplex_blocks(flat, packing.node_starts, packing.label_counts)
-    flat /= np.repeat(np.add.reduceat(flat, packing.node_starts), packing.label_counts)
-    return flat
+    nodes = project_simplex_blocks(np.append(flat, -np.inf)[packing.node_pad])
+    return nodes / nodes.sum(axis=1, keepdims=True)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _StackRun:
     """One run of the padded edge stack: its edge ids, their cells in the
     flat edge vector, the mask of real cells (row-major, in the cells'
-    order), the padded costs, and the gather indices of each problem's row
-    and column marginals in the node vector with a trailing zero."""
+    order), the padded costs, and each edge's endpoints ``u`` and ``v``,
+    whose padded node rows are its problem's row and column marginals."""
 
     edges: np.ndarray
     cells: np.ndarray
     real: np.ndarray
     cost: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
-    def problem(self, padded_nodes: np.ndarray) -> TransportProblem:
-        return TransportProblem(self.cost, padded_nodes[self.rows], padded_nodes[self.cols])
+    def problem(self, nodes: np.ndarray) -> TransportProblem:
+        _, wu, wv = self.cost.shape
+        return TransportProblem(self.cost, nodes[self.u, :wu], nodes[self.v, :wv])
 
 
 def _edge_stack(model: MrfModel) -> list[_StackRun]:
@@ -92,10 +95,7 @@ def _edge_stack(model: MrfModel) -> list[_StackRun]:
         big = 4.0 * (wu + wv) * (np.abs(cost).max(axis=(1, 2), keepdims=True) + 1.0)
         cost[:, 1:] = np.where(real[:, 1:], cost[:, 1:], big)
         cost[:, 1:, 0] = np.where(real[:, 1:, 0], cost[:, 1:, 0], cost[:, :1, 0])
-        u, v = packing.edge_ends[es].T
-        rows = padded_gather(packing.node_starts[u], lu[lo:hi], wu, packing.node_dim)
-        cols = padded_gather(packing.node_starts[v], lv[lo:hi], wv, packing.node_dim)
-        runs.append(_StackRun(es, cells, real, cost, rows, cols))
+        runs.append(_StackRun(es, cells, real, cost, *packing.edge_ends[es].T))
     return runs
 
 
@@ -125,11 +125,11 @@ def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None,
         raise ValueError("the projection state belongs to another model")
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
-    padded_nodes = np.append(nodes, 0.0)
     edges = np.empty(packing.edge_dim)
     for i, run in enumerate(state.runs):
-        edges[run.cells] = solve(i, run, run.problem(padded_nodes), state.bases).plan[run.real]
-    result = Marginals(np.concatenate([nodes, edges]), packing.label_counts, packing.edge_shapes)
+        edges[run.cells] = solve(i, run, run.problem(nodes), state.bases).plan[run.real]
+    flat = np.concatenate([nodes[packing.node_pad < packing.node_dim], edges])
+    result = Marginals(flat, packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
     if residual > EQ_TOL:
         raise NumericalError("projection produced an infeasible point", residual=residual)

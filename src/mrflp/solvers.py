@@ -137,7 +137,6 @@ class SolverReport:
     lam: np.ndarray | None = None
     # nest's line-search halvings; always 0 for sg-* and fpd
     step_halvings: int = 0
-    adaptive_step_used: bool = False
 
 
 def step_size(
@@ -357,8 +356,7 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
             if termination is not None:
                 break
         lam = lam + tau * g
-    return tracker.report("sg-ave" if averaging == "uniform" else "sg-wei", termination, lam=lam,
-                          adaptive_step_used=cfg.step_law == "adaptive")
+    return tracker.report("sg-ave" if averaging == "uniform" else "sg-wei", termination, lam=lam)
 
 
 def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverConfig) -> SolverReport:

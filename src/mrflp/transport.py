@@ -101,6 +101,10 @@ class EntropicTransportResult:
     residual: float | np.ndarray
 
 
+_PIVOT_CAP_MIN = 1000
+_PIVOT_CAP_PER_CELL = 50
+
+
 def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
 
@@ -196,8 +200,7 @@ def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int,
     return flow.reshape(k, n, m), y, pivots, capped, refused, arcs, inv
 
 
-def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
-                    start: SimplexBasis | None = None) -> TransportResult:
+def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None) -> TransportResult:
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.
 
     A batched problem is solved as a stack in lockstep, and a single problem
@@ -205,11 +208,11 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
     feasible basis whose inverse is written down directly.  ``start``, the
     ``simplex_basis`` of a solve of the same costs for other marginals,
     replaces that start.  Either way dual pivots restore feasible flows.
-    Each problem may take ``max_pivots`` pivots, ``max(1000, 50 * n * m)``
-    by default.  :class:`NumericalError` is raised, with ``problem`` set to
-    its index in the stack, for a problem that needs more, or whose final
-    potentials price an arc below ``-PIVOT_TOL * max(1, max|c|)``: its start
-    was not dual feasible.  Returns the optimal plans together with the
+    Each problem may take ``max(1000, 50 * n * m)`` pivots.  A
+    :class:`NumericalError` is raised, with ``problem`` set to its index in
+    the stack, for a problem that needs more, or whose final potentials
+    price an arc below ``-PIVOT_TOL * max(1, max|c|)``: its start was not
+    dual feasible.  Returns the optimal plans together with the
     potentials of the final bases, which certify optimality: ``u_i + v_j <=
     c_ij`` everywhere with equality on basic arcs, and the final bases as
     ``simplex_basis``.
@@ -217,8 +220,7 @@ def solve_transport(problem: TransportProblem, max_pivots: int | None = None,
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
     k, n, m = c.shape
     r, s = problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m)
-    if max_pivots is None:
-        max_pivots = max(1000, 50 * n * m)
+    max_pivots = max(_PIVOT_CAP_MIN, _PIVOT_CAP_PER_CELL * n * m)
     if start is None:
         bases = _star_start(c)
     else:

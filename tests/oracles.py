@@ -1,15 +1,16 @@
 """Independent oracles used by the test suite.
 
 Everything here is implemented from the problem definitions directly
-(enumeration, dense linear programming, alternating projection), sharing no
-code with the package's own algorithms, so oracle/implementation agreement
-is meaningful evidence.  There are two exceptions.  The reference
-transportation simplex refactors its basis in every round where the package
-keeps and updates the inverse; the two must take the same pivots.  The power
-iteration of :func:`preconditioned_norm` applies the constraint matrix by the
-package's own streaming products.  :func:`read_uai_reference` parses token
-by token but builds its model with the package's ``MrfModel.create``, and
-:func:`search_grid_shape` compares against the package's ``grid_edges``.
+(enumeration, dense linear programming, alternating projection, shift and
+clip), sharing no code with the package's own algorithms, so
+oracle/implementation agreement is meaningful evidence.  There are two
+exceptions.  The reference transportation simplex refactors its basis in
+every round where the package keeps and updates the inverse; the two must
+take the same pivots.  The power iteration of :func:`preconditioned_norm`
+applies the constraint matrix by the package's own streaming products.
+:func:`read_uai_reference` parses token by token but builds its model with
+the package's ``MrfModel.create``, and :func:`search_grid_shape` compares
+against the package's ``grid_edges``.
 """
 
 from __future__ import annotations
@@ -142,6 +143,24 @@ def dykstra_project(model, z_flat, max_iters=200_000, tol=1e-11):
             return x_new
         x = x_new
     raise AssertionError("alternating projection oracle did not converge")
+
+
+def iterative_simplex_blocks(flat, starts, counts) -> np.ndarray:
+    """Euclidean projection of every block of ``flat`` onto its simplex by
+    uniform shift and clip: repeatedly center the active entries so they
+    sum to one, drop the ones that went negative, and stop once none do."""
+    x = np.asarray(flat, dtype=np.float64)
+    active = np.ones(x.size, dtype=bool)
+    block_of = np.repeat(np.arange(len(starts)), counts)
+    for _ in range(int(counts.max()) + 1):
+        sums = np.add.reduceat(np.where(active, x, 0.0), starts)
+        k = np.add.reduceat(active.astype(np.float64), starts)
+        shift = (sums - 1.0) / np.maximum(k, 1.0)
+        fresh = active & (x - shift[block_of] < 0.0)
+        if not fresh.any():
+            break
+        active &= ~fresh
+    return np.where(active, np.maximum(x - shift[block_of], 0.0), 0.0)
 
 
 # -- Lipschitz constants of the projection continuity bound ---------------

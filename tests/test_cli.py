@@ -46,8 +46,11 @@ class TestGenerate:
         assert run(["generate", "lp-tight", "--rows", 2, "--cols", 3, "--labels", 2,
                     "--margin", 25, "--infinity", "1e5", "--forbidden-fraction", 0.3,
                     "--seed", 3, "--out", out]) == 0
-        meta = json.loads((tmp_path / "m.meta.json").read_text())
-        assert meta["infinity_value"] == 1e5
+        meta = M.read_summary(tmp_path / "m.meta.json")
+        assert meta == {"schema_version": 1, "infinity_value": 1e5, "margin": 25.0, "forbidden_fraction": 0.3,
+                        "seed": 3, "rows": 2, "cols": 3, "labels": 2}
+        # the summary writer's bytes: sorted keys, indent 2, a trailing newline
+        assert (tmp_path / "m.meta.json").read_text() == json.dumps(meta, indent=2, sort_keys=True) + "\n"
         labels = M.read_labeling(tmp_path / "m.labels.txt")
         model = M.read_uai(out)
         best, best_x = oracles.exhaustive_map(model)

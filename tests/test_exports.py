@@ -38,14 +38,13 @@ CONFIG_FIELDS = [
 REPORT_FIELDS = [
     "solver", "marginals", "best_labeling", "records", "termination", "dual_bound", "primal_bound",
     "integer_bound", "gap", "relative_gap", "projection_time_s", "dual_point", "lam", "step_halvings",
-    "adaptive_step_used",
 ]
 TRANSPORT_FIELDS = {
     "TransportResult": ["plan", "cost", "row_potentials", "col_potentials", "pivots", "simplex_basis"],
     "SimplexBasis": ["slots", "inverse"],
     "EntropicTransportResult": ["plan", "objective", "iterations", "residual"],
 }
-SOLVE_TRANSPORT_PARAMETERS = ["problem", "max_pivots", "start"]
+SOLVE_TRANSPORT_PARAMETERS = ["problem", "start"]
 PROJECTION_PARAMETERS = {
     "project_primal_energy": ["model", "node_blocks", "state"],
     "project_primal_free_energy": ["model", "decomposition", "node_blocks", "rho", "state"],

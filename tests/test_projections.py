@@ -36,9 +36,16 @@ def simplex_projection_bruteforce(v):
 
 
 def project_simplex(v):
-    """One-block call of the batched simplex projection."""
-    v = np.asarray(v, dtype=np.float64)
-    return project_simplex_blocks(v, np.zeros(1, dtype=np.int64), np.array([v.size]))
+    """One-row call of the batched simplex projection."""
+    return project_simplex_blocks(np.asarray(v, dtype=np.float64)[None])[0]
+
+
+def padded_rows(blocks):
+    """The blocks as rows of one width, padded with ``-inf``."""
+    rows = np.full((len(blocks), max(b.size for b in blocks)), -np.inf)
+    for row, b in zip(rows, blocks):
+        row[: b.size] = b
+    return rows
 
 
 class TestSimplexProjection:
@@ -60,6 +67,29 @@ class TestSimplexProjection:
             np.testing.assert_allclose(x, simplex_projection_bruteforce(v), atol=1e-10)
             assert x.min() >= 0.0
             assert x.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed, family", [(0, "random"), (1, "ties"), (2, "near-1e6")])
+    def test_closed_form_matches_the_iterative_projection(self, seed, family):
+        # padded rows of 1-200 labels against the shift-and-clip oracle on the
+        # same blocks, entry by entry to 1e-15 max(1, |x|); padding comes out 0
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            counts = rng.integers(1, 201, rng.integers(1, 12))
+            if family == "random":
+                blocks = [rng.uniform(-2, 2, c) * rng.choice([1e-3, 1.0, 1e2]) for c in counts]
+            elif family == "ties":
+                # few distinct values, and every third block constant
+                blocks = [rng.choice([-0.5, 0.0, 1 / 3, 0.5, 1.0], c) if i % 3 else np.full(c, rng.uniform(-1, 1))
+                          for i, c in enumerate(counts)]
+            else:
+                blocks = [1e6 + rng.uniform(-3, 3, c) for c in counts]
+            rows = padded_rows(blocks)
+            flat = np.concatenate(blocks)
+            want = oracles.iterative_simplex_blocks(flat, np.cumsum(counts) - counts, counts)
+            got = project_simplex_blocks(rows)
+            real = np.isfinite(rows)
+            assert np.all(got[~real] == 0.0)
+            assert np.all(np.abs(got[real] - want) <= 1e-15 * np.maximum(1.0, np.abs(flat)))
 
 
 class TestPrimalEnergyProjection:
@@ -171,7 +201,8 @@ class TestPaddedEdgeStack:
 
     def test_padded_flows_are_zero(self):
         for m, _, blocks in projection_cases():
-            nodes = np.append(mrflp.projections._projected_nodes(m, blocks), 0.0)
+            nodes = mrflp.projections._projected_nodes(m, blocks)
+            assert np.all(nodes[m.packing().node_pad == m.packing().node_dim] == 0.0)
             runs = mrflp.projections._edge_stack(m)
             assert any(not run.real.all() for run in runs)
             for run in runs:

@@ -46,6 +46,12 @@ def basis(res) -> np.ndarray:
     return basic_arcs(res.simplex_basis.slots, res.plan.shape)
 
 
+def cap_pivots_at_zero(monkeypatch):
+    """Let no exact problem take a pivot."""
+    monkeypatch.setattr(mrflp.transport, "_PIVOT_CAP_MIN", 0)
+    monkeypatch.setattr(mrflp.transport, "_PIVOT_CAP_PER_CELL", 0)
+
+
 def assert_same_pivot_path(problem):
     """The kernel and the dense reference simplex take the same pivots from
     the star basis: equal pivot counts, bases and bit-equal flows after
@@ -204,15 +210,16 @@ class TestExactTransport:
             dual_val = res.row_potentials @ p.row_marginal + res.col_potentials @ p.col_marginal
             assert dual_val == pytest.approx(res.cost, abs=tol)
 
-    def test_pivot_cap_names_the_problem(self):
+    def test_pivot_cap_names_the_problem(self, monkeypatch):
         # the first problem is optimal at its star basis, where row 1 hangs from column 1;
         # the second's star hangs row 1 from column 0, which then ships 0.5 into a column
         # that takes 0.25, and one dual pivot moves the excess onto the 100
         p = M.TransportProblem([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 2.0], [3.0, 100.0]]],
                                np.full((2, 2), 0.5), [[0.5, 0.5], [0.25, 0.75]])
         assert M.solve_transport(p).pivots.tolist() == [0, 1]
+        cap_pivots_at_zero(monkeypatch)
         with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
-            M.solve_transport(p, max_pivots=0)
+            M.solve_transport(p)
         assert err.value.problem == 1
 
     def test_never_better_than_product_plan(self):
@@ -614,7 +621,7 @@ class TestWarmStart:
         warm = assert_warm_matches_cold(sub_stack(second, miss), start)
         assert warm.pivots.min() >= 1
 
-    def test_capped_warm_start_names_the_problem(self):
+    def test_capped_warm_start_names_the_problem(self, monkeypatch):
         rng = np.random.default_rng(15)
         cost = rng.random((200, 3, 3))
         first = M.TransportProblem(cost, rng.random((200, 3)), rng.random((200, 3)))
@@ -625,8 +632,9 @@ class TestWarmStart:
         start = M.solve_transport(sub_stack(first, pick)).simplex_basis
         problem = sub_stack(second, pick)
         assert M.solve_transport(problem, start=start).pivots[0] == 0
+        cap_pivots_at_zero(monkeypatch)
         with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
-            M.solve_transport(problem, max_pivots=0, start=start)
+            M.solve_transport(problem, start=start)
         assert err.value.problem == 1
 
     def test_round_off_negative_flow_without_entering_arc_is_clipped(self):
