@@ -104,21 +104,18 @@ class ForestPlan:
     safe: ``e`` lies in [0, 1] with an exact 1 per column, so ``s >= 1``,
     and padded labels read ``exp(-inf) = 0`` or carry marginal 0.
 
-    Building the plan validates acyclicity.  The plan is reusable across
-    unary tables (the pairwise tables are fixed by the model), which is what
-    the iterative solvers rely on.
+    One leaf-peeling pass roots all forests and names one with a cycle.
+    The plan is reusable across unary tables (the pairwise tables are fixed
+    by the model), which is what the iterative solvers rely on.
     """
 
     def __init__(self, model: MrfModel, *forests):
         self.model = model
         self.packing = packing = model.packing()
         self.n_forests = len(forests)
-        rows = [_forest_rows(model, edges) for edges in forests]
-        for f, part in enumerate(rows):
-            part[:, 1:3] += f * model.n_nodes  # forest f's node ids
         # roots hang from the virtual node F * n_nodes; rows sort deepest level
         # first (the upward pass's order), then largest shapes first, then by child
-        depth, c, p, e = np.concatenate(rows).T
+        depth, c, p, e = _forest_rows(model, *forests).T
         sentinel = self.n_forests * packing.node_dim
         p[e < 0] = self.n_forests * model.n_nodes
         counts = np.append(np.tile(packing.label_counts, self.n_forests), 1)

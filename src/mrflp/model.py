@@ -373,7 +373,8 @@ def node_vector(model: MrfModel, points) -> np.ndarray:
 
 def relaxed_energy(model: MrfModel, marginals: Marginals) -> float:
     """Inner product of the potentials with a (not necessarily feasible) point."""
-    return float(model.packing().theta @ _checked_flat(model, marginals))
+    # a numpy reduction, not BLAS: its rounding does not depend on the thread count
+    return float(np.add.reduce(model.packing().theta * _checked_flat(model, marginals)))
 
 
 def embed_labeling(model: MrfModel, labeling) -> Marginals:
@@ -388,14 +389,16 @@ def constraint_residual(model: MrfModel, marginals: Marginals) -> float:
     """Maximum violation of the local-polytope constraints.
 
     Covers node normalization, both marginalization families and
-    nonnegativity (edge normalization is implied by the former).
+    nonnegativity (edge normalization is implied by the former).  A point
+    with a non-finite entry has residual ``inf``.
     """
     flat = _checked_flat(model, marginals)
     node_sums, _, marg_u, marg_v = model.packing().apply_a(flat)
-    res = float(np.max(np.abs(node_sums - 1.0)))
-    if marg_u.size:
-        res = max(res, float(np.max(np.abs(marg_u))), float(np.max(np.abs(marg_v))))
-    return max(res, -float(np.min(flat)))
+    # numpy maxima keep the NaN that a non-finite entry leaves in a sum or
+    # meets; 0.0 - min, not -min, so that a feasible point reads +0.0
+    res = np.max([np.max(np.abs(node_sums - 1.0)), np.max(np.abs(marg_u), initial=0.0),
+                  np.max(np.abs(marg_v), initial=0.0), 0.0 - np.min(flat)])
+    return np.inf if np.isnan(res) else float(res)
 
 
 def round_to_labeling(marginals: Marginals) -> np.ndarray:
@@ -407,29 +410,30 @@ def round_to_labeling(marginals: Marginals) -> np.ndarray:
     return np.argmax(padded, axis=1)
 
 
-def _forest_rows(model: MrfModel, edges) -> np.ndarray:
-    """``(depth, child, parent, edge)`` of every node of one forest, row
-    ``v`` for node ``v``; a root is its own parent at depth 0, with edge -1.
+def _forest_rows(model: MrfModel, *forests) -> np.ndarray:
+    """``(depth, child, parent, edge)`` of every node of the given forests,
+    each an edge list over all ``n`` nodes, forest ``f``'s node ``v`` in row
+    and id ``f * n + v``; a root is its own parent at depth 0, with edge -1.
 
-    Each tree is rooted at a center by leaf peeling, all trees at once:
-    every round removes all current leaves, each hanging from the other end
-    of its one remaining edge, and the node a tree removes last is its
-    root.  Two leaves that hang from each other are a tree's two centers:
-    the larger hangs from the smaller, the root.  Depths are filled
-    top-down from the last round.  Peeling stops at a round that finds no
-    leaf; a node left then lies on a cycle, and :class:`StructureError` is
-    raised.
+    One leaf-peeling pass roots every tree at a center: each round removes
+    all current leaves, each hanging from the other end of its one remaining
+    edge, and a tree's last node is its root (of two leaves that hang from
+    each other, two centers, the smaller).  Depths are filled top-down from
+    the last round.  A node that no round peels lies on a cycle, and
+    :class:`StructureError` names its forest.
     """
-    n = model.n_nodes
-    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n, size = model.n_nodes, model.n_nodes * len(forests)
+    parts = [np.asarray(edges, dtype=np.int64).reshape(-1, 2) for edges in forests]
+    ends = np.concatenate(parts)
     ids = model.edge_id(ends[:, 0], ends[:, 1])
+    ends += n * np.repeat(np.arange(len(parts)), [len(part) for part in parts])[:, None]
     # each node's degree and the xors of its remaining neighbours and of
     # their edges: at degree 1, the one neighbour and edge left
-    deg = np.bincount(ends.ravel(), minlength=n)
-    nbr, via = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    deg = np.bincount(ends.ravel(), minlength=size)
+    nbr, via = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
     np.bitwise_xor.at(nbr, ends, ends[:, ::-1])
     np.bitwise_xor.at(via, ends, ids[:, None])
-    parent, edge, child = np.arange(n), np.full(n, -1), np.empty(n, dtype=np.int64)
+    parent, edge, child = np.arange(size), np.full(size, -1), np.empty(size, dtype=np.int64)
     rounds, leaves = [], np.flatnonzero(deg <= 1)
     while leaves.size:
         x = leaves[deg[leaves] == 1]
@@ -447,23 +451,22 @@ def _forest_rows(model: MrfModel, edges) -> np.ndarray:
         leaves = y[(deg[y] <= 1) & (child[y] == x)]
     # a node on a cycle keeps two edges, so no round peels it
     if deg.max(initial=0) > 1:
-        raise StructureError("forest contains a cycle")
-    depth = np.zeros(n, dtype=np.int64)
+        raise StructureError(f"forest {np.argmax(deg > 1) // n} contains a cycle")
+    depth = np.zeros(size, dtype=np.int64)
     for x in reversed(rounds):
         depth[x] = depth[parent[x]] + 1
-    return np.stack([depth, np.arange(n), parent, edge], axis=1)
+    return np.stack([depth, np.arange(size), parent, edge], axis=1)
 
 
 def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decomposition:
     """Two-forest decomposition from a user-supplied edge 2-coloring; each
-    side must be acyclic."""
+    side must be acyclic, which one peeling pass over both forests checks."""
     decomposition = Decomposition(colors)
-    for c in (0, 1):
-        edges = decomposition.forest(model, c)
-        try:
-            _forest_rows(model, edges)
-        except StructureError:
-            raise StructureError(f"forest {c} of the supplied coloring contains a cycle") from None
+    forests = [decomposition.forest(model, c) for c in (0, 1)]
+    try:
+        _forest_rows(model, *forests)
+    except StructureError as exc:  # "forest {c} contains a cycle"
+        raise StructureError(str(exc).replace(" contains", " of the supplied coloring contains")) from None
     return decomposition
 
 
@@ -497,5 +500,5 @@ def decompose_grid(model: MrfModel) -> Decomposition:
         raise StructureError(
             "model is not a 4-connected grid; supply an edge 2-coloring into forests"
         )
-    cols = shape[1]
-    return Decomposition([0 if v == u + 1 and (u % cols) + 1 < cols else 1 for u, v in model.edges])
+    u, v = model.packing().edge_ends.T
+    return Decomposition(v - u == shape[1])  # a column edge spans a row

@@ -104,20 +104,20 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1 or self.epoch < 1:
             raise ValueError("max_iters and epoch must be positive")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError("time budget must be positive")
+        if self.time_budget_s is not None and not 0 < self.time_budget_s < math.inf:
+            raise ValueError("time budget must be positive and finite")
         if self.step_law not in ("adaptive", "diminishing"):
             raise ValueError("step_law must be 'adaptive' or 'diminishing'")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be positive and finite")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if self.rho_schedule not in (None, "halving"):
             raise ValueError("rho_schedule must be None or 'halving'")
         if self.rho_schedule == "halving" and not self.log_smoothed_gap:
             raise ValueError("rho_schedule='halving' needs log_smoothed_gap=True: the smoothed gap drives it")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -157,8 +157,8 @@ def step_size(
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
+    if not 0 < tau0 < math.inf:
+        raise ValueError("tau0 must be positive and finite")
     envelope = tau0 / (1.0 + t) ** STEP_ALPHA
     if law == "diminishing":
         return envelope
@@ -340,7 +340,7 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
 
     for t in range(cfg.max_iters + 1):
         value, g, (x1, x2) = ctx.value_and_subgradient(lam)
-        gsq = float(g @ g)
+        gsq = float(np.add.reduce(g * g))  # not BLAS, as in relaxed_energy
         # zero: both forests agree on one labeling, a certified dual optimum
         optimal = gsq == 0.0
         law = "diminishing" if optimal else cfg.step_law
@@ -408,7 +408,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
                 tk = 1.0
                 y = lam.copy()
         v_y, grad, _ = ctx.smoothed(y, rho)
-        gsq = float(grad @ grad)
+        gsq = float(np.add.reduce(grad * grad))  # not BLAS, as in relaxed_energy
         while halvings <= 200:
             lam_new = y + grad / lip
             v_new = ctx.smoothed_value(lam_new, rho)

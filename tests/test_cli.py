@@ -128,6 +128,14 @@ class TestSolve:
             run(["solve", "--model", model, "--solver", "nest", "--out-dir", tmp_path / "run"])
         assert seen == [M.SolverConfig()]
 
+    @pytest.mark.parametrize("flag", ["--tau0", "--rho"])
+    def test_non_finite_option_is_a_usage_error(self, tmp_path, capsys, flag):
+        model = tmp_path / "g.uai"
+        M.write_uai(M.generate_grid(2, 2, 2, seed=0), model)
+        assert run(["solve", "--model", model, "--solver", "nest", "--max-iters", 5,
+                    flag, "nan", "--out-dir", tmp_path / "run"]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_unknown_solver_rejected(self, tmp_path):
         model = tmp_path / "g.uai"
         run(["generate", "grid", "--rows", 2, "--cols", 2, "--labels", 2,
@@ -214,6 +222,25 @@ class TestVerify:
         capsys.readouterr()
         assert run(["verify", "--model", model_path, "--marginals", tmp_path / "mu.json"]) == 1
         assert "verdict=FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["node", "edge"])
+    def test_non_finite_marginals_fail(self, tmp_path, capsys, where, value):
+        # a point that is not finite is not feasible, wherever the entry lies
+        model_path = tmp_path / "m.uai"
+        m = M.generate_grid(2, 2, 2, seed=0)
+        M.write_uai(m, model_path)
+        mu = M.embed_labeling(m, [0, 0, 0, 0])
+        node_blocks, edge_blocks = [b.copy() for b in mu.node_blocks], [b.copy() for b in mu.edge_blocks]
+        if where == "node":
+            node_blocks[0][0] = value
+        else:
+            edge_blocks[0][1, 1] = value
+        M.write_marginals(M.Marginals.from_blocks(node_blocks, edge_blocks), tmp_path / "mu.json")
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--marginals", tmp_path / "mu.json"]) == 1
+        out = capsys.readouterr().out
+        assert "constraint_residual=inf" in out and "verdict=FAIL" in out
 
     def test_optimal_pair_has_tiny_gap(self, tmp_path, capsys):
         model_path = tmp_path / "chain.uai"

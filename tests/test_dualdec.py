@@ -367,6 +367,18 @@ class TestFusedForestPlan:
             for edges in forests:
                 self.assert_rooted_at_centers(m, edges)
 
+    def test_one_pass_stacks_the_single_forest_rows(self):
+        # forest 1's rows follow forest 0's, its node ids offset by n
+        cases = [oracles.two_forest_model([2 + i % 3 for i in range(30)], seed=seed) for seed in range(4)]
+        grid, snake = oracles.mixed_label_grid(4), M.generate_grid(30, 30, 2, seed=0)
+        for m, d in ((grid, M.decompose_grid(grid)), (snake, M.decompose_by_coloring(snake, oracles.snake_coloring(snake)))):
+            cases.append((m, (d.forest(m, 0), d.forest(m, 1))))
+        for m, (f0, f1) in cases:
+            second = mrflp.dualdec._forest_rows(m, f1)
+            second[:, 1:3] += m.n_nodes
+            expected = np.concatenate([mrflp.dualdec._forest_rows(m, f0), second])
+            np.testing.assert_array_equal(mrflp.dualdec._forest_rows(m, f0, f1), expected)
+
     def test_snake_is_rooted_at_its_middle(self):
         # a 30x30 grid: one path through all 900 nodes, whose two centers
         # are 449 and 450 edges from its ends, and the other vertical edges

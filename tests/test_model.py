@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
-from mrflp.errors import InvalidLabelingError, StructureError
+from mrflp.errors import InfeasibleMarginalsError, InvalidLabelingError, StructureError
 from mrflp.model import _forest_rows
 
 import oracles
@@ -169,6 +169,26 @@ class TestConstraintResidual:
                 )
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["node", "edge"])
+    def test_non_finite_entry_is_infinitely_infeasible(self, where, value):
+        # Python's max drops a NaN that is not its first argument: an edge
+        # cell's NaN must still reach the residual
+        m = M.generate_grid(2, 2, 2, seed=0)
+        mu = M.embed_labeling(m, [0, 0, 0, 0])
+        node_blocks, edge_blocks = [b.copy() for b in mu.node_blocks], [b.copy() for b in mu.edge_blocks]
+        if where == "node":
+            node_blocks[0][0] = value
+        else:
+            edge_blocks[0][1, 1] = value
+        bad = M.Marginals.from_blocks(node_blocks, edge_blocks)
+        assert M.constraint_residual(m, bad) == np.inf
+        with pytest.raises(InfeasibleMarginalsError):
+            M.gap_certificate(m, bad, 0.0)
+        with pytest.raises(InfeasibleMarginalsError):
+            M.free_energy(m, bad, 1.0)
+
+
 class TestGenerators:
     def test_single_cell(self):
         m = M.generate_grid(1, 1, 4, seed=0)
@@ -287,6 +307,19 @@ class TestDecomposition:
         m = M.generate_grid(2, 2, 2, seed=0)
         with pytest.raises(StructureError, match=f"forest {c} of the supplied coloring contains a cycle"):
             M.decompose_by_coloring(m, [c] * m.n_edges)
+
+    def test_second_forest_with_a_cycle_is_named(self):
+        # a 3x3 grid: forest 0 is a tree plus the isolated node 0, forest 1
+        # holds the top-left square and the edge (7, 8)
+        m = M.generate_grid(3, 3, 2, seed=0)
+        square = {(0, 1), (0, 3), (1, 4), (3, 4), (7, 8)}
+        colors = [int(uv in square) for uv in m.edges]
+        f0, f1 = (M.Decomposition(colors).forest(m, c) for c in (0, 1))
+        _forest_rows(m, f0)
+        with pytest.raises(StructureError, match="^forest 1 contains a cycle$"):
+            M.ForestPlan(m, f0, f1)
+        with pytest.raises(StructureError, match="^forest 1 of the supplied coloring contains a cycle$"):
+            M.decompose_by_coloring(m, colors)
 
     def test_non_grid_requires_coloring(self):
         m = M.MrfModel.create(

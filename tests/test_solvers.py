@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,23 @@ class TestSolverConfig:
             M.SolverConfig(tau0=-1.0)
         with pytest.raises(ValueError):
             M.SolverConfig(tau0=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: M.SolverConfig(tau0=x),
+            lambda x: M.SolverConfig(rho=x),
+            lambda x: M.SolverConfig(tol=x),
+            lambda x: M.SolverConfig(time_budget_s=x),
+            lambda x: M.step_size("diminishing", 0, tau0=x),
+        ],
+        ids=["tau0", "rho", "tol", "time_budget_s", "step_size-tau0"],
+    )
+    def test_non_finite_options_rejected(self, make, value):
+        # a NaN fails every comparison, so a check written `x <= 0` lets it through
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
 
     def test_halving_without_smoothed_gap_rejected(self):
         # the logged smoothed gap drives the halving: without it rho never changes
@@ -511,3 +532,22 @@ class TestWarmProjections:
         for a, b in zip(warm.records, cold.records):
             for field in ("dual_bound", "primal_bound", "integer_bound", "projected_energy"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9, abs=1e-12)
+
+
+def test_bounds_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product's rounding follows its thread count; the certificates
+    # use numpy reductions, whose summation order is fixed
+    script = (
+        "import mrflp as M\n"
+        "m = M.generate_grid(30, 30, 4, law='uniform01', seed=1)\n"
+        "print(repr(M.solve_fpd(m, M.SolverConfig(max_iters=40, epoch=20)).primal_bound))\n"
+    )
+    src = str(Path(M.__file__).resolve().parents[1])
+    bounds = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        bounds.append(proc.stdout)
+    assert bounds[0] == bounds[1]
