@@ -77,8 +77,8 @@ class _EdgeGroup:
 
 
 class ForestPlan:
-    """Precomputed traversal structure of ``F >= 1`` forests, each made of
-    the given edges of the model over all of its nodes, as one DP.
+    """Precomputed traversal structure of ``F >= 1`` forests, each a 1-D
+    array of the model's edge ids over all of its nodes, as one DP.
 
     Forest ``f`` has its own copy of the node layout at offset
     ``f * node_dim``, so unary input and flat marginals hold
@@ -167,8 +167,8 @@ class ForestPlan:
         with the unary layout and are ``None`` when ``want_marginals`` is
         false.
         """
-        if rho <= 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         # the marginals feel the aggregates' rounding over rho: a cost that
         # every label of a node pays (say 1e6) goes into the value instead
         low = np.minimum.reduceat(unary_flat, self._node_starts)
@@ -262,8 +262,8 @@ def free_energy(model: MrfModel, marginals: Marginals, rho: float) -> float:
     entropy, so it lower-bounds the relaxed energy on the local polytope and
     is within ``2 * rho * sum_v log L_v`` of it.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < np.inf:
+        raise ValueError("rho must be positive and finite")
     residual = constraint_residual(model, marginals)
     if residual > EQ_TOL:
         raise InfeasibleMarginalsError(

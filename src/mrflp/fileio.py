@@ -73,6 +73,8 @@ def read_uai(path) -> MrfModel:
     if n < 1:
         raise StructureError("model needs at least one variable")
     n_factors = int(_token(tokens, 2 + n))
+    if n_factors < 0:
+        raise StructureError(f"negative factor count {n_factors}")
     counts = np.array(tokens[2 : 2 + n], dtype=np.int64)
     if np.any(counts < 1):
         raise StructureError("variable cardinalities must be positive")

@@ -13,6 +13,7 @@ Conventions kept throughout the package:
 
 * nodes are the integers ``0 .. n-1`` (grids are row-major),
 * edges are pairs ``(u, v)`` with ``u < v``, sorted lexicographically,
+* inside the package an edge is named by its index into ``model.edges``,
 * pairwise tables are indexed ``theta[x_u, x_v]``,
 * potentials are finite energies (lower is better); "infinite" potentials
   are represented by large finite values chosen by the caller, so all
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._packing import Packing, segment_arange
+from ._packing import Packing, _starts, padded_gather
 from .errors import InvalidLabelingError, StructureError
 
 
@@ -147,18 +148,6 @@ class MrfModel:
         packing = self.packing()
         cells = _split(self.theta[packing.node_dim :], packing.block_sizes)
         return tuple(b.reshape(shape) for b, shape in zip(cells, packing.edge_shapes.tolist()))
-
-    def edge_id(self, u, v):
-        """Index of the edge ``{u, v}``, given in either orientation, looked up
-        in the sorted edge keys ``u * n + v``; elementwise for arrays of
-        endpoints.  Raises :class:`KeyError` if there is no such edge."""
-        ends = self.packing().edge_ends
-        keys = ends[:, 0] * self.n_nodes + ends[:, 1]
-        key = np.minimum(u, v) * self.n_nodes + np.maximum(u, v)
-        e = np.searchsorted(keys, key)
-        if not np.all(np.append(keys, -1)[e] == key):  # e == n_edges reads the -1
-            raise KeyError((u, v))
-        return e if np.ndim(e) else int(e)
 
     @functools.cached_property
     def _layout(self) -> Packing:
@@ -295,11 +284,11 @@ class Decomposition:
         """Number of forests holding each edge: always one."""
         return np.ones(len(self.colors), dtype=np.int64)
 
-    def forest(self, model: MrfModel, c: int) -> list[tuple[int, int]]:
-        """The model's edges of color ``c``, in model order."""
+    def forest(self, model: MrfModel, c: int) -> np.ndarray:
+        """The ids of the model's edges of color ``c``, ascending."""
         if len(self.colors) != model.n_edges:
             raise StructureError("need exactly one color per edge")
-        return [uv for uv, k in zip(model.edges, self.colors.tolist()) if k == c]
+        return np.flatnonzero(self.colors == c)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,23 +343,6 @@ def _checked_flat(model: MrfModel, marginals: Marginals) -> np.ndarray:
     return marginals.flat
 
 
-def node_vector(model: MrfModel, points) -> np.ndarray:
-    """Flat node vector of ``points``: the node segment of a
-    :class:`Marginals`, a vector in the node layout, or one array per node."""
-    packing = model.packing()
-    if isinstance(points, Marginals):
-        _checked_flat(model, points)
-        return points.node_flat
-    if isinstance(points, np.ndarray) and points.ndim == 1:
-        if points.size != packing.node_dim:
-            raise ValueError(f"flat node vector has {points.size} entries, expected {packing.node_dim}")
-        return points.astype(np.float64, copy=False)
-    blocks = [_frozen_array(b, ndim=1) for b in points]
-    if [b.size for b in blocks] != packing.label_counts.tolist():
-        raise ValueError("node blocks do not match the model's label counts")
-    return np.concatenate(blocks)
-
-
 def relaxed_energy(model: MrfModel, marginals: Marginals) -> float:
     """Inner product of the potentials with a (not necessarily feasible) point."""
     # a numpy reduction, not BLAS: its rounding does not depend on the thread count
@@ -403,17 +375,18 @@ def constraint_residual(model: MrfModel, marginals: Marginals) -> float:
 
 def round_to_labeling(marginals: Marginals) -> np.ndarray:
     """Per-node argmax of the node blocks; ties go to the smallest label."""
-    counts = marginals.label_counts
+    counts, flat = marginals.label_counts, marginals.node_flat
     # argmax takes the first maximum, and the -inf padding follows real entries
-    padded = np.full((counts.size, int(counts.max(initial=1))), -np.inf)
-    padded[np.repeat(np.arange(counts.size), counts), segment_arange(counts)] = marginals.node_flat
-    return np.argmax(padded, axis=1)
+    rows = padded_gather(_starts(counts), counts, int(counts.max(initial=1)), flat.size)
+    return np.argmax(np.append(flat, -np.inf)[rows], axis=1)
 
 
 def _forest_rows(model: MrfModel, *forests) -> np.ndarray:
     """``(depth, child, parent, edge)`` of every node of the given forests,
-    each an edge list over all ``n`` nodes, forest ``f``'s node ``v`` in row
-    and id ``f * n + v``; a root is its own parent at depth 0, with edge -1.
+    each a 1-D array of edge ids over all ``n`` nodes, forest ``f``'s node
+    ``v`` in row and id ``f * n + v``; a root is its own parent at depth 0,
+    with edge -1.  An id outside ``0 .. n_edges - 1`` or a forest that is not
+    1-D raises :class:`StructureError`.
 
     One leaf-peeling pass roots every tree at a center: each round removes
     all current leaves, each hanging from the other end of its one remaining
@@ -423,10 +396,14 @@ def _forest_rows(model: MrfModel, *forests) -> np.ndarray:
     :class:`StructureError` names its forest.
     """
     n, size = model.n_nodes, model.n_nodes * len(forests)
-    parts = [np.asarray(edges, dtype=np.int64).reshape(-1, 2) for edges in forests]
-    ends = np.concatenate(parts)
-    ids = model.edge_id(ends[:, 0], ends[:, 1])
-    ends += n * np.repeat(np.arange(len(parts)), [len(part) for part in parts])[:, None]
+    parts = [np.asarray(f, dtype=np.int64) for f in forests]
+    if any(part.ndim != 1 for part in parts):
+        raise StructureError("a forest must be a 1-D array of edge ids")
+    ids = np.concatenate(parts)
+    bad = ids[(ids < 0) | (ids >= model.n_edges)]
+    if bad.size:
+        raise StructureError(f"edge id {bad[0]} is out of range: the model has {model.n_edges} edges")
+    ends = model.packing().edge_ends[ids] + n * np.repeat(np.arange(len(parts)), [p.size for p in parts])[:, None]
     # each node's degree and the xors of its remaining neighbours and of
     # their edges: at degree 1, the one neighbour and edge left
     deg = np.bincount(ends.ravel(), minlength=size)

@@ -1,10 +1,11 @@
 """Feasibility projections for primal and dual estimates.
 
-The primal projections make an arbitrary collection of node blocks feasible
-in two stages: Euclidean projection of every node block onto its simplex
-(with exact unit sums), then exact re-optimization of every edge block
-given the projected node blocks, as a tiny transportation problem
-(linear objective) or entropy minimization (smoothed objective) per edge.
+The primal projections make an arbitrary flat node vector (the node blocks
+in the :class:`~mrflp._packing.Packing` layout) feasible in two stages:
+Euclidean projection of every node block onto its simplex (with exact unit
+sums), then exact re-optimization of every edge block given the projected
+node blocks, as a tiny transportation problem (linear objective) or entropy
+minimization (smoothed objective) per edge.
 The node blocks are projected as rows of one width, zero past each node's
 labels, which the edges read directly as their marginals.  All edges form
 one padded stack: sorted by ``(L_u, L_v)``, largest first, split into runs
@@ -14,8 +15,7 @@ run of ``w_u x w_v`` tables, more than any real arc's reduced cost can
 reach, but 0 in row 0 and ``c_00`` in column 0: the exact solver's star
 start then hangs every padded column from row 0 and every padded row from
 column 0, as leaves that carry no flow and that no pivot ever enters, so
-each edge pivots exactly as it would alone.  Edge blocks in the input are
-ignored.
+each edge pivots exactly as it would alone.
 
 A :class:`ProjectionState` carries one solver run's primal projections
 from call to call: the stack's layout (edge ids, cells, padded costs and
@@ -38,17 +38,19 @@ import numpy as np
 
 from ._packing import padded_runs, project_simplex_blocks, segment_arange
 from .errors import NumericalError
-from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual, node_vector
+from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual
 from .tolerances import EQ_TOL
 from .transport import SimplexBasis, TransportProblem, solve_transport, solve_transport_entropic
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
-    """Node blocks projected onto their simplices, as the zero-padded rows
-    of :attr:`Packing.node_pad`, with exact unit sums so that the transport
-    marginals agree with the node blocks."""
+    """The flat node vector's blocks projected onto their simplices, as the
+    zero-padded rows of :attr:`Packing.node_pad`, with exact unit sums so
+    that the transport marginals agree with the node blocks."""
     packing = model.packing()
-    flat = node_vector(model, node_blocks)
+    flat = np.asarray(node_blocks, dtype=np.float64)
+    if flat.shape != (packing.node_dim,):
+        raise ValueError(f"node vector has shape {flat.shape}, expected ({packing.node_dim},)")
     if not np.all(np.isfinite(flat)):
         raise ValueError("node blocks must be finite")
     nodes = project_simplex_blocks(np.append(flat, -np.inf)[packing.node_pad])
@@ -139,14 +141,14 @@ def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None,
 def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState | None = None) -> Marginals:
     """Feasible point from arbitrary node blocks, optimal for the energy.
 
-    ``node_blocks`` is a :class:`Marginals`, a flat node vector or one array
-    per node.  Node blocks are projected onto their simplices; each edge
-    block is then the minimum-cost transport plan between its projected
-    endpoints, from one :func:`solve_transport` call per run of the padded
-    edge stack (one call in all when every edge has the same shape).  With a
-    ``state`` of the same model, each call starts from the bases of the
-    state's last call and leaves its own there.  The output is certified
-    feasible before it is returned.
+    ``node_blocks`` is the flat node vector, of length ``node_dim`` (for a
+    :class:`Marginals`, its ``node_flat``).  Node blocks are projected onto
+    their simplices; each edge block is then the minimum-cost transport plan
+    between its projected endpoints, from one :func:`solve_transport` call
+    per run of the padded edge stack (one call in all when every edge has
+    the same shape).  With a ``state`` of the same model, each call starts
+    from the bases of the state's last call and leaves its own there.  The
+    output is certified feasible before it is returned.
     """
 
     def solve(i, run, problem, bases):
@@ -168,9 +170,10 @@ def project_primal_free_energy(
     entropy-smoothed edge objective with the projected node blocks as the
     reference product measure, from one :func:`solve_transport_entropic`
     call per run of the same padded edge stack, the ``state``'s layout when
-    one is given (its bases are neither read nor written)."""
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    one is given (its bases are neither read nor written).  ``node_blocks``
+    is the flat node vector, and ``rho`` must be positive and finite."""
+    if not 0.0 < rho < np.inf:
+        raise ValueError("rho must be positive and finite")
     return _project_primal(model, node_blocks, state, lambda i, run, p, _: solve_transport_entropic(
         p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal))
 
@@ -187,19 +190,16 @@ def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:
 def project_dual(model: MrfModel, messages) -> DualPoint:
     """Feasible dual point from arbitrary reweighting messages.
 
-    ``messages`` is a dual vector in the :meth:`Packing.split_dual` layout
-    (its bound entries are ignored) or one ``(from_u, from_v)`` pair per
-    edge.  The messages are kept unchanged; every bound variable is set to
-    the minimum of its reweighted table, rounded down so that no slack is
-    negative: :func:`dual_feasibility_margin` is at least 0.
+    ``messages`` is a flat dual vector in the :meth:`Packing.split_dual`
+    layout, of length ``dual_dim``; its bound entries are ignored.  The
+    messages are kept unchanged; every bound variable is set to the minimum
+    of its reweighted table, rounded down so that no slack is negative:
+    :func:`dual_feasibility_margin` is at least 0.
     """
     packing = model.packing()
-    if not (isinstance(messages, np.ndarray) and messages.ndim == 1):
-        pairs = DualPoint.from_blocks(np.zeros(model.n_nodes), np.zeros(model.n_edges), messages)
-        messages = _checked_nu(model, pairs)
-    if messages.shape != (packing.dual_dim,):
-        raise ValueError(f"dual vector has {messages.size} entries, expected {packing.dual_dim}")
     nu = np.array(messages, dtype=np.float64)
+    if nu.shape != (packing.dual_dim,):
+        raise ValueError(f"dual vector has shape {nu.shape}, expected ({packing.dual_dim},)")
     # one bound per node block, then one per edge block
     n_bounds = model.n_nodes + model.n_edges
     nu[:n_bounds] = 0.0

@@ -351,8 +351,8 @@ def solve_transport_entropic(
     ``residual`` is the residual before rounding, so a stall stays visible,
     and ``iterations`` counts Newton steps.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < np.inf:
+        raise ValueError("rho must be positive and finite")
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
     k, n, m = c.shape
     r = problem.row_marginal.reshape(k, n)

@@ -519,15 +519,14 @@ def sinkhorn_entropic(cost, r, s, eps, tol=1e-13, max_iters=100_000):
 # -- brute-force Gibbs statistics -----------------------------------------
 
 
-def gibbs_bruteforce(model, edges_subset, unary, rho):
-    """Soft minimum and node marginals of the restricted energy by full
-    enumeration."""
+def gibbs_bruteforce(model, ids, unary, rho):
+    """Soft minimum and node marginals of the energy restricted to the edges
+    with the given ids, by full enumeration."""
     configs = list(itertools.product(*[range(c) for c in model.label_counts]))
     energies = np.empty(len(configs))
-    edge_ids = [model.edge_id(u, v) for (u, v) in edges_subset]
     for i, x in enumerate(configs):
         e = sum(float(unary[v][x[v]]) for v in range(model.n_nodes))
-        for eid in edge_ids:
+        for eid in ids:
             u, v = model.edges[eid]
             e += float(model.pairwise[eid][x[u], x[v]])
         energies[i] = e
@@ -542,18 +541,19 @@ def gibbs_bruteforce(model, edges_subset, unary, rho):
     return value, node_marg
 
 
-def tree_gibbs_marginals(model, edges, unary, rho):
-    """Soft minimum and node marginals of the restricted energy on a forest
-    by log-domain sum-product: messages go up from the deepest node, then
-    each node's outside message comes down from its parent, one node at a
-    time.  ``unary`` holds one table per node; each tree is rooted at its
-    smallest node by :func:`rooted_rows`.  Every message is split into an
-    offset, summed into the value, and a rest whose entries near the
-    minimum are small, so large forbidden costs never round them."""
+def tree_gibbs_marginals(model, ids, unary, rho):
+    """Soft minimum and node marginals of the energy restricted to a forest,
+    given by its edge ids, by log-domain sum-product: messages go up from
+    the deepest node, then each node's outside message comes down from its
+    parent, one node at a time.  ``unary`` holds one table per node; each
+    tree is rooted at its smallest node by :func:`rooted_rows`.  Every
+    message is split into an offset, summed into the value, and a rest whose
+    entries near the minimum are small, so large forbidden costs never round
+    them."""
     rows, seen = [], set()
     for v in range(model.n_nodes):
         if v not in seen:
-            tree = rooted_rows(model, edges, [v])
+            tree = rooted_rows(model, ids, [v])
             seen.update(x for _, x, _, _ in tree)
             rows += tree
 
@@ -594,25 +594,32 @@ def tree_gibbs_marginals(model, edges, unary, rho):
     return value, node_marg
 
 
-def rooted_rows(model, edges, roots):
-    """``(depth, child, parent, edge)`` of every node of a forest, from one
-    breadth-first search per given root (a root is its own parent at depth
-    0, with edge -1)."""
-    ids = {uv: e for e, uv in enumerate(model.edges)}
+def rooted_rows(model, ids, roots):
+    """``(depth, child, parent, edge)`` of every node of a forest, given by
+    its edge ids, from one breadth-first search per given root (a root is
+    its own parent at depth 0, with edge -1)."""
+    edge_of = {uv: e for e, uv in enumerate(model.edges)}
     adj = {v: [] for v in range(model.n_nodes)}
-    for u, v in edges:
+    for u, v in (model.edges[e] for e in ids):
         adj[u].append(v)
         adj[v].append(u)
     rows = []
     for root in roots:
         frontier, seen = [(root, root, 0)], {root}
         for x, p, depth in frontier:
-            rows.append((depth, x, p, ids[(min(x, p), max(x, p))] if depth else -1))
+            rows.append((depth, x, p, edge_of[(min(x, p), max(x, p))] if depth else -1))
             for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     frontier.append((y, x, depth + 1))
     return rows
+
+
+def edge_ids(model, pairs):
+    """Ids of the model's edges named by their endpoints, in either
+    orientation."""
+    edge_of = {uv: e for e, uv in enumerate(model.edges)}
+    return np.array([edge_of[min(u, v), max(u, v)] for u, v in pairs], dtype=np.int64)
 
 
 def snake_coloring(model):
@@ -664,7 +671,8 @@ def random_table(rng, shape, big=1.0):
 
 def two_forest_model(counts, seed, big=1.0):
     """Two edge-disjoint random recursive trees over the same nodes, tables
-    from :func:`random_table`; returns the model and its two forests."""
+    from :func:`random_table`; returns the model and its two forests, each
+    an array of edge ids."""
     from mrflp import MrfModel
 
     rng = np.random.default_rng(seed)
@@ -687,7 +695,7 @@ def two_forest_model(counts, seed, big=1.0):
         counts, edges, [random_table(rng, int(c), big) for c in counts],
         [random_table(rng, (int(counts[u]), int(counts[v])), big) for u, v in edges],
     )
-    return m, forests
+    return m, tuple(edge_ids(m, f) for f in forests)
 
 
 # -- reference UAI reader ---------------------------------------------------

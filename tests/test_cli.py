@@ -322,7 +322,7 @@ class TestVerify:
         run(["generate", "grid", "--rows", 3, "--cols", 3, "--labels", 4, "--out", model_path])
         m = M.read_uai(model_path)
         M.write_marginals(M.embed_labeling(m, [0] * 9), tmp_path / "mu.json")
-        M.write_dual_point(m, M.project_dual(m, [(np.zeros(4), np.zeros(4))] * m.n_edges), tmp_path / "nu.json")
+        M.write_dual_point(m, M.project_dual(m, np.zeros(m.packing().dual_dim)), tmp_path / "nu.json")
         doc = json.loads((tmp_path / "nu.json").read_text())
         if defect == "short-node-bounds":
             doc["node_bounds"] = doc["node_bounds"][:1]

@@ -54,8 +54,9 @@ def tree_entropy_sum(model, decomposition, mu):
         for v in range(model.n_nodes):
             p = mu.node_blocks[v][mu.node_blocks[v] > 0]
             total -= float(np.sum(p * np.log(p)))
-        for u, v in decomposition.forest(model, c):
-            joint = mu.edge_blocks[model.edge_id(u, v)]
+        for e in decomposition.forest(model, c):
+            u, v = model.edges[e]
+            joint = mu.edge_blocks[e]
             product = np.outer(mu.node_blocks[u], mu.node_blocks[v])
             pos = joint > 0
             total -= float(np.sum(joint[pos] * np.log(joint[pos] / product[pos])))
@@ -70,19 +71,19 @@ def node_blocks(model, flat):
 class TestMinSum:
     def test_isolated_node(self):
         m = M.MrfModel.create([2], [], [np.array([0.0, 1.0])], [])
-        value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
+        value, labels = M.ForestPlan(m, np.arange(m.n_edges)).min_sum(m.packing().unary)
         assert value == 0.0 and labels[0] == 0
 
     def test_all_zero_ties_break_low(self):
         m = M.MrfModel.create([3] * 4, [(0, 1), (1, 2), (2, 3)], [np.zeros(3)] * 4, [np.zeros((3, 3))] * 3)
-        value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
+        value, labels = M.ForestPlan(m, np.arange(m.n_edges)).min_sum(m.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
 
     def test_chain_matches_enumeration(self):
         for seed in range(5):
             m = chain_model(3, 3, seed)
-            value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
+            value, labels = M.ForestPlan(m, np.arange(m.n_edges)).min_sum(m.packing().unary)
             best, best_x = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             assert M.energy(m, labels) == pytest.approx(best, abs=1e-12)
@@ -90,7 +91,7 @@ class TestMinSum:
     def test_tree_matches_enumeration(self):
         for seed in range(5):
             m = random_tree_model(6, 2, seed)
-            value, labels = M.ForestPlan(m, m.edges).min_sum(m.packing().unary)
+            value, labels = M.ForestPlan(m, np.arange(m.n_edges)).min_sum(m.packing().unary)
             best, _ = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             assert M.energy(m, labels) == pytest.approx(best, abs=1e-12)
@@ -107,7 +108,7 @@ class TestMinSum:
             [2] * 3, [(0, 1), (0, 2), (1, 2)], [np.zeros(2)] * 3, [np.zeros((2, 2))] * 3
         )
         with pytest.raises(StructureError):
-            M.ForestPlan(m, m.edges)
+            M.ForestPlan(m, np.arange(m.n_edges))
 
     def test_chain_and_star_match_enumeration(self):
         # a chain and a star over the same unary tables: both shapes must
@@ -115,14 +116,14 @@ class TestMinSum:
         rng = np.random.default_rng(4)
         m = chain_model(7, 4, seed=9)
         unary = [rng.uniform(-1, 1, 4) for _ in range(7)]
-        v1, l1 = M.ForestPlan(m, m.edges).min_sum(np.concatenate(unary))
+        v1, l1 = M.ForestPlan(m, np.arange(m.n_edges)).min_sum(np.concatenate(unary))
         star = M.MrfModel.create(
             [4] * 7,
             [(0, v) for v in range(1, 7)],
             unary,
             [rng.uniform(-1, 1, (4, 4)) for _ in range(6)],
         )
-        v2, l2 = M.ForestPlan(star, star.edges).min_sum(star.packing().unary)
+        v2, l2 = M.ForestPlan(star, np.arange(star.n_edges)).min_sum(star.packing().unary)
         best, best_x = oracles.exhaustive_map(star)
         assert v2 == pytest.approx(best, abs=1e-12)
         np.testing.assert_array_equal(l2, best_x)
@@ -189,14 +190,14 @@ class TestForestDpAgainstOracles:
     def test_mixed_forest_matches_enumeration(self):
         for seed in range(3):
             m = mixed_forest_model(seed)
-            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
+            plan, unary = M.ForestPlan(m, np.arange(m.n_edges)), m.packing().unary
             value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert value == pytest.approx(best, abs=1e-12)
             np.testing.assert_array_equal(labels, best_x)
             for rho in (1.0, 0.2):
                 soft, flat = plan.soft_min(unary, rho)
-                bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                bvalue, bnode = oracles.gibbs_bruteforce(m, np.arange(m.n_edges), m.unary, rho)
                 assert soft == pytest.approx(bvalue, abs=1e-10)
                 for v, marg in enumerate(node_blocks(m, flat)):
                     np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
@@ -205,7 +206,7 @@ class TestForestDpAgainstOracles:
         m = mixed_forest_model(5)
         # leave out the edges (4, 5) and (6, 9): nodes 5 and 9 become
         # isolated in the forest, which still spans every node
-        edges = ((2, 3), (3, 4), (6, 7), (6, 8))
+        edges = oracles.edge_ids(m, ((2, 3), (3, 4), (6, 7), (6, 8)))
         rho = 0.5
         soft, flat = M.ForestPlan(m, edges).soft_min(m.packing().unary, rho)
         bvalue, bnode = oracles.gibbs_bruteforce(m, edges, m.unary, rho)
@@ -216,7 +217,7 @@ class TestForestDpAgainstOracles:
     def test_padded_levels_match_enumeration(self):
         for seed in range(3):
             m = padded_forest_model(seed)
-            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
+            plan, unary = M.ForestPlan(m, np.arange(m.n_edges)), m.packing().unary
             # both levels mix the 12-label node's shapes with the others';
             # the root 3 and the isolated node 7 hang from the one-label virtual node
             assert [g.w.shape[:2] for g in plan.groups] == [(3, 12), (12, 3), (3, 1)]
@@ -227,7 +228,7 @@ class TestForestDpAgainstOracles:
             assert np.all(labels < np.array(m.label_counts))
             for rho in (1.0, 1e-3):
                 soft, flat = plan.soft_min(unary, rho)
-                bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                bvalue, bnode = oracles.gibbs_bruteforce(m, np.arange(m.n_edges), m.unary, rho)
                 assert abs(soft - bvalue) <= 1e-10
                 # the flat marginals hold one entry per real label
                 assert flat.shape == unary.shape
@@ -239,24 +240,24 @@ class TestForestDpAgainstOracles:
     def test_one_label_nodes_match_enumeration(self):
         # one-label nodes share the width 1 of the roots' virtual parent
         m = one_label_forest_model(0)
-        rows = mrflp.dualdec._forest_rows(m, m.edges)
+        rows = mrflp.dualdec._forest_rows(m, np.arange(m.n_edges))
         assert np.flatnonzero(rows[:, 0] == 0).tolist() == [1, 5, 8, 11]
         for seed in range(3):
             m = one_label_forest_model(seed)
-            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
+            plan, unary = M.ForestPlan(m, np.arange(m.n_edges)), m.packing().unary
             value, labels = plan.min_sum(unary)
             best, best_x = oracles.exhaustive_map(m)
             assert abs(value - best) <= 1e-12
             np.testing.assert_array_equal(labels, best_x)
             for rho in (0.3, 2.0):
                 soft, flat = plan.soft_min(unary, rho)
-                bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+                bvalue, bnode = oracles.gibbs_bruteforce(m, np.arange(m.n_edges), m.unary, rho)
                 assert abs(soft - bvalue) <= 1e-12
                 for v, marg in enumerate(node_blocks(m, flat)):
                     np.testing.assert_allclose(marg, bnode[v], rtol=0, atol=1e-12)
         # all ties: every node takes its smallest label, as the enumeration does
         zero = one_label_forest_model(0, zero=True)
-        value, labels = M.ForestPlan(zero, zero.edges).min_sum(zero.packing().unary)
+        value, labels = M.ForestPlan(zero, np.arange(zero.n_edges)).min_sum(zero.packing().unary)
         best, best_x = oracles.exhaustive_map(zero)
         assert value == best == 0.0
         np.testing.assert_array_equal(labels, best_x)
@@ -269,7 +270,7 @@ class TestForestDpAgainstOracles:
         counts = np.random.default_rng(4).permutation(np.arange(60) % 4 + 2)
         counts[7] = 12
         chain = chain_model(400, 3, seed=4)
-        cases = [(chain, [chain.edges])] + [oracles.two_forest_model(counts, seed=4, big=big) for big in (1.0, 1e6)]
+        cases = [(chain, [np.arange(chain.n_edges)])] + [oracles.two_forest_model(counts, seed=4, big=big) for big in (1.0, 1e6)]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for m, forests in cases:
                 unary = np.tile(m.packing().unary, len(forests))
@@ -290,7 +291,7 @@ class TestPaddedForestDp:
         counts = np.random.default_rng(5).permutation(np.arange(60) % 4 + 2)
         counts[7] = 12
         m = random_forest_model(counts, seed=5, big=1e6)
-        plan = M.ForestPlan(m, m.edges)
+        plan = M.ForestPlan(m, np.arange(m.n_edges))
         unary = m.packing().unary
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             value, labels = plan.min_sum(unary)
@@ -303,19 +304,19 @@ class TestPaddedForestDp:
     def test_one_step_per_level_unless_padding_is_wasteful(self):
         rng = np.random.default_rng(2)
         balanced = random_forest_model(rng.permutation(np.arange(300) % 4 + 2), seed=2)
-        plan = M.ForestPlan(balanced, balanced.edges)
+        plan = M.ForestPlan(balanced, np.arange(balanced.n_edges))
         depths = [g.depth for g in plan.groups]
         assert depths == list(range(max(depths), -1, -1))
         assert depths.count(0) == 1
         skewed_counts = np.full(300, 2)
         skewed_counts[[10, 150, 290]] = 50
         skewed = random_forest_model(skewed_counts, seed=3)
-        split = M.ForestPlan(skewed, skewed.edges).groups
+        split = M.ForestPlan(skewed, np.arange(skewed.n_edges)).groups
         assert len(split) > len({g.depth for g in split})
         for m in (balanced, skewed):
             # the virtual parent of the roots, node n_nodes, has one label
             counts = np.append(m.label_counts, 1)
-            for g in M.ForestPlan(m, m.edges).groups:
+            for g in M.ForestPlan(m, np.arange(m.n_edges)).groups:
                 real = int(np.sum(counts[g.child] * counts[g.parent]))
                 assert len(g.child) == 1 or g.w.size <= PAD_WASTE * real
 
@@ -324,7 +325,7 @@ class TestPaddedForestDp:
         zero = M.MrfModel.create(
             m.label_counts, m.edges, [np.zeros(c) for c in m.label_counts], [np.zeros(t.shape) for t in m.pairwise]
         )
-        value, labels = M.ForestPlan(zero, zero.edges).min_sum(zero.packing().unary)
+        value, labels = M.ForestPlan(zero, np.arange(zero.n_edges)).min_sum(zero.packing().unary)
         assert value == 0.0
         np.testing.assert_array_equal(labels, 0)
 
@@ -341,31 +342,32 @@ def chain_and_star_model(n, seed):
         counts, edges, [rng.uniform(-1, 1, c) for c in counts],
         [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges],
     )
-    return m, (chain, star)
+    return m, (oracles.edge_ids(m, chain), oracles.edge_ids(m, star))
 
 
 class TestFusedForestPlan:
     """``ForestPlan(m, f0, f1)`` against the two single-forest plans."""
 
     @staticmethod
-    def assert_rooted_at_centers(m, edges):
-        """The peeled rows equal a breadth-first search from each root, and
-        every root is a center of its tree; returns the rows."""
-        rows = [tuple(row) for row in mrflp.dualdec._forest_rows(m, edges).tolist()]
+    def assert_rooted_at_centers(m, ids):
+        """The peeled rows of the forest with the given edge ids equal a
+        breadth-first search from each root, and every root is a center of
+        its tree; returns the rows."""
+        rows = [tuple(row) for row in mrflp.dualdec._forest_rows(m, ids).tolist()]
         roots = [x for depth, x, _, _ in rows if depth == 0]
-        assert sorted(rows) == sorted(oracles.rooted_rows(m, edges, roots))
+        assert sorted(rows) == sorted(oracles.rooted_rows(m, ids, roots))
         for root in roots:
             # eccentricity of the root against that of every node of its tree
-            tree = {x for _, x, _, _ in oracles.rooted_rows(m, edges, [root])}
-            ecc = {x: max(d for d, *_ in oracles.rooted_rows(m, edges, [x])) for x in tree}
+            tree = {x for _, x, _, _ in oracles.rooted_rows(m, ids, [root])}
+            ecc = {x: max(d for d, *_ in oracles.rooted_rows(m, ids, [x])) for x in tree}
             assert ecc[root] == min(ecc.values())
         return rows
 
     def test_rows_match_a_search_from_each_center(self):
         for seed in range(4):
             m, forests = oracles.two_forest_model([2 + i % 3 for i in range(30)], seed=seed)
-            for edges in forests:
-                self.assert_rooted_at_centers(m, edges)
+            for ids in forests:
+                self.assert_rooted_at_centers(m, ids)
 
     def test_one_pass_stacks_the_single_forest_rows(self):
         # forest 1's rows follow forest 0's, its node ids offset by n
@@ -392,18 +394,19 @@ class TestFusedForestPlan:
         # two-node trees, isolated nodes, and a path 5-0-3-2 with centers 0 and 3
         m = M.MrfModel.create([2] * 9, [(1, 4), (6, 8), (5, 0), (0, 3), (3, 2)], [np.zeros(2)] * 9,
                               [np.zeros((2, 2))] * 5)
-        rows = self.assert_rooted_at_centers(m, m.edges)
+        rows = self.assert_rooted_at_centers(m, np.arange(m.n_edges))
         assert [x for depth, x, _, _ in rows if depth == 0] == [0, 1, 6, 7]
-        assert rows[8] == (1, 8, 6, m.edge_id(6, 8))
+        assert rows[8] == (1, 8, 6, oracles.edge_ids(m, [(6, 8)])[0])
 
     def test_cycle_in_one_of_several_trees(self):
         # a path, an isolated node, a star, and a 4-cycle
         edges = [(0, 1), (1, 2), (4, 5), (4, 6), (4, 7), (8, 9), (9, 10), (10, 11), (8, 11)]
         m = M.MrfModel.create([2] * 12, edges, [np.zeros(2)] * 12, [np.zeros((2, 2))] * len(edges))
-        for forests in ([m.edges], [m.edges[:5], m.edges]):
+        ids = np.arange(m.n_edges)
+        for forests in ([ids], [ids[:5], ids]):
             with pytest.raises(StructureError, match="cycle"):
                 M.ForestPlan(m, *forests)
-        self.assert_rooted_at_centers(m, m.edges[:-1])
+        self.assert_rooted_at_centers(m, ids[:-1])
 
     @staticmethod
     def cases():
@@ -491,14 +494,14 @@ class TestFusedForestPlan:
 class TestSoftMin:
     def test_single_node_symmetric(self):
         m = M.MrfModel.create([2], [], [np.zeros(2)], [])
-        value, flat = M.ForestPlan(m, m.edges).soft_min(m.packing().unary, rho=1.0)
+        value, flat = M.ForestPlan(m, np.arange(m.n_edges)).soft_min(m.packing().unary, rho=1.0)
         assert value == pytest.approx(-np.log(2.0))
         np.testing.assert_allclose(flat, [0.5, 0.5], atol=1e-12)
 
     def test_softmin_below_min_within_log_cardinality(self):
         for seed in range(4):
             m = random_tree_model(5, 3, seed)
-            plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
+            plan, unary = M.ForestPlan(m, np.arange(m.n_edges)), m.packing().unary
             hard, _ = plan.min_sum(unary)
             log_x = sum(np.log(c) for c in m.label_counts)
             for rho in (1.0, 0.1):
@@ -508,18 +511,18 @@ class TestSoftMin:
 
     def test_marginals_match_exhaustive_gibbs(self):
         m = chain_model(2, 2, seed=5)
-        plan = M.ForestPlan(m, m.edges)
+        plan = M.ForestPlan(m, np.arange(m.n_edges))
         for rho in (1.0, 0.37):
             value, flat = plan.soft_min(m.packing().unary, rho)
-            bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, rho)
+            bvalue, bnode = oracles.gibbs_bruteforce(m, np.arange(m.n_edges), m.unary, rho)
             assert value == pytest.approx(bvalue, abs=1e-10)
             for v, marg in enumerate(node_blocks(m, flat)):
                 np.testing.assert_allclose(marg, bnode[v], atol=1e-10)
 
     def test_tree_marginals_match_exhaustive_gibbs(self):
         m = random_tree_model(5, 2, seed=6)
-        value, flat = M.ForestPlan(m, m.edges).soft_min(m.packing().unary, rho=0.8)
-        bvalue, bnode = oracles.gibbs_bruteforce(m, m.edges, m.unary, 0.8)
+        value, flat = M.ForestPlan(m, np.arange(m.n_edges)).soft_min(m.packing().unary, rho=0.8)
+        bvalue, bnode = oracles.gibbs_bruteforce(m, np.arange(m.n_edges), m.unary, 0.8)
         assert value == pytest.approx(bvalue, abs=1e-10)
         for v, marg in enumerate(node_blocks(m, flat)):
             np.testing.assert_allclose(marg, bnode[v], atol=1e-9)
@@ -536,7 +539,7 @@ class TestSoftMin:
 
     def test_tiny_rho_is_stable(self):
         m = chain_model(6, 3, seed=8)
-        plan, unary = M.ForestPlan(m, m.edges), m.packing().unary
+        plan, unary = M.ForestPlan(m, np.arange(m.n_edges)), m.packing().unary
         soft, flat = plan.soft_min(unary, rho=1e-4)
         hard, labels = plan.min_sum(unary)
         assert np.isfinite(soft)
@@ -545,9 +548,40 @@ class TestSoftMin:
 
     def test_rho_must_be_positive(self):
         m = chain_model(2, 2, seed=0)
-        plan = M.ForestPlan(m, m.edges)
+        plan = M.ForestPlan(m, np.arange(m.n_edges))
         with pytest.raises(ValueError):
             plan.soft_min(m.packing().unary, rho=0.0)
+
+
+class TestEdgeIdInput:
+    """Forests are 1-D arrays of edge ids; nothing else is read as one (a
+    coloring's bad entries are refused by ``Decomposition``)."""
+
+    @pytest.mark.parametrize("forest", [[-1], [4], [[0, 1], [1, 2]]], ids=["negative", "past-the-end", "pairs"])
+    def test_forest_plan_rejects_bad_ids(self, forest):
+        m = chain_model(5, 2, seed=0)
+        with pytest.raises(StructureError, match="edge id|1-D array of edge ids"):
+            M.ForestPlan(m, np.arange(2), forest)
+
+
+def _rho_entry_points():
+    m = M.generate_grid(2, 2, 2, seed=0)
+    d = M.decompose_grid(m)
+    mu = M.embed_labeling(m, np.zeros(4, dtype=np.int64))
+    p = M.TransportProblem(m.pairwise[0], [0.5, 0.5], [0.3, 0.7])
+    return {
+        "free_energy": lambda rho: M.free_energy(m, mu, rho),
+        "soft_min": lambda rho: M.DualContext(m, d).smoothed(np.zeros(8), rho),
+        "entropic_transport": lambda rho: M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal),
+        "entropic_projection": lambda rho: M.project_primal_free_energy(m, d, np.full(8, 0.5), rho),
+    }
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", list(_rho_entry_points()))
+def test_rho_must_be_positive_and_finite(entry, rho):
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        _rho_entry_points()[entry](rho)
 
 
 class TestDualObjective:

@@ -93,6 +93,7 @@ MALFORMED_UAI = {
     "zero-variables": ("MARKOV\n0\n0\n", "model needs at least one variable"),
     "zero-cardinality": ("MARKOV\n2\n2 0\n0\n", "variable cardinalities must be positive"),
     "negative-cardinality": ("MARKOV\n2\n-1 2\n0\n", "variable cardinalities must be positive"),
+    "negative-factor-count": ("MARKOV\n2\n2 2\n-1\n", "negative factor count -1"),
     "non-finite-entry": (
         "MARKOV\n2\n2 2\n2\n1 0\n2 1 0\n\n2\n0 0\n4\n1 inf 3 4\n",
         "pairwise table of edge (0, 1) has non-finite entries",
@@ -163,7 +164,7 @@ class TestLabelingAndMarginalsFiles:
 
     def test_marginals_round_trip(self, tmp_path):
         m = M.generate_grid(2, 2, 2, seed=2)
-        mu = M.project_primal_energy(m, [np.random.default_rng(0).random(2) for _ in range(4)])
+        mu = M.project_primal_energy(m, np.concatenate([np.random.default_rng(0).random(2) for _ in range(4)]))
         path = tmp_path / "mu.json"
         M.write_marginals(mu, path)
         back = M.read_marginals(path)
@@ -176,7 +177,7 @@ class TestLabelingAndMarginalsFiles:
         m = M.generate_grid(2, 2, 2, seed=3)
         rng = np.random.default_rng(1)
         msgs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(m.n_edges)]
-        point = M.project_dual(m, msgs)
+        point = M.project_dual(m, M.DualPoint.from_blocks(np.zeros(m.n_nodes), np.zeros(m.n_edges), msgs).nu)
         path = tmp_path / "nu.json"
         M.write_dual_point(m, point, path)
         back = M.read_dual_point(path)

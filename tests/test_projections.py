@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestPrimalEnergyProjection:
             [2, 2], [(0, 1)], [np.array([1.0, 2.0]), np.array([3.0, 4.0])], [np.zeros((2, 2))]
         )
         blocks = [np.array([0.3, 0.7]), np.array([0.9, 0.1])]
-        proj = M.project_primal_energy(m, blocks)
+        proj = M.project_primal_energy(m, np.concatenate(blocks))
         np.testing.assert_allclose(proj.node_blocks[0], blocks[0], atol=1e-12)
         np.testing.assert_allclose(proj.node_blocks[1], blocks[1], atol=1e-12)
         unary_part = sum(float(m.unary[v] @ blocks[v]) for v in range(2))
@@ -108,7 +109,7 @@ class TestPrimalEnergyProjection:
         m = M.generate_grid(2, 3, 3, seed=3)
         x = np.array([0, 2, 1, 1, 0, 2])
         emb = M.embed_labeling(m, x)
-        proj = M.project_primal_energy(m, emb.node_blocks)
+        proj = M.project_primal_energy(m, emb.node_flat)
         np.testing.assert_allclose(
             np.concatenate(proj.node_blocks), np.concatenate(emb.node_blocks), atol=1e-12
         )
@@ -121,7 +122,7 @@ class TestPrimalEnergyProjection:
         pairwise = np.zeros((2, 2))
         pairwise[1, 0] = big
         m = M.MrfModel.create([2, 2], [(0, 1)], [np.zeros(2), np.zeros(2)], [pairwise])
-        proj = M.project_primal_energy(m, [np.array([0.4, 0.6]), np.array([0.7, 0.3])])
+        proj = M.project_primal_energy(m, np.array([0.4, 0.6, 0.7, 0.3]))
         assert proj.edge_blocks[0][1, 0] == pytest.approx(0.3, abs=1e-12)
         assert M.relaxed_energy(m, proj) == pytest.approx(0.3 * big, rel=1e-9)
         brute_cost, _ = oracles.transport_bruteforce(
@@ -133,7 +134,7 @@ class TestPrimalEnergyProjection:
         m = M.generate_grid(3, 3, 3, seed=1)
         rng = np.random.default_rng(0)
         for _ in range(25):
-            blocks = [rng.uniform(-1, 2, 3) for _ in range(9)]
+            blocks = np.concatenate([rng.uniform(-1, 2, 3) for _ in range(9)])
             proj = M.project_primal_energy(m, blocks)
             assert M.constraint_residual(m, proj) <= 1e-9
             assert min(b.min() for b in proj.node_blocks) >= 0.0
@@ -147,8 +148,8 @@ class TestPrimalEnergyProjection:
             node_blocks=tuple(blocks),
             edge_blocks=tuple(rng.random((2, 2)) for _ in range(4)),
         )
-        a = M.project_primal_energy(m, mu_with_junk_edges)
-        b = M.project_primal_energy(m, blocks)
+        a = M.project_primal_energy(m, mu_with_junk_edges.node_flat)
+        b = M.project_primal_energy(m, np.concatenate(blocks))
         np.testing.assert_array_equal(np.concatenate(a.node_blocks), np.concatenate(b.node_blocks))
         for ea, eb in zip(a.edge_blocks, b.edge_blocks):
             np.testing.assert_array_equal(ea, eb)
@@ -159,7 +160,7 @@ class TestPrimalEnergyProjection:
         m = M.generate_grid(1, 2, 2, seed=3)
         assert m.pairwise[0].shape == (2, 2)
         with pytest.raises(NumericalError, match=r"not dual feasible on edge \(0, 1\)"):
-            M.project_primal_energy(m, [np.array([0.5, 0.5])] * 2)
+            M.project_primal_energy(m, np.full(4, 0.5))
 
     def test_edge_blocks_match_single_edge_solves(self):
         # the batched call per (L_u, L_v) shape gives what each edge gives
@@ -167,22 +168,42 @@ class TestPrimalEnergyProjection:
         m = oracles.mixed_label_grid(3)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            blocks = [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
+            blocks = np.concatenate([rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts])
             proj = M.project_primal_energy(m, blocks)
             for e, (u, v) in enumerate(m.edges):
                 p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
                 np.testing.assert_array_equal(M.solve_transport(p).plan, proj.edge_blocks[e])
 
 
+class TestFlatInput:
+    """The projections take flat vectors only, and name the shape they expect."""
+
+    @pytest.mark.parametrize("shape", [(4, 2), (7,), (9,)])
+    def test_node_vector_of_the_wrong_shape(self, shape):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        blocks = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=re.escape("expected (8,)")):
+            M.project_primal_energy(m, blocks)
+        with pytest.raises(ValueError, match=re.escape("expected (8,)")):
+            M.project_primal_free_energy(m, M.decompose_grid(m), blocks, 0.5)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (23,), (25,)])
+    def test_dual_vector_of_the_wrong_shape(self, shape):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        assert m.packing().dual_dim == 24
+        with pytest.raises(ValueError, match=re.escape("expected (24,)")):
+            M.project_dual(m, np.zeros(shape))
+
+
 def projection_cases():
-    """Models with mixed edge shapes, their decompositions, and node blocks
-    to project."""
+    """Models with mixed edge shapes, their decompositions, and flat node
+    vectors to project."""
     rng = np.random.default_rng(6)
     grid = oracles.mixed_label_grid(3)
     forests, (f0, _) = oracles.two_forest_model(np.arange(60) % 4 + 2, seed=2)
     for m, d in ((grid, M.decompose_grid(grid)),
-                 (forests, M.decompose_by_coloring(forests, [int(e not in f0) for e in forests.edges]))):
-        yield m, d, [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
+                 (forests, M.decompose_by_coloring(forests, [int(e not in f0) for e in range(forests.n_edges)]))):
+        yield m, d, np.concatenate([rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts])
 
 
 class TestPaddedEdgeStack:
@@ -225,7 +246,7 @@ class TestPaddedEdgeStack:
     def test_zero_edge_model_projects(self):
         m = M.MrfModel.create([3, 2], [], [np.zeros(3), np.zeros(2)], [])
         d = M.decompose_by_coloring(m, [])
-        blocks = [np.array([0.2, 0.5, 0.9]), np.array([2.0, -1.0])]
+        blocks = np.array([0.2, 0.5, 0.9, 2.0, -1.0])
         for proj in (M.project_primal_energy(m, blocks), M.project_primal_free_energy(m, d, blocks, 0.5)):
             np.testing.assert_allclose(proj.node_blocks[0], [0.0, 0.3, 0.7], atol=1e-12)
             np.testing.assert_allclose(proj.node_blocks[1], [1.0, 0.0], atol=1e-12)
@@ -240,7 +261,7 @@ class TestPaddedEdgeStack:
                               [np.ones((counts[u], counts[v])) for u, v in edges])
         assert len(mrflp.projections._edge_stack(m)) == 1
         with pytest.raises(NumericalError, match=r"not dual feasible on edge \(2, 3\)"):
-            M.project_primal_energy(m, [np.full(c, 1.0 / c) for c in counts])
+            M.project_primal_energy(m, np.concatenate([np.full(c, 1.0 / c) for c in counts]))
 
     def test_uniform_grid_is_one_transport_call(self, monkeypatch):
         m = M.generate_grid(6, 6, 3, seed=1)
@@ -273,7 +294,7 @@ class TestProjectionState:
         report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
         assert len(report.records) == 4 and len(calls) == 1
         # a call without a state lays the stack out again
-        M.project_primal_energy(m, report.marginals)
+        M.project_primal_energy(m, report.marginals.node_flat)
         assert len(calls) == 2
         # nest's entropic projections share the run's layout with its exact ones
         calls.clear()
@@ -286,7 +307,7 @@ class TestProjectionState:
             state = mrflp.projections.ProjectionState(m)
             rng = np.random.default_rng(m.n_edges)
             for _ in range(4):
-                blocks = [b * (0.5 + rng.random(b.size)) for b in blocks]
+                blocks = blocks * (0.5 + rng.random(blocks.size))
                 warm = M.project_primal_energy(m, blocks, state)
                 cold = M.project_primal_energy(m, blocks)
                 np.testing.assert_array_equal(warm.node_flat, cold.node_flat)
@@ -308,14 +329,14 @@ class TestPrimalFreeEnergyProjection:
             [2, 2], [(0, 1)], [np.zeros(2), np.zeros(2)], [np.zeros((2, 2))]
         )
         d = M.decompose_by_coloring(m, [0])
-        proj = M.project_primal_free_energy(m, d, [np.full(2, 0.5), np.full(2, 0.5)], rho=1.0)
+        proj = M.project_primal_free_energy(m, d, np.full(4, 0.5), rho=1.0)
         np.testing.assert_allclose(proj.edge_blocks[0], 0.25, atol=1e-9)
 
     def test_small_rho_limit_matches_energy_projection(self):
         m = M.generate_grid(2, 2, 3, seed=7)
         d = M.decompose_grid(m)
         rng = np.random.default_rng(2)
-        blocks = [rng.random(3) for _ in range(4)]
+        blocks = np.concatenate([rng.random(3) for _ in range(4)])
         a = M.project_primal_free_energy(m, d, blocks, rho=1e-6)
         b = M.project_primal_energy(m, blocks)
         assert M.relaxed_energy(m, a) == pytest.approx(M.relaxed_energy(m, b), abs=1e-4)
@@ -325,7 +346,7 @@ class TestPrimalFreeEnergyProjection:
         d = M.decompose_grid(m)
         rng = np.random.default_rng(3)
         for rho in (1.0, 0.1):
-            blocks = [rng.uniform(-0.5, 1.5, 2) for _ in range(6)]
+            blocks = np.concatenate([rng.uniform(-0.5, 1.5, 2) for _ in range(6)])
             proj = M.project_primal_free_energy(m, d, blocks, rho)
             assert M.constraint_residual(m, proj) <= 1e-9
 
@@ -338,7 +359,7 @@ class TestPrimalFreeEnergyProjection:
         d = M.decompose_by_coloring(m, [0])
         blocks = [np.array([0.35, 0.65]), np.array([0.55, 0.45])]
         rho = 0.7
-        proj = M.project_primal_free_energy(m, d, blocks, rho)
+        proj = M.project_primal_free_energy(m, d, np.concatenate(blocks), rho)
         r, s = blocks
         ref = np.outer(r, s)
 
@@ -364,7 +385,7 @@ class TestPrimalFreeEnergyProjection:
         m = oracles.mixed_label_grid(3)
         d = M.decompose_grid(m)
         rng = np.random.default_rng(6)
-        blocks = [rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts]
+        blocks = np.concatenate([rng.random(c) * (rng.random(c) > 0.2) + 0.01 for c in m.label_counts])
         for rho in (0.05, 0.5):
             proj = M.project_primal_free_energy(m, d, blocks, rho)
             for e, (u, v) in enumerate(m.edges):
@@ -373,11 +394,15 @@ class TestPrimalFreeEnergyProjection:
                 np.testing.assert_allclose(res.plan, proj.edge_blocks[e], rtol=0, atol=1e-15)
 
 
+def packed_messages(m, msgs):
+    """Dual vector holding one ``(from_u, from_v)`` pair per edge, bounds 0."""
+    return M.DualPoint.from_blocks(np.zeros(m.n_nodes), np.zeros(m.n_edges), msgs).nu
+
+
 class TestDualProjection:
     def test_zero_messages_give_table_minima(self):
         m = M.generate_grid(2, 2, 3, seed=5)
-        zero = [(np.zeros(3), np.zeros(3)) for _ in range(m.n_edges)]
-        point = M.project_dual(m, zero)
+        point = M.project_dual(m, np.zeros(m.packing().dual_dim))
         for v in range(m.n_nodes):
             assert point.node_bounds[v] == pytest.approx(float(m.unary[v].min()))
         for e in range(m.n_edges):
@@ -385,7 +410,7 @@ class TestDualProjection:
 
     def test_single_node(self):
         m = M.MrfModel.create([2], [], [np.array([3.0, 5.0])], [])
-        point = M.project_dual(m, [])
+        point = M.project_dual(m, np.zeros(1))
         assert point.node_bounds[0] == pytest.approx(3.0)
         assert M.dual_value(m, point) == pytest.approx(3.0)
 
@@ -405,7 +430,7 @@ class TestDualProjection:
             counts = m.label_counts
             for _ in range(20):
                 msgs = [(rng.standard_normal(counts[u]), rng.standard_normal(counts[v])) for u, v in m.edges]
-                point = M.project_dual(m, msgs)
+                point = M.project_dual(m, packed_messages(m, msgs))
                 margin = M.dual_feasibility_margin(m, point)
                 assert margin >= -1e-12
                 # margin recomputed by explicit enumeration over all constraints
@@ -431,10 +456,10 @@ class TestDualProjection:
         rng = np.random.default_rng(6)
         for _ in range(20):
             msgs = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(m.n_edges)]
-            point = M.project_dual(m, msgs)
+            point = M.project_dual(m, packed_messages(m, msgs))
             bound = M.dual_value(m, point)
             x = rng.integers(0, 2, 4)
-            mixture = M.project_primal_energy(m, [rng.random(2) for _ in range(4)])
+            mixture = M.project_primal_energy(m, np.concatenate([rng.random(2) for _ in range(4)]))
             assert bound <= M.energy(m, x) + 1e-9
             assert bound <= M.relaxed_energy(m, mixture) + 1e-9
 
@@ -513,7 +538,7 @@ class TestProjectionContinuityBound:
             edge_blocks = [rng.uniform(0, 1, (2, 2)) for _ in range(4)]
             z = M.Marginals.from_blocks(node_blocks=tuple(node_blocks), edge_blocks=tuple(edge_blocks))
             z_flat = oracles.pack_marginals_flat(m, z)
-            projected = M.project_primal_energy(m, node_blocks)
+            projected = M.project_primal_energy(m, np.concatenate(node_blocks))
             euclid = oracles.dykstra_project(m, z_flat)
             dist = float(np.linalg.norm(z_flat - euclid))
             lhs = abs(M.relaxed_energy(m, projected) - lp_val)
