@@ -200,12 +200,19 @@ class DualContext:
     holds the edges of color ``c``; forest 0 sees the unary tables
     ``theta / 2 + lam`` and forest 1 sees ``theta / 2 - lam``, so the two
     energies always sum to the original.  Both forests are one
-    :class:`ForestPlan`, so each depth level of the two is one DP step.
+    :class:`ForestPlan`, so each depth level of the two is one DP step; the
+    plan is built once per model and kept with the decomposition.
     """
 
     def __init__(self, model: MrfModel, decomposition: Decomposition):
         self.packing = model.packing()
-        self.plan = ForestPlan(model, *(decomposition.forest(model, c) for c in (0, 1)))
+        # kept in the decomposition's __dict__, as a cached property would
+        # be, until another model asks for it
+        plan = decomposition.__dict__.get("_forest_plan")
+        if plan is None or plan.model is not model:
+            plan = ForestPlan(model, *(decomposition.forest(model, c) for c in (0, 1)))
+            decomposition.__dict__["_forest_plan"] = plan
+        self.plan = plan
 
     def _sides(self, lam) -> np.ndarray:
         """Both forests' unary tables, forest 0's then forest 1's."""

@@ -17,12 +17,12 @@ start then hangs every padded column from row 0 and every padded row from
 column 0, as leaves that carry no flow and that no pivot ever enters, so
 each edge pivots exactly as it would alone.
 
-A :class:`ProjectionState` carries one solver run's primal projections
-from call to call: the stack's layout (edge ids, cells, padded costs and
-endpoints per run), built once per solver run and shared by both
-projections, and each stack run's last optimal bases, from which its next
-exact solve starts warm.  Calls without a state rebuild the layout and
-start every exact solve from the star basis.
+The stack's layout (edge ids, cells, padded costs and endpoints per run)
+depends on the model's packing only, and is built once per packing and
+kept with it.  A :class:`ProjectionState` carries one solver run's exact
+projections from call to call: each stack run's last optimal bases, from
+which its next exact solve starts warm.  Calls without a state start every
+exact solve from the star basis.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -32,7 +32,6 @@ explicit dual at zero cost.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -102,19 +101,25 @@ def _edge_stack(model: MrfModel) -> list[_StackRun]:
 
 
 class ProjectionState:
-    """One solver run's projection state: the padded edge stack's runs,
-    laid out on first use for both primal projections, and each run's last
-    optimal exact bases, the warm start of its next exact solve.  An edge's
-    costs never change during a run, so those bases stay dual feasible as
-    its marginals move."""
+    """One solver run's projection state: the model's padded edge stack,
+    whose runs both primal projections read, and each run's last optimal
+    exact bases, the warm start of its next exact solve.  An edge's costs
+    never change during a run, so those bases stay dual feasible as its
+    marginals move."""
 
     def __init__(self, model: MrfModel):
         self.model = model
         self.bases: dict[int, SimplexBasis] = {}
 
-    @functools.cached_property
+    @property
     def runs(self) -> list[_StackRun]:
-        return _edge_stack(self.model)
+        """The model's edge stack, laid out on first use and kept in its
+        packing's ``__dict__``, as a cached property would be; the runs
+        hold no reference to the packing."""
+        cache = self.model.packing().__dict__
+        if "_edge_stack" not in cache:
+            cache["_edge_stack"] = _edge_stack(self.model)
+        return cache["_edge_stack"]
 
 
 def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None, solve) -> Marginals:

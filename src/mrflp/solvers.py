@@ -23,8 +23,8 @@ Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
 failure; ``observe`` keeps a weak-duality violation the same way.  The
 tracker owns the run's :class:`ProjectionState`: both primal projections read
-its one layout of the edge stack, and each exact projection starts warm from
-the optimal bases of the one before.  An epoch with a failure logs no record:
+the model's one layout of the edge stack, and each exact projection starts
+warm from the optimal bases of the one before.  An epoch with a failure logs no record:
 the run ends with ``numerical-failure`` and keeps the records and bounds
 before it.  After each epoch the stop tests run
 in order: a failure (``numerical-failure``), the last iteration

@@ -28,6 +28,15 @@ dual feasible, such as the bases of other costs, and is refused.
 The entropy-regularized solver runs damped float64 Newton on the dual, then
 the Altschuler-Weed-Rigollet rounding step, which makes the marginals exact
 to round-off.
+
+Per-problem reductions run over contiguous rows: with the stack axis
+last, a row or column sum is a few adds of whole ``k``-vectors, where the
+stack-first layout pays numpy's per-row cost on tiny trailing axes.  The
+entropic solver lays its stack out stack-last on entry and hands its plans
+back as a stack-first view; the exact solver's dual phase stays
+stack-first, and its certificate, residual and costs read stack-last
+copies.  :func:`_fsum` adds in the order numpy adds a contiguous row, so
+every such sum is the float a stack-first sum gives.
 """
 
 from __future__ import annotations
@@ -105,8 +114,41 @@ _PIVOT_CAP_MIN = 1000
 _PIVOT_CAP_PER_CELL = 50
 
 
+def _fsum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)``, added in the order numpy adds a contiguous row: one
+    by one below 8 entries, else in 8 interleaved partial sums combined
+    pairwise, halved first past 128 entries.  A stack-last sum so gives the
+    same float as the stack-first one over the problem's own row."""
+    n = a.shape[0]
+    if n < 8:
+        return a.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _fsum(a[:half]) + _fsum(a[half:])
+    acc = a[:8]
+    for i in range(8, n - n % 8, 8):
+        acc = acc + a[i:i + 8]
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0] + acc[1]
+    for i in range(n - n % 8, n):
+        acc = acc + a[i]
+    return acc
+
+
+def _sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Row (``axis=1``) or column (``axis=0``) sums of a stack-last ``(n, m,
+    k)`` stack, each the float of its stack-first sum: rows were contiguous,
+    columns strided (added one by one) unless ``m == 1``."""
+    if axis == 1 or a.shape[1] == 1:
+        return _fsum(a.swapaxes(0, axis))
+    return a.sum(axis=0)
+
+
 def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
+    """Each problem's largest marginal violation in a stack-last stack with
+    marginals ``(n, k)`` and ``(m, k)``."""
+    return np.maximum(np.abs(_sums(plan, 1) - r).max(axis=0), np.abs(_sums(plan, 0) - s).max(axis=0))
 
 
 def _star_start(c: np.ndarray):
@@ -184,20 +226,23 @@ def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int,
     final bases' potentials ``(u, v)`` as one ``(k, n + m)`` array, pivot
     counts, the mask of capped problems, the mask of problems whose final
     potentials price an arc below ``-PIVOT_TOL * max(1, max|c|)`` (a start
-    that was not dual feasible), and the final slot arcs and inverses."""
+    that was not dual feasible), and the final slot arcs and inverses.  The
+    flows are a stack-first view of a stack-last array."""
     k, n, m = c.shape
-    cf = c.reshape(k, -1)
+    cf = c.reshape(k, n * m)
     # the slots' arcs and flows; each pivot updates the inverse, whose entries stay in {-1, 0, 1}
     arcs, inv = start[0].copy(), start[1].copy()
     x = np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1))
     pivots, capped = _dual_phase(cf, n, m, arcs, x, inv, max_pivots)
     np.clip(x, 0.0, None, out=x)
     y = np.einsum("qij,qj->qi", inv, np.take_along_axis(cf, arcs, axis=1))
-    reduced = c - y[:, :n, None] - y[:, None, n:]
-    refused = reduced.min(axis=(1, 2)) < -PIVOT_TOL * np.maximum(1.0, np.abs(c).max(axis=(1, 2)))
-    flow = np.zeros((k, n * m))
-    np.put_along_axis(flow, arcs, x, axis=1)
-    return flow.reshape(k, n, m), y, pivots, capped, refused, arcs, inv
+    # the certificate reduces stack-last, over contiguous rows
+    ct, yt = c.transpose(1, 2, 0).copy(), y.T.copy()
+    reduced = ct - yt[:n, None] - yt[None, n:]
+    refused = reduced.min(axis=(0, 1)) < -PIVOT_TOL * np.maximum(1.0, np.abs(ct).max(axis=(0, 1)))
+    flow = np.zeros((n * m, k))
+    flow[arcs.T, np.arange(k)] = x.T
+    return flow.reshape(n, m, k).transpose(2, 0, 1), y, pivots, capped, refused, arcs, inv
 
 
 def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None) -> TransportResult:
@@ -234,11 +279,12 @@ def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None
                              problem=int(capped.argmax()))
     if refused.any():
         raise NumericalError("transportation simplex start is not dual feasible", problem=int(refused.argmax()))
-    residual = _residual(flow, r, s)
-    if residual.max() > TRANSPORT_MARGINAL_TOL:
+    ft = flow.transpose(1, 2, 0)  # the contiguous stack-last flows
+    residual = _residual(ft, r.T, s.T)
+    if residual.max(initial=0.0) > TRANSPORT_MARGINAL_TOL:
         raise NumericalError("transport plan violates its marginals", residual=float(residual.max()),
                              problem=int(residual.argmax()))
-    cost = (c * flow).reshape(k, -1).sum(axis=1)
+    cost = _fsum((c.transpose(1, 2, 0) * ft).reshape(n * m, k))
     if problem.cost.ndim == 2:
         return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], pivots.item(),
                                SimplexBasis(slots[0], inverse[0]))
@@ -252,89 +298,121 @@ _HALVING_CAP = 60
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(a)))`` along ``axis``; ``-inf`` for slices that are all ``-inf``."""
+    """``log(sum(exp(a)))`` over the rows (``axis=1``) or the columns
+    (``axis=0``) of a stack-last stack; ``-inf`` for slices that are all
+    ``-inf``."""
     mx = np.max(a, axis=axis, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
-    return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
+    return np.squeeze(mx, axis=axis) + np.log(_sums(np.exp(a - mx), axis))
 
 
-def _stop_level(plan: np.ndarray, abs_logk: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Residual at which Newton stops: ``TRANSPORT_MARGINAL_TOL``, or what
-    round-off in the exponents ``logk + f + g`` alone can cause, machine
-    epsilon times the largest row or column sum of ``plan * (|logk| + |f| + |g|)``."""
-    w = plan * (abs_logk + np.abs(f)[:, :, None] + np.abs(g)[:, None, :])
-    return np.maximum(TRANSPORT_MARGINAL_TOL, np.finfo(np.float64).eps
-                      * np.maximum(w.sum(axis=2).max(axis=1), w.sum(axis=1).max(axis=1)))
+def _progress(plan: np.ndarray, rs: np.ndarray, abs_logk: np.ndarray, fg: np.ndarray):
+    """A stack-last stack's row and column masses, stacked as ``(n + m,
+    k)``, the gradient ``[r; s]`` minus them, the residual (its largest
+    entry in size) and the residual at which Newton stops:
+    ``TRANSPORT_MARGINAL_TOL``, or what round-off in the exponents ``logk +
+    f + g`` alone can cause, machine epsilon times the largest row or column
+    sum of ``plan * (|logk| + |f| + |g|)``.  Both stacks are summed in one
+    pass per axis."""
+    n, _, k = plan.shape
+    abs_fg = np.abs(fg)
+    w = plan * (abs_logk + abs_fg[:n, None] + abs_fg[None, n:])
+    both = np.concatenate([plan, w], axis=2)
+    sums = np.concatenate([_sums(both, 1), _sums(both, 0)])
+    mass = sums[:, :k]
+    grad = rs - mass
+    stop = np.maximum(TRANSPORT_MARGINAL_TOL, np.finfo(np.float64).eps * sums[:, k:].max(axis=0))
+    return mass, grad, np.abs(grad).max(axis=0), stop
 
 
 def _newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
     """Damped Newton on the dual of ``max <logk, P> - sum P log P`` over
     plans ``P = exp(logk + f_i + g_j)`` with marginals ``r``, ``s``, for each
-    problem of the stack; ``logk = -inf`` pins zero-mass rows and columns."""
-    k, n, m = logk.shape
-    f = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)) - _logsumexp(logk, axis=2), 0.0)
-    g = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)) - _logsumexp(logk + f[:, :, None], axis=1), 0.0)
-    plan = np.exp(logk + f[:, :, None] + g[:, None, :])
-    residual = _residual(plan, r, s)
+    problem of the stack; ``logk = -inf`` pins zero-mass rows and columns.
+
+    The stack is laid out stack-last, ``logk`` as ``(n, m, k)``, ``r`` as
+    ``(n, k)`` and ``s`` as ``(m, k)``, so every per-problem reduction runs
+    over contiguous rows; the plans come back the same way.  Each round
+    gathers the live problems once and writes their plans and residuals
+    back once; its gradient is the previous residual check's.  An Armijo
+    pass sums ``p (expm1(x) - x)`` over the entries; where ``p = 0`` the
+    term is the new plan entry ``exp(logk + f + g + x)``, evaluated there
+    only, and only in a round whose live problems have such an entry."""
+    n, m, k = logk.shape
+    f = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)) - _logsumexp(logk, 1), 0.0)
+    g = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)) - _logsumexp(logk + f[:, None], 0), 0.0)
+    fg = np.concatenate([f, g])
+    plan = np.exp(logk + f[:, None] + g[None])
     abs_logk = np.where(np.isfinite(logk), np.abs(logk), 0.0)
-    live = residual > _stop_level(plan, abs_logk, f, g)
+    rs = np.concatenate([r, s])
+    mass, grad, residual, stop = _progress(plan, rs, abs_logk, fg)
     iterations = np.zeros(k, dtype=np.int64)
+    live = np.flatnonzero(residual > stop)
+    # the live problems' exponents, |exponents|, potentials, plans, marginals, masses and gradients
+    work = tuple(z[..., live] for z in (logk, abs_logk, fg, plan, rs, mass, grad))
+    ridged = np.eye(n + m) * (1.0 + _RIDGE)
     for _ in range(_NEWTON_CAP):
-        idx = np.flatnonzero(live)
-        if not idx.size:
+        if not live.size:
             break
-        p = plan[idx]
-        mass = np.concatenate([p.sum(axis=2), p.sum(axis=1)], axis=1)
-        grad = np.concatenate([r[idx], s[idx]], axis=1) - mass
+        lk, a, fg, p, rs, mass, grad = work
         # Jacobi-scaled Hessian: unit diagonal, also on pinned rows, plus a ridge
         # that removes the gauge direction (f + c, g - c)
         scale = np.sqrt(np.where(mass > 0.0, mass, 1.0))
-        hess = np.tile(np.eye(n + m) * (1.0 + _RIDGE), (idx.size, 1, 1))
-        hess[:, :n, n:] = p / (scale[:, :n, None] * scale[:, None, n:])
+        hess = np.empty((live.size, n + m, n + m))
+        hess[:] = ridged
+        hess[:, :n, n:] = (p / (scale[:n, None] * scale[None, n:])).transpose(2, 0, 1)
         hess[:, n:, :n] = hess[:, :n, n:].transpose(0, 2, 1)
-        delta = np.linalg.solve(hess, (grad / scale)[:, :, None])[:, :, 0] / scale
-        slope = np.sum(grad * delta, axis=1)
+        delta = np.linalg.solve(hess, (grad / scale).T[:, :, None])[:, :, 0].T / scale
+        slope = _fsum(grad * delta)
         # Armijo backtracking: step t * delta raises the dual by t * slope - sum p (expm1(x) - x)
-        t = np.ones(idx.size)
+        t = np.ones(live.size)
         ascent = np.isfinite(slope) & (slope > 0.0)
         searching = ascent.copy()
-        for _ in range(_HALVING_CAP):
-            j = np.flatnonzero(searching)
-            if not j.size:
-                break
-            x = t[j, None, None] * (delta[j, :n, None] + delta[j, None, n:])
-            rest = np.exp(logk[idx[j]] + f[idx[j], :, None] + g[idx[j], None, :] + x)
-            pos = p[j] > 0.0  # where p = 0 the term is the new plan entry itself
-            rest[pos] = p[j][pos] * (np.expm1(x[pos]) - x[pos])
-            ok = np.sum(rest.reshape(j.size, -1), axis=1) <= (1.0 - _ARMIJO) * t[j] * slope[j]
-            searching[j[ok]] = False
-            t[j[~ok]] /= 2.0
-        # a problem with no accepted step has stalled and stops
+        zero = p == 0.0
+        exponent = lk + fg[:n, None] + fg[None, n:] if zero.any() else None
+        with np.errstate(invalid="ignore"):  # 0 * inf where p = 0, overwritten by the exponential
+            for _ in range(_HALVING_CAP):
+                j = np.flatnonzero(searching)
+                if not j.size:
+                    break
+                sel = slice(None) if j.size == live.size else j
+                x = t[sel] * (delta[:n, None, sel] + delta[None, n:, sel])
+                rest = p[..., sel] * (np.expm1(x) - x)
+                if exponent is not None:
+                    z = zero[..., sel]
+                    rest[z] = np.exp(exponent[..., sel][z] + x[z])
+                ok = _fsum(rest.reshape(n * m, -1)) <= (1.0 - _ARMIJO) * t[sel] * slope[sel]
+                searching[j[ok]] = False
+                t[j[~ok]] /= 2.0
+        # a problem with no accepted step has stalled and stops; its plan is
+        # recomputed from the same potentials, so it comes out the same
         accepted = ascent & ~searching
-        step = idx[accepted]
-        f[step] += t[accepted, None] * delta[accepted, :n]
-        g[step] += t[accepted, None] * delta[accepted, n:]
-        plan[step] = np.exp(logk[step] + f[step, :, None] + g[step, None, :])
-        iterations[step] += 1
-        live[idx] = False
-        residual[step] = _residual(plan[step], r[step], s[step])
-        live[step] = residual[step] > _stop_level(plan[step], abs_logk[step], f[step], g[step])
+        iterations[live[accepted]] += 1
+        fg = fg + np.where(accepted, t * delta, 0.0)
+        p = np.exp(lk + fg[:n, None] + fg[None, n:])
+        mass, grad, res, stop = _progress(p, rs, a, fg)
+        plan[..., live], residual[live] = p, res
+        go = np.flatnonzero(accepted & (res > stop))
+        work = lk, a, fg, p, rs, mass, grad
+        if go.size < live.size:
+            live, work = live[go], tuple(z[..., go] for z in work)
     return plan, iterations, residual
 
 
 def _round_to_marginals(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Altschuler-Weed-Rigollet rounding (NeurIPS 2017): scale rows, then
-    columns, down to their marginals; add the missing mass as a rank one plan."""
-    a = plan.sum(axis=2)
-    plan = plan * np.minimum(np.divide(r, a, out=np.ones_like(r), where=a > 0.0), 1.0)[:, :, None]
-    b = plan.sum(axis=1)
-    plan = plan * np.minimum(np.divide(s, b, out=np.ones_like(s), where=b > 0.0), 1.0)[:, None, :]
+    """Altschuler-Weed-Rigollet rounding (NeurIPS 2017) of a stack-last
+    stack: scale rows, then columns, down to their marginals; add the
+    missing mass as a rank one plan."""
+    a = _sums(plan, 1)
+    plan = plan * np.minimum(np.divide(r, a, out=np.ones_like(r), where=a > 0.0), 1.0)[:, None]
+    b = _sums(plan, 0)
+    plan = plan * np.minimum(np.divide(s, b, out=np.ones_like(s), where=b > 0.0), 1.0)[None]
     # clipped at 0, so that round-off cannot make an entry negative
-    err_r = np.maximum(r - plan.sum(axis=2), 0.0)
-    err_c = np.maximum(s - plan.sum(axis=1), 0.0)
-    total = err_r.sum(axis=1, keepdims=True)
+    err_r = np.maximum(r - _sums(plan, 1), 0.0)
+    err_c = np.maximum(s - _sums(plan, 0), 0.0)
+    total = _fsum(err_r)
     share = np.divide(err_c, total, out=np.zeros_like(err_c), where=total > 0.0)
-    return plan + err_r[:, :, None] * share[:, None, :]
+    return plan + err_r[:, None] * share[None]
 
 
 def solve_transport_entropic(
@@ -355,22 +433,25 @@ def solve_transport_entropic(
         raise ValueError("rho must be positive and finite")
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
     k, n, m = c.shape
-    r = problem.row_marginal.reshape(k, n)
-    s = problem.col_marginal.reshape(k, m)
     # broadcasting also rejects arguments of the wrong shape
     counts = np.broadcast_to(edge_count, (k,))
     if np.any(counts < 1):
         raise ValueError("edge_count must be at least 1")
     eps = rho * counts.astype(np.float64)
-    lref = (np.log(np.maximum(np.broadcast_to(ref_row, (k, n)), LOG_FLOOR))[:, :, None]
-            + np.log(np.maximum(np.broadcast_to(ref_col, (k, m)), LOG_FLOOR))[:, None, :])
-    logk = lref - c / eps[:, None, None]
-    logk[(r == 0.0)[:, :, None] | (s == 0.0)[:, None, :]] = -np.inf
+    # the kernel runs stack-last: costs (n, m, k), marginals (n, k) and (m, k)
+    ct = c.transpose(1, 2, 0).copy()
+    r = problem.row_marginal.reshape(k, n).T.copy()
+    s = problem.col_marginal.reshape(k, m).T.copy()
+    lref = (np.log(np.maximum(np.broadcast_to(ref_row, (k, n)), LOG_FLOOR)).T.copy()[:, None]
+            + np.log(np.maximum(np.broadcast_to(ref_col, (k, m)), LOG_FLOOR)).T.copy()[None])
+    logk = lref - ct / eps
+    logk[(r == 0.0)[:, None] | (s == 0.0)[None]] = -np.inf
     with np.errstate(divide="ignore", over="ignore"):  # exp and log at the -inf entries and of trial steps
         plan, iterations, residual = _newton(logk, r, s)
     plan = _round_to_marginals(plan, r, s)
-    kl = (plan * (np.log(np.where(plan > 0.0, plan, 1.0)) - lref)).sum(axis=(1, 2))
-    objective = (c * plan).sum(axis=(1, 2)) + eps * kl
+    kl = _fsum((plan * (np.log(np.where(plan > 0.0, plan, 1.0)) - lref)).reshape(n * m, k))
+    objective = _fsum((ct * plan).reshape(n * m, k)) + eps * kl
+    plan = plan.transpose(2, 0, 1)
     if problem.cost.ndim == 2:
         return EntropicTransportResult(plan[0], objective.item(), iterations.item(), residual.item())
     return EntropicTransportResult(plan, objective, iterations, residual)

@@ -6,7 +6,9 @@ clip), sharing no code with the package's own algorithms, so
 oracle/implementation agreement is meaningful evidence.  There are two
 exceptions.  The reference transportation simplex refactors its basis in
 every round where the package keeps and updates the inverse; the two must
-take the same pivots.  The power iteration of :func:`preconditioned_norm`
+take the same pivots.  :func:`reference_newton` is the package's earlier
+Newton kernel, the baseline that its rewrites must match bit for bit.  The
+power iteration of :func:`preconditioned_norm`
 applies the constraint matrix by the package's own streaming products.
 :func:`read_uai_reference` parses token by token but builds its model with
 the package's ``MrfModel.create``, and :func:`search_grid_shape` compares
@@ -22,7 +24,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from mrflp.tolerances import NONNEG_TOL, PIVOT_TOL
+from mrflp.tolerances import NONNEG_TOL, PIVOT_TOL, TRANSPORT_MARGINAL_TOL
 
 
 # -- exhaustive labelings -------------------------------------------------
@@ -514,6 +516,88 @@ def sinkhorn_entropic(cost, r, s, eps, tol=1e-13, max_iters=100_000):
         raise AssertionError("Sinkhorn oracle did not converge")
     objective = float(np.sum(cost * plan) + eps * np.sum(plan * (np.log(plan) - log_ref)))
     return plan, objective
+
+
+# -- reference Newton kernel -----------------------------------------------
+#
+# The package's damped Newton kernel as it was before it moved to the
+# stack-last layout, kept verbatim with its helpers: stack-first ``(k, n,
+# m)`` arrays, reductions over the trailing axes, every Armijo pass
+# evaluating ``exp(logk + f + g + x)`` at every entry.  The package's kernel
+# must give bit-equal plans, step counts and residuals.
+
+
+def _ref_residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(plan.sum(axis=2) - r).max(axis=1), np.abs(plan.sum(axis=1) - s).max(axis=1))
+
+
+def _ref_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    mx = np.max(a, axis=axis, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
+    return np.squeeze(mx, axis=axis) + np.log(np.sum(np.exp(a - mx), axis=axis))
+
+
+def _ref_stop_level(plan: np.ndarray, abs_logk: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    w = plan * (abs_logk + np.abs(f)[:, :, None] + np.abs(g)[:, None, :])
+    return np.maximum(TRANSPORT_MARGINAL_TOL, np.finfo(np.float64).eps
+                      * np.maximum(w.sum(axis=2).max(axis=1), w.sum(axis=1).max(axis=1)))
+
+
+def reference_newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
+    """Stack-first Newton kernel: ``(plan, iterations, residual)`` for
+    ``logk`` of shape ``(k, n, m)``; call it under ``np.errstate(divide=
+    "ignore", over="ignore")``, as the package does."""
+    from mrflp.transport import _ARMIJO, _HALVING_CAP, _NEWTON_CAP, _RIDGE
+
+    k, n, m = logk.shape
+    f = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)) - _ref_logsumexp(logk, axis=2), 0.0)
+    g = np.where(s > 0.0, np.log(np.where(s > 0.0, s, 1.0)) - _ref_logsumexp(logk + f[:, :, None], axis=1), 0.0)
+    plan = np.exp(logk + f[:, :, None] + g[:, None, :])
+    residual = _ref_residual(plan, r, s)
+    abs_logk = np.where(np.isfinite(logk), np.abs(logk), 0.0)
+    live = residual > _ref_stop_level(plan, abs_logk, f, g)
+    iterations = np.zeros(k, dtype=np.int64)
+    for _ in range(_NEWTON_CAP):
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        p = plan[idx]
+        mass = np.concatenate([p.sum(axis=2), p.sum(axis=1)], axis=1)
+        grad = np.concatenate([r[idx], s[idx]], axis=1) - mass
+        # Jacobi-scaled Hessian: unit diagonal, also on pinned rows, plus a ridge
+        # that removes the gauge direction (f + c, g - c)
+        scale = np.sqrt(np.where(mass > 0.0, mass, 1.0))
+        hess = np.tile(np.eye(n + m) * (1.0 + _RIDGE), (idx.size, 1, 1))
+        hess[:, :n, n:] = p / (scale[:, :n, None] * scale[:, None, n:])
+        hess[:, n:, :n] = hess[:, :n, n:].transpose(0, 2, 1)
+        delta = np.linalg.solve(hess, (grad / scale)[:, :, None])[:, :, 0] / scale
+        slope = np.sum(grad * delta, axis=1)
+        # Armijo backtracking: step t * delta raises the dual by t * slope - sum p (expm1(x) - x)
+        t = np.ones(idx.size)
+        ascent = np.isfinite(slope) & (slope > 0.0)
+        searching = ascent.copy()
+        for _ in range(_HALVING_CAP):
+            j = np.flatnonzero(searching)
+            if not j.size:
+                break
+            x = t[j, None, None] * (delta[j, :n, None] + delta[j, None, n:])
+            rest = np.exp(logk[idx[j]] + f[idx[j], :, None] + g[idx[j], None, :] + x)
+            pos = p[j] > 0.0  # where p = 0 the term is the new plan entry itself
+            rest[pos] = p[j][pos] * (np.expm1(x[pos]) - x[pos])
+            ok = np.sum(rest.reshape(j.size, -1), axis=1) <= (1.0 - _ARMIJO) * t[j] * slope[j]
+            searching[j[ok]] = False
+            t[j[~ok]] /= 2.0
+        # a problem with no accepted step has stalled and stops
+        accepted = ascent & ~searching
+        step = idx[accepted]
+        f[step] += t[accepted, None] * delta[accepted, :n]
+        g[step] += t[accepted, None] * delta[accepted, n:]
+        plan[step] = np.exp(logk[step] + f[step, :, None] + g[step, None, :])
+        iterations[step] += 1
+        live[idx] = False
+        residual[step] = _ref_residual(plan[step], r[step], s[step])
+        live[step] = residual[step] > _ref_stop_level(plan[step], abs_logk[step], f[step], g[step])
+    return plan, iterations, residual
 
 
 # -- brute-force Gibbs statistics -----------------------------------------

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -624,6 +626,32 @@ class TestDualObjective:
             M.decompose_by_coloring(m, colors)
         with pytest.raises(StructureError, match="one color per edge"):
             M.DualContext(m, M.Decomposition(colors))
+
+
+class TestPlanReuse:
+    """A decomposition keeps its forest plan for the model it was built for."""
+
+    def test_plan_is_built_once_per_model(self, monkeypatch):
+        calls = []
+        build = mrflp.dualdec.ForestPlan
+        monkeypatch.setattr(mrflp.dualdec, "ForestPlan", lambda m, *forests: calls.append(m) or build(m, *forests))
+        m = M.generate_grid(3, 3, 2, seed=1)
+        d = M.decompose_grid(m)
+        ctx = M.DualContext(m, d)
+        M.solve_nesterov(m, d, M.SolverConfig(max_iters=20, epoch=10, rho=0.5))
+        assert M.DualContext(m, d).plan is ctx.plan and calls == [m]
+        # an equal model is another model, with its own plan
+        other = M.generate_grid(3, 3, 2, seed=1)
+        assert M.DualContext(other, d).plan.model is other and calls == [m, other]
+
+    def test_plan_goes_with_its_decomposition(self):
+        m = M.generate_grid(3, 3, 2, seed=1)
+        d = M.decompose_grid(m)
+        plan = weakref.ref(M.DualContext(m, d).plan)
+        assert plan() is not None
+        # no reference cycle keeps the plan alive past its decomposition
+        del d
+        assert plan() is None
 
 
 class TestSmoothedDual:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -243,6 +244,24 @@ class TestPaddedEdgeStack:
                     if res.residual <= TRANSPORT_MARGINAL_TOL:
                         assert np.abs(res.plan - proj.edge_blocks[e]).max() <= TRANSPORT_MARGINAL_TOL
 
+    @pytest.mark.parametrize("rho, tol", [(0.1, 1e-12), (0.01, 1e-10)])
+    def test_entropic_plans_match_unpadded_solves(self, rho, tol):
+        # the benchmark's cross-check, within its 1e-10: a two-forest model
+        # with 2-5 labels, node blocks from its smoothed dual, and each edge
+        # of the padded stack against its own unpadded solve.  A padded
+        # problem's Newton system is larger, so LAPACK orders its arithmetic
+        # otherwise; at rho 0.01 the plans here differ by 4.4e-12
+        counts = np.random.default_rng(4).permutation(np.arange(200) % 4 + 2)
+        m, (f0, _) = oracles.two_forest_model(counts, seed=4)
+        d = M.decompose_by_coloring(m, [int(e not in f0) for e in range(m.n_edges)])
+        _, _, (m1, m2) = M.DualContext(m, d).smoothed(np.zeros(m.packing().node_dim), rho)
+        proj = M.project_primal_free_energy(m, d, (m1 + m2) / 2.0, rho)
+        assert not all(run.real.all() for run in mrflp.projections._edge_stack(m))
+        for e, (u, v) in enumerate(m.edges):
+            p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
+            res = M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)
+            assert np.abs(res.plan - proj.edge_blocks[e]).max() <= tol
+
     def test_zero_edge_model_projects(self):
         m = M.MrfModel.create([3, 2], [], [np.zeros(3), np.zeros(2)], [])
         d = M.decompose_by_coloring(m, [])
@@ -286,21 +305,32 @@ class TestPaddedEdgeStack:
 class TestProjectionState:
     """A run's exact projections share one layout and start warm."""
 
-    def test_layout_is_built_once_per_run(self, monkeypatch):
+    def test_layout_is_built_once_per_model(self, monkeypatch):
         calls = []
         build = mrflp.projections._edge_stack
         monkeypatch.setattr(mrflp.projections, "_edge_stack", lambda m: calls.append(m) or build(m))
         m = M.generate_grid(4, 4, 3, seed=1)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
         assert len(report.records) == 4 and len(calls) == 1
-        # a call without a state lays the stack out again
+        # a call without a state, and another run's exact and entropic
+        # projections, read the same layout
         M.project_primal_energy(m, report.marginals.node_flat)
-        assert len(calls) == 2
-        # nest's entropic projections share the run's layout with its exact ones
-        calls.clear()
         report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=60, epoch=20, rho=0.5))
         assert len(report.records) == 4 and all(r.smoothed_gap is not None for r in report.records)
-        assert len(calls) == 1
+        assert calls == [m]
+        # an equal model is another model, with its own layout
+        other = M.generate_grid(4, 4, 3, seed=1)
+        M.project_primal_energy(other, report.marginals.node_flat)
+        assert len(calls) == 2 and calls[1] is other
+
+    def test_layout_goes_with_its_model(self):
+        m = M.generate_grid(3, 3, 2, seed=1)
+        M.project_primal_energy(m, np.ones(m.packing().node_dim))
+        run = weakref.ref(mrflp.projections.ProjectionState(m).runs[0])
+        assert run() is not None
+        # no reference cycle keeps the layout alive past its model
+        del m
+        assert run() is None
 
     def test_warm_projections_match_cold_ones(self):
         for m, _, blocks in projection_cases():

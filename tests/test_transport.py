@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,13 @@ class TestExactTransport:
         with pytest.raises(NumericalError, match="exceeded 0 pivots") as err:
             M.solve_transport(p)
         assert err.value.problem == 1
+
+    def test_empty_stack(self):
+        p = M.TransportProblem(np.zeros((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3)))
+        res = M.solve_transport(p)
+        assert res.plan.shape == (0, 2, 3) and res.cost.shape == res.pivots.shape == (0,)
+        assert res.row_potentials.shape == (0, 2) and res.simplex_basis.inverse.shape == (0, 5, 4)
+        assert M.solve_transport(p, start=res.simplex_basis).plan.shape == (0, 2, 3)
 
     def test_never_better_than_product_plan(self):
         rng = np.random.default_rng(13)
@@ -464,6 +473,12 @@ class TestEntropicTransport:
             assert (one.objective, one.iterations, one.residual) == (
                 res.objective[i], res.iterations[i], res.residual[i])
 
+    def test_empty_stack(self):
+        p = M.TransportProblem(np.zeros((0, 2, 3)), np.zeros((0, 2)), np.zeros((0, 3)))
+        res = M.solve_transport_entropic(p, 0.5, 1, p.row_marginal, p.col_marginal)
+        assert res.plan.shape == (0, 2, 3)
+        assert res.objective.shape == res.iterations.shape == res.residual.shape == (0,)
+
     def test_batch_arguments_must_match(self):
         p = M.TransportProblem(np.zeros((2, 2, 2)), np.full((2, 2), 0.5), np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
@@ -472,6 +487,110 @@ class TestEntropicTransport:
             M.solve_transport_entropic(p, 1.0, [1, 0], np.full(2, 0.5), np.full(2, 0.5))
         with pytest.raises(ValueError):
             M.solve_transport_entropic(p, 1.0, 1, np.full(3, 0.5), np.full(2, 0.5))
+
+
+def newton_calls(monkeypatch, solve):
+    """Every Newton kernel call made by ``solve()``, which must raise no
+    ``RuntimeWarning``, stack-first: its exponents and marginals, then its
+    plans, step counts and residuals."""
+    calls = []
+    kernel = mrflp.transport._newton
+
+    def record(logk, r, s):
+        inputs = logk.transpose(2, 0, 1).copy(), r.T.copy(), s.T.copy()
+        plan, iterations, residual = kernel(logk, r, s)
+        calls.append((*inputs, plan.transpose(2, 0, 1), iterations, residual))
+        return plan, iterations, residual
+
+    monkeypatch.setattr(mrflp.transport, "_newton", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solve()
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+class TestStackLastSums:
+    """Sums over a stack-last stack give the floats of numpy's stack-first
+    sums, which add a contiguous row pairwise from 8 entries on."""
+
+    def test_contiguous_rows(self):
+        rng = np.random.default_rng(0)
+        for count in range(1, 300):
+            a = rng.standard_normal((3, count)) * 10.0 ** rng.integers(-8, 9, (3, count))
+            np.testing.assert_array_equal(mrflp.transport._fsum(a.T.copy()), a.sum(axis=1))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 9, 1), (5, 12, 1), (4, 1, 12), (2, 10, 9), (6, 13, 11)])
+    def test_rows_columns_and_tables(self, shape):
+        k, n, m = shape
+        rng = np.random.default_rng(k * n * m)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        at = a.transpose(1, 2, 0).copy()
+        np.testing.assert_array_equal(mrflp.transport._sums(at, 1), a.sum(axis=2).T)
+        np.testing.assert_array_equal(mrflp.transport._sums(at, 0), a.sum(axis=1).T)
+        np.testing.assert_array_equal(mrflp.transport._fsum(at.reshape(n * m, k)), a.sum(axis=(1, 2)))
+
+
+class TestNewtonAgainstReference:
+    """The stack-last Newton kernel against the stack-first one it replaced
+    (``oracles.reference_newton``): bit-equal plans, Newton steps and
+    residuals on every call."""
+
+    def check(self, monkeypatch, solve):
+        calls = newton_calls(monkeypatch, solve)
+        for logk, r, s, plan, iterations, residual in calls:
+            with np.errstate(divide="ignore", over="ignore"):
+                ref_plan, ref_iterations, ref_residual = oracles.reference_newton(logk, r, s)
+            np.testing.assert_array_equal(plan, ref_plan)
+            np.testing.assert_array_equal(iterations, ref_iterations)
+            np.testing.assert_array_equal(residual, ref_residual)
+        return calls
+
+    @pytest.mark.parametrize("rho", [0.1, 0.05, 0.025])
+    def test_grid_smooth_stacks(self, monkeypatch, rho):
+        # the benchmark's grid-smooth instance at its smoothing levels: one
+        # stack of 180 4x4 problems, marginals from the smoothed dual
+        m = M.generate_grid(10, 10, 4, law="uniform01", seed=0)
+        d = M.decompose_grid(m)
+        lam = np.random.default_rng(1).normal(scale=0.3, size=m.packing().node_dim)
+        _, _, (m1, m2) = M.DualContext(m, d).smoothed(lam, rho)
+        calls = self.check(monkeypatch, lambda: M.project_primal_free_energy(m, d, (m1 + m2) / 2.0, rho))
+        assert calls[0][4].max() > 1
+
+    def test_degenerate_problems(self, monkeypatch):
+        problems = list(degenerate_problems(3, 150))
+        self.check(monkeypatch, lambda: [M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)
+                                         for p, rho in problems])
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5])
+    def test_padded_stack(self, monkeypatch, rho):
+        p = padded_stack(9)
+        self.check(monkeypatch, lambda: M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (1, 12), (5, 1), (12, 1), (9, 10), (12, 12)])
+    def test_thin_and_wide_problems(self, monkeypatch, shape):
+        # stack-first, rows of 8 or more entries (a table's row, its
+        # column when it has one column, or all of its cells) are summed
+        # pairwise, and past 128 entries in halves
+        n, m = shape
+        rng = np.random.default_rng(n * m)
+        r = rng.random((20, n)) * (rng.random((20, n)) > 0.2) + (np.arange(n) == 0)
+        s = rng.random((20, m)) * (rng.random((20, m)) > 0.2) + (np.arange(m) == 0)
+        p = M.TransportProblem(rng.uniform(-1, 1, (20, n, m)), r, s)
+        self.check(monkeypatch, lambda: M.solve_transport_entropic(p, 0.1, 1, p.row_marginal, p.col_marginal))
+
+    def test_underflow_instance(self, monkeypatch):
+        # the LP-tight grid's first smoothed projection at rho 2: 2,468
+        # entries of exp(logk) are 0, and 7 edges stall above 1e-9
+        model, _ = M.generate_lp_tight(20, 20, 3, 25.0, 1e6, 0.4, seed=0)
+        d = M.decompose_grid(model)
+        _, _, (m1, m2) = M.DualContext(model, d).smoothed(np.zeros(model.packing().node_dim), 2.0)
+        [(logk, *_, residual)] = self.check(
+            monkeypatch, lambda: M.project_primal_free_energy(model, d, (m1 + m2) / 2.0, 2.0))
+        with np.errstate(divide="ignore"):
+            assert np.count_nonzero(np.exp(logk) == 0.0) == 2468
+        assert np.count_nonzero(residual > 1e-9) == 7 and 1.3e-7 < residual.max() < 1.4e-7
 
 
 def other_marginals(problem, seed):
