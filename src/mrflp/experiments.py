@@ -78,14 +78,11 @@ def run_gap_convergence(
         "seed": seed,
         "solvers": {},
     }
-    reports = {}
     for solver in SOLVERS:
         report = run_solver(model, solver, cfg, decomposition)
-        reports[solver] = report
         write_convergence_csv(report.records, out / f"{solver}.csv")
         summary["solvers"][solver] = {**report_summary(report), "csv": f"{solver}.csv"}
     write_summary(summary, out / "summary.json")
-    summary["_reports"] = reports
     return summary
 
 
@@ -180,5 +177,4 @@ def run_infinity_scaling(
         "curves": curves,
     }
     write_summary(summary, out / "summary.json")
-    summary["_reports"] = reports
     return summary

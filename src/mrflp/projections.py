@@ -18,11 +18,11 @@ column 0, as leaves that carry no flow and that no pivot ever enters, so
 each edge pivots exactly as it would alone.
 
 The stack's layout (edge ids, cells, padded costs and endpoints per run)
-depends on the model's packing only, and is built once per packing and
-kept with it.  A :class:`ProjectionState` carries one solver run's exact
-projections from call to call: each stack run's last optimal bases, from
-which its next exact solve starts warm.  Calls without a state start every
-exact solve from the star basis.
+depends on the model's packing only: ``_edge_stack`` builds it on first use
+and caches it with the packing.  A :class:`ProjectionState` holds one solver
+run's warm bases: each stack run's last optimal exact bases, from which its
+next exact solve starts.  Calls without a state start every exact solve from
+the star basis.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -76,8 +76,12 @@ class _StackRun:
 
 
 def _edge_stack(model: MrfModel) -> list[_StackRun]:
-    """The runs of the model's padded transport stack."""
+    """The runs of the model's padded transport stack, laid out on first use
+    and kept in its packing's ``__dict__``, as a cached property would be;
+    the runs hold no reference to the packing."""
     packing = model.packing()
+    if "_edge_stack" in packing.__dict__:
+        return packing.__dict__["_edge_stack"]
     order = np.lexsort((-packing.edge_shapes[:, 1], -packing.edge_shapes[:, 0]))
     lu, lv = packing.edge_shapes[order].T
     costs = packing.theta[packing.node_dim:]
@@ -97,44 +101,34 @@ def _edge_stack(model: MrfModel) -> list[_StackRun]:
         cost[:, 1:] = np.where(real[:, 1:], cost[:, 1:], big)
         cost[:, 1:, 0] = np.where(real[:, 1:, 0], cost[:, 1:, 0], cost[:, :1, 0])
         runs.append(_StackRun(es, cells, real, cost, *packing.edge_ends[es].T))
+    packing.__dict__["_edge_stack"] = runs
     return runs
 
 
 class ProjectionState:
-    """One solver run's projection state: the model's padded edge stack,
-    whose runs both primal projections read, and each run's last optimal
-    exact bases, the warm start of its next exact solve.  An edge's costs
-    never change during a run, so those bases stay dual feasible as its
-    marginals move."""
+    """One solver run's warm bases: each run of the model's edge stack keeps
+    its last optimal exact bases, the warm start of its next exact solve.
+    An edge's costs never change during a run, so those bases stay dual
+    feasible as its marginals move."""
 
     def __init__(self, model: MrfModel):
         self.model = model
         self.bases: dict[int, SimplexBasis] = {}
 
-    @property
-    def runs(self) -> list[_StackRun]:
-        """The model's edge stack, laid out on first use and kept in its
-        packing's ``__dict__``, as a cached property would be; the runs
-        hold no reference to the packing."""
-        cache = self.model.packing().__dict__
-        if "_edge_stack" not in cache:
-            cache["_edge_stack"] = _edge_stack(self.model)
-        return cache["_edge_stack"]
-
 
 def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None, solve) -> Marginals:
-    """The primal projections' shared steps: the check of the state's model
-    (a new state without one), the node prologue, then ``solve(i, run,
-    problem, bases)`` on every run of the state's edge stack, then the
+    """The primal projections' shared steps: the check of the state's model,
+    the node prologue, then ``solve(i, run, problem, bases)`` on every run of
+    the model's edge stack (fresh bases without a state), then the
     certificate of feasibility."""
-    state = ProjectionState(model) if state is None else state
-    if state.model is not model:
+    if state is not None and state.model is not model:
         raise ValueError("the projection state belongs to another model")
+    bases = {} if state is None else state.bases
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
     edges = np.empty(packing.edge_dim)
-    for i, run in enumerate(state.runs):
-        edges[run.cells] = solve(i, run, run.problem(nodes), state.bases).plan[run.real]
+    for i, run in enumerate(_edge_stack(model)):
+        edges[run.cells] = solve(i, run, run.problem(nodes), bases).plan[run.real]
     flat = np.concatenate([nodes[packing.node_pad < packing.node_dim], edges])
     result = Marginals(flat, packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
@@ -174,8 +168,8 @@ def project_primal_free_energy(
     """Like :func:`project_primal_energy`, but edge blocks minimize the
     entropy-smoothed edge objective with the projected node blocks as the
     reference product measure, from one :func:`solve_transport_entropic`
-    call per run of the same padded edge stack, the ``state``'s layout when
-    one is given (its bases are neither read nor written).  ``node_blocks``
+    call per run of the same padded edge stack.  A ``state`` must be of the
+    same model; its bases are neither read nor written.  ``node_blocks``
     is the flat node vector, and ``rho`` must be positive and finite."""
     if not 0.0 < rho < np.inf:
         raise ValueError("rho must be positive and finite")

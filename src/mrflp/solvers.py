@@ -15,23 +15,25 @@ subgradient.  It projects ``fpd``'s dual iterate onto the dual feasible set
 (the others' nonsmooth dual at the iterate is a valid bound as it is),
 ``nest``'s averaged maps by the entropic projection when the smoothed gap is
 logged, and, in ``_Tracker.observe``, the primal estimate by the exact energy
-projection.  That feasible point competes with rounded labelings (feasible as
-embeddings) for the primal bound, so the integer bound never undercuts it.
-The record carries the best certified pair so far: its gap never increases.
+projection.  ``observe`` alone picks the certified points.  Its primal
+candidates are that feasible point, its rounding and every labeling the
+solver read off its dual (both forests' argmins for ``sg-*`` and ``nest``),
+feasible as embeddings, so no forest is preferred and the integer bound
+never undercuts the primal bound.  It keeps ``fpd``'s dual point by the rule
+that raises the dual bound.  The record carries the best certified pair so
+far: its gap never increases.
 
 Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
 failure; ``observe`` keeps a weak-duality violation the same way.  The
-tracker owns the run's :class:`ProjectionState`: both primal projections read
-the model's one layout of the edge stack, and each exact projection starts
-warm from the optimal bases of the one before.  An epoch with a failure logs no record:
-the run ends with ``numerical-failure`` and keeps the records and bounds
-before it.  After each epoch the stop tests run
-in order: a failure (``numerical-failure``), the last iteration
-(``max-iters``), an ``sg-*`` zero subgradient (``dual-optimal``), a relative
-gap at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), and the
-elapsed time plus this epoch's projection time above ``time_budget_s``
-(``time-budget``).
+tracker owns the run's :class:`ProjectionState`, from whose bases each exact
+projection starts warm.  An epoch with a failure logs no record: the run
+ends with ``numerical-failure`` and keeps the records, bounds and points
+before it.  After each epoch the stop tests run in order: a failure
+(``numerical-failure``), the last iteration (``max-iters``), an ``sg-*``
+zero subgradient (``dual-optimal``), a relative gap at most ``tol`` or a gap
+below ``EQ_TOL`` (``gap-tolerance``), and the elapsed time plus this epoch's
+projection time above ``time_budget_s`` (``time-budget``).
 """
 
 from __future__ import annotations
@@ -199,14 +201,15 @@ def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) ->
 
 
 class _Tracker:
-    """Best-so-far certified bounds plus the convergence records, and the
-    run's projection state."""
+    """Best-so-far certified bounds, the points that set them, the
+    convergence records, and the run's projection state."""
 
     def __init__(self, model: MrfModel):
         self.model = model
         self.projection_state = ProjectionState(model)
         self.t0 = time.perf_counter()
         self.best_dual = -math.inf
+        self.best_dual_point: DualPoint | None = None
         self.best_primal = math.inf
         self.best_point: Marginals | None = None
         self.best_integer = math.inf
@@ -233,16 +236,19 @@ class _Tracker:
             self.projection_time += time.perf_counter() - start
 
     def observe(self, iteration: int, node_blocks, dual_candidate: float, rho: float | None = None,
-                smoothed_gap: float | None = None,
-                extra_labeling: np.ndarray | None = None) -> ConvergenceRecord | None:
+                smoothed_gap: float | None = None, labelings: tuple[np.ndarray, ...] = (),
+                dual_point: DualPoint | None = None) -> ConvergenceRecord | None:
         """Fold one epoch into the best certified bounds and log its record.
 
         The node blocks are projected to a feasible point, which competes
-        with its rounded labeling (and ``extra_labeling``) for the primal
-        bound.  If this or an earlier projection of the epoch failed, or the
-        weak-duality check raises :class:`NumericalError`, the bounds and
-        records of the last consistent epoch stay, the error is kept in
-        ``failure`` and the result is ``None``.
+        with its rounded labeling and every one of ``labelings`` for the
+        primal bound; the first of the lowest energy wins a tie.
+        ``dual_point``, whose value is ``dual_candidate``, replaces the kept
+        one when that value is at least the best dual bound so far.  If this
+        or an earlier projection of the epoch failed, or the weak-duality
+        check raises :class:`NumericalError`, the bounds, points and records
+        of the last consistent epoch stay, the error is kept in ``failure``
+        and the result is ``None``.
         """
         projected = (self.project(project_primal_energy, self.model, node_blocks, self.projection_state)
                      if self.failure is None else None)
@@ -250,7 +256,7 @@ class _Tracker:
             return None
         try:
             value = relaxed_energy(self.model, projected)
-            labelings = [round_to_labeling(projected)] + ([] if extra_labeling is None else [extra_labeling])
+            labelings = [round_to_labeling(projected), *labelings]
             ivals = [energy(self.model, lab) for lab in labelings]
             k = int(np.argmin(ivals))
             # feasibility is checked once per point: by the projection or on embedding
@@ -260,14 +266,16 @@ class _Tracker:
                 _check_feasible(self.model, point)
             elif value < primal:
                 primal, point = value, projected
-            dual = max(self.best_dual, float(dual_candidate))
+            dual, dual_point = ((float(dual_candidate), dual_point) if dual_candidate >= self.best_dual
+                                else (self.best_dual, self.best_dual_point))
             _weak_duality_gap(primal, dual)
         except NumericalError as exc:
             self.failure = exc
             return None
         if ivals[k] < self.best_integer:
             self.best_integer, self.best_labeling = ivals[k], np.asarray(labelings[k], dtype=np.int64)
-        self.best_primal, self.best_point, self.best_dual = primal, point, dual
+        self.best_primal, self.best_point = primal, point
+        self.best_dual, self.best_dual_point = dual, dual_point
         record = ConvergenceRecord(
             iteration=iteration,
             time_s=self.elapsed(),
@@ -316,6 +324,7 @@ class _Tracker:
             gap=gap,
             relative_gap=_relative_gap(gap, self.best_dual),
             projection_time_s=self.projection_time,
+            dual_point=self.best_dual_point,
             **extras,
         )
 
@@ -351,7 +360,7 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
             acc_w += 2.0 * w
         if optimal or t % cfg.epoch == 0 or t == cfg.max_iters:
             # acc_w > 0: the first step, tau0 or 1, has positive weight
-            tracker.observe(t, acc / acc_w, value, extra_labeling=x1)
+            tracker.observe(t, acc / acc_w, value, labelings=(x1, x2))
             termination = tracker.stop(cfg, t, dual_optimal=optimal)
             if termination is not None:
                 break
@@ -385,7 +394,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
 
     for t in range(cfg.max_iters + 1):
         if t % cfg.epoch == 0 or t == cfg.max_iters:
-            u_val, _, (x1, _) = ctx.value_and_subgradient(lam)
+            u_val, _, argmins = ctx.value_and_subgradient(lam)
             uh_val, _, maps = ctx.smoothed(lam, rho)
             blocks = (maps[0] + maps[1]) / 2.0
             smoothed_gap = None
@@ -394,7 +403,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
                 feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho, state)
                 if feas is not None:
                     smoothed_gap = free_energy(model, feas, rho) - uh_val
-            tracker.observe(t, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, extra_labeling=x1)
+            tracker.observe(t, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, labelings=argmins)
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
@@ -467,17 +476,12 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     mu = np.repeat(1.0 / sizes, sizes)
     nu = np.zeros(packing.dual_dim)
     tracker = _Tracker(model)
-    dual_point = None
 
     for t in range(cfg.max_iters + 1):
         if t % cfg.epoch == 0 or t == cfg.max_iters:
             point = tracker.project(project_dual, model, nu)
             if point is not None:
-                d_val = dual_value(model, point)
-                record = tracker.observe(t, mu[: packing.node_dim], d_val)
-                # keep the point that set the certified dual bound
-                if record is not None and d_val >= record.dual_bound:
-                    dual_point = point
+                tracker.observe(t, mu[: packing.node_dim], dual_value(model, point), dual_point=point)
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
@@ -485,4 +489,4 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
         mu_bar = 2.0 * mu_new - mu
         mu = mu_new
         nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
-    return tracker.report("fpd", termination, dual_point=dual_point)
+    return tracker.report("fpd", termination)

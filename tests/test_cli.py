@@ -1,7 +1,10 @@
 import json
+import math
 import os
+import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,9 @@ import pytest
 import mrflp as M
 import mrflp.cli
 import mrflp.experiments
+import mrflp.solvers
 from mrflp.cli import main
+from mrflp.errors import NumericalError
 
 import oracles
 
@@ -29,6 +34,19 @@ def _capture_config(seen):
         seen.append(next(a for a in args if isinstance(a, M.SolverConfig)))
         raise _Captured
     return capture
+
+
+def _fail_projection(monkeypatch, n):
+    """Make the ``n``-th exact primal projection of a run raise NumericalError."""
+    real = mrflp.solvers.project_primal_energy
+    calls = []
+
+    def project(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise NumericalError("injected projection failure")
+        return real(*args)
+    monkeypatch.setattr(mrflp.solvers, "project_primal_energy", project)
 
 
 class TestGenerate:
@@ -185,6 +203,31 @@ class TestSolve:
         assert run(["solve", "--model", model, "--solver", "nest", "--max-iters", 5,
                     "--decomposition", coloring, "--out-dir", tmp_path / "run"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_3_with_the_outputs(self, monkeypatch, tmp_path, capsys):
+        # the 2nd epoch's projection fails: the run keeps the 1st epoch's
+        # record, and its outputs are written before the exit code says so
+        model, out = tmp_path / "g.uai", tmp_path / "run"
+        M.write_uai(M.generate_grid(3, 3, 2, seed=0), model)
+        _fail_projection(monkeypatch, 2)
+        assert run(["solve", "--model", model, "--solver", "sg-ave", "--max-iters", 40,
+                    "--epoch", 20, "--out-dir", out]) == 3
+        assert "(numerical-failure)" in capsys.readouterr().out
+        summary = M.read_summary(out / "summary.json")
+        assert (summary["termination"], summary["n_records"]) == ("numerical-failure", 1)
+        assert len(M.read_convergence_csv(out / "convergence.csv")) == 1
+        assert run(["verify", "--model", model, "--marginals", out / "marginals.json"]) == 0
+
+    def test_failure_before_any_feasible_point_exits_3(self, monkeypatch, tmp_path, capsys):
+        # the first projection fails: there is no point to report, and the
+        # error reaches main
+        model, out = tmp_path / "g.uai", tmp_path / "run"
+        M.write_uai(M.generate_grid(3, 3, 2, seed=0), model)
+        _fail_projection(monkeypatch, 1)
+        assert run(["solve", "--model", model, "--solver", "fpd", "--max-iters", 40,
+                    "--epoch", 20, "--out-dir", out]) == 3
+        assert "numerical failure: no feasible point was ever recorded" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -408,6 +451,51 @@ class TestExperiments:
         assert not out.exists()
 
 
+def _records(energies, iterations=None):
+    """A stand-in report whose records carry these projected energies."""
+    iterations = range(0, 20 * len(energies), 20) if iterations is None else iterations
+    return types.SimpleNamespace(records=[
+        M.ConvergenceRecord(iteration=i, time_s=0.0, dual_bound=0.0, primal_bound=0.0, integer_bound=0.0,
+                            gap=0.0, projected_energy=e) for i, e in zip(iterations, energies)])
+
+
+class TestLogEnergyOffsets:
+    """Synthetic curves whose distance to the optimum grows 10x per infinity:
+    every offset is log 10."""
+
+    def test_offsets_are_log_10(self):
+        optima = {1e4: -2.5, 1e5: 1.25, 1e6: 40.0}
+        base = [0.75, 0.3, 0.04, 0.002]
+        reports = {inf: _records([opt + d * inf / 1e4 for d in base]) for inf, opt in optima.items()}
+        offsets = mrflp.experiments.log_energy_offsets(reports, optima)
+        assert [(p["low_infinity"], p["high_infinity"], p["n_epochs"]) for p in offsets["pairs"]] == [
+            (1e4, 1e5, 4), (1e5, 1e6, 4)]
+        for mean in (*(p["mean_offset"] for p in offsets["pairs"]), offsets["overall_mean_offset"]):
+            assert abs(mean - math.log(10.0)) <= 1e-12
+        assert offsets["log10"] == math.log(10.0)
+
+    def test_epochs_at_the_optimum_are_skipped(self):
+        optima = {1e4: 0.0, 1e5: 0.0}
+        # the 2nd epoch of the low curve and the 3rd of the high one sit at
+        # the optimum, so two of the four epochs enter the mean
+        reports = {1e4: _records([0.5, 0.0, 0.05, 0.01]), 1e5: _records([5.0, 1.0, 0.0, 0.1])}
+        pair, = mrflp.experiments.log_energy_offsets(reports, optima)["pairs"]
+        assert pair["n_epochs"] == 2
+        assert abs(pair["mean_offset"] - math.log(10.0)) <= 1e-12
+
+    def test_records_must_be_iteration_matched(self):
+        reports = {1e4: _records([0.5, 0.05]), 1e5: _records([5.0, 0.5], iterations=[0, 40])}
+        with pytest.raises(ValueError, match="records are not iteration-matched"):
+            mrflp.experiments.log_energy_offsets(reports, {1e4: 0.0, 1e5: 0.0})
+
+
+@pytest.mark.parametrize("solver", ["trws", "SG-AVE", ""])
+def test_run_solver_refuses_unknown_solvers(solver):
+    m = M.generate_grid(2, 2, 2, seed=0)
+    with pytest.raises(ValueError, match=f"unknown solver {solver!r}; choose from sg-ave, sg-wei, nest, fpd"):
+        M.run_solver(m, solver, M.SolverConfig())
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "m.uai"
@@ -422,3 +510,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_module_help_exits_0(self, monkeypatch, capsys):
+        # `python -m mrflp.cli --help`, run in this process; runpy warns when it
+        # re-runs a module that is already imported
+        monkeypatch.setattr(sys, "argv", ["mrflp", "--help"])
+        monkeypatch.delitem(sys.modules, "mrflp.cli")
+        with pytest.raises(SystemExit) as e:
+            runpy.run_module("mrflp.cli", run_name="__main__")
+        assert e.value.code == 0
+        assert "usage:" in capsys.readouterr().out

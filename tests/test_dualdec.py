@@ -586,6 +586,19 @@ def test_rho_must_be_positive_and_finite(entry, rho):
         _rho_entry_points()[entry](rho)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ctx, lam: ctx.value_and_subgradient(lam),
+    lambda ctx, lam: ctx.smoothed(lam, 0.5),
+    lambda ctx, lam: ctx.smoothed_value(lam, 0.5),
+], ids=["value_and_subgradient", "smoothed", "smoothed_value"])
+@pytest.mark.parametrize("shape", [(7,), (4, 2)])
+def test_lambda_must_be_a_flat_node_vector(call, shape):
+    m = M.generate_grid(2, 2, 2, seed=0)
+    ctx = M.DualContext(m, M.decompose_grid(m))
+    with pytest.raises(ValueError, match="lambda must be a flat vector of length 8"):
+        call(ctx, np.zeros(shape))
+
+
 class TestDualObjective:
     def test_zero_lambda_agreeing_argmins(self):
         m = M.MrfModel.create([2], [], [np.array([0.0, 1.0])], [])

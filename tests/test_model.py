@@ -76,6 +76,21 @@ class TestModelValidation:
         np.testing.assert_array_equal(m.pairwise[0], table.T)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: M.MrfModel([2], [], np.zeros((1, 2))), ValueError, "expected a 1-d array, got shape (1, 2)"),
+    (lambda: M.MrfModel([2, 2], [(0, 1)], np.zeros(7)), StructureError, "theta has 7 entries, the tables need 8"),
+    (lambda: M.Marginals(np.zeros(3), [2], np.zeros((0, 2))), ValueError,
+     "flat vector has 3 entries, its blocks need 2"),
+    (lambda: M.DualPoint(np.zeros(2), 1, np.zeros((0, 2))), ValueError,
+     "dual vector has 2 entries, its layout needs 1"),
+    (lambda: M.validate_labeling(two_node_chain(), [0]), InvalidLabelingError,
+     "labeling has shape (1,), expected (2,)"),
+], ids=["theta-ndim", "theta-size", "marginals-size", "dual-size", "labeling-shape"])
+def test_flat_layouts_refuse_bad_sizes(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 class TestEnergy:
     def test_zero_potentials(self):
         m = M.MrfModel.create([2, 2], [(0, 1)], [np.zeros(2)] * 2, [np.zeros((2, 2))])
@@ -247,6 +262,19 @@ class TestLpTightGenerator:
                                                  forbidden_fraction=0.25, seed=1)
             top = max(float(np.max(np.abs(t))) for t in model.pairwise)
             assert top <= inf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: M.generate_grid(0, 2, 2), "rows, cols and labels must be positive"),
+    (lambda: M.generate_grid(2, 2, 2, law="uniform_sym", radius=0.0), "radius must be positive for uniform_sym"),
+    (lambda: M.generate_lp_tight(2, 2, 0, 25.0, 1e4, 0.3), "rows, cols and labels must be positive"),
+    (lambda: M.generate_lp_tight(2, 2, 2, 0.0, 1e4, 0.3), "margin must be positive"),
+    (lambda: M.generate_lp_tight(2, 2, 2, 25.0, 1.0, 0.3),
+     "infinity_value 1.0 is below the largest potential magnitude"),
+], ids=["grid-size", "radius", "lp-tight-size", "margin", "infinity"])
+def test_generators_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestDecomposition:

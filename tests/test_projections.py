@@ -188,6 +188,18 @@ class TestFlatInput:
         with pytest.raises(ValueError, match=re.escape("expected (8,)")):
             M.project_primal_free_energy(m, M.decompose_grid(m), blocks, 0.5)
 
+    @pytest.mark.parametrize("project", [
+        M.project_primal_energy,
+        lambda m, blocks: M.project_primal_free_energy(m, M.decompose_grid(m), blocks, 0.5),
+    ], ids=["exact", "entropic"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_node_vector_must_be_finite(self, project, value):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        blocks = np.full(8, 0.5)
+        blocks[3] = value
+        with pytest.raises(ValueError, match="node blocks must be finite"):
+            project(m, blocks)
+
     @pytest.mark.parametrize("shape", [(4, 6), (23,), (25,)])
     def test_dual_vector_of_the_wrong_shape(self, shape):
         m = M.generate_grid(2, 2, 2, seed=0)
@@ -306,27 +318,29 @@ class TestProjectionState:
     """A run's exact projections share one layout and start warm."""
 
     def test_layout_is_built_once_per_model(self, monkeypatch):
-        calls = []
-        build = mrflp.projections._edge_stack
-        monkeypatch.setattr(mrflp.projections, "_edge_stack", lambda m: calls.append(m) or build(m))
+        # the layout's one call of padded_runs counts its builds
+        builds = []
+        split = mrflp.projections.padded_runs
+        monkeypatch.setattr(mrflp.projections, "padded_runs", lambda *a: builds.append(None) or split(*a))
         m = M.generate_grid(4, 4, 3, seed=1)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
-        assert len(report.records) == 4 and len(calls) == 1
+        assert len(report.records) == 4 and len(builds) == 1
         # a call without a state, and another run's exact and entropic
         # projections, read the same layout
+        layout = mrflp.projections._edge_stack(m)
         M.project_primal_energy(m, report.marginals.node_flat)
         report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=60, epoch=20, rho=0.5))
         assert len(report.records) == 4 and all(r.smoothed_gap is not None for r in report.records)
-        assert calls == [m]
+        assert len(builds) == 1 and mrflp.projections._edge_stack(m) is layout
         # an equal model is another model, with its own layout
         other = M.generate_grid(4, 4, 3, seed=1)
         M.project_primal_energy(other, report.marginals.node_flat)
-        assert len(calls) == 2 and calls[1] is other
+        assert len(builds) == 2 and mrflp.projections._edge_stack(other) is not layout
 
     def test_layout_goes_with_its_model(self):
         m = M.generate_grid(3, 3, 2, seed=1)
         M.project_primal_energy(m, np.ones(m.packing().node_dim))
-        run = weakref.ref(mrflp.projections.ProjectionState(m).runs[0])
+        run = weakref.ref(mrflp.projections._edge_stack(m)[0])
         assert run() is not None
         # no reference cycle keeps the layout alive past its model
         del m
@@ -342,7 +356,7 @@ class TestProjectionState:
                 cold = M.project_primal_energy(m, blocks)
                 np.testing.assert_array_equal(warm.node_flat, cold.node_flat)
                 assert abs(M.relaxed_energy(m, warm) - M.relaxed_energy(m, cold)) <= 1e-9
-            assert len(state.bases) == len(state.runs)
+            assert len(state.bases) == len(mrflp.projections._edge_stack(m))
 
     def test_state_of_another_model_is_refused(self):
         m, other = M.generate_grid(2, 2, 2, seed=1), M.generate_grid(2, 2, 2, seed=1)

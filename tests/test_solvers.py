@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -92,6 +93,20 @@ class TestSolverConfig:
         # the logged smoothed gap drives the halving: without it rho never changes
         with pytest.raises(ValueError, match="rho_schedule.*log_smoothed_gap"):
             M.SolverConfig(rho_schedule="halving", log_smoothed_gap=False)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: M.SolverConfig(max_iters=0), "max_iters and epoch must be positive"),
+    (lambda: M.SolverConfig(rho_schedule="cosine"), "rho_schedule must be None or 'halving'"),
+    (lambda: M.step_size("diminishing", -1), "t must be nonnegative"),
+    (lambda: M.step_size("constant", 0), "unknown step law 'constant'"),
+    (lambda: M.solve_subgradient(m := random_tree_model(3, 2, seed=0), tree_decomposition(m), M.SolverConfig(),
+                                 averaging="median"),
+     "averaging must be 'uniform' or 'step-weighted'"),
+], ids=["max-iters", "rho-schedule", "negative-t", "step-law", "averaging"])
+def test_solver_options_refuse_bad_values(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestGapCertificate:
@@ -498,6 +513,23 @@ class TestCrossSolverAgreement:
         for report in reports:
             assert report.dual_bound <= lp_val + 1e-7
             assert report.primal_bound >= lp_val - 1e-7
+
+
+@pytest.mark.parametrize("solver", ["nest", "sg-ave"])
+def test_bounds_do_not_depend_on_forest_order(solver):
+    # one chain as a row and as a column: the same tables and edges, but
+    # decompose_grid puts every edge in forest 0 for the row, in forest 1 for
+    # the column, so each forest's argmin labeling is the other's
+    row, col = M.generate_grid(1, 5, 3, seed=0), M.generate_grid(5, 1, 3, seed=0)
+    np.testing.assert_array_equal(row.theta, col.theta)
+    assert row.edges == col.edges
+    assert list(M.decompose_grid(row).colors) == [0] * 4 and list(M.decompose_grid(col).colors) == [1] * 4
+    cfg = M.SolverConfig(max_iters=40, epoch=5)
+    a, b = M.run_solver(row, solver, cfg), M.run_solver(col, solver, cfg)
+    assert len(a.records) == len(b.records) > 1
+    for ra, rb in zip(a.records, b.records):
+        assert ra.primal_bound == rb.primal_bound
+        assert ra.dual_bound == pytest.approx(rb.dual_bound, rel=0, abs=1e-12)
 
 
 class TestWarmProjections:

@@ -114,6 +114,16 @@ class TestTransportProblem:
         assert type(one.cost) is float and type(one.pivots) is int
 
 
+@pytest.mark.parametrize("cost, row, col", [
+    ([[0.0, np.nan]], [1.0], [0.5, 0.5]),
+    ([[0.0, 1.0]], [np.inf], [0.5, 0.5]),
+    ([[0.0, 1.0]], [1.0], [0.5, np.nan]),
+], ids=["cost", "row", "column"])
+def test_problem_refuses_non_finite_entries(cost, row, col):
+    with pytest.raises(ValueError, match="cost and marginals must be finite"):
+        M.TransportProblem(cost, row, col)
+
+
 class TestExactTransport:
     def test_one_by_one(self):
         res = M.solve_transport(M.TransportProblem([[7.5]], [1.0], [1.0]))
