@@ -1,4 +1,4 @@
-"""Flat-vector layout of primal/dual points and streaming constraint products.
+"""Flat-vector layout of primal/dual points and the constraint products on it.
 
 The primal vector stacks all node blocks, then all edge blocks in row-major
 order; :class:`~mrflp.model.Marginals` stores exactly this vector, and
@@ -10,6 +10,11 @@ O(total block size) regardless of graph size.  Each edge-table cell
 ``(e, x_u)`` and ``cell_v`` to its v-side row ``(e, x_v)``.  Row sums are
 then bincounts over the cells, and the adjoint reads one message entry per
 cell through the same maps.
+
+These flat products serve the certificates: the constraint residual, the
+dual projection and the dual feasibility margin.  ``fpd`` steps on the
+projections' padded edge stack instead and reaches them only through the
+dual projection, once per epoch.
 
 Constraint row order, which is also the layout of the dual vector stored by
 :class:`~mrflp.model.DualPoint`: node normalization, edge normalization,

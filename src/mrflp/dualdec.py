@@ -120,7 +120,9 @@ class ForestPlan:
         p[e < 0] = self.n_forests * model.n_nodes
         counts = np.append(np.tile(packing.label_counts, self.n_forests), 1)
         starts = np.append(packing.node_dim * np.arange(self.n_forests)[:, None] + packing.node_starts, sentinel + 1)
-        self._label_counts, self._node_starts = counts[:-1], starts[:-1]
+        # each node's labels down axis 0, padded with the slot past the unary input
+        self._label_counts = counts[:-1]
+        self._node_pad = padded_gather(starts[:-1], counts[:-1], int(counts.max()), sentinel).T.copy()
         lc, lp = counts[c], counts[p]
         order = np.lexsort((c, -lp, -lc, -depth))
         depth, c, p, e, lc, lp = (x[order] for x in (depth, c, p, e, lc, lp))
@@ -171,7 +173,7 @@ class ForestPlan:
             raise ValueError("rho must be positive and finite")
         # the marginals feel the aggregates' rounding over rho: a cost that
         # every label of a node pays (say 1e6) goes into the value instead
-        low = np.minimum.reduceat(unary_flat, self._node_starts)
+        low = np.append(unary_flat, np.inf)[self._node_pad].min(axis=0)
         tables = [] if want_marginals else None
         agg = self._upward(unary_flat - np.repeat(low, self._label_counts), lambda a: _softmin(a, rho, tables))
         value = float(low.sum()) + float(agg[-1])

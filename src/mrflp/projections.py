@@ -19,7 +19,8 @@ each edge pivots exactly as it would alone.
 
 The stack's layout (edge ids, cells, padded costs and endpoints per run)
 depends on the model's packing only: ``_edge_stack`` builds it on first use
-and caches it with the packing.  A :class:`ProjectionState` holds one solver
+and caches it with the packing.  ``fpd`` lays its iterate out on the same
+runs, stack-last.  A :class:`ProjectionState` holds one solver
 run's warm bases: each stack run's last optimal exact bases, from which its
 next exact solve starts.  Calls without a state start every exact solve from
 the star basis.

@@ -5,8 +5,10 @@
 * ``solve_nesterov`` - accelerated gradient ascent on the smoothed dual,
   optionally with a geometrically diminishing smoothing level,
 * ``solve_fpd`` - first-order primal-dual iteration on the explicit LP,
-  with streaming constraint products (the constraint matrix is never built)
-  and diagonal steps that follow from the layout alone.
+  with diagonal steps that follow from the layout alone.  It steps on the
+  projections' padded edge stack, where ``A`` is row and column sums of each
+  run's cells and ``A^T``'s edge side one broadcast per run; the constraint
+  matrix is never built, and the flat dual vector only at epochs.
 
 All three share one epoch protocol.  The loop runs ``t = 0, ..., max_iters``
 and steps after every ``t < max_iters``.  Before the step an epoch runs at
@@ -44,6 +46,7 @@ import time
 
 import numpy as np
 
+from ._packing import _starts, padded_gather
 from .dualdec import DualContext, _accumulate_labelings, free_energy
 from .errors import InfeasibleMarginalsError, NumericalError
 from .model import (
@@ -60,12 +63,14 @@ from .model import (
 )
 from .projections import (
     ProjectionState,
+    _edge_stack,
     dual_value,
     project_dual,
     project_primal_energy,
     project_primal_free_energy,
 )
 from .tolerances import EQ_TOL
+from .transport import _fsum
 
 # diminishing step envelope tau0 / (1 + t)**STEP_ALPHA, in (0.5, 1]
 STEP_ALPHA = 0.51
@@ -454,6 +459,138 @@ def _fpd_steps(packing) -> tuple[np.ndarray, np.ndarray]:
     return tau, sigma
 
 
+def _add_rows(a: np.ndarray, out: np.ndarray) -> None:
+    """``a.sum(axis=0)`` into ``out``, added one row at a time in order, as
+    ``np.bincount`` adds."""
+    np.copyto(out, a[0])
+    for row in a[1:]:
+        out += row
+
+
+@dataclasses.dataclass(eq=False)
+class _FpdRun:
+    """One run of the edge stack in ``fpd``'s iterate: its cells ``(w_u, w_v,
+    k)``, their costs (``+inf`` where padded), and the slices of its edge
+    bounds, u-side and v-side messages in the stacked dual."""
+
+    cells: np.ndarray
+    theta: np.ndarray
+    bounds: slice
+    rows_u: slice
+    rows_v: slice
+
+
+class _FpdIterate:
+    """``fpd``'s primal and dual iterate, laid out on the runs of the model's
+    padded edge stack (:func:`~mrflp.projections._edge_stack`), stack-last.
+
+    Node blocks stay flat.  Each run keeps its edge cells as one ``(w_u,
+    w_v, k)`` array.  The dual is one vector: the node bounds, then every
+    run's edge bounds, then every run's u-side messages ``(w_u, k)``, then
+    every run's v-side messages ``(w_v, k)``.  So ``A^T``'s edge side is one
+    broadcast ``eb - (m_u[:, None] + m_v[None])`` per run, ``A``'s row and
+    column sums add whole ``k``-vectors, and ``A^T``'s node side is one
+    ``np.bincount`` per side.  Padded cells cost ``+inf``, so the primal step
+    pins them at 0; a padded message row stays 0, as both terms of its
+    residual are 0.  Every sum adds in the order of the flat products of
+    :class:`~mrflp._packing.Packing`, so a model whose stack is one unpadded
+    run steps bit for bit as on the flat layout.  The flat dual vector is
+    built only on request, for :func:`project_dual`.
+    """
+
+    def __init__(self, model: MrfModel):
+        self.packing = packing = model.packing()
+        self.stack = _edge_stack(model)
+        tau, sigma = (0.99 * step for step in _fpd_steps(packing))
+        counts, nd = packing.label_counts, packing.node_dim
+        n, m = len(counts), len(packing.edge_starts)
+        start_u = n + m
+        start_v = start_u + sum(run.cost.shape[0] * run.cost.shape[1] for run in self.stack)
+        self.messages_u, self.messages_v = slice(start_u, start_v), slice(start_v, None)
+        self.runs = []
+        at_e, at_u, at_v = n, start_u, start_v
+        for run in self.stack:
+            k, wu, wv = run.cost.shape
+            theta = np.full(run.real.shape, np.inf)
+            theta[run.real] = packing.theta[nd + run.cells]
+            cells = np.where(run.real, 1.0 / (counts[run.u] * counts[run.v])[:, None, None], 0.0)
+            self.runs.append(_FpdRun(np.ascontiguousarray(cells.transpose(1, 2, 0)),
+                                     np.ascontiguousarray(theta.transpose(1, 2, 0)),
+                                     slice(at_e, at_e + k), slice(at_u, at_u + wu * k),
+                                     slice(at_v, at_v + wv * k)))
+            at_e, at_u, at_v = at_e + k, at_u + wu * k, at_v + wv * k
+        index = self.flat_index()
+        # node-segment index of each message row, padded rows -> node_dim
+        node_of_row = np.concatenate([packing.u_gather, packing.v_gather, [nd]])
+        rows = index - (n + m)
+        self.gather_u, self.gather_v = node_of_row[rows[self.messages_u]], node_of_row[rows[self.messages_v]]
+        self.sigma = np.append(sigma, 0.0)[index]
+        self.tau_nodes = tau[:nd].copy()
+        # every edge cell has the same step
+        self.tau_edges = tau[nd:nd + 1].copy()
+        self.nodes = np.repeat(1.0 / counts, counts)
+        self.dual = np.zeros(len(index))
+
+    def flat_index(self) -> np.ndarray:
+        """Each stacked dual entry's position in the flat dual vector;
+        padded message rows get ``dual_dim``, one past its end."""
+        packing = self.packing
+        counts, dual_dim = packing.label_counts, packing.dual_dim
+        n, m = len(counts), len(packing.edge_starts)
+        lu, lv = packing.edge_shapes.T
+        # flat positions of each edge's first u-side and v-side row
+        first_u = n + m + _starts(lu)
+        first_v = n + m + int(lu.sum()) + _starts(lv)
+        rows_u = [padded_gather(first_u[run.edges], counts[run.u], run.cost.shape[1], dual_dim) for run in self.stack]
+        rows_v = [padded_gather(first_v[run.edges], counts[run.v], run.cost.shape[2], dual_dim) for run in self.stack]
+        return np.concatenate([np.arange(n), *(n + run.edges for run in self.stack),
+                               *(rows.T.ravel() for rows in rows_u + rows_v)])
+
+    def flat_dual(self) -> np.ndarray:
+        """The dual iterate in the :meth:`Packing.split_dual` layout."""
+        nu = np.empty(self.packing.dual_dim + 1)
+        nu[self.flat_index()] = self.dual
+        return nu[:-1]
+
+    def step(self) -> None:
+        """One primal step from the dual iterate, then one dual step at the
+        over-relaxed primal point."""
+        packing, dual = self.packing, self.dual
+        nd, n = packing.node_dim, len(packing.label_counts)
+        w = np.bincount(self.gather_u, dual[self.messages_u], minlength=nd + 1)[:nd]
+        w = w + np.bincount(self.gather_v, dual[self.messages_v], minlength=nd + 1)[:nd]
+        step = self.tau_nodes * (packing.unary - (w + np.repeat(dual[:n], packing.label_counts)))
+        nodes = np.maximum(self.nodes - step, 0.0)
+        nodes_bar = 2.0 * nodes - self.nodes
+        self.nodes = nodes
+        # b - A mu_bar: one minus the block sums on node and edge rows, the row
+        # sums minus the node entries on message rows
+        res = np.empty_like(dual)
+        np.subtract(1.0, np.add.reduceat(nodes_bar, packing.node_starts), out=res[:n])
+        for run in self.runs:
+            wu, wv, k = run.cells.shape
+            msg_u, msg_v = dual[run.rows_u].reshape(wu, k), dual[run.rows_v].reshape(wv, k)
+            # max(mu - tau (theta - (eb - (m_u + m_v))), 0) in one buffer
+            cells = np.add(msg_u[:, None], msg_v[None])
+            np.subtract(dual[run.bounds], cells, out=cells)
+            np.subtract(run.theta, cells, out=cells)
+            cells *= self.tau_edges
+            np.subtract(run.cells, cells, out=cells)
+            np.maximum(cells, 0.0, out=cells)
+            bar = np.multiply(cells, 2.0)
+            bar -= run.cells
+            run.cells = cells
+            # numpy's reduceat adds the first cell to the others' pairwise sum
+            flat = bar.reshape(wu * wv, k)
+            np.subtract(1.0, flat[0] + _fsum(flat[1:]), out=res[run.bounds])
+            _add_rows(bar.swapaxes(0, 1), res[run.rows_u].reshape(wu, k))
+            _add_rows(bar, res[run.rows_v].reshape(wv, k))
+        nodes_bar = np.append(nodes_bar, 0.0)
+        res[self.messages_u] -= nodes_bar[self.gather_u]
+        res[self.messages_v] -= nodes_bar[self.gather_v]
+        dual += self.sigma * res
+
+
 def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     """Chambolle-Pock primal-dual iteration on the explicit local-polytope LP.
 
@@ -462,31 +599,20 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     :func:`_fpd_steps`' vectors, which follow from the layout alone, scaled by
     0.99 so that ``|Sigma^1/2 A T^1/2| < 1`` by construction: there is no norm
     estimate and no guard.  The dual objective is not monotone, and its dips
-    are not divergence.  Both projections run at epochs only.
+    are not divergence.  The iterate lives on the padded edge stack (see
+    :class:`_FpdIterate`), starting from uniform node and edge blocks and a
+    zero dual; its flat dual vector is built at epochs only, for the dual
+    projection.  Both projections run at epochs only.
     """
-    packing = model.packing()
-    theta = packing.theta
-    # right-hand side of apply_a_packed: node and edge normalization
-    b = np.zeros(packing.dual_dim)
-    b[: model.n_nodes + model.n_edges] = 1.0
-    tau, sigma = (0.99 * step for step in _fpd_steps(packing))
-
-    # uniform node and edge blocks
-    sizes = np.concatenate([packing.label_counts, packing.block_sizes])
-    mu = np.repeat(1.0 / sizes, sizes)
-    nu = np.zeros(packing.dual_dim)
+    it = _FpdIterate(model)
     tracker = _Tracker(model)
-
     for t in range(cfg.max_iters + 1):
         if t % cfg.epoch == 0 or t == cfg.max_iters:
-            point = tracker.project(project_dual, model, nu)
+            point = tracker.project(project_dual, model, it.flat_dual())
             if point is not None:
-                tracker.observe(t, mu[: packing.node_dim], dual_value(model, point), dual_point=point)
+                tracker.observe(t, it.nodes, dual_value(model, point), dual_point=point)
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
-        mu_new = np.maximum(mu - tau * (theta - packing.apply_at(nu)), 0.0)
-        mu_bar = 2.0 * mu_new - mu
-        mu = mu_new
-        nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
+        it.step()
     return tracker.report("fpd", termination)

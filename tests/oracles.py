@@ -7,7 +7,8 @@ oracle/implementation agreement is meaningful evidence.  There are two
 exceptions.  The reference transportation simplex refactors its basis in
 every round where the package keeps and updates the inverse; the two must
 take the same pivots.  :func:`reference_newton` is the package's earlier
-Newton kernel, the baseline that its rewrites must match bit for bit.  The
+Newton kernel, the baseline that its rewrites must match bit for bit, and
+:func:`reference_fpd` its earlier ``fpd`` loop on the flat layout.  The
 power iteration of :func:`preconditioned_norm`
 applies the constraint matrix by the package's own streaming products.
 :func:`read_uai_reference` parses token by token but builds its model with
@@ -217,6 +218,39 @@ def preconditioned_norm(packing, tau, sigma, iters: int = 300) -> float:
         norm_sq = float(x @ y)
         x = y
     return math.sqrt(norm_sq)
+
+
+def reference_fpd(model, cfg):
+    """The package's earlier ``fpd`` loop, stepping on the flat layout with
+    the packing's streaming products; the stacked iterate must match it."""
+    from mrflp.solvers import _fpd_steps, _Tracker, dual_value, project_dual
+
+    packing = model.packing()
+    theta = packing.theta
+    # right-hand side of apply_a_packed: node and edge normalization
+    b = np.zeros(packing.dual_dim)
+    b[: model.n_nodes + model.n_edges] = 1.0
+    tau, sigma = (0.99 * step for step in _fpd_steps(packing))
+
+    # uniform node and edge blocks
+    sizes = np.concatenate([packing.label_counts, packing.block_sizes])
+    mu = np.repeat(1.0 / sizes, sizes)
+    nu = np.zeros(packing.dual_dim)
+    tracker = _Tracker(model)
+
+    for t in range(cfg.max_iters + 1):
+        if t % cfg.epoch == 0 or t == cfg.max_iters:
+            point = tracker.project(project_dual, model, nu)
+            if point is not None:
+                tracker.observe(t, mu[: packing.node_dim], dual_value(model, point), dual_point=point)
+            termination = tracker.stop(cfg, t)
+            if termination is not None:
+                break
+        mu_new = np.maximum(mu - tau * (theta - packing.apply_at(nu)), 0.0)
+        mu_bar = 2.0 * mu_new - mu
+        mu = mu_new
+        nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
+    return tracker.report("fpd", termination)
 
 
 # -- brute-force transportation oracle ------------------------------------

@@ -548,6 +548,21 @@ class TestSoftMin:
         assert soft == pytest.approx(hard, abs=1e-3)
         np.testing.assert_array_equal([int(np.argmax(b)) for b in node_blocks(m, flat)], labels)
 
+    @pytest.mark.parametrize("big", [1.0, 1e6])
+    def test_unary_shift_is_each_nodes_least_entry(self, big):
+        # the shift is a column minimum of the plan's padded gather; it must be
+        # the minimum that np.minimum.reduceat takes over each node's segment
+        m, forests = oracles.two_forest_model([1 + i % 5 for i in range(40)], seed=2, big=big)
+        plan = M.ForestPlan(m, *forests)
+        counts = np.tile(m.label_counts, 2)
+        unary = np.random.default_rng(0).uniform(-big, big, counts.sum())
+        shifted = []
+        upward = plan._upward
+        plan._upward = lambda u, reduce: shifted.append(u) or upward(u, reduce)
+        plan.soft_min(unary, 0.5)
+        low = np.minimum.reduceat(unary, np.cumsum(counts) - counts)
+        np.testing.assert_array_equal(shifted[0], unary - np.repeat(low, counts))
+
     def test_rho_must_be_positive(self):
         m = chain_model(2, 2, seed=0)
         plan = M.ForestPlan(m, np.arange(m.n_edges))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp._packing
 import mrflp.projections
 import mrflp.solvers
 from mrflp.errors import InfeasibleMarginalsError, NumericalError
@@ -388,6 +389,73 @@ class TestFpdSolver:
         for ra, rb in zip(a.records, b.records):
             assert ra.dual_bound == rb.dual_bound
             assert ra.primal_bound == rb.primal_bound
+
+
+class TestStackedFpd:
+    """The iterate on the padded edge stack against the flat loop it
+    replaced (``oracles.reference_fpd``)."""
+
+    CFG = M.SolverConfig(max_iters=400, epoch=20)
+
+    @pytest.mark.parametrize("model, tol", [
+        # one unpadded stack run steps bit for bit
+        *((name, 0.0) for name in ("grid", "lp-tight", "single-node", "no-edges")),
+        # padding and the node-side bincount order change the round-off only
+        *((name, 1e-12) for name in ("mixed-labels", "mixed-labels-1e6")),
+    ])
+    def test_matches_the_flat_loop(self, model, tol):
+        m = M.generate_grid(5, 6, 3) if model == "grid" else FPD_MODELS[model]()
+        new, ref = M.solve_fpd(m, self.CFG), oracles.reference_fpd(m, self.CFG)
+        assert (new.termination, len(new.records)) == (ref.termination, len(ref.records))
+        for a, b in zip(new.records, ref.records):
+            for f in ("dual_bound", "primal_bound", "integer_bound", "projected_energy"):
+                assert abs(getattr(a, f) - getattr(b, f)) <= tol * max(1.0, abs(getattr(b, f)))
+        np.testing.assert_allclose(new.marginals.flat, ref.marginals.flat, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("model", ["mixed-labels", "mixed-labels-1e6"])
+    def test_padding_stays_exactly_zero(self, monkeypatch, model):
+        # padded cells cost +inf and padded message rows have a zero residual,
+        # so neither ever leaves 0; checked whenever an epoch reads the iterate
+        flat_dual = mrflp.solvers._FpdIterate.flat_dual
+        padded = []
+
+        def checked(it):
+            cells = [run.cells[np.isinf(run.theta)] for run in it.runs]
+            rows = it.dual[it.flat_index() == it.packing.dual_dim]
+            padded.append(sum(c.size for c in cells) + rows.size)
+            assert all(np.all(c == 0.0) for c in cells) and np.all(rows == 0.0)
+            return flat_dual(it)
+
+        monkeypatch.setattr(mrflp.solvers._FpdIterate, "flat_dual", checked)
+        report = M.solve_fpd(FPD_MODELS[model](), self.CFG)
+        assert len(padded) == len(report.records) == 21
+        assert min(padded) > 0
+
+    def test_flat_products_run_only_in_the_dual_projection(self, monkeypatch):
+        # once per epoch, through project_dual: the loop itself never falls
+        # back to the flat layout's products
+        inside, calls = [False], []
+        project = mrflp.solvers.project_dual
+
+        def tracked_project(*args):
+            inside[0] = True
+            try:
+                return project(*args)
+            finally:
+                inside[0] = False
+
+        def counted(name):
+            product = getattr(mrflp._packing.Packing, name)
+            monkeypatch.setattr(mrflp._packing.Packing, name,
+                                lambda self, x: calls.append((name, inside[0])) or product(self, x))
+
+        monkeypatch.setattr(mrflp.solvers, "project_dual", tracked_project)
+        counted("apply_at")
+        counted("apply_a_packed")
+        m = M.generate_grid(6, 6, 3, seed=2)
+        report = M.solve_fpd(m, M.SolverConfig(max_iters=100, epoch=20))
+        assert len(report.records) == 6
+        assert calls == [("apply_at", True)] * 6
 
 
 class TestEpochCertification:
