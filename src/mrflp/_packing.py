@@ -11,10 +11,10 @@ O(total block size) regardless of graph size.  Each edge-table cell
 then bincounts over the cells, and the adjoint reads one message entry per
 cell through the same maps.
 
-These flat products serve the certificates: the constraint residual, the
-dual projection and the dual feasibility margin.  ``fpd`` steps on the
-projections' padded edge stack instead and reaches them only through the
-dual projection, once per epoch.
+These flat products serve the certificates only: the one forward product
+the constraint residual, the adjoint the dual projection and the dual
+feasibility margin.  ``fpd`` steps on the projections' padded edge stack
+instead and reaches them only through its epochs' certificates.
 
 Constraint row order, which is also the layout of the dual vector stored by
 :class:`~mrflp.model.DualPoint`: node normalization, edge normalization,
@@ -108,18 +108,16 @@ class Packing:
 
     # -- streaming constraint products --------------------------------------
 
-    def apply_a(self, mu: np.ndarray):
-        """Return (node_sums, edge_sums, u_marg_residual, v_marg_residual)."""
+    def apply_a_packed(self, mu: np.ndarray) -> np.ndarray:
+        """Forward product ``A mu`` in the :meth:`split_dual` layout."""
         nodes = mu[: self.node_dim]
         edges = mu[self.node_dim :]
         node_sums = np.add.reduceat(nodes, self.node_starts)
         edge_sums = np.add.reduceat(edges, self.edge_starts) if self.edge_dim else np.zeros(0)
         row_sums = np.bincount(self.cell_u, weights=edges, minlength=len(self.u_gather))
         col_sums = np.bincount(self.cell_v, weights=edges, minlength=len(self.v_gather))
-        return node_sums, edge_sums, nodes[self.u_gather] - row_sums, nodes[self.v_gather] - col_sums
-
-    def apply_a_packed(self, mu: np.ndarray) -> np.ndarray:
-        return np.concatenate(self.apply_a(mu))
+        return np.concatenate([node_sums, edge_sums, nodes[self.u_gather] - row_sums,
+                               nodes[self.v_gather] - col_sums])
 
     def split_dual(self, nu: np.ndarray) -> list[np.ndarray]:
         """Node bounds, edge bounds, u-side messages and v-side messages."""

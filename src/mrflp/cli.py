@@ -53,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a model instance")
+    gen.set_defaults(handler=_cmd_generate)
     gen_sub = gen.add_subparsers(dest="mode", required=True)
 
     grid = gen_sub.add_parser("grid", help="random 4-connected grid")
@@ -77,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tight.add_argument("--meta-out", default=None)
 
     solve = sub.add_parser("solve", help="run a solver on a model file")
+    solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("--model", required=True)
     solve.add_argument("--solver", choices=SOLVERS, required=True)
     default = SolverConfig()
@@ -95,11 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file with one 0/1 color per edge (forests); grids decompose automatically")
 
     verify = sub.add_parser("verify", help="certify written marginals (and optionally a dual point)")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("--model", required=True)
     verify.add_argument("--marginals", required=True)
     verify.add_argument("--dual", default=None)
 
     exp = sub.add_parser("experiment", help="benchmark replication")
+    exp.set_defaults(handler=_cmd_experiment)
     exp_sub = exp.add_subparsers(dest="name", required=True)
 
     gapc = exp_sub.add_parser("gap-convergence", help="all four solvers on one grid")
@@ -247,24 +251,15 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
+        return args.handler(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (MrflpError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -365,11 +365,11 @@ def constraint_residual(model: MrfModel, marginals: Marginals) -> float:
     with a non-finite entry has residual ``inf``.
     """
     flat = _checked_flat(model, marginals)
-    node_sums, _, marg_u, marg_v = model.packing().apply_a(flat)
+    rows = model.packing().apply_a_packed(flat)
     # numpy maxima keep the NaN that a non-finite entry leaves in a sum or
     # meets; 0.0 - min, not -min, so that a feasible point reads +0.0
-    res = np.max([np.max(np.abs(node_sums - 1.0)), np.max(np.abs(marg_u), initial=0.0),
-                  np.max(np.abs(marg_v), initial=0.0), 0.0 - np.min(flat)])
+    res = np.max([np.max(np.abs(rows[:model.n_nodes] - 1.0)),
+                  np.max(np.abs(rows[model.n_nodes + model.n_edges:]), initial=0.0), 0.0 - np.min(flat)])
     return np.inf if np.isnan(res) else float(res)
 
 

@@ -156,7 +156,7 @@ def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState |
             result = solve_transport(problem, start=bases.get(i))
         except NumericalError as exc:
             u, v = model.edges[run.edges[exc.problem]]
-            raise NumericalError(f"{exc} on edge {(u, v)}") from exc
+            raise NumericalError(f"{exc} on edge {(u, v)}", residual=exc.residual) from exc
         bases[i] = result.simplex_basis
         return result
 
@@ -191,10 +191,10 @@ def project_dual(model: MrfModel, messages) -> DualPoint:
     """Feasible dual point from arbitrary reweighting messages.
 
     ``messages`` is a flat dual vector in the :meth:`Packing.split_dual`
-    layout, of length ``dual_dim``; its bound entries are ignored.  The
-    messages are kept unchanged; every bound variable is set to the minimum
-    of its reweighted table, rounded down so that no slack is negative:
-    :func:`dual_feasibility_margin` is at least 0.
+    layout, of length ``dual_dim``, with finite messages; its bound entries
+    are ignored.  The messages are kept unchanged; every bound variable is
+    set to the minimum of its reweighted table, rounded down so that no
+    slack is negative: :func:`dual_feasibility_margin` is at least 0.
     """
     packing = model.packing()
     nu = np.array(messages, dtype=np.float64)
@@ -202,6 +202,8 @@ def project_dual(model: MrfModel, messages) -> DualPoint:
         raise ValueError(f"dual vector has shape {nu.shape}, expected ({packing.dual_dim},)")
     # one bound per node block, then one per edge block
     n_bounds = model.n_nodes + model.n_edges
+    if not np.isfinite(nu[n_bounds:]).all():
+        raise ValueError("dual messages must be finite")
     nu[:n_bounds] = 0.0
     # the margin is theta - fl(bound + w) per entry; where theta - w rounds
     # up, that sum can exceed theta, but not from the next float down
@@ -219,6 +221,7 @@ def dual_value(model: MrfModel, point: DualPoint) -> float:
 
 
 def dual_feasibility_margin(model: MrfModel, point: DualPoint) -> float:
-    """Smallest slack ``theta - A^T nu`` (negative means infeasible)."""
-    packing = model.packing()
-    return float((packing.theta - packing.apply_at(_checked_nu(model, point))).min())
+    """Smallest slack ``theta - A^T nu`` (negative means infeasible);
+    ``-inf`` for a point with a non-finite entry."""
+    nu = _checked_nu(model, point)
+    return float((model.theta - model.packing().apply_at(nu)).min()) if np.isfinite(nu).all() else -np.inf

@@ -12,9 +12,9 @@
 
 All three share one epoch protocol.  The loop runs ``t = 0, ..., max_iters``
 and steps after every ``t < max_iters``.  Before the step an epoch runs at
-``t % epoch == 0``, at ``t == max_iters`` and, for ``sg-*``, at a zero
-subgradient.  It projects ``fpd``'s dual iterate onto the dual feasible set
-(the others' nonsmooth dual at the iterate is a valid bound as it is),
+``t % epoch == 0`` and at ``t == max_iters``.  It projects ``fpd``'s dual
+iterate onto the dual feasible set (the others' nonsmooth dual at the
+iterate is a valid bound as it is),
 ``nest``'s averaged maps by the entropic projection when the smoothed gap is
 logged, and, in ``_Tracker.observe``, the primal estimate by the exact energy
 projection.  ``observe`` alone picks the certified points.  Its primal
@@ -31,11 +31,12 @@ failure; ``observe`` keeps a weak-duality violation the same way.  The
 tracker owns the run's :class:`ProjectionState`, from whose bases each exact
 projection starts warm.  An epoch with a failure logs no record: the run
 ends with ``numerical-failure`` and keeps the records, bounds and points
-before it.  After each epoch the stop tests run in order: a failure
-(``numerical-failure``), the last iteration (``max-iters``), an ``sg-*``
-zero subgradient (``dual-optimal``), a relative gap at most ``tol`` or a gap
-below ``EQ_TOL`` (``gap-tolerance``), and the elapsed time plus this epoch's
-projection time above ``time_budget_s`` (``time-budget``).
+before it.  After each epoch four stop tests run in order: a failure
+(``numerical-failure``), the last iteration (``max-iters``), a relative gap
+at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), and the
+elapsed time plus this epoch's projection time above ``time_budget_s``
+(``time-budget``).  At an ``sg-*`` zero subgradient both forests pick one
+labeling; the next epoch scores it, and the gap it closes ends the run.
 """
 
 from __future__ import annotations
@@ -295,14 +296,12 @@ class _Tracker:
         self.records.append(record)
         return record
 
-    def stop(self, cfg: SolverConfig, t: int, dual_optimal: bool = False) -> str | None:
-        """The first stop test that the epoch at iteration ``t`` meets, if any."""
+    def stop(self, cfg: SolverConfig, t: int) -> str | None:
+        """The first of the four stop tests that the epoch at ``t`` meets, if any."""
         if self.failure is not None:
             return "numerical-failure"
         if t == cfg.max_iters:
             return "max-iters"
-        if dual_optimal:
-            return "dual-optimal"
         # a certified gap below EQ_TOL cannot be told from zero: its sign is round-off
         gap = self.best_primal - self.best_dual
         if _relative_gap(gap, self.best_dual) <= cfg.tol or gap <= EQ_TOL:
@@ -355,18 +354,17 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
     for t in range(cfg.max_iters + 1):
         value, g, (x1, x2) = ctx.value_and_subgradient(lam)
         gsq = float(np.add.reduce(g * g))  # not BLAS, as in relaxed_energy
-        # zero: both forests agree on one labeling, a certified dual optimum
-        optimal = gsq == 0.0
-        law = "diminishing" if optimal else cfg.step_law
+        # the adaptive step is undefined at a zero subgradient, where lam stays put
+        law = "diminishing" if gsq == 0.0 else cfg.step_law
         tau = step_size(law, t, tau0=cfg.tau0, best_primal=tracker.best_primal, dual=value, grad_norm_sq=gsq)
         w = 1.0 if averaging == "uniform" else tau
         if w > 0.0 and t < cfg.max_iters:
             _accumulate_labelings(acc, packing, (x1, x2), (w, w))
             acc_w += 2.0 * w
-        if optimal or t % cfg.epoch == 0 or t == cfg.max_iters:
+        if t % cfg.epoch == 0 or t == cfg.max_iters:
             # acc_w > 0: the first step, tau0 or 1, has positive weight
             tracker.observe(t, acc / acc_w, value, labelings=(x1, x2))
-            termination = tracker.stop(cfg, t, dual_optimal=optimal)
+            termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
         lam = lam + tau * g

@@ -163,6 +163,27 @@ class TestPrimalEnergyProjection:
         with pytest.raises(NumericalError, match=r"not dual feasible on edge \(0, 1\)"):
             M.project_primal_energy(m, np.full(4, 0.5))
 
+    def test_infeasible_point_is_refused(self, monkeypatch):
+        monkeypatch.setattr(mrflp.projections, "constraint_residual", lambda model, marginals: 1.0)
+        m = M.generate_grid(1, 2, 2, seed=3)
+        with pytest.raises(NumericalError, match="^projection produced an infeasible point$") as err:
+            M.project_primal_energy(m, np.full(4, 0.5))
+        assert err.value.residual == 1.0
+
+    def test_plan_off_its_marginals_names_the_edge(self, monkeypatch):
+        # flows 1% too large: the plan's rows sum to 0.505, not 0.5
+        simplex = mrflp.transport._simplex_bases
+
+        def scaled(*args):
+            flow, *rest = simplex(*args)
+            return (1.01 * flow, *rest)
+
+        monkeypatch.setattr(mrflp.transport, "_simplex_bases", scaled)
+        m = M.generate_grid(1, 2, 2, seed=3)
+        with pytest.raises(NumericalError, match=r"^transport plan violates its marginals on edge \(0, 1\)$") as err:
+            M.project_primal_energy(m, np.full(4, 0.5))
+        assert err.value.residual == pytest.approx(0.005)
+
     def test_edge_blocks_match_single_edge_solves(self):
         # the batched call per (L_u, L_v) shape gives what each edge gives
         # alone, which the benchmark's per-edge pivot count relies on
@@ -506,6 +527,25 @@ class TestDualProjection:
             mixture = M.project_primal_energy(m, np.concatenate([rng.random(2) for _ in range(4)]))
             assert bound <= M.energy(m, x) + 1e-9
             assert bound <= M.relaxed_energy(m, mixture) + 1e-9
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_messages_must_be_finite(self, value):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        nu = np.zeros(m.packing().dual_dim)
+        nu[0] = value  # a node bound: ignored
+        assert M.project_dual(m, nu).nu.tolist() == M.project_dual(m, np.zeros_like(nu)).nu.tolist()
+        nu[m.n_nodes + m.n_edges + 2] = value
+        with pytest.raises(ValueError, match="dual messages must be finite"):
+            M.project_dual(m, nu)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [0, 10], ids=["bound", "message"])
+    def test_non_finite_point_has_margin_minus_inf(self, value, entry):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        nu = M.project_dual(m, np.zeros(m.packing().dual_dim)).nu.copy()
+        nu[entry] = value
+        point = M.DualPoint(nu, m.n_nodes, m.packing().edge_shapes)
+        assert M.dual_feasibility_margin(m, point) == -np.inf
 
     def test_all_zero_dual_value(self):
         m = M.generate_grid(2, 2, 2, seed=0)

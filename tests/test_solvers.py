@@ -151,7 +151,7 @@ class TestSubgradientSolver:
         m = M.MrfModel.create([3], [], [np.array([2.0, 1.0, 5.0])], [])
         d = M.decompose_grid(m)
         report = M.solve_subgradient(m, d, M.SolverConfig(max_iters=100, epoch=10))
-        assert report.termination == "dual-optimal"
+        assert report.termination == "gap-tolerance"
         assert report.records[0].iteration == 0
         assert report.gap == pytest.approx(0.0, abs=1e-12)
         assert report.dual_bound == pytest.approx(1.0)
@@ -381,6 +381,24 @@ class TestFpdSolver:
         report = M.solve_fpd(m, M.SolverConfig(max_iters=400, epoch=100))
         assert M.constraint_residual(m, report.marginals) <= 1e-9
 
+    def test_infeasible_projection_keeps_the_records(self, monkeypatch):
+        # the 2nd energy projection's point fails its certificate: the run
+        # ends there and keeps the t = 0 epoch's record
+        real = mrflp.projections.constraint_residual
+        calls = []
+
+        def failing_second(model, marginals):
+            calls.append(None)
+            return 1.0 if len(calls) == 2 else real(model, marginals)
+
+        monkeypatch.setattr(mrflp.projections, "constraint_residual", failing_second)
+        m = M.generate_grid(3, 3, 2, seed=1)
+        report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
+        assert len(calls) == 2
+        assert report.termination == "numerical-failure"
+        assert [r.iteration for r in report.records] == [0]
+        assert real(m, report.marginals) <= EQ_TOL
+
     def test_determinism(self):
         m = M.generate_grid(3, 3, 2, seed=14)
         cfg = M.SolverConfig(max_iters=300, epoch=50)
@@ -432,30 +450,28 @@ class TestStackedFpd:
         assert min(padded) > 0
 
     def test_flat_products_run_only_in_the_dual_projection(self, monkeypatch):
-        # once per epoch, through project_dual: the loop itself never falls
-        # back to the flat layout's products
-        inside, calls = [False], []
-        project = mrflp.solvers.project_dual
-
-        def tracked_project(*args):
-            inside[0] = True
-            try:
-                return project(*args)
-            finally:
-                inside[0] = False
+        # the loop itself never falls back to the flat layout's products: the
+        # adjoint runs once per epoch, in project_dual, and the forward
+        # product only where constraint_residual checks a primal point
+        calls = []
 
         def counted(name):
             product = getattr(mrflp._packing.Packing, name)
-            monkeypatch.setattr(mrflp._packing.Packing, name,
-                                lambda self, x: calls.append((name, inside[0])) or product(self, x))
 
-        monkeypatch.setattr(mrflp.solvers, "project_dual", tracked_project)
+            def call(self, x):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return product(self, x)
+
+            monkeypatch.setattr(mrflp._packing.Packing, name, call)
+
         counted("apply_at")
         counted("apply_a_packed")
         m = M.generate_grid(6, 6, 3, seed=2)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=100, epoch=20))
         assert len(report.records) == 6
-        assert calls == [("apply_at", True)] * 6
+        assert [c for c in calls if c[0] == "apply_at"] == [("apply_at", "project_dual")] * 6
+        forward = [c for c in calls if c[0] == "apply_a_packed"]
+        assert len(forward) >= 6 and set(forward) == {("apply_a_packed", "constraint_residual")}
 
 
 class TestEpochCertification:
@@ -583,7 +599,7 @@ class TestCrossSolverAgreement:
             assert report.primal_bound >= lp_val - 1e-7
 
 
-@pytest.mark.parametrize("solver", ["nest", "sg-ave"])
+@pytest.mark.parametrize("solver", ["nest", "sg-ave", "sg-wei"])
 def test_bounds_do_not_depend_on_forest_order(solver):
     # one chain as a row and as a column: the same tables and edges, but
     # decompose_grid puts every edge in forest 0 for the row, in forest 1 for
@@ -595,6 +611,8 @@ def test_bounds_do_not_depend_on_forest_order(solver):
     cfg = M.SolverConfig(max_iters=40, epoch=5)
     a, b = M.run_solver(row, solver, cfg), M.run_solver(col, solver, cfg)
     assert len(a.records) == len(b.records) > 1
+    assert a.termination == b.termination
+    assert [r.iteration for r in a.records] == [r.iteration for r in b.records]
     for ra, rb in zip(a.records, b.records):
         assert ra.primal_bound == rb.primal_bound
         assert ra.dual_bound == pytest.approx(rb.dual_bound, rel=0, abs=1e-12)
