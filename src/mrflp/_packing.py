@@ -13,20 +13,32 @@ cell through the same maps.
 
 These flat products serve the certificates only: the one forward product
 the constraint residual, the adjoint the dual projection and the dual
-feasibility margin.  ``fpd`` steps on the projections' padded edge stack
-instead and reaches them only through its epochs' certificates.
+feasibility margin.  ``fpd`` steps on the padded edge stack instead and
+reaches them only through its epochs' certificates.
 
 Constraint row order, which is also the layout of the dual vector stored by
 :class:`~mrflp.model.DualPoint`: node normalization, edge normalization,
 then for each edge the u-side marginalization rows (one per ``x_u``), then
 for each edge the v-side rows (one per ``x_v``).
+
+The padded edge stack, :attr:`Packing.edge_stack`, holds every edge's
+transport problem: its edges, sorted by ``(L_u, L_v)``, largest first, are
+split into runs by the forest DP's waste rule (``padded_runs``), and a run
+pads its tables to ``w_u x w_v``, with zero mass in padded rows and
+columns.  No pivot enters a padded cell, as it costs more than any real
+arc's reduced cost can reach, so each edge pivots exactly as it would alone.
+Each run also carries the flat dual positions of its message rows,
+``dual_dim`` where a row is padded.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
+
+from .transport import TransportProblem
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -37,6 +49,28 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
 def segment_arange(sizes: np.ndarray) -> np.ndarray:
     """``0 .. size-1`` for every segment, concatenated."""
     return np.arange(int(sizes.sum())) - np.repeat(_starts(sizes), sizes)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _StackRun:
+    """One run of the padded edge stack: its edge ids, their cells in the
+    flat edge vector, the mask of real cells (row-major, in the cells'
+    order), the padded costs, each edge's endpoints ``u`` and ``v``, whose
+    padded node rows are its problem's marginals, and the flat dual
+    positions of its message rows, ``(w_u, k)`` and ``(w_v, k)``."""
+
+    edges: np.ndarray
+    cells: np.ndarray
+    real: np.ndarray
+    cost: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    dual_u: np.ndarray
+    dual_v: np.ndarray
+
+    def problem(self, nodes: np.ndarray) -> TransportProblem:
+        _, wu, wv = self.cost.shape
+        return TransportProblem(self.cost, nodes[self.u, :wu], nodes[self.v, :wv])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -132,6 +166,38 @@ class Packing:
         w_nodes = w_nodes + np.bincount(self.v_gather, weights=msg_v, minlength=self.node_dim)
         out_edges = np.repeat(eb, self.block_sizes) - (msg_u[self.cell_u] + msg_v[self.cell_v])
         return np.concatenate([w_nodes + np.repeat(nb, self.label_counts), out_edges])
+
+    # -- padded edge stack -------------------------------------------------
+
+    @functools.cached_property
+    def edge_stack(self) -> list[_StackRun]:
+        """The stack's runs, laid out on first use; they hold no reference
+        to the packing."""
+        order = np.lexsort((-self.edge_shapes[:, 1], -self.edge_shapes[:, 0]))
+        lu, lv = self.edge_shapes[order].T
+        # flat dual positions of each edge's first u-side and v-side row
+        bounds = len(self.node_starts) + len(self.edge_starts)
+        first_u = bounds + _starts(self.edge_shapes[:, 0])
+        first_v = bounds + len(self.u_gather) + _starts(self.edge_shapes[:, 1])
+        runs = []
+        for lo, hi, wu, wv in padded_runs(np.zeros(order.size), lu, lv):
+            es = order[lo:hi]
+            sizes = self.block_sizes[es]
+            cells = np.repeat(self.edge_starts[es], sizes) + segment_arange(sizes)
+            real = (np.arange(wu)[:, None] < lu[lo:hi, None, None]) & (np.arange(wv) < lv[lo:hi, None, None])
+            cost = np.zeros(real.shape)
+            cost[real] = self.theta[self.node_dim + cells]
+            # padded cells cost 4 (wu + wv) (max|c| + 1): potentials are sums of at most
+            # wu + wv - 1 costs, so such a cell has a larger reduced cost than any real arc
+            # and never enters; but row 0's padded cells cost 0 and column 0's c_00, where the
+            # exact solver's star start hangs padded columns and rows, as leaves without flow
+            big = 4.0 * (wu + wv) * (np.abs(cost).max(axis=(1, 2), keepdims=True) + 1.0)
+            cost[:, 1:] = np.where(real[:, 1:], cost[:, 1:], big)
+            cost[:, 1:, 0] = np.where(real[:, 1:, 0], cost[:, 1:, 0], cost[:, :1, 0])
+            runs.append(_StackRun(es, cells, real, cost, *self.edge_ends[es].T,
+                                  padded_gather(first_u[es], lu[lo:hi], wu, self.dual_dim).T,
+                                  padded_gather(first_v[es], lv[lo:hi], wv, self.dual_dim).T))
+        return runs
 
 
 # a padded stack is split where its padded cells would exceed this many

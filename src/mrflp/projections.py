@@ -8,22 +8,11 @@ node blocks, as a tiny transportation problem (linear objective) or entropy
 minimization (smoothed objective) per edge.
 The node blocks are projected as rows of one width, zero past each node's
 labels, which the edges read directly as their marginals.  All edges form
-one padded stack: sorted by ``(L_u, L_v)``, largest first, split into runs
-by the forest DP's waste rule (``padded_runs``).  Padded rows and columns
-have zero mass.  Padded cells cost ``4 (w_u + w_v) (max|c| + 1)`` for a
-run of ``w_u x w_v`` tables, more than any real arc's reduced cost can
-reach, but 0 in row 0 and ``c_00`` in column 0: the exact solver's star
-start then hangs every padded column from row 0 and every padded row from
-column 0, as leaves that carry no flow and that no pivot ever enters, so
-each edge pivots exactly as it would alone.
-
-The stack's layout (edge ids, cells, padded costs and endpoints per run)
-depends on the model's packing only: ``_edge_stack`` builds it on first use
-and caches it with the packing.  ``fpd`` lays its iterate out on the same
-runs, stack-last.  A :class:`ProjectionState` holds one solver
-run's warm bases: each stack run's last optimal exact bases, from which its
-next exact solve starts.  Calls without a state start every exact solve from
-the star basis.
+one padded stack, :attr:`~mrflp._packing.Packing.edge_stack`, on which
+each edge pivots exactly as it would alone.  A :class:`ProjectionState`
+holds one solver run's warm bases: each stack run's last optimal exact
+bases, from which its next exact solve starts.  Calls without a state start
+every exact solve from the star basis.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -32,15 +21,13 @@ explicit dual at zero cost.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from ._packing import padded_runs, project_simplex_blocks, segment_arange
-from .errors import NumericalError
+from ._packing import project_simplex_blocks
+from .errors import NumericalError, StructureError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual
 from .tolerances import EQ_TOL
-from .transport import SimplexBasis, TransportProblem, solve_transport, solve_transport_entropic
+from .transport import SimplexBasis, solve_transport, solve_transport_entropic
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
@@ -55,55 +42,6 @@ def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
         raise ValueError("node blocks must be finite")
     nodes = project_simplex_blocks(np.append(flat, -np.inf)[packing.node_pad])
     return nodes / nodes.sum(axis=1, keepdims=True)
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class _StackRun:
-    """One run of the padded edge stack: its edge ids, their cells in the
-    flat edge vector, the mask of real cells (row-major, in the cells'
-    order), the padded costs, and each edge's endpoints ``u`` and ``v``,
-    whose padded node rows are its problem's row and column marginals."""
-
-    edges: np.ndarray
-    cells: np.ndarray
-    real: np.ndarray
-    cost: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    def problem(self, nodes: np.ndarray) -> TransportProblem:
-        _, wu, wv = self.cost.shape
-        return TransportProblem(self.cost, nodes[self.u, :wu], nodes[self.v, :wv])
-
-
-def _edge_stack(model: MrfModel) -> list[_StackRun]:
-    """The runs of the model's padded transport stack, laid out on first use
-    and kept in its packing's ``__dict__``, as a cached property would be;
-    the runs hold no reference to the packing."""
-    packing = model.packing()
-    if "_edge_stack" in packing.__dict__:
-        return packing.__dict__["_edge_stack"]
-    order = np.lexsort((-packing.edge_shapes[:, 1], -packing.edge_shapes[:, 0]))
-    lu, lv = packing.edge_shapes[order].T
-    costs = packing.theta[packing.node_dim:]
-    runs = []
-    for lo, hi, wu, wv in padded_runs(np.zeros(order.size), lu, lv):
-        es = order[lo:hi]
-        sizes = packing.block_sizes[es]
-        cells = np.repeat(packing.edge_starts[es], sizes) + segment_arange(sizes)
-        real = (np.arange(wu)[:, None] < lu[lo:hi, None, None]) & (np.arange(wv) < lv[lo:hi, None, None])
-        cost = np.zeros(real.shape)
-        cost[real] = costs[cells]
-        # potentials are sums of at most wu + wv - 1 costs, so a padded cell that costs
-        # more than (4 (wu + wv) - 2) max|c| has a larger reduced cost than any real arc
-        # and never enters; row 0's padded cells (0) and column 0's (c_00) are where the
-        # star start hangs padded columns and rows, as leaves without flow
-        big = 4.0 * (wu + wv) * (np.abs(cost).max(axis=(1, 2), keepdims=True) + 1.0)
-        cost[:, 1:] = np.where(real[:, 1:], cost[:, 1:], big)
-        cost[:, 1:, 0] = np.where(real[:, 1:, 0], cost[:, 1:, 0], cost[:, :1, 0])
-        runs.append(_StackRun(es, cells, real, cost, *packing.edge_ends[es].T))
-    packing.__dict__["_edge_stack"] = runs
-    return runs
 
 
 class ProjectionState:
@@ -128,7 +66,7 @@ def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None,
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
     edges = np.empty(packing.edge_dim)
-    for i, run in enumerate(_edge_stack(model)):
+    for i, run in enumerate(packing.edge_stack):
         edges[run.cells] = solve(i, run, run.problem(nodes), bases).plan[run.real]
     flat = np.concatenate([nodes[packing.node_pad < packing.node_dim], edges])
     result = Marginals(flat, packing.label_counts, packing.edge_shapes)
@@ -174,6 +112,8 @@ def project_primal_free_energy(
     is the flat node vector, and ``rho`` must be positive and finite."""
     if not 0.0 < rho < np.inf:
         raise ValueError("rho must be positive and finite")
+    if len(decomposition.colors) != model.n_edges:
+        raise StructureError("need exactly one color per edge")
     return _project_primal(model, node_blocks, state, lambda i, run, p, _: solve_transport_entropic(
         p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal))
 

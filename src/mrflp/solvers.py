@@ -47,7 +47,6 @@ import time
 
 import numpy as np
 
-from ._packing import _starts, padded_gather
 from .dualdec import DualContext, _accumulate_labelings, free_energy
 from .errors import InfeasibleMarginalsError, NumericalError
 from .model import (
@@ -64,7 +63,6 @@ from .model import (
 )
 from .projections import (
     ProjectionState,
-    _edge_stack,
     dual_value,
     project_dual,
     project_primal_energy,
@@ -110,6 +108,8 @@ class SolverConfig:
     log_smoothed_gap: bool = True
 
     def __post_init__(self):
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in (self.max_iters, self.epoch)):
+            raise ValueError("max_iters and epoch must be integers")
         if self.max_iters < 1 or self.epoch < 1:
             raise ValueError("max_iters and epoch must be positive")
         if self.time_budget_s is not None and not 0 < self.time_budget_s < math.inf:
@@ -199,9 +199,12 @@ def _weak_duality_gap(primal: float, dual_bound: float) -> tuple[float, float]:
 def gap_certificate(model: MrfModel, marginals: Marginals, dual_bound: float) -> tuple[float, float]:
     """Certified duality gap of a feasible primal point against a dual bound.
 
-    Refuses infeasible marginals, and refuses gaps below ``-EQ_TOL`` (those
-    indicate an invalid dual bound rather than convergence).
+    Refuses infeasible marginals, a non-finite dual bound, and gaps below
+    ``-EQ_TOL`` (those indicate an invalid dual bound rather than
+    convergence).
     """
+    if not math.isfinite(dual_bound):
+        raise ValueError("dual bound must be finite")
     _check_feasible(model, marginals)
     return _weak_duality_gap(relaxed_energy(model, marginals), dual_bound)
 
@@ -480,7 +483,7 @@ class _FpdRun:
 
 class _FpdIterate:
     """``fpd``'s primal and dual iterate, laid out on the runs of the model's
-    padded edge stack (:func:`~mrflp.projections._edge_stack`), stack-last.
+    padded edge stack (:attr:`~mrflp._packing.Packing.edge_stack`), stack-last.
 
     Node blocks stay flat.  Each run keeps its edge cells as one ``(w_u,
     w_v, k)`` array.  The dual is one vector: the node bounds, then every
@@ -493,61 +496,47 @@ class _FpdIterate:
     residual are 0.  Every sum adds in the order of the flat products of
     :class:`~mrflp._packing.Packing`, so a model whose stack is one unpadded
     run steps bit for bit as on the flat layout.  The flat dual vector is
-    built only on request, for :func:`project_dual`.
+    built only on request, for :func:`project_dual`, through ``index``: each
+    entry's flat position, from the runs' ``edges``, ``dual_u`` and ``dual_v``.
     """
 
     def __init__(self, model: MrfModel):
         self.packing = packing = model.packing()
-        self.stack = _edge_stack(model)
+        stack = packing.edge_stack
         tau, sigma = (0.99 * step for step in _fpd_steps(packing))
         counts, nd = packing.label_counts, packing.node_dim
-        n, m = len(counts), len(packing.edge_starts)
-        start_u = n + m
-        start_v = start_u + sum(run.cost.shape[0] * run.cost.shape[1] for run in self.stack)
+        n = len(counts)
+        start_u = n + len(packing.edge_starts)
+        start_v = start_u + sum(run.dual_u.size for run in stack)
         self.messages_u, self.messages_v = slice(start_u, start_v), slice(start_v, None)
         self.runs = []
+        # node-segment index of each message row, padded rows -> node_dim
+        gather_u, gather_v = [np.arange(0)], [np.arange(0)]  # a model may have no edges
         at_e, at_u, at_v = n, start_u, start_v
-        for run in self.stack:
+        for run in stack:
             k, wu, wv = run.cost.shape
-            theta = np.full(run.real.shape, np.inf)
-            theta[run.real] = packing.theta[nd + run.cells]
+            gather_u.append(packing.node_pad[run.u, :wu].T.ravel())
+            gather_v.append(packing.node_pad[run.v, :wv].T.ravel())
             cells = np.where(run.real, 1.0 / (counts[run.u] * counts[run.v])[:, None, None], 0.0)
             self.runs.append(_FpdRun(np.ascontiguousarray(cells.transpose(1, 2, 0)),
-                                     np.ascontiguousarray(theta.transpose(1, 2, 0)),
+                                     np.ascontiguousarray(np.where(run.real, run.cost, np.inf).transpose(1, 2, 0)),
                                      slice(at_e, at_e + k), slice(at_u, at_u + wu * k),
                                      slice(at_v, at_v + wv * k)))
             at_e, at_u, at_v = at_e + k, at_u + wu * k, at_v + wv * k
-        index = self.flat_index()
-        # node-segment index of each message row, padded rows -> node_dim
-        node_of_row = np.concatenate([packing.u_gather, packing.v_gather, [nd]])
-        rows = index - (n + m)
-        self.gather_u, self.gather_v = node_of_row[rows[self.messages_u]], node_of_row[rows[self.messages_v]]
-        self.sigma = np.append(sigma, 0.0)[index]
+        self.index = np.concatenate([np.arange(n), *(n + run.edges for run in stack),
+                                     *(run.dual_u.ravel() for run in stack), *(run.dual_v.ravel() for run in stack)])
+        self.gather_u, self.gather_v = np.concatenate(gather_u), np.concatenate(gather_v)
+        self.sigma = np.append(sigma, 0.0)[self.index]
         self.tau_nodes = tau[:nd].copy()
         # every edge cell has the same step
         self.tau_edges = tau[nd:nd + 1].copy()
         self.nodes = np.repeat(1.0 / counts, counts)
-        self.dual = np.zeros(len(index))
-
-    def flat_index(self) -> np.ndarray:
-        """Each stacked dual entry's position in the flat dual vector;
-        padded message rows get ``dual_dim``, one past its end."""
-        packing = self.packing
-        counts, dual_dim = packing.label_counts, packing.dual_dim
-        n, m = len(counts), len(packing.edge_starts)
-        lu, lv = packing.edge_shapes.T
-        # flat positions of each edge's first u-side and v-side row
-        first_u = n + m + _starts(lu)
-        first_v = n + m + int(lu.sum()) + _starts(lv)
-        rows_u = [padded_gather(first_u[run.edges], counts[run.u], run.cost.shape[1], dual_dim) for run in self.stack]
-        rows_v = [padded_gather(first_v[run.edges], counts[run.v], run.cost.shape[2], dual_dim) for run in self.stack]
-        return np.concatenate([np.arange(n), *(n + run.edges for run in self.stack),
-                               *(rows.T.ravel() for rows in rows_u + rows_v)])
+        self.dual = np.zeros(len(self.index))
 
     def flat_dual(self) -> np.ndarray:
         """The dual iterate in the :meth:`Packing.split_dual` layout."""
         nu = np.empty(self.packing.dual_dim + 1)
-        nu[self.flat_index()] = self.dual
+        nu[self.index] = self.dual
         return nu[:-1]
 
     def step(self) -> None:

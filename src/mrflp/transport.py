@@ -435,15 +435,19 @@ def solve_transport_entropic(
     k, n, m = c.shape
     # broadcasting also rejects arguments of the wrong shape
     counts = np.broadcast_to(edge_count, (k,))
-    if np.any(counts < 1):
-        raise ValueError("edge_count must be at least 1")
+    if not np.all((counts >= 1) & (counts < np.inf)):
+        raise ValueError("edge_count must be at least 1 and finite")
+    ref_row, ref_col = np.broadcast_to(ref_row, (k, n)), np.broadcast_to(ref_col, (k, m))
+    # zeros stay allowed: padded rows pass them
+    if not all(np.all((ref >= 0.0) & (ref < np.inf)) for ref in (ref_row, ref_col)):
+        raise ValueError("reference entries must be nonnegative and finite")
     eps = rho * counts.astype(np.float64)
     # the kernel runs stack-last: costs (n, m, k), marginals (n, k) and (m, k)
     ct = c.transpose(1, 2, 0).copy()
     r = problem.row_marginal.reshape(k, n).T.copy()
     s = problem.col_marginal.reshape(k, m).T.copy()
-    lref = (np.log(np.maximum(np.broadcast_to(ref_row, (k, n)), LOG_FLOOR)).T.copy()[:, None]
-            + np.log(np.maximum(np.broadcast_to(ref_col, (k, m)), LOG_FLOOR)).T.copy()[None])
+    lref = (np.log(np.maximum(ref_row, LOG_FLOOR)).T.copy()[:, None]
+            + np.log(np.maximum(ref_col, LOG_FLOOR)).T.copy()[None])
     logk = lref - ct / eps
     logk[(r == 0.0)[:, None] | (s == 0.0)[None]] = -np.inf
     with np.errstate(divide="ignore", over="ignore"):  # exp and log at the -inf entries and of trial steps

@@ -9,7 +9,7 @@ import mrflp as M
 import mrflp.projections
 import mrflp.transport
 from mrflp._packing import PAD_WASTE, project_simplex_blocks
-from mrflp.errors import NumericalError
+from mrflp.errors import NumericalError, StructureError
 from mrflp.tolerances import TRANSPORT_MARGINAL_TOL
 
 import oracles
@@ -221,6 +221,12 @@ class TestFlatInput:
         with pytest.raises(ValueError, match="node blocks must be finite"):
             project(m, blocks)
 
+    @pytest.mark.parametrize("colors", [[0, 1, 0], [0, 1, 0, 1, 0]], ids=["short", "long"])
+    def test_decomposition_of_the_wrong_length(self, colors):
+        m = M.generate_grid(2, 2, 2, seed=0)
+        with pytest.raises(StructureError, match="one color per edge"):
+            M.project_primal_free_energy(m, M.Decomposition(colors), np.full(8, 0.5), 0.5)
+
     @pytest.mark.parametrize("shape", [(4, 6), (23,), (25,)])
     def test_dual_vector_of_the_wrong_shape(self, shape):
         m = M.generate_grid(2, 2, 2, seed=0)
@@ -258,7 +264,7 @@ class TestPaddedEdgeStack:
         for m, _, blocks in projection_cases():
             nodes = mrflp.projections._projected_nodes(m, blocks)
             assert np.all(nodes[m.packing().node_pad == m.packing().node_dim] == 0.0)
-            runs = mrflp.projections._edge_stack(m)
+            runs = m.packing().edge_stack
             assert any(not run.real.all() for run in runs)
             for run in runs:
                 problem = run.problem(nodes)
@@ -289,7 +295,7 @@ class TestPaddedEdgeStack:
         d = M.decompose_by_coloring(m, [int(e not in f0) for e in range(m.n_edges)])
         _, _, (m1, m2) = M.DualContext(m, d).smoothed(np.zeros(m.packing().node_dim), rho)
         proj = M.project_primal_free_energy(m, d, (m1 + m2) / 2.0, rho)
-        assert not all(run.real.all() for run in mrflp.projections._edge_stack(m))
+        assert not all(run.real.all() for run in m.packing().edge_stack)
         for e, (u, v) in enumerate(m.edges):
             p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
             res = M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)
@@ -311,7 +317,7 @@ class TestPaddedEdgeStack:
         edges = [(0, 1), (1, 2), (2, 3)]
         m = M.MrfModel.create(counts, edges, [np.zeros(c) for c in counts],
                               [np.ones((counts[u], counts[v])) for u, v in edges])
-        assert len(mrflp.projections._edge_stack(m)) == 1
+        assert len(m.packing().edge_stack) == 1
         with pytest.raises(NumericalError, match=r"not dual feasible on edge \(2, 3\)"):
             M.project_primal_energy(m, np.concatenate([np.full(c, 1.0 / c) for c in counts]))
 
@@ -323,13 +329,39 @@ class TestPaddedEdgeStack:
         M.project_primal_energy(m, np.random.default_rng(0).random(m.packing().node_dim))
         assert len(calls) == 1 and calls[0].cost.shape == (m.n_edges, 3, 3)
 
+    @pytest.mark.parametrize("make", [
+        lambda: oracles.mixed_label_grid(3),
+        lambda: oracles.two_forest_model(np.where(np.arange(120) % 40 == 0, 30, np.arange(120) % 3 + 2), seed=1)[0],
+    ], ids=["mixed-labels", "wide-nodes"])
+    def test_runs_match_the_flat_layout(self, make):
+        # every run column is one edge: its cells and message rows as the
+        # flat layout has them, and dual_dim past each side's label count
+        m = make()
+        packing = m.packing()
+        _, _, rows_u, rows_v = packing.split_dual(np.arange(packing.dual_dim))
+        starts_u = np.cumsum(packing.edge_shapes[:, 0]) - packing.edge_shapes[:, 0]
+        starts_v = np.cumsum(packing.edge_shapes[:, 1]) - packing.edge_shapes[:, 1]
+        runs = packing.edge_stack
+        assert any(not run.real.all() for run in runs)
+        assert sorted(np.concatenate([run.edges for run in runs])) == list(range(m.n_edges))
+        for run in runs:
+            k, wu, wv = run.cost.shape
+            assert run.dual_u.shape == (wu, k) and run.dual_v.shape == (wv, k)
+            sizes = packing.block_sizes[run.edges]
+            for j, (e, cells) in enumerate(zip(run.edges, np.split(run.cells, np.cumsum(sizes)[:-1]))):
+                lu, lv = packing.edge_shapes[e]
+                np.testing.assert_array_equal(run.dual_u[:lu, j], rows_u[starts_u[e]:starts_u[e] + lu])
+                np.testing.assert_array_equal(run.dual_v[:lv, j], rows_v[starts_v[e]:starts_v[e] + lv])
+                assert np.all(run.dual_u[lu:, j] == packing.dual_dim) and np.all(run.dual_v[lv:, j] == packing.dual_dim)
+                np.testing.assert_array_equal(cells, packing.edge_starts[e] + np.arange(lu * lv))
+
     def test_wide_nodes_keep_padding_bounded(self):
         # 2-label forests with three 200-label nodes: every run pads at most
         # PAD_WASTE times its real cells
         counts = np.full(500, 2)
         counts[[10, 250, 490]] = 200
         m, _ = oracles.two_forest_model(counts, seed=0)
-        runs = mrflp.projections._edge_stack(m)
+        runs = m.packing().edge_stack
         assert len(runs) > 1
         for run in runs:
             assert run.cost.size <= PAD_WASTE * run.cells.size
@@ -341,27 +373,27 @@ class TestProjectionState:
     def test_layout_is_built_once_per_model(self, monkeypatch):
         # the layout's one call of padded_runs counts its builds
         builds = []
-        split = mrflp.projections.padded_runs
-        monkeypatch.setattr(mrflp.projections, "padded_runs", lambda *a: builds.append(None) or split(*a))
+        split = mrflp._packing.padded_runs
+        monkeypatch.setattr(mrflp._packing, "padded_runs", lambda *a: builds.append(None) or split(*a))
         m = M.generate_grid(4, 4, 3, seed=1)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
         assert len(report.records) == 4 and len(builds) == 1
         # a call without a state, and another run's exact and entropic
         # projections, read the same layout
-        layout = mrflp.projections._edge_stack(m)
+        layout = m.packing().edge_stack
         M.project_primal_energy(m, report.marginals.node_flat)
         report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=60, epoch=20, rho=0.5))
         assert len(report.records) == 4 and all(r.smoothed_gap is not None for r in report.records)
-        assert len(builds) == 1 and mrflp.projections._edge_stack(m) is layout
+        assert len(builds) == 1 and m.packing().edge_stack is layout
         # an equal model is another model, with its own layout
         other = M.generate_grid(4, 4, 3, seed=1)
         M.project_primal_energy(other, report.marginals.node_flat)
-        assert len(builds) == 2 and mrflp.projections._edge_stack(other) is not layout
+        assert len(builds) == 2 and other.packing().edge_stack is not layout
 
     def test_layout_goes_with_its_model(self):
         m = M.generate_grid(3, 3, 2, seed=1)
         M.project_primal_energy(m, np.ones(m.packing().node_dim))
-        run = weakref.ref(mrflp.projections._edge_stack(m)[0])
+        run = weakref.ref(m.packing().edge_stack[0])
         assert run() is not None
         # no reference cycle keeps the layout alive past its model
         del m
@@ -377,7 +409,7 @@ class TestProjectionState:
                 cold = M.project_primal_energy(m, blocks)
                 np.testing.assert_array_equal(warm.node_flat, cold.node_flat)
                 assert abs(M.relaxed_energy(m, warm) - M.relaxed_energy(m, cold)) <= 1e-9
-            assert len(state.bases) == len(mrflp.projections._edge_stack(m))
+            assert len(state.bases) == len(m.packing().edge_stack)
 
     def test_state_of_another_model_is_refused(self):
         m, other = M.generate_grid(2, 2, 2, seed=1), M.generate_grid(2, 2, 2, seed=1)

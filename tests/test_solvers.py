@@ -90,6 +90,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="finite"):
             make(value)
 
+    def test_numpy_integer_counts_accepted(self):
+        cfg = M.SolverConfig(max_iters=np.int64(5), epoch=np.int32(2))
+        assert (cfg.max_iters, cfg.epoch) == (5, 2)
+
     def test_halving_without_smoothed_gap_rejected(self):
         # the logged smoothed gap drives the halving: without it rho never changes
         with pytest.raises(ValueError, match="rho_schedule.*log_smoothed_gap"):
@@ -98,13 +102,18 @@ class TestSolverConfig:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: M.SolverConfig(max_iters=0), "max_iters and epoch must be positive"),
+    (lambda: M.SolverConfig(max_iters=5.0), "max_iters and epoch must be integers"),
+    (lambda: M.SolverConfig(epoch=2.5), "max_iters and epoch must be integers"),
+    (lambda: M.SolverConfig(max_iters=True), "max_iters and epoch must be integers"),
+    (lambda: M.SolverConfig(epoch=np.float64(20)), "max_iters and epoch must be integers"),
     (lambda: M.SolverConfig(rho_schedule="cosine"), "rho_schedule must be None or 'halving'"),
     (lambda: M.step_size("diminishing", -1), "t must be nonnegative"),
     (lambda: M.step_size("constant", 0), "unknown step law 'constant'"),
     (lambda: M.solve_subgradient(m := random_tree_model(3, 2, seed=0), tree_decomposition(m), M.SolverConfig(),
                                  averaging="median"),
      "averaging must be 'uniform' or 'step-weighted'"),
-], ids=["max-iters", "rho-schedule", "negative-t", "step-law", "averaging"])
+], ids=["max-iters", "max-iters-float", "epoch-float", "max-iters-bool", "epoch-numpy-float",
+        "rho-schedule", "negative-t", "step-law", "averaging"])
 def test_solver_options_refuse_bad_values(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -138,6 +147,12 @@ class TestGapCertificate:
         with pytest.raises(InfeasibleMarginalsError) as err:
             M.gap_certificate(m, bad, 0.0)
         assert err.value.residual > 0.05
+
+    @pytest.mark.parametrize("bound", [math.nan, -math.inf, math.inf])
+    def test_non_finite_dual_bound_refused(self, bound):
+        m = M.generate_grid(2, 2, 2, seed=3)
+        with pytest.raises(ValueError, match="dual bound must be finite"):
+            M.gap_certificate(m, M.embed_labeling(m, [0, 0, 0, 0]), bound)
 
     def test_negative_gap_raises(self):
         m = M.generate_grid(2, 2, 2, seed=3)
@@ -439,7 +454,7 @@ class TestStackedFpd:
 
         def checked(it):
             cells = [run.cells[np.isinf(run.theta)] for run in it.runs]
-            rows = it.dual[it.flat_index() == it.packing.dual_dim]
+            rows = it.dual[it.index == it.packing.dual_dim]
             padded.append(sum(c.size for c in cells) + rows.size)
             assert all(np.all(c == 0.0) for c in cells) and np.all(rows == 0.0)
             return flat_dual(it)

@@ -489,6 +489,20 @@ class TestEntropicTransport:
         assert res.plan.shape == (0, 2, 3)
         assert res.objective.shape == res.iterations.shape == res.residual.shape == (0,)
 
+    @pytest.mark.parametrize("edge_count, ref_row, ref_col, message", [
+        (np.nan, [0.5, 0.5], [0.5, 0.5], "edge_count"),
+        (np.inf, [0.5, 0.5], [0.5, 0.5], "edge_count"),
+        (1, [np.nan, 0.5], [0.5, 0.5], "reference"),
+        (1, [0.5, 0.5], [0.5, np.inf], "reference"),
+        (1, [-0.1, 0.5], [0.5, 0.5], "reference"),
+        (1, [0.5, 0.5], [0.5, -np.inf], "reference"),
+    ], ids=["count-nan", "count-inf", "row-nan", "col-inf", "row-negative", "col-minus-inf"])
+    def test_bad_arguments_are_refused(self, edge_count, ref_row, ref_col, message):
+        # each once came out as a NaN plan, a RuntimeWarning or a floored log
+        p = M.TransportProblem(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            M.solve_transport_entropic(p, 0.5, edge_count, np.array(ref_row), np.array(ref_col))
+
     def test_batch_arguments_must_match(self):
         p = M.TransportProblem(np.zeros((2, 2, 2)), np.full((2, 2), 0.5), np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
