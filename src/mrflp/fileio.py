@@ -1,21 +1,26 @@
 """File formats: UAI models, JSON marginals/dual points, CSV convergence logs.
 
 Models are stored in the UAI pairwise text format with energy tables
-(min-sum convention), flagged by a leading comment.  A marginals file holds
-a full local-polytope point, its node and its edge blocks; a file without
-edge blocks is rejected.  Floats are written with ``repr`` so that
+(min-sum convention), flagged by a leading comment.  Both directions
+stream: the reader takes a model file in windows of about a megabyte, cut
+at whitespace, and adds each window's table entries into ``theta`` before
+it reads the next, so its memory beyond the model stays near one window;
+the writer writes one table at a time.  A marginals file holds a full
+local-polytope point, its node and its edge blocks; a file without edge
+blocks is rejected.  Floats are written with ``repr`` so that
 write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
-from ._packing import segment_arange
 from .errors import StructureError
 from .model import ConvergenceRecord, DualPoint, Marginals, MrfModel
 
@@ -25,111 +30,244 @@ CSV_HEADER = [
 ]
 
 
+# the reader takes about this many characters of the file at a time
+_WINDOW = 1 << 20
+# str.splitlines' line boundaries: a comment line runs up to the next one
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
 def write_uai(model: MrfModel, path) -> None:
-    lines = ["# min-sum energies: tables are energies, lower is better"]
-    if model.grid_shape is not None:
-        lines.append(f"# grid {model.grid_shape[0]} {model.grid_shape[1]}")
-    lines += ["MARKOV", str(model.n_nodes), " ".join(map(str, model.label_counts)), str(model.n_nodes + model.n_edges)]
-    lines += [f"1 {v}" for v in range(model.n_nodes)] + [f"2 {u} {v}" for u, v in model.edges] + [""]
-    theta = model.theta.tolist()
-    sizes = [*model.label_counts, *(model.label_counts[u] * model.label_counts[v] for u, v in model.edges)]
-    for size, stop in zip(sizes, np.cumsum(sizes).tolist()):
-        lines += [str(size), " ".join(map(_fmt, theta[stop - size : stop]))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``model`` one section, and one table, at a time."""
+    counts, theta = model.label_counts, model.theta
+    with open(path, "w") as fh:
+        fh.write("# min-sum energies: tables are energies, lower is better\n")
+        if model.grid_shape is not None:
+            fh.write(f"# grid {model.grid_shape[0]} {model.grid_shape[1]}\n")
+        fh.write(f"MARKOV\n{model.n_nodes}\n{' '.join(map(str, counts))}\n{model.n_nodes + model.n_edges}\n")
+        fh.writelines(f"1 {v}\n" for v in range(model.n_nodes))
+        fh.writelines(f"2 {u} {v}\n" for u, v in model.edges)
+        fh.write("\n")
+        start = 0
+        for size in itertools.chain(counts, (counts[u] * counts[v] for u, v in model.edges)):
+            fh.write(f"{size}\n{' '.join(map(_fmt, theta[start : start + size].tolist()))}\n")
+            start += size
 
 
-def _token(tokens: list[str], pos: int) -> str:
-    if pos >= len(tokens):
-        raise StructureError("unexpected end of model file")
-    return tokens[pos]
+def _starts_line(text: str, p: int, fresh: bool) -> bool:
+    """Whether only whitespace precedes ``text[p]`` on its line; ``fresh``
+    says whether that holds at ``text[0]``."""
+    while p and text[p - 1].isspace() and text[p - 1] not in _LINE_BREAKS:
+        p -= 1
+    return text[p - 1] in _LINE_BREAKS if p else fresh
+
+
+class _Tokens:
+    """The whitespace-separated tokens of an open UAI file, one window of
+    about ``_WINDOW`` characters at a time.
+
+    A window ends at whitespace; the partial token after it starts the next
+    one.  Comment lines (first non-blank character ``#``) are dropped, and
+    the last ``# grid R C`` among them sets :attr:`grid_shape`.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._rest = ""  # read, not yet tokenized
+        self._fresh = True  # only whitespace since the last line break before _rest
+        self._eof = False
+        self._tokens: list[str] = []
+        self._at = 0  # the next token of the current window
+        self.grid_shape = None
+
+    def _read(self) -> str:
+        chunk = self._fh.read(_WINDOW)
+        self._eof = not chunk
+        return chunk
+
+    def _next_window(self) -> list[str]:
+        text = self._rest + self._read()
+        tokens, start, p = [], 0, text.find("#")
+        while p >= 0:
+            if _starts_line(text, p, self._fresh):
+                # a comment line: its end may lie in the windows after this one
+                while (stop := _LINE_BREAK.search(text, p)) is None and not self._eof:
+                    text += self._read()
+                end = len(text) if stop is None else stop.start()
+                words = text[p + 1 : end].split()
+                if len(words) == 3 and words[0] == "grid":
+                    self.grid_shape = (int(words[1]), int(words[2]))
+                tokens += text[start:p].split()
+                start = end
+            p = text.find("#", max(p + 1, start))
+        tokens += text[start:].split()
+        # a token running up to the window's end may go on in the next one;
+        # a comment ends at a line break, so it is never cut
+        whole = self._eof or text[-1].isspace()
+        self._rest = "" if whole else tokens.pop()
+        self._fresh = _starts_line(text, len(text) - len(self._rest), self._fresh)
+        return tokens
+
+    def _fill(self) -> bool:
+        """Whether a token is left, reading windows until one is."""
+        while self._at == len(self._tokens) and not self._eof:
+            self._tokens = []  # the old window goes before the next is read
+            self._tokens, self._at = self._next_window(), 0
+        return self._at < len(self._tokens)
+
+    def next(self, limit: int) -> list[str]:
+        """The next 1 to ``limit`` tokens, all from one window; past the
+        last token, a :class:`StructureError`."""
+        if not self._fill():
+            raise StructureError("unexpected end of model file")
+        tokens = self._tokens[self._at : self._at + limit]
+        self._at += len(tokens)
+        return tokens
+
+    def back(self, k: int) -> None:
+        """Put back the last ``k`` tokens that :meth:`next` returned."""
+        self._at -= k
+
+    def take(self, k: int) -> list[str]:
+        """The next ``k`` tokens, across windows."""
+        tokens = []
+        while len(tokens) < k:
+            tokens += self.next(k - len(tokens))
+        return tokens
+
+    def at_end(self) -> bool:
+        return not self._fill()
+
+
+def _arity(token: str) -> int:
+    arity = int(token)
+    if arity not in (1, 2):
+        raise StructureError(f"factor of arity {arity} found; only pairwise models are supported")
+    return arity
+
+
+def _read_scopes(stream: _Tokens, n_factors: int) -> np.ndarray:
+    """Each factor's arity, first and last variable, ``(3, n_factors)``."""
+    parts = [np.empty((3, 0), dtype=np.int64)]
+    left = n_factors
+    while left:
+        tokens = stream.next(3 * left)
+        # the heads (arity tokens) of the factors that start in this window
+        heads, pos, end = [], 0, len(tokens)
+        for _ in range(left):
+            if pos >= end:
+                break
+            heads.append(pos)
+            t = tokens[pos]
+            pos += 2 if t == "1" else 3 if t == "2" else 1 + _arity(t)
+        if pos < end:
+            stream.back(end - pos)
+            del tokens[pos:]
+        else:  # the last factor may go on in the next window
+            tokens += stream.take(pos - end)
+        values = np.array(tokens, dtype=np.int64)
+        at = np.array(heads, dtype=np.int64)
+        parts.append(np.stack([values[at], values[at + 1], values[at + values[at]]]))
+        left -= len(heads)
+    return np.concatenate(parts, axis=1)
+
+
+def _read_tables(stream: _Tokens, counts: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The edge keys ``u * n + v`` and ``theta`` from the table section, one
+    window at a time; factors on the same scope accumulate in file order.
+    A unary factor's first and last variable ``a`` and ``b`` are the same,
+    a pairwise one's differ."""
+    n, pair = counts.size, a != b
+    # theta's blocks: one per node, then one per distinct pairwise scope in
+    # canonical order; a table from the larger node to the smaller transposes
+    la, lb = counts[a], np.where(pair, counts[b], 1)
+    sizes = la * lb
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    edge_keys = np.sort(keys[pair])
+    edge_keys = edge_keys[np.diff(edge_keys, prepend=-1) != 0]  # keys are >= 0
+    blocks = np.concatenate([counts, counts[edge_keys // n] * counts[edge_keys % n]])
+    base = (np.cumsum(blocks) - blocks)[np.where(pair, n + np.searchsorted(edge_keys, keys), a)]
+    # the section is each factor's declared size, then its entries; entry e
+    # of the section goes to theta[e + shift] unless its table transposes
+    entry_start = np.cumsum(sizes) - sizes
+    size_at = entry_start + np.arange(a.size)
+    shift, flipped = base - entry_start, a > b
+    # every edge has a factor: from -0.0, a lone table's zeros keep their
+    # sign, while node entries without a factor stay +0.0
+    theta = np.concatenate([np.zeros(counts.sum()), np.full(blocks[n:].sum(), -0.0)])
+
+    # a function, so that one window's tokens and arrays are freed before
+    # the next window is read
+    def add(tokens: list[str], w0: int) -> int:
+        """Check the window ``tokens``, which starts at token ``w0`` of the
+        section, and add its entries into ``theta``; where the next window
+        starts."""
+        k0, k1 = np.searchsorted(size_at, [w0, w0 + len(tokens)])
+        at = size_at[k0:k1] - w0
+        declared = np.array([tokens[i] for i in at.tolist()], dtype=np.int64)
+        wrong = np.flatnonzero(declared != sizes[k0:k1])
+        if wrong.size:
+            k = k0 + wrong[0]
+            scope = (int(a[k]), int(b[k])) if pair[k] else (int(a[k]),)
+            raise StructureError(f"factor on {scope} declares {declared[wrong[0]]} entries, expected {sizes[k]}")
+        values = np.delete(np.array(tokens, dtype=np.float64), at)
+        e0 = w0 - k0
+        e1 = e0 + values.size
+        f0, f1 = np.searchsorted(entry_start, e0, side="right") - 1, np.searchsorted(entry_start, e1)
+        span = np.minimum(entry_start[f0:f1] + sizes[f0:f1], e1) - np.maximum(entry_start[f0:f1], e0)
+        index = np.arange(e0, e1) + np.repeat(shift[f0:f1], span)
+        turn = np.flatnonzero(np.repeat(flipped[f0:f1], span))
+        k = np.repeat(np.arange(f0, f1), span)[turn]
+        row, col = np.divmod(index[turn] - base[k], lb[k])
+        index[turn] = base[k] + col * la[k] + row
+        np.add.at(theta, index, values)
+        return w0 + len(tokens)
+
+    w0, total = 0, a.size + int(sizes.sum())
+    while w0 < total:
+        w0 = add(stream.next(total - w0), w0)
+    return edge_keys, theta
 
 
 def read_uai(path) -> MrfModel:
     """Parse a pairwise UAI model; factors of arity three or more are rejected.
 
     Multiple factors on the same scope accumulate.  A ``# grid R C`` comment
-    restores the generator's grid shape.  The scopes and the tables are each
-    converted by one numpy call.
+    restores the generator's grid shape.  The file is read in windows of
+    about a megabyte; each window's scope tokens and its table tokens are
+    converted by one numpy call each, and its table entries are added into
+    ``theta`` before the next window is read.
     """
-    grid_shape = None
-    tokens: list[str] = []
-    for line in Path(path).read_text().splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if len(parts) == 3 and parts[0] == "grid":
-                grid_shape = (int(parts[1]), int(parts[2]))
-            continue
-        tokens.extend(stripped.split())
-
-    preamble = _token(tokens, 0)
-    if preamble.upper() != "MARKOV":
-        raise StructureError(f"unsupported network type {preamble!r}; expected MARKOV")
-    n = int(_token(tokens, 1))
-    if n < 1:
-        raise StructureError("model needs at least one variable")
-    n_factors = int(_token(tokens, 2 + n))
-    if n_factors < 0:
-        raise StructureError(f"negative factor count {n_factors}")
-    counts = np.array(tokens[2 : 2 + n], dtype=np.int64)
-    if np.any(counts < 1):
-        raise StructureError("variable cardinalities must be positive")
-    scope_start = pos = 3 + n
-    arity = []
-    for _ in range(n_factors):
-        arity.append(int(_token(tokens, pos)))
-        if arity[-1] not in (1, 2):
-            raise StructureError(f"factor of arity {arity[-1]} found; only pairwise models are supported")
-        pos += 1 + arity[-1]
-    _token(tokens, pos - 1)  # the last scope is complete
-    arity = np.array(arity, dtype=np.int64)
-    # the scope section is each factor's arity, then its variables
-    arity_at = np.cumsum(arity + 1) - arity - 1
-    scope_vars = np.delete(np.array(tokens[scope_start:pos], dtype=np.int64), arity_at)
-    unknown = np.flatnonzero((scope_vars < 0) | (scope_vars >= n))
-    if unknown.size:
-        raise StructureError(f"factor scope references unknown variable {scope_vars[unknown[0]]}")
-    # a unary factor's scope is (a, a) here
-    first = arity_at - np.arange(arity.size)
-    a, b = scope_vars[first], scope_vars[first + arity - 1]
-    pair = arity == 2
-    repeats = np.flatnonzero(pair & (a == b))
-    if repeats.size:
-        raise StructureError(f"factor scope repeats variable {a[repeats[0]]}")
-
-    # factor k's table is its declared size, then its entries
-    la, lb = counts[a], np.where(pair, counts[b], 1)
-    sizes = la * lb
-    heads = pos + np.arange(arity.size) + np.cumsum(sizes) - sizes
-    for k, (head, size) in enumerate(zip(heads.tolist(), sizes.tolist())):
-        declared = int(_token(tokens, head))
-        if declared != size:
-            scope = tuple(scope_vars[first[k] : first[k] + arity[k]].tolist())
-            raise StructureError(f"factor on {scope} declares {declared} entries, expected {size}")
-    end = pos + arity.size + int(sizes.sum())
-    _token(tokens, end - 1)  # the last table is complete
-    values = np.delete(np.array(tokens[pos:end], dtype=np.float64), heads - pos)
-    if end != len(tokens):
-        raise StructureError("trailing tokens after the last factor table")
-
-    # theta's blocks: one per node, then one per distinct pairwise scope in
-    # canonical order; a table from the larger node to the smaller transposes
-    keys = np.minimum(a, b) * n + np.maximum(a, b)
-    edge_keys = keys[pair][np.lexsort((keys[pair],))]
-    edge_keys = edge_keys[np.diff(edge_keys, prepend=-1) != 0]  # keys are >= 0
-    blocks = np.concatenate([counts, counts[edge_keys // n] * counts[edge_keys % n]])
-    base = (np.cumsum(blocks) - blocks)[np.where(pair, n + np.searchsorted(edge_keys, keys), a)]
-    row, col = np.divmod(segment_arange(sizes), np.repeat(lb, sizes))
-    offset = np.where(np.repeat(a > b, sizes), col * np.repeat(la, sizes) + row, row * np.repeat(lb, sizes) + col)
-    # every edge has a factor: from -0.0, a lone table's zeros keep their
-    # sign, while node entries without a factor stay +0.0
-    theta = np.concatenate([np.zeros(counts.sum()), np.full(blocks[n:].sum(), -0.0)])
-    np.add.at(theta, np.repeat(base, sizes) + offset, values)
-    return MrfModel(counts, np.stack(np.divmod(edge_keys, n), axis=1), theta, grid_shape)
+    with open(path) as fh:
+        stream = _Tokens(fh)
+        preamble = stream.next(1)[0]
+        if preamble.upper() != "MARKOV":
+            raise StructureError(f"unsupported network type {preamble!r}; expected MARKOV")
+        n = int(stream.next(1)[0])
+        if n < 1:
+            raise StructureError("model needs at least one variable")
+        counts = np.array(stream.take(n), dtype=np.int64)
+        n_factors = int(stream.next(1)[0])
+        if n_factors < 0:
+            raise StructureError(f"negative factor count {n_factors}")
+        if np.any(counts < 1):
+            raise StructureError("variable cardinalities must be positive")
+        arity, a, b = _read_scopes(stream, n_factors)
+        unknown = np.flatnonzero((a < 0) | (a >= n) | (b < 0) | (b >= n))
+        if unknown.size:
+            k = unknown[0]
+            raise StructureError(f"factor scope references unknown variable {a[k] if not 0 <= a[k] < n else b[k]}")
+        repeats = np.flatnonzero((arity == 2) & (a == b))
+        if repeats.size:
+            raise StructureError(f"factor scope repeats variable {a[repeats[0]]}")
+        edge_keys, theta = _read_tables(stream, counts, a, b)
+        if not stream.at_end():
+            raise StructureError("trailing tokens after the last factor table")
+    return MrfModel(counts, np.stack(np.divmod(edge_keys, n), axis=1), theta, stream.grid_shape)
 
 
 def write_labeling(labeling, path) -> None:

@@ -161,7 +161,8 @@ def step_size(
     its series diverges.  ``adaptive`` takes the gap-over-norm-squared step
     ``STEP_GAMMA * (best_primal - dual) / |g|^2`` clipped from above by the
     diminishing envelope; it falls back to the envelope until a certified
-    primal bound exists.
+    primal bound exists; a non-finite ``dual`` or ``grad_norm_sq`` is
+    refused.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -171,6 +172,8 @@ def step_size(
     if law == "diminishing":
         return envelope
     if law == "adaptive":
+        if any(x is not None and not math.isfinite(x) for x in (dual, grad_norm_sq)):
+            raise ValueError("adaptive step needs a finite dual value and subgradient norm")
         if best_primal is None or dual is None or not math.isfinite(best_primal):
             return envelope
         if grad_norm_sq is None or grad_norm_sq <= 0.0:

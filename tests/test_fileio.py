@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mrflp as M
+import mrflp.fileio
 from mrflp.errors import StructureError
 from mrflp.fileio import CSV_HEADER
 
@@ -135,24 +137,95 @@ def _write_repeated_scopes(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _edited(edit):
+    """A writer of a small grid model's file, changed by ``edit`` (text to
+    text) and stored byte for byte, so that CRLF line endings stay."""
+
+    def write(path):
+        M.write_uai(M.generate_grid(3, 4, 3, law="uniform_sym", radius=7.0, seed=4), path)
+        path.write_bytes(edit(path.read_text()).encode())
+
+    return write
+
+
+def _comments_between_tables(text):
+    # the first table is its size line "3", then its entries
+    lines = text.split("\n")
+    at = lines.index("3") + 2
+    lines[at:at] = ["  # 1 2 3 # 4", "\t#"]
+    return "\n".join(lines)
+
+
 UAI_FILES = {
     "grid": lambda path: M.write_uai(M.generate_grid(4, 5, 3, law="uniform_sym", radius=7.0, seed=2), path),
     "lp-tight": lambda path: M.write_uai(M.generate_lp_tight(4, 4, 3, 5, 1e6, 0.4, seed=1)[0], path),
     "mixed-labels": lambda path: M.write_uai(oracles.two_forest_model([2 + i % 4 for i in range(30)], seed=3)[0], path),
     "repeated-scopes": _write_repeated_scopes,
+    "crlf": _edited(lambda text: text.replace("\n", "\r\n")),
+    "tabs": _edited(lambda text: text.replace(" ", "\t").replace("\n", " \t\n\t")),
+    # an indented comment line drops its tokens too; a '#' inside a comment is part of it
+    "comment-between-tables": _edited(_comments_between_tables),
+    # the last grid comment wins over the one the writer put first
+    "grid-after-preamble": _edited(lambda text: text.replace("\nMARKOV\n", "\nMARKOV\n# grid 2 6\n# grid 4 3\n")),
+    "no-trailing-newline": _edited(lambda text: text.rstrip("\n")),
 }
+
+
+def _assert_same_model(m, ref):
+    assert (m.label_counts, m.edges, m.grid_shape) == (ref.label_counts, ref.edges, ref.grid_shape)
+    assert len(m.unary) == len(ref.unary) and len(m.pairwise) == len(ref.pairwise)
+    for a, b in zip(m.unary + m.pairwise, ref.unary + ref.pairwise):
+        # bit for bit, signed zeros included
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("write", UAI_FILES.values(), ids=UAI_FILES.keys())
 def test_reader_matches_the_reference(tmp_path, write):
     path = tmp_path / "m.uai"
     write(path)
-    m, ref = M.read_uai(path), oracles.read_uai_reference(path)
-    assert (m.label_counts, m.edges, m.grid_shape) == (ref.label_counts, ref.edges, ref.grid_shape)
-    assert len(m.unary) == len(ref.unary) and len(m.pairwise) == len(ref.pairwise)
-    for a, b in zip(m.unary + m.pairwise, ref.unary + ref.pairwise):
-        # bit for bit, signed zeros included
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    _assert_same_model(M.read_uai(path), oracles.read_uai_reference(path))
+
+
+# windows of a few characters cut tokens, comment lines and sections apart
+WINDOWS = [1, 2, 3, 5, 8, 13, 64]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_window_boundaries_do_not_change_the_model(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(mrflp.fileio, "_WINDOW", window)
+    for name, write in UAI_FILES.items():
+        path = tmp_path / f"{name}.uai"
+        write(path)
+        _assert_same_model(M.read_uai(path), oracles.read_uai_reference(path))
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_window_boundaries_do_not_change_the_errors(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(mrflp.fileio, "_WINDOW", window)
+    path = tmp_path / "bad.uai"
+    for text, message in MALFORMED_UAI.values():
+        path.write_text(text)
+        with pytest.raises(StructureError, match=re.escape(message)):
+            M.read_uai(path)
+    # a '#' after a token on its line starts no comment: it is a token
+    for text in ["MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 x 4\n", "MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n1 2 #4 4\n"]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            M.read_uai(path)
+
+
+def test_reader_memory_stays_near_the_file_size(tmp_path):
+    # 100x100x4 (7.3 MB): the peak was 7.7x the file's bytes when the whole
+    # file was tokenized at once; read in windows it is 2.4x
+    path = tmp_path / "big.uai"
+    M.write_uai(M.generate_grid(100, 100, 4, law="uniform01", seed=0), path)
+    tracemalloc.start()
+    try:
+        M.read_uai(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size
 
 
 class TestLabelingAndMarginalsFiles:

@@ -61,6 +61,18 @@ class TestStepSize:
         with pytest.raises(ValueError):
             M.step_size("adaptive", 1, best_primal=1.0, dual=0.0, grad_norm_sq=0.0)
 
+    @pytest.mark.parametrize("best_primal", [1.0, math.inf, None])
+    @pytest.mark.parametrize("dual, grad_norm_sq", [(math.nan, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_dual_or_norm_rejected(self, best_primal, dual, grad_norm_sq):
+        # min(envelope, nan) is the envelope, which would hide them
+        with pytest.raises(ValueError, match="finite dual value and subgradient norm"):
+            M.step_size("adaptive", 1, best_primal=best_primal, dual=dual, grad_norm_sq=grad_norm_sq)
+
+    @pytest.mark.parametrize("best_primal", [None, math.inf])
+    def test_adaptive_falls_back_to_the_envelope_without_a_primal_bound(self, best_primal):
+        envelope = M.step_size("diminishing", 1)
+        assert M.step_size("adaptive", 1, best_primal=best_primal, dual=0.0, grad_norm_sq=1.0) == envelope
+
 
 class TestSolverConfig:
     def test_unknown_step_law_rejected(self):
