@@ -256,11 +256,18 @@ def decomposition_entropy(model: MrfModel, marginals: Marginals) -> float:
     nodes, edges = flat[: packing.node_dim], flat[packing.node_dim :]
     pos = nodes > 0.0
     node_terms = np.where(pos, nodes * np.log(np.where(pos, nodes, 1.0)), 0.0)
-    # each cell reads its endpoints' log-marginals through the cell-to-row maps
-    log_nodes = np.log(np.maximum(nodes, LOG_FLOOR))
-    ratio = np.log(np.maximum(edges, LOG_FLOOR)) - log_nodes[packing.u_gather[packing.cell_u]]
-    ratio -= log_nodes[packing.v_gather[packing.cell_v]]
-    edge_terms = np.where(edges > 0.0, edges * ratio, 0.0)
+    # each run's cells read their endpoints' log-marginals as its message
+    # rows read node entries; the terms go back to the flat order to be summed
+    stack = packing.edge_stack
+    log_rows = np.append(np.log(np.maximum(nodes, LOG_FLOOR)), 0.0)[stack.gather]
+    edge_terms = np.empty(edges.size)
+    for run in stack.runs:
+        wu, wv, k = shape = run.real.shape
+        cells = edges[run.cells]
+        ratio = np.log(np.maximum(cells, LOG_FLOOR))
+        ratio -= np.broadcast_to(log_rows[run.rows_u].reshape(wu, 1, k), shape)[run.real]
+        ratio -= np.broadcast_to(log_rows[run.rows_v].reshape(wv, k), shape)[run.real]
+        edge_terms[run.cells] = np.where(cells > 0.0, cells * ratio, 0.0)
     return -2.0 * float(node_terms.sum()) - float(edge_terms.sum())
 
 

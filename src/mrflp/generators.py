@@ -23,7 +23,7 @@ def generate_grid(
     """4-connected grid with i.i.d. potentials.
 
     ``law`` is ``"uniform01"`` (entries in [0, 1)) or ``"uniform_sym"``
-    (entries in [-radius, radius)).
+    (entries in [-radius, radius), for ``radius > 0`` with finite ``2 * radius``).
     """
     if rows < 1 or cols < 1 or labels < 1:
         raise ValueError("rows, cols and labels must be positive")
@@ -33,8 +33,8 @@ def generate_grid(
         if law == "uniform01":
             return rng.random(shape)
         if law == "uniform_sym":
-            if radius <= 0:
-                raise ValueError("radius must be positive for uniform_sym")
+            if not (radius > 0 and np.isfinite(2.0 * radius)):
+                raise ValueError(f"radius must be positive for uniform_sym, with 2 * radius finite, not {radius!r}")
             return rng.uniform(-radius, radius, shape)
         raise ValueError(f"unknown potential law {law!r}")
 
@@ -62,12 +62,14 @@ def generate_lp_tight(
     smaller margins usually work and can be checked per instance.  A random
     ``forbidden_fraction`` of the pairwise entries off the planted labeling
     are then set to ``infinity_value``, imitating hard constraints by large
-    finite numbers.
+    finite numbers.  ``margin`` and ``infinity_value`` must be finite.
     """
     if rows < 1 or cols < 1 or labels < 1:
         raise ValueError("rows, cols and labels must be positive")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"margin must be positive and finite, not {margin!r}")
+    if not np.isfinite(infinity_value):
+        raise ValueError(f"infinity_value must be finite, not {infinity_value!r}")
     if not 0.0 <= forbidden_fraction <= 1.0:
         raise ValueError("forbidden_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)

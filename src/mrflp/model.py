@@ -364,12 +364,13 @@ def constraint_residual(model: MrfModel, marginals: Marginals) -> float:
     nonnegativity (edge normalization is implied by the former).  A point
     with a non-finite entry has residual ``inf``.
     """
-    flat = _checked_flat(model, marginals)
-    rows = model.packing().apply_a_packed(flat)
-    # numpy maxima keep the NaN that a non-finite entry leaves in a sum or
-    # meets; 0.0 - min, not -min, so that a feasible point reads +0.0
-    res = np.max([np.max(np.abs(rows[:model.n_nodes] - 1.0)),
-                  np.max(np.abs(rows[model.n_nodes + model.n_edges:]), initial=0.0), 0.0 - np.min(flat)])
+    flat, packing = _checked_flat(model, marginals), model.packing()
+    rows = packing.apply_a_packed(packing.stack_primal(flat))
+    # edge rows are skipped and padded rows read 0; numpy maxima keep the NaN
+    # of a non-finite entry; 0.0 - min, not -min, so a feasible point reads +0.0
+    rows[: model.n_nodes] -= 1.0
+    rows[model.n_nodes : model.n_nodes + model.n_edges] = 0.0
+    res = np.maximum(np.abs(rows).max(), 0.0 - flat.min())
     return np.inf if np.isnan(res) else float(res)
 
 

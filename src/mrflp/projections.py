@@ -7,16 +7,17 @@ sums), then exact re-optimization of every edge block given the projected
 node blocks, as a tiny transportation problem (linear objective) or entropy
 minimization (smoothed objective) per edge.
 The node blocks are projected as rows of one width, zero past each node's
-labels, which the edges read directly as their marginals.  All edges form
-one padded stack, :attr:`~mrflp._packing.Packing.edge_stack`, on which
-each edge pivots exactly as it would alone.  A :class:`ProjectionState`
-holds one solver run's warm bases: each stack run's last optimal exact
-bases, from which its next exact solve starts.  Calls without a state start
-every exact solve from the star basis.
+labels, which the edges read directly as their marginals.  Each run of the
+packing's padded edge stack, :attr:`~mrflp._packing.Packing.edge_stack`, is
+one batched problem, on which each edge pivots exactly as it would alone.
+A :class:`ProjectionState` holds one solver run's warm bases: each stack
+run's last optimal exact bases, from which its next exact solve starts.
+Calls without a state start every exact solve from the star basis.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
-explicit dual at zero cost.
+explicit dual at zero cost: one stacked ``A^T`` product at zero bounds, then
+the minima of every block, where padded cells cost ``+inf``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None,
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
     edges = np.empty(packing.edge_dim)
-    for i, run in enumerate(packing.edge_stack):
-        edges[run.cells] = solve(i, run, run.problem(nodes), bases).plan[run.real]
+    for i, run in enumerate(packing.edge_stack.runs):
+        edges[run.cells] = solve(i, run, run.problem(nodes), bases).plan.transpose(1, 2, 0)[run.real]
     flat = np.concatenate([nodes[packing.node_pad < packing.node_dim], edges])
     result = Marginals(flat, packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
@@ -147,11 +148,15 @@ def project_dual(model: MrfModel, messages) -> DualPoint:
     nu[:n_bounds] = 0.0
     # the margin is theta - fl(bound + w) per entry; where theta - w rounds
     # up, that sum can exceed theta, but not from the next float down
-    w = packing.apply_at(nu)
-    fits = packing.theta - w
-    fits = np.where(fits + w <= packing.theta, fits, np.nextafter(fits, -np.inf))
-    starts = np.concatenate([packing.node_starts, packing.node_dim + packing.edge_starts])
-    nu[:n_bounds] = np.minimum.reduceat(fits, starts)
+    theta = packing.edge_stack.theta
+    w = packing.apply_at(packing.stack_dual(nu))
+    fits = theta - w
+    up = np.flatnonzero(fits + w > theta)
+    fits[up] = np.nextafter(fits[up], -np.inf)
+    nu[: model.n_nodes] = np.minimum.reduceat(fits[: packing.node_dim], packing.node_starts)
+    # padded cells cost +inf, so each edge's minimum is over its real cells
+    for run in packing.edge_stack.runs:
+        nu[model.n_nodes + run.edges] = fits[run.at].reshape(-1, run.edges.size).min(axis=0)
     return DualPoint(nu, model.n_nodes, packing.edge_shapes)
 
 
@@ -163,5 +168,7 @@ def dual_value(model: MrfModel, point: DualPoint) -> float:
 def dual_feasibility_margin(model: MrfModel, point: DualPoint) -> float:
     """Smallest slack ``theta - A^T nu`` (negative means infeasible);
     ``-inf`` for a point with a non-finite entry."""
-    nu = _checked_nu(model, point)
-    return float((model.theta - model.packing().apply_at(nu)).min()) if np.isfinite(nu).all() else -np.inf
+    nu, packing = _checked_nu(model, point), model.packing()
+    if not np.isfinite(nu).all():
+        return -np.inf
+    return float((packing.edge_stack.theta - packing.apply_at(packing.stack_dual(nu))).min())

@@ -8,9 +8,9 @@ exceptions.  The reference transportation simplex refactors its basis in
 every round where the package keeps and updates the inverse; the two must
 take the same pivots.  :func:`reference_newton` is the package's earlier
 Newton kernel, the baseline that its rewrites must match bit for bit, and
-:func:`reference_fpd` its earlier ``fpd`` loop on the flat layout.  The
-power iteration of :func:`preconditioned_norm`
-applies the constraint matrix by the package's own streaming products.
+:func:`reference_fpd` its earlier ``fpd`` loop on the flat layout, which
+steps with :class:`FlatProducts`, the package's earlier constraint products
+on that layout, and certifies with the package's own projections.
 :func:`read_uai_reference` parses token by token but builds its model with
 the package's ``MrfModel.create``, and :func:`search_grid_shape` compares
 against the package's ``grid_edges``.
@@ -204,17 +204,64 @@ def lipschitz_entropy(a_norm: float, n_terms: int, eps: float, big: float) -> fl
 # -- step condition of the preconditioned primal-dual iteration -----------
 
 
+class FlatProducts:
+    """``A`` and ``A^T`` on the flat layout, from per-cell index maps: each
+    edge cell ``(e, x_u, x_v)`` to its u-side row ``(e, x_u)`` and its v-side
+    row ``(e, x_v)``, each message row to its node entry.  Rows are in
+    ``Packing.split_dual`` order; row sums are bincounts over the cells, in
+    the cells' row-major order, and the adjoint adds each block's bound
+    last.  Built from the packing's label counts and edge ends alone."""
+
+    def __init__(self, packing):
+        counts = [int(c) for c in packing.label_counts]
+        node_off = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        shapes = [(counts[u], counts[v]) for u, v in packing.edge_ends.tolist()]
+        row_u = np.concatenate(([0], np.cumsum([lu for lu, _ in shapes]))).astype(np.int64)
+        row_v = np.concatenate(([0], np.cumsum([lv for _, lv in shapes]))).astype(np.int64)
+        self.counts, self.node_dim = np.array(counts), int(node_off[-1])
+        self.node_starts = node_off[:-1]
+        self.block_sizes = np.array([lu * lv for lu, lv in shapes], dtype=np.int64)
+        self.edge_starts = np.cumsum(self.block_sizes) - self.block_sizes
+        self.u_gather = np.array([node_off[u] + x for (u, _), (lu, _) in zip(packing.edge_ends.tolist(), shapes)
+                                  for x in range(lu)], dtype=np.int64)
+        self.v_gather = np.array([node_off[v] + x for (_, v), (_, lv) in zip(packing.edge_ends.tolist(), shapes)
+                                  for x in range(lv)], dtype=np.int64)
+        self.cell_u = np.array([row_u[e] + xu for e, (lu, lv) in enumerate(shapes)
+                                for xu in range(lu) for _ in range(lv)], dtype=np.int64)
+        self.cell_v = np.array([row_v[e] + xv for e, (lu, lv) in enumerate(shapes)
+                                for _ in range(lu) for xv in range(lv)], dtype=np.int64)
+
+    def apply_a(self, mu):
+        nodes, edges = mu[: self.node_dim], mu[self.node_dim :]
+        node_sums = np.add.reduceat(nodes, self.node_starts)
+        edge_sums = np.add.reduceat(edges, self.edge_starts) if edges.size else np.zeros(0)
+        row_sums = np.bincount(self.cell_u, weights=edges, minlength=len(self.u_gather))
+        col_sums = np.bincount(self.cell_v, weights=edges, minlength=len(self.v_gather))
+        return np.concatenate([node_sums, edge_sums, nodes[self.u_gather] - row_sums,
+                               nodes[self.v_gather] - col_sums])
+
+    def apply_at(self, nu):
+        n, m = len(self.counts), len(self.block_sizes)
+        nb, eb = nu[:n], nu[n : n + m]
+        msg_u, msg_v = nu[n + m : n + m + len(self.u_gather)], nu[n + m + len(self.u_gather) :]
+        w_nodes = np.bincount(self.u_gather, weights=msg_u, minlength=self.node_dim)
+        w_nodes = w_nodes + np.bincount(self.v_gather, weights=msg_v, minlength=self.node_dim)
+        out_edges = np.repeat(eb, self.block_sizes) - (msg_u[self.cell_u] + msg_v[self.cell_v])
+        return np.concatenate([w_nodes + np.repeat(nb, self.counts), out_edges])
+
+
 def preconditioned_norm(packing, tau, sigma, iters: int = 300) -> float:
-    """``|Sigma^1/2 A T^1/2|`` for step vectors ``tau`` and ``sigma``, by power
-    iteration on ``K^T K`` with ``K = Sigma^1/2 A T^1/2`` from a fixed start.
-    ``A`` is applied by the packing's streaming products.  The Rayleigh
-    quotient of a unit vector never exceeds the true value."""
+    """``|Sigma^1/2 A T^1/2|`` for flat step vectors ``tau`` and ``sigma``, by
+    power iteration on ``K^T K`` with ``K = Sigma^1/2 A T^1/2`` from a fixed
+    start, with ``A`` from :class:`FlatProducts`.  The Rayleigh quotient of a
+    unit vector never exceeds the true value."""
+    flat = FlatProducts(packing)
     t_half = np.sqrt(tau)
     x = np.random.default_rng(0).standard_normal(len(tau))
     norm_sq = 0.0
     for _ in range(iters):
         x /= np.linalg.norm(x)
-        y = t_half * packing.apply_at(sigma * packing.apply_a_packed(t_half * x))
+        y = t_half * flat.apply_at(sigma * flat.apply_a(t_half * x))
         norm_sq = float(x @ y)
         x = y
     return math.sqrt(norm_sq)
@@ -222,12 +269,13 @@ def preconditioned_norm(packing, tau, sigma, iters: int = 300) -> float:
 
 def reference_fpd(model, cfg):
     """The package's earlier ``fpd`` loop, stepping on the flat layout with
-    the packing's streaming products; the stacked iterate must match it."""
+    :class:`FlatProducts`; the stacked iterate must match it."""
     from mrflp.solvers import _fpd_steps, _Tracker, dual_value, project_dual
 
     packing = model.packing()
+    flat = FlatProducts(packing)
     theta = packing.theta
-    # right-hand side of apply_a_packed: node and edge normalization
+    # right-hand side of A: node and edge normalization
     b = np.zeros(packing.dual_dim)
     b[: model.n_nodes + model.n_edges] = 1.0
     tau, sigma = (0.99 * step for step in _fpd_steps(packing))
@@ -246,10 +294,10 @@ def reference_fpd(model, cfg):
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
-        mu_new = np.maximum(mu - tau * (theta - packing.apply_at(nu)), 0.0)
+        mu_new = np.maximum(mu - tau * (theta - flat.apply_at(nu)), 0.0)
         mu_bar = 2.0 * mu_new - mu
         mu = mu_new
-        nu = nu + sigma * (b - packing.apply_a_packed(mu_bar))
+        nu = nu + sigma * (b - flat.apply_a(mu_bar))
     return tracker.report("fpd", termination)
 
 

@@ -84,6 +84,17 @@ class TestGenerate:
         np.testing.assert_array_equal(M.read_labeling(tmp_path / "one.labels.txt"),
                                       [oracles.exhaustive_map(model)[1][0]])
 
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--rows", 2, "--cols", 2, "--labels", 2, "--law", "uniform_sym", "--law-radius", "nan"],
+        ["lp-tight", "--rows", 2, "--cols", 2, "--labels", 2, "--margin", "inf", "--infinity", "1e5",
+         "--forbidden-fraction", 0.3],
+    ], ids=["radius-nan", "margin-inf"])
+    def test_non_finite_arguments_are_usage_errors(self, tmp_path, capsys, argv):
+        # refused with exit code 2, not a traceback and the verification-failure code
+        assert run(["generate", *argv, "--out", tmp_path / "x.uai"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.uai").exists()
+
     def test_usage_error_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as e:
             run(["generate", "grid", "--rows", 2])

@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,10 +273,30 @@ class TestLpTightGenerator:
     (lambda: M.generate_lp_tight(2, 2, 2, 0.0, 1e4, 0.3), "margin must be positive"),
     (lambda: M.generate_lp_tight(2, 2, 2, 25.0, 1.0, 0.3),
      "infinity_value 1.0 is below the largest potential magnitude"),
-], ids=["grid-size", "radius", "lp-tight-size", "margin", "infinity"])
+    # numpy's uniform draw overflows on a non-finite width
+    *((lambda r=r: M.generate_grid(2, 2, 2, law="uniform_sym", radius=r),
+       "radius must be positive for uniform_sym, with 2 * radius finite") for r in (math.nan, math.inf, 1e308)),
+    # a non-finite margin or infinity value used to reach the model's table check
+    *((lambda x=x: M.generate_lp_tight(2, 2, 2, x, 1e4, 0.3), "margin must be positive and finite")
+      for x in (math.nan, math.inf)),
+    *((lambda x=x: M.generate_lp_tight(2, 2, 2, 25.0, x, 0.3), "infinity_value must be finite")
+      for x in (math.nan, math.inf)),
+], ids=["grid-size", "radius", "lp-tight-size", "margin", "infinity", "radius-nan", "radius-inf", "radius-1e308",
+        "margin-nan", "margin-inf", "infinity-nan", "infinity-inf"])
 def test_generators_refuse_bad_arguments(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("radius", [2.0, 8e307])
+def test_uniform_sym_draws_unary_then_pairwise(radius):
+    # the argument checks draw nothing: theta is the seed's two uniform draws,
+    # up to the largest radius whose width is finite
+    m = M.generate_grid(3, 4, 3, law="uniform_sym", radius=radius, seed=42)
+    rng = np.random.default_rng(42)
+    unary = rng.uniform(-radius, radius, (12, 3))
+    pairwise = rng.uniform(-radius, radius, (m.n_edges, 3, 3))
+    np.testing.assert_array_equal(m.theta, np.concatenate([unary.ravel(), pairwise.ravel()]))
 
 
 class TestDecomposition:
@@ -450,6 +472,19 @@ class TestFlatStorage:
         assert m.unary is m.unary and m.pairwise is m.pairwise
         assert all(np.shares_memory(t, m.theta) and not t.flags.writeable for t in m.unary + m.pairwise)
         np.testing.assert_array_equal(np.concatenate([t.ravel() for t in m.unary + m.pairwise]), m.theta)
+
+    def test_packing_holds_no_per_cell_map(self):
+        # the flat layout is offsets per node and per edge: an index map with
+        # one int64 per edge cell would alone spend 8 bytes a cell
+        m = M.generate_grid(100, 100, 4)
+        tracemalloc.start()
+        try:
+            packing = m.packing()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert packing.edge_dim == 316800
+        assert held <= peak <= 8 * packing.edge_dim
 
     def test_blocks_of_the_wrong_shape_are_rejected(self):
         m = oracles.mixed_label_grid(seed=1)

@@ -264,14 +264,16 @@ class TestPaddedEdgeStack:
         for m, _, blocks in projection_cases():
             nodes = mrflp.projections._projected_nodes(m, blocks)
             assert np.all(nodes[m.packing().node_pad == m.packing().node_dim] == 0.0)
-            runs = m.packing().edge_stack
+            runs = m.packing().edge_stack.runs
             assert any(not run.real.all() for run in runs)
             for run in runs:
                 problem = run.problem(nodes)
+                # plans are stack-first, masks stack-last
+                padded = ~run.real.transpose(2, 0, 1)
                 assert run.real.sum() == run.cells.size
-                assert np.all(M.solve_transport(problem).plan[~run.real] == 0.0)
+                assert np.all(M.solve_transport(problem).plan[padded] == 0.0)
                 entropic = M.solve_transport_entropic(problem, 0.1, 1, problem.row_marginal, problem.col_marginal)
-                assert np.all(entropic.plan[~run.real] == 0.0)
+                assert np.all(entropic.plan[padded] == 0.0)
 
     def test_entropic_plans_match_per_edge_solves(self):
         for m, d, blocks in projection_cases():
@@ -295,7 +297,7 @@ class TestPaddedEdgeStack:
         d = M.decompose_by_coloring(m, [int(e not in f0) for e in range(m.n_edges)])
         _, _, (m1, m2) = M.DualContext(m, d).smoothed(np.zeros(m.packing().node_dim), rho)
         proj = M.project_primal_free_energy(m, d, (m1 + m2) / 2.0, rho)
-        assert not all(run.real.all() for run in m.packing().edge_stack)
+        assert not all(run.real.all() for run in m.packing().edge_stack.runs)
         for e, (u, v) in enumerate(m.edges):
             p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
             res = M.solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)
@@ -317,7 +319,7 @@ class TestPaddedEdgeStack:
         edges = [(0, 1), (1, 2), (2, 3)]
         m = M.MrfModel.create(counts, edges, [np.zeros(c) for c in counts],
                               [np.ones((counts[u], counts[v])) for u, v in edges])
-        assert len(m.packing().edge_stack) == 1
+        assert len(m.packing().edge_stack.runs) == 1
         with pytest.raises(NumericalError, match=r"not dual feasible on edge \(2, 3\)"):
             M.project_primal_energy(m, np.concatenate([np.full(c, 1.0 / c) for c in counts]))
 
@@ -334,26 +336,40 @@ class TestPaddedEdgeStack:
         lambda: oracles.two_forest_model(np.where(np.arange(120) % 40 == 0, 30, np.arange(120) % 3 + 2), seed=1)[0],
     ], ids=["mixed-labels", "wide-nodes"])
     def test_runs_match_the_flat_layout(self, make):
-        # every run column is one edge: its cells and message rows as the
-        # flat layout has them, and dual_dim past each side's label count
+        # every run column is one edge: its cells, bound and message rows as
+        # the flat layout has them, dual_dim past each side's label count,
+        # and the node entries its message rows read
         m = make()
         packing = m.packing()
+        stack = packing.edge_stack
         _, _, rows_u, rows_v = packing.split_dual(np.arange(packing.dual_dim))
         starts_u = np.cumsum(packing.edge_shapes[:, 0]) - packing.edge_shapes[:, 0]
         starts_v = np.cumsum(packing.edge_shapes[:, 1]) - packing.edge_shapes[:, 1]
-        runs = packing.edge_stack
+        runs = stack.runs
         assert any(not run.real.all() for run in runs)
         assert sorted(np.concatenate([run.edges for run in runs])) == list(range(m.n_edges))
+        assert sorted(stack.index[stack.index < packing.dual_dim]) == list(range(packing.dual_dim))
+        assert np.all(stack.gather[: m.n_nodes + m.n_edges] == packing.node_dim)
         for run in runs:
-            k, wu, wv = run.cost.shape
-            assert run.dual_u.shape == (wu, k) and run.dual_v.shape == (wv, k)
-            sizes = packing.block_sizes[run.edges]
-            for j, (e, cells) in enumerate(zip(run.edges, np.split(run.cells, np.cumsum(sizes)[:-1]))):
+            wu, wv, k = run.real.shape
+            assert run.cost.shape == (k, wu, wv)
+            cells = np.full(run.real.shape, -1)
+            cells[run.real] = run.cells
+            dual_u, dual_v = stack.index[run.rows_u].reshape(wu, k), stack.index[run.rows_v].reshape(wv, k)
+            np.testing.assert_array_equal(stack.index[run.bounds], m.n_nodes + run.edges)
+            for j, e in enumerate(run.edges):
                 lu, lv = packing.edge_shapes[e]
-                np.testing.assert_array_equal(run.dual_u[:lu, j], rows_u[starts_u[e]:starts_u[e] + lu])
-                np.testing.assert_array_equal(run.dual_v[:lv, j], rows_v[starts_v[e]:starts_v[e] + lv])
-                assert np.all(run.dual_u[lu:, j] == packing.dual_dim) and np.all(run.dual_v[lv:, j] == packing.dual_dim)
-                np.testing.assert_array_equal(cells, packing.edge_starts[e] + np.arange(lu * lv))
+                u, v = m.edges[e]
+                np.testing.assert_array_equal(dual_u[:lu, j], rows_u[starts_u[e]:starts_u[e] + lu])
+                np.testing.assert_array_equal(dual_v[:lv, j], rows_v[starts_v[e]:starts_v[e] + lv])
+                assert np.all(dual_u[lu:, j] == packing.dual_dim) and np.all(dual_v[lv:, j] == packing.dual_dim)
+                np.testing.assert_array_equal(cells[:lu, :lv, j].ravel(), packing.edge_starts[e] + np.arange(lu * lv))
+                assert np.all(cells[lu:, :, j] == -1) and np.all(cells[:, lv:, j] == -1)
+                assert np.all(stack.theta[run.at].reshape(wu, wv, k)[~run.real] == np.inf)
+                gather_u, gather_v = stack.gather[run.rows_u].reshape(wu, k), stack.gather[run.rows_v].reshape(wv, k)
+                np.testing.assert_array_equal(gather_u[:lu, j], packing.node_starts[u] + np.arange(lu))
+                np.testing.assert_array_equal(gather_v[:lv, j], packing.node_starts[v] + np.arange(lv))
+                assert np.all(gather_u[lu:, j] == packing.node_dim) and np.all(gather_v[lv:, j] == packing.node_dim)
 
     def test_wide_nodes_keep_padding_bounded(self):
         # 2-label forests with three 200-label nodes: every run pads at most
@@ -361,10 +377,106 @@ class TestPaddedEdgeStack:
         counts = np.full(500, 2)
         counts[[10, 250, 490]] = 200
         m, _ = oracles.two_forest_model(counts, seed=0)
-        runs = m.packing().edge_stack
+        runs = m.packing().edge_stack.runs
         assert len(runs) > 1
         for run in runs:
             assert run.cost.size <= PAD_WASTE * run.cells.size
+
+
+PRODUCT_MODELS = {
+    "grid": lambda: M.generate_grid(4, 5, 3, seed=3),
+    "lp-tight-1e6": lambda: M.generate_lp_tight(5, 5, 3, 25.0, 1e6, 0.4, seed=0)[0],
+    "edgeless": lambda: M.MrfModel.create([2, 4, 3], [], [np.zeros(2), np.ones(4), np.arange(3.0)], []),
+    "mixed-labels": lambda: oracles.mixed_label_grid(5),
+    "one-label-nodes": lambda: one_label_grid([1, 3, 1, 1, 4, 1]),
+    "wide-nodes": lambda: oracles.two_forest_model(
+        np.where(np.arange(120) % 40 == 0, 30, np.arange(120) % 3 + 2), seed=1)[0],
+}
+
+
+def one_label_grid(counts):
+    rng = np.random.default_rng(2)
+    edges = M.grid_edges(2, 3)
+    return M.MrfModel.create(counts, edges, [rng.uniform(-1, 1, c) for c in counts],
+                             [rng.uniform(-1, 1, (counts[u], counts[v])) for u, v in edges])
+
+
+def flat_of_stacked(packing, stacked):
+    """A stacked primal vector's real entries in the flat layout."""
+    flat = np.empty(packing.total_dim)
+    flat[: packing.node_dim] = stacked[: packing.node_dim]
+    for run in packing.edge_stack.runs:
+        flat[packing.node_dim + run.cells] = stacked[run.at].reshape(run.real.shape)[run.real]
+    return flat
+
+
+class TestStackedProducts:
+    """The stack's ``A`` and ``A^T`` and the certificates that read them,
+    against the flat layout's products in ``oracles.FlatProducts``."""
+
+    @staticmethod
+    def case(name):
+        m = PRODUCT_MODELS[name]()
+        packing = m.packing()
+        runs = packing.edge_stack.runs
+        # one unpadded run (or none) sums in the flat order throughout
+        return m, packing, oracles.FlatProducts(packing), 0.0 if len(runs) <= 1 and all(
+            run.real.all() for run in runs) else 1e-12
+
+    def test_models_cover_one_and_many_runs(self):
+        runs = {name: self.case(name)[1].edge_stack.runs for name in PRODUCT_MODELS}
+        assert [len(runs[name]) for name in ("grid", "lp-tight-1e6", "edgeless")] == [1, 1, 0]
+        assert len(runs["wide-nodes"]) > 1 and not all(run.real.all() for run in runs["wide-nodes"])
+        one_label = self.case("one-label-nodes")[1]
+        assert np.any(np.all(one_label.edge_shapes == 1, axis=1)) and np.any(one_label.edge_shapes > 1)
+
+    @pytest.mark.parametrize("name", PRODUCT_MODELS)
+    def test_products_match_the_flat_ones(self, name):
+        m, packing, flat, tol = self.case(name)
+        stack, n_bounds = packing.edge_stack, m.n_nodes + m.n_edges
+        rng = np.random.default_rng(7)
+        mu, nu = rng.random(packing.total_dim), rng.standard_normal(packing.dual_dim)
+        forward = packing.apply_a_packed(packing.stack_primal(mu))
+        assert np.all(forward[stack.index == packing.dual_dim] == 0.0)
+        got, want = packing.unstack_dual(forward), flat.apply_a(mu)
+        # the marginalization rows add in the flat order on any stack
+        np.testing.assert_array_equal(got[:m.n_nodes], want[:m.n_nodes])
+        np.testing.assert_array_equal(got[n_bounds:], want[n_bounds:])
+        assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+        got, want = flat_of_stacked(packing, packing.apply_at(packing.stack_dual(nu))), flat.apply_at(nu)
+        # so do the edge cells of the adjoint
+        np.testing.assert_array_equal(got[packing.node_dim:], want[packing.node_dim:])
+        assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("name", PRODUCT_MODELS)
+    def test_certificates_match_the_flat_formulas(self, name):
+        m, packing, flat, tol = self.case(name)
+        rng = np.random.default_rng(11)
+        theta, n_bounds = packing.theta, m.n_nodes + m.n_edges
+        starts = np.concatenate([packing.node_starts, packing.node_dim + packing.edge_starts])
+        # a feasible point, a perturbed one and one with a negative entry
+        point = M.project_primal_energy(m, rng.random(packing.node_dim))
+        for mu in (point.flat, point.flat + 1e-3 * rng.standard_normal(point.flat.size)):
+            rows = flat.apply_a(mu)
+            want = max(np.abs(rows[:m.n_nodes] - 1.0).max(), np.abs(rows[n_bounds:]).max(initial=0.0), -mu.min())
+            got = M.constraint_residual(m, M.Marginals(mu, packing.label_counts, packing.edge_shapes))
+            # its rows add in the flat order on any stack
+            assert got == want
+        # messages at the costs' scale, so that theta - w rounds
+        scale = max(1.0, float(np.abs(theta).max()))
+        nu = scale * rng.standard_normal(packing.dual_dim)
+        nu[:n_bounds] = 0.0
+        w = flat.apply_at(nu)
+        fits = theta - w
+        fits = np.where(fits + w <= theta, fits, np.nextafter(fits, -np.inf))
+        want = nu.copy()
+        want[:n_bounds] = np.minimum.reduceat(fits, starts)
+        point = M.project_dual(m, nu)
+        assert np.all(np.abs(point.nu - want) <= tol * np.maximum(1.0, np.abs(want)))
+        want_margin = float((theta - flat.apply_at(point.nu)).min())
+        got_margin = M.dual_feasibility_margin(m, point)
+        assert got_margin >= 0.0
+        assert abs(got_margin - want_margin) <= tol * scale
 
 
 class TestProjectionState:
@@ -393,7 +505,7 @@ class TestProjectionState:
     def test_layout_goes_with_its_model(self):
         m = M.generate_grid(3, 3, 2, seed=1)
         M.project_primal_energy(m, np.ones(m.packing().node_dim))
-        run = weakref.ref(m.packing().edge_stack[0])
+        run = weakref.ref(m.packing().edge_stack.runs[0])
         assert run() is not None
         # no reference cycle keeps the layout alive past its model
         del m
@@ -409,7 +521,7 @@ class TestProjectionState:
                 cold = M.project_primal_energy(m, blocks)
                 np.testing.assert_array_equal(warm.node_flat, cold.node_flat)
                 assert abs(M.relaxed_energy(m, warm) - M.relaxed_energy(m, cold)) <= 1e-9
-            assert len(state.bases) == len(m.packing().edge_stack)
+            assert len(state.bases) == len(m.packing().edge_stack.runs)
 
     def test_state_of_another_model_is_refused(self):
         m, other = M.generate_grid(2, 2, 2, seed=1), M.generate_grid(2, 2, 2, seed=1)

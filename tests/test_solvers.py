@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -459,46 +460,51 @@ class TestStackedFpd:
 
     @pytest.mark.parametrize("model", ["mixed-labels", "mixed-labels-1e6"])
     def test_padding_stays_exactly_zero(self, monkeypatch, model):
-        # padded cells cost +inf and padded message rows have a zero residual,
-        # so neither ever leaves 0; checked whenever an epoch reads the iterate
-        flat_dual = mrflp.solvers._FpdIterate.flat_dual
+        # padded cells cost +inf and padded message rows have step 0, so
+        # neither ever leaves 0; checked after every step
+        step = mrflp.solvers._FpdIterate.step
         padded = []
 
         def checked(it):
-            cells = [run.cells[np.isinf(run.theta)] for run in it.runs]
-            rows = it.dual[it.index == it.packing.dual_dim]
-            padded.append(sum(c.size for c in cells) + rows.size)
-            assert all(np.all(c == 0.0) for c in cells) and np.all(rows == 0.0)
-            return flat_dual(it)
+            step(it)
+            stack = it.packing.edge_stack
+            cells = it.mu[np.isinf(stack.theta)]
+            rows = it.dual[stack.index == it.packing.dual_dim]
+            padded.append(cells.size + rows.size)
+            assert np.all(cells == 0.0) and np.all(rows == 0.0)
 
-        monkeypatch.setattr(mrflp.solvers._FpdIterate, "flat_dual", checked)
+        monkeypatch.setattr(mrflp.solvers._FpdIterate, "step", checked)
         report = M.solve_fpd(FPD_MODELS[model](), self.CFG)
-        assert len(padded) == len(report.records) == 21
+        assert len(padded) == 400 and len(report.records) == 21
         assert min(padded) > 0
 
-    def test_flat_products_run_only_in_the_dual_projection(self, monkeypatch):
-        # the loop itself never falls back to the flat layout's products: the
-        # adjoint runs once per epoch, in project_dual, and the forward
-        # product only where constraint_residual checks a primal point
+    def test_one_product_pair_per_step(self, monkeypatch):
+        # every step applies A^T and A once each, and the dual iterate goes to
+        # the flat layout and back only at epochs, for project_dual; the
+        # certificates' own products are counted apart
         calls = []
 
         def counted(name):
-            product = getattr(mrflp._packing.Packing, name)
+            method = getattr(mrflp._packing.Packing, name)
 
-            def call(self, x):
+            def call(self, *args):
                 calls.append((name, sys._getframe(1).f_code.co_name))
-                return product(self, x)
+                return method(self, *args)
 
             monkeypatch.setattr(mrflp._packing.Packing, name, call)
 
-        counted("apply_at")
-        counted("apply_a_packed")
+        for name in ("apply_at", "apply_a_packed", "stack_dual", "unstack_dual"):
+            counted(name)
         m = M.generate_grid(6, 6, 3, seed=2)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=100, epoch=20))
         assert len(report.records) == 6
-        assert [c for c in calls if c[0] == "apply_at"] == [("apply_at", "project_dual")] * 6
-        forward = [c for c in calls if c[0] == "apply_a_packed"]
-        assert len(forward) >= 6 and set(forward) == {("apply_a_packed", "constraint_residual")}
+        sites = collections.Counter(calls)
+        assert sites[("apply_at", "step")] == sites[("apply_a_packed", "step")] == 100
+        assert sites[("unstack_dual", "solve_fpd")] == sites[("stack_dual", "project_dual")] == 6
+        assert sites[("apply_at", "project_dual")] == 6
+        assert {site for _, site in calls} == {"step", "solve_fpd", "project_dual", "constraint_residual", "__init__"}
+        # the step's dual weights, gathered once when the iterate is built
+        assert sites[("stack_dual", "__init__")] == 1
 
 
 class TestEpochCertification:
