@@ -13,17 +13,19 @@
 All three share one epoch protocol.  The loop runs ``t = 0, ..., max_iters``
 and steps after every ``t < max_iters``.  Before the step an epoch runs at
 ``t % epoch == 0`` and at ``t == max_iters``.  It projects ``fpd``'s dual
-iterate onto the dual feasible set (the others' nonsmooth dual at the
-iterate is a valid bound as it is),
+iterate and, after the first step, its iteration-weighted dual average onto
+the dual feasible set (the others' nonsmooth dual at the iterate is a valid
+bound as it is),
 ``nest``'s averaged maps by the entropic projection when the smoothed gap is
 logged, and, in ``_Tracker.observe``, the primal estimate by the exact energy
 projection.  ``observe`` alone picks the certified points.  Its primal
 candidates are that feasible point, its rounding and every labeling the
 solver read off its dual (both forests' argmins for ``sg-*`` and ``nest``),
 feasible as embeddings, so no forest is preferred and the integer bound
-never undercuts the primal bound.  It keeps ``fpd``'s dual point by the rule
-that raises the dual bound.  The record carries the best certified pair so
-far: its gap never increases.
+never undercuts the primal bound.  Of ``fpd``'s two dual points it is
+handed the one of the higher value, and keeps it by the rule that raises
+the dual bound.  The record carries the best certified pair so far: its
+gap never increases.
 
 Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
@@ -465,9 +467,11 @@ def _fpd_steps(packing) -> tuple[np.ndarray, np.ndarray]:
 class _FpdIterate:
     """``fpd``'s primal and dual iterate, one stacked primal and one stacked
     dual vector on the model's padded edge stack, stepped by the packing's
-    stacked products.  Padded cells cost ``+inf``, so the primal step pins
-    them at 0; a padded message row has step 0 and stays 0.  On a stack of
-    one unpadded run, the iterate steps bit for bit as on the flat layout."""
+    stacked products, and the running sum ``sum_t t nu_t`` of the dual
+    iterates after steps ``t = 1, 2, ...``.  Padded cells cost ``+inf``, so
+    the primal step pins them at 0; a padded message row has step 0 and stays
+    0, in the sum too.  On a stack of one unpadded run, the iterate steps bit
+    for bit as on the flat layout."""
 
     def __init__(self, model: MrfModel):
         self.packing = packing = model.packing()
@@ -480,6 +484,13 @@ class _FpdIterate:
         self.mu = packing.stack_primal(np.repeat(1.0 / sizes, sizes))
         self.bar = np.empty_like(self.mu)
         self.dual = np.zeros_like(self.sigma)
+        self.dual_sum = np.zeros_like(self.sigma)
+        self.steps = 0
+
+    def dual_average(self) -> np.ndarray:
+        """The dual iterates after steps ``1, ..., t`` weighted by ``1, ..., t``,
+        whose total is ``t (t + 1) / 2``; undefined before the first step."""
+        return self.dual_sum / (self.steps * (self.steps + 1) / 2)
 
     def step(self) -> None:
         """One primal step from the dual iterate, then one dual step at the
@@ -502,6 +513,8 @@ class _FpdIterate:
         np.negative(res[bounds:], out=res[bounds:])
         res *= self.sigma
         self.dual += res
+        self.steps += 1
+        self.dual_sum += np.multiply(self.dual, self.steps, out=res)
 
 
 def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
@@ -514,16 +527,32 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
     estimate and no guard.  The dual objective is not monotone, and its dips
     are not divergence.  The iterate lives on the padded edge stack (see
     :class:`_FpdIterate`), starting from uniform node and edge blocks and a
-    zero dual; its flat dual vector is built at epochs only, for the dual
-    projection.  Both projections run at epochs only.
+    zero dual.
+
+    Chambolle & Pock's ``O(1/N)`` gap bound holds for ergodic averages, not
+    for the iterate.  So each epoch after the first projects two dual
+    candidates onto the dual feasible set: the iterate and
+    :meth:`_FpdIterate.dual_average`.  The one of the higher value, the
+    iterate on a tie, competes for the dual bound.  The average sets it on
+    slowly converging grids, the iterate where it converges fast.  The
+    primal side projects the iterate's node blocks only.  Flat dual vectors
+    are built at epochs only, for the dual projection, and all projections
+    run at epochs only.
     """
     it = _FpdIterate(model)
     tracker = _Tracker(model)
     for t in range(cfg.max_iters + 1):
         if t % cfg.epoch == 0 or t == cfg.max_iters:
-            point = tracker.project(project_dual, model, it.packing.unstack_dual(it.dual))
-            if point is not None:
-                tracker.observe(t, it.mu[: it.packing.node_dim], dual_value(model, point), dual_point=point)
+            best = None
+            for nu in (it.dual, it.dual_average()) if t else (it.dual,):
+                point = tracker.project(project_dual, model, it.packing.unstack_dual(nu))
+                if point is None:
+                    break
+                value = dual_value(model, point)
+                if best is None or value > best[0]:
+                    best = value, point
+            else:
+                tracker.observe(t, it.mu[: it.packing.node_dim], best[0], dual_point=best[1])
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break

@@ -269,7 +269,9 @@ def preconditioned_norm(packing, tau, sigma, iters: int = 300) -> float:
 
 def reference_fpd(model, cfg):
     """The package's earlier ``fpd`` loop, stepping on the flat layout with
-    :class:`FlatProducts`; the stacked iterate must match it."""
+    :class:`FlatProducts`; the stacked iterate must match it.  Its epochs
+    certify the better of the dual iterate and the dual iterates' average
+    weighted by iteration, as ``solve_fpd`` does."""
     from mrflp.solvers import _fpd_steps, _Tracker, dual_value, project_dual
 
     packing = model.packing()
@@ -284,13 +286,18 @@ def reference_fpd(model, cfg):
     sizes = np.concatenate([packing.label_counts, packing.block_sizes])
     mu = np.repeat(1.0 / sizes, sizes)
     nu = np.zeros(packing.dual_dim)
+    # sum of (t + 1) nu_{t+1} over the steps t so far
+    nu_sum = np.zeros(packing.dual_dim)
     tracker = _Tracker(model)
 
     for t in range(cfg.max_iters + 1):
         if t % cfg.epoch == 0 or t == cfg.max_iters:
-            point = tracker.project(project_dual, model, nu)
-            if point is not None:
-                tracker.observe(t, mu[: packing.node_dim], dual_value(model, point), dual_point=point)
+            candidates = [nu] if t == 0 else [nu, nu_sum / (t * (t + 1) / 2)]
+            points = [tracker.project(project_dual, model, c) for c in candidates]
+            if all(p is not None for p in points):
+                values = [dual_value(model, p) for p in points]
+                k = int(np.argmax(values))
+                tracker.observe(t, mu[: packing.node_dim], values[k], dual_point=points[k])
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
@@ -298,6 +305,7 @@ def reference_fpd(model, cfg):
         mu_bar = 2.0 * mu_new - mu
         mu = mu_new
         nu = nu + sigma * (b - flat.apply_a(mu_bar))
+        nu_sum = nu_sum + (t + 1) * nu
     return tracker.report("fpd", termination)
 
 

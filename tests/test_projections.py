@@ -487,7 +487,8 @@ class TestProjectionState:
         builds = []
         split = mrflp._packing.padded_runs
         monkeypatch.setattr(mrflp._packing, "padded_runs", lambda *a: builds.append(None) or split(*a))
-        m = M.generate_grid(4, 4, 3, seed=1)
+        # neither run closes the gap on this grid before t = 60
+        m = M.generate_grid(4, 4, 3, seed=5)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=60, epoch=20))
         assert len(report.records) == 4 and len(builds) == 1
         # a call without a state, and another run's exact and entropic
@@ -498,7 +499,7 @@ class TestProjectionState:
         assert len(report.records) == 4 and all(r.smoothed_gap is not None for r in report.records)
         assert len(builds) == 1 and m.packing().edge_stack is layout
         # an equal model is another model, with its own layout
-        other = M.generate_grid(4, 4, 3, seed=1)
+        other = M.generate_grid(4, 4, 3, seed=5)
         M.project_primal_energy(other, report.marginals.node_flat)
         assert len(builds) == 2 and other.packing().edge_stack is not layout
 

@@ -198,8 +198,9 @@ class TestSubgradientSolver:
     @pytest.mark.parametrize("solver", ["sg-ave", "sg-wei", "nest", "fpd"])
     def test_record_layout_and_weak_duality(self, solver):
         # frustrated instance: the budget runs out, which pins the logging grid
-        # of every solver: each epoch of t % epoch == 0, then t == max_iters
-        m = M.generate_grid(4, 4, 3, law="uniform_sym", radius=1.0, seed=2)
+        # of every solver: each epoch of t % epoch == 0, then t == max_iters.
+        # Every solver ends here with a gap of 0.6 or more
+        m = M.generate_grid(4, 4, 4, law="uniform_sym", radius=1.0, seed=0)
         d = M.decompose_grid(m)
         cfg = M.SolverConfig(max_iters=95, epoch=20, tol=0.0, step_law="diminishing", tau0=0.05)
         report = M.run_solver(m, solver, cfg, d)
@@ -370,8 +371,9 @@ class TestFpdSolver:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_diagonal_steps_close_the_gap(self, seed):
-        # the diagonal steps reach 5.5e-4, 1.8e-4 and 5.6e-4 here; one scalar
-        # step 0.99/|A| for both sides reaches 1.07e-3 on seed 2
+        # certifying the dual iterate alone, the diagonal steps reached
+        # 5.5e-4, 1.8e-4 and 5.6e-4 here, and one scalar step 0.99/|A| for
+        # both sides 1.07e-3 on seed 2
         m = M.generate_grid(10, 10, 4, law="uniform01", seed=seed)
         report = M.solve_fpd(m, M.SolverConfig(max_iters=600, epoch=20))
         assert report.relative_gap <= 7e-4
@@ -479,8 +481,9 @@ class TestStackedFpd:
         assert min(padded) > 0
 
     def test_one_product_pair_per_step(self, monkeypatch):
-        # every step applies A^T and A once each, and the dual iterate goes to
-        # the flat layout and back only at epochs, for project_dual; the
+        # every step applies A^T and A once each, and the dual candidates go to
+        # the flat layout and back only at epochs, for project_dual: the
+        # iterate at all 6 epochs, the average at the 5 after the first; the
         # certificates' own products are counted apart
         calls = []
 
@@ -500,11 +503,61 @@ class TestStackedFpd:
         assert len(report.records) == 6
         sites = collections.Counter(calls)
         assert sites[("apply_at", "step")] == sites[("apply_a_packed", "step")] == 100
-        assert sites[("unstack_dual", "solve_fpd")] == sites[("stack_dual", "project_dual")] == 6
-        assert sites[("apply_at", "project_dual")] == 6
+        assert sites[("unstack_dual", "solve_fpd")] == sites[("stack_dual", "project_dual")] == 11
+        assert sites[("apply_at", "project_dual")] == 11
         assert {site for _, site in calls} == {"step", "solve_fpd", "project_dual", "constraint_residual", "__init__"}
         # the step's dual weights, gathered once when the iterate is built
         assert sites[("stack_dual", "__init__")] == 1
+
+
+class TestAveragedDual:
+    """``fpd``'s epochs certify the better of the dual iterate and the
+    iteration-weighted average of the dual iterates."""
+
+    @staticmethod
+    def candidates(monkeypatch, m, cfg):
+        """The run's report and each epoch's candidate dual values: the
+        iterate's, then from the second epoch on the average's."""
+        values = []
+        project = mrflp.solvers.project_dual
+
+        def valued(model, nu):
+            point = project(model, nu)
+            values.append(M.dual_value(model, point))
+            return point
+
+        monkeypatch.setattr(mrflp.solvers, "project_dual", valued)
+        report = M.solve_fpd(m, cfg)
+        assert len(values) == 2 * len(report.records) - 1
+        return report, [values[:1], *zip(values[1::2], values[2::2])]
+
+    def test_records_take_the_better_candidate(self, monkeypatch):
+        m = M.generate_grid(10, 10, 4, law="uniform01", seed=0)
+        report, epochs = self.candidates(monkeypatch, m, M.SolverConfig(max_iters=200, epoch=20))
+        assert len(epochs) == len(report.records) == 11
+        best = best_iterate = -math.inf
+        for record, values in zip(report.records, epochs):
+            best, best_iterate = max(best, *values), max(best_iterate, values[0])
+            assert record.dual_bound == best >= best_iterate
+        # the average raised the bound above every iterate's
+        assert best > best_iterate
+        assert M.dual_value(m, report.dual_point) == report.dual_bound
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_average_tightens_the_gap(self, seed):
+        # 3.33e-4, 7.5e-5 and 1.32e-4 here, against 5.5e-4, 1.8e-4 and 5.6e-4
+        # from the iterate alone (test_diagonal_steps_close_the_gap)
+        m = M.generate_grid(10, 10, 4, law="uniform01", seed=seed)
+        report = M.solve_fpd(m, M.SolverConfig(max_iters=600, epoch=20))
+        assert report.relative_gap <= 3.5e-4
+
+    def test_the_iterate_still_sets_the_bound(self, monkeypatch):
+        # on an LP-tight grid the iterate converges fast, while the average
+        # still carries the early iterates: the iterate wins every epoch here
+        m = M.generate_lp_tight(10, 10, 3, 5, 1e6, 0.4, seed=0)[0]
+        report, epochs = self.candidates(monkeypatch, m, M.SolverConfig(max_iters=200, epoch=20))
+        assert any(iterate > average and record.dual_bound == iterate
+                   for record, (iterate, average) in zip(report.records[1:], epochs[1:]))
 
 
 class TestEpochCertification:
@@ -582,15 +635,17 @@ class TestTimeBudget:
 class TestWeakDualityFailure:
     @pytest.mark.parametrize("solver", ["fpd", "nest"])
     def test_violation_keeps_the_consistent_records(self, monkeypatch, solver):
-        # inflate the third epoch's dual candidate by 1e6: that epoch breaks
-        # weak duality, and the run must end with the two epochs before it
+        # inflate the third epoch's dual candidates by 1e6: that epoch breaks
+        # weak duality, and the run must end with the two epochs before it.
+        # fpd's first epoch values one dual point, each later epoch two
         calls = []
+        third = (4, 5) if solver == "fpd" else (3,)
 
         def inflate(fn):
             def wrapped(*args, **kwargs):
                 calls.append(None)
                 out = fn(*args, **kwargs)
-                if len(calls) != 3:
+                if len(calls) not in third:
                     return out
                 return out + 1e6 if solver == "fpd" else (out[0] + 1e6, *out[1:])
             return wrapped
