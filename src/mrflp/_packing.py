@@ -70,9 +70,11 @@ class _StackRun:
     rows_u: slice
     rows_v: slice
 
-    def problem(self, nodes: np.ndarray) -> TransportProblem:
+    def problem(self, nodes: np.ndarray, cost: np.ndarray | None = None) -> TransportProblem:
+        """The run's problem at the projected node rows, on its own costs or
+        on ``cost`` of the same shape."""
         _, wu, wv = self.cost.shape
-        return TransportProblem(self.cost, nodes[self.u, :wu], nodes[self.v, :wv])
+        return TransportProblem(self.cost if cost is None else cost, nodes[self.u, :wu], nodes[self.v, :wv])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

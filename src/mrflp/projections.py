@@ -10,9 +10,10 @@ The node blocks are projected as rows of one width, zero past each node's
 labels, which the edges read directly as their marginals.  Each run of the
 packing's padded edge stack, :attr:`~mrflp._packing.Packing.edge_stack`, is
 one batched problem, on which each edge pivots exactly as it would alone.
-A :class:`ProjectionState` holds one solver run's warm bases: each stack
-run's last optimal exact bases, from which its next exact solve starts.
-Calls without a state start every exact solve from the star basis.
+A :class:`ProjectionState` holds one solver run's warm start: each stack
+run's last optimal exact bases, from which its next exact solve starts, and
+their potentials, which seed its next entropic solve.  Calls without a state
+start every exact solve from the star basis and every entropic solve cold.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -46,29 +47,33 @@ def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
 
 
 class ProjectionState:
-    """One solver run's warm bases: each run of the model's edge stack keeps
-    its last optimal exact bases, the warm start of its next exact solve.
-    An edge's costs never change during a run, so those bases stay dual
-    feasible as its marginals move."""
+    """One solver run's warm start: each run of the model's edge stack keeps
+    its last optimal exact bases and their row and column potentials ``(u,
+    v)``, of shapes ``(k, w_u)`` and ``(k, w_v)``.  The bases start the
+    run's next exact solve: an edge's costs never change during a run, so
+    they stay dual feasible as its marginals move.  The potentials seed its
+    next entropic solve: any finite ones leave the entropic optimum where it
+    is, and those of the same marginals are its ``rho -> 0`` limit."""
 
     def __init__(self, model: MrfModel):
         self.model = model
         self.bases: dict[int, SimplexBasis] = {}
+        self.potentials: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None, solve) -> Marginals:
     """The primal projections' shared steps: the check of the state's model,
-    the node prologue, then ``solve(i, run, problem, bases)`` on every run of
-    the model's edge stack (fresh bases without a state), then the
-    certificate of feasibility."""
+    the node prologue, then ``solve(i, run, nodes, state)`` on every run of
+    the model's edge stack (a fresh state without one), then the certificate
+    of feasibility."""
     if state is not None and state.model is not model:
         raise ValueError("the projection state belongs to another model")
-    bases = {} if state is None else state.bases
+    state = ProjectionState(model) if state is None else state
     packing = model.packing()
     nodes = _projected_nodes(model, node_blocks)
     edges = np.empty(packing.edge_dim)
     for i, run in enumerate(packing.edge_stack.runs):
-        edges[run.cells] = solve(i, run, run.problem(nodes), bases).plan.transpose(1, 2, 0)[run.real]
+        edges[run.cells] = solve(i, run, nodes, state).plan.transpose(1, 2, 0)[run.real]
     flat = np.concatenate([nodes[packing.node_pad < packing.node_dim], edges])
     result = Marginals(flat, packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
@@ -86,17 +91,19 @@ def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState |
     between its projected endpoints, from one :func:`solve_transport` call
     per run of the padded edge stack (one call in all when every edge has
     the same shape).  With a ``state`` of the same model, each call starts
-    from the bases of the state's last call and leaves its own there.  The
-    output is certified feasible before it is returned.
+    from the bases of the state's last call and leaves its own there, with
+    their potentials.  The output is certified feasible before it is
+    returned.
     """
 
-    def solve(i, run, problem, bases):
+    def solve(i, run, nodes, state):
         try:
-            result = solve_transport(problem, start=bases.get(i))
+            result = solve_transport(run.problem(nodes), start=state.bases.get(i))
         except NumericalError as exc:
             u, v = model.edges[run.edges[exc.problem]]
             raise NumericalError(f"{exc} on edge {(u, v)}", residual=exc.residual) from exc
-        bases[i] = result.simplex_basis
+        state.bases[i] = result.simplex_basis
+        state.potentials[i] = result.row_potentials, result.col_potentials
         return result
 
     return _project_primal(model, node_blocks, state, solve)
@@ -109,14 +116,25 @@ def project_primal_free_energy(
     entropy-smoothed edge objective with the projected node blocks as the
     reference product measure, from one :func:`solve_transport_entropic`
     call per run of the same padded edge stack.  A ``state`` must be of the
-    same model; its bases are neither read nor written.  ``node_blocks``
-    is the flat node vector, and ``rho`` must be positive and finite."""
+    same model.  Where it holds a run's exact potentials ``(u, v)``, that
+    run is solved on the reduced costs ``c_ij - u_i - v_j``: with the
+    marginals fixed, the shift moves the objective by a constant and leaves
+    the optimum where it is, but Newton starts near it.  Padded rows and
+    columns have zero mass, so their cells stay pinned at 0 whatever their
+    reduced cost.  Nothing is written to the state.  ``node_blocks`` is the
+    flat node vector, and ``rho`` must be positive and finite."""
     if not 0.0 < rho < np.inf:
         raise ValueError("rho must be positive and finite")
     if len(decomposition.colors) != model.n_edges:
         raise StructureError("need exactly one color per edge")
-    return _project_primal(model, node_blocks, state, lambda i, run, p, _: solve_transport_entropic(
-        p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal))
+
+    def solve(i, run, nodes, state):
+        seed = state.potentials.get(i)
+        cost = None if seed is None else run.cost - seed[0][:, :, None] - seed[1][:, None, :]
+        p = run.problem(nodes, cost)
+        return solve_transport_entropic(p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal)
+
+    return _project_primal(model, node_blocks, state, solve)
 
 
 def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:

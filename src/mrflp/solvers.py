@@ -15,29 +15,30 @@ and steps after every ``t < max_iters``.  Before the step an epoch runs at
 ``t % epoch == 0`` and at ``t == max_iters``.  It projects ``fpd``'s dual
 iterate and, after the first step, its iteration-weighted dual average onto
 the dual feasible set (the others' nonsmooth dual at the iterate is a valid
-bound as it is),
-``nest``'s averaged maps by the entropic projection when the smoothed gap is
-logged, and, in ``_Tracker.observe``, the primal estimate by the exact energy
-projection.  ``observe`` alone picks the certified points.  Its primal
-candidates are that feasible point, its rounding and every labeling the
-solver read off its dual (both forests' argmins for ``sg-*`` and ``nest``),
-feasible as embeddings, so no forest is preferred and the integer bound
-never undercuts the primal bound.  Of ``fpd``'s two dual points it is
-handed the one of the higher value, and keeps it by the rule that raises
-the dual bound.  The record carries the best certified pair so far: its
-gap never increases.
+bound as it is), then the primal estimate by the exact energy projection,
+and, when ``nest`` logs the smoothed gap, the same averaged maps by the
+entropic projection, which the exact one's potentials seed: one exact solve
+serves both.  ``_Tracker.observe`` folds in the exact point and alone picks
+the certified points.  Its primal candidates are that feasible point, its
+rounding and every labeling the solver read off its dual (both forests'
+argmins for ``sg-*`` and ``nest``), feasible as embeddings, so no forest is
+preferred and the integer bound never undercuts the primal bound.  Of
+``fpd``'s two dual points it is handed the one of the higher value, and
+keeps it by the rule that raises the dual bound.  The record carries the
+best certified pair so far: its gap never increases.
 
 Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
 failure; ``observe`` keeps a weak-duality violation the same way.  The
 tracker owns the run's :class:`ProjectionState`, from whose bases each exact
-projection starts warm.  An epoch with a failure logs no record: the run
-ends with ``numerical-failure`` and keeps the records, bounds and points
-before it.  After each epoch four stop tests run in order: a failure
-(``numerical-failure``), the last iteration (``max-iters``), a relative gap
-at most ``tol`` or a gap below ``EQ_TOL`` (``gap-tolerance``), and the
-elapsed time plus this epoch's projection time above ``time_budget_s``
-(``time-budget``).  At an ``sg-*`` zero subgradient both forests pick one
+projection starts warm and whose potentials seed each entropic projection.
+A failed projection skips the epoch's later ones, and an epoch with a
+failure logs no record: the run ends with ``numerical-failure`` and keeps
+the records, bounds and points before it.  After each epoch four stop tests
+run in order: a failure (``numerical-failure``), the last iteration
+(``max-iters``), a relative gap at most ``tol`` or a gap below ``EQ_TOL``
+(``gap-tolerance``), and the elapsed time plus this epoch's projection time
+above ``time_budget_s`` (``time-budget``).  At an ``sg-*`` zero subgradient both forests pick one
 labeling; the next epoch scores it, and the gap it closes ends the run.
 """
 
@@ -248,24 +249,27 @@ class _Tracker:
         finally:
             self.projection_time += time.perf_counter() - start
 
-    def observe(self, iteration: int, node_blocks, dual_candidate: float, rho: float | None = None,
+    def project_exact(self, node_blocks) -> Marginals | None:
+        """The exact energy projection of the node blocks from the run's
+        state, through :meth:`project`."""
+        return self.project(project_primal_energy, self.model, node_blocks, self.projection_state)
+
+    def observe(self, iteration: int, projected: Marginals | None, dual_candidate: float, rho: float | None = None,
                 smoothed_gap: float | None = None, labelings: tuple[np.ndarray, ...] = (),
                 dual_point: DualPoint | None = None) -> ConvergenceRecord | None:
         """Fold one epoch into the best certified bounds and log its record.
 
-        The node blocks are projected to a feasible point, which competes
-        with its rounded labeling and every one of ``labelings`` for the
-        primal bound; the first of the lowest energy wins a tie.
-        ``dual_point``, whose value is ``dual_candidate``, replaces the kept
-        one when that value is at least the best dual bound so far.  If this
-        or an earlier projection of the epoch failed, or the weak-duality
-        check raises :class:`NumericalError`, the bounds, points and records
-        of the last consistent epoch stay, the error is kept in ``failure``
-        and the result is ``None``.
+        ``projected``, the epoch's :meth:`project_exact` point, competes with
+        its rounded labeling and every one of ``labelings`` for the primal
+        bound; the first of the lowest energy wins a tie.  ``dual_point``,
+        whose value is ``dual_candidate``, replaces the kept one when that
+        value is at least the best dual bound so far.  If a projection of the
+        epoch failed, or the weak-duality check raises
+        :class:`NumericalError`, the bounds, points and records of the last
+        consistent epoch stay, the error is kept in ``failure`` and the
+        result is ``None``.
         """
-        projected = (self.project(project_primal_energy, self.model, node_blocks, self.projection_state)
-                     if self.failure is None else None)
-        if projected is None:
+        if self.failure is not None:
             return None
         try:
             value = relaxed_energy(self.model, projected)
@@ -370,7 +374,7 @@ def solve_subgradient(model: MrfModel, decomposition: Decomposition, cfg: Solver
             acc_w += 2.0 * w
         if t % cfg.epoch == 0 or t == cfg.max_iters:
             # acc_w > 0: the first step, tau0 or 1, has positive weight
-            tracker.observe(t, acc / acc_w, value, labelings=(x1, x2))
+            tracker.observe(t, tracker.project_exact(acc / acc_w), value, labelings=(x1, x2))
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
@@ -385,7 +389,9 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
     shared by both) is doubled whenever an iteration fails its ascent check.
     The recorded dual bound is the nonsmooth dual at the iterate, which is
     always a valid lower bound; the feasible primal bound comes from the
-    energy projection of the averaged marginal maps.  With
+    exact energy projection of the averaged marginal maps.  When the
+    smoothed gap is logged, the entropic projection of the same maps runs
+    after it, seeded by its potentials.  With
     ``rho_schedule="halving"`` the smoothing level halves whenever the
     smoothed relative gap drops below ``RHO_SHRINK_THRESHOLD * rho``, down
     to ``RHO_MIN``.  If the ascent check fails more than 200 times in all,
@@ -407,13 +413,14 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
             u_val, _, argmins = ctx.value_and_subgradient(lam)
             uh_val, _, maps = ctx.smoothed(lam, rho)
             blocks = (maps[0] + maps[1]) / 2.0
+            projected = tracker.project_exact(blocks)
             smoothed_gap = None
-            if cfg.log_smoothed_gap:
+            if cfg.log_smoothed_gap and projected is not None:
                 state = tracker.projection_state
                 feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho, state)
                 if feas is not None:
                     smoothed_gap = free_energy(model, feas, rho) - uh_val
-            tracker.observe(t, blocks, u_val, rho=rho, smoothed_gap=smoothed_gap, labelings=argmins)
+            tracker.observe(t, projected, u_val, rho=rho, smoothed_gap=smoothed_gap, labelings=argmins)
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break
@@ -552,7 +559,7 @@ def solve_fpd(model: MrfModel, cfg: SolverConfig) -> SolverReport:
                 if best is None or value > best[0]:
                     best = value, point
             else:
-                tracker.observe(t, it.mu[: it.packing.node_dim], best[0], dual_point=best[1])
+                tracker.observe(t, tracker.project_exact(it.mu[: it.packing.node_dim]), best[0], dual_point=best[1])
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break

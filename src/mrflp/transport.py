@@ -363,14 +363,16 @@ def _newton(logk: np.ndarray, r: np.ndarray, s: np.ndarray):
         hess[:, :n, n:] = (p / (scale[:n, None] * scale[None, n:])).transpose(2, 0, 1)
         hess[:, n:, :n] = hess[:, :n, n:].transpose(0, 2, 1)
         delta = np.linalg.solve(hess, (grad / scale).T[:, :, None])[:, :, 0].T / scale
-        slope = _fsum(grad * delta)
         # Armijo backtracking: step t * delta raises the dual by t * slope - sum p (expm1(x) - x)
         t = np.ones(live.size)
-        ascent = np.isfinite(slope) & (slope > 0.0)
-        searching = ascent.copy()
         zero = p == 0.0
         exponent = lk + fg[:n, None] + fg[None, n:] if zero.any() else None
-        with np.errstate(invalid="ignore"):  # 0 * inf where p = 0, overwritten by the exponential
+        # a non-finite direction (inf * 0 at a pinned row) gives a NaN slope,
+        # which is no ascent; 0 * inf where p = 0 is overwritten by the exponential
+        with np.errstate(invalid="ignore"):
+            slope = _fsum(grad * delta)
+            ascent = np.isfinite(slope) & (slope > 0.0)
+            searching = ascent.copy()
             for _ in range(_HALVING_CAP):
                 j = np.flatnonzero(searching)
                 if not j.size:

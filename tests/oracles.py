@@ -297,7 +297,7 @@ def reference_fpd(model, cfg):
             if all(p is not None for p in points):
                 values = [dual_value(model, p) for p in points]
                 k = int(np.argmax(values))
-                tracker.observe(t, mu[: packing.node_dim], values[k], dual_point=points[k])
+                tracker.observe(t, tracker.project_exact(mu[: packing.node_dim]), values[k], dual_point=points[k])
             termination = tracker.stop(cfg, t)
             if termination is not None:
                 break

@@ -524,6 +524,29 @@ class TestProjectionState:
                 assert abs(M.relaxed_energy(m, warm) - M.relaxed_energy(m, cold)) <= 1e-9
             assert len(state.bases) == len(m.packing().edge_stack.runs)
 
+    def test_exact_potentials_seed_the_entropic_projection(self, monkeypatch):
+        costs = []
+        solve = mrflp.projections.solve_transport_entropic
+        monkeypatch.setattr(mrflp.projections, "solve_transport_entropic",
+                            lambda p, *args: costs.append(p.cost) or solve(p, *args))
+        for m, d, blocks in projection_cases():
+            runs = m.packing().edge_stack.runs
+            state = mrflp.projections.ProjectionState(m)
+            M.project_primal_energy(m, blocks, state)
+            kept = dict(state.bases), dict(state.potentials)
+            assert len(state.potentials) == len(runs)
+            costs.clear()
+            seeded = M.project_primal_free_energy(m, d, blocks, 0.5, state)
+            # the entropic projection reads the potentials and writes nothing
+            assert (state.bases, state.potentials) == kept
+            for run, cost, (u, v) in zip(runs, costs, (state.potentials[i] for i in range(len(runs)))):
+                np.testing.assert_array_equal(cost, run.cost - u[:, :, None] - v[:, None, :])
+            costs.clear()
+            cold = M.project_primal_free_energy(m, d, blocks, 0.5)
+            for run, cost in zip(runs, costs):
+                np.testing.assert_array_equal(cost, run.cost)
+            np.testing.assert_allclose(seeded.flat, cold.flat, rtol=0, atol=1e-9)
+
     def test_state_of_another_model_is_refused(self):
         m, other = M.generate_grid(2, 2, 2, seed=1), M.generate_grid(2, 2, 2, seed=1)
         blocks, state = np.ones(m.packing().node_dim), mrflp.projections.ProjectionState(other)

@@ -560,6 +560,106 @@ class TestAveragedDual:
                    for record, (iterate, average) in zip(report.records[1:], epochs[1:]))
 
 
+def entropic_residuals(monkeypatch):
+    """Per entropic projection of the solves that follow, the residuals
+    before rounding of its edge problems, one array per projection."""
+    projections = []
+    project, solve = mrflp.solvers.project_primal_free_energy, mrflp.projections.solve_transport_entropic
+
+    def opened(*args):
+        projections.append([])
+        return project(*args)
+
+    def recorded(*args):
+        result = solve(*args)
+        projections[-1].append(np.atleast_1d(result.residual))
+        return result
+
+    monkeypatch.setattr(mrflp.solvers, "project_primal_free_energy", opened)
+    monkeypatch.setattr(mrflp.projections, "solve_transport_entropic", recorded)
+    return projections
+
+
+class TestSeededEntropicEpoch:
+    """``nest``'s smoothed epoch: one exact projection, whose potentials seed
+    the entropic one."""
+
+    def test_exact_call_comes_first(self, monkeypatch):
+        calls = []
+
+        def logged(name):
+            fn = getattr(mrflp.solvers, name)
+
+            def call(*args):
+                calls.append((name, args[-1]))
+                return fn(*args)
+            monkeypatch.setattr(mrflp.solvers, name, call)
+
+        logged("project_primal_energy")
+        logged("project_primal_free_energy")
+        m = M.generate_grid(4, 4, 3, seed=3)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=60, epoch=20, rho=0.5))
+        assert len(report.records) == 4
+        assert [name for name, _ in calls] == ["project_primal_energy", "project_primal_free_energy"] * 4
+        # both read the run's one state
+        assert len({id(state) for _, state in calls}) == 1
+
+    def test_a_failed_exact_projection_skips_the_entropic_one(self, monkeypatch):
+        exact, entropic = [], []
+        real = mrflp.solvers.project_primal_energy
+        free = mrflp.solvers.project_primal_free_energy
+
+        def failing_second(*args):
+            exact.append(None)
+            if len(exact) == 2:
+                raise NumericalError("injected exact projection failure")
+            return real(*args)
+
+        monkeypatch.setattr(mrflp.solvers, "project_primal_energy", failing_second)
+        monkeypatch.setattr(mrflp.solvers, "project_primal_free_energy",
+                            lambda *args: entropic.append(None) or free(*args))
+        m = M.generate_grid(4, 4, 3, seed=3)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=100, epoch=20, rho=0.5))
+        assert report.termination == "numerical-failure"
+        assert (len(exact), len(entropic)) == (2, 1)
+        assert [r.iteration for r in report.records] == [0]
+
+    @pytest.mark.parametrize("make, cfg", [
+        pytest.param(lambda: M.generate_grid(6, 6, 3, seed=4),
+                     M.SolverConfig(max_iters=200, epoch=20, rho=0.5, rho_schedule="halving"), id="grid"),
+        pytest.param(lambda: M.generate_lp_tight(20, 20, 3, 25.0, 1e6, 0.4, seed=0)[0],
+                     M.SolverConfig(max_iters=60, epoch=20, rho=2.0), id="lp-tight"),
+        pytest.param(lambda: oracles.mixed_label_grid(2),
+                     M.SolverConfig(max_iters=200, epoch=20, rho=0.5, rho_schedule="halving"), id="mixed"),
+    ])
+    def test_smoothed_gap_is_nonnegative(self, make, cfg):
+        m = make()
+        report = M.solve_nesterov(m, M.decompose_grid(m), cfg)
+        assert report.termination != "numerical-failure"
+        assert report.records and all(r.smoothed_gap >= 0.0 for r in report.records)
+
+    def test_no_stall_where_mass_moves_through_underflowed_entries(self, monkeypatch):
+        # forbidden entries of 1e6 at rho 2: from a cold start Newton saw no
+        # curvature in the underflowed entries, and 7 of 760 edges stopped at
+        # residuals up to 1.35e-7
+        residuals = entropic_residuals(monkeypatch)
+        m, _ = M.generate_lp_tight(20, 20, 3, 25.0, 1e6, 0.4, seed=0)
+        M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=40, epoch=20, rho=2.0))
+        assert residuals
+        for projection in residuals:
+            assert np.concatenate(projection).max() <= 1e-9
+
+    def test_few_stalls_at_small_rho(self, monkeypatch):
+        # at rho 1e-3 a cold start left about a quarter of the edges above
+        # 1e-9; a RuntimeWarning would fail the run (see pyproject.toml)
+        residuals = entropic_residuals(monkeypatch)
+        m = M.generate_grid(10, 10, 4, law="uniform01", seed=0)
+        M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=40, epoch=20, rho=1e-3))
+        assert len(residuals) == 3
+        for projection in residuals:
+            assert np.mean(np.concatenate(projection) > 1e-9) <= 0.03
+
+
 class TestEpochCertification:
     def test_each_point_is_checked_once(self, monkeypatch):
         # the projection checks its own point, the tracker only a newly

@@ -369,6 +369,30 @@ class TestEntropicTransport:
         res = M.solve_transport_entropic(p, 1.0, 1, p.row_marginal, p.col_marginal)
         np.testing.assert_allclose(res.plan, 0.25, atol=1e-9)
 
+    def test_a_non_finite_direction_stops_its_problem_quietly(self, monkeypatch):
+        # an infinite Newton direction at problem 0's zero-mass first row makes
+        # its slope inf * 0: that problem stops at its start, with no
+        # RuntimeWarning, and problem 1 solves as it does alone
+        rng = np.random.default_rng(4)
+        r = rng.random((2, 3)) + 0.1
+        r[0, 0] = 0.0
+        p = M.TransportProblem(rng.random((2, 3, 3)), r, rng.random((2, 3)) + 0.1)
+        alone = M.solve_transport_entropic(p, 0.1, 1, p.row_marginal, p.col_marginal)
+        solve = np.linalg.solve
+
+        def infinite_first_row(a, b):
+            x = solve(a, b)
+            if len(x) == 2:
+                x[0, 0] = np.inf
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", infinite_first_row)
+        res = M.solve_transport_entropic(p, 0.1, 1, p.row_marginal, p.col_marginal)
+        assert res.iterations[0] == 0 and alone.iterations[0] > 0
+        assert np.isfinite(res.plan).all()
+        np.testing.assert_array_equal(res.plan[1], alone.plan[1])
+        assert res.iterations[1] == alone.iterations[1]
+
     def test_large_rho_approaches_product_measure(self):
         rng = np.random.default_rng(3)
         c = rng.random((3, 3))
@@ -798,3 +822,52 @@ class TestWarmStart:
         start = M.solve_transport(tied_stack(16, k=4)).simplex_basis
         with pytest.raises(ValueError, match="shape"):
             M.solve_transport(p, start=start)
+
+
+def reduced(problem, u, v):
+    """The problem on the costs ``c_ij - u_i - v_j``, with its marginals."""
+    shifted = problem.cost - np.expand_dims(u, -1) - np.expand_dims(v, -2)
+    return M.TransportProblem(shifted, problem.row_marginal, problem.col_marginal)
+
+
+class TestSeededEntropic:
+    """A seed, the costs shifted by row and column potentials, never moves
+    the entropic optimum: with the marginals fixed, the shift moves the
+    objective by a constant.  Where the seeded and the cold solve both
+    converge, their plans agree; the seed is the exact solve's potentials
+    or random finite ones.  The exact seed converges on every problem."""
+
+    @staticmethod
+    def compare(problem, rho, u, v):
+        """Masks of the stack's problems that the cold and the seeded solve
+        converged on; where both did, their plans must agree."""
+        cold = M.solve_transport_entropic(problem, rho, 1, problem.row_marginal, problem.col_marginal)
+        q = reduced(problem, u, v)
+        seeded = M.solve_transport_entropic(q, rho, 1, q.row_marginal, q.col_marginal)
+        masks = [np.atleast_1d(res.residual <= TRANSPORT_MARGINAL_TOL) for res in (cold, seeded)]
+        diff = np.abs(seeded.plan - cold.plan).reshape(masks[0].size, -1).max(axis=1)
+        assert np.all(diff[masks[0] & masks[1]] <= 1e-9)
+        return masks
+
+    def test_degenerate_problems(self):
+        rng = np.random.default_rng(5)
+        problems = list(degenerate_problems(4, 150))
+        both = 0
+        for p, rho in problems:
+            exact = M.solve_transport(p)
+            n, m = p.cost.shape
+            assert all(self.compare(p, rho, exact.row_potentials, exact.col_potentials)[1])
+            cold, seeded = self.compare(p, rho, rng.normal(scale=10.0, size=n), rng.normal(scale=10.0, size=m))
+            both += int((cold & seeded).sum())
+        # a cold start stalls on about one problem in six here
+        assert both >= 0.75 * len(problems)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5])
+    def test_padded_stack(self, rho):
+        p = padded_stack(9)
+        exact = M.solve_transport(p)
+        rng = np.random.default_rng(6)
+        k, n, m = p.cost.shape
+        assert self.compare(p, rho, exact.row_potentials, exact.col_potentials)[1].all()
+        cold, seeded = self.compare(p, rho, rng.normal(scale=10.0, size=(k, n)), rng.normal(scale=10.0, size=(k, m)))
+        assert np.mean(cold & seeded) >= 0.9
