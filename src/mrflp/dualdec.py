@@ -271,16 +271,18 @@ def decomposition_entropy(model: MrfModel, marginals: Marginals) -> float:
     return -2.0 * float(node_terms.sum()) - float(edge_terms.sum())
 
 
-def free_energy(model: MrfModel, marginals: Marginals, rho: float) -> float:
+def free_energy(model: MrfModel, marginals: Marginals, rho: float, *, certified: bool = False) -> float:
     """Entropy-smoothed relaxed energy (tree-reweighted free energy).
 
     Defined as the relaxed energy minus ``rho`` times the decomposition
     entropy, so it lower-bounds the relaxed energy on the local polytope and
-    is within ``2 * rho * sum_v log L_v`` of it.
+    is within ``2 * rho * sum_v log L_v`` of it.  Infeasible marginals are
+    refused, unless ``certified`` says that they were certified feasible
+    already, as a primal projection's output is.
     """
     if not 0.0 < rho < np.inf:
         raise ValueError("rho must be positive and finite")
-    residual = constraint_residual(model, marginals)
+    residual = 0.0 if certified else constraint_residual(model, marginals)
     if residual > EQ_TOL:
         raise InfeasibleMarginalsError(
             "free energy is only defined on feasible points", residual=residual

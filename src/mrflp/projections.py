@@ -11,9 +11,9 @@ labels, which the edges read directly as their marginals.  Each run of the
 packing's padded edge stack, :attr:`~mrflp._packing.Packing.edge_stack`, is
 one batched problem, on which each edge pivots exactly as it would alone.
 A :class:`ProjectionState` holds one solver run's warm start: each stack
-run's last optimal exact bases, from which its next exact solve starts, and
-their potentials, which seed its next entropic solve.  Calls without a state
-start every exact solve from the star basis and every entropic solve cold.
+run's last optimal exact bases, from which its next exact solve starts and
+whose potentials seed its next entropic solve.  Calls without a state start
+every exact solve from the star basis and every entropic solve cold.
 
 The dual projection keeps the reweighting messages and recomputes the bound
 variables as the exact minima they bound, which restores feasibility of the
@@ -29,7 +29,7 @@ from ._packing import project_simplex_blocks
 from .errors import NumericalError, StructureError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual
 from .tolerances import EQ_TOL
-from .transport import SimplexBasis, solve_transport, solve_transport_entropic
+from .transport import SimplexBasis, _potentials, solve_transport, solve_transport_entropic
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
@@ -48,17 +48,17 @@ def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
 
 class ProjectionState:
     """One solver run's warm start: each run of the model's edge stack keeps
-    its last optimal exact bases and their row and column potentials ``(u,
-    v)``, of shapes ``(k, w_u)`` and ``(k, w_v)``.  The bases start the
-    run's next exact solve: an edge's costs never change during a run, so
-    they stay dual feasible as its marginals move.  The potentials seed its
-    next entropic solve: any finite ones leave the entropic optimum where it
-    is, and those of the same marginals are its ``rho -> 0`` limit."""
+    its last optimal exact bases.  They start the run's next exact solve: an
+    edge's costs never change during a run, and its padded cells stay priced
+    for the root of its first, cold star, which is the bases' gauge; so they
+    stay dual feasible as its marginals move.  Their potentials ``(u, v)``,
+    recomputed from the bases, seed its next entropic solve: any finite ones
+    leave the entropic optimum where it is, and those of the same marginals
+    are its ``rho -> 0`` limit."""
 
     def __init__(self, model: MrfModel):
         self.model = model
         self.bases: dict[int, SimplexBasis] = {}
-        self.potentials: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None, solve) -> Marginals:
@@ -91,19 +91,18 @@ def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState |
     between its projected endpoints, from one :func:`solve_transport` call
     per run of the padded edge stack (one call in all when every edge has
     the same shape).  With a ``state`` of the same model, each call starts
-    from the bases of the state's last call and leaves its own there, with
-    their potentials.  The output is certified feasible before it is
-    returned.
+    from the bases of the state's last call and leaves its own there.  The
+    output is certified feasible before it is returned.
     """
 
     def solve(i, run, nodes, state):
+        start = state.bases.get(i)
         try:
-            result = solve_transport(run.problem(nodes), start=state.bases.get(i))
+            result = solve_transport(run.problem(nodes, run.exact_cost(nodes, start)), start=start)
         except NumericalError as exc:
             u, v = model.edges[run.edges[exc.problem]]
             raise NumericalError(f"{exc} on edge {(u, v)}", residual=exc.residual) from exc
         state.bases[i] = result.simplex_basis
-        state.potentials[i] = result.row_potentials, result.col_potentials
         return result
 
     return _project_primal(model, node_blocks, state, solve)
@@ -116,21 +115,26 @@ def project_primal_free_energy(
     entropy-smoothed edge objective with the projected node blocks as the
     reference product measure, from one :func:`solve_transport_entropic`
     call per run of the same padded edge stack.  A ``state`` must be of the
-    same model.  Where it holds a run's exact potentials ``(u, v)``, that
-    run is solved on the reduced costs ``c_ij - u_i - v_j``: with the
-    marginals fixed, the shift moves the objective by a constant and leaves
-    the optimum where it is, but Newton starts near it.  Padded rows and
-    columns have zero mass, so their cells stay pinned at 0 whatever their
-    reduced cost.  Nothing is written to the state.  ``node_blocks`` is the
-    flat node vector, and ``rho`` must be positive and finite."""
+    same model.  Where it holds a run's exact bases, that run is solved on
+    the reduced costs ``c_ij - u_i - v_j`` of their potentials ``(u, v)``:
+    with the marginals fixed, the shift moves the objective by a constant
+    and leaves the optimum where it is, but Newton starts near it.  Padded
+    rows and columns have zero mass, so their cells stay pinned at 0
+    whatever their reduced cost.  Nothing is written to the state.
+    ``node_blocks`` is the flat node vector, and ``rho`` must be positive
+    and finite."""
     if not 0.0 < rho < np.inf:
         raise ValueError("rho must be positive and finite")
     if len(decomposition.colors) != model.n_edges:
         raise StructureError("need exactly one color per edge")
 
     def solve(i, run, nodes, state):
-        seed = state.potentials.get(i)
-        cost = None if seed is None else run.cost - seed[0][:, :, None] - seed[1][:, None, :]
+        basis, cost = state.bases.get(i), run.cost
+        if basis is not None:
+            # the exact solve's own costs, less its bases' potentials
+            c = run.exact_cost(nodes, basis)
+            y, wu = _potentials(c.reshape(len(c), -1), basis.slots, basis.inverse), c.shape[1]
+            cost = c - y[:, :wu, None] - y[:, None, wu:]
         p = run.problem(nodes, cost)
         return solve_transport_entropic(p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal)
 

@@ -31,7 +31,8 @@ Every projection runs in ``_Tracker.project``, which adds its time, failed or
 not, to ``projection_time_s`` and keeps a :class:`NumericalError` as the run's
 failure; ``observe`` keeps a weak-duality violation the same way.  The
 tracker owns the run's :class:`ProjectionState`, from whose bases each exact
-projection starts warm and whose potentials seed each entropic projection.
+projection starts warm and whose bases' potentials seed each entropic
+projection.
 A failed projection skips the epoch's later ones, and an epoch with a
 failure logs no record: the run ends with ``numerical-failure`` and keeps
 the records, bounds and points before it.  After each epoch four stop tests
@@ -419,7 +420,7 @@ def solve_nesterov(model: MrfModel, decomposition: Decomposition, cfg: SolverCon
                 state = tracker.projection_state
                 feas = tracker.project(project_primal_free_energy, model, decomposition, blocks, rho, state)
                 if feas is not None:
-                    smoothed_gap = free_energy(model, feas, rho) - uh_val
+                    smoothed_gap = free_energy(model, feas, rho, certified=True) - uh_val
             tracker.observe(t, projected, u_val, rho=rho, smoothed_gap=smoothed_gap, labelings=argmins)
             termination = tracker.stop(cfg, t)
             if termination is not None:

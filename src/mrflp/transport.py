@@ -10,10 +10,15 @@ in {-1, 0, 1}: each pivot puts the entering arc in the leaving arc's slot
 and makes one rank-one update.  Zero marginal entries simply produce
 zero-flow basic arcs (the limit of a perturbed basis).
 
-Every solve starts from dual feasible bases.  A cold solve starts from the
-star basis: row 0's arcs to every column, and from each other row one arc
-to its column of least ``c_ij - c_0j``, whose inverse is written down with
-no matrix inversion.  A warm start gives instead the final bases of an
+Every solve starts from dual feasible bases.  A cold solve starts each
+problem from the star basis rooted at its heaviest row, or at its heaviest
+column where that column is strictly heavier (the first maximum wins): the
+root ``p``'s arcs to every column, and from each other row one arc to its
+column of least ``c_ij - c_pj`` (mirrored at a column root), whose inverse
+is written down with no matrix inversion.  Rooted where the mass is, the
+star's flows are mostly feasible already, so few dual pivots remain.  The
+root's potential is the gauge, fixed at 0: its row of the inverse is zero,
+and pivots keep it so.  A warm start gives instead the final bases of an
 earlier solve of the same costs, which stay dual feasible whatever the
 marginals.  The flows ``inverse^T [r; s]`` are then optimal wherever they
 are nonnegative.  Elsewhere a dual phase pivots them back to feasibility:
@@ -42,6 +47,7 @@ every such sum is the float a stack-first sum gives.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -85,8 +91,10 @@ class TransportProblem:
 class SimplexBasis:
     """Final bases of an exact solve, a warm start for the same costs: each
     slot's arc (row-major index) and the int8 inverse of the basis equations
-    without the gauge column, one row per node (rows, then columns).  A
-    start that is not dual feasible for its costs is refused."""
+    without the gauge column, one row per node (rows, then columns).  The
+    gauge is the root of the cold star the bases came from, whose potential
+    is 0 and whose row of the inverse is zero.  A start that is not dual
+    feasible for its costs is refused."""
 
     slots: np.ndarray
     inverse: np.ndarray
@@ -151,21 +159,87 @@ def _residual(plan: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(_sums(plan, 1) - r).max(axis=0), np.abs(_sums(plan, 0) - s).max(axis=0))
 
 
-def _star_start(c: np.ndarray):
-    """Star basis of a ``(k, n, m)`` stack, dual feasible by construction:
-    row 0's arcs to every column, then one arc from each other row ``i`` to
-    its column of least ``c_ij - c_0j`` (ties to the smaller index).  Its
-    potentials are ``u_0 = 0``, ``v_j = c_0j`` and ``u_i = min_j (c_ij -
-    c_0j)``, so no reduced cost is negative.  Returns the slot arcs, in
-    row-major order, and the int8 inverse: row ``n + j`` is ``e_j``, row
-    ``i > 0`` is its own slot minus its column's, and row 0 is zero."""
+def _star_roots(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Each problem's star root, as a node index (rows, then columns), for
+    unit-mass marginals ``(k, n)`` and ``(k, m)``: its heaviest node, rows
+    first, so a column roots the star only where it is strictly heavier than
+    every row, and uniform marginals with ``n <= m`` root at row 0."""
+    return np.concatenate([r, s], axis=1).argmax(axis=1)
+
+
+def _gauge(inverse: np.ndarray) -> np.ndarray:
+    """The gauge node of each basis of a ``(k, n + m, n + m - 1)`` stack of
+    inverses: the one whose row is all zero, its potential fixed at 0.  A
+    star's gauge is its root, and pivots keep it."""
+    return (~inverse.any(axis=2)).argmax(axis=1)
+
+
+def _potentials(cf: np.ndarray, slots: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Potentials ``(u, v)``, as one ``(k, n + m)`` array, of bases given by
+    their slot arcs and inverses, for costs ``(k, n * m)`` in row-major
+    order."""
+    return np.einsum("qij,qj->qi", inverse, np.take_along_axis(cf, slots, axis=1))
+
+
+@functools.lru_cache(maxsize=64)
+def _star_templates(n: int, m: int):
+    """The stars of an ``n x m`` problem, one per root node (rows, then
+    columns), before the other rows or columns pick their arcs (see
+    :func:`_star_start`): the slot arcs, whose picked slots are left at 0;
+    the inverse without the picks' ``-1`` entries; and each row root's other
+    rows and each column root's other columns, in order.  Read-only, shared
+    by every stack of the shape."""
+    rows = np.array([[i for i in range(n) if i != p] for p in range(n)], dtype=np.int64).reshape(n, n - 1)
+    cols = np.array([[j for j in range(m) if j != p] for p in range(m)], dtype=np.int64).reshape(m, m - 1)
+    slots = np.zeros((n + m, n + m - 1), dtype=np.int64)
+    inv = np.zeros((n + m, n + m, n + m - 1), dtype=np.int8)
+    for p in range(n):
+        slots[p, :m] = p * m + np.arange(m)
+        inv[p, n + np.arange(m), np.arange(m)] = 1
+        inv[p, rows[p], np.arange(m, n + m - 1)] = 1
+    for p in range(m):
+        slots[n + p, :n] = np.arange(n) * m + p
+        inv[n + p, np.arange(n), np.arange(n)] = 1
+        inv[n + p, n + cols[p], np.arange(n, n + m - 1)] = 1
+    for a in (rows, cols, slots, inv):
+        a.flags.writeable = False
+    return slots, inv, rows, cols
+
+
+def _star_start(c: np.ndarray, roots=0):
+    """Star bases of a ``(k, n, m)`` stack, dual feasible by construction,
+    rooted at the nodes ``roots`` (rows, then columns; one per problem or
+    one for all).  A row root ``p`` takes its arcs to every column, then
+    each other row ``i`` one arc to its column of least ``c_ij - c_pj``
+    (ties to the smaller index).  Its potentials are ``u_p = 0``, ``v_j =
+    c_pj`` and ``u_i = min_j (c_ij - c_pj)``, so no reduced cost is
+    negative.  Returns the slot arcs, in row-major order: the root's arcs,
+    then the other rows' in row order; and the int8 inverse: row ``n + j``
+    is ``e_j``, each other row is its own slot minus its column's, and the
+    root's row is zero.  A column root is the same, mirrored: its arcs from
+    every row come first, then one arc into each other column, and its
+    potential is the gauge."""
     k, n, m = c.shape
-    col = (c[:, 1:] - c[:, :1]).argmin(axis=2)
-    slots = np.concatenate([np.broadcast_to(np.arange(m), (k, m)), np.arange(m, n * m, m) + col], axis=1)
-    inv = np.zeros((k, n + m, n + m - 1), dtype=np.int8)
-    inv[:, n:, :m] = np.eye(m, dtype=np.int8)
-    inv[:, np.arange(1, n), np.arange(m, n + m - 1)] = 1
-    inv[np.arange(k)[:, None], np.arange(1, n), col] = -1
+    nb = n + m - 1
+    roots = np.broadcast_to(roots, (k,))
+    t_slots, t_inv, t_rows, t_cols = _star_templates(n, m)
+    slots, inv = np.take(t_slots, roots, axis=0), np.take(t_inv, roots, axis=0)
+    # a row root's other rows pick their columns; a column root's other
+    # columns pick their rows, from the transposed costs
+    by_col = roots >= n
+    for q, hub, others in ((np.flatnonzero(~by_col), 0, t_rows), (np.flatnonzero(by_col), n, t_cols)):
+        if not q.size:
+            continue
+        sub = c if q.size == k else np.take(c, q, axis=0)
+        sub = sub.swapaxes(1, 2) if hub else sub
+        lines = sub.reshape(-1, sub.shape[2])  # the problems' rows (or columns), one after another
+        at = roots[q] - hub
+        ends = np.take(others, at, axis=0)
+        first = np.arange(q.size)[:, None] * sub.shape[1]
+        pick = (np.take(lines, first + ends, axis=0) - np.take(lines, first + at[:, None], axis=0)).argmin(axis=2)
+        i, j = (pick, ends) if hub else (ends, pick)
+        np.put(slots, q[:, None] * nb + np.arange(nb - ends.shape[1], nb), i * m + j)
+        np.put(inv, (q[:, None] * (n + m) + hub + ends) * nb + pick, -1)
     return slots, inv
 
 
@@ -179,7 +253,7 @@ def _dual_phase(cf: np.ndarray, n: int, m: int, arcs: np.ndarray, x: np.ndarray,
     # a, f, v and red hold the rows of the live problems only
     live = np.flatnonzero((x < -NONNEG_TOL).any(axis=1))
     a, f, v = arcs[live], x[live], inv[live]
-    y = np.einsum("qij,qj->qi", v, np.take_along_axis(cf[live], a, axis=1))
+    y = _potentials(cf[live], a, v)
     red = (cf[live].reshape(-1, n, m) - y[:, :n, None] - y[:, None, n:]).reshape(-1, n * m)
     while live.size:
         # Bland: the leaving slot holds the negative flow of least arc index
@@ -235,7 +309,7 @@ def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int,
     x = np.einsum("qij,qi->qj", inv, np.concatenate([r, s], axis=1))
     pivots, capped = _dual_phase(cf, n, m, arcs, x, inv, max_pivots)
     np.clip(x, 0.0, None, out=x)
-    y = np.einsum("qij,qj->qi", inv, np.take_along_axis(cf, arcs, axis=1))
+    y = _potentials(cf, arcs, inv)
     # the certificate reduces stack-last, over contiguous rows
     ct, yt = c.transpose(1, 2, 0).copy(), y.T.copy()
     reduced = ct - yt[:n, None] - yt[None, n:]
@@ -250,16 +324,19 @@ def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None
 
     A batched problem is solved as a stack in lockstep, and a single problem
     as a stack of one, by the simplex method from the star start, a dual
-    feasible basis whose inverse is written down directly.  ``start``, the
-    ``simplex_basis`` of a solve of the same costs for other marginals,
-    replaces that start.  Either way dual pivots restore feasible flows.
+    feasible basis whose inverse is written down directly, rooted at the
+    problem's heaviest row or, where strictly heavier, its heaviest column.
+    ``start``, the ``simplex_basis`` of a solve of the same costs for other
+    marginals, replaces that start and is used as it is.  Either way dual
+    pivots restore feasible flows.
     Each problem may take ``max(1000, 50 * n * m)`` pivots.  A
     :class:`NumericalError` is raised, with ``problem`` set to its index in
     the stack, for a problem that needs more, or whose final potentials
     price an arc below ``-PIVOT_TOL * max(1, max|c|)``: its start was not
     dual feasible.  Returns the optimal plans together with the
     potentials of the final bases, which certify optimality: ``u_i + v_j <=
-    c_ij`` everywhere with equality on basic arcs, and the final bases as
+    c_ij`` everywhere with equality on basic arcs, and are 0 at the root of
+    the cold star they descend from; and the final bases as
     ``simplex_basis``.
     """
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
@@ -267,7 +344,7 @@ def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None
     r, s = problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m)
     max_pivots = max(_PIVOT_CAP_MIN, _PIVOT_CAP_PER_CELL * n * m)
     if start is None:
-        bases = _star_start(c)
+        bases = _star_start(c, _star_roots(r, s))
     else:
         shape = problem.cost.shape[:-2] + (n + m, n + m - 1)
         if start.inverse.shape != shape:

@@ -423,23 +423,23 @@ def transport_bruteforce(cost, r, s):
 # The lockstep simplex with the basis equations rebuilt and inverted densely
 # in every round: the package's star start and dual phase, then a primal
 # loop with Bland's rules, without its maintained inverse, with the start
-# written as a plain loop per problem.
+# and its root written as plain loops per problem.
 
 _CHUNK = 256
 
 
-def _dense_inverse(n: int, m: int, basic: np.ndarray):
+def _dense_inverse(n: int, m: int, basic: np.ndarray, gauge: np.ndarray):
     """The basic arcs of a stack of flat bases in row-major order, and the
-    inverse of their equations ``u_i + v_j = c_ij`` with the gauge
-    ``u_0 = 0`` last, one row per node (rows, then columns).  The inverse of
-    a spanning-tree basis has entries in {-1, 0, 1}, so rounding removes its
-    round-off."""
+    inverse of their equations ``u_i + v_j = c_ij`` with the gauge (the
+    potential of node ``gauge``, rows then columns, is 0) last, one row per
+    node.  The inverse of a spanning-tree basis has entries in {-1, 0, 1},
+    so rounding removes its round-off."""
     k, nb = basic.shape[0], n + m - 1
     arcs = np.nonzero(basic)[1].reshape(k, nb)
     eqs = np.zeros((k, n + m, n + m))
     eqs[np.arange(k)[:, None], np.arange(nb), arcs // m] = 1.0
     eqs[np.arange(k)[:, None], np.arange(nb), n + arcs % m] = 1.0
-    eqs[:, nb, 0] = 1.0
+    eqs[np.arange(k), nb, gauge] = 1.0
     return arcs, np.rint(np.linalg.inv(eqs)) + 0.0  # no -0.0 entries
 
 
@@ -460,7 +460,7 @@ def _potentials(c: np.ndarray, arcs: np.ndarray, inv: np.ndarray):
     return y, (c - y[:, :n, None] - y[:, None, n:]).reshape(k, -1)
 
 
-def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
+def _price(c: np.ndarray, basic: np.ndarray, gauge: np.ndarray, tol: np.ndarray):
     """Pricing step for a stack of ``(k, n, m)`` costs and flat bases: the
     basic arcs in row-major order, the potentials, whether an arc enters,
     Bland's entering arc (the first with a negative reduced cost) and its
@@ -468,14 +468,14 @@ def _price(c: np.ndarray, basic: np.ndarray, tol: np.ndarray):
     carries ``theta``."""
     k, n, m = c.shape
     q = np.arange(k)
-    arcs, inv = _dense_inverse(n, m, basic)
+    arcs, inv = _dense_inverse(n, m, basic, gauge)
     y, reduced = _potentials(c, arcs, inv)
     enters = ~basic & (reduced < -tol[:, None])
     enter = enters.argmax(axis=1)
     return arcs, y, enters.any(axis=1), enter, inv[q, enter // m, : n + m - 1] + inv[q, n + enter % m, : n + m - 1]
 
 
-def _dual_price(c: np.ndarray, basic: np.ndarray, flow: np.ndarray):
+def _dual_price(c: np.ndarray, basic: np.ndarray, gauge: np.ndarray, flow: np.ndarray):
     """Dual pricing step for a stack of dual feasible flat bases with a
     negative flow: the basic arcs in row-major order, the leaving slot (the
     negative flow of least arc index), whether an arc raises that flow,
@@ -483,7 +483,7 @@ def _dual_price(c: np.ndarray, basic: np.ndarray, flow: np.ndarray):
     coefficient -1 at that slot, ties to the smallest index) and its cycle."""
     k, n, m = c.shape
     q = np.arange(k)
-    arcs, inv = _dense_inverse(n, m, basic)
+    arcs, inv = _dense_inverse(n, m, basic, gauge)
     _, reduced = _potentials(c, arcs, inv)
     leave = (np.take_along_axis(flow, arcs, axis=1) < -NONNEG_TOL).argmax(axis=1)
     at = inv[q, :, leave]
@@ -493,28 +493,48 @@ def _dual_price(c: np.ndarray, basic: np.ndarray, flow: np.ndarray):
             inv[q, enter // m, : n + m - 1] + inv[q, n + enter % m, : n + m - 1])
 
 
-def _star_basis(c: np.ndarray, basic: np.ndarray):
-    """Star basis of one ``(n, m)`` problem, written into the flat
-    ``basic``: every arc of row 0, and from each other row the arc to the
-    column where its cost exceeds row 0's the least (the first column on
-    ties).  Its potentials ``u_0 = 0``, ``v_j = c_0j``, ``u_i = c_ij - c_0j``
-    there make every reduced cost nonnegative."""
+def star_root(r: np.ndarray, s: np.ndarray) -> int:
+    """The root of one problem's star start, as a node index (rows, then
+    columns): its first heaviest row, unless a column is strictly heavier,
+    then its first heaviest column."""
+    row = col = 0
+    for i in range(1, len(r)):
+        if r[i] > r[row]:
+            row = i
+    for j in range(1, len(s)):
+        if s[j] > s[col]:
+            col = j
+    return len(r) + col if s[col] > r[row] else row
+
+
+def star_basis(c: np.ndarray, root: int) -> np.ndarray:
+    """Star basis of one ``(n, m)`` problem, as the mask of its basic arcs.
+    A row root ``p`` takes every arc of its row, and each other row the arc
+    to the column where its cost exceeds row ``p``'s the least (the first
+    column on ties); its potentials ``u_p = 0``, ``v_j = c_pj``, ``u_i =
+    c_ij - c_pj`` there make every reduced cost nonnegative.  A column root
+    is the same, mirrored."""
     n, m = c.shape
+    if root >= n:
+        return star_basis(c.T, root - n).T
+    basic = np.zeros((n, m), dtype=bool)
     for j in range(m):
-        basic[j] = True
-    for i in range(1, n):
-        best = 0
-        for j in range(1, m):
-            if c[i, j] - c[0, j] < c[i, best] - c[0, best]:
-                best = j
-        basic[i * m + best] = True
+        basic[root, j] = True
+    for i in range(n):
+        if i != root:
+            best = 0
+            for j in range(1, m):
+                if c[i, j] - c[root, j] < c[i, best] - c[root, best]:
+                    best = j
+            basic[i, best] = True
+    return basic
 
 
-def _basic_flows(basic: np.ndarray, r: np.ndarray, s: np.ndarray):
+def _basic_flows(basic: np.ndarray, gauge: np.ndarray, r: np.ndarray, s: np.ndarray):
     """Flows of a stack of flat bases: ``x_t = sum_v inv[v, t] * supply_v``,
     accumulated node by node, rows first."""
     (k, n), m = r.shape, s.shape[1]
-    arcs, inv = _dense_inverse(n, m, basic)
+    arcs, inv = _dense_inverse(n, m, basic, gauge)
     supply = np.concatenate([r, s], axis=1)
     x = np.zeros((k, n + m - 1))
     for v in range(n + m):
@@ -524,20 +544,24 @@ def _basic_flows(basic: np.ndarray, r: np.ndarray, s: np.ndarray):
     return (flow,)
 
 
-def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int):
+def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int, start=None, gauge=0):
     """Transportation simplex on a ``(k, n, m)`` stack, all problems in
-    lockstep, from the star basis: dual pivots until no flow is below
-    ``-NONNEG_TOL``, then primal pivots until no reduced cost is below the
-    pivot tolerance.  The package's solver has no primal loop: it stops
-    after the dual pivots and certifies the potentials.  This one is the
-    reference for that, since equal pivot counts mean that its primal loop
-    never pivots.  Returns flows, bases, potentials ``(u, v)`` as one ``(k,
-    n + m)`` array, pivot counts and the mask of capped problems."""
+    lockstep, from the dual feasible bases ``start``, masks ``(k, n, m)`` of
+    their basic arcs (by default the stars rooted at row 0), with the
+    potential of each problem's node ``gauge`` (rows, then columns) fixed at
+    0: dual pivots until no flow is below ``-NONNEG_TOL``, then primal
+    pivots until no reduced cost is below the pivot tolerance.  The
+    package's solver has no primal loop: it stops after the dual pivots and
+    certifies the potentials.  This one is the reference for that, since
+    equal pivot counts mean that its primal loop never pivots.  Returns
+    flows, bases, potentials ``(u, v)`` as one ``(k, n + m)`` array, pivot
+    counts and the mask of capped problems."""
     k, n, m = c.shape
-    basic = np.zeros((k, n * m), dtype=bool)
-    for q in range(k):
-        _star_basis(c[q], basic[q])
-    (flow,) = _chunked(_basic_flows, np.arange(k), basic, r, s)
+    if start is None:
+        start = [star_basis(c[q], 0) for q in range(k)]
+    basic = np.array(start, dtype=bool).reshape(k, n * m)
+    gauge = np.array(np.broadcast_to(gauge, (k,)))
+    (flow,) = _chunked(_basic_flows, np.arange(k), basic, gauge, r, s)
     pivots, capped = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=bool)
 
     while True:
@@ -546,7 +570,7 @@ def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: i
         live = live[pivots[live] < max_pivots]
         if not live.size:
             break
-        arcs, leave, go, enter, d = _chunked(_dual_price, live, c, basic, flow)
+        arcs, leave, go, enter, d = _chunked(_dual_price, live, c, basic, gauge, flow)
         # with no raising arc the negative flow is round-off: it is clipped and the basis stays
         flow[live[~go], arcs[~go, leave[~go]]] = 0.0
         live, arcs, leave, enter, d = live[go], arcs[go], leave[go], enter[go], d[go]
@@ -563,7 +587,7 @@ def reference_simplex(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: i
     potentials = np.zeros((k, n + m))
     live = np.arange(k)
     while live.size:
-        arcs, y, go, enter, d = _chunked(_price, live, c, basic, tol)
+        arcs, y, go, enter, d = _chunked(_price, live, c, basic, gauge, tol)
         potentials[live[~go]] = y[~go]
         capped[live[go & (pivots[live] >= max_pivots)]] = True
         go &= pivots[live] < max_pivots

@@ -260,6 +260,43 @@ class TestPaddedEdgeStack:
                 # no pivot enters a padded cell, so each edge pivots as it would alone
                 np.testing.assert_array_equal(res.plan, proj.edge_blocks[e])
 
+    @pytest.mark.parametrize("big", [1.0, 1e6])
+    def test_rooted_padded_problems_pivot_as_edges_alone(self, monkeypatch, big):
+        # mixed shapes and sparse Dirichlet node blocks, whose heaviest label is mostly
+        # not 0: each padded problem takes its edge's star root, pivots and plan, bit
+        # for bit, on a cold call and on a warm call from the first call's bases
+        counts = np.random.default_rng(8).permutation(np.arange(160) % 4 + 2)
+        m, _ = oracles.two_forest_model(counts, seed=8, big=big)
+        runs = m.packing().edge_stack.runs
+        padded = np.zeros(m.n_edges, dtype=bool)
+        for run in runs:
+            padded[run.edges] = ~run.real.all(axis=(0, 1))
+        results, solve = [], mrflp.projections.solve_transport
+        monkeypatch.setattr(mrflp.projections, "solve_transport", lambda p, **kw: results.append(solve(p, **kw))
+                            or results[-1])
+        rng = np.random.default_rng(9)
+        state, alone = mrflp.projections.ProjectionState(m), [None] * m.n_edges
+        for call in ("cold", "warm"):
+            results.clear()
+            blocks = np.concatenate([rng.dirichlet(np.full(c, 0.3)) for c in m.label_counts])
+            proj = M.project_primal_energy(m, blocks, state)
+            pivots = np.empty(m.n_edges, dtype=np.int64)
+            for run, res in zip(runs, results, strict=True):
+                pivots[run.edges] = res.pivots
+            roots = np.empty(m.n_edges, dtype=np.int64)
+            for e, (u, v) in enumerate(m.edges):
+                p = M.TransportProblem(m.pairwise[e], proj.node_blocks[u], proj.node_blocks[v])
+                roots[e] = mrflp.transport._star_roots(p.row_marginal[None], p.col_marginal[None])[0]
+                res = M.solve_transport(p, start=None if alone[e] is None else alone[e].simplex_basis)
+                np.testing.assert_array_equal(res.plan, proj.edge_blocks[e])
+                assert res.pivots == pivots[e]
+                alone[e] = res
+            assert pivots[padded].sum() > 0
+            if call == "cold":
+                lu = m.packing().edge_shapes[:, 0]
+                assert (padded & (roots > 0) & (roots < lu)).sum() >= 20
+                assert (padded & (roots >= lu)).sum() >= 20
+
     def test_padded_flows_are_zero(self):
         for m, _, blocks in projection_cases():
             nodes = mrflp.projections._projected_nodes(m, blocks)
@@ -525,22 +562,32 @@ class TestProjectionState:
             assert len(state.bases) == len(m.packing().edge_stack.runs)
 
     def test_exact_potentials_seed_the_entropic_projection(self, monkeypatch):
-        costs = []
-        solve = mrflp.projections.solve_transport_entropic
+        # the state keeps only the bases, and the seed recomputed from them is
+        # the exact solve's own potentials, bit for bit
+        exact, costs = [], []
+        solve_exact, solve = mrflp.projections.solve_transport, mrflp.projections.solve_transport_entropic
+
+        def keep_exact(p, **kw):
+            exact.append((p, solve_exact(p, **kw)))
+            return exact[-1][1]
+
+        monkeypatch.setattr(mrflp.projections, "solve_transport", keep_exact)
         monkeypatch.setattr(mrflp.projections, "solve_transport_entropic",
                             lambda p, *args: costs.append(p.cost) or solve(p, *args))
         for m, d, blocks in projection_cases():
             runs = m.packing().edge_stack.runs
             state = mrflp.projections.ProjectionState(m)
+            exact.clear()
             M.project_primal_energy(m, blocks, state)
-            kept = dict(state.bases), dict(state.potentials)
-            assert len(state.potentials) == len(runs)
+            kept = dict(state.bases)
+            assert len(kept) == len(runs) and set(vars(state)) == {"model", "bases"}
             costs.clear()
             seeded = M.project_primal_free_energy(m, d, blocks, 0.5, state)
-            # the entropic projection reads the potentials and writes nothing
-            assert (state.bases, state.potentials) == kept
-            for run, cost, (u, v) in zip(runs, costs, (state.potentials[i] for i in range(len(runs)))):
-                np.testing.assert_array_equal(cost, run.cost - u[:, :, None] - v[:, None, :])
+            # the entropic projection reads the bases and writes nothing
+            assert state.bases == kept
+            for (p, res), cost in zip(exact, costs, strict=True):
+                u, v = res.row_potentials, res.col_potentials
+                np.testing.assert_array_equal(cost, p.cost - u[:, :, None] - v[:, None, :])
             costs.clear()
             cold = M.project_primal_free_energy(m, d, blocks, 0.5)
             for run, cost in zip(runs, costs):

@@ -685,6 +685,23 @@ class TestEpochCertification:
         assert calls["mrflp.solvers", "relaxed_energy"] == epochs
         assert 1 <= calls["mrflp.solvers", "embed_labeling"] == calls["mrflp.solvers", "constraint_residual"]
 
+    def test_the_smoothed_gap_reads_the_certified_entropic_point(self, monkeypatch):
+        # nest's smoothed gap takes the free energy of the entropic projection's
+        # point, which that projection certified: its residual is not computed again
+        calls = {"projections": 0, "dualdec": 0}
+        for owner in (mrflp.projections, mrflp.dualdec):
+            fn = owner.constraint_residual
+            key = owner.__name__.split(".")[1]
+            monkeypatch.setattr(owner, "constraint_residual",
+                                lambda *a, fn=fn, key=key: calls.__setitem__(key, calls[key] + 1) or fn(*a))
+        m = M.generate_grid(4, 4, 3, seed=3)
+        report = M.solve_nesterov(m, M.decompose_grid(m), M.SolverConfig(max_iters=40, epoch=10, rho=0.5))
+        epochs = len(report.records)
+        assert epochs > 1 and all(r.smoothed_gap is not None for r in report.records)
+        assert calls == {"projections": 2 * epochs, "dualdec": 0}
+        mu = report.marginals
+        assert M.free_energy(m, mu, 0.5, certified=True) == M.free_energy(m, mu, 0.5)
+
 
 class TestTimeBudget:
     @pytest.mark.parametrize("solver, site", [
