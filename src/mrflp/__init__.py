@@ -19,7 +19,6 @@ from .model import (
     Marginals,
     MrfModel,
     constraint_residual,
-    decompose_by_coloring,
     decompose_grid,
     embed_labeling,
     energy,
@@ -47,6 +46,7 @@ from .projections import (
 from .dualdec import (
     DualContext,
     ForestPlan,
+    decompose_by_coloring,
     decomposition_entropy,
     free_energy,
 )

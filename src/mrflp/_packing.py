@@ -23,10 +23,10 @@ Every sum adds in the flat layout's row-major order, so on one unpadded run
 both products give the flat ones' floats, and on any stack so do ``A``'s
 marginalization rows and ``A^T``'s edge cells.  ``fpd`` steps with these
 two products, and every certificate reads them after gathering its flat
-point into the stack.  The exact edge projection reads each run's tables
-stack-first, at padded costs where no pivot enters, so each edge pivots
-exactly as it would alone: its padded cells are priced for the root of
-its star start (see ``_pad_costs``).
+point into the stack.  The stacked ``theta`` is the stack's one copy of
+the edge costs: the edge projections read each run's tables as a
+stack-first view of it, and the exact solver prices the ``+inf`` padded
+cells for each problem's own star (see ``transport._solve_stack``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .transport import SimplexBasis, TransportProblem, _fsum, _gauge, _star_roots
+from .transport import _fsum
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -55,53 +55,19 @@ def _add_rows(a: np.ndarray, out: np.ndarray) -> None:
 @dataclasses.dataclass(frozen=True, eq=False)
 class _StackRun:
     """One run of the stack: its edges; their real cells' flat edge positions,
-    in the order of the mask ``real`` ``(w_u, w_v, k)``; the exact solver's
-    costs ``(k, w_u, w_v)``, padded so that no pivot enters a padded cell,
-    priced for stars rooted at row 0; the cost ``(k, 1, 1)`` of a padded
-    cell off the star, ``None`` when the run has none; the edges'
+    in the order of the mask ``real`` ``(w_u, w_v, k)``; the edges'
     endpoints; its cells' slice ``at`` of the stacked primal and its rows'
     slices of the stacked dual."""
 
     edges: np.ndarray
     cells: np.ndarray
     real: np.ndarray
-    cost: np.ndarray
-    big: np.ndarray | None
     u: np.ndarray
     v: np.ndarray
     at: slice
     bounds: slice
     rows_u: slice
     rows_v: slice
-
-    def problem(self, nodes: np.ndarray, cost: np.ndarray | None = None) -> TransportProblem:
-        """The run's problem at the projected node rows, on ``cost`` of the
-        shape of its own costs, by default the exact costs of a cold solve."""
-        _, wu, wv = self.cost.shape
-        cost = self.exact_cost(nodes) if cost is None else cost
-        return TransportProblem(cost, nodes[self.u, :wu], nodes[self.v, :wv])
-
-    def exact_cost(self, nodes: np.ndarray, start: SimplexBasis | None = None) -> np.ndarray:
-        """The exact solver's costs with each problem's padded cells priced
-        for its star's root: the gauge of ``start``'s bases, or the root
-        that a cold solve takes at the projected node rows.  Priced so, each
-        edge pivots as it would alone, and a warm start meets the costs it
-        was solved on."""
-        if self.big is None:
-            return self.cost
-        _, wu, wv = self.cost.shape
-        if start is None:
-            r, s = nodes[self.u, :wu], nodes[self.v, :wv]
-            # rescaled as TransportProblem rescales them, so the roots are its solve's
-            roots = _star_roots(r / r.sum(axis=1, keepdims=True), s / s.sum(axis=1, keepdims=True))
-        else:
-            roots = _gauge(start.inverse)
-        move = np.flatnonzero(roots)
-        if not move.size:
-            return self.cost
-        cost, real = self.cost.copy(), self.real.transpose(2, 0, 1)[move]
-        cost[move] = _pad_costs(np.where(real, cost[move], self.big[move]), real, roots[move])
-        return cost
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -262,16 +228,8 @@ class Packing:
             costs = np.full(real.shape, np.inf)
             costs[real] = self.theta[nd + cells]
             theta.append(costs.ravel())
-            cost, real_first = np.where(real, costs, 0.0).transpose(2, 0, 1), real.transpose(2, 0, 1)
-            # padded cells off the star cost 4 (wu + wv) (max|c| + 1): potentials are sums of
-            # at most wu + wv - 1 costs, so such a cell has a larger reduced cost than any
-            # real arc and never enters
-            big = None
-            if not real.all():
-                big = 4.0 * (wu + wv) * (np.abs(cost).max(axis=(1, 2), keepdims=True) + 1.0)
-                cost = _pad_costs(np.where(real_first, cost, big), real_first, np.zeros(hi - lo, dtype=np.int64))
             u, v = self.edge_ends[es].T
-            runs.append(_StackRun(es, cells, real, cost.copy(), big, u, v, slice(at, at + real.size),
+            runs.append(_StackRun(es, cells, real, u, v, slice(at, at + real.size),
                                   slice(n + lo, n + hi), slice(row_u, row_u + wu * k), slice(row_v, row_v + wv * k)))
             index_u.append(padded_gather(first_u[es], lu[lo:hi], wu, self.dual_dim).T.ravel())
             index_v.append(padded_gather(first_v[es], lv[lo:hi], wv, self.dual_dim).T.ravel())
@@ -286,27 +244,6 @@ class Packing:
             slice(n + m, start_v),
             slice(start_v, row_v),
         )
-
-
-def _pad_costs(cost: np.ndarray, real: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """A ``(k, w_u, w_v)`` stack of costs whose padded cells (``~real``) are
-    all large, with the cells that the exact solver's star start rooted at
-    the nodes ``roots`` (rows, then columns) takes priced so that it hangs
-    every padded row and column as a leaf without flow: a row root's padded
-    cells cost 0 and every padded row costs ``c[root, 0]`` in column 0; a
-    column root's padded cells cost 0 and every padded column costs ``c[0,
-    root]`` in row 0.  Each other row or column then picks the arc it
-    picks without padding, and the padded arcs never leave.  Written in
-    place."""
-    k, wu, _ = cost.shape
-    q, by_row = np.arange(k), roots < wu
-    q_row, row = q[by_row], roots[by_row]
-    cost[q_row, row] = np.where(real[q_row, row], cost[q_row, row], 0.0)
-    cost[q_row, :, 0] = np.where(real[q_row, :, 0], cost[q_row, :, 0], cost[q_row, row, 0][:, None])
-    q_col, col = q[~by_row], roots[~by_row] - wu
-    cost[q_col, :, col] = np.where(real[q_col, :, col], cost[q_col, :, col], 0.0)
-    cost[q_col, 0] = np.where(real[q_col, 0], cost[q_col, 0], cost[q_col, 0, col][:, None])
-    return cost
 
 
 # a padded stack is split where its padded cells would exceed this many

@@ -20,6 +20,7 @@ import json
 import sys
 from pathlib import Path
 
+from .dualdec import decompose_by_coloring
 from .errors import MrflpError, NumericalError
 from .experiments import (
     DEFAULT_INFINITIES,
@@ -43,7 +44,7 @@ from .fileio import (
     write_uai,
 )
 from .generators import generate_grid, generate_lp_tight
-from .model import constraint_residual, decompose_by_coloring, relaxed_energy
+from .model import constraint_residual, relaxed_energy
 from .projections import dual_feasibility_margin, dual_value
 from .solvers import SolverConfig
 from .tolerances import EQ_TOL

@@ -28,6 +28,7 @@ the projections.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
@@ -242,6 +243,19 @@ class DualContext:
 
     def smoothed_value(self, lam, rho: float) -> float:
         return self.plan.soft_min(self._sides(lam), rho, want_marginals=False)[0]
+
+
+def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decomposition:
+    """Two-forest decomposition from a user-supplied edge 2-coloring; each
+    side must be acyclic, which the one peeling pass of the forests'
+    :class:`ForestPlan` checks.  The plan stays with the decomposition for
+    the model's :class:`DualContext`."""
+    decomposition = Decomposition(colors)
+    try:
+        DualContext(model, decomposition)
+    except StructureError as exc:  # "forest {c} contains a cycle"
+        raise StructureError(str(exc).replace(" contains", " of the supplied coloring contains")) from None
+    return decomposition
 
 
 def decomposition_entropy(model: MrfModel, marginals: Marginals) -> float:

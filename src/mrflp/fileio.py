@@ -273,6 +273,7 @@ def read_uai(path) -> MrfModel:
         edge_keys, theta = _read_tables(stream, counts, a, b)
         if not stream.at_end():
             raise StructureError("trailing tokens after the last factor table")
+    theta.flags.writeable = False  # handed to the model, which keeps it uncopied
     return MrfModel(counts, np.stack(np.divmod(edge_keys, n), axis=1), theta, stream.grid_shape)
 
 

@@ -41,6 +41,7 @@ def generate_grid(
     edges = grid_edges(rows, cols)
     # (n, L) unary and (m, L, L) pairwise draws, row-major, are theta's layout
     theta = np.concatenate([draw((rows * cols, labels)).ravel(), draw((len(edges), labels, labels)).ravel()])
+    theta.flags.writeable = False
     return MrfModel([labels] * rows * cols, edges, theta, grid_shape=(rows, cols))
 
 
@@ -90,5 +91,6 @@ def generate_lp_tight(
             f"infinity_value {infinity_value} is below the largest potential magnitude {top:.3f}"
         )
     pairwise[forbid] = infinity_value
-    model = MrfModel([labels] * n, edges, np.concatenate([unary.ravel(), pairwise.ravel()]), grid_shape=(rows, cols))
-    return model, planted.astype(np.int64)
+    theta = np.concatenate([unary.ravel(), pairwise.ravel()])
+    theta.flags.writeable = False
+    return MrfModel([labels] * n, edges, theta, grid_shape=(rows, cols)), planted.astype(np.int64)

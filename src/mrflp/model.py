@@ -49,10 +49,11 @@ class MrfModel:
 
     ``theta`` is the one stored copy of the potentials: a read-only vector
     in the :class:`~mrflp._packing.Packing` primal layout, the unary tables,
-    then the pairwise tables row-major.  :attr:`unary` and :attr:`pairwise`
-    are per-table views into it.  Instances are immutable; :meth:`create`
-    builds one from per-table lists, canonicalizing edge orientation and
-    ordering.
+    then the pairwise tables row-major.  A read-only float64 vector that
+    owns its data is kept as given, handed over by its builder; any other
+    is copied.  :attr:`unary` and :attr:`pairwise` are per-table views into
+    it.  Instances are immutable; :meth:`create` builds one from per-table
+    lists, canonicalizing edge orientation and ordering.
     """
 
     label_counts: tuple[int, ...]
@@ -76,7 +77,9 @@ class MrfModel:
             raise StructureError("edges must be strictly increasing (no duplicates)")
         object.__setattr__(self, "label_counts", tuple(counts.tolist()))
         object.__setattr__(self, "edges", tuple(zip(u.tolist(), v.tolist())))
-        object.__setattr__(self, "theta", _frozen_array(self.theta, ndim=1))
+        theta, flags = self.theta, getattr(self.theta, "flags", None)
+        handed_over = flags is not None and flags.owndata and not flags.writeable and theta.dtype == np.float64
+        object.__setattr__(self, "theta", theta if handed_over and theta.ndim == 1 else _frozen_array(theta, ndim=1))
         sizes = np.concatenate([counts, counts[u] * counts[v]])
         if self.theta.size != sizes.sum():
             raise StructureError(f"theta has {self.theta.size} entries, the tables need {sizes.sum()}")
@@ -128,7 +131,9 @@ class MrfModel:
                                      f"expected {(n_labels[u], n_labels[v])}")
             tables.append(t.ravel())
         grid_shape = None if grid_shape is None else (int(grid_shape[0]), int(grid_shape[1]))
-        return cls(n_labels, np.sort(ends[order], axis=1), np.concatenate([*tables, np.zeros(0)]), grid_shape)
+        theta = np.concatenate([*tables, np.zeros(0)])
+        theta.flags.writeable = False
+        return cls(n_labels, np.sort(ends[order], axis=1), theta, grid_shape)
 
     @property
     def n_nodes(self) -> int:
@@ -436,18 +441,6 @@ def _forest_rows(model: MrfModel, *forests) -> np.ndarray:
     return np.stack([depth, np.arange(size), parent, edge], axis=1)
 
 
-def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decomposition:
-    """Two-forest decomposition from a user-supplied edge 2-coloring; each
-    side must be acyclic, which one peeling pass over both forests checks."""
-    decomposition = Decomposition(colors)
-    forests = [decomposition.forest(model, c) for c in (0, 1)]
-    try:
-        _forest_rows(model, *forests)
-    except StructureError as exc:  # "forest {c} contains a cycle"
-        raise StructureError(str(exc).replace(" contains", " of the supplied coloring contains")) from None
-    return decomposition
-
-
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
     """Canonical 4-connected edges of a row-major grid."""
     n = rows * cols
@@ -469,9 +462,9 @@ def decompose_grid(model: MrfModel) -> Decomposition:
     row paths, color 1 the column paths, so both are forests by construction
     and are not peeled here (the dual's forest plan still rejects cycles).
 
-    For non-grid models use :func:`decompose_by_coloring` with a coloring of
-    the edges into two forests; there is no automatic decomposition beyond
-    grids.
+    For non-grid models use :func:`~mrflp.dualdec.decompose_by_coloring`
+    with a coloring of the edges into two forests; there is no automatic
+    decomposition beyond grids.
     """
     shape = infer_grid_shape(model)
     if shape is None:

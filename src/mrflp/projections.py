@@ -10,6 +10,8 @@ The node blocks are projected as rows of one width, zero past each node's
 labels, which the edges read directly as their marginals.  Each run of the
 packing's padded edge stack, :attr:`~mrflp._packing.Packing.edge_stack`, is
 one batched problem, on which each edge pivots exactly as it would alone.
+A run's costs are a view of the stack's ``theta``, ``+inf`` in padded
+cells, which the exact solver prices itself and the entropic one zeroes.
 A :class:`ProjectionState` holds one solver run's warm start: each stack
 run's last optimal exact bases, from which its next exact solve starts and
 whose potentials seed its next entropic solve.  Calls without a state start
@@ -29,7 +31,7 @@ from ._packing import project_simplex_blocks
 from .errors import NumericalError, StructureError
 from .model import Decomposition, DualPoint, Marginals, MrfModel, constraint_residual
 from .tolerances import EQ_TOL
-from .transport import SimplexBasis, _potentials, solve_transport, solve_transport_entropic
+from .transport import SimplexBasis, TransportProblem, _potentials, _solve_stack, _unit_mass, solve_transport_entropic
 
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
@@ -49,12 +51,13 @@ def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
 class ProjectionState:
     """One solver run's warm start: each run of the model's edge stack keeps
     its last optimal exact bases.  They start the run's next exact solve: an
-    edge's costs never change during a run, and its padded cells stay priced
-    for the root of its first, cold star, which is the bases' gauge; so they
-    stay dual feasible as its marginals move.  Their potentials ``(u, v)``,
-    recomputed from the bases, seed its next entropic solve: any finite ones
-    leave the entropic optimum where it is, and those of the same marginals
-    are its ``rho -> 0`` limit."""
+    edge's costs never change during a run, and the solver prices its padded
+    cells for the bases' gauge, the root of its first star; so they stay
+    dual feasible as its marginals move.  Their potentials ``(u, v)``,
+    recomputed from the bases with padded cells at 0 (padded nodes are
+    leaves), seed its next entropic solve: any finite ones leave the
+    entropic optimum where it is, and those of the same marginals are its
+    ``rho -> 0`` limit."""
 
     def __init__(self, model: MrfModel):
         self.model = model
@@ -63,9 +66,10 @@ class ProjectionState:
 
 def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None, solve) -> Marginals:
     """The primal projections' shared steps: the check of the state's model,
-    the node prologue, then ``solve(i, run, nodes, state)`` on every run of
-    the model's edge stack (a fresh state without one), then the certificate
-    of feasibility."""
+    the node prologue, then ``solve(i, run, cost, r, s, state)`` on every
+    run of the model's edge stack (a fresh state without one), on its
+    stack-first costs and its endpoints' node rows, then the certificate of
+    feasibility."""
     if state is not None and state.model is not model:
         raise ValueError("the projection state belongs to another model")
     state = ProjectionState(model) if state is None else state
@@ -73,7 +77,10 @@ def _project_primal(model: MrfModel, node_blocks, state: ProjectionState | None,
     nodes = _projected_nodes(model, node_blocks)
     edges = np.empty(packing.edge_dim)
     for i, run in enumerate(packing.edge_stack.runs):
-        edges[run.cells] = solve(i, run, nodes, state).plan.transpose(1, 2, 0)[run.real]
+        wu, wv, k = run.real.shape
+        cost = packing.edge_stack.theta[run.at].reshape(wu, wv, k).transpose(2, 0, 1)
+        plan = solve(i, run, cost, nodes[run.u, :wu], nodes[run.v, :wv], state).plan
+        edges[run.cells] = plan.transpose(1, 2, 0)[run.real]
     flat = np.concatenate([nodes[packing.node_pad < packing.node_dim], edges])
     result = Marginals(flat, packing.label_counts, packing.edge_shapes)
     residual = constraint_residual(model, result)
@@ -95,10 +102,10 @@ def project_primal_energy(model: MrfModel, node_blocks, state: ProjectionState |
     output is certified feasible before it is returned.
     """
 
-    def solve(i, run, nodes, state):
+    def solve(i, run, cost, r, s, state):
         start = state.bases.get(i)
         try:
-            result = solve_transport(run.problem(nodes, run.exact_cost(nodes, start)), start=start)
+            result = _solve_stack(cost, _unit_mass(r, "row"), _unit_mass(s, "column"), start)
         except NumericalError as exc:
             u, v = model.edges[run.edges[exc.problem]]
             raise NumericalError(f"{exc} on edge {(u, v)}", residual=exc.residual) from exc
@@ -128,14 +135,13 @@ def project_primal_free_energy(
     if len(decomposition.colors) != model.n_edges:
         raise StructureError("need exactly one color per edge")
 
-    def solve(i, run, nodes, state):
-        basis, cost = state.bases.get(i), run.cost
+    def solve(i, run, cost, r, s, state):
+        basis, cost = state.bases.get(i), np.where(run.real.transpose(2, 0, 1), cost, 0.0)
         if basis is not None:
-            # the exact solve's own costs, less its bases' potentials
-            c = run.exact_cost(nodes, basis)
-            y, wu = _potentials(c.reshape(len(c), -1), basis.slots, basis.inverse), c.shape[1]
-            cost = c - y[:, :wu, None] - y[:, None, wu:]
-        p = run.problem(nodes, cost)
+            # less the exact bases' potentials, the real nodes' as on its costs
+            y, wu = _potentials(cost.reshape(len(cost), -1), basis.slots, basis.inverse), cost.shape[1]
+            cost = cost - y[:, :wu, None] - y[:, None, wu:]
+        p = TransportProblem(cost, r, s)
         return solve_transport_entropic(p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal)
 
     return _project_primal(model, node_blocks, state, solve)

@@ -30,6 +30,12 @@ an optimum, and the final bases' potentials certify it: a problem whose
 potentials price an arc below the pivot tolerance had a start that was not
 dual feasible, such as the bases of other costs, and is refused.
 
+Problems of several shapes are padded to one stack: padded cells cost
+``+inf``, in rows and columns without mass.  The exact solver prices them
+for each problem's root, the cold star's or the warm bases' gauge, so that
+each problem pivots as its unpadded part alone would (see
+:func:`_pad_costs`).
+
 The entropy-regularized solver runs damped float64 Newton on the dual, then
 the Altschuler-Weed-Rigollet rounding step, which makes the marginals exact
 to round-off.
@@ -72,19 +78,23 @@ class TransportProblem:
             raise ValueError(f"cost shape {c.shape} does not match marginals {r.shape} and {s.shape}")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
             raise ValueError("cost and marginals must be finite")
-        for name, vec in (("row", r), ("column", s)):
-            if np.any(vec < -NONNEG_TOL):
-                raise InfeasibleMarginalsError(f"{name} marginal has a negative entry")
-            np.clip(vec, 0.0, None, out=vec)
-            total = vec.sum(axis=-1, keepdims=True)
-            if np.any(total <= 0.0):
-                raise InfeasibleMarginalsError(f"{name} marginal has zero total mass")
-            vec /= total
-        for a in (c, r, s):
+        _unit_mass(r, "row")
+        _unit_mass(s, "column")
+        for name, a in (("cost", c), ("row_marginal", r), ("col_marginal", s)):
             a.flags.writeable = False
-        object.__setattr__(self, "cost", c)
-        object.__setattr__(self, "row_marginal", r)
-        object.__setattr__(self, "col_marginal", s)
+            object.__setattr__(self, name, a)
+
+
+def _unit_mass(vec: np.ndarray, name: str) -> np.ndarray:
+    """The ``name`` marginals ``vec``, one per row, rescaled to unit mass in place."""
+    if np.any(vec < -NONNEG_TOL):
+        raise InfeasibleMarginalsError(f"{name} marginal has a negative entry")
+    np.clip(vec, 0.0, None, out=vec)
+    total = vec.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise InfeasibleMarginalsError(f"{name} marginal has zero total mass")
+    vec /= total
+    return vec
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -319,6 +329,55 @@ def _simplex_bases(c: np.ndarray, r: np.ndarray, s: np.ndarray, max_pivots: int,
     return flow.reshape(n, m, k).transpose(2, 0, 1), y, pivots, capped, refused, arcs, inv
 
 
+def _pad_costs(cost: np.ndarray, real: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """A ``(k, n, m)`` stack of costs whose padded cells (``~real``) are all
+    large, with the cells that the star rooted at the nodes ``roots`` (rows,
+    then columns) takes priced so that it hangs every padded row and column
+    as a leaf without flow: a row root's padded cells cost 0 and every
+    padded row costs ``c[root, 0]`` in column 0; a column root's mirrored.
+    Each other row or column then picks the arc it picks without padding,
+    and the padded arcs never leave.  Written in place."""
+    k, n, _ = cost.shape
+    q, by_row = np.arange(k), roots < n
+    q_row, row = q[by_row], roots[by_row]
+    cost[q_row, row] = np.where(real[q_row, row], cost[q_row, row], 0.0)
+    cost[q_row, :, 0] = np.where(real[q_row, :, 0], cost[q_row, :, 0], cost[q_row, row, 0][:, None])
+    q_col, col = q[~by_row], roots[~by_row] - n
+    cost[q_col, :, col] = np.where(real[q_col, :, col], cost[q_col, :, col], 0.0)
+    cost[q_col, 0] = np.where(real[q_col, 0], cost[q_col, 0], cost[q_col, 0, col][:, None])
+    return cost
+
+
+def _solve_stack(c: np.ndarray, r: np.ndarray, s: np.ndarray, start: SimplexBasis | None) -> TransportResult:
+    """:func:`solve_transport` on a ``(k, n, m)`` stack of costs, ``+inf``
+    where padded, with unit-mass marginals, from the cold stars or the
+    stacked bases ``start``.  Padded cells off the star cost ``4 (n + m)
+    (max|c| + 1)``, above any sum of ``n + m - 1`` real costs: no pivot enters them."""
+    k, n, m = c.shape
+    roots = _star_roots(r, s) if start is None else None
+    real = np.isfinite(c)
+    if not real.all():
+        # each problem's largest |cost|, reduced stack-last over whole k-vectors
+        big = 4.0 * (n + m) * (np.abs(np.where(real, c, 0.0)).transpose(1, 2, 0).max(axis=(0, 1)) + 1.0)
+        c = _pad_costs(np.where(real, c, big[:, None, None]), real, _gauge(start.inverse) if roots is None else roots)
+    c = np.ascontiguousarray(c)
+    max_pivots = max(_PIVOT_CAP_MIN, _PIVOT_CAP_PER_CELL * n * m)
+    bases = _star_start(c, roots) if start is None else (start.slots, start.inverse)
+    flow, y, pivots, capped, refused, slots, inverse = _simplex_bases(c, r, s, max_pivots, bases)
+    if capped.any():
+        raise NumericalError(f"transportation simplex exceeded {max_pivots} pivots",
+                             problem=int(capped.argmax()))
+    if refused.any():
+        raise NumericalError("transportation simplex start is not dual feasible", problem=int(refused.argmax()))
+    ft = flow.transpose(1, 2, 0)  # the contiguous stack-last flows
+    residual = _residual(ft, r.T, s.T)
+    if residual.max(initial=0.0) > TRANSPORT_MARGINAL_TOL:
+        raise NumericalError("transport plan violates its marginals", residual=float(residual.max()),
+                             problem=int(residual.argmax()))
+    cost = _fsum((c.transpose(1, 2, 0) * ft).reshape(n * m, k))
+    return TransportResult(flow, cost, y[:, :n], y[:, n:], pivots, SimplexBasis(slots, inverse))
+
+
 def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None) -> TransportResult:
     """Minimize ``<cost, plan>`` over plans with the prescribed marginals.
 
@@ -341,31 +400,17 @@ def solve_transport(problem: TransportProblem, start: SimplexBasis | None = None
     """
     c = problem.cost.reshape(-1, *problem.cost.shape[-2:])  # a single problem is a stack of one
     k, n, m = c.shape
-    r, s = problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m)
-    max_pivots = max(_PIVOT_CAP_MIN, _PIVOT_CAP_PER_CELL * n * m)
-    if start is None:
-        bases = _star_start(c, _star_roots(r, s))
-    else:
+    if start is not None:
         shape = problem.cost.shape[:-2] + (n + m, n + m - 1)
         if start.inverse.shape != shape:
             raise ValueError(f"start's inverse has shape {start.inverse.shape}, the problem needs {shape}")
-        bases = start.slots.reshape(k, n + m - 1), start.inverse.reshape(k, n + m, n + m - 1)
-    flow, y, pivots, capped, refused, slots, inverse = _simplex_bases(c, r, s, max_pivots, bases)
-    if capped.any():
-        raise NumericalError(f"transportation simplex exceeded {max_pivots} pivots",
-                             problem=int(capped.argmax()))
-    if refused.any():
-        raise NumericalError("transportation simplex start is not dual feasible", problem=int(refused.argmax()))
-    ft = flow.transpose(1, 2, 0)  # the contiguous stack-last flows
-    residual = _residual(ft, r.T, s.T)
-    if residual.max(initial=0.0) > TRANSPORT_MARGINAL_TOL:
-        raise NumericalError("transport plan violates its marginals", residual=float(residual.max()),
-                             problem=int(residual.argmax()))
-    cost = _fsum((c.transpose(1, 2, 0) * ft).reshape(n * m, k))
-    if problem.cost.ndim == 2:
-        return TransportResult(flow[0], cost.item(), y[0, :n], y[0, n:], pivots.item(),
-                               SimplexBasis(slots[0], inverse[0]))
-    return TransportResult(flow, cost, y[:, :n], y[:, n:], pivots, SimplexBasis(slots, inverse))
+        start = SimplexBasis(start.slots.reshape(k, n + m - 1), start.inverse.reshape(k, n + m, n + m - 1))
+    res = _solve_stack(c, problem.row_marginal.reshape(k, n), problem.col_marginal.reshape(k, m), start)
+    if problem.cost.ndim == 3:
+        return res
+    basis = res.simplex_basis
+    return TransportResult(res.plan[0], res.cost.item(), res.row_potentials[0], res.col_potentials[0],
+                           res.pivots.item(), SimplexBasis(basis.slots[0], basis.inverse[0]))
 
 
 _RIDGE = 1e-12

@@ -672,6 +672,17 @@ class TestPlanReuse:
         other = M.generate_grid(3, 3, 2, seed=1)
         assert M.DualContext(other, d).plan.model is other and calls == [m, other]
 
+    def test_a_coloring_is_peeled_once(self, monkeypatch):
+        # the plan that checks the coloring for cycles is the one the dual
+        # context solves on
+        calls = []
+        peel = mrflp.dualdec._forest_rows
+        monkeypatch.setattr(mrflp.dualdec, "_forest_rows", lambda m, *forests: calls.append(m) or peel(m, *forests))
+        m, (f0, _) = oracles.two_forest_model(np.arange(40) % 4 + 2, seed=3)
+        d = M.decompose_by_coloring(m, [int(e not in f0) for e in range(m.n_edges)])
+        assert calls == [m]
+        assert M.DualContext(m, d).plan.model is m and calls == [m]
+
     def test_plan_goes_with_its_decomposition(self):
         m = M.generate_grid(3, 3, 2, seed=1)
         d = M.decompose_grid(m)

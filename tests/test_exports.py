@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 
 import mrflp as M
+import mrflp._packing
 import mrflp.solvers
 import mrflp.transport
 from mrflp.cli import _build_parser
@@ -23,6 +24,15 @@ EXPORTS = [
     "solve_transport_entropic", "step_size", "validate_labeling", "write_convergence_csv",
     "write_dual_point", "write_labeling", "write_marginals", "write_summary", "write_uai",
 ]
+
+
+def test_packing_takes_only_the_sum_from_transport():
+    # the exact solver prices the stack's padded cells: the layout needs none
+    # of its star or basis code
+    tree = ast.parse(Path(mrflp._packing.__file__).read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "transport"
+             for a in node.names]
+    assert names == ["_fsum"]
 
 
 def test_public_surface_is_pinned():

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,24 @@ def test_reader_memory_stays_near_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * path.stat().st_size
+
+
+def test_reader_hands_theta_to_the_model(tmp_path):
+    # 100x100x4: the model keeps the 2.85 MB theta that the reader built, and
+    # no numpy buffer that model.py allocated (a copy of it) outlives the read
+    path = tmp_path / "big.uai"
+    M.write_uai(M.generate_grid(100, 100, 4, law="uniform01", seed=0), path)
+    tracemalloc.start()
+    try:
+        model = M.read_uai(path)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    held = {Path(s.traceback[0].filename).name: s.size for s in arrays.statistics("filename")}
+    assert model.theta.nbytes == 2_854_400
+    assert held.get("fileio.py", 0) >= model.theta.nbytes
+    assert held.get("model.py", 0) == 0
 
 
 class TestLabelingAndMarginalsFiles:

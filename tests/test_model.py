@@ -473,6 +473,19 @@ class TestFlatStorage:
         assert all(np.shares_memory(t, m.theta) and not t.flags.writeable for t in m.unary + m.pairwise)
         np.testing.assert_array_equal(np.concatenate([t.ravel() for t in m.unary + m.pairwise]), m.theta)
 
+    def test_handed_over_theta_is_kept_and_any_other_copied(self):
+        # a read-only float64 vector that owns its data is the builder's to
+        # hand over; a writeable one, a view or another dtype is copied
+        theta = np.arange(8.0)
+        frozen = theta.copy()
+        frozen.flags.writeable = False
+        assert M.MrfModel([2, 2], [(0, 1)], frozen).theta is frozen
+        for other in (theta, frozen[:], theta.astype(np.float32)):
+            kept = M.MrfModel([2, 2], [(0, 1)], other).theta
+            assert not np.shares_memory(kept, other) and not kept.flags.writeable and kept.flags.owndata
+        built = (M.generate_grid(2, 2, 2), M.generate_lp_tight(2, 2, 2, 25.0, 1e6, 0.4, seed=0)[0], two_node_chain())
+        assert all(m.theta.flags.owndata and not m.theta.flags.writeable for m in built)
+
     def test_packing_holds_no_per_cell_map(self):
         # the flat layout is offsets per node and per edge: an index map with
         # one int64 per edge cell would alone spend 8 bytes a cell
@@ -485,6 +498,22 @@ class TestFlatStorage:
             tracemalloc.stop()
         assert packing.edge_dim == 316800
         assert held <= peak <= 8 * packing.edge_dim
+
+    def test_edge_stack_holds_one_copy_of_the_costs(self):
+        # the stacked theta is the stack's only copy of the edge costs: the
+        # cells' costs, flat positions and mask take 17 bytes a cell, the dual
+        # rows' index and gather about 8, 29 in all; a second copy of the
+        # costs for the exact solver would add 8 more
+        packing = M.generate_grid(100, 100, 4).packing()
+        tracemalloc.start()
+        try:
+            stack = packing.edge_stack
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cells = sum(run.real.size for run in stack.runs)
+        assert cells == packing.edge_dim
+        assert held <= 32 * cells
 
     def test_blocks_of_the_wrong_shape_are_rejected(self):
         m = oracles.mixed_label_grid(seed=1)

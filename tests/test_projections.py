@@ -271,8 +271,8 @@ class TestPaddedEdgeStack:
         padded = np.zeros(m.n_edges, dtype=bool)
         for run in runs:
             padded[run.edges] = ~run.real.all(axis=(0, 1))
-        results, solve = [], mrflp.projections.solve_transport
-        monkeypatch.setattr(mrflp.projections, "solve_transport", lambda p, **kw: results.append(solve(p, **kw))
+        results, solve = [], mrflp.projections._solve_stack
+        monkeypatch.setattr(mrflp.projections, "_solve_stack", lambda *args: results.append(solve(*args))
                             or results[-1])
         rng = np.random.default_rng(9)
         state, alone = mrflp.projections.ProjectionState(m), [None] * m.n_edges
@@ -304,11 +304,14 @@ class TestPaddedEdgeStack:
             runs = m.packing().edge_stack.runs
             assert any(not run.real.all() for run in runs)
             for run in runs:
-                problem = run.problem(nodes)
                 # plans are stack-first, masks stack-last
+                wu, wv, k = run.real.shape
                 padded = ~run.real.transpose(2, 0, 1)
+                cost = m.packing().edge_stack.theta[run.at].reshape(wu, wv, k).transpose(2, 0, 1)
+                problem = M.TransportProblem(np.where(padded, 0.0, cost), nodes[run.u, :wu], nodes[run.v, :wv])
                 assert run.real.sum() == run.cells.size
-                assert np.all(M.solve_transport(problem).plan[padded] == 0.0)
+                exact = mrflp.transport._solve_stack(cost, problem.row_marginal, problem.col_marginal, None)
+                assert np.all(exact.plan[padded] == 0.0)
                 entropic = M.solve_transport_entropic(problem, 0.1, 1, problem.row_marginal, problem.col_marginal)
                 assert np.all(entropic.plan[padded] == 0.0)
 
@@ -363,10 +366,10 @@ class TestPaddedEdgeStack:
     def test_uniform_grid_is_one_transport_call(self, monkeypatch):
         m = M.generate_grid(6, 6, 3, seed=1)
         calls = []
-        solve = mrflp.projections.solve_transport
-        monkeypatch.setattr(mrflp.projections, "solve_transport", lambda p, **kw: calls.append(p) or solve(p, **kw))
+        solve = mrflp.projections._solve_stack
+        monkeypatch.setattr(mrflp.projections, "_solve_stack", lambda c, *args: calls.append(c) or solve(c, *args))
         M.project_primal_energy(m, np.random.default_rng(0).random(m.packing().node_dim))
-        assert len(calls) == 1 and calls[0].cost.shape == (m.n_edges, 3, 3)
+        assert len(calls) == 1 and calls[0].shape == (m.n_edges, 3, 3)
 
     @pytest.mark.parametrize("make", [
         lambda: oracles.mixed_label_grid(3),
@@ -389,7 +392,7 @@ class TestPaddedEdgeStack:
         assert np.all(stack.gather[: m.n_nodes + m.n_edges] == packing.node_dim)
         for run in runs:
             wu, wv, k = run.real.shape
-            assert run.cost.shape == (k, wu, wv)
+            assert run.at.stop - run.at.start == k * wu * wv
             cells = np.full(run.real.shape, -1)
             cells[run.real] = run.cells
             dual_u, dual_v = stack.index[run.rows_u].reshape(wu, k), stack.index[run.rows_v].reshape(wv, k)
@@ -417,7 +420,7 @@ class TestPaddedEdgeStack:
         runs = m.packing().edge_stack.runs
         assert len(runs) > 1
         for run in runs:
-            assert run.cost.size <= PAD_WASTE * run.cells.size
+            assert run.real.size <= PAD_WASTE * run.cells.size
 
 
 PRODUCT_MODELS = {
@@ -565,13 +568,13 @@ class TestProjectionState:
         # the state keeps only the bases, and the seed recomputed from them is
         # the exact solve's own potentials, bit for bit
         exact, costs = [], []
-        solve_exact, solve = mrflp.projections.solve_transport, mrflp.projections.solve_transport_entropic
+        solve_exact, solve = mrflp.projections._solve_stack, mrflp.projections.solve_transport_entropic
 
-        def keep_exact(p, **kw):
-            exact.append((p, solve_exact(p, **kw)))
+        def keep_exact(c, *args):
+            exact.append((c, solve_exact(c, *args)))
             return exact[-1][1]
 
-        monkeypatch.setattr(mrflp.projections, "solve_transport", keep_exact)
+        monkeypatch.setattr(mrflp.projections, "_solve_stack", keep_exact)
         monkeypatch.setattr(mrflp.projections, "solve_transport_entropic",
                             lambda p, *args: costs.append(p.cost) or solve(p, *args))
         for m, d, blocks in projection_cases():
@@ -585,13 +588,17 @@ class TestProjectionState:
             seeded = M.project_primal_free_energy(m, d, blocks, 0.5, state)
             # the entropic projection reads the bases and writes nothing
             assert state.bases == kept
-            for (p, res), cost in zip(exact, costs, strict=True):
-                u, v = res.row_potentials, res.col_potentials
-                np.testing.assert_array_equal(cost, p.cost - u[:, :, None] - v[:, None, :])
+            # padded cells cost +inf in the exact solve's input; padded rows and
+            # columns have no mass, so the entropic solve pins them whatever they cost
+            for (c, res), cost in zip(exact, costs, strict=True):
+                u, v, real = res.row_potentials, res.col_potentials, np.isfinite(c)
+                np.testing.assert_array_equal(cost[real], (c - u[:, :, None] - v[:, None, :])[real])
             costs.clear()
             cold = M.project_primal_free_energy(m, d, blocks, 0.5)
-            for run, cost in zip(runs, costs):
-                np.testing.assert_array_equal(cost, run.cost)
+            for (c, _), cost in zip(exact, costs, strict=True):
+                real = np.isfinite(c)
+                np.testing.assert_array_equal(cost[real], c[real])
+                assert np.all(cost[~real] == 0.0)
             np.testing.assert_allclose(seeded.flat, cold.flat, rtol=0, atol=1e-9)
 
     def test_state_of_another_model_is_refused(self):

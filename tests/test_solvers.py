@@ -834,9 +834,9 @@ class TestWarmProjections:
         cfg = M.SolverConfig(max_iters=200, epoch=10, rho=0.5,
                              rho_schedule="halving" if solver == "nest" else None)
         starts = []
-        solve = mrflp.projections.solve_transport
-        monkeypatch.setattr(mrflp.projections, "solve_transport",
-                            lambda p, start=None: starts.append(start is not None) or solve(p, start=start))
+        solve = mrflp.projections._solve_stack
+        monkeypatch.setattr(mrflp.projections, "_solve_stack",
+                            lambda c, r, s, start: starts.append(start is not None) or solve(c, r, s, start))
         warm = M.run_solver(m, solver, cfg)
         assert any(starts)
 
