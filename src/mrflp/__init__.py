@@ -19,7 +19,6 @@ from .model import (
     Marginals,
     MrfModel,
     constraint_residual,
-    decompose_grid,
     embed_labeling,
     energy,
     grid_edges,
@@ -47,6 +46,7 @@ from .dualdec import (
     DualContext,
     ForestPlan,
     decompose_by_coloring,
+    decompose_grid,
     decomposition_entropy,
     free_energy,
 )

@@ -140,10 +140,6 @@ class Packing:
         cells = self.node_dim + self.edge_starts + x[u] * self.edge_shapes[:, 1] + x[v]
         return np.concatenate([self.node_starts + x, cells])
 
-    def split_dual(self, nu: np.ndarray) -> list[np.ndarray]:
-        """Node bounds, edge bounds, u-side messages and v-side messages."""
-        return np.split(nu, np.cumsum([len(self.node_starts), len(self.edge_starts), self.edge_shapes[:, 0].sum()]))
-
     # -- conversions between the layouts -----------------------------------
 
     def stack_primal(self, flat: np.ndarray) -> np.ndarray:
@@ -216,34 +212,30 @@ class Packing:
         first_u = n + m + _starts(self.edge_shapes[:, 0])
         first_v = n + m + int(self.edge_shapes[:, 0].sum()) + _starts(self.edge_shapes[:, 1])
         start_v = n + m + sum((hi - lo) * wu for lo, hi, wu, _ in spans)
+        size = start_v + sum((hi - lo) * wv for lo, hi, _, wv in spans)
+        theta = np.full(nd + sum((hi - lo) * wu * wv for lo, hi, wu, wv in spans), np.inf)
+        theta[:nd] = self.unary
+        index, gather = np.empty(size, dtype=np.int64), np.full(size, nd)
+        index[: n + m] = np.append(np.arange(n), n + order)
         at, row_u, row_v = nd, n + m, start_v
-        runs, theta = [], [self.unary]
-        index_u, index_v, gather_u, gather_v = ([np.arange(0)] for _ in range(4))  # a model may have no edges
+        runs = []
         for lo, hi, wu, wv in spans:
             es, k = order[lo:hi], hi - lo
             x_u, x_v = np.arange(wu)[:, None, None], np.arange(wv)[:, None]
             real = (x_u < lu[lo:hi]) & (x_v < lv[lo:hi])
             # cell (x_u, x_v) of edge e is at edge_starts[e] + x_u L_v + x_v
             cells = (self.edge_starts[es] + x_u * lv[lo:hi] + x_v)[real]
-            costs = np.full(real.shape, np.inf)
-            costs[real] = self.theta[nd + cells]
-            theta.append(costs.ravel())
             u, v = self.edge_ends[es].T
-            runs.append(_StackRun(es, cells, real, u, v, slice(at, at + real.size),
-                                  slice(n + lo, n + hi), slice(row_u, row_u + wu * k), slice(row_v, row_v + wv * k)))
-            index_u.append(padded_gather(first_u[es], lu[lo:hi], wu, self.dual_dim).T.ravel())
-            index_v.append(padded_gather(first_v[es], lv[lo:hi], wv, self.dual_dim).T.ravel())
-            gather_u.append(self.node_pad[u, :wu].T.ravel())
-            gather_v.append(self.node_pad[v, :wv].T.ravel())
-            at, row_u, row_v = at + real.size, row_u + wu * k, row_v + wv * k
-        return _EdgeStack(
-            tuple(runs),
-            np.concatenate(theta),
-            np.concatenate([np.arange(n), n + order, *index_u, *index_v]),
-            np.concatenate([np.full(n + m, nd), *gather_u, *gather_v]),
-            slice(n + m, start_v),
-            slice(start_v, row_v),
-        )
+            run = _StackRun(es, cells, real, u, v, slice(at, at + real.size),
+                            slice(n + lo, n + hi), slice(row_u, row_u + wu * k), slice(row_v, row_v + wv * k))
+            theta[run.at].reshape(real.shape)[real] = self.theta[nd:][cells]
+            index[run.rows_u] = padded_gather(first_u[es], lu[lo:hi], wu, self.dual_dim).T.ravel()
+            index[run.rows_v] = padded_gather(first_v[es], lv[lo:hi], wv, self.dual_dim).T.ravel()
+            gather[run.rows_u] = self.node_pad[u, :wu].T.ravel()
+            gather[run.rows_v] = self.node_pad[v, :wv].T.ravel()
+            runs.append(run)
+            at, row_u, row_v = run.at.stop, run.rows_u.stop, run.rows_v.stop
+        return _EdgeStack(tuple(runs), theta, index, gather, slice(n + m, start_v), slice(start_v, size))
 
 
 # a padded stack is split where its padded cells would exceed this many

@@ -23,6 +23,10 @@ toward the smaller label so subgradients are reproducible.
 The soft-min returns the value and the node marginals only: feasible primal
 points are built from node blocks, with every edge block re-optimized by
 the projections.
+
+Decompositions are made here, by :func:`decompose_grid` or
+:func:`decompose_by_coloring`: either peels the forests once, rejecting a
+cycle, and keeps the :class:`ForestPlan` for the model's :class:`DualContext`.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .model import (
     Marginals,
     MrfModel,
     _checked_flat,
-    _forest_rows,
     constraint_residual,
+    infer_grid_shape,
     relaxed_energy,
 )
 from .tolerances import EQ_TOL, LOG_FLOOR
@@ -75,6 +79,60 @@ class _EdgeGroup:
     child_gather: np.ndarray   # (L_c, k) aggregate indices, sentinel where padded
     parent_gather: np.ndarray  # (L_p, k)
     w: np.ndarray              # (L_c, L_p, k) pairwise tables, child axis first
+
+
+def _forest_rows(model: MrfModel, *forests) -> np.ndarray:
+    """``(depth, child, parent, edge)`` of every node of the given forests,
+    each a 1-D array of edge ids over all ``n`` nodes, forest ``f``'s node
+    ``v`` in row and id ``f * n + v``; a root is its own parent at depth 0,
+    with edge -1.  An id outside ``0 .. n_edges - 1`` or a forest that is not
+    1-D raises :class:`StructureError`.
+
+    One leaf-peeling pass roots every tree at a center: each round removes
+    all current leaves, each hanging from the other end of its one remaining
+    edge, and a tree's last node is its root (of two leaves that hang from
+    each other, two centers, the smaller).  Depths are filled top-down from
+    the last round.  A node that no round peels lies on a cycle, and
+    :class:`StructureError` names its forest.
+    """
+    n, size = model.n_nodes, model.n_nodes * len(forests)
+    parts = [np.asarray(f, dtype=np.int64) for f in forests]
+    if any(part.ndim != 1 for part in parts):
+        raise StructureError("a forest must be a 1-D array of edge ids")
+    ids = np.concatenate(parts)
+    bad = ids[(ids < 0) | (ids >= model.n_edges)]
+    if bad.size:
+        raise StructureError(f"edge id {bad[0]} is out of range: the model has {model.n_edges} edges")
+    ends = model.packing().edge_ends[ids] + n * np.repeat(np.arange(len(parts)), [p.size for p in parts])[:, None]
+    # each node's degree and the xors of its remaining neighbours and of
+    # their edges: at degree 1, the one neighbour and edge left
+    deg = np.bincount(ends.ravel(), minlength=size)
+    nbr, via = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+    np.bitwise_xor.at(nbr, ends, ends[:, ::-1])
+    np.bitwise_xor.at(via, ends, ids[:, None])
+    parent, edge, child = np.arange(size), np.full(size, -1), np.empty(size, dtype=np.int64)
+    rounds, leaves = [], np.flatnonzero(deg <= 1)
+    while leaves.size:
+        x = leaves[deg[leaves] == 1]
+        y = nbr[x]
+        # of two leaves that hang from each other, the smaller stays as root
+        keep = (x > y) | (deg[y] != 1)
+        x, y = x[keep], y[keep]
+        parent[x], edge[x] = y, via[x]
+        np.subtract.at(deg, y, 1)
+        np.bitwise_xor.at(nbr, y, x)
+        np.bitwise_xor.at(via, y, edge[x])
+        rounds.append(x)
+        # the next round's leaves, each once: only its one recorded child names it
+        child[y] = x
+        leaves = y[(deg[y] <= 1) & (child[y] == x)]
+    # a node on a cycle keeps two edges, so no round peels it
+    if deg.max(initial=0) > 1:
+        raise StructureError(f"forest {np.argmax(deg > 1) // n} contains a cycle")
+    depth = np.zeros(size, dtype=np.int64)
+    for x in reversed(rounds):
+        depth[x] = depth[parent[x]] + 1
+    return np.stack([depth, np.arange(size), parent, edge], axis=1)
 
 
 class ForestPlan:
@@ -256,6 +314,21 @@ def decompose_by_coloring(model: MrfModel, colors: Sequence[int]) -> Decompositi
     except StructureError as exc:  # "forest {c} contains a cycle"
         raise StructureError(str(exc).replace(" contains", " of the supplied coloring contains")) from None
     return decomposition
+
+
+def decompose_grid(model: MrfModel) -> Decomposition:
+    """Horizontal/vertical decomposition of a grid model: color 0 holds the
+    row paths, color 1 the column paths, made by :func:`decompose_by_coloring`.
+
+    For non-grid models use :func:`decompose_by_coloring` with a coloring
+    of the edges into two forests; there is no automatic decomposition
+    beyond grids.
+    """
+    shape = infer_grid_shape(model)
+    if shape is None:
+        raise StructureError("model is not a 4-connected grid; supply an edge 2-coloring into forests")
+    u, v = model.packing().edge_ends.T
+    return decompose_by_coloring(model, v - u == shape[1])  # a column edge spans a row
 
 
 def decomposition_entropy(model: MrfModel, marginals: Marginals) -> float:

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .dualdec import decompose_grid
 from .fileio import write_convergence_csv, write_summary
 from .generators import generate_grid, generate_lp_tight
-from .model import MrfModel, decompose_grid, energy
+from .model import MrfModel, energy
 from .solvers import SolverConfig, SolverReport, solve_fpd, solve_nesterov, solve_subgradient
 
 SOLVERS = ("sg-ave", "sg-wei", "nest", "fpd")

@@ -18,6 +18,9 @@ Conventions kept throughout the package:
 * potentials are finite energies (lower is better); "infinite" potentials
   are represented by large finite values chosen by the caller, so all
   arithmetic stays exact.
+
+The :class:`Decomposition` type and the grid geometry live here; decompositions
+are made, checked for cycles and planned in :mod:`~mrflp.dualdec`.
 """
 
 from __future__ import annotations
@@ -219,9 +222,9 @@ class Marginals:
 @dataclasses.dataclass(frozen=True, eq=False)
 class DualPoint:
     """Point of the explicit LP dual, stored as one read-only vector ``nu``
-    in the :meth:`~mrflp._packing.Packing.split_dual` layout: node bounds,
-    edge bounds, every edge's message from ``u`` (indexed by ``x_u``), then
-    every edge's message from ``v`` (indexed by ``x_v``).
+    in the flat dual layout of :mod:`~mrflp._packing`: node bounds, edge
+    bounds, every edge's message from ``u`` (indexed by ``x_u``), then every
+    edge's message from ``v`` (indexed by ``x_v``).
 
     ``node_bounds`` and ``edge_bounds`` are the lower bounds on the
     reweighted unary/pairwise minima whose sum is the dual objective, and
@@ -387,60 +390,6 @@ def round_to_labeling(marginals: Marginals) -> np.ndarray:
     return np.argmax(np.append(flat, -np.inf)[rows], axis=1)
 
 
-def _forest_rows(model: MrfModel, *forests) -> np.ndarray:
-    """``(depth, child, parent, edge)`` of every node of the given forests,
-    each a 1-D array of edge ids over all ``n`` nodes, forest ``f``'s node
-    ``v`` in row and id ``f * n + v``; a root is its own parent at depth 0,
-    with edge -1.  An id outside ``0 .. n_edges - 1`` or a forest that is not
-    1-D raises :class:`StructureError`.
-
-    One leaf-peeling pass roots every tree at a center: each round removes
-    all current leaves, each hanging from the other end of its one remaining
-    edge, and a tree's last node is its root (of two leaves that hang from
-    each other, two centers, the smaller).  Depths are filled top-down from
-    the last round.  A node that no round peels lies on a cycle, and
-    :class:`StructureError` names its forest.
-    """
-    n, size = model.n_nodes, model.n_nodes * len(forests)
-    parts = [np.asarray(f, dtype=np.int64) for f in forests]
-    if any(part.ndim != 1 for part in parts):
-        raise StructureError("a forest must be a 1-D array of edge ids")
-    ids = np.concatenate(parts)
-    bad = ids[(ids < 0) | (ids >= model.n_edges)]
-    if bad.size:
-        raise StructureError(f"edge id {bad[0]} is out of range: the model has {model.n_edges} edges")
-    ends = model.packing().edge_ends[ids] + n * np.repeat(np.arange(len(parts)), [p.size for p in parts])[:, None]
-    # each node's degree and the xors of its remaining neighbours and of
-    # their edges: at degree 1, the one neighbour and edge left
-    deg = np.bincount(ends.ravel(), minlength=size)
-    nbr, via = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-    np.bitwise_xor.at(nbr, ends, ends[:, ::-1])
-    np.bitwise_xor.at(via, ends, ids[:, None])
-    parent, edge, child = np.arange(size), np.full(size, -1), np.empty(size, dtype=np.int64)
-    rounds, leaves = [], np.flatnonzero(deg <= 1)
-    while leaves.size:
-        x = leaves[deg[leaves] == 1]
-        y = nbr[x]
-        # of two leaves that hang from each other, the smaller stays as root
-        keep = (x > y) | (deg[y] != 1)
-        x, y = x[keep], y[keep]
-        parent[x], edge[x] = y, via[x]
-        np.subtract.at(deg, y, 1)
-        np.bitwise_xor.at(nbr, y, x)
-        np.bitwise_xor.at(via, y, edge[x])
-        rounds.append(x)
-        # the next round's leaves, each once: only its one recorded child names it
-        child[y] = x
-        leaves = y[(deg[y] <= 1) & (child[y] == x)]
-    # a node on a cycle keeps two edges, so no round peels it
-    if deg.max(initial=0) > 1:
-        raise StructureError(f"forest {np.argmax(deg > 1) // n} contains a cycle")
-    depth = np.zeros(size, dtype=np.int64)
-    for x in reversed(rounds):
-        depth[x] = depth[parent[x]] + 1
-    return np.stack([depth, np.arange(size), parent, edge], axis=1)
-
-
 def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
     """Canonical 4-connected edges of a row-major grid."""
     n = rows * cols
@@ -455,21 +404,3 @@ def infer_grid_shape(model: MrfModel) -> tuple[int, int] | None:
     n, cols = model.n_nodes, max((v - u for u, v in model.edges), default=1)
     shape = (n // cols, cols) if cols > 1 else (1, n)
     return shape if n % cols == 0 and tuple(grid_edges(*shape)) == model.edges else None
-
-
-def decompose_grid(model: MrfModel) -> Decomposition:
-    """Horizontal/vertical decomposition of a grid model: color 0 holds the
-    row paths, color 1 the column paths, so both are forests by construction
-    and are not peeled here (the dual's forest plan still rejects cycles).
-
-    For non-grid models use :func:`~mrflp.dualdec.decompose_by_coloring`
-    with a coloring of the edges into two forests; there is no automatic
-    decomposition beyond grids.
-    """
-    shape = infer_grid_shape(model)
-    if shape is None:
-        raise StructureError(
-            "model is not a 4-connected grid; supply an edge 2-coloring into forests"
-        )
-    u, v = model.packing().edge_ends.T
-    return Decomposition(v - u == shape[1])  # a column edge spans a row

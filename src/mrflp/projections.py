@@ -2,10 +2,10 @@
 
 The primal projections make an arbitrary flat node vector (the node blocks
 in the :class:`~mrflp._packing.Packing` layout) feasible in two stages:
-Euclidean projection of every node block onto its simplex (with exact unit
-sums), then exact re-optimization of every edge block given the projected
-node blocks, as a tiny transportation problem (linear objective) or entropy
-minimization (smoothed objective) per edge.
+Euclidean projection of every node block onto its simplex, then exact
+re-optimization of every edge block given the projected node blocks, as a
+tiny transportation problem (linear objective) or entropy minimization
+(smoothed objective) per edge.
 The node blocks are projected as rows of one width, zero past each node's
 labels, which the edges read directly as their marginals.  Each run of the
 packing's padded edge stack, :attr:`~mrflp._packing.Packing.edge_stack`, is
@@ -36,16 +36,15 @@ from .transport import SimplexBasis, TransportProblem, _potentials, _solve_stack
 
 def _projected_nodes(model: MrfModel, node_blocks) -> np.ndarray:
     """The flat node vector's blocks projected onto their simplices, as the
-    zero-padded rows of :attr:`Packing.node_pad`, with exact unit sums so
-    that the transport marginals agree with the node blocks."""
+    zero-padded rows of :attr:`Packing.node_pad`.  The transport layer
+    rescales the rows it reads to unit mass."""
     packing = model.packing()
     flat = np.asarray(node_blocks, dtype=np.float64)
     if flat.shape != (packing.node_dim,):
         raise ValueError(f"node vector has shape {flat.shape}, expected ({packing.node_dim},)")
     if not np.all(np.isfinite(flat)):
         raise ValueError("node blocks must be finite")
-    nodes = project_simplex_blocks(np.append(flat, -np.inf)[packing.node_pad])
-    return nodes / nodes.sum(axis=1, keepdims=True)
+    return project_simplex_blocks(np.append(flat, -np.inf)[packing.node_pad])
 
 
 class ProjectionState:
@@ -142,7 +141,7 @@ def project_primal_free_energy(
             y, wu = _potentials(cost.reshape(len(cost), -1), basis.slots, basis.inverse), cost.shape[1]
             cost = cost - y[:, :wu, None] - y[:, None, wu:]
         p = TransportProblem(cost, r, s)
-        return solve_transport_entropic(p, rho, decomposition.edge_counts[run.edges], p.row_marginal, p.col_marginal)
+        return solve_transport_entropic(p, rho, 1, p.row_marginal, p.col_marginal)  # each edge is in one forest
 
     return _project_primal(model, node_blocks, state, solve)
 
@@ -159,8 +158,8 @@ def _checked_nu(model: MrfModel, point: DualPoint) -> np.ndarray:
 def project_dual(model: MrfModel, messages) -> DualPoint:
     """Feasible dual point from arbitrary reweighting messages.
 
-    ``messages`` is a flat dual vector in the :meth:`Packing.split_dual`
-    layout, of length ``dual_dim``, with finite messages; its bound entries
+    ``messages`` is a flat dual vector in the layout of :mod:`~mrflp._packing`,
+    of length ``dual_dim``, with finite messages; its bound entries
     are ignored.  The messages are kept unchanged; every bound variable is
     set to the minimum of its reweighted table, rounded down so that no
     slack is negative: :func:`dual_feasibility_margin` is at least 0.

@@ -460,9 +460,10 @@ def _fpd_steps(packing) -> tuple[np.ndarray, np.ndarray]:
     each row's count of nonzeros in ``A``, whose entries are in {-1, 0, 1}.
 
     ``tau`` is ``1 / (1 + deg v)`` on node entries and ``1 / 3`` on edge cells.
-    ``sigma``, in :meth:`Packing.split_dual`'s order, is ``1 / L_v`` on node
-    rows, ``1 / (L_u L_v)`` on edge rows, ``1 / (1 + L_v)`` on u-side rows and
-    ``1 / (1 + L_u)`` on v-side rows.  They give ``|Sigma^1/2 A T^1/2| <= 1``.
+    ``sigma``, in the flat dual layout of :mod:`~mrflp._packing`, is
+    ``1 / L_v`` on node rows, ``1 / (L_u L_v)`` on edge rows, ``1 / (1 + L_v)``
+    on u-side rows and ``1 / (1 + L_u)`` on v-side rows.  They give
+    ``|Sigma^1/2 A T^1/2| <= 1``.
     """
     counts = packing.label_counts
     lu, lv = packing.edge_shapes.T

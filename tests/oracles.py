@@ -207,10 +207,10 @@ def lipschitz_entropy(a_norm: float, n_terms: int, eps: float, big: float) -> fl
 class FlatProducts:
     """``A`` and ``A^T`` on the flat layout, from per-cell index maps: each
     edge cell ``(e, x_u, x_v)`` to its u-side row ``(e, x_u)`` and its v-side
-    row ``(e, x_v)``, each message row to its node entry.  Rows are in
-    ``Packing.split_dual`` order; row sums are bincounts over the cells, in
-    the cells' row-major order, and the adjoint adds each block's bound
-    last.  Built from the packing's label counts and edge ends alone."""
+    row ``(e, x_v)``, each message row to its node entry.  Rows are in the
+    flat dual layout of ``mrflp._packing``; row sums are bincounts over the
+    cells, in the cells' row-major order, and the adjoint adds each block's
+    bound last.  Built from the packing's label counts and edge ends alone."""
 
     def __init__(self, packing):
         counts = [int(c) for c in packing.label_counts]

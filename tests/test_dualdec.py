@@ -683,6 +683,17 @@ class TestPlanReuse:
         assert calls == [m]
         assert M.DualContext(m, d).plan.model is m and calls == [m]
 
+    def test_a_grid_is_peeled_once(self, monkeypatch):
+        # a grid decomposition is checked and planned when it is made, like a
+        # coloring, and the dual context reuses that plan
+        calls = []
+        peel = mrflp.dualdec._forest_rows
+        monkeypatch.setattr(mrflp.dualdec, "_forest_rows", lambda m, *forests: calls.append(m) or peel(m, *forests))
+        m = M.generate_grid(4, 5, 3, seed=2)
+        d = M.decompose_grid(m)
+        assert calls == [m]
+        assert M.DualContext(m, d).plan.model is m and calls == [m]
+
     def test_plan_goes_with_its_decomposition(self):
         m = M.generate_grid(3, 3, 2, seed=1)
         d = M.decompose_grid(m)

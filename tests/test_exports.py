@@ -35,6 +35,15 @@ def test_packing_takes_only_the_sum_from_transport():
     assert names == ["_fsum"]
 
 
+def test_no_source_module_reads_edge_counts():
+    # every edge lies in one forest, so no solver or projection needs the
+    # per-edge forest counts of a decomposition
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(Path(M.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "edge_counts"]
+    assert readers == []
+
+
 def test_public_surface_is_pinned():
     # every name the package imports into its namespace, against the list above
     tree = ast.parse(Path(M.__file__).read_text())

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mrflp as M
+from mrflp.dualdec import _forest_rows
 from mrflp.errors import InfeasibleMarginalsError, InvalidLabelingError, StructureError
-from mrflp.model import _forest_rows
 
 import oracles
 
@@ -339,8 +339,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (5, 8), (30, 30)])
     def test_grid_colors_are_the_row_and_column_paths(self, shape):
-        # decompose_grid builds the coloring without peeling it: pin that it
-        # needs no check
+        # the row and column paths are forests: each peels alone
         rows, cols = shape
         m = M.generate_grid(rows, cols, 2, seed=0)
         d = M.decompose_grid(m)

@@ -382,7 +382,10 @@ class TestPaddedEdgeStack:
         m = make()
         packing = m.packing()
         stack = packing.edge_stack
-        _, _, rows_u, rows_v = packing.split_dual(np.arange(packing.dual_dim))
+        # the flat layout's message rows: every u-side row, then every v-side one
+        first_u = m.n_nodes + m.n_edges
+        first_v = first_u + packing.edge_shapes[:, 0].sum()
+        rows_u, rows_v = np.arange(first_u, first_v), np.arange(first_v, packing.dual_dim)
         starts_u = np.cumsum(packing.edge_shapes[:, 0]) - packing.edge_shapes[:, 0]
         starts_v = np.cumsum(packing.edge_shapes[:, 1]) - packing.edge_shapes[:, 1]
         runs = stack.runs
